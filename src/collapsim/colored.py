@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from .cooking import GaussianMixture1D, linear_exact_commuting
 from .errors import DimensionMismatchError, NonCommutingError
 from .noise import NoisePath, trajectory_generator
 from .operators import ProjectorFamily
@@ -235,8 +236,6 @@ def colored_cooked_density(
 ):
     """Cooked density of the integrated noise x(t): Gaussian mixture with
     means 2 a gamma f(t), 2 b gamma f(t) and variance gamma f(t)."""
-    from .cooking import GaussianMixture1D
-
     if f_value < 0:
         raise ValueError("f(t) must be nonnegative")
     a, b = eigenvalues
@@ -267,7 +266,6 @@ def commuting_nonwhite_step(
 
     Returns (normalized state, log||psi||^2 increment).
     """
-    psi = np.asarray(psi, dtype=complex)
     dx = np.atleast_1d(np.asarray(path_increment, dtype=float))
     if dx.shape[0] != family.channel_count:
         raise DimensionMismatchError("one increment per channel required")
@@ -279,18 +277,12 @@ def commuting_nonwhite_step(
                     "colored dynamics with non-commuting Hamiltonian has no "
                     "closed solution; refusing to approximate silently"
                 )
-    out = np.array(psi)
-    for sigma, idx in enumerate(family.sectors):
-        a = family.eigenvalues[sigma]
-        out[np.atleast_1d(idx).ravel()] *= np.exp(
-            float(a @ dx) - gamma * float(a @ a) * f_increment
-        )
+    out, log_norm_sq = linear_exact_commuting(psi, family, dx, gamma, f_increment)
     if h_matrix is not None and dt > 0:
         from scipy.linalg import expm
 
-        out = expm(-1j * np.asarray(h_matrix, dtype=complex) * dt) @ out
-    norm_sq = float(np.sum(np.abs(out) ** 2))
-    return out / np.sqrt(norm_sq), float(np.log(norm_sq))
+        out = expm(-1j * h * dt) @ out
+    return out, log_norm_sq
 
 
 def run_commuting_nonwhite(
@@ -312,14 +304,8 @@ def run_commuting_nonwhite(
     """
     dt = t_end / steps
     path = sample_colored_path(spec, steps, dt, gamma, master_seed, traj_index)
-    x_total = path.increments.sum(axis=0)
-    return commuting_nonwhite_step(
-        np.asarray(psi0, dtype=complex),
-        family,
-        x_total,
-        gamma,
-        spec,
-        spec.double_integral(t_end),
+    return linear_exact_commuting(
+        psi0, family, path.increments.sum(axis=0), gamma, spec.double_integral(t_end)
     )
 
 
@@ -360,16 +346,6 @@ def run_commuting_nonwhite_ensemble(
         for j in range(n_traj):
             path = sample_colored_path(spec, steps, dt, gamma, master_seed, j)
             x_total[j] = path.increments.sum()
-    f_total = spec.double_integral(t_end)
-    psi0 = np.asarray(psi0, dtype=complex)
-    dim = psi0.shape[0]
-    log_gain = np.zeros((n_traj, dim))
-    for sigma, idx in enumerate(family.sectors):
-        a = float(family.eigenvalues[sigma, 0])
-        cols = np.atleast_1d(idx).ravel()
-        log_gain[:, cols] = a * x_total[:, None] - gamma * a * a * f_total
-    shift = log_gain.max(axis=1, keepdims=True)
-    states = psi0[None, :] * np.exp(log_gain - shift)
-    norm_sq = np.sum(np.abs(states) ** 2, axis=1)
-    logw = np.log(norm_sq) + 2.0 * shift[:, 0]
-    return states / np.sqrt(norm_sq)[:, None], logw
+    return linear_exact_commuting(
+        psi0, family, x_total[:, None], gamma, spec.double_integral(t_end)
+    )

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .noise import trajectory_generator
 from .operators import ProjectorFamily
 
@@ -124,22 +125,30 @@ def two_level_analytic(
 def linear_exact_commuting(
     psi0: np.ndarray,
     family: ProjectorFamily,
-    b_values: np.ndarray,
+    x: np.ndarray,
     gamma: float,
-    t: float,
-) -> tuple[np.ndarray, float]:
-    """Exact solution of the linear equation for commuting couplings, H = 0.
+    f: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact solution of the linear equation for commuting couplings, H
+    disregarded: the one implementation of the sector-exponential update.
 
-    Each sector amplitude is multiplied by exp(a_sigma . B(t) - gamma
-    |a_sigma|^2 t).  Returns (normalized state, log||psi||^2); the raw
-    average of the squared norm over Wiener paths is exactly one.
+    Each sector amplitude is multiplied by exp(a_sigma . x - gamma
+    |a_sigma|^2 f), where ``x`` is the integrated noise and ``f`` the
+    kernel's double time integral (f(T) = T for white noise, where the raw
+    average of the squared norm over Wiener paths is exactly one).
+
+    ``x`` has shape (channels,) or (n, channels); ``psi0`` has shape (d,)
+    or one state per row.  Returns (normalized states (..., d),
+    log||psi||^2 (...)).  The exponents are shifted by their per-row
+    maximum before exponentiating, so the weight stays finite when every
+    factor would underflow.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    b = np.atleast_1d(np.asarray(b_values, dtype=float))
-    out = np.array(psi0)
-    for sigma, idx in enumerate(family.sectors):
-        a = family.eigenvalues[sigma]
-        log_factor = float(a @ b - gamma * (a @ a) * t)
-        out[np.atleast_1d(idx).ravel()] *= np.exp(log_factor)
-    norm_sq = float(np.sum(np.abs(out) ** 2))
-    return out / np.sqrt(norm_sq), float(np.log(norm_sq))
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (family.channel_count,):
+        raise DimensionMismatchError("one noise value per channel required")
+    table = family.basis_eigenvalues()  # (channels, d)
+    log_gain = x @ table - gamma * f * np.sum(table**2, axis=0)
+    shift = log_gain.max(axis=-1, keepdims=True)
+    states = np.asarray(psi0, dtype=complex) * np.exp(log_gain - shift)
+    norm_sq = np.sum(np.abs(states) ** 2, axis=-1)
+    return states / np.sqrt(norm_sq)[..., None], np.log(norm_sq) + 2.0 * shift[..., 0]

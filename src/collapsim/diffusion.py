@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError
-from .noise import NoisePath, trajectory_generator, wiener_increment_block
+from .errors import ConfigError, StabilityError
+from .noise import trajectory_generator, wiener_increment_block
 from .operators import ProjectorFamily
 
 STABILITY_LIMIT = 0.01
@@ -53,8 +53,13 @@ class CslStepper:
             raise ValueError("form must be 'linear' or 'nonlinear'")
         if self.calculus not in ("ito", "stratonovich"):
             raise ValueError("calculus must be 'ito' or 'stratonovich'")
+        if not (0 < self.gamma < np.inf and 0 < self.dt < np.inf):
+            raise ConfigError(
+                f"gamma = {self.gamma} and dt = {self.dt} must be finite and positive"
+            )
         a_max = float(np.max(np.abs(self.family.eigenvalues)))
-        if self.gamma * a_max**2 * self.dt > STABILITY_LIMIT:
+        # written so that a NaN product fails the test too
+        if not self.gamma * a_max**2 * self.dt <= STABILITY_LIMIT:
             raise StabilityError(
                 f"gamma*max|a|^2*dt = {self.gamma * a_max**2 * self.dt:.3g} "
                 f"exceeds the stability criterion {STABILITY_LIMIT}"
@@ -173,49 +178,6 @@ class CslStepper:
         return psis + 0.5 * (k1 + k2)
 
 
-def step_linear(
-    psi: np.ndarray,
-    stepper: CslStepper,
-    db: np.ndarray,
-    h_matrix: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """One linear step; returns (normalized state, log-weight increment)."""
-    if stepper.form != "linear":
-        raise ValueError("stepper is not configured for the linear form")
-    return stepper.step(psi, db, h_matrix)
-
-
-def step_nonlinear(
-    psi: np.ndarray,
-    stepper: CslStepper,
-    db: np.ndarray,
-    h_matrix: np.ndarray | None = None,
-) -> np.ndarray:
-    """One nonlinear (norm-preserving) step; returns the normalized state."""
-    if stepper.form != "nonlinear":
-        raise ValueError("stepper is not configured for the nonlinear form")
-    return stepper.step(psi, db, h_matrix)[0]
-
-
-def run_path(
-    psi0: np.ndarray,
-    stepper: CslStepper,
-    path: NoisePath,
-    h_matrix: np.ndarray | None = None,
-) -> tuple[np.ndarray, NoisePath]:
-    """Evolve one state along a sampled noise path.
-
-    Returns the final normalized state and the path with its accumulated
-    cooked log-weight.
-    """
-    psi = np.asarray(psi0, dtype=complex)
-    logw = 0.0
-    for step_idx in range(path.steps):
-        psi, dlog = stepper.step(psi, path.increments[step_idx], h_matrix)
-        logw += dlog
-    return psi, path.with_weights(logw)
-
-
 @dataclass
 class EnsembleResult:
     """Trajectory ensemble summary.
@@ -258,13 +220,19 @@ def run_ensemble(
     resampled by the accumulated weights, which keeps the paths in the
     cooked-typical region; the reweighting prescription commutes with
     being applied at intermediate times.  Each slot keeps its own noise
-    stream, so the run stays deterministic and order-independent.
+    stream (slot i draws from stream ``traj_offset + i``, as trajectory i
+    does without resampling), so the run stays deterministic and
+    order-independent.  It records no z history, so ``record_every`` is
+    rejected there.
     """
     if resample_every is not None:
         if stepper.form != "linear":
             raise ValueError("sequential resampling applies to the linear form")
+        if record_every is not None:
+            raise ValueError("the resampled runner records no z history")
         return _run_linear_resampled(
-            psi0, stepper, steps, n_traj, master_seed, h_matrix, resample_every
+            psi0, stepper, steps, n_traj, master_seed, h_matrix, resample_every,
+            traj_offset,
         )
     psi0 = np.asarray(psi0, dtype=complex)
     dim = psi0.shape[0]
@@ -333,6 +301,7 @@ def _run_linear_resampled(
     master_seed: int,
     h_matrix: np.ndarray | None,
     resample_every: int,
+    traj_offset: int,
 ) -> EnsembleResult:
     from .cooking import systematic_resample
 
@@ -343,7 +312,7 @@ def _run_linear_resampled(
     scale = np.sqrt(stepper.gamma * stepper.dt)
     # persistent per-slot streams: resampled descendants keep consuming
     # their slot's stream, so the run is reproducible and chunk-free
-    rngs = [trajectory_generator(master_seed, int(i)) for i in range(n_traj)]
+    rngs = [trajectory_generator(master_seed, traj_offset + i) for i in range(n_traj)]
     k = 0
     while k < steps:
         take = min(resample_every - (k % resample_every), steps - k)

@@ -158,17 +158,10 @@ def epr_linear_experiment(
         b_r[j] = rng.normal(0.0, np.sqrt(gamma * t_end))
     # detector on: weight = ||exp(F_L) exp(F_R) singlet||^2, the two exact
     # factors composing into a joint log-weight
-    logw_on = np.empty(n_seeds)
-    logw_off = np.empty(n_seeds)
-    for j in range(n_seeds):
-        psi, lw_r = linear_exact_commuting(
-            _SINGLET, _RIGHT, np.array([b_r[j]]), gamma, t_end
-        )
-        _, lw_l = linear_exact_commuting(psi, _LEFT, np.array([b_l[j]]), gamma, t_end)
-        logw_on[j] = lw_r + lw_l
-        _, logw_off[j] = linear_exact_commuting(
-            _SINGLET, _LEFT, np.array([b_l[j]]), gamma, t_end
-        )
+    psi, lw_r = linear_exact_commuting(_SINGLET, _RIGHT, b_r[:, None], gamma, t_end)
+    _, lw_l = linear_exact_commuting(psi, _LEFT, b_l[:, None], gamma, t_end)
+    logw_on = lw_r + lw_l
+    _, logw_off = linear_exact_commuting(_SINGLET, _LEFT, b_l[:, None], gamma, t_end)
     w_on = np.exp(logw_on - logw_on.max())
     w_off = np.exp(logw_off - logw_off.max())
     dist, crit, n_on, n_off = _weighted_ks(b_l, w_on, b_l, w_off)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GridLeakageError
+from .errors import GridLeakageError
 from .noise import trajectory_generator
 from .operators import HamiltonianSpec
 from .params import CollapseParams
@@ -275,8 +275,3 @@ def ensemble_moments(result: QmslEnsembleResult) -> dict[str, float]:
 def events_to_rows(events: list[HittingEvent]) -> list[tuple[float, float, float]]:
     """Event log rows (time, center, weight) for CSV export."""
     return [(e.time, e.center, e.pre_norm_sq) for e in events]
-
-
-def check_dimension(psi: GridWavefunction, density: np.ndarray) -> None:
-    if density.shape != (psi.n,):
-        raise DimensionMismatchError("density must match the grid")

@@ -8,7 +8,7 @@ execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,6 @@ class NoisePath:
     gamma*dt per channel; for colored noise they are w(t_k)*dt for the
     sampled process values.  Reconstruction from (seed, traj_index, dt,
     steps) is bit-identical.
-
-    ``raw_log_weight`` stays zero for paths sampled from the raw measure;
-    ``cooked_log_weight`` accumulates the log squared-norm change of the
-    linearly evolved state riding on this path.
     """
 
     seed: int
@@ -40,8 +36,6 @@ class NoisePath:
     gamma: float
     increments: np.ndarray
     kind: str = "white"
-    raw_log_weight: float = 0.0
-    cooked_log_weight: float = 0.0
 
     def __post_init__(self) -> None:
         inc = np.atleast_2d(np.asarray(self.increments, dtype=float))
@@ -56,13 +50,6 @@ class NoisePath:
     @property
     def channels(self) -> int:
         return self.increments.shape[1]
-
-    def integrated(self) -> np.ndarray:
-        """Cumulative process B(t_k) (or x(t_k)), shape (steps, channels)."""
-        return np.cumsum(self.increments, axis=0)
-
-    def with_weights(self, cooked_log_weight: float) -> "NoisePath":
-        return replace(self, cooked_log_weight=cooked_log_weight)
 
 
 def sample_wiener(

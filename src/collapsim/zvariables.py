@@ -41,8 +41,3 @@ def z_dynamics_step(
     mean = np.sum(zb * proj, axis=1, keepdims=True)
     new = zb + 2.0 * zb * (proj - mean)
     return new if batched else new[0]
-
-
-def is_vertex(z: np.ndarray, tol: float = 1e-6) -> bool:
-    z = np.asarray(z, dtype=float)
-    return bool(np.max(z) >= 1.0 - tol)

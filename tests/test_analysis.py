@@ -215,6 +215,13 @@ def test_epr_linear_gamma_zero_identical():
     assert res.ks_distance < res.ks_critical_5pct
 
 
+def test_epr_linear_finite_when_every_sector_factor_underflows():
+    # at gamma*t = 400 each factor exp(+-B - gamma t) underflows to zero
+    res = epr_linear_experiment(600, gamma=1.0, t_end=400.0, master_seed=5)
+    values = (res.ks_distance, res.n_effective_on, res.n_effective_off)
+    assert np.all(np.isfinite(values))
+
+
 def test_epr_discordance_enumeration_tiny():
     mass = linear_discordance_mass(10.0)
     assert mass < 1e-3

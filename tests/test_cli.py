@@ -100,6 +100,17 @@ def test_cli_stability_abort_exit_3(tmp_path):
     assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize(
+    "line, bad",
+    [("dt = 0.005", "dt = nan"), ("gamma = 1.0", "gamma = -1")],
+    ids=["dt-nan", "gamma-negative"],
+)
+def test_cli_nonfinite_or_nonpositive_step_parameter_exit_2(tmp_path, line, bad):
+    path = _write(tmp_path, BORN_CFG.replace(line, bad))
+    assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_statistical_precondition_exit_4(tmp_path):
     path = _write(
         tmp_path,

@@ -45,6 +45,26 @@ def test_stability_criterion_enforced():
     CslStepper(TWO, gamma=1.0, dt=0.005)  # fine
 
 
+def test_resampled_runner_honours_traj_offset():
+    # with resample_every = steps nothing is resampled, so slot i must be
+    # trajectory traj_offset + i of the plain runner
+    psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form="linear")
+    plain = run_ensemble(psi0, stepper, 40, 4, master_seed=9, traj_offset=3)
+    slots = run_ensemble(
+        psi0, stepper, 40, 4, master_seed=9, resample_every=40, traj_offset=3
+    )
+    assert np.array_equal(slots.final_states, plain.final_states)
+    assert np.array_equal(slots.log_weights, plain.log_weights)
+
+
+def test_resampled_runner_rejects_record_every():
+    psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form="linear")
+    with pytest.raises(ValueError, match="z history"):
+        run_ensemble(psi0, stepper, 10, 4, 1, record_every=5, resample_every=5)
+
+
 def test_linear_eigenstate_fixed_ray_and_zero_eigenvalue_weight():
     fam = ProjectorFamily.two_level(a_plus=0.0, a_minus=1.5)
     stepper = CslStepper(fam, gamma=1.0, dt=0.004, form="linear")
@@ -203,6 +223,36 @@ def test_linear_exact_commuting_is_exact_solution():
         dt * steps,
     )
     assert np.max(np.abs(out - exact)) < 1e-3
+
+
+def test_linear_exact_commuting_rows_match_single_calls():
+    # two channels, three sectors (basis indices 1 and 3 share a sector)
+    fam = ProjectorFamily.diagonal(
+        np.array([[1.0, -1.0, 0.5, -1.0], [0.0, 2.0, 1.0, 2.0]])
+    )
+    assert (fam.channel_count, fam.n_sectors) == (2, 3)
+    psi0 = np.sqrt(np.array([0.1, 0.2, 0.3, 0.4], dtype=complex))
+    gamma, f = 0.7, 2.0
+    x = trajectory_generator(41).normal(0.0, 1.5, size=(6, 2))
+    states, logw = linear_exact_commuting(psi0, fam, x, gamma, f)
+    assert states.shape == (6, 4) and logw.shape == (6,)
+    for j in range(6):
+        psi, lw = linear_exact_commuting(psi0, fam, x[j], gamma, f)
+        assert np.max(np.abs(psi - states[j])) < 1e-14
+        assert lw == pytest.approx(logw[j], abs=1e-12)
+        # closed form: sum over sectors of z_sigma exp(2 a.x - 2 gamma |a|^2 f)
+        expected = sum(
+            float(np.sum(np.abs(psi0[idx]) ** 2))
+            * np.exp(2.0 * (a @ x[j]) - 2.0 * gamma * (a @ a) * f)
+            for a, idx in zip(fam.eigenvalues, fam.sectors)
+        )
+        assert lw == pytest.approx(np.log(expected), abs=1e-12)
+    # one state per row: two updates compose into one with summed x and f
+    x2 = trajectory_generator(42).normal(0.0, 1.5, size=(6, 2))
+    twice, logw2 = linear_exact_commuting(states, fam, x2, gamma, 0.5)
+    once, logw_once = linear_exact_commuting(psi0, fam, x + x2, gamma, f + 0.5)
+    assert np.max(np.abs(twice - once)) < 1e-12
+    assert np.max(np.abs(logw + logw2 - logw_once)) < 1e-10
 
 
 # --------------------------------------------------------------- z system
