@@ -26,7 +26,7 @@ from .errors import (
     StabilityError,
     StatisticalPreconditionError,
 )
-from .experiments import RUNNERS, TableOutput, validate_config
+from .experiments import RUNNERS, TableOutput, plan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,11 +50,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _format_cell(value) -> str:
-    if hasattr(value, "item"):
-        value = value.item()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    # str of a Python float is its shortest round-trip repr
+    return str(value.item() if hasattr(value, "item") else value)
 
 
 def _render_csv(output: TableOutput, cfg: ExperimentConfig) -> str:
@@ -83,7 +80,7 @@ def _render_json(output, cfg: ExperimentConfig) -> str:
             "rows": [list(r) for r in output.rows],
         }
     else:
-        data = output.data
+        data = output
     doc = {
         "provenance": {
             "tool": f"collapsim {__version__}",
@@ -102,18 +99,12 @@ def run(cfg: ExperimentConfig, out_dir: str | None, threads: int = 1) -> Path:
     Returns the output path.  Deterministic given (config, seed); the
     output begins with a provenance header and is written atomically.
     """
-    runner = RUNNERS[cfg.experiment]
-    if cfg.experiment == "csl-born":
-        output = runner(cfg, threads)
-    else:
-        output = runner(cfg)
-    suffix = ".csv" if (cfg.fmt == "csv" and isinstance(output, TableOutput)) else ".json"
-    base = Path(out_dir) if out_dir else Path(".")
-    path = base / (cfg.output + suffix)
+    output = RUNNERS[cfg.experiment](cfg, threads)
     if isinstance(output, TableOutput) and cfg.fmt == "csv":
-        text = _render_csv(output, cfg)
+        suffix, text = ".csv", _render_csv(output, cfg)
     else:
-        text = _render_json(output, cfg)
+        suffix, text = ".json", _render_json(output, cfg)
+    path = (Path(out_dir) if out_dir else Path(".")) / (cfg.output + suffix)
     _atomic_write(path, text)
     return path
 
@@ -128,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument(
-        "--validate", action="store_true", help="dry-run checks, no trajectories"
+        "--validate", action="store_true", help="build the run's plan, run nothing"
     )
     args = parser.parse_args(argv)
 
@@ -139,11 +130,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.format is not None:
             cfg.fmt = args.format
         if args.validate:
-            diag = validate_config(cfg)
-            for message in diag.messages:
-                print(message)
-            if not diag.messages:
-                print("ok")
+            for notice in cfg.defaults_applied + plan(cfg)[0]:
+                print(notice)
+            print("ok")
             return EXIT_OK
         path = run(cfg, args.out, max(args.threads, 1))
         print(path)

@@ -79,6 +79,18 @@ class CorrelationSpec:
     def custom(cls, samples: np.ndarray, dt: float) -> "CorrelationSpec":
         return cls("custom", samples=samples, dt=dt)
 
+    @classmethod
+    def from_csv(cls, path: str) -> "CorrelationSpec":
+        """Custom kernel from ``lag,value`` CSV rows, lags 0, dt, 2 dt, ..."""
+        rows = np.loadtxt(path, delimiter=",", comments="#")
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise ValueError(f"kernel file {path!r} must have lag,value columns")
+        lags, values = rows[:, 0], rows[:, 1]
+        gaps = np.diff(lags)
+        if lags[0] != 0.0 or np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
+            raise ValueError("kernel lags must start at 0 with uniform spacing")
+        return cls.custom(values, float(gaps[0]))
+
     def kernel(self, lag: np.ndarray) -> np.ndarray:
         """D at the given lags (white noise has no pointwise kernel)."""
         s = np.abs(np.asarray(lag, dtype=float))

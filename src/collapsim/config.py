@@ -7,31 +7,19 @@ Grammar (one construct per line, '#' starts a comment):
     key = value          entry inside the open section
 
 Values parse as int, float, bool (true/false), or comma-separated lists
-thereof; anything else stays a string.  Unknown keys are rejected per
-experiment, so the config file is the whole truth of a run.
+thereof; anything else stays a string.  Each experiment declares its
+``[params]`` in a table of :class:`Param` entries; ``read_params`` rejects
+unknown keys, so the config file is the whole truth of a run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-
-EXPERIMENTS = (
-    "qmsl-hitting",
-    "qmsl-master",
-    "csl-born",
-    "csl-equivalence",
-    "csl-discrete",
-    "colored-damping",
-    "epr",
-    "gisin",
-    "rates-report",
-    "decoherence-table",
-    "mass-profile",
-)
 
 DEFAULT_SEED = 20_260_101
 
@@ -41,14 +29,11 @@ def _parse_scalar(text: str):
     low = text.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
     return text
 
 
@@ -58,13 +43,62 @@ def _parse_value(text: str):
     return _parse_scalar(text)
 
 
+REQUIRED = object()  # the default of a parameter every config must set
+MANY = 0  # the length of a parameter that takes one or more values
+
+
+def _in_interval(value, interval: str) -> bool:
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low < value if interval[0] == "(" else low <= value
+    below = value < high if interval[-1] == ")" else value <= high
+    return above and below
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared parameter: its type (int, float, bool or str), its
+    default (``REQUIRED`` if it has none), an interval such as
+    ``"(0, inf)"`` its values must lie in, and how many values it takes
+    (``None`` for one, n for exactly n, ``MANY`` for one or more)."""
+
+    kind: type
+    default: object = REQUIRED
+    bound: str | None = None
+    length: int | None = None
+
+    def read(self, name: str, raw):
+        """``raw`` cast to the declared type and bound-checked; a
+        ConfigError names the key."""
+        if self.length is None:
+            return self._cast(name, raw)
+        values = raw if isinstance(raw, list) else [raw]
+        if self.length not in (MANY, len(values)):
+            raise ConfigError(f"{name} takes {self.length} values, got {len(values)}")
+        return [self._cast(name, value) for value in values]
+
+    def _cast(self, name: str, value):
+        kind = self.kind
+        if kind in (bool, str) or isinstance(value, (bool, list, str)):
+            ok = type(value) is kind  # a bool is not an int, nor a str a float
+        elif kind is int:
+            ok = isinstance(value, int) or value.is_integer()
+        else:  # finite; the comparison is exact for ints of any size
+            ok = abs(value) <= sys.float_info.max
+        if not ok:
+            raise ConfigError(f"{name} = {value!r} is not of type {kind.__name__}")
+        value = kind(value)
+        if self.bound and not _in_interval(value, self.bound):
+            raise ConfigError(f"{name} = {value!r} lies outside {self.bound}")
+        return value
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment description."""
 
     experiment: str
     seed: int
-    trajectories: int
+    trajectories: int | None  # None: the experiment's default
     output: str
     fmt: str
     params: dict = field(default_factory=dict)
@@ -73,20 +107,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.source_text.encode()).hexdigest()[:16]
-
-    def require(self, *keys: str) -> None:
-        missing = [k for k in keys if k not in self.params]
-        if missing:
-            raise ConfigError(
-                f"experiment {self.experiment!r} is missing params: {missing}"
-            )
-
-    def reject_unknown(self, *allowed: str) -> None:
-        unknown = sorted(set(self.params) - set(allowed))
-        if unknown:
-            raise ConfigError(
-                f"experiment {self.experiment!r} got unknown params: {unknown}"
-            )
 
 
 _TOP_KEYS = ("experiment", "seed", "trajectories", "output", "format")
@@ -123,9 +143,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if "experiment" not in top:
         raise ConfigError("missing required key 'experiment'")
     experiment = str(top["experiment"])
-    if experiment not in EXPERIMENTS:
+    from .experiments import TABLES  # which imports this module
+
+    if experiment not in TABLES:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
+            f"unknown experiment {experiment!r}; expected one of {tuple(TABLES)}"
         )
     unknown_sections = sorted(set(sections) - {"params"})
     if unknown_sections:
@@ -134,8 +156,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     defaults = []
     if "seed" not in top:
         defaults.append(f"seed defaulted to {DEFAULT_SEED}")
-    seed = int(top.get("seed", DEFAULT_SEED))
-    trajectories = int(top.get("trajectories", 0))
+    seed = Param(int).read("seed", top.get("seed", DEFAULT_SEED))
+    trajectories = top.get("trajectories")
+    if trajectories is not None:
+        trajectories = Param(int, bound="[1, inf)").read("trajectories", trajectories)
     fmt = str(top.get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -157,3 +181,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
+
+
+def read_params(cfg: ExperimentConfig, table: dict[str, Param]) -> dict:
+    """``cfg.params`` read against an experiment's table: unknown and
+    missing keys rejected, each value cast and bound-checked, and each
+    absent optional key set to its default."""
+    unknown = sorted(set(cfg.params) - set(table))
+    if unknown:
+        raise ConfigError(f"{cfg.experiment!r} got unknown params: {unknown}")
+    missing = [k for k in table if table[k].default is REQUIRED and k not in cfg.params]
+    if missing:
+        raise ConfigError(f"{cfg.experiment!r} is missing params: {missing}")
+    return {
+        key: par.read(key, cfg.params[key]) if key in cfg.params else par.default
+        for key, par in table.items()
+    }

@@ -144,26 +144,17 @@ class CslStepper:
                 - 2.0 * (r @ table)
                 + np.sum(r**2, axis=1, keepdims=True)
             )
-            return r, noise, quad
+            return prob, r, noise, quad
 
         if self.calculus == "ito":
-            _, noise, quad = centered(psis)
+            _, _, noise, quad = centered(psis)
             return psis + (
                 self._ham_term(psis, h_matrix) * self.dt
                 + (noise - 0.5 * self.gamma * quad * self.dt) * psis
             )
 
         def rhs(chi):
-            prob = np.abs(chi) ** 2
-            nrm = prob.sum(axis=1, keepdims=True)
-            prob = prob / nrm
-            r = prob @ table.T
-            noise = dbs @ table - np.sum(dbs * r, axis=1, keepdims=True)
-            quad = (
-                self._a_sq_sum[None, :]
-                - 2.0 * (r @ table)
-                + np.sum(r**2, axis=1, keepdims=True)
-            )
+            prob, r, noise, quad = centered(chi)
             # Stratonovich form adds gamma (<A^2> - <A>^2) counterterm
             q_sq = prob @ (table**2).T
             spread = np.sum(q_sq - r**2, axis=1, keepdims=True)

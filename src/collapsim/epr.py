@@ -51,6 +51,11 @@ class NonlinearEprResult:
     n_conditioning: int
 
 
+def nonlinear_steppers(gamma: float, t_end: float, steps: int) -> list[CslStepper]:
+    """The left and right nonlinear Ito steppers of ``steps`` steps to ``t_end``."""
+    return [CslStepper(f, gamma, t_end / steps) for f in (_LEFT, _RIGHT)]
+
+
 def epr_nonlinear_experiment(
     n_seeds: int,
     gamma: float,
@@ -68,10 +73,8 @@ def epr_nonlinear_experiment(
     making the conditional probability 1/2 (the right-outcome frequency),
     independent of the left-noise class.
     """
-    dt = t_end / steps
-    stepper_l = CslStepper(_LEFT, gamma, dt, form="nonlinear", calculus="ito")
-    stepper_r = CslStepper(_RIGHT, gamma, dt, form="nonlinear", calculus="ito")
-    scale = np.sqrt(gamma * dt)
+    stepper_l, stepper_r = nonlinear_steppers(gamma, t_end, steps)
+    scale = np.sqrt(gamma * stepper_l.dt)
     db_left = np.empty((steps, n_seeds, 1))
     db_right = np.empty((steps, n_seeds, 1))
     for j in range(n_seeds):

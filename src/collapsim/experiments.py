@@ -1,22 +1,29 @@
 """Batch experiment implementations behind the CLI.
 
-Each runner validates its config keys, runs deterministically from the
-master seed, and returns either a table (CSV) or a record (JSON).
+Each experiment declares its parameters once, in the table its
+``@experiment`` decorator registers (type, default or required, bound),
+and is written as a generator in two phases.  Up to its first ``yield``
+it builds everything the run needs from the config (steppers, grids,
+kernels, step counts) and draws no noise; that ``yield`` hands over the
+plan's notices.  Resumed, it runs deterministically from the master
+seed and yields either a table (CSV) or a record (a dict, JSON).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from collections import namedtuple
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .cells import CellModel, discrete_decay_log
 from .colored import CorrelationSpec, colored_instantaneous_rate
-from .config import ExperimentConfig
+from .config import MANY, ExperimentConfig, Param, read_params
 from .diffusion import CslStepper, run_ensemble
-from .epr import epr_linear_experiment, epr_nonlinear_experiment
+from .epr import epr_linear_experiment, epr_nonlinear_experiment, nonlinear_steppers
 from .errors import ConfigError
 from .freeparticle import (
     characteristic_times,
@@ -26,7 +33,7 @@ from .freeparticle import (
     free_particle_moments,
     offdiag_lifetime,
 )
-from .hitting import events_to_rows, run_qmsl_ensemble, run_qmsl_trajectory
+from .hitting import events_to_rows, run_qmsl_ensemble, run_qmsl_trajectory, step_count
 from .macrobody import condenser_decay_rate, macro_reduction_rate, momentum_diffusion
 from .massdensity import (
     CellConfigurationState,
@@ -62,62 +69,105 @@ class TableOutput:
     rows: list[tuple]
 
 
-@dataclass
-class JsonOutput:
-    data: dict
+POSITIVE = "(0, inf)"
+NONNEGATIVE = "[0, inf)"
+COUNT = "[1, inf)"
+SEED_RANGE = f"[0, {2**64})"
+
+Settings = namedtuple("Settings", "seed trajectories threads")  # run-level inputs
+
+TABLES: dict[str, tuple[dict[str, Param], int | None, Callable[..., Iterator]]] = {}
+"""Experiment name -> (parameter table, default trajectory count, runner)."""
 
 
-@dataclass
-class Diagnostics:
-    messages: list[str] = field(default_factory=list)
+def experiment(name: str, params: dict[str, Param], trajectories: int | None = None):
+    """Register the decorated runner and its parameter table as ``name``."""
 
-    def add(self, text: str) -> None:
-        self.messages.append(text)
+    def register(runner):
+        TABLES[name] = (params, trajectories, runner)
+        return runner
+
+    return register
 
 
-def _grid_params(cfg: ExperimentConfig) -> CollapseParams:
-    return CollapseParams(
-        float(cfg.params["lambda"]), float(cfg.params["alpha"]), 1.0, dimension=1
-    )
+def plan(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[str], Iterator]:
+    """Build the configured run without drawing noise: the plan's notices,
+    and the runner paused before its first random draw.
+
+    A malformed config raises ConfigError, also where building a stepper,
+    grid or kernel raises ValueError or a kernel file cannot be read; a
+    step past the stability limit raises StabilityError.
+    """
+    table, default_trajectories, runner = TABLES[cfg.experiment]
+    p = read_params(cfg, table)
+    seed = Param(int, bound=SEED_RANGE).read("seed", cfg.seed)
+    steps = runner(p, Settings(seed, cfg.trajectories or default_trajectories, threads))
+    try:
+        return next(steps) or [], steps
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{cfg.experiment}: {exc}") from exc
+
+
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> TableOutput | dict:
+    """Plan the configured experiment, then run it."""
+    return next(plan(cfg, threads)[1])
 
 
 # ---------------------------------------------------------------- qmsl
 
+_GRID = {
+    "n": Param(int),
+    "dx": Param(float, bound=POSITIVE),
+    "mass": Param(float, bound=POSITIVE),
+    "sigma": Param(float, bound=POSITIVE),
+    "alpha": Param(float, bound=POSITIVE),
+    "lambda": Param(float, bound=POSITIVE),
+}
+"""Grid and model keys of the two hitting experiments."""
 
-def run_qmsl_hitting(cfg: ExperimentConfig) -> TableOutput:
-    cfg.require("n", "dx", "mass", "centers", "sigma", "alpha", "lambda", "t_end", "dt")
-    cfg.reject_unknown(
-        "n", "dx", "mass", "centers", "sigma", "alpha", "lambda", "t_end", "dt",
-        "record_events",
-    )
-    p = cfg.params
-    n = int(p["n"])
-    dx = float(p["dx"])
-    x0 = -0.5 * n * dx
-    centers = tuple(float(c) for c in p["centers"])
-    psi0 = two_packet_state(n, dx, x0, float(p["mass"]), centers, float(p["sigma"]))
-    params = _grid_params(cfg)
-    n_traj = cfg.trajectories or 1000
-    if p.get("record_events"):
-        _, events = run_qmsl_trajectory(
-            psi0, HamiltonianSpec.free(), params, float(p["t_end"]), cfg.seed,
-            float(p["dt"]),
-        )
-        return TableOutput(
+
+def _hitting_model(p: dict, psi0) -> tuple[CollapseParams, list[str]]:
+    """The 1D collapse parameters, and a notice when the grid spacing
+    under-resolves their localization width."""
+    params = CollapseParams(p["lambda"], p["alpha"], 1.0, dimension=1)
+    width = params.localization_width
+    notice = f"grid: localization width 1/sqrt(alpha) under-resolved ({width:.3g} < 2*dx)"
+    return params, [notice] if width < 2 * psi0.dx else []
+
+
+@experiment("qmsl-hitting", trajectories=1000, params={
+    **_GRID,
+    "centers": Param(float, length=2),
+    "t_end": Param(float, bound=POSITIVE),
+    "dt": Param(float, bound=POSITIVE),
+    "record_events": Param(bool, False),
+})
+def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
+    n, dx, centers = p["n"], p["dx"], tuple(p["centers"])
+    psi0 = two_packet_state(n, dx, -0.5 * n * dx, p["mass"], centers, p["sigma"])
+    params, notices = _hitting_model(p, psi0)
+    free = HamiltonianSpec.free()
+    if not p["record_events"]:
+        step_count(p["t_end"], p["dt"])
+    yield notices
+    if p["record_events"]:
+        _, events = run_qmsl_trajectory(psi0, free, params, p["t_end"], run.seed, p["dt"])
+        yield TableOutput(
             [("time", "internal"), ("center", "internal length"), ("weight", "1")],
             events_to_rows(events),
         )
+        return
     res = run_qmsl_ensemble(
-        psi0, HamiltonianSpec.free(), params, float(p["t_end"]), n_traj,
-        cfg.seed, float(p["dt"]), accumulate_kernel=False,
+        psi0, free, params, p["t_end"], run.trajectories, run.seed, p["dt"],
+        accumulate_kernel=False,
     )
     x = psi0.positions
     right_mass = (np.abs(res.amplitudes) ** 2 * dx) @ (x > 0.5 * (centers[0] + centers[1]))
     rows = [
         (int(j), int(res.hit_counts[j]), float(right_mass[j]), int(right_mass[j] > 0.5))
-        for j in range(n_traj)
+        for j in range(run.trajectories)
     ]
-    return TableOutput(
+    yield TableOutput(
         [
             ("trajectory", "index"),
             ("hits", "count"),
@@ -128,28 +178,20 @@ def run_qmsl_hitting(cfg: ExperimentConfig) -> TableOutput:
     )
 
 
-def run_qmsl_master(cfg: ExperimentConfig) -> TableOutput:
-    cfg.require("n", "dx", "mass", "sigma", "alpha", "lambda", "times")
-    cfg.reject_unknown("n", "dx", "mass", "sigma", "alpha", "lambda", "times")
-    p = cfg.params
-    n = int(p["n"])
-    dx = float(p["dx"])
-    mass = float(p["mass"])
-    sigma = float(p["sigma"])
+@experiment("qmsl-master", params={
+    **_GRID,
+    "times": Param(float, bound=NONNEGATIVE, length=MANY),
+})
+def run_qmsl_master(p: dict, run: Settings) -> Iterator:
+    n, dx, mass, sigma = p["n"], p["dx"], p["mass"], p["sigma"]
     psi0 = gaussian_packet(n, dx, -0.5 * n * dx, mass, 0.0, sigma)
-    params = _grid_params(cfg)
-    times = [float(t) for t in np.atleast_1d(p["times"])]
-    sch0 = {
-        "q_mean": 0.0,
-        "p_mean": 0.0,
-        "q_var": sigma**2,
-        "qp_corr": 0.0,
-        "p_var": 1.0 / (4.0 * sigma**2),
-    }
+    params, notices = _hitting_model(p, psi0)
+    yield notices
+    p_var0 = 1.0 / (4.0 * sigma**2)  # of the minimal packet, constant in free flight
     rows = []
     x = psi0.positions
     k = psi0.wavenumbers
-    for t in times:
+    for t in p["times"]:
         rho = evolve_free_master(psi0, params, t).entries
         diag = np.maximum(np.diag(rho).real, 0.0)
         diag = diag / (diag.sum() * dx)
@@ -159,13 +201,13 @@ def run_qmsl_master(cfg: ExperimentConfig) -> TableOutput:
         sch_t = {
             "q_mean": 0.0,
             "p_mean": 0.0,
-            "q_var": sch0["q_var"] + sch0["p_var"] / mass**2 * t**2,
-            "qp_corr": sch0["p_var"] / mass * t,
-            "p_var": sch0["p_var"],
+            "q_var": sigma**2 + p_var0 / mass**2 * t**2,
+            "qp_corr": p_var0 / mass * t,
+            "p_var": p_var0,
         }
         formula = free_particle_moments(params, mass, t, sch_t)
         rows.append((t, q_var, formula["q_var"], p_var, formula["p_var"]))
-    return TableOutput(
+    yield TableOutput(
         [
             ("t", "internal time"),
             ("q_var_kernel", "length^2"),
@@ -179,46 +221,78 @@ def run_qmsl_master(cfg: ExperimentConfig) -> TableOutput:
 
 # ----------------------------------------------------------------- csl
 
+_STEPPER = {
+    "gamma": Param(float, bound=POSITIVE),
+    "dt": Param(float, bound=POSITIVE),
+    "steps": Param(int, bound=COUNT),
+}
+"""Keys of the runs driven by one two-level stepper."""
 
-def _born_frequencies(cfg: ExperimentConfig, threads: int) -> tuple[np.ndarray, int]:
-    p = cfg.params
-    weights = [float(w) for w in p["weights"]]
-    gamma = float(p["gamma"])
-    dt = float(p["dt"])
-    steps = int(p["steps"])
-    n_traj = cfg.trajectories or 10_000
+_CSL = {"weights": Param(float, bound=NONNEGATIVE, length=2), **_STEPPER}
+"""Keys of the runs that start from a weighted two-level superposition."""
+
+
+def _weighted_superposition(weights: list[float]) -> np.ndarray:
+    """The two-level state whose outcome probabilities are ``weights``."""
+    if abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError(f"weights {weights} must sum to 1")
+    return np.sqrt(np.array(weights, dtype=complex))
+
+
+@experiment("csl-born", trajectories=10_000, params={
+    **_CSL,
+    "per_trajectory": Param(bool, False),
+})
+def run_csl_born(p: dict, run: Settings) -> Iterator:
+    """Outcome frequencies with binomial errors or, with ``per_trajectory``,
+    one row per trajectory: seed, outcome sector, collapse time, final
+    cooked log-weight."""
+    weights, dt, steps, n_traj = p["weights"], p["dt"], p["steps"], run.trajectories
     family = ProjectorFamily.two_level()
-    psi0 = np.sqrt(np.array(weights, dtype=complex))
-    stepper = CslStepper(family, gamma, dt, form="nonlinear", calculus="ito")
+    psi0 = _weighted_superposition(weights)
+    stepper = CslStepper(family, p["gamma"], dt, form="nonlinear", calculus="ito")
+    yield
+    if p["per_trajectory"]:
+        res = run_ensemble(psi0, stepper, steps, n_traj, run.seed)
+        rows = [
+            (
+                run.seed,
+                int(j),
+                int(res.outcomes[j]),
+                float(res.collapse_steps[j] * dt) if res.collapse_steps[j] >= 0 else -1.0,
+                float(res.log_weights[j]),
+            )
+            for j in range(n_traj)
+        ]
+        yield TableOutput(
+            [
+                ("master_seed", "u64"),
+                ("trajectory", "index"),
+                ("outcome_sector", "index or -1"),
+                ("collapse_time", "internal time or -1"),
+                ("final_log_weight", "nats"),
+            ],
+            rows,
+        )
+        return
 
     def run_slice(bounds):
         lo, hi = bounds
-        res = run_ensemble(psi0, stepper, steps, hi - lo, cfg.seed, traj_offset=lo)
+        res = run_ensemble(psi0, stepper, steps, hi - lo, run.seed, traj_offset=lo)
         return np.argmax(family.sector_weights(res.final_states), axis=1)
 
-    if threads > 1:
-        edges = np.linspace(0, n_traj, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcome_parts = list(pool.map(run_slice, zip(edges[:-1], edges[1:])))
-        outcomes = np.concatenate(outcome_parts)
+    if run.threads > 1:
+        edges = np.linspace(0, n_traj, run.threads + 1, dtype=int)
+        with ThreadPoolExecutor(max_workers=run.threads) as pool:
+            outcomes = np.concatenate(list(pool.map(run_slice, zip(edges, edges[1:]))))
     else:
         outcomes = run_slice((0, n_traj))
     counts = np.array([(outcomes == 0).sum(), (outcomes == 1).sum()])
-    return counts / n_traj, n_traj
-
-
-def run_csl_born(cfg: ExperimentConfig, threads: int = 1) -> TableOutput:
-    cfg.require("weights", "gamma", "dt", "steps")
-    cfg.reject_unknown("weights", "gamma", "dt", "steps", "per_trajectory")
-    if cfg.params.get("per_trajectory"):
-        return _born_trajectory_table(cfg)
-    freqs, n_traj = _born_frequencies(cfg, threads)
-    weights = [float(w) for w in cfg.params["weights"]]
     rows = []
-    for sector, (f, w) in enumerate(zip(freqs, weights)):
+    for sector, (f, w) in enumerate(zip(counts / n_traj, weights)):
         stderr = math.sqrt(w * (1 - w) / n_traj)
         rows.append((sector, f, stderr, w))
-    return TableOutput(
+    yield TableOutput(
         [
             ("sector", "index"),
             ("frequency", "probability"),
@@ -229,144 +303,100 @@ def run_csl_born(cfg: ExperimentConfig, threads: int = 1) -> TableOutput:
     )
 
 
-def _born_trajectory_table(cfg: ExperimentConfig) -> TableOutput:
-    """Per-trajectory summaries: seed, outcome sector, collapse time,
-    final cooked log-weight."""
-    p = cfg.params
-    weights = [float(w) for w in p["weights"]]
-    dt = float(p["dt"])
+@experiment("csl-equivalence", trajectories=10_000, params={
+    **_CSL,
+    "resample_every": Param(int, 100, COUNT),
+})
+def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
     family = ProjectorFamily.two_level()
-    psi0 = np.sqrt(np.array(weights, dtype=complex))
-    stepper = CslStepper(family, float(p["gamma"]), dt, form="nonlinear")
-    n_traj = cfg.trajectories or 1000
-    res = run_ensemble(psi0, stepper, int(p["steps"]), n_traj, cfg.seed)
-    rows = [
-        (
-            cfg.seed,
-            int(j),
-            int(res.outcomes[j]),
-            float(res.collapse_steps[j] * dt) if res.collapse_steps[j] >= 0 else -1.0,
-            float(res.log_weights[j]),
-        )
-        for j in range(n_traj)
-    ]
-    return TableOutput(
-        [
-            ("master_seed", "u64"),
-            ("trajectory", "index"),
-            ("outcome_sector", "index or -1"),
-            ("collapse_time", "internal time or -1"),
-            ("final_log_weight", "nats"),
-        ],
-        rows,
+    psi0 = _weighted_superposition(p["weights"])
+    linear, nonlinear = (
+        CslStepper(family, p["gamma"], p["dt"], form=form, calculus="ito")
+        for form in ("linear", "nonlinear")
     )
-
-
-def run_csl_equivalence(cfg: ExperimentConfig) -> JsonOutput:
-    cfg.require("weights", "gamma", "dt", "steps")
-    cfg.reject_unknown("weights", "gamma", "dt", "steps", "resample_every")
-    p = cfg.params
-    weights = [float(w) for w in p["weights"]]
-    gamma, dt, steps = float(p["gamma"]), float(p["dt"]), int(p["steps"])
-    n_traj = cfg.trajectories or 10_000
-    family = ProjectorFamily.two_level()
-    psi0 = np.sqrt(np.array(weights, dtype=complex))
+    steps, n_traj = p["steps"], run.trajectories
+    yield
     lin = run_ensemble(
-        psi0,
-        CslStepper(family, gamma, dt, form="linear", calculus="ito"),
-        steps, n_traj, cfg.seed,
-        resample_every=int(p.get("resample_every", 100)),
+        psi0, linear, steps, n_traj, run.seed, resample_every=p["resample_every"]
     )
     z = family.sector_weights(lin.final_states)
     w = np.exp(lin.log_weights - lin.log_weights.max())
     w /= w.sum()
     f_lin = float(np.sum(w * (z[:, 0] > 0.5)))
-    nonlin = run_ensemble(
-        psi0,
-        CslStepper(family, gamma, dt, form="nonlinear", calculus="ito"),
-        steps, n_traj, cfg.seed,
-    )
+    nonlin = run_ensemble(psi0, nonlinear, steps, n_traj, run.seed)
     zn = family.sector_weights(nonlin.final_states)
     f_non = float(np.mean(zn[:, 0] > 0.5))
-    return JsonOutput(
-        {
-            "linear_cooked_frequency": [f_lin, 1.0 - f_lin],
-            "nonlinear_frequency": [f_non, 1.0 - f_non],
-            "total_variation_distance": abs(f_lin - f_non),
-            "trajectories": n_traj,
-        }
-    )
+    yield {
+        "linear_cooked_frequency": [f_lin, 1.0 - f_lin],
+        "nonlinear_frequency": [f_non, 1.0 - f_non],
+        "total_variation_distance": abs(f_lin - f_non),
+        "trajectories": n_traj,
+    }
 
 
-def run_csl_discrete(cfg: ExperimentConfig) -> JsonOutput:
-    cfg.require("lambda_eff", "dt", "steps", "occupations_a", "occupations_b")
-    cfg.reject_unknown("lambda_eff", "dt", "steps", "occupations_a", "occupations_b")
-    p = cfg.params
-    occ_a = np.atleast_1d(np.asarray(p["occupations_a"], dtype=float))
-    occ_b = np.atleast_1d(np.asarray(p["occupations_b"], dtype=float))
-    model = CellModel(np.stack([occ_a, occ_b]), float(p["lambda_eff"]))
-    dt, steps = float(p["dt"]), int(p["steps"])
-    n_traj = cfg.trajectories or 10_000
+@experiment("csl-discrete", trajectories=10_000, params={
+    "lambda_eff": Param(float, bound=POSITIVE),
+    "dt": _STEPPER["dt"],
+    "steps": _STEPPER["steps"],
+    "occupations_a": Param(int, bound=NONNEGATIVE, length=MANY),
+    "occupations_b": Param(int, bound=NONNEGATIVE, length=MANY),
+})
+def run_csl_discrete(p: dict, run: Settings) -> Iterator:
+    occ_a = np.asarray(p["occupations_a"], dtype=float)
+    occ_b = np.asarray(p["occupations_b"], dtype=float)
+    model = CellModel(np.stack([occ_a, occ_b]), p["lambda_eff"])
+    dt, steps, n_traj = p["dt"], p["steps"], run.trajectories
     stepper = CslStepper(model.family, model.lambda_eff, dt, form="nonlinear")
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    yield
     res = run_ensemble(
-        psi0, stepper, steps, n_traj, cfg.seed, record_every=max(steps // 8, 1)
+        psi0, stepper, steps, n_traj, run.seed, record_every=max(steps // 8, 1)
     )
     z = res.z_history  # (n_rec, n_traj, 2)
     offdiag = np.sqrt(np.maximum(z[..., 0] * z[..., 1], 0.0)).mean(axis=1)
     t_rec = res.history_steps * dt
     slope = np.polyfit(t_rec, np.log(offdiag), 1)[0]
     expected = -discrete_decay_log(occ_a, occ_b, model.lambda_eff, 1.0)
-    return JsonOutput(
-        {
-            "fitted_rate": -float(slope),
-            "formula_rate": expected,
-            "relative_error": abs(-slope - expected) / expected,
-            "trajectories": n_traj,
-        }
-    )
+    yield {
+        "fitted_rate": -float(slope),
+        "formula_rate": expected,
+        "relative_error": abs(-slope - expected) / expected,
+        "trajectories": n_traj,
+    }
 
 
 # --------------------------------------------------------------- other
 
 
-def _load_kernel_csv(path: str) -> CorrelationSpec:
-    """Sampled correlation kernel from a (lag, value) CSV file."""
-    rows = np.loadtxt(path, delimiter=",", comments="#")
-    if rows.ndim != 2 or rows.shape[1] != 2:
-        raise ConfigError(f"kernel file {path!r} must have lag,value columns")
-    lags, values = rows[:, 0], rows[:, 1]
-    gaps = np.diff(lags)
-    if lags[0] != 0.0 or np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
-        raise ConfigError("kernel lags must start at 0 with uniform spacing")
-    return CorrelationSpec.custom(values, float(gaps[0]))
-
-
-def run_colored_damping(cfg: ExperimentConfig) -> TableOutput:
-    cfg.require("kind", "gamma", "times")
-    cfg.reject_unknown("kind", "tau", "gamma", "times", "eigenvalues", "kernel_file")
-    p = cfg.params
-    if str(p["kind"]) == "custom":
-        if "kernel_file" not in p:
-            raise ConfigError("custom kernels need kernel_file = path")
-        spec = _load_kernel_csv(str(p["kernel_file"]))
+@experiment("colored-damping", params={
+    "kind": Param(str),
+    "tau": Param(float, None, POSITIVE),
+    "gamma": Param(float, bound=POSITIVE),
+    "times": Param(float, bound=NONNEGATIVE, length=MANY),
+    "eigenvalues": Param(float, (1.0, -1.0), length=2),
+    "kernel_file": Param(str, None),
+})
+def run_colored_damping(p: dict, run: Settings) -> Iterator:
+    needs = "kernel_file" if p["kind"] == "custom" else "tau"
+    if p[needs] is None:
+        raise ConfigError(f"kind = {p['kind']} needs {needs}")
+    if p["kind"] == "custom":
+        spec = CorrelationSpec.from_csv(p["kernel_file"])
     else:
-        cfg.require("tau")
-        spec = CorrelationSpec(str(p["kind"]), tau=float(p["tau"]))
-    gamma = float(p["gamma"])
-    eigenvalues = p.get("eigenvalues", [1.0, -1.0])
-    family = ProjectorFamily.two_level(float(eigenvalues[0]), float(eigenvalues[1]))
+        spec = CorrelationSpec(p["kind"], tau=p["tau"])
+    gamma = p["gamma"]
+    family = ProjectorFamily.two_level(*p["eigenvalues"])
     white = CorrelationSpec.white()
+    yield
     rows = []
-    for t in np.atleast_1d(p["times"]):
-        t = float(t)
+    for t in p["times"]:
         rate_stationary = colored_instantaneous_rate(family, spec, gamma, 0, 1, None)
         rate_from_t0 = colored_instantaneous_rate(family, spec, gamma, 0, 1, t)
         rate_white = colored_instantaneous_rate(family, white, gamma, 0, 1, None)
         f_col = spec.double_integral(t)
         f_white = white.double_integral(t)
         rows.append((t, rate_from_t0, rate_stationary, rate_white, f_col, f_white))
-    return TableOutput(
+    yield TableOutput(
         [
             ("t", "internal time"),
             ("rate_from_t0", "1/time"),
@@ -379,116 +409,108 @@ def run_colored_damping(cfg: ExperimentConfig) -> TableOutput:
     )
 
 
-def run_epr(cfg: ExperimentConfig) -> JsonOutput:
-    cfg.require("gamma", "t_end")
-    cfg.reject_unknown("gamma", "t_end", "steps")
-    p = cfg.params
-    gamma, t_end = float(p["gamma"]), float(p["t_end"])
-    n_seeds = cfg.trajectories or 4000
+@experiment("epr", trajectories=4000, params={
+    "gamma": _STEPPER["gamma"],
+    "t_end": Param(float, bound=POSITIVE),
+    "steps": Param(int, 400, COUNT),
+})
+def run_epr(p: dict, run: Settings) -> Iterator:
+    gamma, t_end, steps = p["gamma"], p["t_end"], p["steps"]
+    nonlinear_steppers(gamma, t_end, steps)  # the steppers the run builds
+    yield
     nonlinear = epr_nonlinear_experiment(
-        n_seeds, gamma, t_end, cfg.seed, steps=int(p.get("steps", 400))
+        run.trajectories, gamma, t_end, run.seed, steps=steps
     )
-    linear = epr_linear_experiment(n_seeds, gamma, t_end, cfg.seed + 1)
-    return JsonOutput(
-        {
-            "nonlinear": {
-                "p_minus_given_class_detector_off": nonlinear.p_minus_detector_off,
-                "p_minus_given_class_detector_on": nonlinear.p_minus_detector_on,
-                "class_frequency": nonlinear.class_frequency,
-                "conditioning_samples": nonlinear.n_conditioning,
-            },
-            "linear": {
-                "ks_distance": linear.ks_distance,
-                "ks_critical_5pct": linear.ks_critical_5pct,
-                "marginals_indistinguishable": linear.ks_distance
-                < linear.ks_critical_5pct,
-            },
-        }
-    )
+    # the linear half keys its streams one seed on
+    linear = epr_linear_experiment(run.trajectories, gamma, t_end, (run.seed + 1) % 2**64)
+    yield {
+        "nonlinear": {
+            "p_minus_given_class_detector_off": nonlinear.p_minus_detector_off,
+            "p_minus_given_class_detector_on": nonlinear.p_minus_detector_on,
+            "class_frequency": nonlinear.class_frequency,
+            "conditioning_samples": nonlinear.n_conditioning,
+        },
+        "linear": {
+            "ks_distance": linear.ks_distance,
+            "ks_critical_5pct": linear.ks_critical_5pct,
+            "marginals_indistinguishable": linear.ks_distance
+            < linear.ks_critical_5pct,
+        },
+    }
 
 
-def run_gisin(cfg: ExperimentConfig) -> JsonOutput:
-    cfg.require("gamma", "dt", "steps")
-    cfg.reject_unknown("gamma", "dt", "steps")
-    p = cfg.params
-    gamma, dt, steps = float(p["gamma"]), float(p["dt"]), int(p["steps"])
-    n_traj = cfg.trajectories or 2000
-    family = ProjectorFamily.two_level()
-    stepper = CslStepper(family, gamma, dt, form="nonlinear")
+@experiment("gisin", trajectories=2000, params=_STEPPER)
+def run_gisin(p: dict, run: Settings) -> Iterator:
+    stepper = CslStepper(ProjectorFamily.two_level(), p["gamma"], p["dt"], form="nonlinear")
+    yield
 
     def evolve_many(psi0, indices):
         res = run_ensemble(
-            psi0, stepper, steps, len(indices), cfg.seed,
+            psi0, stepper, p["steps"], len(indices), run.seed,
             traj_offset=int(indices[0]),
         )
         return res.final_states, np.zeros(len(indices))
 
-    ens_a, ens_b = here_there_mixtures()
-    report = gisin_check(ens_a, ens_b, evolve_many, n_traj)
-    return JsonOutput(
-        {
-            "frobenius_distance": report.distance,
-            "monte_carlo_band_1sigma": report.band,
-            "passed_within_3sigma": report.passed,
-            "trajectories_per_ensemble": n_traj,
-        }
-    )
+    report = gisin_check(*here_there_mixtures(), evolve_many, run.trajectories)
+    yield {
+        "frobenius_distance": report.distance,
+        "monte_carlo_band_1sigma": report.band,
+        "passed_within_3sigma": report.passed,
+        "trajectories_per_ensemble": run.trajectories,
+    }
 
 
-def run_rates_report(cfg: ExperimentConfig) -> JsonOutput:
-    cfg.reject_unknown(
-        "lambda", "alpha", "gamma", "density", "n_out", "n_macro", "mass",
-        "separation",
-    )
-    p = cfg.params
-    lam = float(p.get("lambda", CANONICAL_LAMBDA_MICRO))
-    alpha = float(p.get("alpha", CANONICAL_ALPHA))
-    gamma = float(p.get("gamma", CANONICAL_GAMMA))
-    density = float(p.get("density", CANONICAL_DENSITY))
-    n_out = float(p.get("n_out", 1e13))
-    n_macro = float(p.get("n_macro", MACRO_PARTICLE_COUNT))
-    mass = float(p.get("mass", 1e-23))
-    separation = float(p.get("separation", 4e-5))
+@experiment("rates-report", params={
+    "lambda": Param(float, CANONICAL_LAMBDA_MICRO, POSITIVE),
+    "alpha": Param(float, CANONICAL_ALPHA, POSITIVE),
+    "gamma": Param(float, CANONICAL_GAMMA, POSITIVE),
+    "density": Param(float, CANONICAL_DENSITY, POSITIVE),
+    "n_out": Param(float, 1e13, POSITIVE),
+    "n_macro": Param(float, MACRO_PARTICLE_COUNT, POSITIVE),
+    "mass": Param(float, 1e-23, POSITIVE),
+    "separation": Param(float, 4e-5, POSITIVE),
+})
+def run_rates_report(p: dict, run: Settings) -> Iterator:
+    lam, alpha, gamma, density = p["lambda"], p["alpha"], p["gamma"], p["density"]
+    n_out, n_macro, mass, separation = p["n_out"], p["n_macro"], p["mass"], p["separation"]
     micro = CollapseParams.consistent(lam, alpha)
     lam_macro = com_amplified_rate(lam, n_macro)
     macro = CollapseParams.consistent(lam_macro, alpha)
+    yield
     t1, t2 = characteristic_times(macro, 1.0, 1e-5, 1.0, hbar=HBAR_CGS)
-    return JsonOutput(
-        {
-            "inputs": {
-                "lambda_micro_per_s": lam,
-                "alpha_per_cm2": alpha,
-                "gamma_cm3_per_s": gamma,
-                "density_per_cm3": density,
-                "n_out": n_out,
-                "n_macro": n_macro,
-                "mass_g": mass,
-                "separation_cm": separation,
-            },
-            "offdiag_lifetime_s": offdiag_lifetime(separation, macro),
-            "lambda_macro_per_s": lam_macro,
-            "energy_increase_eV_per_s": energy_increase_rate(
-                micro, mass, hbar=HBAR_CGS
-            )
-            / ERG_PER_EV,
-            "t1_spread_time_s": t1,
-            "t2_spread_time_s": t2,
-            "macro_reduction_rate_per_s": macro_reduction_rate(gamma, density, n_out),
-            "momentum_diffusion_cgs_per_cm2": momentum_diffusion(
-                gamma, alpha, density, 1.0, HBAR_CGS
-            ),
-            "excitation_rate_atom_per_s": excitation_rate_qmsl(micro, 1e8),
-            "excitation_rate_nucleus_per_s": excitation_rate_qmsl(micro, 1e12),
-            "localization_decoherence_rate_per_cm2_s": localization_decoherence_rate(micro),
-            "localization_table_reference_per_cm2_s": LOCALIZATION_TABLE_DELTA_REFERENCE,
-            "diosi_rate_per_s": diosi_rate(1.0, 1.0, 1e-5),
-            "condenser_decay_rate_per_s": condenser_decay_rate(params=micro),
-        }
-    )
+    yield {
+        "inputs": {
+            "lambda_micro_per_s": lam,
+            "alpha_per_cm2": alpha,
+            "gamma_cm3_per_s": gamma,
+            "density_per_cm3": density,
+            "n_out": n_out,
+            "n_macro": n_macro,
+            "mass_g": mass,
+            "separation_cm": separation,
+        },
+        "offdiag_lifetime_s": offdiag_lifetime(separation, macro),
+        "lambda_macro_per_s": lam_macro,
+        "energy_increase_eV_per_s": energy_increase_rate(micro, mass, hbar=HBAR_CGS)
+        / ERG_PER_EV,
+        "t1_spread_time_s": t1,
+        "t2_spread_time_s": t2,
+        "macro_reduction_rate_per_s": macro_reduction_rate(gamma, density, n_out),
+        "momentum_diffusion_cgs_per_cm2": momentum_diffusion(
+            gamma, alpha, density, 1.0, HBAR_CGS
+        ),
+        "excitation_rate_atom_per_s": excitation_rate_qmsl(micro, 1e8),
+        "excitation_rate_nucleus_per_s": excitation_rate_qmsl(micro, 1e12),
+        "localization_decoherence_rate_per_cm2_s": localization_decoherence_rate(micro),
+        "localization_table_reference_per_cm2_s": LOCALIZATION_TABLE_DELTA_REFERENCE,
+        "diosi_rate_per_s": diosi_rate(1.0, 1.0, 1e-5),
+        "condenser_decay_rate_per_s": condenser_decay_rate(params=micro),
+    }
 
 
-def run_decoherence_table(cfg: ExperimentConfig) -> TableOutput:
-    cfg.reject_unknown()
+@experiment("decoherence-table", params={})
+def run_decoherence_table(p: dict, run: Settings) -> Iterator:
+    yield
     rows = []
     for source in load_decoherence_sources():
         if source.reference_only:
@@ -516,7 +538,7 @@ def run_decoherence_table(cfg: ExperimentConfig) -> TableOutput:
             "alpha*lambda/2 identity",
         )
     )
-    return TableOutput(
+    yield TableOutput(
         [
             ("source", "name"),
             ("flux", "1/(cm^2 s)"),
@@ -529,41 +551,38 @@ def run_decoherence_table(cfg: ExperimentConfig) -> TableOutput:
     )
 
 
-def run_mass_profile(cfg: ExperimentConfig) -> TableOutput:
-    cfg.require("scenario")
-    cfg.reject_unknown("scenario", "n_particles", "n_cells", "tail_weight")
-    p = cfg.params
-    scenario = str(p["scenario"])
-    n_particles = int(p.get("n_particles", 100))
-    n_cells = int(p.get("n_cells", 2))
+@experiment("mass-profile", params={
+    "scenario": Param(str),
+    "n_particles": Param(int, 100, NONNEGATIVE),
+    "n_cells": Param(int, 2, COUNT),
+    "tail_weight": Param(float, 1e-8, "[0, 1]"),
+})
+def run_mass_profile(p: dict, run: Settings) -> Iterator:
+    scenario, n_particles, n_cells = p["scenario"], p["n_particles"], p["n_cells"]
+    other = min(1, n_cells - 1)
     m0 = NUCLEON_MASS_G
+    half = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+
+    def two_cells(count):
+        occ = np.zeros((2, n_cells))
+        occ[0, 0] = count
+        occ[1, other] = count
+        return occ
+
     if scenario == "superposed":
-        occ = np.zeros((2, n_cells))
-        occ[0, 0] = n_particles
-        occ[1, min(1, n_cells - 1)] = n_particles
-        amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        state = CellConfigurationState(amps, occ, m0)
+        state = CellConfigurationState(half, two_cells(n_particles), m0)
     elif scenario == "tails":
-        beta_sq = float(p.get("tail_weight", 1e-8))
-        occ = np.zeros((2, n_cells))
-        occ[0, 0] = n_particles
-        occ[1, min(1, n_cells - 1)] = n_particles
+        beta_sq = p["tail_weight"]
         amps = np.array([np.sqrt(1 - beta_sq), np.sqrt(beta_sq)], dtype=complex)
-        state = CellConfigurationState(amps, occ, m0)
+        state = CellConfigurationState(amps, two_cells(n_particles), m0)
     elif scenario == "product":
-        placements = tuple(
-            (0, min(1, n_cells - 1), 0.5) for _ in range(n_particles)
-        )
+        placements = tuple((0, other, 0.5) for _ in range(n_particles))
         state = IndependentParticleState(placements, n_cells, m0)
     elif scenario == "micro":
-        occ = np.zeros((2, n_cells))
-        occ[0, 0] = 1
-        occ[1, min(1, n_cells - 1)] = 1
-        state = CellConfigurationState(
-            np.array([1.0, 1.0], dtype=complex) / np.sqrt(2), occ, m0
-        )
+        state = CellConfigurationState(half, two_cells(1), m0)
     else:
         raise ConfigError(f"unknown scenario {scenario!r}")
+    yield
     profile = mass_profile(state)
     ratios, accessible = accessibility_ratio(profile)
     rows = [
@@ -576,7 +595,7 @@ def run_mass_profile(cfg: ExperimentConfig) -> TableOutput:
         )
         for i in range(len(profile.means))
     ]
-    return TableOutput(
+    yield TableOutput(
         [
             ("cell", "index"),
             ("mean_mass", "g"),
@@ -588,64 +607,5 @@ def run_mass_profile(cfg: ExperimentConfig) -> TableOutput:
     )
 
 
-RUNNERS = {
-    "qmsl-hitting": run_qmsl_hitting,
-    "qmsl-master": run_qmsl_master,
-    "csl-born": run_csl_born,
-    "csl-equivalence": run_csl_equivalence,
-    "csl-discrete": run_csl_discrete,
-    "colored-damping": run_colored_damping,
-    "epr": run_epr,
-    "gisin": run_gisin,
-    "rates-report": run_rates_report,
-    "decoherence-table": run_decoherence_table,
-    "mass-profile": run_mass_profile,
-}
-
-
-def validate_config(cfg: ExperimentConfig) -> Diagnostics:
-    """Dry-run schema and stability checks without running trajectories."""
-    diag = Diagnostics()
-    for note in cfg.defaults_applied:
-        diag.add(note)
-    p = cfg.params
-    if "gamma" in p and "dt" in p:
-        amax = 1.0
-        if "occupations_a" in p or "occupations_b" in p:
-            amax = max(
-                float(np.max(np.abs(np.atleast_1d(p.get(k, [1.0])))))
-                for k in ("occupations_a", "occupations_b")
-            )
-        crit = float(p["gamma"]) * amax**2 * float(p["dt"])
-        if crit > 0.01:
-            diag.add(
-                f"stability: gamma*max|a|^2*dt = {crit:.3g} exceeds 0.01 "
-                "(the stepper will refuse to run)"
-            )
-    if "lambda_eff" in p and "dt" in p:
-        amax = max(
-            (
-                float(np.max(np.abs(np.atleast_1d(p[k]))))
-                for k in ("occupations_a", "occupations_b")
-                if k in p
-            ),
-            default=1.0,
-        )
-        crit = float(p["lambda_eff"]) * amax**2 * float(p["dt"])
-        if crit > 0.01:
-            diag.add(
-                f"stability: lambda_eff*max|n|^2*dt = {crit:.3g} exceeds 0.01 "
-                "(the stepper will refuse to run)"
-            )
-    if "n" in p:
-        n = int(p["n"])
-        if n < 8 or (n & (n - 1)) != 0:
-            diag.add(f"grid: n = {n} is not a power of two >= 8")
-    if "alpha" in p and "n" in p and "dx" in p:
-        width = 1.0 / math.sqrt(float(p["alpha"]))
-        if width < 2 * float(p["dx"]):
-            diag.add(
-                "grid: localization width 1/sqrt(alpha) under-resolved "
-                f"({width:.3g} < 2*dx)"
-            )
-    return diag
+RUNNERS = dict.fromkeys(TABLES, run_experiment)
+"""Experiment name -> function running it from a config (and a thread count)."""

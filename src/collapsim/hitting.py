@@ -159,6 +159,14 @@ class QmslEnsembleResult:
     template: GridWavefunction
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of ``dt`` steps in ``t_end``; ValueError unless it is whole."""
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
+        raise ValueError("t_end must be an integer number of steps")
+    return n_steps
+
+
 def run_qmsl_ensemble(
     psi0: GridWavefunction,
     h: HamiltonianSpec,
@@ -180,9 +188,7 @@ def run_qmsl_ensemble(
     """
     if abs(psi0.norm_sq() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-        raise ValueError("t_end must be an integer number of steps")
+    n_steps = step_count(t_end, dt)
     n = psi0.n
     lam = params.lambda_rate
     u_grid = psi0.wrap_displacement(psi0.positions - psi0.x0)
@@ -222,16 +228,8 @@ def run_qmsl_ensemble(
                 dens = np.maximum(dens, 0.0)
                 for row, j_tr in enumerate(due):
                     r = rngs[j_tr]
-                    cell, frac = _inverse_cdf_linear(dens[row], psi0.dx, r.uniform())
-                    x = psi0.x0 + (cell + frac) * psi0.dx
-                    if x >= psi0.x0 + psi0.length:
-                        x -= psi0.length
-                    factor = (params.alpha / np.pi) ** 0.25 * np.exp(
-                        -0.5
-                        * params.alpha
-                        * psi0.wrap_displacement(psi0.positions - x) ** 2
-                    )
-                    hit_amps = amps[j_tr] * factor
+                    x, _ = sample_hit_center(psi0, dens[row], r.uniform())
+                    hit_amps = amps[j_tr] * _gaussian_factor(psi0, x, params.alpha)
                     hit_amps /= np.sqrt(np.sum(np.abs(hit_amps) ** 2) * psi0.dx)
                     amps[j_tr] = hit_amps
                     hit_counts[idx[j_tr]] += 1

@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import StatisticalPreconditionError
+
 Ensemble = Sequence[tuple[np.ndarray, float]]
 """(normalized amplitude vector, statistical weight) pairs."""
 
@@ -49,13 +51,15 @@ def _evolve_ensemble(
     weights = np.array([w for _, w in members])
     counts = np.floor(weights * n_traj).astype(int)
     counts[-1] = n_traj - counts[:-1].sum()
+    if counts.min() < 1:
+        raise StatisticalPreconditionError(
+            f"{n_traj} trajectories leave a mixture member without one"
+        )
     dim = len(members[0][0])
     states = np.empty((n_traj, dim), dtype=complex)
     logw = np.zeros(n_traj)
     traj = 0
     for (amps, _), count in zip(members, counts):
-        if count == 0:
-            continue
         psi0 = np.asarray(amps, dtype=complex)
         psi0 = psi0 / np.linalg.norm(psi0)
         idx = np.arange(index_offset + traj, index_offset + traj + count)
@@ -99,7 +103,8 @@ def gisin_check(
 ) -> GisinReport:
     """Equal-density ensembles must stay equal under the cooked dynamics.
 
-    Raises if the initial density matrices differ; passes when the final
+    Raises if the initial density matrices differ or if ``n_traj`` leaves
+    a mixture member without a trajectory; passes when the final
     Frobenius distance lies within ``sigma_factor`` times the combined
     Monte Carlo band.  Trajectory indices are disjoint between the two
     ensembles so the comparison is between independent runs.

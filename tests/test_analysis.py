@@ -188,6 +188,14 @@ def test_gisin_rejects_inequivalent_input():
         )
 
 
+def test_gisin_rejects_too_few_trajectories_for_the_mixture():
+    # one trajectory per ensemble would leave the first 50/50 member without
+    # any, so the evolved ensemble would not be the mixture
+    ens_a, ens_b = here_there_mixtures()
+    with pytest.raises(StatisticalPreconditionError, match="without one"):
+        gisin_check(ens_a, ens_b, _nonlinear_evolver(1.0, 0.01, 10, 8), 1)
+
+
 # --------------------------------------------------------------------- epr
 
 

@@ -1,12 +1,18 @@
 """Config grammar, experiment dispatch, exit codes, determinism."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_STATISTICAL, main
 from collapsim.config import parse_config_text
 from collapsim.errors import ConfigError
-from collapsim.experiments import validate_config
+from collapsim.experiments import plan
 
 BORN_CFG = """
 experiment = csl-born
@@ -51,7 +57,7 @@ def test_parse_rejects_unknown_keys():
         parse_config_text("experiment = csl-born\nbanana = 3\n")
     cfg = parse_config_text(BORN_CFG + "\nextra = 1\n".replace("extra", "steps2"))
     with pytest.raises(ConfigError, match="unknown params"):
-        cfg.reject_unknown("weights", "gamma", "dt", "steps")
+        plan(cfg)
 
 
 def test_parse_rejects_malformed_lines():
@@ -61,20 +67,22 @@ def test_parse_rejects_malformed_lines():
         parse_config_text("experiment = csl-born\nexperiment = csl-born\n")
 
 
-def test_missing_seed_generates_defaulting_notice():
+def test_missing_seed_generates_defaulting_notice(tmp_path, capsys):
     cfg = parse_config_text("experiment = rates-report\n")
     assert any("seed defaulted" in m for m in cfg.defaults_applied)
-    diag = validate_config(cfg)
-    assert any("seed defaulted" in m for m in diag.messages)
+    path = _write(tmp_path, "experiment = rates-report\n")
+    assert main(["--config", path, "--validate"]) == 0
+    assert "seed defaulted" in capsys.readouterr().out
 
 
-def test_validate_flags_stability():
-    cfg = parse_config_text(
+def test_validate_flags_stability(tmp_path, capsys):
+    path = _write(
+        tmp_path,
         "experiment = csl-born\n[params]\nweights = 0.5, 0.5\n"
-        "gamma = 1.0\ndt = 0.5\nsteps = 10\n"
+        "gamma = 1.0\ndt = 0.5\nsteps = 10\n",
     )
-    diag = validate_config(cfg)
-    assert any("stability" in m for m in diag.messages)
+    assert main(["--config", path, "--validate"]) == EXIT_NUMERICAL
+    assert "stability" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- execution
@@ -262,3 +270,170 @@ def test_epr_experiment_json_serializes(tmp_path):
     doc = json.loads((tmp_path / "epr.json").read_text())
     assert doc["data"]["nonlinear"]["p_minus_given_class_detector_off"] == 0.0
     assert isinstance(doc["data"]["linear"]["marginals_indistinguishable"], bool)
+
+
+# ------------------------------------------------------ malformed configs
+
+HITTING_CFG = (
+    "experiment = qmsl-hitting\nseed = 4\ntrajectories = 4\noutput = hits\n"
+    "[params]\nn = 128\ndx = 0.25\nmass = 20.0\ncenters = -3.0, 3.0\n"
+    "sigma = 0.45\nalpha = 1.0\nlambda = 4.0\nt_end = 0.2\ndt = 0.02\n"
+)
+COLORED_CFG = (
+    "experiment = colored-damping\noutput = damp\n[params]\nkind = exponential\n"
+    "tau = 0.5\ngamma = 1.0\ntimes = 0.5, 1.0, 2.0\n"
+)
+BASES = {
+    "born": BORN_CFG,
+    "hitting": HITTING_CFG,
+    "colored": COLORED_CFG,
+    "mass": "experiment = mass-profile\noutput = prof\n[params]\nscenario = superposed\n",
+    "discrete": (
+        "experiment = csl-discrete\ntrajectories = 50\noutput = cells\n[params]\n"
+        "lambda_eff = 0.01\ndt = 0.01\nsteps = 40\n"
+        "occupations_a = 3, 0\noccupations_b = 0, 3\n"
+    ),
+    "epr": "experiment = epr\ntrajectories = 600\n[params]\ngamma = 1.0\nt_end = 2.0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "base, line, bad",
+    [
+        ("born", "steps = 600", "steps = abc"),
+        ("born", "steps = 600", "steps = -3"),
+        ("born", "weights = 0.3, 0.7", "weights = 0.3"),
+        ("born", "trajectories = 1500", "trajectories = -5"),
+        ("born", "seed = 20", "seed = -1"),
+        ("born", "seed = 20", "seed = 100000000000000000000000"),
+        ("born", "dt = 0.005", "dt = nan"),
+        ("colored", "tau = 0.5", "tau = 0"),
+        ("colored", "kind = exponential", "kind = pink"),
+        ("colored", "kind = exponential", "kind = custom\nkernel_file = no/such.csv"),
+        ("hitting", "n = 128", "n = 100"),
+        ("hitting", "dt = 0.02", "dt = 0.03"),
+        ("mass", "scenario = superposed", "scenario = superposed\nn_cells = 0"),
+        ("discrete", "occupations_b = 0, 3", "occupations_b = 0, 3, 1"),
+        ("epr", "t_end = 2.0", "t_end = 2.0\nsteps = 0"),
+    ],
+    ids=[
+        "steps-text", "steps-negative", "weights-scalar", "trajectories-negative",
+        "seed-negative", "seed-past-u64", "dt-nan", "tau-zero", "kind-unknown",
+        "kernel-file-missing", "grid-not-power-of-two", "t_end-not-whole-steps",
+        "no-cells", "occupation-lengths-differ", "epr-no-steps",
+    ],
+)
+def test_cli_malformed_value_exit_2_when_run_and_validated(
+    tmp_path, capsys, base, line, bad
+):
+    text = BASES[base]
+    assert line in text
+    path = _write(tmp_path, text.replace(line, bad))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--config", path, "--validate"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["csl-born", "csl-equivalence"])
+@pytest.mark.parametrize(
+    "weights",
+    ["0, 0", "0.3, 0.9", "-0.2, 1.2", "0.2, 0.3, 0.5"],
+    ids=["sum-zero", "sum-above-one", "negative", "three"],
+)
+def test_cli_invalid_weights_exit_2(tmp_path, capsys, experiment, weights):
+    text = BORN_CFG.replace("csl-born", experiment).replace("0.3, 0.7", weights)
+    path = _write(tmp_path, text)
+    assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "weights" in capsys.readouterr().err
+    assert not list(tmp_path.glob("born.*"))
+
+
+def test_cli_seed_override_checked(tmp_path, capsys):
+    path = _write(tmp_path, BORN_CFG)
+    assert main(["--config", path, "--out", str(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
+    assert main(["--config", path, "--validate", "--seed", str(2**64)]) == EXIT_CONFIG
+
+
+def test_cli_epr_runs_at_the_largest_seed(tmp_path):
+    # the linear half keys its streams with seed + 1, which wraps to 0
+    cfg = (
+        f"experiment = epr\nseed = {2**64 - 1}\ntrajectories = 1500\noutput = epr\n"
+        "format = json\n[params]\ngamma = 1.0\nt_end = 2.0\nsteps = 250\n"
+    )
+    path = _write(tmp_path, cfg)
+    assert main(["--config", path, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "epr.json").read_text())
+    assert doc["data"]["nonlinear"]["p_minus_given_class_detector_off"] == 0.0
+
+
+def test_cli_gisin_too_few_trajectories_exit_4(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "experiment = gisin\ntrajectories = 1\n[params]\ngamma = 1.0\n"
+        "dt = 0.01\nsteps = 10\n",
+    )
+    assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_STATISTICAL
+    assert "statistical precondition" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_cli_validate_prints_under_resolution_notice(tmp_path, capsys):
+    # 1/sqrt(alpha) = 0.1 is below 2*dx = 0.5
+    path = _write(tmp_path, HITTING_CFG.replace("alpha = 1.0", "alpha = 100.0"))
+    assert main(["--config", path, "--validate"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert any("under-resolved" in line for line in out)
+    assert out[-1] == "ok"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# ---------------------------------------------------------- exit contract
+
+SMALL = {
+    "csl-born": BORN_CFG.replace("trajectories = 1500", "trajectories = 20").replace(
+        "steps = 600", "steps = 30"
+    ),
+    "qmsl-hitting": HITTING_CFG.replace("n = 128", "n = 64"),
+    "colored-damping": COLORED_CFG,
+}
+
+# Magnitudes stay where a valid run is small: a step of 1e-300 is a valid
+# config, but one that takes longer than a test should.
+FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+    st.floats(0.01, 4.0),
+    st.floats(-4.0, -0.01),
+)
+SCALARS = st.one_of(
+    st.integers(-3, 40), FLOATS, st.text(alphabet="abcxyz", min_size=1, max_size=4)
+)
+VALUES = st.one_of(
+    SCALARS, st.lists(st.one_of(st.integers(-3, 40), FLOATS), min_size=2, max_size=3)
+)
+
+
+def _render(value) -> str:
+    if isinstance(value, list):
+        return ", ".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_contract_on_arbitrary_params(experiment, data):
+    head, _, body = SMALL[experiment].partition("[params]\n")
+    params = dict(line.split(" = ", 1) for line in body.splitlines())
+    replaced = data.draw(
+        st.dictionaries(st.sampled_from(sorted(params)), VALUES, min_size=1, max_size=3)
+    )
+    params.update({key: _render(value) for key, value in replaced.items()})
+    text = head + "[params]\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "exp.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(path), "--out", out]) in (0, 2, 3, 4)
