@@ -18,6 +18,8 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ExperimentConfig, load_config
 from .errors import (
@@ -52,6 +54,23 @@ def _atomic_write(path: Path, text: str) -> None:
 def _format_cell(value) -> str:
     # str of a Python float is its shortest round-trip repr
     return str(value.item() if hasattr(value, "item") else value)
+
+
+def _require_finite(value, where: str) -> None:
+    """Raise ``StabilityError`` naming the first NaN or infinite number in
+    a result (a table, or a JSON record of dicts, lists and arrays)."""
+    if isinstance(value, TableOutput):
+        for row in value.rows:
+            for (name, _), cell in zip(value.columns, row):
+                _require_finite(cell, name)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, key)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for item in value:
+            _require_finite(item, where)
+    elif isinstance(value, (int, float, complex, np.number)) and not np.isfinite(value):
+        raise StabilityError(f"result {where} is {value}, not a finite number")
 
 
 def _render_csv(output: TableOutput, cfg: ExperimentConfig) -> str:
@@ -90,16 +109,21 @@ def _render_json(output, cfg: ExperimentConfig) -> str:
         },
         "data": data,
     }
-    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return (
+        json.dumps(doc, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+        + "\n"
+    )
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None, threads: int = 1) -> Path:
     """Execute one experiment and write its artifact file.
 
     Returns the output path.  Deterministic given (config, seed); the
-    output begins with a provenance header and is written atomically.
+    output begins with a provenance header and is written atomically.  A
+    NaN or infinite result raises ``StabilityError`` and writes nothing.
     """
     output = RUNNERS[cfg.experiment](cfg, threads)
+    _require_finite(output, cfg.experiment)
     if isinstance(output, TableOutput) and cfg.fmt == "csv":
         suffix, text = ".csv", _render_csv(output, cfg)
     else:

@@ -20,7 +20,8 @@ class GridLeakageError(CollapsimError):
 
 
 class StabilityError(CollapsimError):
-    """Raised when a stochastic stepper violates its step-size criterion."""
+    """Raised when a stochastic stepper violates its step-size criterion, or
+    when a run's result is not a finite number."""
 
 
 class DimensionMismatchError(CollapsimError):

@@ -180,20 +180,45 @@ def run_qmsl_ensemble(
 ) -> QmslEnsembleResult:
     """Vectorized hitting ensemble.
 
-    Trajectories evolve in lockstep with batched FFT split steps; hits are
-    applied at step boundaries (inter-arrival clocks are still exact
-    exponentials, and several hits falling inside one dt are processed
-    sequentially).  Each trajectory uses its own (master_seed, index)
-    stream, so results do not depend on chunking.
+    Hits are applied at step boundaries: inter-arrival clocks are exact
+    exponentials, a hit falling due inside a step is applied at its end,
+    and several hits inside one ``dt`` are processed sequentially.  Each
+    trajectory draws from its own (master_seed, index) stream, in the same
+    order whatever the chunk size, so results do not depend on ``chunk``.
+
+    For ``free`` and ``none`` Hamiltonians each row is held in the
+    interaction picture: pulled back to t = 0 by the free propagator
+    U(t) = ``split_step_batch(., t)``, which makes free flight a no-op.  On
+    a step where hits fall due, only those rows are brought to t with one
+    exact jump, hit, and pulled back; at the end the block is brought to
+    ``t_end`` with one call.  Harmonic Hamiltonians take one Strang step
+    per ``dt`` instead.
+
+    Leakage is checked at every step as if the rows were in position
+    space.  A row's two edge amplitudes at t are ``b @ [G_t[-j mod N],
+    G_t[N-1-j]]``, with G_t the propagator kernel (U(t) applied to a unit
+    vector), and are compared with ``leak_tol`` times the RMS amplitude,
+    which is a lower bound on a row's peak and does not change in time
+    (Parseval: every row keeps its norm).  Rows over that bound are brought
+    to t and given the exact test edge > leak_tol * peak; a failure raises
+    ``GridLeakageError``.
     """
     if abs(psi0.norm_sq() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
     n_steps = step_count(t_end, dt)
     n = psi0.n
     lam = params.lambda_rate
+    tol = psi0.leak_tol
+    free_flight = h.kind in ("free", "none")
     u_grid = psi0.wrap_displacement(psi0.positions - psi0.x0)
     kernel = np.sqrt(params.alpha / np.pi) * np.exp(-params.alpha * u_grid**2)
     kernel_hat = np.fft.rfft(kernel)
+    unit = np.zeros((1, n), dtype=complex)
+    unit[0, 0] = 1.0
+    # (U(t) b)[j] = sum_l G_t[(j - l) mod N] b[l], read at j = 0 and j = N - 1
+    edge_taps = np.stack([-np.arange(n) % n, n - 1 - np.arange(n)], axis=1)
+    # a row keeps the norm of psi0 until its first hit and unit norm after
+    rms = min(np.linalg.norm(psi0.amplitudes), 1.0 / np.sqrt(psi0.dx)) / np.sqrt(n)
 
     final = np.empty((n_traj, n), dtype=complex)
     hit_counts = np.zeros(n_traj, dtype=int)
@@ -201,40 +226,52 @@ def run_qmsl_ensemble(
 
     for start in range(0, n_traj, chunk):
         idx = np.arange(start, min(start + chunk, n_traj))
-        m = len(idx)
         rngs = [trajectory_generator(master_seed, int(i)) for i in idx]
         next_hit = np.array(
             [r.exponential(1.0 / lam) if lam > 0 else np.inf for r in rngs]
         )
-        amps = np.tile(psi0.amplitudes, (m, 1))
-        t = 0.0
+        b = np.tile(psi0.amplitudes, (len(idx), 1))
+        t = lag = 0.0
         for _ in range(n_steps):
-            amps = split_step_batch(amps, psi0, h, dt)
             t += dt
-            edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
-            peak = np.abs(amps).max(axis=1)
-            if np.any(edge > psi0.leak_tol * peak):
-                worst = float((edge / peak).max())
-                raise GridLeakageError(
-                    f"boundary amplitude reached {worst:.2e} of peak at "
-                    f"t={t:.4g}; enlarge the grid"
-                )
+            if free_flight:
+                lag = t
+            else:
+                b = split_step_batch(b, psi0, h, dt)
+            g = split_step_batch(unit, psi0, h, lag)[0]
+            over = np.nonzero(np.abs(b @ g[edge_taps]).max(axis=1) > tol * rms)[0]
+            if over.size:
+                amps = split_step_batch(b[over], psi0, h, lag)
+                edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
+                peak = np.abs(amps).max(axis=1)
+                if np.any(edge > tol * peak):
+                    worst = float((edge / peak).max())
+                    raise GridLeakageError(
+                        f"boundary amplitude reached {worst:.2e} of peak at "
+                        f"t={t:.4g}; enlarge the grid"
+                    )
             due = np.nonzero(next_hit <= t)[0]
-            while due.size:
-                prob = np.abs(amps[due]) ** 2 * psi0.dx
+            if not due.size:
+                continue
+            rows = split_step_batch(b[due], psi0, h, lag)
+            active = np.arange(due.size)
+            while active.size:
+                prob = np.abs(rows[active]) ** 2 * psi0.dx
                 dens = np.fft.irfft(
                     np.fft.rfft(prob, axis=1) * kernel_hat[None, :], n=n, axis=1
                 )
                 dens = np.maximum(dens, 0.0)
-                for row, j_tr in enumerate(due):
+                for k, density in zip(active, dens):
+                    j_tr = due[k]
                     r = rngs[j_tr]
-                    x, _ = sample_hit_center(psi0, dens[row], r.uniform())
-                    hit_amps = amps[j_tr] * _gaussian_factor(psi0, x, params.alpha)
-                    hit_amps /= np.sqrt(np.sum(np.abs(hit_amps) ** 2) * psi0.dx)
-                    amps[j_tr] = hit_amps
+                    x, _ = sample_hit_center(psi0, density, r.uniform())
+                    hit_amps = rows[k] * _gaussian_factor(psi0, x, params.alpha)
+                    rows[k] = hit_amps / np.sqrt(np.sum(np.abs(hit_amps) ** 2) * psi0.dx)
                     hit_counts[idx[j_tr]] += 1
                     next_hit[j_tr] += r.exponential(1.0 / lam)
-                due = np.nonzero(next_hit <= t)[0]
+                active = active[next_hit[due[active]] <= t]
+            b[due] = split_step_batch(rows, psi0, h, -lag)
+        amps = split_step_batch(b, psi0, h, lag)
         final[idx] = amps
         if accumulate_kernel:
             mean_kernel += amps.conj().T @ amps

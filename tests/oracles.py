@@ -2,13 +2,22 @@
 
 Everything here deliberately avoids the production code paths: closed
 forms are re-derived from scratch, integrals use scipy quadrature, and
-the kernel master equation is integrated as a brute-force ODE.
+the kernel master equation is integrated as a brute-force ODE.  The one
+exception is the lockstep hitting ensemble, a reference for the
+interaction-picture engine: it reuses the production split step, hit
+sampling and random streams, but steps every trajectory through every
+``dt`` in position space.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+
+from collapsim.errors import GridLeakageError
+from collapsim.hitting import _gaussian_factor, sample_hit_center, step_count
+from collapsim.noise import trajectory_generator
+from collapsim.schrodinger import split_step_batch
 
 
 def free_gaussian_q_var(t: float, sigma0: float, mass: float, hbar: float = 1.0):
@@ -129,3 +138,51 @@ def sphere_energy_by_quadrature(
 
     val, _ = dblquad(integrand, 0.0, radius, -1.0, 1.0, epsabs=1e-12, epsrel=1e-9)
     return val
+
+
+def qmsl_ensemble_lockstep(psi0, h, params, t_end, n_traj, master_seed, dt):
+    """Hitting ensemble stepped in lockstep: one batched split step per
+    ``dt`` for every trajectory, a leakage check on the position-space
+    amplitudes after each step, then the hits that fell due.
+
+    Returns (final amplitudes, hit counts).
+    """
+    n_steps = step_count(t_end, dt)
+    n = psi0.n
+    lam = params.lambda_rate
+    u_grid = psi0.wrap_displacement(psi0.positions - psi0.x0)
+    kernel = np.sqrt(params.alpha / np.pi) * np.exp(-params.alpha * u_grid**2)
+    kernel_hat = np.fft.rfft(kernel)
+    rngs = [trajectory_generator(master_seed, i) for i in range(n_traj)]
+    next_hit = np.array([r.exponential(1.0 / lam) if lam > 0 else np.inf for r in rngs])
+    hit_counts = np.zeros(n_traj, dtype=int)
+    amps = np.tile(psi0.amplitudes, (n_traj, 1))
+    t = 0.0
+    for _ in range(n_steps):
+        amps = split_step_batch(amps, psi0, h, dt)
+        t += dt
+        edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
+        peak = np.abs(amps).max(axis=1)
+        if np.any(edge > psi0.leak_tol * peak):
+            worst = float((edge / peak).max())
+            raise GridLeakageError(
+                f"boundary amplitude reached {worst:.2e} of peak at "
+                f"t={t:.4g}; enlarge the grid"
+            )
+        due = np.nonzero(next_hit <= t)[0]
+        while due.size:
+            prob = np.abs(amps[due]) ** 2 * psi0.dx
+            dens = np.fft.irfft(
+                np.fft.rfft(prob, axis=1) * kernel_hat[None, :], n=n, axis=1
+            )
+            dens = np.maximum(dens, 0.0)
+            for row, j_tr in enumerate(due):
+                r = rngs[j_tr]
+                x, _ = sample_hit_center(psi0, dens[row], r.uniform())
+                hit_amps = amps[j_tr] * _gaussian_factor(psi0, x, params.alpha)
+                hit_amps /= np.sqrt(np.sum(np.abs(hit_amps) ** 2) * psi0.dx)
+                amps[j_tr] = hit_amps
+                hit_counts[j_tr] += 1
+                next_hit[j_tr] += r.exponential(1.0 / lam)
+            due = np.nonzero(next_hit <= t)[0]
+    return amps, hit_counts

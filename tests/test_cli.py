@@ -381,6 +381,40 @@ def test_cli_gisin_too_few_trajectories_exit_4(tmp_path, capsys):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_cli_hitting_grid_leakage_exit_3(tmp_path, capsys):
+    # packets 1.0 from the edge of the [-16, 16) ring leak at the first step
+    near_edge = HITTING_CFG.replace("centers = -3.0, 3.0", "centers = -15.0, 15.0")
+    path = _write(tmp_path, near_edge)
+    assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical-stability abort: boundary amplitude" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("hits.*"))
+
+
+@pytest.mark.parametrize(
+    "text, result",
+    [
+        (
+            "experiment = rates-report\noutput = r\n[params]\nalpha = 7\n",
+            "offdiag_lifetime_s",
+        ),
+        (
+            COLORED_CFG.replace("output = damp", "output = r") + "eigenvalues = 7, 1e300\n",
+            "rate_from_t0",
+        ),
+    ],
+    ids=["rates-report-infinite-lifetime", "colored-damping-infinite-rate"],
+)
+def test_cli_nonfinite_result_exit_3(tmp_path, capsys, text, result):
+    path = _write(tmp_path, text)
+    assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"numerical-stability abort: result {result}" in err
+    assert "not a finite number" in err
+    assert not list(tmp_path.glob("r.*"))
+
+
 def test_cli_validate_prints_under_resolution_notice(tmp_path, capsys):
     # 1/sqrt(alpha) = 0.1 is below 2*dx = 0.5
     path = _write(tmp_path, HITTING_CFG.replace("alpha = 1.0", "alpha = 100.0"))

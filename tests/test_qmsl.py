@@ -1,9 +1,12 @@
 """Hitting process and its exact ensemble-level consequences."""
 
+import re
+
 import numpy as np
 import pytest
 
 from collapsim import CollapseParams, HamiltonianSpec, normalize
+from collapsim.errors import GridLeakageError
 from collapsim.freeparticle import (
     characteristic_times,
     com_amplified_rate,
@@ -24,7 +27,7 @@ from collapsim.hitting import (
     sample_hit_center,
 )
 from collapsim.noise import trajectory_generator
-from collapsim.schrodinger import gaussian_packet, two_packet_state
+from collapsim.schrodinger import gaussian_packet, split_step_evolve, two_packet_state
 from collapsim.units import ERG_PER_EV, HBAR_CGS
 
 from oracles import (
@@ -32,6 +35,7 @@ from oracles import (
     erf_beta_by_quadrature,
     free_gaussian_q_var,
     master_kernel_by_ode,
+    qmsl_ensemble_lockstep,
 )
 
 DESK = CollapseParams(4.0, 1.0, 1.0, dimension=1)
@@ -168,7 +172,6 @@ def test_trajectory_zero_rate_is_pure_schrodinger():
         psi, HamiltonianSpec.free(), lam0, 1.0, 42, 0.05
     )
     assert not events
-    from collapsim.schrodinger import split_step_evolve
 
     ref = split_step_evolve(psi, HamiltonianSpec.free(), 1.0)
     assert np.max(np.abs(final.amplitudes - ref.amplitudes)) < 1e-10
@@ -212,6 +215,67 @@ def test_trajectory_events_monotone_times():
     assert all(e.pre_norm_sq > 0 for e in events)
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize(
+    "h, params",
+    [
+        (HamiltonianSpec.free(), DESK),
+        (HamiltonianSpec.none(), DESK),
+        (HamiltonianSpec.free(), CollapseParams(1e-12, 1.0, 1.0, dimension=1)),
+    ],
+    ids=["free", "none", "free-no-hits"],
+)
+def test_ensemble_matches_lockstep_oracle(seed, h, params):
+    psi = _two_packets()
+    res = run_qmsl_ensemble(psi, h, params, 1.0, 24, seed, 0.02, accumulate_kernel=False)
+    amps, hit_counts = qmsl_ensemble_lockstep(psi, h, params, 1.0, 24, seed, 0.02)
+    assert np.array_equal(res.hit_counts, hit_counts)
+    if params is DESK:
+        assert hit_counts.sum() > 0
+    else:
+        assert hit_counts.sum() == 0
+    assert np.max(np.abs(res.amplitudes - amps)) < 1e-12
+
+
+def test_ensemble_does_not_depend_on_chunk():
+    psi = _two_packets()
+    args = (psi, HamiltonianSpec.free(), DESK, 1.0, 100, 5, 0.02)
+    small = run_qmsl_ensemble(*args, chunk=64)
+    whole = run_qmsl_ensemble(*args, chunk=256)
+    assert np.array_equal(small.hit_counts, whole.hit_counts)
+    assert np.array_equal(small.amplitudes, whole.amplitudes)
+    assert np.allclose(small.mean_kernel, whole.mean_kernel, rtol=0, atol=1e-14)
+
+
+def _leak_report(exc) -> tuple[float, str]:
+    # "boundary amplitude reached <worst> of peak at t=<t>; enlarge the grid"
+    worst, t = re.search(r"reached (\S+) of peak at t=([^;]+);", str(exc.value)).groups()
+    return float(worst), t
+
+
+def test_ensemble_leakage_raises_when_the_oracle_does():
+    psi = gaussian_packet(256, 0.125, -16.0, 1.0, 10.0, 0.8, momentum=4.0)
+    args = (psi, HamiltonianSpec.free(), DESK, 3.0, 16, 8, 0.02)
+    with pytest.raises(GridLeakageError) as engine:
+        run_qmsl_ensemble(*args)
+    with pytest.raises(GridLeakageError) as oracle:
+        qmsl_ensemble_lockstep(*args)
+    worst, t = _leak_report(engine)
+    assert t == _leak_report(oracle)[1] == "0.12"
+    assert worst == pytest.approx(_leak_report(oracle)[0], rel=1e-6)
+    assert worst > psi.leak_tol
+
+
+def test_ensemble_harmonic_matches_split_step_evolve():
+    h = HamiltonianSpec.harmonic(0.7)
+    psi = gaussian_packet(256, 0.125, -16.0, 2.0, 1.5, 0.6)
+    params = CollapseParams(1e-12, 1.0, 1.0, dimension=1)
+    res = run_qmsl_ensemble(psi, h, params, 2.0, 3, 1, 0.01, accumulate_kernel=False)
+    ref = split_step_evolve(psi, h, 0.01, steps=200)
+    assert res.hit_counts.sum() == 0
+    assert np.max(np.abs(res.amplitudes - ref.amplitudes[None, :])) < 1e-10
+
+
 # ------------------------------------------------------- master equation
 
 
@@ -219,7 +283,6 @@ def test_master_zero_rate_matches_schrodinger():
     psi = gaussian_packet(64, 0.25, -8.0, 5.0, 0.0, 0.9)
     lam0 = CollapseParams(1e-300, 4.0, 1.0, dimension=1)
     rho = evolve_free_master(psi, lam0, 0.8).entries
-    from collapsim.schrodinger import split_step_evolve
 
     ref = split_step_evolve(psi, HamiltonianSpec.free(), 0.8)
     ref_kernel = np.outer(ref.amplitudes, ref.amplitudes.conj())
@@ -242,7 +305,6 @@ def test_master_short_time_diagonal_matches_schrodinger():
     psi = gaussian_packet(64, 0.25, -8.0, 20.0, 0.0, 0.8)
     t = 0.1
     rho = evolve_free_master(psi, params, t).entries
-    from collapsim.schrodinger import split_step_evolve
 
     ref = split_step_evolve(psi, HamiltonianSpec.free(), t)
     diag = np.diag(rho).real
