@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .noise import trajectory_generator
+from .noise import RESAMPLE, trajectory_generator
 from .operators import ProjectorFamily
 
 CULL_NATS = 40.0
@@ -32,7 +32,8 @@ def cooked_resample(
 
     Weights are normalized in log space; entries more than ``cull_nats``
     below the maximum are zeroed (recorded by their absence).  Raises if
-    no positive weight remains.
+    no positive weight remains.  The draws come from the ``RESAMPLE``
+    stream namespace of ``master_seed``, apart from every noise stream.
     """
     logw = np.asarray(log_weights, dtype=float)
     if logw.size == 0:
@@ -46,7 +47,7 @@ def cooked_resample(
     if total <= 0:
         raise ValueError("all-zero weights")
     probs = w / total
-    rng = trajectory_generator(master_seed, 0xC00C)
+    rng = trajectory_generator(master_seed, 0, RESAMPLE)
     n_out = logw.size if n_out is None else n_out
     counts = rng.multinomial(n_out, probs)
     return np.repeat(np.arange(logw.size), counts)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StabilityError
-from .noise import trajectory_generator, wiener_increment_block
+from .noise import fill_block, require_memory, trajectory_generator, wiener_increment_block
 from .operators import ProjectorFamily
 
 STABILITY_LIMIT = 0.01
@@ -64,10 +64,12 @@ class CslStepper:
                 f"gamma*max|a|^2*dt = {self.gamma * a_max**2 * self.dt:.3g} "
                 f"exceeds the stability criterion {STABILITY_LIMIT}"
             )
-        object.__setattr__(self, "_table", self.family.basis_eigenvalues())
-        object.__setattr__(
-            self, "_a_sq_sum", np.sum(self._table**2, axis=0)  # type: ignore
-        )
+        table = self.family.basis_eigenvalues()  # (channels, d)
+        # plain floats: rows of the table, its columns, and its squares
+        object.__setattr__(self, "_rows", table.tolist())
+        object.__setattr__(self, "_cols", table.T.tolist())
+        object.__setattr__(self, "_rows_sq", (table**2).tolist())
+        object.__setattr__(self, "_a_sq_sum", np.sum(table**2, axis=0).tolist())
 
     # ---- single-state API --------------------------------------------
 
@@ -94,79 +96,128 @@ class CslStepper:
         dbs: np.ndarray,
         h_matrix: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance a (n, d) block of normalized states by one step."""
+        """Advance a (n, d) block of normalized states by one step.
+
+        The step works on the d basis columns and the channel columns of
+        ``dbs``, one 1-D array each: sums over basis indices and channels
+        are column additions in the order numpy reduces a row.  Real rows
+        stay real when there is no Hamiltonian.  The result is a
+        column-major (n, d) array.
+        """
+        chi = [psis[:, j] for j in range(psis.shape[1])]
+        db = [dbs[:, i] for i in range(dbs.shape[1])]
         if self.form == "linear":
-            new = self._step_linear(psis, dbs, h_matrix)
+            new = self._step_linear(chi, db, h_matrix)
         else:
-            new = self._step_nonlinear(psis, dbs, h_matrix)
-        norm_sq = np.sum(np.abs(new) ** 2, axis=1)
-        new = new / np.sqrt(norm_sq)[:, None]
+            new = self._step_nonlinear(chi, db, h_matrix)
+        norm_sq = _row_sum([_abs2(col) for col in new])
+        inv = 1.0 / np.sqrt(norm_sq)  # complex / real divides this way too
+        out = np.empty((len(new), len(norm_sq)), dtype=new[0].dtype).T
+        for j, col in enumerate(new):
+            np.multiply(col, inv, out=out[:, j])
         if self.form == "linear":
-            return new, np.log(norm_sq)
-        return new, np.zeros(psis.shape[0])
+            return out, np.log(norm_sq)
+        return out, np.zeros(len(norm_sq))
 
-    def _ham_term(self, psis: np.ndarray, h_matrix: np.ndarray | None) -> np.ndarray:
+    def _with_ham(self, chi: list, h_matrix: np.ndarray | None, terms: list) -> list:
+        """-i H psi dt + terms, column by column; the terms alone without a
+        Hamiltonian."""
         if h_matrix is None:
-            return 0.0
-        return -1j * (psis @ h_matrix.T)
+            return terms
+        ham = -1j * (np.stack(chi, axis=1) @ h_matrix.T) * self.dt
+        return [ham[:, j] + t for j, t in enumerate(terms)]
 
-    def _step_linear(self, psis, dbs, h_matrix):
-        table = self._table  # (channels, d)
-        noise = dbs @ table  # (n, d)
+    def _euler(self, chi: list, h_matrix: np.ndarray | None, factors: list) -> list:
+        """psi + (-i H psi dt + factor psi), column by column."""
+        terms = [f * x for f, x in zip(factors, chi)]
+        return [x + t for x, t in zip(chi, self._with_ham(chi, h_matrix, terms))]
+
+    @staticmethod
+    def _heun(chi: list, rhs) -> list:
+        """psi + (k1 + k2)/2 with k1 = rhs(psi), k2 = rhs(psi + k1)."""
+        k1 = rhs(chi)
+        k2 = rhs([x + k for x, k in zip(chi, k1)])
+        return [x + 0.5 * (a + b) for x, a, b in zip(chi, k1, k2)]
+
+    def _step_linear(self, chi, db, h_matrix):
+        gamma, dt = self.gamma, self.dt
+        noise = [_combine(db, col) for col in self._cols]
         if self.calculus == "ito":
-            drift = -0.5 * self.gamma * self._a_sq_sum
-            return psis + (
-                self._ham_term(psis, h_matrix) * self.dt
-                + (noise + drift[None, :] * self.dt) * psis
-            )
+            factors = [z + (-0.5 * gamma * a * dt) for z, a in zip(noise, self._a_sq_sum)]
+            return self._euler(chi, h_matrix, factors)
         # Stratonovich drift for self-adjoint couplings: -gamma A^2 dt
-        def rhs(chi):
-            return (
-                self._ham_term(chi, h_matrix) * self.dt
-                + (noise - self.gamma * self._a_sq_sum[None, :] * self.dt) * chi
-            )
+        factors = [z - gamma * a * dt for z, a in zip(noise, self._a_sq_sum)]
+        return self._heun(
+            chi, lambda x: self._with_ham(x, h_matrix, [f * c for f, c in zip(factors, x)])
+        )
 
-        k1 = rhs(psis)
-        k2 = rhs(psis + k1)
-        return psis + 0.5 * (k1 + k2)
+    def _centered(self, chi, db):
+        """Probabilities and channel means r_i = <A_i> of each row, the
+        centered noise sum_i (a_i - r_i) dB_i and the quadratic term
+        sum_i (a_i - r_i)^2, the last two per basis column."""
+        sq = [_abs2(x) for x in chi]
+        total = _row_sum(sq)
+        prob = [s / total for s in sq]
+        r = [_combine(prob, row) for row in self._rows]
+        db_r = _row_sum([b * m for b, m in zip(db, r)])
+        r_sq = _row_sum([m * m for m in r])
+        noise = [_combine(db, col) - db_r for col in self._cols]
+        quad = [
+            a - 2.0 * _combine(r, col) + r_sq
+            for a, col in zip(self._a_sq_sum, self._cols)
+        ]
+        return prob, r, noise, quad
 
-    def _step_nonlinear(self, psis, dbs, h_matrix):
-        table = self._table
-
-        def centered(chi):
-            prob = np.abs(chi) ** 2
-            prob = prob / prob.sum(axis=1, keepdims=True)
-            r = prob @ table.T  # (n, channels) channel means
-            noise = dbs @ table - np.sum(dbs * r, axis=1, keepdims=True)
-            # sum_i (a_i - R_i)^2 per basis index
-            quad = (
-                self._a_sq_sum[None, :]
-                - 2.0 * (r @ table)
-                + np.sum(r**2, axis=1, keepdims=True)
-            )
-            return prob, r, noise, quad
-
+    def _step_nonlinear(self, chi, db, h_matrix):
+        gamma, dt = self.gamma, self.dt
         if self.calculus == "ito":
-            _, _, noise, quad = centered(psis)
-            return psis + (
-                self._ham_term(psis, h_matrix) * self.dt
-                + (noise - 0.5 * self.gamma * quad * self.dt) * psis
-            )
+            _, _, noise, quad = self._centered(chi, db)
+            factors = [z - 0.5 * gamma * q * dt for z, q in zip(noise, quad)]
+            return self._euler(chi, h_matrix, factors)
 
-        def rhs(chi):
-            prob, r, noise, quad = centered(chi)
+        def rhs(x):
+            prob, r, noise, quad = self._centered(x, db)
             # Stratonovich form adds gamma (<A^2> - <A>^2) counterterm
-            q_sq = prob @ (table**2).T
-            spread = np.sum(q_sq - r**2, axis=1, keepdims=True)
-            return (
-                self._ham_term(chi, h_matrix) * self.dt
-                + (noise - self.gamma * quad * self.dt) * chi
-                + self.gamma * spread * self.dt * chi
+            spread = _row_sum(
+                [_combine(prob, row) - m * m for row, m in zip(self._rows_sq, r)]
             )
+            gain = gamma * spread * dt
+            terms = [(z - gamma * q * dt) * c for z, q, c in zip(noise, quad, x)]
+            terms = self._with_ham(x, h_matrix, terms)
+            return [t + gain * c for t, c in zip(terms, x)]
 
-        k1 = rhs(psis)
-        k2 = rhs(psis + k1)
-        return psis + 0.5 * (k1 + k2)
+        return self._heun(chi, rhs)
+
+
+def _abs2(col: np.ndarray) -> np.ndarray:
+    """|x|^2 as numpy computes np.abs(x)**2 (x*x for real x)."""
+    return col * col if col.dtype.kind == "f" else np.abs(col) ** 2
+
+
+def _row_sum(cols: list) -> np.ndarray:
+    """Sum of the columns in the order numpy reduces a row of them: left
+    to right below eight, pairwise from eight on."""
+    if len(cols) >= 8:
+        return np.stack(cols, axis=1).sum(axis=1)
+    total = cols[0]
+    for col in cols[1:]:
+        total = total + col
+    return total
+
+
+def _combine(cols: list, coeffs: list) -> np.ndarray:
+    """sum_j coeffs[j] * cols[j], left to right (a row times a column of
+    the eigenvalue table); coefficients 0 and +-1 cost no product."""
+    total = None
+    for col, a in zip(cols, coeffs):
+        if a == 0.0:
+            continue
+        term = col if a in (1.0, -1.0) else a * col
+        if total is None:
+            total = -term if a == -1.0 else term
+        else:
+            total = total - term if a == -1.0 else total + term
+    return np.zeros_like(cols[0]) if total is None else total
 
 
 @dataclass
@@ -188,6 +239,36 @@ class EnsembleResult:
     history_steps: np.ndarray | None = None
 
 
+CHUNK = 4096
+"""Trajectories per noise block in ``run_ensemble``."""
+
+
+def require_ensemble_fits(
+    stepper: CslStepper, steps: int, n_traj: int, chunk: int = CHUNK
+) -> None:
+    """Raise ValueError when the noise block of one chunk and the final
+    states of ``run_ensemble`` would not fit in this machine's memory."""
+    family = stepper.family
+    nbytes = 8 * steps * min(chunk, n_traj) * family.channel_count
+    require_memory(nbytes + 16 * n_traj * family.dim, "the noise block and the states")
+
+
+def _initial_rows(psi0: np.ndarray, h_matrix: np.ndarray | None) -> np.ndarray:
+    """psi0 as float64 when it is real and there is no Hamiltonian (every
+    step then multiplies amplitudes by real factors), else complex."""
+    psi0 = np.asarray(psi0)
+    if h_matrix is None and not np.any(np.imag(psi0)):
+        return np.real(psi0).astype(float)
+    return psi0.astype(complex)
+
+
+def _check_finite(z: np.ndarray, logw: np.ndarray, step: int) -> None:
+    """Raise StabilityError when an amplitude (seen through the sector
+    weights of its normalized row) or a log-weight is NaN or infinite."""
+    if not (np.isfinite(z).all() and np.isfinite(logw).all()):
+        raise StabilityError(f"amplitudes or log-weights not finite at step {step}")
+
+
 def run_ensemble(
     psi0: np.ndarray,
     stepper: CslStepper,
@@ -195,7 +276,7 @@ def run_ensemble(
     n_traj: int,
     master_seed: int,
     h_matrix: np.ndarray | None = None,
-    chunk: int = 4096,
+    chunk: int = CHUNK,
     record_every: int | None = None,
     resample_every: int | None = None,
     traj_offset: int = 0,
@@ -215,6 +296,9 @@ def run_ensemble(
     does without resampling), so the run stays deterministic and
     order-independent.  It records no z history, so ``record_every`` is
     rejected there.
+
+    Every 16 steps (after every window when resampling) a NaN or infinite
+    amplitude or log-weight raises StabilityError.
     """
     if resample_every is not None:
         if stepper.form != "linear":
@@ -225,7 +309,7 @@ def run_ensemble(
             psi0, stepper, steps, n_traj, master_seed, h_matrix, resample_every,
             traj_offset,
         )
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = _initial_rows(psi0, h_matrix)
     dim = psi0.shape[0]
     channels = stepper.family.channel_count
     final = np.empty((n_traj, dim), dtype=complex)
@@ -261,20 +345,23 @@ def run_ensemble(
                 )
             if (k + 1) % 16 == 0 or k == steps - 1:
                 z = stepper.family.sector_weights(psis)
+                _check_finite(z, lw, k + 1)
                 newly = (done < 0) & (z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL)
                 done[newly] = k + 1
         final[idx] = psis
+        rows = final[start : start + m]  # complex, row-major: the layout sets BLAS's sums
         logw[idx] = lw
-        z = stepper.family.sector_weights(psis)
+        z = stepper.family.sector_weights(rows)
         top = np.argmax(z, axis=1)
         decided = z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL
         outcomes[idx[decided]] = top[decided]
         collapse_steps[idx] = done
         if stepper.form == "linear":
             w = np.exp(lw)
-            density += (psis * w[:, None]).T @ psis.conj()
+            density += (rows * w[:, None]).T @ rows.conj()
         else:
-            density += psis.T @ psis.conj()
+            density += rows.T @ rows.conj()
+        del block  # so that the next chunk's block is not drawn beside it
     if stepper.form == "linear":
         density /= np.exp(logw).sum()
     else:
@@ -296,7 +383,7 @@ def _run_linear_resampled(
 ) -> EnsembleResult:
     from .cooking import systematic_resample
 
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = _initial_rows(psi0, h_matrix)
     channels = stepper.family.channel_count
     psis = np.tile(psi0, (n_traj, 1))
     logw = np.zeros(n_traj)
@@ -304,20 +391,21 @@ def _run_linear_resampled(
     # persistent per-slot streams: resampled descendants keep consuming
     # their slot's stream, so the run is reproducible and chunk-free
     rngs = [trajectory_generator(master_seed, traj_offset + i) for i in range(n_traj)]
+    block = np.empty((min(resample_every, steps), n_traj, channels))  # one window
     k = 0
     while k < steps:
         take = min(resample_every - (k % resample_every), steps - k)
-        block = np.empty((take, n_traj, channels))
-        for j, rng in enumerate(rngs):
-            block[:, j, :] = rng.normal(0.0, scale, size=(take, channels))
+        fill_block(block[:take], rngs, scale)
         for s in range(take):
             psis, dlog = stepper.step_batch(psis, block[s], h_matrix)
             logw += dlog
         k += take
+        _check_finite(stepper.family.sector_weights(psis), logw, k)
         if k % resample_every == 0 and k < steps:
             picked = systematic_resample(logw, (master_seed * 2654435761 + k) % 2**63)
             psis = psis[picked]
             logw[:] = 0.0
+    psis = np.ascontiguousarray(psis, dtype=complex)  # the layout sets BLAS's sums
     z = stepper.family.sector_weights(psis)
     top = np.argmax(z, axis=1)
     decided = z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL

@@ -22,7 +22,7 @@ import numpy as np
 from .cooking import linear_exact_commuting
 from .diffusion import CslStepper
 from .errors import StatisticalPreconditionError
-from .noise import trajectory_generator
+from .noise import wiener_increment_block
 from .operators import ProjectorFamily
 
 MIN_CONDITIONING_SAMPLES = 500
@@ -30,7 +30,7 @@ MIN_CONDITIONING_SAMPLES = 500
 _LEFT = ProjectorFamily(np.array([[1.0], [-1.0]]), (np.array([0]), np.array([1])))
 _RIGHT = ProjectorFamily(np.array([[-1.0], [1.0]]), (np.array([0]), np.array([1])))
 
-_SINGLET = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+_SINGLET = np.array([1.0, -1.0]) / np.sqrt(2.0)
 
 
 def _nonlinear_outcomes_batch(
@@ -74,14 +74,10 @@ def epr_nonlinear_experiment(
     independent of the left-noise class.
     """
     stepper_l, stepper_r = nonlinear_steppers(gamma, t_end, steps)
-    scale = np.sqrt(gamma * stepper_l.dt)
-    db_left = np.empty((steps, n_seeds, 1))
-    db_right = np.empty((steps, n_seeds, 1))
-    for j in range(n_seeds):
-        rng = trajectory_generator(master_seed, j)
-        block = rng.normal(0.0, scale, size=(steps, 2))
-        db_left[:, j, 0] = block[:, 0]
-        db_right[:, j, 0] = block[:, 1]
+    block = wiener_increment_block(
+        master_seed, np.arange(n_seeds), steps, 2, gamma, stepper_l.dt
+    )
+    db_left, db_right = block[..., :1], block[..., 1:]  # channel 0 left, 1 right
     singlets = np.tile(_SINGLET, (n_seeds, 1))
     # class membership: replay each left-noise path against the bare singlet
     bare = _nonlinear_outcomes_batch(singlets.copy(), _LEFT, stepper_l, db_left)
@@ -153,12 +149,9 @@ def epr_linear_experiment(
     """
     if n_seeds < MIN_CONDITIONING_SAMPLES:
         raise StatisticalPreconditionError("too few seeds for the marginal")
-    b_l = np.empty(n_seeds)
-    b_r = np.empty(n_seeds)
-    for j in range(n_seeds):
-        rng = trajectory_generator(master_seed, j)
-        b_l[j] = rng.normal(0.0, np.sqrt(gamma * t_end))
-        b_r[j] = rng.normal(0.0, np.sqrt(gamma * t_end))
+    # the Brownian records B_L, B_R at t_end: one step of length t_end
+    block = wiener_increment_block(master_seed, np.arange(n_seeds), 1, 2, gamma, t_end)
+    b_l, b_r = block[0, :, 0], block[0, :, 1]
     # detector on: weight = ||exp(F_L) exp(F_R) singlet||^2, the two exact
     # factors composing into a joint log-weight
     psi, lw_r = linear_exact_commuting(_SINGLET, _RIGHT, b_r[:, None], gamma, t_end)

@@ -22,7 +22,7 @@ import numpy as np
 from .cells import CellModel, discrete_decay_log
 from .colored import CorrelationSpec, colored_instantaneous_rate
 from .config import MANY, ExperimentConfig, Param, read_params
-from .diffusion import CslStepper, run_ensemble
+from .diffusion import CslStepper, require_ensemble_fits, run_ensemble
 from .epr import epr_linear_experiment, epr_nonlinear_experiment, nonlinear_steppers
 from .errors import ConfigError
 from .freeparticle import (
@@ -41,6 +41,7 @@ from .massdensity import (
     accessibility_ratio,
     mass_profile,
 )
+from .noise import require_memory
 from .nosignal import gisin_check, here_there_mixtures
 from .operators import HamiltonianSpec, ProjectorFamily
 from .params import (
@@ -95,8 +96,9 @@ def plan(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[str], Iterator]:
     and the runner paused before its first random draw.
 
     A malformed config raises ConfigError, also where building a stepper,
-    grid or kernel raises ValueError or a kernel file cannot be read; a
-    step past the stability limit raises StabilityError.
+    grid or kernel raises ValueError or overflows, where the run's arrays
+    would not fit in memory, or where a kernel file cannot be read; a step
+    past the stability limit raises StabilityError.
     """
     table, default_trajectories, runner = TABLES[cfg.experiment]
     p = read_params(cfg, table)
@@ -106,6 +108,8 @@ def plan(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[str], Iterator]:
         return next(steps) or [], steps
     except (ValueError, OSError) as exc:
         raise ConfigError(f"{cfg.experiment}: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{cfg.experiment}: a parameter overflows: {exc}") from exc
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> TableOutput | dict:
@@ -186,26 +190,28 @@ def run_qmsl_master(p: dict, run: Settings) -> Iterator:
     n, dx, mass, sigma = p["n"], p["dx"], p["mass"], p["sigma"]
     psi0 = gaussian_packet(n, dx, -0.5 * n * dx, mass, 0.0, sigma)
     params, notices = _hitting_model(p, psi0)
-    yield notices
     p_var0 = 1.0 / (4.0 * sigma**2)  # of the minimal packet, constant in free flight
+    formulas = [  # built with the plan, so an overflowing input is a config error
+        free_particle_moments(params, mass, t, {
+            "q_mean": 0.0,
+            "p_mean": 0.0,
+            "q_var": sigma**2 + p_var0 / mass**2 * t**2,
+            "qp_corr": p_var0 / mass * t,
+            "p_var": p_var0,
+        })
+        for t in p["times"]
+    ]
+    yield notices
     rows = []
     x = psi0.positions
     k = psi0.wavenumbers
-    for t in p["times"]:
+    for t, formula in zip(p["times"], formulas):
         rho = evolve_free_master(psi0, params, t).entries
         diag = np.maximum(np.diag(rho).real, 0.0)
         diag = diag / (diag.sum() * dx)
         q_var = float(dx * diag @ x**2 - (dx * diag @ x) ** 2)
         p2rho = np.fft.ifft((k**2)[:, None] * np.fft.fft(rho, axis=0), axis=0)
         p_var = float(np.trace(p2rho).real * dx)
-        sch_t = {
-            "q_mean": 0.0,
-            "p_mean": 0.0,
-            "q_var": sigma**2 + p_var0 / mass**2 * t**2,
-            "qp_corr": p_var0 / mass * t,
-            "p_var": p_var0,
-        }
-        formula = free_particle_moments(params, mass, t, sch_t)
         rows.append((t, q_var, formula["q_var"], p_var, formula["p_var"]))
     yield TableOutput(
         [
@@ -251,6 +257,7 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
     family = ProjectorFamily.two_level()
     psi0 = _weighted_superposition(weights)
     stepper = CslStepper(family, p["gamma"], dt, form="nonlinear", calculus="ito")
+    require_ensemble_fits(stepper, steps, n_traj)
     yield
     if p["per_trajectory"]:
         res = run_ensemble(psi0, stepper, steps, n_traj, run.seed)
@@ -315,6 +322,9 @@ def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
         for form in ("linear", "nonlinear")
     )
     steps, n_traj = p["steps"], run.trajectories
+    require_ensemble_fits(nonlinear, steps, n_traj)
+    # the resampled runner holds one window of noise for every trajectory
+    require_ensemble_fits(linear, min(p["resample_every"], steps), n_traj, n_traj)
     yield
     lin = run_ensemble(
         psi0, linear, steps, n_traj, run.seed, resample_every=p["resample_every"]
@@ -348,6 +358,7 @@ def run_csl_discrete(p: dict, run: Settings) -> Iterator:
     dt, steps, n_traj = p["dt"], p["steps"], run.trajectories
     stepper = CslStepper(model.family, model.lambda_eff, dt, form="nonlinear")
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    require_ensemble_fits(stepper, steps, n_traj)
     yield
     res = run_ensemble(
         psi0, stepper, steps, n_traj, run.seed, record_every=max(steps // 8, 1)
@@ -417,6 +428,7 @@ def run_colored_damping(p: dict, run: Settings) -> Iterator:
 def run_epr(p: dict, run: Settings) -> Iterator:
     gamma, t_end, steps = p["gamma"], p["t_end"], p["steps"]
     nonlinear_steppers(gamma, t_end, steps)  # the steppers the run builds
+    require_memory(16 * steps * run.trajectories, "the noise block")
     yield
     nonlinear = epr_nonlinear_experiment(
         run.trajectories, gamma, t_end, run.seed, steps=steps
@@ -442,6 +454,7 @@ def run_epr(p: dict, run: Settings) -> Iterator:
 @experiment("gisin", trajectories=2000, params=_STEPPER)
 def run_gisin(p: dict, run: Settings) -> Iterator:
     stepper = CslStepper(ProjectorFamily.two_level(), p["gamma"], p["dt"], form="nonlinear")
+    require_ensemble_fits(stepper, p["steps"], run.trajectories)
     yield
 
     def evolve_many(psi0, indices):

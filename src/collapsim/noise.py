@@ -3,20 +3,35 @@
 Randomness is counter-based: every trajectory derives its own stream from
 a Philox generator keyed by (master seed, trajectory index), so ensembles
 are reproducible bit-for-bit and order-independent under parallel
-execution.
+execution.  Each random-number purpose has its own stream namespace: the
+purpose sits in the high word of the Philox counter, so streams of
+different purposes never overlap (Salmon et al., SC'11).
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def trajectory_generator(master_seed: int, traj_index: int = 0) -> np.random.Generator:
-    """Independent per-trajectory stream keyed by (master seed, index)."""
+NOISE, RESAMPLE = 0, 1
+"""Stream purposes: trajectory noise, and the draws of ``cooked_resample``."""
+
+TILE_BYTES = 1 << 20
+"""Size of the contiguous tile ``wiener_increment_block`` draws streams into."""
+
+
+def trajectory_generator(
+    master_seed: int, traj_index: int = 0, purpose: int = NOISE
+) -> np.random.Generator:
+    """Independent stream keyed by (master seed, index) in the namespace of
+    ``purpose`` (the high word of the Philox counter)."""
+    counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
     key = np.array([master_seed, traj_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 @dataclass(frozen=True)
@@ -79,11 +94,53 @@ def wiener_increment_block(
     """Increments for a batch of trajectories, shape (steps, n, channels).
 
     Row j comes from the stream keyed by (master_seed, traj_indices[j]),
-    identical to the single-path sampler.
+    identical to the single-path sampler.  One Philox generator is reset
+    to each stream in turn.
     """
-    scale = np.sqrt(gamma * dt)
     out = np.empty((steps, len(traj_indices), channels), dtype=float)
-    for j, idx in enumerate(traj_indices):
-        rng = trajectory_generator(master_seed, int(idx))
-        out[:, j, :] = rng.normal(0.0, scale, size=(steps, channels))
+    return fill_block(out, _reset_streams(master_seed, traj_indices), np.sqrt(gamma * dt))
+
+
+def _reset_streams(master_seed: int, traj_indices: np.ndarray):
+    """One generator, reset to the start of each trajectory's noise stream
+    in turn."""
+    rng = trajectory_generator(master_seed)
+    start = rng.bit_generator.state  # a fresh stream's state, re-keyed below
+    key = start["state"]["key"]
+    for idx in traj_indices:
+        key[1] = idx
+        rng.bit_generator.state = start
+        yield rng
+
+
+def fill_block(out: np.ndarray, rngs, scale: float) -> np.ndarray:
+    """Fill the (steps, n, channels) block ``out`` with Gaussian(0, scale)
+    increments, column j drawn next from the j-th generator of ``rngs``.
+
+    Each column is drawn into a contiguous tile of about ``TILE_BYTES``,
+    which is copied into the block.
+    """
+    steps, n, channels = out.shape
+    width = int(np.clip(TILE_BYTES // max(steps * channels * 8, 1), 1, max(n, 1)))
+    tile = np.empty((width, steps, channels))
+    rngs = iter(rngs)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        for t in range(hi - lo):
+            tile[t] = next(rngs).normal(0.0, scale, size=(steps, channels))
+        out[:, lo:hi] = tile[: hi - lo].transpose(1, 0, 2)
     return out
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ValueError when ``nbytes`` exceed this machine's physical memory."""
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        limit = sys.maxsize
+    if nbytes > limit:
+        gib = nbytes / 2**30 if nbytes < 1e300 else np.inf
+        raise ValueError(
+            f"{what} need {gib:.3g} GiB, more than the {limit / 2**30:.3g} GiB "
+            "of memory here"
+        )

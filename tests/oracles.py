@@ -6,7 +6,9 @@ the kernel master equation is integrated as a brute-force ODE.  The one
 exception is the lockstep hitting ensemble, a reference for the
 interaction-picture engine: it reuses the production split step, hit
 sampling and random streams, but steps every trajectory through every
-``dt`` in position space.
+``dt`` in position space.  Another is ``step_batch_reference``, the
+row-wise complex CSL step kept as the reference for the column-wise
+stepper: it reads the stepper's family, gamma, dt, form and calculus.
 """
 
 from __future__ import annotations
@@ -186,3 +188,71 @@ def qmsl_ensemble_lockstep(psi0, h, params, t_end, n_traj, master_seed, dt):
                 next_hit[j_tr] += r.exponential(1.0 / lam)
             due = np.nonzero(next_hit <= t)[0]
     return amps, hit_counts
+
+
+def step_batch_reference(stepper, psis, dbs, h_matrix=None):
+    """The row-wise complex ``CslStepper.step_batch``, kept verbatim as the
+    reference for the column-wise stepper.  Returns (states, dlog)."""
+    table = stepper.family.basis_eigenvalues()  # (channels, d)
+    a_sq_sum = np.sum(table**2, axis=0)
+    gamma, dt = stepper.gamma, stepper.dt
+
+    def ham_term(chi):
+        if h_matrix is None:
+            return 0.0
+        return -1j * (chi @ h_matrix.T)
+
+    def step_linear():
+        noise = dbs @ table  # (n, d)
+        if stepper.calculus == "ito":
+            drift = -0.5 * gamma * a_sq_sum
+            return psis + (
+                ham_term(psis) * dt + (noise + drift[None, :] * dt) * psis
+            )
+
+        def rhs(chi):
+            return ham_term(chi) * dt + (noise - gamma * a_sq_sum[None, :] * dt) * chi
+
+        k1 = rhs(psis)
+        k2 = rhs(psis + k1)
+        return psis + 0.5 * (k1 + k2)
+
+    def step_nonlinear():
+        def centered(chi):
+            prob = np.abs(chi) ** 2
+            prob = prob / prob.sum(axis=1, keepdims=True)
+            r = prob @ table.T  # (n, channels) channel means
+            noise = dbs @ table - np.sum(dbs * r, axis=1, keepdims=True)
+            quad = (
+                a_sq_sum[None, :]
+                - 2.0 * (r @ table)
+                + np.sum(r**2, axis=1, keepdims=True)
+            )
+            return prob, r, noise, quad
+
+        if stepper.calculus == "ito":
+            _, _, noise, quad = centered(psis)
+            return psis + (
+                ham_term(psis) * dt + (noise - 0.5 * gamma * quad * dt) * psis
+            )
+
+        def rhs(chi):
+            prob, r, noise, quad = centered(chi)
+            q_sq = prob @ (table**2).T
+            spread = np.sum(q_sq - r**2, axis=1, keepdims=True)
+            return (
+                ham_term(chi) * dt
+                + (noise - gamma * quad * dt) * chi
+                + gamma * spread * dt * chi
+            )
+
+        k1 = rhs(psis)
+        k2 = rhs(psis + k1)
+        return psis + 0.5 * (k1 + k2)
+
+    new = step_linear() if stepper.form == "linear" else step_nonlinear()
+    norm_sq = np.sum(np.abs(new) ** 2, axis=1)
+    new = new / np.sqrt(norm_sq)[:, None]
+    if stepper.form == "linear":
+        return new, np.log(norm_sq)
+    return new, np.zeros(psis.shape[0])

@@ -294,6 +294,10 @@ BASES = {
         "occupations_a = 3, 0\noccupations_b = 0, 3\n"
     ),
     "epr": "experiment = epr\ntrajectories = 600\n[params]\ngamma = 1.0\nt_end = 2.0\n",
+    "master": (
+        "experiment = qmsl-master\noutput = master\n[params]\nn = 64\ndx = 0.1\n"
+        "mass = 1.0\nsigma = 0.5\nalpha = 1.0\nlambda = 1.0\ntimes = 0.0, 1.0\n"
+    ),
 }
 
 
@@ -315,12 +319,15 @@ BASES = {
         ("mass", "scenario = superposed", "scenario = superposed\nn_cells = 0"),
         ("discrete", "occupations_b = 0, 3", "occupations_b = 0, 3, 1"),
         ("epr", "t_end = 2.0", "t_end = 2.0\nsteps = 0"),
+        ("born", "steps = 600", "steps = 1e300"),
+        ("master", "mass = 1.0", "mass = 1e300"),
     ],
     ids=[
         "steps-text", "steps-negative", "weights-scalar", "trajectories-negative",
         "seed-negative", "seed-past-u64", "dt-nan", "tau-zero", "kind-unknown",
         "kernel-file-missing", "grid-not-power-of-two", "t_end-not-whole-steps",
         "no-cells", "occupation-lengths-differ", "epr-no-steps",
+        "steps-past-memory", "mass-overflows",
     ],
 )
 def test_cli_malformed_value_exit_2_when_run_and_validated(

@@ -236,6 +236,33 @@ def test_trajectory_streams_order_independent():
     assert np.array_equal(g1.normal(size=10), g2.normal(size=10))
 
 
+def test_noise_purpose_is_the_stream_namespace():
+    # purpose 0 is the stream keyed by (seed, index) alone
+    plain = np.random.Generator(np.random.Philox(key=[7, 49164]))
+    assert np.array_equal(trajectory_generator(7, 49164).normal(size=8), plain.normal(size=8))
+    # another purpose starts its counter at purpose * 2^192: a disjoint stream
+    other = trajectory_generator(7, 49164, purpose=1)
+    assert other.bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 1]
+    assert not np.array_equal(
+        other.normal(size=8), trajectory_generator(7, 49164).normal(size=8)
+    )
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_wiener_block_rows_are_the_trajectory_streams(monkeypatch, channels):
+    import collapsim.noise as noise
+
+    steps = 50
+    # tiles of three streams: the seven rows take three tiles, the last ragged
+    monkeypatch.setattr(noise, "TILE_BYTES", 3 * steps * channels * 8)
+    indices = np.array([9, 2, 40_000, 2**63 + 5, 0, 2, 17])
+    block = noise.wiener_increment_block(2**64 - 1, indices, steps, channels, 0.7, 0.01)
+    assert block.shape == (steps, len(indices), channels)
+    for j, index in enumerate(indices):
+        rng = trajectory_generator(2**64 - 1, int(index))
+        assert np.array_equal(block[:, j], rng.normal(0.0, np.sqrt(0.007), (steps, channels)))
+
+
 # ----------------------------------------------------------- schrodinger
 
 

@@ -26,12 +26,17 @@ from collapsim.macrobody import (
     momentum_diffusion_quadrature,
     slab_reduction_rate_quadrature,
 )
-from collapsim.noise import sample_wiener, trajectory_generator
+from collapsim.noise import (
+    RESAMPLE,
+    sample_wiener,
+    trajectory_generator,
+    wiener_increment_block,
+)
 from collapsim.operators import ProjectorFamily
 from collapsim.units import HBAR_CGS
 from collapsim.zvariables import z_dynamics_step
 
-from oracles import lindblad_by_ode
+from oracles import lindblad_by_ode, step_batch_reference
 
 TWO = ProjectorFamily.two_level()
 
@@ -43,6 +48,129 @@ def test_stability_criterion_enforced():
     with pytest.raises(StabilityError):
         CslStepper(TWO, gamma=1.0, dt=0.5)
     CslStepper(TWO, gamma=1.0, dt=0.005)  # fine
+
+
+# Families whose table entries (0, +-1, 0.5, +-2) make every product with
+# them exact, so the column-wise step can differ from the row-wise
+# reference only through the order of its sums.
+EXACT_FAMILIES = {
+    "two-level": TWO,
+    "diagonal-3-sectors-2-channels": ProjectorFamily.diagonal(
+        np.array([[1.0, -1.0, 0.0, 0.0], [0.5, 0.5, -2.0, -2.0]])
+    ),
+    "cells": CellModel(np.array([[2, 0, 1], [1, 2, 0], [0, 1, 2]]), 0.7).family,
+    # nine channels: sums over channels take numpy's pairwise order
+    "cells-9": CellModel(
+        np.array([[2, 0, 1, 0, 1, 2, 0, 1, 1], [0, 1, 2, 1, 0, 0, 2, 1, 0]]), 0.7
+    ).family,
+}
+
+
+def _steps_against_reference(family, form, calculus, complex_psi, hamiltonian, seed):
+    """Three steps of the stepper and of the reference from the same rows
+    and increments: per step (states, dlog, reference states, reference dlog)."""
+    rng = np.random.default_rng(seed)
+    a_max = float(np.max(np.abs(family.eigenvalues)))
+    stepper = CslStepper(family, 0.9, 0.008 / a_max**2, form, calculus)
+    n, d = 64, family.dim
+    psis = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if complex_psi else 0.0)
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    h = None
+    if hamiltonian:
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = m + m.conj().T
+    a, b = psis, psis.astype(complex)
+    steps = []
+    for _ in range(3):
+        dbs = rng.normal(0.0, np.sqrt(stepper.gamma * stepper.dt), (n, family.channel_count))
+        a, dlog_a = stepper.step_batch(a, dbs, h)
+        b, dlog_b = step_batch_reference(stepper, b, dbs, h)
+        steps.append((a, dlog_a, b, dlog_b))
+    return steps
+
+
+@pytest.mark.parametrize("hamiltonian", [False, True], ids=["no-h", "h"])
+@pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("calculus", ["ito", "stratonovich"])
+@pytest.mark.parametrize("form", ["linear", "nonlinear"])
+@pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+def test_step_batch_equals_row_wise_reference(family, form, calculus, complex_psi, hamiltonian):
+    steps = _steps_against_reference(
+        EXACT_FAMILIES[family], form, calculus, complex_psi, hamiltonian, seed=17
+    )
+    for states, dlog, ref_states, ref_dlog in steps:
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(dlog, ref_dlog)
+    if not (complex_psi or hamiltonian):
+        assert steps[-1][0].dtype == float  # real rows stay real
+
+
+@pytest.mark.parametrize("form", ["linear", "nonlinear"])
+def test_step_batch_within_rounding_of_reference_for_inexact_products(form):
+    # With entries such as 0.3 or an occupation of 3, a product rounds.
+    # The reference's matrix products (BLAS) fuse each multiply-add and
+    # round once, the column sums round each product: a few ulps apart.
+    family = CellModel(np.array([[3, 0, 1], [1, 3, 0], [0, 1, 3]]), 0.7).family
+    for calculus in ("ito", "stratonovich"):
+        for states, _, ref_states, _ in _steps_against_reference(
+            family, form, calculus, True, False, seed=5
+        ):
+            assert np.max(np.abs(states - ref_states)) <= 2e-15
+
+
+@pytest.mark.parametrize("form", ["linear", "nonlinear"])
+def test_run_ensemble_equals_reference_steps(form):
+    # a real psi0 runs on float64 rows; the result matches complex rows
+    # stepped by the reference with the same increments
+    psi0 = np.sqrt(np.array([0.3, 0.7]))
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form=form)
+    res = run_ensemble(psi0, stepper, 40, 50, master_seed=3, chunk=32, record_every=20)
+    psis = np.tile(psi0.astype(complex), (50, 1))
+    logw = np.zeros(50)
+    block = wiener_increment_block(3, np.arange(50), 40, 1, 1.0, 0.005)
+    for k in range(40):
+        psis, dlog = step_batch_reference(stepper, psis, block[k])
+        logw += dlog
+    assert res.final_states.dtype == complex
+    assert np.array_equal(res.final_states, psis)
+    assert np.array_equal(res.log_weights, logw)
+    assert np.array_equal(res.z_history[-1], TWO.sector_weights(psis))
+
+
+def _nan_block(*args):
+    block = wiener_increment_block(*args)
+    block[5, 1, 0] = np.nan
+    return block
+
+
+@pytest.mark.parametrize("form", ["linear", "nonlinear"])
+def test_run_ensemble_nan_increment_raises_stability_error(monkeypatch, form):
+    import collapsim.diffusion as diffusion
+
+    monkeypatch.setattr(diffusion, "wiener_increment_block", _nan_block)
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form=form)
+    with pytest.raises(StabilityError, match="not finite at step 16"):
+        run_ensemble(np.sqrt([0.3, 0.7]), stepper, 40, 4, master_seed=1)
+
+
+def test_resampled_runner_nan_increment_raises_stability_error(monkeypatch):
+    import collapsim.diffusion as diffusion
+
+    class NanAtStepFive:
+        def __init__(self, stream):
+            self.rng = trajectory_generator(*stream)
+
+        def normal(self, loc, scale, size):
+            out = self.rng.normal(loc, scale, size)
+            out[5 % size[0]] = np.nan
+            return out
+
+    monkeypatch.setattr(
+        diffusion, "trajectory_generator", lambda *stream: NanAtStepFive(stream)
+    )
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form="linear")
+    with pytest.raises(StabilityError, match="not finite at step 10"):
+        run_ensemble(np.sqrt([0.3, 0.7]), stepper, 30, 4, 1, resample_every=10)
 
 
 def test_resampled_runner_honours_traj_offset():
@@ -158,6 +286,17 @@ def test_cooked_resample_uniform_weights():
     counts = np.bincount(idx, minlength=1000)
     assert counts.sum() == 1000
     assert counts.max() <= 10  # near-uniform multinomial
+
+
+def test_cooked_resample_draws_from_its_own_stream_namespace():
+    # the draws come from the RESAMPLE namespace of the seed, not from the
+    # noise stream of trajectory 0xC00C = 49164 (which they used to share)
+    probs = np.full(1000, 1.0 / 1000)
+    counts = np.bincount(cooked_resample(np.zeros(1000), master_seed=5), minlength=1000)
+    own = trajectory_generator(5, 0, RESAMPLE).multinomial(1000, probs)
+    trajectory = trajectory_generator(5, 0xC00C).multinomial(1000, probs)
+    assert np.array_equal(counts, own)
+    assert not np.array_equal(counts, trajectory)
 
 
 def test_cooked_resample_degenerate_weights():
