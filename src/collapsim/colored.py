@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .cooking import GaussianMixture1D, linear_exact_commuting
 from .errors import DimensionMismatchError, NonCommutingError
@@ -129,6 +128,8 @@ class CorrelationSpec:
         if self.kind == "white":
             return t_span
         if self.kind == "gaussian":
+            from scipy.special import erf
+
             value = t_span * float(erf(t_span / (np.sqrt(2) * self.tau))) + (
                 self.tau * np.sqrt(2 / np.pi) * np.expm1(-(t_span**2) / (2 * self.tau**2))
             )
@@ -146,6 +147,8 @@ class CorrelationSpec:
         if self.kind == "white":
             return 0.5
         if self.kind == "gaussian":
+            from scipy.special import erf
+
             return 0.5 * float(erf(t_span / (np.sqrt(2) * self.tau)))
         if self.kind == "exponential":
             return 0.5 * (1.0 - np.exp(-t_span / self.tau))

@@ -276,7 +276,7 @@ def run_ensemble(
     n_traj: int,
     master_seed: int,
     h_matrix: np.ndarray | None = None,
-    chunk: int = CHUNK,
+    chunk: int | None = None,
     record_every: int | None = None,
     resample_every: int | None = None,
     traj_offset: int = 0,
@@ -294,8 +294,9 @@ def run_ensemble(
     being applied at intermediate times.  Each slot keeps its own noise
     stream (slot i draws from stream ``traj_offset + i``, as trajectory i
     does without resampling), so the run stays deterministic and
-    order-independent.  It records no z history, so ``record_every`` is
-    rejected there.
+    order-independent.  It records no z history and holds every slot at
+    once, so ``record_every`` and ``chunk`` are rejected there; otherwise
+    ``chunk`` (default ``CHUNK``) trajectories are stepped at a time.
 
     Every 16 steps (after every window when resampling) a NaN or infinite
     amplitude or log-weight raises StabilityError.
@@ -305,6 +306,10 @@ def run_ensemble(
             raise ValueError("sequential resampling applies to the linear form")
         if record_every is not None:
             raise ValueError("the resampled runner records no z history")
+        if chunk is not None:
+            raise ValueError(
+                "the resampled runner steps every slot at once and takes no chunk"
+            )
         return _run_linear_resampled(
             psi0, stepper, steps, n_traj, master_seed, h_matrix, resample_every,
             traj_offset,
@@ -327,6 +332,7 @@ def run_ensemble(
         np.arange(1, n_rec + 1) * record_every if record_every else None
     )
 
+    chunk = CHUNK if chunk is None else chunk
     for start in range(0, n_traj, chunk):
         idx = np.arange(start, min(start + chunk, n_traj))
         m = len(idx)

@@ -12,7 +12,6 @@ seed and yields either a table (CSV) or a record (a dict, JSON).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections import namedtuple
 from typing import Callable, Iterator
@@ -289,6 +288,8 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
         return np.argmax(family.sector_weights(res.final_states), axis=1)
 
     if run.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         edges = np.linspace(0, n_traj, run.threads + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=run.threads) as pool:
             outcomes = np.concatenate(list(pool.map(run_slice, zip(edges, edges[1:]))))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import IncompatibleHamiltonianError
 from .operators import HamiltonianSpec
@@ -30,6 +29,8 @@ def damping_time_integral(
     The integrand is the localization kernel sampled along the free-motion
     characteristic; the antiderivative is an erf difference.
     """
+    from scipy.special import erf
+
     k = np.asarray(k, dtype=float)
     u = np.asarray(u, dtype=float)
     root = 0.5 * np.sqrt(alpha)
@@ -192,6 +193,8 @@ def offdiag_damping_beta(q: float, alpha: float) -> float:
     which the expression goes negative and beta clamps to zero (the
     trivial bound F <= 1): no uniform damping is claimed there.
     """
+    from scipy.special import erf
+
     if q <= 0:
         raise ValueError("separation q must be positive")
     y = 0.5 * np.sqrt(alpha) * q

@@ -7,7 +7,6 @@ exponential (finite dimensions only).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .operators import ProjectorFamily
 from .states import DensityMatrix
@@ -51,6 +50,8 @@ def lindblad_evolve(
     1e-9 and positivity within -1e-8; the evolved matrix is validated.
     If ``sample_times`` is given, a list of snapshots is returned.
     """
+    from scipy.linalg import expm
+
     if rho0.representation != "finite":
         raise ValueError("ensemble generator requires a finite matrix")
     rho0.validate(herm_tol=1e-10, trace_tol=1e-8)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DimensionMismatchError
 from .operators import ProjectorFamily
@@ -32,6 +31,8 @@ def smeared_slab_profile(x: np.ndarray, density: float, length: float, alpha: fl
     """Number-density profile of a uniform 1D slab smeared over the
     localization width: D0 * [Phi(x + L/2) - Phi(x - L/2)] with Phi the
     Gaussian CDF of width 1/sqrt(alpha)."""
+    from scipy.special import erf
+
     s = np.sqrt(alpha / 2.0)
     return 0.5 * density * (erf(s * (x + length / 2)) - erf(s * (x - length / 2)))
 

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # lazy in numpy; every run here draws from it, so load it at import
 
 
 NOISE, RESAMPLE = 0, 1

@@ -6,6 +6,8 @@ Hamiltonians on grid states are rejected.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .operators import HamiltonianSpec, require_grid_compatible
@@ -13,8 +15,18 @@ from .states import GridWavefunction
 
 
 def _kinetic_phase(psi: GridWavefunction, dt: float) -> np.ndarray:
-    k = psi.wavenumbers
-    return np.exp(-0.5j * dt * k**2 / psi.mass)
+    """exp(-i dt k^2 / 2m) on the grid's wavenumbers; read-only, shared."""
+    return _kinetic_phase_on(psi.n, psi.dx, psi.mass, dt)
+
+
+# a hitting step asks for one lag forwards and backwards, so a few
+# entries serve every call of a run
+@lru_cache(maxsize=4)
+def _kinetic_phase_on(n: int, dx: float, mass: float, dt: float) -> np.ndarray:
+    k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
+    phase = np.exp(-0.5j * dt * k**2 / mass)
+    phase.flags.writeable = False
+    return phase
 
 
 def _potential_phase(psi: GridWavefunction, h: HamiltonianSpec, dt: float) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collapsim
 from collapsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_STATISTICAL, main
 from collapsim.config import parse_config_text
 from collapsim.errors import ConfigError
@@ -438,8 +442,15 @@ SMALL = {
     "csl-born": BORN_CFG.replace("trajectories = 1500", "trajectories = 20").replace(
         "steps = 600", "steps = 30"
     ),
+    "csl-equivalence": BORN_CFG.replace("csl-born", "csl-equivalence")
+    .replace("trajectories = 1500", "trajectories = 20")
+    .replace("steps = 600", "steps = 30\nresample_every = 10"),
     "qmsl-hitting": HITTING_CFG.replace("n = 128", "n = 64"),
     "colored-damping": COLORED_CFG,
+    # enough seeds that the unfuzzed config clears the 500 conditioning
+    # samples; a fuzzed one may not (exit 4)
+    "epr": "experiment = epr\nseed = 5\ntrajectories = 1200\n[params]\n"
+    "gamma = 1.0\nt_end = 0.4\nsteps = 40\n",
 }
 
 # Magnitudes stay where a valid run is small: a step of 1e-300 is a valid
@@ -478,3 +489,46 @@ def test_cli_exit_code_contract_on_arbitrary_params(experiment, data):
         path = Path(out) / "exp.cfg"
         path.write_text(text, encoding="utf-8")
         assert main(["--config", str(path), "--out", out]) in (0, 2, 3, 4)
+
+
+# ------------------------------------------------------------ import budget
+
+PINNED = ("csl-born", "qmsl-hitting", "csl-equivalence", "epr")  # the benchmark's workloads
+
+IMPORT_BUDGET = """
+import json, sys, tempfile
+from pathlib import Path
+
+import collapsim.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()
+assert "concurrent.futures" not in sys.modules, "concurrent.futures imported"
+pinned, on_demand = json.loads(sys.argv[1])
+with tempfile.TemporaryDirectory() as out:
+    for i, text in enumerate(pinned):
+        path = Path(out) / f"{i}.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert collapsim.cli.main(["--config", str(path), "--out", out]) == 0, text
+        assert not scipy_modules(), (text, scipy_modules())
+    path = Path(out) / "on_demand.cfg"
+    path.write_text(on_demand, encoding="utf-8")
+    assert collapsim.cli.main(["--config", str(path), "--out", out]) == 0
+    assert "scipy.special" in sys.modules
+"""
+
+
+def test_pinned_experiments_never_import_scipy():
+    # a fresh interpreter: this test session has scipy loaded already
+    pinned = [SMALL[name] for name in PINNED]
+    on_demand = COLORED_CFG.replace("kind = exponential", "kind = gaussian")
+    src = str(Path(collapsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET, json.dumps([pinned, on_demand])],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

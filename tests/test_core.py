@@ -19,7 +19,7 @@ from collapsim import (
     normalize,
 )
 from collapsim.noise import sample_wiener, trajectory_generator
-from collapsim.schrodinger import gaussian_packet, split_step_evolve
+from collapsim.schrodinger import _kinetic_phase, gaussian_packet, split_step_evolve
 
 from oracles import free_gaussian_q_var
 
@@ -299,6 +299,17 @@ def test_split_step_norm_conservation_long_run():
     psi = gaussian_packet(256, 0.0625, -8.0, mass, 0.0, sigma)
     out = split_step_evolve(psi, HamiltonianSpec.harmonic(omega), 0.002, steps=1000)
     assert abs(out.norm_sq() - 1.0) < 1e-10
+
+
+def test_kinetic_phase_cache_is_bit_identical_and_read_only():
+    psi = gaussian_packet(256, 0.1, -12.8, 3.0, 0.0, 1.0)
+    for t in (0.05, -0.05, 0.05, 1.3):
+        phase = _kinetic_phase(psi, t)
+        fresh = np.exp(-0.5j * t * psi.wavenumbers**2 / psi.mass)
+        assert np.array_equal(phase.view(np.uint64), fresh.view(np.uint64))
+        with pytest.raises(ValueError, match="read-only"):
+            phase *= 2.0
+    assert _kinetic_phase(psi, 0.05) is _kinetic_phase(psi, 0.05)
 
 
 def test_split_step_rejects_matrix_hamiltonian():

@@ -193,6 +193,13 @@ def test_resampled_runner_rejects_record_every():
         run_ensemble(psi0, stepper, 10, 4, 1, record_every=5, resample_every=5)
 
 
+def test_resampled_runner_rejects_chunk():
+    psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form="linear")
+    with pytest.raises(ValueError, match="chunk"):
+        run_ensemble(psi0, stepper, 10, 4, 1, chunk=2, resample_every=5)
+
+
 def test_linear_eigenstate_fixed_ray_and_zero_eigenvalue_weight():
     fam = ProjectorFamily.two_level(a_plus=0.0, a_minus=1.5)
     stepper = CslStepper(fam, gamma=1.0, dt=0.004, form="linear")
