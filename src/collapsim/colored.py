@@ -15,7 +15,7 @@ import numpy as np
 
 from .cooking import GaussianMixture1D, linear_exact_commuting
 from .errors import DimensionMismatchError, NonCommutingError
-from .noise import NoisePath, trajectory_generator
+from .noise import NoisePath, sample_wiener, trajectory_generator
 from .operators import ProjectorFamily
 
 DEFAULT_TEMPORAL_WIDTH = 9e20
@@ -180,10 +180,9 @@ def sample_colored_path(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rng = trajectory_generator(master_seed, traj_index)
     if spec.kind == "white":
-        inc = rng.normal(0.0, np.sqrt(gamma * dt), size=(steps, channels))
-        return NoisePath(master_seed, traj_index, dt, gamma, inc, kind="white")
+        return sample_wiener(master_seed, steps, channels, gamma, dt, traj_index)
+    rng = trajectory_generator(master_seed, traj_index)
     if spec.kind == "exponential":
         rho = np.exp(-dt / spec.tau)
         stationary_sd = np.sqrt(gamma / (2 * spec.tau))

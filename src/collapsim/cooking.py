@@ -56,11 +56,13 @@ def cooked_resample(
 def systematic_resample(
     log_weights: np.ndarray,
     master_seed: int,
+    step: int,
     cull_nats: float = CULL_NATS,
 ) -> np.ndarray:
     """Low-variance comb resample: one uniform offset, equally spaced
     selection points.  Unbiased like the multinomial rule but with far
-    smaller resampling noise; used by the sequential cooked runner.
+    smaller resampling noise; used by the sequential cooked runner.  The
+    offset comes from stream ``step`` (the step resampled at) of ``RESAMPLE``.
     """
     logw = np.asarray(log_weights, dtype=float)
     top = np.max(logw)
@@ -70,7 +72,7 @@ def systematic_resample(
     if total <= 0:
         raise ValueError("all-zero weights")
     n = logw.size
-    rng = trajectory_generator(master_seed, 0xC011)
+    rng = trajectory_generator(master_seed, step, RESAMPLE)
     points = (rng.uniform() + np.arange(n)) / n
     return np.searchsorted(np.cumsum(w / total), points, side="right").clip(0, n - 1)
 

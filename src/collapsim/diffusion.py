@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StabilityError
-from .noise import fill_block, require_memory, trajectory_generator, wiener_increment_block
+from .noise import require_memory, wiener_increment_block
 from .operators import ProjectorFamily
 
 STABILITY_LIMIT = 0.01
@@ -240,17 +240,31 @@ class EnsembleResult:
 
 
 CHUNK = 4096
-"""Trajectories per noise block in ``run_ensemble``."""
+"""Trajectories per noise block in ``run_ensemble`` when it does not resample."""
+
+
+def _shared_noise(stepper) -> tuple:
+    """The steppers of one ``run_ensemble`` call as a tuple; they step
+    through the same increments, so gamma, dt and channels must agree."""
+    steppers = stepper if isinstance(stepper, tuple) else (stepper,)
+    keys = {(s.gamma, s.dt, s.family.channel_count) for s in steppers}
+    if len(keys) != 1:
+        raise ValueError("steppers sharing a noise need one gamma, dt and channel count")
+    return steppers
 
 
 def require_ensemble_fits(
-    stepper: CslStepper, steps: int, n_traj: int, chunk: int = CHUNK
+    stepper, steps: int, n_traj: int, resample_every: int | None = None
 ) -> None:
-    """Raise ValueError when the noise block of one chunk and the final
-    states of ``run_ensemble`` would not fit in this machine's memory."""
-    family = stepper.family
-    nbytes = 8 * steps * min(chunk, n_traj) * family.channel_count
-    require_memory(nbytes + 16 * n_traj * family.dim, "the noise block and the states")
+    """Raise ValueError when the noise window of ``run_ensemble`` (one
+    chunk, or every trajectory when resampling) and the final states of
+    each of its ensembles would not fit in this machine's memory."""
+    steppers = _shared_noise(stepper)
+    window = steps if resample_every is None else min(resample_every, steps)
+    chunk = min(CHUNK, n_traj) if resample_every is None else n_traj
+    nbytes = 8 * window * chunk * steppers[0].family.channel_count
+    nbytes += 16 * n_traj * sum(s.family.dim for s in steppers)
+    require_memory(nbytes, "the noise window and the states")
 
 
 def _initial_rows(psi0: np.ndarray, h_matrix: np.ndarray | None) -> np.ndarray:
@@ -269,9 +283,83 @@ def _check_finite(z: np.ndarray, logw: np.ndarray, step: int) -> None:
         raise StabilityError(f"amplitudes or log-weights not finite at step {step}")
 
 
+class _Ensemble:
+    """One stepper's trajectories in ``run_ensemble``: the chunk in flight
+    (states, log-weights, collapse steps) and the result it fills."""
+
+    def __init__(self, stepper: CslStepper, psi0: np.ndarray, steps: int,
+                 n_traj: int, record_every: int | None) -> None:
+        self.stepper, self.psi0, self.every = stepper, psi0, record_every
+        n_rec, dim = (steps // record_every if record_every else 0), psi0.shape[0]
+        self.res = EnsembleResult(
+            np.empty((n_traj, dim), dtype=complex),
+            np.zeros(n_traj),
+            np.full(n_traj, -1, dtype=int),
+            np.full(n_traj, -1, dtype=int),
+            np.zeros((dim, dim), dtype=complex),
+            np.zeros((n_rec, n_traj, stepper.family.n_sectors)) if record_every else None,
+            np.arange(1, n_rec + 1) * record_every if record_every else None,
+        )
+
+    def start(self, m: int) -> None:
+        self.psis, self.lw = np.tile(self.psi0, (m, 1)), np.zeros(m)
+        self.done = np.full(m, -1, dtype=int)
+
+    def advance(self, block: np.ndarray, k0: int, idx: np.ndarray, h_matrix) -> None:
+        """Step the chunk through ``block``, whose first row is step k0 + 1,
+        checking finiteness and marking collapses every 16 steps and at
+        the block's end."""
+        stepper, every, psis, lw, done = self.stepper, self.every, self.psis, self.lw, self.done
+        weights = stepper.family.sector_weights
+        for s, db in enumerate(block, 1):
+            psis, dlog = stepper.step_batch(psis, db, h_matrix)
+            lw += dlog
+            k = k0 + s
+            if every and k % every == 0:
+                self.res.z_history[k // every - 1, idx] = weights(psis)
+            if k % 16 == 0 or s == len(block):
+                z = weights(psis)
+                _check_finite(z, lw, k)
+                newly = (done < 0) & (z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL)
+                done[newly] = k
+        self.psis = psis
+
+    def resample(self, master_seed: int, k: int) -> None:
+        """Cooked reweighting at step k: descendants take their ancestor's
+        state and collapse step, and every log-weight restarts at zero."""
+        from .cooking import systematic_resample
+
+        picked = systematic_resample(self.lw, master_seed, k)
+        self.psis, self.done = self.psis[picked], self.done[picked]
+        self.lw[:] = 0.0
+
+    def finish(self, idx: np.ndarray) -> None:
+        res = self.res
+        res.final_states[idx] = self.psis
+        # complex, row-major: the layout sets BLAS's sums
+        rows = res.final_states[idx[0] : idx[-1] + 1]
+        res.log_weights[idx] = self.lw
+        z = self.stepper.family.sector_weights(rows)
+        decided = z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL
+        res.outcomes[idx[decided]] = np.argmax(z, axis=1)[decided]
+        res.collapse_steps[idx] = self.done
+        if self.stepper.form == "linear":
+            res.mean_density += (rows * np.exp(self.lw)[:, None]).T @ rows.conj()
+        else:
+            res.mean_density += rows.T @ rows.conj()
+
+    def result(self) -> EnsembleResult:
+        res = self.res
+        if self.stepper.form == "linear":
+            res.mean_density /= np.exp(res.log_weights).sum()
+        else:
+            res.mean_density /= len(res.log_weights)
+        return res
+
+
 def run_ensemble(
     psi0: np.ndarray,
-    stepper: CslStepper,
+    stepper: CslStepper | tuple[CslStepper, ...],
     steps: int,
     n_traj: int,
     master_seed: int,
@@ -280,148 +368,65 @@ def run_ensemble(
     record_every: int | None = None,
     resample_every: int | None = None,
     traj_offset: int = 0,
-) -> EnsembleResult:
+) -> EnsembleResult | tuple[EnsembleResult, ...]:
     """Vectorized trajectory ensemble with per-trajectory noise streams.
 
+    ``stepper`` is one CslStepper, or a tuple of them that step one
+    ensemble each through the same increments (results in its order).
     For the linear form the returned density is the raw average of the
     unnormalized projectors (equivalently the cooked-weighted average of
     the normalized ones); for the nonlinear form it is the plain average.
 
-    ``resample_every`` (linear form only) applies the cooked reweighting
-    sequentially: every that many steps the ensemble is multinomially
-    resampled by the accumulated weights, which keeps the paths in the
-    cooked-typical region; the reweighting prescription commutes with
-    being applied at intermediate times.  Each slot keeps its own noise
-    stream (slot i draws from stream ``traj_offset + i``, as trajectory i
-    does without resampling), so the run stays deterministic and
-    order-independent.  It records no z history and holds every slot at
-    once, so ``record_every`` and ``chunk`` are rejected there; otherwise
-    ``chunk`` (default ``CHUNK``) trajectories are stepped at a time.
+    The noise is drawn one window at a time, ``resample_every`` steps or
+    the whole run: window w of trajectory i is the stream (traj_offset +
+    i, w) of ``wiener_increment_block``, so one window is the whole stream.
 
-    Every 16 steps (after every window when resampling) a NaN or infinite
+    ``resample_every`` applies the cooked reweighting sequentially to the
+    linear-form ensembles: after every window but the last, each is
+    resampled by its accumulated weights (``systematic_resample``), which
+    keeps the paths in the cooked-typical region; the reweighting
+    prescription commutes with being applied at intermediate times.
+    Descendants go on with their slot's next window; nonlinear ensembles
+    are not resampled.  Resampling steps every trajectory at once and
+    records no z history, so ``chunk`` and ``record_every`` are rejected
+    with it; otherwise ``chunk`` (default ``CHUNK``) trajectories are
+    stepped at a time.
+
+    Every 16 steps and at the end of each window a NaN or infinite
     amplitude or log-weight raises StabilityError.
     """
-    if resample_every is not None:
-        if stepper.form != "linear":
+    steppers = _shared_noise(stepper)
+    if resample_every is None:
+        chunk, window = (CHUNK if chunk is None else chunk), steps
+    else:
+        if all(s.form != "linear" for s in steppers):
             raise ValueError("sequential resampling applies to the linear form")
         if record_every is not None:
             raise ValueError("the resampled runner records no z history")
         if chunk is not None:
-            raise ValueError(
-                "the resampled runner steps every slot at once and takes no chunk"
-            )
-        return _run_linear_resampled(
-            psi0, stepper, steps, n_traj, master_seed, h_matrix, resample_every,
-            traj_offset,
-        )
+            raise ValueError("the resampled runner steps every slot at once, in no chunk")
+        chunk, window = n_traj, resample_every
     psi0 = _initial_rows(psi0, h_matrix)
-    dim = psi0.shape[0]
-    channels = stepper.family.channel_count
-    final = np.empty((n_traj, dim), dtype=complex)
-    logw = np.zeros(n_traj)
-    outcomes = np.full(n_traj, -1, dtype=int)
-    collapse_steps = np.full(n_traj, -1, dtype=int)
-    density = np.zeros((dim, dim), dtype=complex)
-    n_rec = 0 if record_every is None else steps // record_every
-    z_hist = (
-        np.zeros((n_rec, n_traj, stepper.family.n_sectors))
-        if record_every
-        else None
-    )
-    rec_steps = (
-        np.arange(1, n_rec + 1) * record_every if record_every else None
-    )
-
-    chunk = CHUNK if chunk is None else chunk
+    runs = [_Ensemble(s, psi0, steps, n_traj, record_every) for s in steppers]
+    noise = steppers[0].family.channel_count, steppers[0].gamma, steppers[0].dt
     for start in range(0, n_traj, chunk):
         idx = np.arange(start, min(start + chunk, n_traj))
-        m = len(idx)
-        block = wiener_increment_block(
-            master_seed, idx + traj_offset, steps, channels, stepper.gamma, stepper.dt
-        )
-        psis = np.tile(psi0, (m, 1))
-        lw = np.zeros(m)
-        done = np.full(m, -1, dtype=int)
-        for k in range(steps):
-            psis, dlog = stepper.step_batch(psis, block[k], h_matrix)
-            lw += dlog
-            if record_every and (k + 1) % record_every == 0:
-                z_hist[(k + 1) // record_every - 1, idx] = (
-                    stepper.family.sector_weights(psis)
-                )
-            if (k + 1) % 16 == 0 or k == steps - 1:
-                z = stepper.family.sector_weights(psis)
-                _check_finite(z, lw, k + 1)
-                newly = (done < 0) & (z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL)
-                done[newly] = k + 1
-        final[idx] = psis
-        rows = final[start : start + m]  # complex, row-major: the layout sets BLAS's sums
-        logw[idx] = lw
-        z = stepper.family.sector_weights(rows)
-        top = np.argmax(z, axis=1)
-        decided = z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL
-        outcomes[idx[decided]] = top[decided]
-        collapse_steps[idx] = done
-        if stepper.form == "linear":
-            w = np.exp(lw)
-            density += (rows * w[:, None]).T @ rows.conj()
-        else:
-            density += rows.T @ rows.conj()
-        del block  # so that the next chunk's block is not drawn beside it
-    if stepper.form == "linear":
-        density /= np.exp(logw).sum()
-    else:
-        density /= n_traj
-    return EnsembleResult(
-        final, logw, outcomes, collapse_steps, density, z_hist, rec_steps
-    )
-
-
-def _run_linear_resampled(
-    psi0: np.ndarray,
-    stepper: CslStepper,
-    steps: int,
-    n_traj: int,
-    master_seed: int,
-    h_matrix: np.ndarray | None,
-    resample_every: int,
-    traj_offset: int,
-) -> EnsembleResult:
-    from .cooking import systematic_resample
-
-    psi0 = _initial_rows(psi0, h_matrix)
-    channels = stepper.family.channel_count
-    psis = np.tile(psi0, (n_traj, 1))
-    logw = np.zeros(n_traj)
-    scale = np.sqrt(stepper.gamma * stepper.dt)
-    # persistent per-slot streams: resampled descendants keep consuming
-    # their slot's stream, so the run is reproducible and chunk-free
-    rngs = [trajectory_generator(master_seed, traj_offset + i) for i in range(n_traj)]
-    block = np.empty((min(resample_every, steps), n_traj, channels))  # one window
-    k = 0
-    while k < steps:
-        take = min(resample_every - (k % resample_every), steps - k)
-        fill_block(block[:take], rngs, scale)
-        for s in range(take):
-            psis, dlog = stepper.step_batch(psis, block[s], h_matrix)
-            logw += dlog
-        k += take
-        _check_finite(stepper.family.sector_weights(psis), logw, k)
-        if k % resample_every == 0 and k < steps:
-            picked = systematic_resample(logw, (master_seed * 2654435761 + k) % 2**63)
-            psis = psis[picked]
-            logw[:] = 0.0
-    psis = np.ascontiguousarray(psis, dtype=complex)  # the layout sets BLAS's sums
-    z = stepper.family.sector_weights(psis)
-    top = np.argmax(z, axis=1)
-    decided = z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL
-    outcomes = np.where(decided, top, -1)
-    w = np.exp(logw - logw.max())
-    w = w / w.sum()
-    density = (psis * w[:, None]).T @ psis.conj()
-    return EnsembleResult(
-        psis, logw, outcomes, np.full(n_traj, -1), density, None, None
-    )
+        for run in runs:
+            run.start(len(idx))
+        for k0 in range(0, steps, window):
+            take = min(window, steps - k0)
+            block = wiener_increment_block(
+                master_seed, idx + traj_offset, take, *noise, window=k0 // window
+            )
+            for run in runs:
+                run.advance(block, k0, idx, h_matrix)
+                if k0 + take < steps and run.stepper.form == "linear":
+                    run.resample(master_seed, k0 + take)
+            del block  # so that the next block is not drawn beside it
+        for run in runs:
+            run.finish(idx)
+    results = tuple(run.result() for run in runs)
+    return results if isinstance(stepper, tuple) else results[0]
 
 
 # ---- the linear-but-Hermitian contrast model -------------------------
@@ -449,13 +454,10 @@ def hermitian_phase_noise_ensemble(
     table = np.zeros((n_sec, psi0.shape[0]))
     for sigma, idx in enumerate(family.sectors):
         table[sigma, np.atleast_1d(idx).ravel()] = 1.0
-    density = np.zeros((psi0.shape[0],) * 2, dtype=complex)
-    z_all = np.empty((n_traj, n_sec))
-    for j in range(n_traj):
-        rng = trajectory_generator(master_seed, j)
-        theta = rng.normal(0.0, np.sqrt(gamma * dt), size=(steps, n_sec)).sum(axis=0)
-        phase = np.exp(-1j * (theta @ table))
-        psi = psi0 * phase
-        density += np.outer(psi, psi.conj())
-        z_all[j] = family.sector_weights(psi)
-    return density / n_traj, z_all
+    block = wiener_increment_block(master_seed, np.arange(n_traj), steps, n_sec, gamma, dt)
+    theta = block.sum(axis=0)  # (n_traj, n_sec), summed step by step
+    del block
+    psis = psi0 * np.exp(-1j * (theta @ table))
+    # summed over trajectories in order, as a running sum of outer products
+    density = (psis[:, :, None] * psis.conj()[:, None, :]).sum(axis=0)
+    return density / n_traj, family.sector_weights(psis)

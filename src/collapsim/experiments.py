@@ -322,19 +322,17 @@ def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
         CslStepper(family, p["gamma"], p["dt"], form=form, calculus="ito")
         for form in ("linear", "nonlinear")
     )
-    steps, n_traj = p["steps"], run.trajectories
-    require_ensemble_fits(nonlinear, steps, n_traj)
-    # the resampled runner holds one window of noise for every trajectory
-    require_ensemble_fits(linear, min(p["resample_every"], steps), n_traj, n_traj)
+    steps, n_traj, every = p["steps"], run.trajectories, p["resample_every"]
+    require_ensemble_fits((linear, nonlinear), steps, n_traj, every)
     yield
-    lin = run_ensemble(
-        psi0, linear, steps, n_traj, run.seed, resample_every=p["resample_every"]
+    # both forms step through the same noise windows
+    lin, nonlin = run_ensemble(
+        psi0, (linear, nonlinear), steps, n_traj, run.seed, resample_every=every
     )
     z = family.sector_weights(lin.final_states)
     w = np.exp(lin.log_weights - lin.log_weights.max())
     w /= w.sum()
     f_lin = float(np.sum(w * (z[:, 0] > 0.5)))
-    nonlin = run_ensemble(psi0, nonlinear, steps, n_traj, run.seed)
     zn = family.sector_weights(nonlin.final_states)
     f_non = float(np.mean(zn[:, 0] > 0.5))
     yield {

@@ -3,9 +3,10 @@
 Randomness is counter-based: every trajectory derives its own stream from
 a Philox generator keyed by (master seed, trajectory index), so ensembles
 are reproducible bit-for-bit and order-independent under parallel
-execution.  Each random-number purpose has its own stream namespace: the
-purpose sits in the high word of the Philox counter, so streams of
-different purposes never overlap (Salmon et al., SC'11).
+execution.  A window of steps drawn on its own has its number in the third
+word of the Philox counter (window 0 is the whole stream) and a purpose
+(noise, resampling) in the fourth, so no two such streams overlap
+(Salmon et al., SC'11).
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ import numpy.random  # lazy in numpy; every run here draws from it, so load it a
 
 
 NOISE, RESAMPLE = 0, 1
-"""Stream purposes: trajectory noise, and the draws of ``cooked_resample``."""
+"""Stream purposes: trajectory noise, and the draws of the resamplers."""
 
 TILE_BYTES = 1 << 20
 """Size of the contiguous tile ``wiener_increment_block`` draws streams into."""
 
 
 def trajectory_generator(
-    master_seed: int, traj_index: int = 0, purpose: int = NOISE
+    master_seed: int, traj_index: int = 0, purpose: int = NOISE, window: int = 0
 ) -> np.random.Generator:
-    """Independent stream keyed by (master seed, index) in the namespace of
-    ``purpose`` (the high word of the Philox counter)."""
-    counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
+    """Independent stream keyed by (master seed, index), with ``window`` and
+    ``purpose`` in the third and fourth words of the Philox counter."""
+    counter = np.array([0, 0, window, purpose], dtype=np.uint64)
     key = np.array([master_seed, traj_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
@@ -79,9 +80,8 @@ def sample_wiener(
     """White Wiener increments, i.i.d. Gaussian(0, gamma*dt) per channel."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rng = trajectory_generator(master_seed, traj_index)
-    inc = rng.normal(0.0, np.sqrt(gamma * dt), size=(steps, channels))
-    return NoisePath(master_seed, traj_index, dt, gamma, inc, kind="white")
+    inc = wiener_increment_block(master_seed, [traj_index], steps, channels, gamma, dt)
+    return NoisePath(master_seed, traj_index, dt, gamma, inc[:, 0], kind="white")
 
 
 def wiener_increment_block(
@@ -91,45 +91,38 @@ def wiener_increment_block(
     channels: int,
     gamma: float,
     dt: float,
+    window: int = 0,
 ) -> np.ndarray:
     """Increments for a batch of trajectories, shape (steps, n, channels).
 
-    Row j comes from the stream keyed by (master_seed, traj_indices[j]),
-    identical to the single-path sampler.  One Philox generator is reset
-    to each stream in turn.
+    Row j is the stream ``trajectory_generator(master_seed,
+    traj_indices[j], NOISE, window)``.  One Philox generator is reset to
+    each stream in turn and draws it into a contiguous tile of about
+    ``TILE_BYTES``, which is copied into the block.
     """
-    out = np.empty((steps, len(traj_indices), channels), dtype=float)
-    return fill_block(out, _reset_streams(master_seed, traj_indices), np.sqrt(gamma * dt))
-
-
-def _reset_streams(master_seed: int, traj_indices: np.ndarray):
-    """One generator, reset to the start of each trajectory's noise stream
-    in turn."""
-    rng = trajectory_generator(master_seed)
-    start = rng.bit_generator.state  # a fresh stream's state, re-keyed below
-    key = start["state"]["key"]
-    for idx in traj_indices:
-        key[1] = idx
-        rng.bit_generator.state = start
-        yield rng
-
-
-def fill_block(out: np.ndarray, rngs, scale: float) -> np.ndarray:
-    """Fill the (steps, n, channels) block ``out`` with Gaussian(0, scale)
-    increments, column j drawn next from the j-th generator of ``rngs``.
-
-    Each column is drawn into a contiguous tile of about ``TILE_BYTES``,
-    which is copied into the block.
-    """
-    steps, n, channels = out.shape
+    n = len(traj_indices)
+    out = np.empty((steps, n, channels), dtype=float)
     width = int(np.clip(TILE_BYTES // max(steps * channels * 8, 1), 1, max(n, 1)))
     tile = np.empty((width, steps, channels))
-    rngs = iter(rngs)
+    scale = np.sqrt(gamma * dt)
+    rng = trajectory_generator(master_seed, 0, NOISE, window)
+    bits, draw = rng.bit_generator, rng.standard_normal
+    # a fresh stream's state, re-keyed below; lists set faster than arrays
+    fresh = bits.state
+    start = {**fresh, "buffer": fresh["buffer"].tolist(),
+             "state": {k: v.tolist() for k, v in fresh["state"].items()}}
+    key = start["state"]["key"]
+    streams = iter(traj_indices)
     for lo in range(0, n, width):
-        hi = min(lo + width, n)
-        for t in range(hi - lo):
-            tile[t] = next(rngs).normal(0.0, scale, size=(steps, channels))
-        out[:, lo:hi] = tile[: hi - lo].transpose(1, 0, 2)
+        part = tile[: min(width, n - lo)]
+        for row in part:
+            key[1] = int(next(streams))
+            bits.state = start
+            draw(out=row)
+        # normal(0.0, scale) returns 0.0 + scale * z: the same bits
+        np.multiply(part, scale, out=part)
+        part += 0.0
+        out[:, lo : lo + len(part)] = part.transpose(1, 0, 2)
     return out
 
 

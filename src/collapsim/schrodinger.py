@@ -20,11 +20,15 @@ def _kinetic_phase(psi: GridWavefunction, dt: float) -> np.ndarray:
 
 
 # a hitting step asks for one lag forwards and backwards, so a few
-# entries serve every call of a run
+# entries serve every call of a run; a backward phase conjugates the forward
+# one (equal values; the zero imaginary part at k = 0 changes sign)
 @lru_cache(maxsize=4)
 def _kinetic_phase_on(n: int, dx: float, mass: float, dt: float) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
-    phase = np.exp(-0.5j * dt * k**2 / mass)
+    if dt < 0:
+        phase = np.conj(_kinetic_phase_on(n, dx, mass, -dt))
+    else:
+        k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
+        phase = np.exp(-0.5j * dt * k**2 / mass)
     phase.flags.writeable = False
     return phase
 

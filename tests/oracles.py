@@ -9,6 +9,9 @@ sampling and random streams, but steps every trajectory through every
 ``dt`` in position space.  Another is ``step_batch_reference``, the
 row-wise complex CSL step kept as the reference for the column-wise
 stepper: it reads the stepper's family, gamma, dt, form and calculus.
+The per-trajectory samplers ``sample_wiener_reference`` and
+``hermitian_phase_noise_reference`` are the one-generator-per-path code
+the block draw replaced, kept to pin its streams and bits.
 """
 
 from __future__ import annotations
@@ -256,3 +259,30 @@ def step_batch_reference(stepper, psis, dbs, h_matrix=None):
     if stepper.form == "linear":
         return new, np.log(norm_sq)
     return new, np.zeros(psis.shape[0])
+
+
+def sample_wiener_reference(master_seed, steps, channels, gamma, dt, traj_index=0):
+    """Increments drawn straight from the trajectory's generator: the
+    single-path sampler (and the white branch of the colored one) before
+    they went through ``wiener_increment_block``."""
+    rng = trajectory_generator(master_seed, traj_index)
+    return rng.normal(0.0, np.sqrt(gamma * dt), size=(steps, channels))
+
+
+def hermitian_phase_noise_reference(psi0, family, gamma, dt, steps, n_traj, master_seed):
+    """``hermitian_phase_noise_ensemble`` as it was written with one
+    generator per trajectory: (mean density, sector weights)."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    n_sec = family.n_sectors
+    table = np.zeros((n_sec, psi0.shape[0]))
+    for sigma, idx in enumerate(family.sectors):
+        table[sigma, np.atleast_1d(idx).ravel()] = 1.0
+    density = np.zeros((psi0.shape[0],) * 2, dtype=complex)
+    z_all = np.empty((n_traj, n_sec))
+    for j in range(n_traj):
+        rng = trajectory_generator(master_seed, j)
+        theta = rng.normal(0.0, np.sqrt(gamma * dt), size=(steps, n_sec)).sum(axis=0)
+        psi = psi0 * np.exp(-1j * (theta @ table))
+        density += np.outer(psi, psi.conj())
+        z_all[j] = family.sector_weights(psi)
+    return density / n_traj, z_all

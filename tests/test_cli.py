@@ -289,6 +289,7 @@ COLORED_CFG = (
 )
 BASES = {
     "born": BORN_CFG,
+    "equivalence": BORN_CFG.replace("csl-born", "csl-equivalence"),
     "hitting": HITTING_CFG,
     "colored": COLORED_CFG,
     "mass": "experiment = mass-profile\noutput = prof\n[params]\nscenario = superposed\n",
@@ -325,13 +326,14 @@ BASES = {
         ("epr", "t_end = 2.0", "t_end = 2.0\nsteps = 0"),
         ("born", "steps = 600", "steps = 1e300"),
         ("master", "mass = 1.0", "mass = 1e300"),
+        ("equivalence", "steps = 600", "steps = 1e12\nresample_every = 1e12"),
     ],
     ids=[
         "steps-text", "steps-negative", "weights-scalar", "trajectories-negative",
         "seed-negative", "seed-past-u64", "dt-nan", "tau-zero", "kind-unknown",
         "kernel-file-missing", "grid-not-power-of-two", "t_end-not-whole-steps",
         "no-cells", "occupation-lengths-differ", "epr-no-steps",
-        "steps-past-memory", "mass-overflows",
+        "steps-past-memory", "mass-overflows", "equivalence-window-past-memory",
     ],
 )
 def test_cli_malformed_value_exit_2_when_run_and_validated(

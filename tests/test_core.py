@@ -19,7 +19,12 @@ from collapsim import (
     normalize,
 )
 from collapsim.noise import sample_wiener, trajectory_generator
-from collapsim.schrodinger import _kinetic_phase, gaussian_packet, split_step_evolve
+from collapsim.schrodinger import (
+    _kinetic_phase,
+    gaussian_packet,
+    split_step_batch,
+    split_step_evolve,
+)
 
 from oracles import free_gaussian_q_var
 
@@ -303,13 +308,28 @@ def test_split_step_norm_conservation_long_run():
 
 def test_kinetic_phase_cache_is_bit_identical_and_read_only():
     psi = gaussian_packet(256, 0.1, -12.8, 3.0, 0.0, 1.0)
-    for t in (0.05, -0.05, 0.05, 1.3):
+    for t in (0.05, -0.05, 0.05, 1.3, -1.3):
         phase = _kinetic_phase(psi, t)
         fresh = np.exp(-0.5j * t * psi.wavenumbers**2 / psi.mass)
-        assert np.array_equal(phase.view(np.uint64), fresh.view(np.uint64))
+        assert np.array_equal(phase, fresh)
+        # a backward phase is the forward one conjugated: the same bits but
+        # for the sign of the zero imaginary part at k = 0
+        bits = 2 if t < 0 else 0
+        assert np.array_equal(phase.view(np.uint64)[bits:], fresh.view(np.uint64)[bits:])
         with pytest.raises(ValueError, match="read-only"):
             phase *= 2.0
     assert _kinetic_phase(psi, 0.05) is _kinetic_phase(psi, 0.05)
+
+
+def test_backward_split_step_equals_the_freshly_computed_phase():
+    psi = gaussian_packet(256, 0.1, -12.8, 3.0, 0.0, 1.0)
+    rng = trajectory_generator(8)
+    amps = psi.amplitudes * np.exp(1j * rng.uniform(0.0, 6.0, size=(5, 1)))
+    for t in (-0.05, -1.3):
+        fresh = np.exp(-0.5j * t * psi.wavenumbers**2 / psi.mass)
+        direct = np.fft.ifft(np.fft.fft(amps, axis=1) * fresh[None, :], axis=1)
+        out = split_step_batch(amps, psi, HamiltonianSpec.free(), t)
+        assert np.array_equal(out.view(np.uint64), direct.view(np.uint64))
 
 
 def test_split_step_rejects_matrix_hamiltonian():

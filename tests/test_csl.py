@@ -8,6 +8,7 @@ from collapsim.cells import CellModel, discrete_decay_exponent, discrete_decay_l
 from collapsim.cooking import (
     cooked_resample,
     linear_exact_commuting,
+    systematic_resample,
     two_level_analytic,
 )
 from collapsim.diffusion import (
@@ -36,7 +37,12 @@ from collapsim.operators import ProjectorFamily
 from collapsim.units import HBAR_CGS
 from collapsim.zvariables import z_dynamics_step
 
-from oracles import lindblad_by_ode, step_batch_reference
+from oracles import (
+    hermitian_phase_noise_reference,
+    lindblad_by_ode,
+    sample_wiener_reference,
+    step_batch_reference,
+)
 
 TWO = ProjectorFamily.two_level()
 
@@ -137,9 +143,10 @@ def test_run_ensemble_equals_reference_steps(form):
     assert np.array_equal(res.z_history[-1], TWO.sector_weights(psis))
 
 
-def _nan_block(*args):
-    block = wiener_increment_block(*args)
-    block[5, 1, 0] = np.nan
+def _nan_block(*args, **kwargs):
+    # every block (every window) gets a NaN increment in its sixth row
+    block = wiener_increment_block(*args, **kwargs)
+    block[5 % len(block), 1, 0] = np.nan
     return block
 
 
@@ -153,24 +160,16 @@ def test_run_ensemble_nan_increment_raises_stability_error(monkeypatch, form):
         run_ensemble(np.sqrt([0.3, 0.7]), stepper, 40, 4, master_seed=1)
 
 
-def test_resampled_runner_nan_increment_raises_stability_error(monkeypatch):
+@pytest.mark.parametrize("first", ["linear", "nonlinear"])
+def test_resampled_runner_nan_increment_raises_stability_error(monkeypatch, first):
+    # the ensemble that steps through the window first meets the NaN
     import collapsim.diffusion as diffusion
 
-    class NanAtStepFive:
-        def __init__(self, stream):
-            self.rng = trajectory_generator(*stream)
-
-        def normal(self, loc, scale, size):
-            out = self.rng.normal(loc, scale, size)
-            out[5 % size[0]] = np.nan
-            return out
-
-    monkeypatch.setattr(
-        diffusion, "trajectory_generator", lambda *stream: NanAtStepFive(stream)
-    )
-    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form="linear")
+    monkeypatch.setattr(diffusion, "wiener_increment_block", _nan_block)
+    forms = [first, "nonlinear" if first == "linear" else "linear"]
+    steppers = tuple(CslStepper(TWO, gamma=1.0, dt=0.005, form=f) for f in forms)
     with pytest.raises(StabilityError, match="not finite at step 10"):
-        run_ensemble(np.sqrt([0.3, 0.7]), stepper, 30, 4, 1, resample_every=10)
+        run_ensemble(np.sqrt([0.3, 0.7]), steppers, 30, 4, 1, resample_every=10)
 
 
 def test_resampled_runner_honours_traj_offset():
@@ -184,6 +183,99 @@ def test_resampled_runner_honours_traj_offset():
     )
     assert np.array_equal(slots.final_states, plain.final_states)
     assert np.array_equal(slots.log_weights, plain.log_weights)
+
+
+@pytest.mark.parametrize("every", [40, 41, 1000])
+def test_shared_runner_in_one_window_equals_the_plain_runs(every):
+    psi0 = np.sqrt(np.array([0.3, 0.7]))
+    steppers = tuple(
+        CslStepper(TWO, gamma=1.0, dt=0.005, form=f) for f in ("linear", "nonlinear")
+    )
+    shared = run_ensemble(
+        psi0, steppers, 40, 50, master_seed=9, resample_every=every, traj_offset=3
+    )
+    assert isinstance(shared, tuple) and len(shared) == 2
+    for stepper, res in zip(steppers, shared):
+        plain = run_ensemble(psi0, stepper, 40, 50, master_seed=9, traj_offset=3)
+        for field in ("final_states", "log_weights", "outcomes", "collapse_steps",
+                      "mean_density"):
+            assert np.array_equal(getattr(res, field), getattr(plain, field)), field
+
+
+def test_shared_runner_steps_both_forms_through_window_keyed_streams():
+    # reference: window w of every slot drawn by wiener_increment_block
+    # (window=w), both forms stepped through it by the row-wise step, the
+    # linear one resampled at each inner window boundary
+    psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
+    steppers = tuple(
+        CslStepper(TWO, gamma=1.0, dt=0.005, form=f) for f in ("linear", "nonlinear")
+    )
+    n, steps, every, seed = 64, 50, 20, 17
+    lin, non = run_ensemble(psi0, steppers, steps, n, seed, resample_every=every)
+    psis = [np.tile(psi0, (n, 1)) for _ in steppers]
+    logw = np.zeros(n)
+    for w, k0 in enumerate(range(0, steps, every)):
+        take = min(every, steps - k0)
+        block = wiener_increment_block(seed, np.arange(n), take, 1, 1.0, 0.005, window=w)
+        for k in range(take):
+            psis[0], dlog = step_batch_reference(steppers[0], psis[0], block[k])
+            logw += dlog
+            psis[1], _ = step_batch_reference(steppers[1], psis[1], block[k])
+        if k0 + take < steps:
+            psis[0] = psis[0][systematic_resample(logw, seed, k0 + take)]
+            logw[:] = 0.0
+    assert np.array_equal(lin.final_states, psis[0])
+    assert np.array_equal(lin.log_weights, logw)
+    assert np.array_equal(non.final_states, psis[1])
+
+
+def test_wiener_block_windows_are_disjoint_counter_keyed_streams():
+    idx = np.array([0, 5, 2**40])
+    scale = np.sqrt(0.7 * 0.01)
+    windows = [wiener_increment_block(11, idx, 30, 2, 0.7, 0.01, window=w) for w in range(3)]
+    for j, i in enumerate(idx):
+        # window 0 is the trajectory's own stream
+        direct = trajectory_generator(11, int(i)).normal(0.0, scale, size=(30, 2))
+        assert np.array_equal(windows[0][:, j], direct)
+        for w in (1, 2):
+            philox = np.random.Philox(key=[11, int(i)], counter=[0, 0, w, 0])
+            keyed = np.random.Generator(philox).normal(0.0, scale, size=(30, 2))
+            assert np.array_equal(windows[w][:, j], keyed)
+            assert not np.array_equal(windows[w][:, j], windows[0][:, j])
+
+
+def test_shared_runner_rejects_steppers_with_different_noise():
+    psi0 = np.sqrt(np.array([0.3, 0.7]))
+    pair = (CslStepper(TWO, 1.0, 0.005, form="linear"), CslStepper(TWO, 1.0, 0.004))
+    with pytest.raises(ValueError, match="one gamma, dt"):
+        run_ensemble(psi0, pair, 10, 4, 1, resample_every=5)
+
+
+def test_csl_equivalence_draws_each_increment_once(monkeypatch, tmp_path):
+    # both forms read the same windows: n x steps increments in all
+    import json
+
+    import collapsim.diffusion as diffusion
+    from collapsim.cli import main
+
+    drawn = []
+
+    def counting_block(*args, **kwargs):
+        block = wiener_increment_block(*args, **kwargs)
+        drawn.append(block.size)
+        return block
+
+    monkeypatch.setattr(diffusion, "wiener_increment_block", counting_block)
+    config = tmp_path / "eq.cfg"
+    config.write_text(
+        "experiment = csl-equivalence\nseed = 3\ntrajectories = 300\noutput = eq\n"
+        "format = json\n[params]\nweights = 0.3, 0.7\ngamma = 1.0\ndt = 0.002\n"
+        "steps = 250\nresample_every = 100\n"
+    )
+    assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "eq.json").read_text())["data"]["trajectories"] == 300
+    assert len(drawn) == 3  # windows of 100, 100 and 50 steps
+    assert sum(drawn) == 300 * 250
 
 
 def test_resampled_runner_rejects_record_every():
@@ -304,6 +396,21 @@ def test_cooked_resample_draws_from_its_own_stream_namespace():
     trajectory = trajectory_generator(5, 0xC00C).multinomial(1000, probs)
     assert np.array_equal(counts, own)
     assert not np.array_equal(counts, trajectory)
+
+
+def test_systematic_resample_draws_from_the_resample_stream_of_its_step():
+    # the comb offset is the first uniform of Philox key (seed, step) in the
+    # RESAMPLE namespace: disjoint from every noise stream and window
+    logw = np.log(np.linspace(0.1, 1.0, 500))
+    seed, step = 20, 300
+    philox = np.random.Philox(key=[seed, step], counter=[0, 0, 0, RESAMPLE])
+    offset = np.random.Generator(philox).uniform()
+    w = np.exp(logw - logw.max())
+    cdf = np.cumsum(w / w.sum())
+    expected = np.searchsorted(cdf, (offset + np.arange(500)) / 500, side="right")
+    picked = systematic_resample(logw, seed, step)
+    assert np.array_equal(picked, expected.clip(0, 499))
+    assert not np.array_equal(picked, systematic_resample(logw, seed, step + 100))
 
 
 def test_cooked_resample_degenerate_weights():
@@ -538,6 +645,29 @@ def test_lindblad_purity_decay():
 
 
 # ---------------------------------------------------- decoherence contrast
+
+
+def test_single_path_samplers_keep_their_streams_and_bits():
+    # sample_wiener, the white colored path and the Hermitian ensemble now
+    # draw through wiener_increment_block; the outputs are the old ones
+    from collapsim.colored import CorrelationSpec, sample_colored_path
+
+    for args in [(99, 1000, 2, 0.5, 0.02, 7), (2**64 - 1, 3, 1, 1.0, 0.01, 2**63)]:
+        reference = sample_wiener_reference(*args)
+        assert np.array_equal(sample_wiener(*args).increments, reference)
+        seed, steps, channels, gamma, dt, index = args
+        white = sample_colored_path(
+            CorrelationSpec("white"), steps, dt, gamma, seed, index, channels
+        )
+        assert np.array_equal(white.increments, reference)
+    family = ProjectorFamily.diagonal(np.array([[1.0, 1.0, -1.0]]))
+    psi0 = np.sqrt(np.array([0.2, 0.3, 0.5], dtype=complex))
+    for fam, psi in [(TWO, np.sqrt(np.array([0.3, 0.7], dtype=complex))), (family, psi0)]:
+        args = (psi, fam, 0.8, 0.01, 120, 300, 55)
+        rho, z = hermitian_phase_noise_ensemble(*args)
+        rho_ref, z_ref = hermitian_phase_noise_reference(*args)
+        assert np.array_equal(rho, rho_ref)
+        assert np.array_equal(z, z_ref)
 
 
 def test_hermitian_phase_noise_dephases_without_reduction():
