@@ -2,7 +2,7 @@
 
 Usage:
     collapsim --config experiment.cfg [--seed U64] [--out DIR]
-              [--format csv|json] [--threads N] [--validate]
+              [--format csv|json] [--validate]
 
 Exit codes: 0 success, 2 config error, 3 numerical-stability abort,
 4 statistical precondition failure.
@@ -115,14 +115,17 @@ def _render_json(output, cfg: ExperimentConfig) -> str:
     )
 
 
-def run(cfg: ExperimentConfig, out_dir: str | None, threads: int = 1) -> Path:
+def run(cfg: ExperimentConfig, out_dir: str | None, *_ignored) -> Path:
     """Execute one experiment and write its artifact file.
 
     Returns the output path.  Deterministic given (config, seed); the
     output begins with a provenance header and is written atomically.  A
     NaN or infinite result raises ``StabilityError`` and writes nothing.
+    Further positional arguments are accepted and ignored: they were the
+    thread count of earlier versions, which ``bench/worker.py`` still
+    passes as ``run(cfg, out, 1)``.
     """
-    output = RUNNERS[cfg.experiment](cfg, threads)
+    output = RUNNERS[cfg.experiment](cfg)
     _require_finite(output, cfg.experiment)
     if isinstance(output, TableOutput) and cfg.fmt == "csv":
         suffix, text = ".csv", _render_csv(output, cfg)
@@ -141,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument(
         "--validate", action="store_true", help="build the run's plan, run nothing"
     )
@@ -158,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(notice)
             print("ok")
             return EXIT_OK
-        path = run(cfg, args.out, max(args.threads, 1))
+        path = run(cfg, args.out)
         print(path)
         return EXIT_OK
     except ConfigError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .errors import ConfigError, StabilityError
 from .noise import require_memory, wiener_increment_block
@@ -71,60 +72,49 @@ class CslStepper:
         object.__setattr__(self, "_rows_sq", (table**2).tolist())
         object.__setattr__(self, "_a_sq_sum", np.sum(table**2, axis=0).tolist())
 
-    # ---- single-state API --------------------------------------------
-
-    def step(
-        self,
-        psi: np.ndarray,
-        db: np.ndarray,
-        h_matrix: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, float]:
-        """Advance one step.  Returns (normalized state, d log||psi||^2).
-
-        The weight increment is zero by construction for nonlinear forms.
-        """
-        batch_psi = psi[None, :]
-        batch_db = np.atleast_2d(db)
-        out, dlog = self.step_batch(batch_psi, batch_db, h_matrix)
-        return out[0], float(dlog[0])
-
-    # ---- batched API --------------------------------------------------
-
     def step_batch(
         self,
         psis: np.ndarray,
         dbs: np.ndarray,
         h_matrix: np.ndarray | None = None,
+        ws: StepWorkspace | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance a (n, d) block of normalized states by one step.
+        Returns the column-major (n, d) states and d log||psi||^2 per row,
+        zero by construction for nonlinear forms.
 
         The step works on the d basis columns and the channel columns of
         ``dbs``, one 1-D array each: sums over basis indices and channels
         are column additions in the order numpy reduces a row.  Real rows
-        stay real when there is no Hamiltonian.  The result is a
-        column-major (n, d) array.
+        stay real when there is no Hamiltonian.  With a workspace ``ws``
+        the step allocates nothing and returns the workspace's arrays: the
+        states are overwritten two steps later, dlog at the next step.
+        Without one both are fresh arrays.
         """
-        chi = [psis[:, j] for j in range(psis.shape[1])]
-        db = [dbs[:, i] for i in range(dbs.shape[1])]
-        if self.form == "linear":
-            new = self._step_linear(chi, db, h_matrix)
-        else:
-            new = self._step_nonlinear(chi, db, h_matrix)
-        norm_sq = _row_sum([_abs2(col) for col in new])
-        inv = 1.0 / np.sqrt(norm_sq)  # complex / real divides this way too
-        out = np.empty((len(new), len(norm_sq)), dtype=new[0].dtype).T
-        for j, col in enumerate(new):
-            np.multiply(col, inv, out=out[:, j])
-        if self.form == "linear":
-            return out, np.log(norm_sq)
-        return out, np.zeros(len(norm_sq))
+        ws = StepWorkspace(self, psis, h_matrix) if ws is None else ws
+        if ws.stepper is not self or ws.h_matrix is not h_matrix:
+            raise ValueError("the workspace was made for another stepper or Hamiltonian")
+        side = 1 if psis is ws.slabs[1] else 0
+        if psis is not ws.slabs[side]:
+            if psis.shape != ws.slabs[0].shape:
+                raise ValueError(f"the workspace steps {ws.slabs[0].shape} rows, not {psis.shape}")
+            np.copyto(ws.slabs[0], psis)
+        np.copyto(ws.db.T, dbs)
+        for fn, args in ws.programs[side]:
+            fn(*args)
+        return ws.slabs[1 - side], ws.dlog
 
     def _with_ham(self, chi: list, h_matrix: np.ndarray | None, terms: list) -> list:
         """-i H psi dt + terms, column by column; the terms alone without a
         Hamiltonian."""
         if h_matrix is None:
             return terms
-        ham = -1j * (np.stack(chi, axis=1) @ h_matrix.T) * self.dt
+        ws = chi[0].ws
+        rows, ham = ws.block("rows", len(chi), complex), ws.block("ham", len(chi), complex)
+        for j, x in enumerate(chi):
+            np.positive(x, out=rows[:, j])
+        ws.calls += [(np.matmul, (rows, h_matrix.T, ham)), (np.multiply, (-1j, ham, ham)),
+                     (np.multiply, (ham, self.dt, ham))]
         return [ham[:, j] + t for j, t in enumerate(terms)]
 
     def _euler(self, chi: list, h_matrix: np.ndarray | None, factors: list) -> list:
@@ -189,23 +179,105 @@ class CslStepper:
         return self._heun(chi, rhs)
 
 
-def _abs2(col: np.ndarray) -> np.ndarray:
+class StepWorkspace:
+    """Buffers and the recorded step with which ``CslStepper.step_batch``
+    advances as many rows as ``psis`` has under ``h_matrix`` without
+    allocating (real rows if they are real and there is no Hamiltonian).
+    Its caller holds it for one run; no stepper keeps it.
+
+    The step's code runs once, on ``_Col`` columns, recorded as a fixed
+    list of numpy calls that write through ``out``: the same operations
+    in the same order as on arrays, so the same bits.  A step reads one
+    of two (d, n) slabs and writes the other, so the list is linked both
+    ways round, and the input rows are never overwritten mid-step.
+    """
+
+    def __init__(self, stepper: CslStepper, psis: np.ndarray, h_matrix=None) -> None:
+        d, n = stepper.family.dim, psis.shape[0]
+        dtype = float if h_matrix is None and psis.dtype.kind == "f" else complex
+        self.stepper, self.h_matrix, self.n, self.calls, self.blocks = stepper, h_matrix, n, [], {}
+        self.slabs = tuple(np.empty((d, n), dtype).T for _ in range(2))
+        self.db, self.dlog = np.empty((stepper.family.channel_count, n)), np.zeros(n)
+        src, dst = (slab.T for slab in self.slabs)  # row j of a (d, n) slab is column j
+        chi = [_Col(self, dtype, pair) for pair in zip(src, dst)]
+        db = [_Col(self, float, (row, row)) for row in self.db]
+        step = stepper._step_linear if stepper.form == "linear" else stepper._step_nonlinear
+        new = step(chi, db, h_matrix)
+        norm_sq = _row_sum([_abs2(col) for col in new])
+        inv = 1.0 / np.sqrt(norm_sq)  # complex / real divides this way too
+        for col, x, y in zip(new, src, dst):
+            np.multiply(col, inv, out=_Col(self, dtype, (y, x)))
+        if stepper.form == "linear":
+            np.log(norm_sq, out=self.dlog)
+        self.programs = self._link()
+
+    def block(self, name: str, width: int, dtype) -> np.ndarray:
+        """An (n, width) C-order buffer; each use must end before the next."""
+        return self.blocks.setdefault((name, width, dtype), np.empty((self.n, width), dtype))
+
+    def _link(self) -> list:
+        """The recorded calls on arrays, reading slab 0, then slab 1.  A
+        scratch column gets a buffer when it is written, and gives it up
+        at its last reader, whose own result may then reuse it in place."""
+        last = {id(c): k for k, (_, args) in enumerate(self.calls) for c in args}
+        free = {}
+        for k, (_, (*ins, out)) in enumerate(self.calls):
+            for c in ins:
+                if isinstance(c, _Col) and c.scratch and last[id(c)] == k:
+                    free.setdefault(c.dtype, []).append(c.arrays[0])
+                    last[id(c)] = None  # a column read twice is freed once
+            if isinstance(out, _Col) and out.arrays is None:
+                pool = free.setdefault(out.dtype, [])
+                out.arrays = (pool.pop() if pool else np.empty(self.n, out.dtype),) * 2
+        return [
+            [(fn, tuple(x.arrays[side] if isinstance(x, _Col) else x for x in args))
+             for fn, args in self.calls]
+            for side in (0, 1)
+        ]
+
+
+class _Col(NDArrayOperatorsMixin):
+    """A column of n values while a step is recorded: a ufunc called on
+    it, through an operator too, is appended to its workspace's calls and
+    returns the column for the result.  ``arrays`` are its arrays when the
+    step reads slab 0 and slab 1; a scratch column's are set by linking."""
+
+    def __init__(self, ws: StepWorkspace, dtype, arrays: tuple | None = None) -> None:
+        self.ws, self.dtype, self.arrays, self.scratch = ws, np.dtype(dtype), arrays, arrays is None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None):
+        if method != "__call__":
+            return NotImplemented
+        if out is None:
+            kinds = [x.dtype if isinstance(x, (_Col, np.ndarray)) else type(x) for x in inputs]
+            out = (_Col(self.ws, ufunc.resolve_dtypes((*kinds, None))[-1]),)
+        self.ws.calls.append((ufunc, (*inputs, out[0])))
+        return out[0]
+
+
+def _abs2(col):
     """|x|^2 as numpy computes np.abs(x)**2 (x*x for real x)."""
-    return col * col if col.dtype.kind == "f" else np.abs(col) ** 2
+    return col * col if col.dtype.kind == "f" else np.square(np.abs(col))
 
 
-def _row_sum(cols: list) -> np.ndarray:
+def _row_sum(cols: list):
     """Sum of the columns in the order numpy reduces a row of them: left
     to right below eight, pairwise from eight on."""
     if len(cols) >= 8:
-        return np.stack(cols, axis=1).sum(axis=1)
+        ws = cols[0].ws
+        rows = ws.block("sum", len(cols), cols[0].dtype)
+        for j, col in enumerate(cols):
+            np.positive(col, out=rows[:, j])  # a copy, as np.stack makes
+        total = _Col(ws, rows.dtype)
+        ws.calls.append((np.add.reduce, (rows, 1, None, total)))
+        return total
     total = cols[0]
     for col in cols[1:]:
         total = total + col
     return total
 
 
-def _combine(cols: list, coeffs: list) -> np.ndarray:
+def _combine(cols: list, coeffs: list):
     """sum_j coeffs[j] * cols[j], left to right (a row times a column of
     the eigenvalue table); coefficients 0 and +-1 cost no product."""
     total = None
@@ -217,7 +289,7 @@ def _combine(cols: list, coeffs: list) -> np.ndarray:
             total = -term if a == -1.0 else term
         else:
             total = total - term if a == -1.0 else total + term
-    return np.zeros_like(cols[0]) if total is None else total
+    return np.zeros(cols[0].ws.n, cols[0].dtype) if total is None else total
 
 
 @dataclass
@@ -288,15 +360,16 @@ class _Ensemble:
     (states, log-weights, collapse steps) and the result it fills."""
 
     def __init__(self, stepper: CslStepper, psi0: np.ndarray, steps: int,
-                 n_traj: int, record_every: int | None) -> None:
+                 n_traj: int, record_every: int | None, h_matrix) -> None:
         self.stepper, self.psi0, self.every = stepper, psi0, record_every
+        self.h_matrix, self.ws = h_matrix, None
         n_rec, dim = (steps // record_every if record_every else 0), psi0.shape[0]
         self.res = EnsembleResult(
             np.empty((n_traj, dim), dtype=complex),
             np.zeros(n_traj),
             np.full(n_traj, -1, dtype=int),
             np.full(n_traj, -1, dtype=int),
-            np.zeros((dim, dim), dtype=complex),
+            None,
             np.zeros((n_rec, n_traj, stepper.family.n_sectors)) if record_every else None,
             np.arange(1, n_rec + 1) * record_every if record_every else None,
         )
@@ -304,16 +377,20 @@ class _Ensemble:
     def start(self, m: int) -> None:
         self.psis, self.lw = np.tile(self.psi0, (m, 1)), np.zeros(m)
         self.done = np.full(m, -1, dtype=int)
+        if self.ws is None or self.ws.dlog.shape[0] != m:
+            self.ws = StepWorkspace(self.stepper, self.psis, self.h_matrix)
 
-    def advance(self, block: np.ndarray, k0: int, idx: np.ndarray, h_matrix) -> None:
+    def advance(self, block: np.ndarray, k0: int, idx: np.ndarray) -> None:
         """Step the chunk through ``block``, whose first row is step k0 + 1,
         checking finiteness and marking collapses every 16 steps and at
         the block's end."""
         stepper, every, psis, lw, done = self.stepper, self.every, self.psis, self.lw, self.done
-        weights = stepper.family.sector_weights
+        weights, h_matrix, ws = stepper.family.sector_weights, self.h_matrix, self.ws
+        linear = stepper.form == "linear"
         for s, db in enumerate(block, 1):
-            psis, dlog = stepper.step_batch(psis, db, h_matrix)
-            lw += dlog
+            psis, dlog = stepper.step_batch(psis, db, h_matrix, ws)
+            if linear:
+                lw += dlog
             k = k0 + s
             if every and k % every == 0:
                 self.res.z_history[k // every - 1, idx] = weights(psis)
@@ -336,24 +413,22 @@ class _Ensemble:
     def finish(self, idx: np.ndarray) -> None:
         res = self.res
         res.final_states[idx] = self.psis
-        # complex, row-major: the layout sets BLAS's sums
-        rows = res.final_states[idx[0] : idx[-1] + 1]
         res.log_weights[idx] = self.lw
-        z = self.stepper.family.sector_weights(rows)
+        z = self.stepper.family.sector_weights(res.final_states[idx[0] : idx[-1] + 1])
         decided = z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL
         res.outcomes[idx[decided]] = np.argmax(z, axis=1)[decided]
         res.collapse_steps[idx] = self.done
-        if self.stepper.form == "linear":
-            res.mean_density += (rows * np.exp(self.lw)[:, None]).T @ rows.conj()
-        else:
-            res.mean_density += rows.T @ rows.conj()
 
     def result(self) -> EnsembleResult:
-        res = self.res
+        """The result with its density: one product over all rows (complex,
+        row-major), so chunking cannot move its sums; linear-form weights
+        are scaled by the largest, so that none underflows to zero."""
+        res, rows = self.res, self.res.final_states
         if self.stepper.form == "linear":
-            res.mean_density /= np.exp(res.log_weights).sum()
+            w = np.exp(res.log_weights - res.log_weights.max())
+            res.mean_density = (rows * w[:, None]).T @ rows.conj() / w.sum()
         else:
-            res.mean_density /= len(res.log_weights)
+            res.mean_density = rows.T @ rows.conj() / len(rows)
         return res
 
 
@@ -407,7 +482,7 @@ def run_ensemble(
             raise ValueError("the resampled runner steps every slot at once, in no chunk")
         chunk, window = n_traj, resample_every
     psi0 = _initial_rows(psi0, h_matrix)
-    runs = [_Ensemble(s, psi0, steps, n_traj, record_every) for s in steppers]
+    runs = [_Ensemble(s, psi0, steps, n_traj, record_every, h_matrix) for s in steppers]
     noise = steppers[0].family.channel_count, steppers[0].gamma, steppers[0].dt
     for start in range(0, n_traj, chunk):
         idx = np.arange(start, min(start + chunk, n_traj))
@@ -419,7 +494,7 @@ def run_ensemble(
                 master_seed, idx + traj_offset, take, *noise, window=k0 // window
             )
             for run in runs:
-                run.advance(block, k0, idx, h_matrix)
+                run.advance(block, k0, idx)
                 if k0 + take < steps and run.stepper.form == "linear":
                     run.resample(master_seed, k0 + take)
             del block  # so that the next block is not drawn beside it

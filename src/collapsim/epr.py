@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cooking import linear_exact_commuting
-from .diffusion import CslStepper
+from .diffusion import CslStepper, StepWorkspace
 from .errors import StatisticalPreconditionError
 from .noise import wiener_increment_block
 from .operators import ProjectorFamily
@@ -38,8 +38,9 @@ def _nonlinear_outcomes_batch(
 ) -> np.ndarray:
     """Evolve a (n, d) batch along per-seed noise blocks (steps, n, 1);
     returns the winning sector per row."""
+    ws = StepWorkspace(stepper, psis)
     for k in range(blocks.shape[0]):
-        psis, _ = stepper.step_batch(psis, blocks[k])
+        psis, _ = stepper.step_batch(psis, blocks[k], None, ws)
     return np.argmax(family.sector_weights(psis), axis=1)
 
 
@@ -80,7 +81,7 @@ def epr_nonlinear_experiment(
     db_left, db_right = block[..., :1], block[..., 1:]  # channel 0 left, 1 right
     singlets = np.tile(_SINGLET, (n_seeds, 1))
     # class membership: replay each left-noise path against the bare singlet
-    bare = _nonlinear_outcomes_batch(singlets.copy(), _LEFT, stepper_l, db_left)
+    bare = _nonlinear_outcomes_batch(singlets, _LEFT, stepper_l, db_left)
     in_class = bare == 0  # w~_L: left outcome +1 on the bare singlet
     n_class = int(in_class.sum())
     if n_class < MIN_CONDITIONING_SAMPLES:
@@ -92,9 +93,9 @@ def epr_nonlinear_experiment(
     p_off = 0.0
     p_on = 0.0
     if detector_on:
-        after_right = singlets.copy()
+        after_right, ws = singlets, StepWorkspace(stepper_r, singlets)
         for k in range(steps):
-            after_right, _ = stepper_r.step_batch(after_right, db_right[k])
+            after_right, _ = stepper_r.step_batch(after_right, db_right[k], None, ws)
         on_outcomes = _nonlinear_outcomes_batch(
             after_right, _LEFT, stepper_l, db_left
         )

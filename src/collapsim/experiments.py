@@ -74,7 +74,7 @@ NONNEGATIVE = "[0, inf)"
 COUNT = "[1, inf)"
 SEED_RANGE = f"[0, {2**64})"
 
-Settings = namedtuple("Settings", "seed trajectories threads")  # run-level inputs
+Settings = namedtuple("Settings", "seed trajectories")  # run-level inputs
 
 TABLES: dict[str, tuple[dict[str, Param], int | None, Callable[..., Iterator]]] = {}
 """Experiment name -> (parameter table, default trajectory count, runner)."""
@@ -90,7 +90,7 @@ def experiment(name: str, params: dict[str, Param], trajectories: int | None = N
     return register
 
 
-def plan(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[str], Iterator]:
+def plan(cfg: ExperimentConfig) -> tuple[list[str], Iterator]:
     """Build the configured run without drawing noise: the plan's notices,
     and the runner paused before its first random draw.
 
@@ -102,7 +102,7 @@ def plan(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[str], Iterator]:
     table, default_trajectories, runner = TABLES[cfg.experiment]
     p = read_params(cfg, table)
     seed = Param(int, bound=SEED_RANGE).read("seed", cfg.seed)
-    steps = runner(p, Settings(seed, cfg.trajectories or default_trajectories, threads))
+    steps = runner(p, Settings(seed, cfg.trajectories or default_trajectories))
     try:
         return next(steps) or [], steps
     except (ValueError, OSError) as exc:
@@ -111,9 +111,9 @@ def plan(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[str], Iterator]:
         raise ConfigError(f"{cfg.experiment}: a parameter overflows: {exc}") from exc
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> TableOutput | dict:
+def run_experiment(cfg: ExperimentConfig) -> TableOutput | dict:
     """Plan the configured experiment, then run it."""
-    return next(plan(cfg, threads)[1])
+    return next(plan(cfg)[1])
 
 
 # ---------------------------------------------------------------- qmsl
@@ -258,8 +258,8 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
     stepper = CslStepper(family, p["gamma"], dt, form="nonlinear", calculus="ito")
     require_ensemble_fits(stepper, steps, n_traj)
     yield
+    res = run_ensemble(psi0, stepper, steps, n_traj, run.seed)
     if p["per_trajectory"]:
-        res = run_ensemble(psi0, stepper, steps, n_traj, run.seed)
         rows = [
             (
                 run.seed,
@@ -282,19 +282,7 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
         )
         return
 
-    def run_slice(bounds):
-        lo, hi = bounds
-        res = run_ensemble(psi0, stepper, steps, hi - lo, run.seed, traj_offset=lo)
-        return np.argmax(family.sector_weights(res.final_states), axis=1)
-
-    if run.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        edges = np.linspace(0, n_traj, run.threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=run.threads) as pool:
-            outcomes = np.concatenate(list(pool.map(run_slice, zip(edges, edges[1:]))))
-    else:
-        outcomes = run_slice((0, n_traj))
+    outcomes = np.argmax(family.sector_weights(res.final_states), axis=1)
     counts = np.array([(outcomes == 0).sum(), (outcomes == 1).sum()])
     rows = []
     for sector, (f, w) in enumerate(zip(counts / n_traj, weights)):
@@ -620,4 +608,4 @@ def run_mass_profile(p: dict, run: Settings) -> Iterator:
 
 
 RUNNERS = dict.fromkeys(TABLES, run_experiment)
-"""Experiment name -> function running it from a config (and a thread count)."""
+"""Experiment name -> function running it from a config."""

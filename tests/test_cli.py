@@ -134,7 +134,7 @@ def test_cli_statistical_precondition_exit_4(tmp_path):
 def test_cli_born_runs_and_is_deterministic(tmp_path):
     path = _write(tmp_path, BORN_CFG)
     assert main(["--config", path, "--out", str(tmp_path / "a")]) == 0
-    assert main(["--config", path, "--out", str(tmp_path / "b"), "--threads", "3"]) == 0
+    assert main(["--config", path, "--out", str(tmp_path / "b")]) == 0
     a = (tmp_path / "a" / "born.csv").read_text().splitlines()
     b = (tmp_path / "b" / "born.csv").read_text().splitlines()
     # byte-identical excluding the timestamp header line

@@ -1,5 +1,7 @@
 """Continuous-localization steppers, cooking, reduction, ensemble level."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from collapsim.cooking import (
 )
 from collapsim.diffusion import (
     CslStepper,
+    StepWorkspace,
     hermitian_phase_noise_ensemble,
     run_ensemble,
 )
@@ -35,13 +38,13 @@ from collapsim.noise import (
 )
 from collapsim.operators import ProjectorFamily
 from collapsim.units import HBAR_CGS
-from collapsim.zvariables import z_dynamics_step
 
 from oracles import (
     hermitian_phase_noise_reference,
     lindblad_by_ode,
     sample_wiener_reference,
     step_batch_reference,
+    z_dynamics_step,
 )
 
 TWO = ProjectorFamily.two_level()
@@ -69,12 +72,19 @@ EXACT_FAMILIES = {
     "cells-9": CellModel(
         np.array([[2, 0, 1, 0, 1, 2, 0, 1, 1], [0, 1, 2, 1, 0, 0, 2, 1, 0]]), 0.7
     ).family,
+    # nine basis states: so do the sums over basis columns
+    "diagonal-9-states": ProjectorFamily.diagonal(
+        np.array([[1.0, -1.0, 0.5, 0.0, 2.0, -2.0, 1.0, 0.5, -0.5],
+                  [0.5, 1.0, -1.0, 2.0, 0.0, 1.0, -2.0, 0.5, 1.0]])
+    ),
 }
 
 
 def _steps_against_reference(family, form, calculus, complex_psi, hamiltonian, seed):
     """Three steps of the stepper and of the reference from the same rows
-    and increments: per step (states, dlog, reference states, reference dlog)."""
+    and increments: per step (states, dlog, reference states, reference dlog).
+    The stepper also takes the three steps through one reused workspace,
+    which must give the same arrays."""
     rng = np.random.default_rng(seed)
     a_max = float(np.max(np.abs(family.eigenvalues)))
     stepper = CslStepper(family, 0.9, 0.008 / a_max**2, form, calculus)
@@ -85,12 +95,16 @@ def _steps_against_reference(family, form, calculus, complex_psi, hamiltonian, s
     if hamiltonian:
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = m + m.conj().T
-    a, b = psis, psis.astype(complex)
+    a, b, c = psis, psis.astype(complex), psis
+    ws = StepWorkspace(stepper, psis, h)
     steps = []
     for _ in range(3):
         dbs = rng.normal(0.0, np.sqrt(stepper.gamma * stepper.dt), (n, family.channel_count))
         a, dlog_a = stepper.step_batch(a, dbs, h)
         b, dlog_b = step_batch_reference(stepper, b, dbs, h)
+        c, dlog_c = stepper.step_batch(c, dbs, h, ws)
+        assert np.array_equal(c, a) and np.array_equal(dlog_c, dlog_a)
+        assert c.dtype == a.dtype
         steps.append((a, dlog_a, b, dlog_b))
     return steps
 
@@ -122,6 +136,52 @@ def test_step_batch_within_rounding_of_reference_for_inexact_products(form):
             family, form, calculus, True, False, seed=5
         ):
             assert np.max(np.abs(states - ref_states)) <= 2e-15
+
+
+@pytest.mark.parametrize("calculus", ["ito", "stratonovich"])
+@pytest.mark.parametrize("form", ["linear", "nonlinear"])
+def test_workspace_steps_allocate_nothing(form, calculus):
+    # after warm-up, stepping through a workspace makes no array: the
+    # step's columns and both state slabs were allocated with it
+    n = 4096
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.0025, form=form, calculus=calculus)
+    block = wiener_increment_block(5, np.arange(n), 60, 1, 1.0, 0.0025)
+    psis = np.tile(np.sqrt([0.3, 0.7]), (n, 1))
+    ws = StepWorkspace(stepper, psis)
+    for db in block[:10]:
+        psis, _ = stepper.step_batch(psis, db, None, ws)
+    tracemalloc.start()
+    try:
+        for db in block[10:]:
+            psis, _ = stepper.step_batch(psis, db, None, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 8  # two float64 columns
+
+
+def test_workspace_rejects_rows_it_was_not_made_for():
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.0025)
+    psis = np.tile(np.sqrt([0.3, 0.7]), (8, 1))
+    ws = StepWorkspace(stepper, psis)
+    with pytest.raises(ValueError, match="rows"):
+        stepper.step_batch(psis[:4], np.zeros((4, 1)), None, ws)
+    with pytest.raises(ValueError, match="Hamiltonian"):
+        stepper.step_batch(psis, np.zeros((8, 1)), np.eye(2), ws)
+    with pytest.raises(ValueError, match="stepper"):
+        CslStepper(TWO, gamma=1.0, dt=0.002).step_batch(psis, np.zeros((8, 1)), None, ws)
+
+
+def test_linear_density_survives_weights_below_exp_underflow():
+    # log w drifts by -2 gamma a^2 dt = -0.02 per step with spread
+    # 0.2 sqrt(steps): every log-weight ends far below -745, where
+    # exp(log w) is 0.0
+    family = ProjectorFamily.two_level(a_plus=10.0, a_minus=-10.0)
+    stepper = CslStepper(family, gamma=1.0, dt=1e-4, form="linear")
+    res = run_ensemble(np.sqrt([0.5, 0.5]), stepper, 50_000, 8, master_seed=1)
+    assert res.log_weights.max() < -745.0
+    assert np.isfinite(res.mean_density).all()
+    assert np.trace(res.mean_density).real == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("form", ["linear", "nonlinear"])
@@ -297,12 +357,12 @@ def test_linear_eigenstate_fixed_ray_and_zero_eigenvalue_weight():
     stepper = CslStepper(fam, gamma=1.0, dt=0.004, form="linear")
     psi = np.array([1.0, 0.0], dtype=complex)  # eigenvalue-0 sector
     path = sample_wiener(3, 200, 1, 1.0, 0.004)
-    out = psi
+    out = psi[None, :]  # a one-row batch
     logw = 0.0
     for k in range(path.steps):
-        out, dlog = stepper.step(out, path.increments[k])
-        logw += dlog
-    assert np.allclose(out, psi)
+        out, dlog = stepper.step_batch(out, path.increments[k : k + 1])
+        logw += dlog[0]
+    assert np.allclose(out[0], psi)
     assert logw == pytest.approx(0.0, abs=1e-12)  # weight constant
 
 
@@ -310,10 +370,10 @@ def test_nonlinear_eigenstate_is_stationary():
     stepper = CslStepper(TWO, gamma=1.0, dt=0.004, form="nonlinear")
     psi = np.array([0.0, 1.0], dtype=complex)
     path = sample_wiener(4, 200, 1, 1.0, 0.004)
-    out = psi
+    out = psi[None, :]
     for k in range(path.steps):
-        out = stepper.step(out, path.increments[k])[0]
-    assert abs(abs(np.vdot(psi, out)) - 1.0) < 1e-12
+        out = stepper.step_batch(out, path.increments[k : k + 1])[0]
+    assert abs(abs(np.vdot(psi, out[0])) - 1.0) < 1e-12
 
 
 def test_linear_raw_average_square_norm_is_martingale():
@@ -364,16 +424,16 @@ def test_linear_stratonovich_matches_exact_commuting_solution():
     gamma, dt, steps = 1.0, 0.0005, 400
     stepper = CslStepper(TWO, gamma, dt, form="linear", calculus="stratonovich")
     path = sample_wiener(21, steps, 1, gamma, dt)
-    out = psi0
+    out = psi0[None, :]
     logw = 0.0
     for k in range(steps):
-        out, dlog = stepper.step(out, path.increments[k])
-        logw += dlog
+        out, dlog = stepper.step_batch(out, path.increments[k : k + 1])
+        logw += dlog[0]
     b_total = float(path.increments.sum())
     exact, exact_logw = linear_exact_commuting(
         psi0, TWO, np.array([b_total]), gamma, dt * steps
     )
-    assert np.max(np.abs(out - exact)) < 5e-4
+    assert np.max(np.abs(out[0] - exact)) < 5e-4
     assert logw == pytest.approx(exact_logw, abs=5e-3)
 
 
@@ -463,11 +523,11 @@ def test_linear_exact_commuting_is_exact_solution():
     gamma, dt, steps = 0.8, 0.0002, 500
     stepper = CslStepper(TWO, gamma, dt, form="linear", calculus="ito")
     path = sample_wiener(31, steps, 1, gamma, dt)
-    out = np.array([np.sqrt(0.5), np.sqrt(0.5)], dtype=complex)
+    out = np.array([[np.sqrt(0.5), np.sqrt(0.5)]], dtype=complex)
     logw = 0.0
     for k in range(steps):
-        out, dlog = stepper.step(out, path.increments[k])
-        logw += dlog
+        out, dlog = stepper.step_batch(out, path.increments[k : k + 1])
+        logw += dlog[0]
     exact, exact_logw = linear_exact_commuting(
         np.array([np.sqrt(0.5), np.sqrt(0.5)], dtype=complex),
         TWO,
@@ -475,7 +535,7 @@ def test_linear_exact_commuting_is_exact_solution():
         gamma,
         dt * steps,
     )
-    assert np.max(np.abs(out - exact)) < 1e-3
+    assert np.max(np.abs(out[0] - exact)) < 1e-3
 
 
 def test_linear_exact_commuting_rows_match_single_calls():
@@ -554,7 +614,7 @@ def test_z_step_matches_statevector_projection_per_step():
         db = rng.normal(0.0, np.sqrt(gamma * dt), size=1)
         z_now = np.abs(psi) ** 2
         z_pred = z_dynamics_step(z_now, eig, db)
-        psi = stepper.step(psi, db)[0]
+        psi = stepper.step_batch(psi[None, :], db[None, :])[0][0]
         z_state = np.abs(psi) ** 2
         assert np.max(np.abs(z_pred - z_state)) < 1e-6
 
