@@ -299,6 +299,30 @@ def commuting_nonwhite_step(
     return out, log_norm_sq
 
 
+def run_commuting_nonwhite(
+    psi0: np.ndarray,
+    family: ProjectorFamily,
+    spec: CorrelationSpec,
+    gamma: float,
+    t_end: float,
+    steps: int,
+    master_seed: int,
+    traj_index: int = 0,
+) -> tuple[np.ndarray, float]:
+    """Full H-disregarded colored trajectory; returns (state, log-weight).
+
+    The per-step exponential updates compose exactly, so the run is one
+    update with the total integrated noise x(T) and the kernel's full
+    double integral f(T); the raw average of the squared norm is conserved
+    up to the path-sampling discretization alone.
+    """
+    dt = t_end / steps
+    path = sample_colored_path(spec, steps, dt, gamma, master_seed, traj_index)
+    return linear_exact_commuting(
+        psi0, family, path.increments.sum(axis=0), gamma, spec.double_integral(t_end)
+    )
+
+
 def run_commuting_nonwhite_ensemble(
     psi0: np.ndarray,
     family: ProjectorFamily,
@@ -312,8 +336,8 @@ def run_commuting_nonwhite_ensemble(
     """Vectorized colored ensemble (single channel, H disregarded).
 
     Returns (final normalized states (n, d), cooked log-weights (n,)).
-    Trajectory j integrates the path ``sample_colored_path`` draws from
-    the (master_seed, j) stream.
+    Trajectory j draws its path from the (master_seed, j) stream exactly
+    like the single-path runner.
     """
     if family.channel_count != 1:
         raise DimensionMismatchError("ensemble runner supports one channel")

@@ -11,12 +11,7 @@ row-wise complex CSL step kept as the reference for the column-wise
 stepper: it reads the stepper's family, gamma, dt, form and calculus.
 The per-trajectory samplers ``sample_wiener_reference`` and
 ``hermitian_phase_noise_reference`` are the one-generator-per-path code
-the block draw replaced, kept to pin its streams and bits.  So is
-``run_commuting_nonwhite``, one colored trajectory through the production
-path sampler and exact propagator, the reference for the vectorized
-colored ensemble.  ``z_dynamics_step``, one Euler step of the closed
-sector-weight system, is the reduced dynamics that the statevector
-steppers must project onto.
+the block draw replaced, kept to pin its streams and bits.
 """
 
 from __future__ import annotations
@@ -24,9 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from collapsim.colored import sample_colored_path
-from collapsim.cooking import linear_exact_commuting
-from collapsim.errors import DimensionMismatchError, GridLeakageError
+from collapsim.errors import GridLeakageError
 from collapsim.hitting import _gaussian_factor, sample_hit_center, step_count
 from collapsim.noise import trajectory_generator
 from collapsim.schrodinger import split_step_batch
@@ -293,51 +286,3 @@ def hermitian_phase_noise_reference(psi0, family, gamma, dt, steps, n_traj, mast
         density += np.outer(psi, psi.conj())
         z_all[j] = family.sector_weights(psi)
     return density / n_traj, z_all
-
-
-def run_commuting_nonwhite(
-    psi0, family, spec, gamma, t_end, steps, master_seed, traj_index=0
-):
-    """One H-disregarded colored trajectory; returns (state, log-weight).
-
-    The per-step exponential updates compose exactly, so the run is one
-    update with the total integrated noise x(T) and the kernel's full
-    double integral f(T)."""
-    dt = t_end / steps
-    path = sample_colored_path(spec, steps, dt, gamma, master_seed, traj_index)
-    return linear_exact_commuting(
-        psi0, family, path.increments.sum(axis=0), gamma, spec.double_integral(t_end)
-    )
-
-
-SIMPLEX_TOL = 1e-9
-
-
-def z_dynamics_step(z, eigenvalues, db):
-    """One Euler-Maruyama step of the sector weights z_sigma = <phi|P_sigma|phi>,
-    which obey the closed stochastic system
-    dz_sigma = 2 z_sigma sum_tau z_tau (a_sigma - a_tau) . dB,
-    a driftless (martingale) diffusion on the probability simplex whose
-    vertices are the only absorbing states.
-
-    ``z`` has shape (n_sectors,) or (n, n_sectors); ``eigenvalues`` is the
-    (n_sectors, n_channels) table; ``db`` matches z's leading shape with
-    n_channels trailing.  The simplex sum is preserved identically (the
-    update is antisymmetric under sector exchange).
-    """
-    z = np.asarray(z, dtype=float)
-    eig = np.atleast_2d(np.asarray(eigenvalues, dtype=float))
-    batched = z.ndim == 2
-    zb = z if batched else z[None, :]
-    dbb = np.atleast_2d(np.asarray(db, dtype=float))
-    if zb.shape[1] != eig.shape[0]:
-        raise DimensionMismatchError("z length must equal the sector count")
-    if dbb.shape[1] != eig.shape[1]:
-        raise DimensionMismatchError("db length must equal the channel count")
-    if np.any(zb < -SIMPLEX_TOL) or np.any(np.abs(zb.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("z must lie on the probability simplex")
-    # (a_sigma - R) . dB with R = sum_tau z_tau a_tau
-    proj = dbb @ eig.T                      # (n, n_sectors)
-    mean = np.sum(zb * proj, axis=1, keepdims=True)
-    new = zb + 2.0 * zb * (proj - mean)
-    return new if batched else new[0]

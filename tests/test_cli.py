@@ -236,6 +236,15 @@ def test_colored_damping_experiment(tmp_path):
     assert len(lines) == 6  # 2 header comments + column row + 3 times
 
 
+def test_csl_discrete_runs_with_empty_cells(tmp_path):
+    # configuration a is empty, and cell 0 is empty in both
+    cfg = BASES["discrete"].replace("3, 0", "0, 0").replace("0, 3", "0, 2")
+    path = _write(tmp_path, cfg)
+    assert main(["--config", path, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "cells.json").read_text())
+    assert doc["data"]["fitted_rate"] > 0.0
+
+
 def test_csl_born_per_trajectory_export(tmp_path):
     cfg = BORN_CFG.replace("[params]", "[params]\nper_trajectory = true")
     path = _write(tmp_path, cfg)

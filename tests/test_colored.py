@@ -10,6 +10,7 @@ from collapsim.colored import (
     colored_damping_factor,
     colored_instantaneous_rate,
     commuting_nonwhite_step,
+    run_commuting_nonwhite,
     sample_colored_path,
 )
 from collapsim.cooking import linear_exact_commuting, two_level_analytic
@@ -17,7 +18,7 @@ from collapsim.errors import NonCommutingError
 from collapsim.noise import sample_wiener
 from collapsim.operators import ProjectorFamily
 
-from oracles import double_integral_by_quadrature, run_commuting_nonwhite
+from oracles import double_integral_by_quadrature
 
 TWO = ProjectorFamily.two_level()
 

@@ -38,13 +38,13 @@ from collapsim.noise import (
 )
 from collapsim.operators import ProjectorFamily
 from collapsim.units import HBAR_CGS
+from collapsim.zvariables import z_dynamics_step
 
 from oracles import (
     hermitian_phase_noise_reference,
     lindblad_by_ode,
     sample_wiener_reference,
     step_batch_reference,
-    z_dynamics_step,
 )
 
 TWO = ProjectorFamily.two_level()
@@ -77,6 +77,15 @@ EXACT_FAMILIES = {
         np.array([[1.0, -1.0, 0.5, 0.0, 2.0, -2.0, 1.0, 0.5, -0.5],
                   [0.5, 1.0, -1.0, 2.0, 0.0, 1.0, -2.0, 0.5, 1.0]])
     ),
+    # a channel that is zero on every state and a state that is zero in
+    # every channel: their eigenvalue-table sums have no term
+    "diagonal-zero-channel-zero-state": ProjectorFamily.diagonal(
+        np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0]])
+    ),
+    # cell 0 empty in both configurations, and nine channels
+    "cells-9-empty-cell": CellModel(
+        np.array([[0, 2, 1, 0, 1, 2, 0, 1, 1], [0, 1, 2, 1, 0, 0, 2, 1, 0]]), 0.7
+    ).family,
 }
 
 
@@ -182,6 +191,11 @@ def test_linear_density_survives_weights_below_exp_underflow():
     assert res.log_weights.max() < -745.0
     assert np.isfinite(res.mean_density).all()
     assert np.trace(res.mean_density).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_run_ensemble_rejects_an_empty_ensemble():
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        run_ensemble(np.sqrt([0.5, 0.5]), CslStepper(TWO, 1.0, 0.005), 10, 0, master_seed=1)
 
 
 @pytest.mark.parametrize("form", ["linear", "nonlinear"])

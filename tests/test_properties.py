@@ -9,8 +9,7 @@ from collapsim.cells import discrete_decay_exponent, discrete_decay_log
 from collapsim.colored import CorrelationSpec
 from collapsim.operators import ProjectorFamily
 from collapsim.states import FiniteState
-
-from oracles import z_dynamics_step
+from collapsim.zvariables import z_dynamics_step
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 
