@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooking import GaussianMixture1D, linear_exact_commuting
+from .cooking import linear_exact_commuting
 from .errors import DimensionMismatchError, NonCommutingError
-from .noise import NoisePath, sample_wiener, trajectory_generator
+from .noise import NoisePath, wiener_increment_block
 from .operators import ProjectorFamily
 
 DEFAULT_TEMPORAL_WIDTH = 9e20
@@ -162,6 +162,46 @@ def _toeplitz(first_row: np.ndarray) -> np.ndarray:
     return first_row[idx]
 
 
+def colored_increment_block(
+    spec: CorrelationSpec,
+    master_seed: int,
+    traj_indices,
+    steps: int,
+    channels: int,
+    gamma: float,
+    dt: float,
+) -> np.ndarray:
+    """Discretized Gaussian paths with covariance gamma * D for a batch of
+    trajectories, shape (steps, n, channels).
+
+    Row j is built from the standard normals of stream ``traj_indices[j]``
+    (``wiener_increment_block`` at unit variance); white kernels are the
+    Wiener increments themselves.  Exponential kernels use the exact AR(1)
+    recursion started from the stationary distribution; gaussian/custom
+    kernels use one Cholesky factor of the Gram matrix for the whole batch.
+    The block holds w(t_k) * dt so downstream integrals read uniformly.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if spec.kind == "white":
+        return wiener_increment_block(master_seed, traj_indices, steps, channels, gamma, dt)
+    w = wiener_increment_block(master_seed, traj_indices, steps, channels, 1.0, 1.0)
+    if spec.kind == "exponential":
+        rho = np.exp(-dt / spec.tau)
+        stationary_sd = np.sqrt(gamma / (2 * spec.tau))
+        innov_sd = stationary_sd * np.sqrt(1 - rho**2)
+        w[0] *= stationary_sd
+        for k in range(1, steps):
+            w[k] = rho * w[k - 1] + innov_sd * w[k]
+    else:
+        lags = dt * np.arange(steps)
+        gram = gamma * _toeplitz(spec.kernel(lags))
+        gram[np.diag_indices(steps)] += 1e-12 * gram[0, 0]
+        w = (np.linalg.cholesky(gram) @ w.reshape(steps, -1)).reshape(w.shape)
+    w *= dt
+    return w
+
+
 def sample_colored_path(
     spec: CorrelationSpec,
     steps: int,
@@ -171,35 +211,12 @@ def sample_colored_path(
     traj_index: int = 0,
     channels: int = 1,
 ) -> NoisePath:
-    """Discretized Gaussian path with covariance gamma * D.
-
-    White kernels fall back to Wiener increments.  Exponential kernels use
-    the exact AR(1) recursion started from the stationary distribution;
-    gaussian/custom kernels use a Cholesky factor of the Gram matrix.
-    ``increments`` holds w(t_k) * dt so downstream integrals read uniformly.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if spec.kind == "white":
-        return sample_wiener(master_seed, steps, channels, gamma, dt, traj_index)
-    rng = trajectory_generator(master_seed, traj_index)
-    if spec.kind == "exponential":
-        rho = np.exp(-dt / spec.tau)
-        stationary_sd = np.sqrt(gamma / (2 * spec.tau))
-        w = np.empty((steps, channels))
-        w[0] = rng.normal(0.0, stationary_sd, size=channels)
-        innov_sd = stationary_sd * np.sqrt(1 - rho**2)
-        for k in range(1, steps):
-            w[k] = rho * w[k - 1] + rng.normal(0.0, innov_sd, size=channels)
-    else:
-        lags = dt * np.arange(steps)
-        gram = gamma * _toeplitz(spec.kernel(lags))
-        gram[np.diag_indices(steps)] += 1e-12 * gram[0, 0]
-        chol = np.linalg.cholesky(gram)
-        w = chol @ rng.normal(size=(steps, channels))
-    return NoisePath(
-        master_seed, traj_index, dt, gamma, w * dt, kind=f"colored:{spec.kind}"
+    """Row ``traj_index`` of ``colored_increment_block``, as one path."""
+    inc = colored_increment_block(
+        spec, master_seed, [traj_index], steps, channels, gamma, dt
     )
+    kind = "white" if spec.kind == "white" else f"colored:{spec.kind}"
+    return NoisePath(master_seed, traj_index, dt, gamma, inc[:, 0], kind=kind)
 
 
 def colored_damping_factor(
@@ -242,24 +259,6 @@ def colored_instantaneous_rate(
     return gamma * quad * spec.single_integral(t_since_start)
 
 
-def colored_cooked_density(
-    weights: tuple[float, float],
-    eigenvalues: tuple[float, float],
-    gamma: float,
-    f_value: float,
-):
-    """Cooked density of the integrated noise x(t): Gaussian mixture with
-    means 2 a gamma f(t), 2 b gamma f(t) and variance gamma f(t)."""
-    if f_value < 0:
-        raise ValueError("f(t) must be nonnegative")
-    a, b = eigenvalues
-    return GaussianMixture1D(
-        (float(weights[0]), float(weights[1])),
-        (2.0 * gamma * a * f_value, 2.0 * gamma * b * f_value),
-        gamma * f_value,
-    )
-
-
 def commuting_nonwhite_step(
     psi: np.ndarray,
     family: ProjectorFamily,
@@ -299,30 +298,6 @@ def commuting_nonwhite_step(
     return out, log_norm_sq
 
 
-def run_commuting_nonwhite(
-    psi0: np.ndarray,
-    family: ProjectorFamily,
-    spec: CorrelationSpec,
-    gamma: float,
-    t_end: float,
-    steps: int,
-    master_seed: int,
-    traj_index: int = 0,
-) -> tuple[np.ndarray, float]:
-    """Full H-disregarded colored trajectory; returns (state, log-weight).
-
-    The per-step exponential updates compose exactly, so the run is one
-    update with the total integrated noise x(T) and the kernel's full
-    double integral f(T); the raw average of the squared norm is conserved
-    up to the path-sampling discretization alone.
-    """
-    dt = t_end / steps
-    path = sample_colored_path(spec, steps, dt, gamma, master_seed, traj_index)
-    return linear_exact_commuting(
-        psi0, family, path.increments.sum(axis=0), gamma, spec.double_integral(t_end)
-    )
-
-
 def run_commuting_nonwhite_ensemble(
     psi0: np.ndarray,
     family: ProjectorFamily,
@@ -333,33 +308,20 @@ def run_commuting_nonwhite_ensemble(
     master_seed: int,
     n_traj: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized colored ensemble (single channel, H disregarded).
+    """Colored ensemble in the H-disregarded regime.
+
+    The per-step exponential updates compose exactly, so each trajectory
+    is one update with its total integrated noise x(T) (the sum of its
+    rows of ``colored_increment_block``, trajectory j on stream j) and the
+    kernel's full double integral f(T); the raw average of the squared
+    norm is conserved up to the path-sampling discretization alone.
 
     Returns (final normalized states (n, d), cooked log-weights (n,)).
-    Trajectory j draws its path from the (master_seed, j) stream exactly
-    like the single-path runner.
     """
-    if family.channel_count != 1:
-        raise DimensionMismatchError("ensemble runner supports one channel")
-    dt = t_end / steps
-    x_total = np.empty(n_traj)
-    if spec.kind == "exponential":
-        rho = np.exp(-dt / spec.tau)
-        sd = np.sqrt(gamma / (2 * spec.tau))
-        innov = sd * np.sqrt(1 - rho**2)
-        draws = np.empty((n_traj, steps))
-        for j in range(n_traj):
-            draws[j] = trajectory_generator(master_seed, j).normal(size=steps)
-        w = sd * draws[:, 0]
-        x_sum = w.copy()
-        for k in range(1, steps):
-            w = rho * w + innov * draws[:, k]
-            x_sum += w
-        x_total = x_sum * dt
-    else:
-        for j in range(n_traj):
-            path = sample_colored_path(spec, steps, dt, gamma, master_seed, j)
-            x_total[j] = path.increments.sum()
+    block = colored_increment_block(
+        spec, master_seed, np.arange(n_traj), steps, family.channel_count, gamma,
+        t_end / steps,
+    )
     return linear_exact_commuting(
-        psi0, family, x_total[:, None], gamma, spec.double_integral(t_end)
+        psi0, family, block.sum(axis=0), gamma, spec.double_integral(t_end)
     )

@@ -3,7 +3,7 @@
 The physical ("cooked") probability of a noise realization is its raw
 probability times the final squared norm of the linearly evolved state;
 trajectory weights are therefore tracked as log||psi||^2 and turned into
-equal-weight ensembles by multinomial resampling.
+equal-weight ensembles by systematic (comb) resampling.
 """
 
 from __future__ import annotations
@@ -22,37 +22,6 @@ be dropped during resampling (their selection probability is < 4e-18);
 they are never dropped silently elsewhere."""
 
 
-def cooked_resample(
-    log_weights: np.ndarray,
-    master_seed: int,
-    n_out: int | None = None,
-    cull_nats: float = CULL_NATS,
-) -> np.ndarray:
-    """Multinomial resample indices proportional to exp(log_weights).
-
-    Weights are normalized in log space; entries more than ``cull_nats``
-    below the maximum are zeroed (recorded by their absence).  Raises if
-    no positive weight remains.  The draws come from the ``RESAMPLE``
-    stream namespace of ``master_seed``, apart from every noise stream.
-    """
-    logw = np.asarray(log_weights, dtype=float)
-    if logw.size == 0:
-        raise ValueError("empty ensemble")
-    top = np.max(logw)
-    if not np.isfinite(top):
-        raise ValueError("all-zero weights")
-    w = np.exp(logw - top)
-    w[logw < top - cull_nats] = 0.0
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("all-zero weights")
-    probs = w / total
-    rng = trajectory_generator(master_seed, 0, RESAMPLE)
-    n_out = logw.size if n_out is None else n_out
-    counts = rng.multinomial(n_out, probs)
-    return np.repeat(np.arange(logw.size), counts)
-
-
 def systematic_resample(
     log_weights: np.ndarray,
     master_seed: int,
@@ -69,7 +38,7 @@ def systematic_resample(
     w = np.exp(logw - top)
     w[logw < top - cull_nats] = 0.0
     total = w.sum()
-    if total <= 0:
+    if not total > 0:  # also NaN, when every weight is zero
         raise ValueError("all-zero weights")
     n = logw.size
     rng = trajectory_generator(master_seed, step, RESAMPLE)
@@ -108,20 +77,24 @@ def two_level_analytic(
     weights: tuple[float, float],
     eigenvalues: tuple[float, float],
     gamma: float,
-    t: float,
+    f: float,
 ) -> GaussianMixture1D:
-    """Cooked density of the Brownian record B(t) for a two-sector state.
+    """Cooked density of the integrated noise x(t) for a two-sector state.
 
-    A mixture of Gaussians centered at 2*gamma*a*t and 2*gamma*b*t with
-    variance gamma*t, weighted by the initial sector weights.
+    A mixture of Gaussians centered at 2*gamma*a*f and 2*gamma*b*f with
+    variance gamma*f, weighted by the initial sector weights, where f is
+    the noise kernel's double time integral f(t): t itself for white noise
+    (x is then the Brownian record B(t)).
     """
     if abs(weights[0] + weights[1] - 1.0) > 1e-9:
         raise ValueError("sector weights must sum to one")
+    if f < 0:
+        raise ValueError("f(t) must be nonnegative")
     a, b = eigenvalues
     return GaussianMixture1D(
         (float(weights[0]), float(weights[1])),
-        (2.0 * gamma * a * t, 2.0 * gamma * b * t),
-        gamma * t,
+        (2.0 * gamma * a * f, 2.0 * gamma * b * f),
+        gamma * f,
     )
 
 

@@ -32,7 +32,7 @@ from .freeparticle import (
     free_particle_moments,
     offdiag_lifetime,
 )
-from .hitting import events_to_rows, run_qmsl_ensemble, run_qmsl_trajectory, step_count
+from .hitting import run_qmsl_ensemble, step_count
 from .macrobody import condenser_decay_rate, macro_reduction_rate, momentum_diffusion
 from .massdensity import (
     CellConfigurationState,
@@ -149,21 +149,19 @@ def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
     n, dx, centers = p["n"], p["dx"], tuple(p["centers"])
     psi0 = two_packet_state(n, dx, -0.5 * n * dx, p["mass"], centers, p["sigma"])
     params, notices = _hitting_model(p, psi0)
-    free = HamiltonianSpec.free()
-    if not p["record_events"]:
-        step_count(p["t_end"], p["dt"])
+    step_count(p["t_end"], p["dt"])
     yield notices
-    if p["record_events"]:
-        _, events = run_qmsl_trajectory(psi0, free, params, p["t_end"], run.seed, p["dt"])
-        yield TableOutput(
-            [("time", "internal"), ("center", "internal length"), ("weight", "1")],
-            events_to_rows(events),
-        )
-        return
+    n_traj = 1 if p["record_events"] else run.trajectories
     res = run_qmsl_ensemble(
-        psi0, free, params, p["t_end"], run.trajectories, run.seed, p["dt"],
+        psi0, HamiltonianSpec.free(), params, p["t_end"], n_traj, run.seed, p["dt"],
         accumulate_kernel=False,
     )
+    if p["record_events"]:
+        yield TableOutput(
+            [("time", "internal"), ("center", "internal length"), ("weight", "1")],
+            res.events[:, 1:].tolist(),
+        )
+        return
     x = psi0.positions
     right_mass = (np.abs(res.amplitudes) ** 2 * dx) @ (x > 0.5 * (centers[0] + centers[1]))
     rows = [

@@ -14,30 +14,38 @@ from .operators import HamiltonianSpec, require_grid_compatible
 from .states import GridWavefunction
 
 
-def _kinetic_phase(psi: GridWavefunction, dt: float) -> np.ndarray:
-    """exp(-i dt k^2 / 2m) on the grid's wavenumbers; read-only, shared."""
-    return _kinetic_phase_on(psi.n, psi.dx, psi.mass, dt)
+def _kinetic_phase(psi: GridWavefunction, dt) -> np.ndarray:
+    """exp(-i dt k^2 / 2m) on the grid's wavenumbers, (N,) for one lag and
+    (m, N) for an (m,) array of them; read-only, shared."""
+    lags = dt if np.ndim(dt) == 0 else tuple(dt)
+    return _kinetic_phase_on(psi.n, psi.dx, psi.mass, lags)
 
 
-# a hitting step asks for one lag forwards and backwards, so a few
-# entries serve every call of a run; a backward phase conjugates the forward
-# one (equal values; the zero imaginary part at k = 0 changes sign)
+# a hitting step asks for the one-dt phase of its edge kernel, and each of
+# its hit rounds for one lag per row forwards and then the same lags
+# backwards, so a few entries serve every call of a run; a backward phase
+# conjugates the forward one (equal values; the zero imaginary part at
+# k = 0 changes sign)
 @lru_cache(maxsize=4)
-def _kinetic_phase_on(n: int, dx: float, mass: float, dt: float) -> np.ndarray:
-    if dt < 0:
-        phase = np.conj(_kinetic_phase_on(n, dx, mass, -dt))
+def _kinetic_phase_on(n: int, dx: float, mass: float, dt) -> np.ndarray:
+    lags = np.asarray(dt)
+    if np.all(lags < 0):
+        phase = np.conj(_kinetic_phase_on(n, dx, mass, type(dt)(-lags)))
     else:
-        k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
-        phase = np.exp(-0.5j * dt * k**2 / mass)
+        # k and -k share k^2: exponentiate the n // 2 + 1 values and spread
+        # them, the same bits as over the whole grid in half the time
+        k = 2.0 * np.pi * np.fft.fftfreq(n, dx)[: n // 2 + 1]
+        half = np.exp(-0.5j * lags[..., None] * k**2 / mass)
+        phase = np.take(half, np.minimum(np.arange(n), n - np.arange(n)), axis=-1)
     phase.flags.writeable = False
     return phase
 
 
-def _potential_phase(psi: GridWavefunction, h: HamiltonianSpec, dt: float) -> np.ndarray:
-    # half-step factor for Strang splitting
+def _potential_phase(psi: GridWavefunction, h: HamiltonianSpec, dt) -> np.ndarray:
+    # half-step factor for Strang splitting, one row per lag of an array dt
     x = psi.wrap_displacement(psi.positions - h.center) + h.center
     v = 0.5 * psi.mass * h.frequency**2 * (x - h.center) ** 2
-    return np.exp(-0.5j * dt * v)
+    return np.exp(-0.5j * np.asarray(dt)[..., None] * v)
 
 
 def split_step_evolve(
@@ -80,19 +88,20 @@ def split_step_batch(
     amplitudes: np.ndarray,
     template: GridWavefunction,
     h: HamiltonianSpec,
-    dt: float,
+    dt,
 ) -> np.ndarray:
-    """One split step applied to a (n_traj, N) amplitude block."""
+    """One split step applied to a (n_traj, N) amplitude block: one ``dt``
+    for every row, or an (n_traj,) array of them, one per row."""
     require_grid_compatible(h)
-    if h.kind == "none" or dt == 0:
+    if h.kind == "none" or not np.any(dt):
         return amplitudes
     kin = _kinetic_phase(template, dt)
     if h.kind == "free":
-        return np.fft.ifft(np.fft.fft(amplitudes, axis=1) * kin[None, :], axis=1)
+        return np.fft.ifft(np.fft.fft(amplitudes, axis=1) * kin, axis=1)
     half_v = _potential_phase(template, h, dt)
-    amps = amplitudes * half_v[None, :]
-    amps = np.fft.ifft(np.fft.fft(amps, axis=1) * kin[None, :], axis=1)
-    return amps * half_v[None, :]
+    amps = amplitudes * half_v
+    amps = np.fft.ifft(np.fft.fft(amps, axis=1) * kin, axis=1)
+    return amps * half_v
 
 
 def gaussian_packet(

@@ -3,15 +3,18 @@
 Everything here deliberately avoids the production code paths: closed
 forms are re-derived from scratch, integrals use scipy quadrature, and
 the kernel master equation is integrated as a brute-force ODE.  The one
-exception is the lockstep hitting ensemble, a reference for the
-interaction-picture engine: it reuses the production split step, hit
-sampling and random streams, but steps every trajectory through every
-``dt`` in position space.  Another is ``step_batch_reference``, the
-row-wise complex CSL step kept as the reference for the column-wise
-stepper: it reads the stepper's family, gamma, dt, form and calculus.
-The per-trajectory samplers ``sample_wiener_reference`` and
-``hermitian_phase_noise_reference`` are the one-generator-per-path code
-the block draw replaced, kept to pin its streams and bits.
+exception is the exact-time lockstep hitting ensemble, a reference for
+the interaction-picture engine: it reuses the production split step,
+hitting density, hit sampling and random streams, but steps every
+trajectory through every ``dt`` in position space, one at a time,
+splitting its step at each of its hit times.  Another is
+``step_batch_reference``, the row-wise complex CSL step kept as the
+reference for the column-wise stepper: it reads the stepper's family,
+gamma, dt, form and calculus.  The per-trajectory samplers
+``sample_wiener_reference`` and ``hermitian_phase_noise_reference`` are
+the one-generator-per-path code the block draw replaced, kept to pin its
+streams and bits, and ``hit_center_reference`` is the per-hit draw the
+batched one replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from collapsim.errors import GridLeakageError
-from collapsim.hitting import _gaussian_factor, sample_hit_center, step_count
+from collapsim.hitting import (
+    _gaussian_factor,
+    hitting_density,
+    sample_hit_center,
+    step_count,
+)
 from collapsim.noise import trajectory_generator
 from collapsim.schrodinger import split_step_batch
 
@@ -145,27 +153,38 @@ def sphere_energy_by_quadrature(
     return val
 
 
-def qmsl_ensemble_lockstep(psi0, h, params, t_end, n_traj, master_seed, dt):
-    """Hitting ensemble stepped in lockstep: one batched split step per
-    ``dt`` for every trajectory, a leakage check on the position-space
-    amplitudes after each step, then the hits that fell due.
+def qmsl_exact_time_lockstep(psi0, h, params, t_end, n_traj, master_seed, dt):
+    """Hitting ensemble stepped in lockstep: each trajectory steps through
+    every ``dt`` in position space, its step split at each of its hit
+    times, where the hit is applied; after each step, a leakage check on
+    the position-space amplitudes.
 
-    Returns (final amplitudes, hit counts).
+    Returns (final amplitudes, hit counts, hit log rows (trajectory, time,
+    center, ||L_x psi||^2) in the order of trajectory, then time).
     """
     n_steps = step_count(t_end, dt)
-    n = psi0.n
     lam = params.lambda_rate
-    u_grid = psi0.wrap_displacement(psi0.positions - psi0.x0)
-    kernel = np.sqrt(params.alpha / np.pi) * np.exp(-params.alpha * u_grid**2)
-    kernel_hat = np.fft.rfft(kernel)
     rngs = [trajectory_generator(master_seed, i) for i in range(n_traj)]
     next_hit = np.array([r.exponential(1.0 / lam) if lam > 0 else np.inf for r in rngs])
-    hit_counts = np.zeros(n_traj, dtype=int)
     amps = np.tile(psi0.amplitudes, (n_traj, 1))
+    events = []
     t = 0.0
     for _ in range(n_steps):
-        amps = split_step_batch(amps, psi0, h, dt)
-        t += dt
+        t_stop = t + dt
+        for j, r in enumerate(rngs):
+            row, now = amps[j : j + 1], t
+            while next_hit[j] <= t_stop:
+                row = split_step_batch(row, psi0, h, next_hit[j] - now)
+                now = next_hit[j]
+                density = hitting_density(psi0, params.alpha, row)
+                x, _ = sample_hit_center(psi0, density, [r.uniform()])
+                row = row * _gaussian_factor(psi0, x, params.alpha)
+                weight = np.sum(np.abs(row) ** 2) * psi0.dx
+                row = row / np.sqrt(weight)
+                events.append((j, now, x[0], weight))
+                next_hit[j] += r.exponential(1.0 / lam)
+            amps[j] = split_step_batch(row, psi0, h, t_stop - now)[0]
+        t = t_stop
         edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
         peak = np.abs(amps).max(axis=1)
         if np.any(edge > psi0.leak_tol * peak):
@@ -174,23 +193,32 @@ def qmsl_ensemble_lockstep(psi0, h, params, t_end, n_traj, master_seed, dt):
                 f"boundary amplitude reached {worst:.2e} of peak at "
                 f"t={t:.4g}; enlarge the grid"
             )
-        due = np.nonzero(next_hit <= t)[0]
-        while due.size:
-            prob = np.abs(amps[due]) ** 2 * psi0.dx
-            dens = np.fft.irfft(
-                np.fft.rfft(prob, axis=1) * kernel_hat[None, :], n=n, axis=1
-            )
-            dens = np.maximum(dens, 0.0)
-            for row, j_tr in enumerate(due):
-                r = rngs[j_tr]
-                x, _ = sample_hit_center(psi0, dens[row], r.uniform())
-                hit_amps = amps[j_tr] * _gaussian_factor(psi0, x, params.alpha)
-                hit_amps /= np.sqrt(np.sum(np.abs(hit_amps) ** 2) * psi0.dx)
-                amps[j_tr] = hit_amps
-                hit_counts[j_tr] += 1
-                next_hit[j_tr] += r.exponential(1.0 / lam)
-            due = np.nonzero(next_hit <= t)[0]
-    return amps, hit_counts
+    log = np.array(events, dtype=float).reshape(-1, 4)
+    log = log[np.argsort(log[:, 0], kind="stable")]
+    return amps, np.bincount(log[:, 0].astype(int), minlength=n_traj), log
+
+
+def hit_center_reference(psi, density, u):
+    """One inverse-CDF draw from a grid density linear within cells, the
+    per-hit code the batched ``sample_hit_center`` replaced.  Returns
+    (position, cell index)."""
+    left, right = density, np.roll(density, -1)
+    masses = 0.5 * (left + right) * psi.dx
+    cdf = np.cumsum(masses)
+    target = u * cdf[-1]
+    j = min(int(np.searchsorted(cdf, target, side="right")), density.shape[0] - 1)
+    residue = target - (cdf[j - 1] if j > 0 else 0.0)
+    p0, p1 = left[j], right[j]
+    slope = p1 - p0
+    if masses[j] <= 0.0:
+        s = 0.0
+    elif abs(slope) < 1e-14 * max(p0, p1):
+        s = residue / masses[j]
+    else:
+        disc = p0 * p0 + 2.0 * slope * residue / psi.dx
+        s = (np.sqrt(max(disc, 0.0)) - p0) / slope
+    x = psi.x0 + (j + float(np.clip(s, 0.0, 1.0 - 1e-12))) * psi.dx
+    return (x - psi.length if x >= psi.x0 + psi.length else x), j
 
 
 def step_batch_reference(stepper, psis, dbs, h_matrix=None):

@@ -457,7 +457,13 @@ SMALL = {
     .replace("trajectories = 1500", "trajectories = 20")
     .replace("steps = 600", "steps = 30\nresample_every = 10"),
     "qmsl-hitting": HITTING_CFG.replace("n = 128", "n = 64"),
+    "qmsl-hitting-events": HITTING_CFG.replace("n = 128", "n = 64")
+    + "record_events = true\n",
     "colored-damping": COLORED_CFG,
+    "csl-discrete": BASES["discrete"],
+    "gisin": "experiment = gisin\ntrajectories = 40\n[params]\ngamma = 1.0\n"
+    "dt = 0.01\nsteps = 20\n",
+    "mass-profile": BASES["mass"] + "n_particles = 100\nn_cells = 2\ntail_weight = 1e-8\n",
     # enough seeds that the unfuzzed config clears the 500 conditioning
     # samples; a fuzzed one may not (exit 4)
     "epr": "experiment = epr\nseed = 5\ntrajectories = 1200\n[params]\n"

@@ -5,12 +5,11 @@ import pytest
 
 from collapsim.colored import (
     CorrelationSpec,
-    run_commuting_nonwhite_ensemble,
-    colored_cooked_density,
     colored_damping_factor,
+    colored_increment_block,
     colored_instantaneous_rate,
     commuting_nonwhite_step,
-    run_commuting_nonwhite,
+    run_commuting_nonwhite_ensemble,
     sample_colored_path,
 )
 from collapsim.cooking import linear_exact_commuting, two_level_analytic
@@ -51,11 +50,24 @@ def test_gaussian_kernel_small_tau_approaches_white_variance():
         assert var == pytest.approx(gamma * t_span, rel=tol)
     # and sampled paths reproduce the integrated variance
     spec = CorrelationSpec.gaussian(0.2)
-    xs = []
-    for j in range(400):
-        path = sample_colored_path(spec, 200, 0.01, gamma, 77, traj_index=j)
-        xs.append(path.increments.sum())
+    block = colored_increment_block(spec, 77, np.arange(400), 200, 1, gamma, 0.01)
+    xs = block.sum(axis=0)
     assert np.var(xs) == pytest.approx(gamma * spec.double_integral(2.0), rel=0.25)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CorrelationSpec.white(), CorrelationSpec.exponential(0.3), CorrelationSpec.gaussian(0.2)],
+    ids=["white", "exponential", "gaussian"],
+)
+def test_single_path_is_its_row_of_the_block(spec):
+    block = colored_increment_block(spec, 31, np.array([4, 0, 9]), 120, 2, 1.3, 0.01)
+    for j, index in enumerate((4, 0, 9)):
+        path = sample_colored_path(spec, 120, 0.01, 1.3, 31, index, channels=2)
+        if spec.kind == "gaussian":  # one Cholesky product for the batch
+            assert np.allclose(path.increments, block[:, j], rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(path.increments, block[:, j])
 
 
 def test_custom_kernel_psd_validation():
@@ -120,13 +132,11 @@ def test_damping_exponent_nonpositive_for_psd_kernels():
 # ------------------------------------------------------------ cooked density
 
 
-def test_colored_cooked_density_white_limit_matches_two_level():
-    gamma, t = 1.0, 2.0
-    white_f = CorrelationSpec.white().double_integral(t)
-    a = colored_cooked_density((0.3, 0.7), (1.0, -1.0), gamma, white_f)
-    b = two_level_analytic((0.3, 0.7), (1.0, -1.0), gamma, t)
-    xs = np.linspace(-12, 12, 101)
-    assert np.allclose(a.pdf(xs), b.pdf(xs), atol=1e-14)
+def test_two_level_analytic_checks_its_arguments():
+    with pytest.raises(ValueError, match="sum to one"):
+        two_level_analytic((0.3, 0.6), (1.0, -1.0), 1.0, 2.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        two_level_analytic((0.3, 0.7), (1.0, -1.0), 1.0, -0.1)
 
 
 def test_colored_cooked_density_separation_grows():
@@ -135,7 +145,7 @@ def test_colored_cooked_density_separation_grows():
     ratios = []
     for t in (1.0, 4.0, 16.0):
         f = spec.double_integral(t)
-        dens = colored_cooked_density((0.5, 0.5), (1.0, -1.0), gamma, f)
+        dens = two_level_analytic((0.5, 0.5), (1.0, -1.0), gamma, f)
         separation = dens.means[0] - dens.means[1]
         ratios.append(separation / np.sqrt(dens.variance))
     assert ratios[0] < ratios[1] < ratios[2]
@@ -197,14 +207,16 @@ def test_commuting_hamiltonian_allowed():
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
-def test_batch_matches_single_path_runner():
+def test_ensemble_is_the_exact_update_of_each_summed_path():
+    # two channels: the ensemble takes any commuting family
+    fam = ProjectorFamily.diagonal(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, 1.0]]))
     spec = CorrelationSpec.exponential(0.3)
-    psi0 = np.sqrt(np.array([0.35, 0.65], dtype=complex))
-    states, logws = run_commuting_nonwhite_ensemble(
-        psi0, TWO, spec, 1.0, 2.0, 80, 314, 5
-    )
+    psi0 = np.sqrt(np.array([0.2, 0.35, 0.45], dtype=complex))
+    states, logws = run_commuting_nonwhite_ensemble(psi0, fam, spec, 1.0, 2.0, 80, 314, 5)
+    f = spec.double_integral(2.0)
     for j in range(5):
-        psi, logw = run_commuting_nonwhite(psi0, TWO, spec, 1.0, 2.0, 80, 314, j)
+        x = sample_colored_path(spec, 80, 2.0 / 80, 1.0, 314, j, channels=2).increments
+        psi, logw = linear_exact_commuting(psi0, fam, x.sum(axis=0), 1.0, f)
         assert np.max(np.abs(psi - states[j])) < 1e-12
         assert logw == pytest.approx(logws[j], abs=1e-12)
 
@@ -244,15 +256,12 @@ def test_colored_ks_against_analytic_density():
     w0 = (0.5, 0.5)
     psi0 = np.sqrt(np.array(w0, dtype=complex))
     n = 4000
-    xs = np.empty(n)
-    logws = np.empty(n)
-    for j in range(n):
-        path = sample_colored_path(spec, steps, t_end / steps, gamma, 271, j)
-        xs[j] = path.increments.sum()
-        psi, logws[j] = commuting_nonwhite_step(
-            psi0, TWO, np.array([xs[j]]), gamma, spec, spec.double_integral(t_end)
-        )
-    dens = colored_cooked_density(w0, (1.0, -1.0), gamma, spec.double_integral(t_end))
+    _, logws = run_commuting_nonwhite_ensemble(psi0, TWO, spec, gamma, t_end, steps, 271, n)
+    # the integrated noise each trajectory was updated with: the same streams
+    block = colored_increment_block(spec, 271, np.arange(n), steps, 1, gamma, t_end / steps)
+    xs = block.sum(axis=0)[:, 0]
+    f = spec.double_integral(t_end)
+    dens = two_level_analytic(w0, (1.0, -1.0), gamma, f)
     order = np.argsort(xs)
     w = np.exp(logws[order] - logws.max())
     w /= w.sum()

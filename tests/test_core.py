@@ -325,9 +325,10 @@ def test_backward_split_step_equals_the_freshly_computed_phase():
     psi = gaussian_packet(256, 0.1, -12.8, 3.0, 0.0, 1.0)
     rng = trajectory_generator(8)
     amps = psi.amplitudes * np.exp(1j * rng.uniform(0.0, 6.0, size=(5, 1)))
-    for t in (-0.05, -1.3):
-        fresh = np.exp(-0.5j * t * psi.wavenumbers**2 / psi.mass)
-        direct = np.fft.ifft(np.fft.fft(amps, axis=1) * fresh[None, :], axis=1)
+    # one lag for the block, or one per row (the hitting engine's)
+    for t in (-0.05, -1.3, np.array([-0.05, -1.3, -0.2, -0.7, -2.0])):
+        fresh = np.exp(-0.5j * np.asarray(t)[..., None] * psi.wavenumbers**2 / psi.mass)
+        direct = np.fft.ifft(np.fft.fft(amps, axis=1) * fresh, axis=1)
         out = split_step_batch(amps, psi, HamiltonianSpec.free(), t)
         assert np.array_equal(out.view(np.uint64), direct.view(np.uint64))
 

@@ -7,12 +7,7 @@ import pytest
 
 from collapsim import DensityMatrix, StabilityError
 from collapsim.cells import CellModel, discrete_decay_exponent, discrete_decay_log
-from collapsim.cooking import (
-    cooked_resample,
-    linear_exact_commuting,
-    systematic_resample,
-    two_level_analytic,
-)
+from collapsim.cooking import linear_exact_commuting, systematic_resample, two_level_analytic
 from collapsim.diffusion import (
     CslStepper,
     StepWorkspace,
@@ -372,9 +367,10 @@ def test_linear_eigenstate_fixed_ray_and_zero_eigenvalue_weight():
     psi = np.array([1.0, 0.0], dtype=complex)  # eigenvalue-0 sector
     path = sample_wiener(3, 200, 1, 1.0, 0.004)
     out = psi[None, :]  # a one-row batch
+    ws = StepWorkspace(stepper, out)
     logw = 0.0
     for k in range(path.steps):
-        out, dlog = stepper.step_batch(out, path.increments[k : k + 1])
+        out, dlog = stepper.step_batch(out, path.increments[k : k + 1], None, ws)
         logw += dlog[0]
     assert np.allclose(out[0], psi)
     assert logw == pytest.approx(0.0, abs=1e-12)  # weight constant
@@ -385,8 +381,9 @@ def test_nonlinear_eigenstate_is_stationary():
     psi = np.array([0.0, 1.0], dtype=complex)
     path = sample_wiener(4, 200, 1, 1.0, 0.004)
     out = psi[None, :]
+    ws = StepWorkspace(stepper, out)
     for k in range(path.steps):
-        out = stepper.step_batch(out, path.increments[k : k + 1])[0]
+        out = stepper.step_batch(out, path.increments[k : k + 1], None, ws)[0]
     assert abs(abs(np.vdot(psi, out[0])) - 1.0) < 1e-12
 
 
@@ -439,9 +436,10 @@ def test_linear_stratonovich_matches_exact_commuting_solution():
     stepper = CslStepper(TWO, gamma, dt, form="linear", calculus="stratonovich")
     path = sample_wiener(21, steps, 1, gamma, dt)
     out = psi0[None, :]
+    ws = StepWorkspace(stepper, out)
     logw = 0.0
     for k in range(steps):
-        out, dlog = stepper.step_batch(out, path.increments[k : k + 1])
+        out, dlog = stepper.step_batch(out, path.increments[k : k + 1], None, ws)
         logw += dlog[0]
     b_total = float(path.increments.sum())
     exact, exact_logw = linear_exact_commuting(
@@ -454,22 +452,10 @@ def test_linear_stratonovich_matches_exact_commuting_solution():
 # ----------------------------------------------------------------- cooking
 
 
-def test_cooked_resample_uniform_weights():
-    idx = cooked_resample(np.zeros(1000), master_seed=5)
-    counts = np.bincount(idx, minlength=1000)
-    assert counts.sum() == 1000
-    assert counts.max() <= 10  # near-uniform multinomial
-
-
-def test_cooked_resample_draws_from_its_own_stream_namespace():
-    # the draws come from the RESAMPLE namespace of the seed, not from the
-    # noise stream of trajectory 0xC00C = 49164 (which they used to share)
-    probs = np.full(1000, 1.0 / 1000)
-    counts = np.bincount(cooked_resample(np.zeros(1000), master_seed=5), minlength=1000)
-    own = trajectory_generator(5, 0, RESAMPLE).multinomial(1000, probs)
-    trajectory = trajectory_generator(5, 0xC00C).multinomial(1000, probs)
-    assert np.array_equal(counts, own)
-    assert not np.array_equal(counts, trajectory)
+def test_systematic_resample_uniform_weights():
+    # equal weights: the comb picks every trajectory exactly once
+    idx = systematic_resample(np.zeros(1000), master_seed=5, step=0)
+    assert np.array_equal(idx, np.arange(1000))
 
 
 def test_systematic_resample_draws_from_the_resample_stream_of_its_step():
@@ -477,25 +463,29 @@ def test_systematic_resample_draws_from_the_resample_stream_of_its_step():
     # RESAMPLE namespace: disjoint from every noise stream and window
     logw = np.log(np.linspace(0.1, 1.0, 500))
     seed, step = 20, 300
-    philox = np.random.Philox(key=[seed, step], counter=[0, 0, 0, RESAMPLE])
-    offset = np.random.Generator(philox).uniform()
     w = np.exp(logw - logw.max())
     cdf = np.cumsum(w / w.sum())
-    expected = np.searchsorted(cdf, (offset + np.arange(500)) / 500, side="right")
+
+    def comb(generator):
+        points = (generator.uniform() + np.arange(500)) / 500
+        return np.searchsorted(cdf, points, side="right").clip(0, 499)
+
     picked = systematic_resample(logw, seed, step)
-    assert np.array_equal(picked, expected.clip(0, 499))
+    assert np.array_equal(picked, comb(trajectory_generator(seed, step, RESAMPLE)))
+    assert not np.array_equal(picked, comb(trajectory_generator(seed, step)))
     assert not np.array_equal(picked, systematic_resample(logw, seed, step + 100))
 
 
-def test_cooked_resample_degenerate_weights():
-    idx = cooked_resample(np.log(np.array([2.0, 1e-300])), master_seed=5)
+def test_systematic_resample_degenerate_weights():
+    idx = systematic_resample(np.log(np.array([2.0, 1e-300])), master_seed=5, step=0)
     assert np.all(idx == 0)
-    with pytest.raises(ValueError):
-        cooked_resample(np.array([-np.inf, -np.inf]), master_seed=5)
+    for logw in ([-np.inf, -np.inf], [np.nan, 0.0]):  # NaN weights, -inf - -inf too
+        with pytest.raises(ValueError, match="all-zero"), np.errstate(invalid="ignore"):
+            systematic_resample(np.array(logw), master_seed=5, step=0)
 
 
 def test_two_level_analytic_shapes():
-    dens = two_level_analytic((1.0, 0.0), (2.0, -1.0), gamma=0.5, t=3.0)
+    dens = two_level_analytic((1.0, 0.0), (2.0, -1.0), gamma=0.5, f=3.0)
     xs = np.linspace(-20, 20, 4001)
     pdf = dens.pdf(xs)
     # single Gaussian at 2*gamma*a*t = 2*0.5*2*3 = 6
@@ -516,10 +506,8 @@ def test_two_level_analytic_monte_carlo_ks():
     eig = (1.0, -1.0)
     rng = trajectory_generator(2718)
     b = rng.normal(0.0, np.sqrt(gamma * t), size=n)  # raw Brownian endpoints
-    logw = np.empty(n)
     psi0 = np.sqrt(np.array(w0, dtype=complex))
-    for j in range(n):
-        _, logw[j] = linear_exact_commuting(psi0, TWO, np.array([b[j]]), gamma, t)
+    _, logw = linear_exact_commuting(psi0, TWO, b[:, None], gamma, t)
     dens = two_level_analytic(w0, eig, gamma, t)
     order = np.argsort(b)
     b_sorted = b[order]
@@ -538,9 +526,10 @@ def test_linear_exact_commuting_is_exact_solution():
     stepper = CslStepper(TWO, gamma, dt, form="linear", calculus="ito")
     path = sample_wiener(31, steps, 1, gamma, dt)
     out = np.array([[np.sqrt(0.5), np.sqrt(0.5)]], dtype=complex)
+    ws = StepWorkspace(stepper, out)
     logw = 0.0
     for k in range(steps):
-        out, dlog = stepper.step_batch(out, path.increments[k : k + 1])
+        out, dlog = stepper.step_batch(out, path.increments[k : k + 1], None, ws)
         logw += dlog[0]
     exact, exact_logw = linear_exact_commuting(
         np.array([np.sqrt(0.5), np.sqrt(0.5)], dtype=complex),
@@ -623,13 +612,14 @@ def test_z_step_matches_statevector_projection_per_step():
     eig = np.array([[1.0], [-1.0]])
     stepper = CslStepper(TWO, gamma, dt, form="nonlinear", calculus="ito")
     rng = trajectory_generator(77)
-    psi = np.sqrt(np.array([0.3, 0.7], dtype=complex))
+    psi = np.sqrt(np.array([[0.3, 0.7]], dtype=complex))  # a one-row batch
+    ws = StepWorkspace(stepper, psi)
     for _ in range(300):
         db = rng.normal(0.0, np.sqrt(gamma * dt), size=1)
-        z_now = np.abs(psi) ** 2
+        z_now = np.abs(psi[0]) ** 2
         z_pred = z_dynamics_step(z_now, eig, db)
-        psi = stepper.step_batch(psi[None, :], db[None, :])[0][0]
-        z_state = np.abs(psi) ** 2
+        psi = stepper.step_batch(psi, db[None, :], None, ws)[0]
+        z_state = np.abs(psi[0]) ** 2
         assert np.max(np.abs(z_pred - z_state)) < 1e-6
 
 
@@ -871,17 +861,15 @@ def test_single_particle_smeared_density_equals_hitting_kernel():
     assert np.max(np.abs(kernel_a - kernel_b)) < 1e-8
 
 
-def test_cooked_resample_reproduces_analytic_peaks():
+def test_systematic_resample_reproduces_analytic_peaks():
     # resampled outcome frequencies land on the analytic mixture peaks
     gamma, t, n = 1.0, 2.0, 40_000
     w0 = (0.35, 0.65)
     rng = trajectory_generator(515)
     b = rng.normal(0.0, np.sqrt(gamma * t), size=n)
     psi0 = np.sqrt(np.array(w0, dtype=complex))
-    logw = np.empty(n)
-    for j in range(n):
-        _, logw[j] = linear_exact_commuting(psi0, TWO, np.array([b[j]]), gamma, t)
-    idx = cooked_resample(logw, master_seed=516)
+    _, logw = linear_exact_commuting(psi0, TWO, b[:, None], gamma, t)
+    idx = systematic_resample(logw, master_seed=516, step=0)
     picked = b[idx]
     freq_upper = float(np.mean(picked > 0.0))  # basin of the +1 peak
     w = np.exp(logw - logw.max())

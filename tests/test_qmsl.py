@@ -20,10 +20,10 @@ from collapsim.freeparticle import (
     two_particle_com_decay_rate,
 )
 from collapsim.hitting import (
+    _gaussian_factor,
     hitting_density,
     localization_operator_apply,
     run_qmsl_ensemble,
-    run_qmsl_trajectory,
     sample_hit_center,
 )
 from collapsim.noise import trajectory_generator
@@ -34,8 +34,9 @@ from oracles import (
     damping_integral_by_quadrature,
     erf_beta_by_quadrature,
     free_gaussian_q_var,
+    hit_center_reference,
     master_kernel_by_ode,
-    qmsl_ensemble_lockstep,
+    qmsl_exact_time_lockstep,
 )
 
 DESK = CollapseParams(4.0, 1.0, 1.0, dimension=1)
@@ -150,16 +151,33 @@ def test_hit_sampling_preserves_density_in_expectation():
     # diagonal preservation: E[post-hit density] = density (Eq. consequence)
     psi = _two_packets()
     dens = hitting_density(psi, 1.0)
-    rng = trajectory_generator(123)
-    acc = np.zeros(psi.n)
     nrep = 20000
-    for _ in range(nrep):
-        x, _ = sample_hit_center(psi, dens, rng.uniform())
-        post = normalize(localization_operator_apply(psi, x, 1.0))
-        acc += np.abs(post.amplitudes) ** 2
+    u = trajectory_generator(123).uniform(size=nrep)
+    acc = np.zeros(psi.n)
+    for part in np.split(u, 4):
+        x, _ = sample_hit_center(psi, np.tile(dens, (part.size, 1)), part)
+        post = np.abs(_gaussian_factor(psi, x, 1.0) * psi.amplitudes) ** 2
+        acc += np.sum(post / post.sum(axis=1, keepdims=True), axis=0) / psi.dx
     acc /= nrep
     orig = np.abs(psi.amplitudes) ** 2
     assert np.max(np.abs(acc - orig)) < 4.0 / np.sqrt(nrep)
+
+
+def test_batched_hit_sampling_matches_rows_drawn_one_by_one():
+    # each row of a batch is the density, draw and factor of its own state,
+    # the draw bit for bit that of the per-hit code
+    psi = _two_packets()
+    amps = np.stack([psi.amplitudes, np.roll(psi.amplitudes, 40), psi.amplitudes[::-1]])
+    amps = np.repeat(amps, 4, axis=0)
+    dens = hitting_density(psi, 1.3, amps)
+    u = np.append(trajectory_generator(6).uniform(size=amps.shape[0] - 2), [0.0, 0.9999])
+    x, j = sample_hit_center(psi, dens, u)
+    factors = _gaussian_factor(psi, x, 1.3)
+    for k in range(amps.shape[0]):
+        assert np.array_equal(dens[k], hitting_density(psi, 1.3, amps[k]))
+        assert (x[k], j[k]) == hit_center_reference(psi, dens[k], u[k])
+        assert np.array_equal(factors[k], _gaussian_factor(psi, x[k], 1.3))
+    assert np.all((psi.x0 <= x) & (x < psi.x0 + psi.length))
 
 
 # ---------------------------------------------------------- trajectories
@@ -168,13 +186,11 @@ def test_hit_sampling_preserves_density_in_expectation():
 def test_trajectory_zero_rate_is_pure_schrodinger():
     psi = _two_packets()
     lam0 = CollapseParams(1e-300, 1.0, 1.0, dimension=1)
-    final, events = run_qmsl_trajectory(
-        psi, HamiltonianSpec.free(), lam0, 1.0, 42, 0.05
-    )
-    assert not events
+    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), lam0, 1.0, 1, 42, 0.05)
+    assert res.events.shape == (0, 4)
 
     ref = split_step_evolve(psi, HamiltonianSpec.free(), 1.0)
-    assert np.max(np.abs(final.amplitudes - ref.amplitudes)) < 1e-10
+    assert np.max(np.abs(res.amplitudes[0] - ref.amplitudes)) < 1e-10
 
 
 def test_trajectory_hit_count_poisson():
@@ -208,11 +224,26 @@ def test_trajectory_two_packet_reduction_binomial():
 
 def test_trajectory_events_monotone_times():
     psi = _two_packets()
-    _, events = run_qmsl_trajectory(psi, HamiltonianSpec.free(), DESK, 2.0, 5, 0.02)
-    times = [e.time for e in events]
-    assert times == sorted(times)
-    assert all(0 <= e.time <= 2.0 for e in events)
-    assert all(e.pre_norm_sq > 0 for e in events)
+    dt = 0.02
+    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), DESK, 2.0, 8, 5, dt)
+    traj, times, weights = res.events[:, 0], res.events[:, 1], res.events[:, 3]
+    assert np.array_equal(np.bincount(traj.astype(int), minlength=8), res.hit_counts)
+    for j in range(8):
+        assert np.all(np.diff(times[traj == j]) > 0)
+    assert np.all((0 < times) & (times <= 2.0)) and np.all(weights > 0)
+    # exact Poisson times, not step boundaries
+    off_grid = np.abs(times / dt - np.round(times / dt)) > 1e-6
+    assert off_grid.mean() > 0.9
+
+
+def test_one_trajectory_log_is_trajectory_zero_of_a_larger_run():
+    psi = _two_packets()
+    args = (psi, HamiltonianSpec.free(), DESK, 1.0)
+    one = run_qmsl_ensemble(*args, 1, 9, 0.02, accumulate_kernel=False)
+    many = run_qmsl_ensemble(*args, 64, 9, 0.02, accumulate_kernel=False)
+    assert one.events.shape[0] > 0
+    assert np.array_equal(one.events, many.events[many.events[:, 0] == 0])
+    assert np.array_equal(one.amplitudes[0], many.amplitudes[0])
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -221,28 +252,32 @@ def test_trajectory_events_monotone_times():
     [
         (HamiltonianSpec.free(), DESK),
         (HamiltonianSpec.none(), DESK),
+        (HamiltonianSpec.harmonic(0.5), DESK),
         (HamiltonianSpec.free(), CollapseParams(1e-12, 1.0, 1.0, dimension=1)),
     ],
-    ids=["free", "none", "free-no-hits"],
+    ids=["free", "none", "harmonic", "free-no-hits"],
 )
 def test_ensemble_matches_lockstep_oracle(seed, h, params):
     psi = _two_packets()
     res = run_qmsl_ensemble(psi, h, params, 1.0, 24, seed, 0.02, accumulate_kernel=False)
-    amps, hit_counts = qmsl_ensemble_lockstep(psi, h, params, 1.0, 24, seed, 0.02)
+    amps, hit_counts, log = qmsl_exact_time_lockstep(psi, h, params, 1.0, 24, seed, 0.02)
     assert np.array_equal(res.hit_counts, hit_counts)
     if params is DESK:
         assert hit_counts.sum() > 0
     else:
         assert hit_counts.sum() == 0
+    assert np.array_equal(res.events[:, :2], log[:, :2])
+    assert np.max(np.abs(res.events[:, 2:] - log[:, 2:]), initial=0.0) < 1e-9
     assert np.max(np.abs(res.amplitudes - amps)) < 1e-12
 
 
 def test_ensemble_does_not_depend_on_chunk():
     psi = _two_packets()
     args = (psi, HamiltonianSpec.free(), DESK, 1.0, 100, 5, 0.02)
-    small = run_qmsl_ensemble(*args, chunk=64)
-    whole = run_qmsl_ensemble(*args, chunk=256)
+    small = run_qmsl_ensemble(*args, chunk=16)
+    whole = run_qmsl_ensemble(*args, chunk=64)
     assert np.array_equal(small.hit_counts, whole.hit_counts)
+    assert np.array_equal(small.events, whole.events)
     assert np.array_equal(small.amplitudes, whole.amplitudes)
     assert np.allclose(small.mean_kernel, whole.mean_kernel, rtol=0, atol=1e-14)
 
@@ -259,7 +294,7 @@ def test_ensemble_leakage_raises_when_the_oracle_does():
     with pytest.raises(GridLeakageError) as engine:
         run_qmsl_ensemble(*args)
     with pytest.raises(GridLeakageError) as oracle:
-        qmsl_ensemble_lockstep(*args)
+        qmsl_exact_time_lockstep(*args)
     worst, t = _leak_report(engine)
     assert t == _leak_report(oracle)[1] == "0.12"
     assert worst == pytest.approx(_leak_report(oracle)[0], rel=1e-6)
