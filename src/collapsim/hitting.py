@@ -16,10 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridLeakageError
-from .noise import trajectory_generator
+from .noise import TILE_BYTES, trajectory_generator
 from .operators import HamiltonianSpec
 from .params import CollapseParams
-from .schrodinger import split_step_batch
+from .schrodinger import _kinetic_phase, split_step_batch
 from .states import GridWavefunction
 
 
@@ -134,30 +134,28 @@ def run_qmsl_ensemble(
     """Hitting ensemble, hits at their exact Poisson times.
 
     Inter-arrival times are exponential, and each hit is applied at its
-    own time tau, however many fall due inside one ``dt``.  Each
-    trajectory draws from its own (master_seed, index) stream, in the same
-    order whatever the chunk size, so the results and the hit log do not
-    depend on ``chunk``, and a one-trajectory run is trajectory 0 of any
-    larger one.  The result logs every hit: trajectory, time, center and
-    ||L_x psi||^2, the density mass that made the center win the draw.
+    own time tau.  Each trajectory draws from its own (master_seed, index)
+    stream in the same order whatever the chunk size, so the results and
+    the hit log (trajectory, time, center and ||L_x psi||^2 of each hit)
+    do not depend on ``chunk``, and a one-trajectory run is trajectory 0
+    of any larger one.
 
-    For ``free`` and ``none`` Hamiltonians each row is held in the
-    interaction picture: pulled back to t = 0 by the free propagator
-    U(t) = ``split_step_batch(., t)``, which makes free flight a no-op.
-    The rows a hit falls due for in a step are brought from t = 0 to their
-    own tau with one exact jump (one lag per row), hit, and pulled back;
-    at the end the block is brought to ``t_end`` with one call.  Harmonic
-    Hamiltonians take one Strang step per ``dt``, and a due row's step is
-    split at each of its hit times.
+    A chunk advances a window of W steps at a time.  For ``free`` and
+    ``none`` Hamiltonians rows are held in the interaction picture (pulled
+    back to t = 0 by U(t) = ``split_step_batch(., t)``); round i of a
+    window jumps each row whose i-th hit in it is due to its own tau, hits
+    it and pulls it back.  A hit belongs to the first step whose
+    accumulated time is >= tau.  Harmonic Hamiltonians take windows of one
+    Strang step, split at each hit time.
 
-    Leakage is checked after each step's hits as if the rows were in
-    position space.  A row's two edge amplitudes at t are ``b @ [G_t[-j
-    mod N], G_t[N-1-j]]``, with G_t the propagator kernel (U(t) applied
-    to a unit vector, advanced by one ``dt`` a step), and are compared
-    with ``leak_tol`` times the RMS amplitude, which is a lower bound on a
-    row's peak and does not change in time (Parseval: every row keeps its
-    norm).  Rows over that bound are brought to t and given the exact test
-    edge > leak_tol * peak; a failure raises ``GridLeakageError``.
+    Leakage is checked at every step: a row's edge amplitudes at t are
+    ``b @ [G_t[-j mod N], G_t[N-1-j]]``, G_t = U(t) of a unit vector.  The
+    window's taps form one (N, 2W) block, W as large as one
+    ``noise.TILE_BYTES`` tile allows, so a state is screened by one
+    product over the steps it is held on.  Edges over ``leak_tol`` times
+    the RMS amplitude (a lower bound on the peak, fixed in time) get the
+    exact test edge > leak_tol * peak; the first failing step raises
+    ``GridLeakageError``, as a step-by-step check would.
     """
     if abs(psi0.norm_sq() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
@@ -166,12 +164,32 @@ def run_qmsl_ensemble(
     lam = params.lambda_rate
     tol = psi0.leak_tol
     free_flight = h.kind in ("free", "none")
-    unit = np.zeros((1, n), dtype=complex)
-    unit[0, 0] = 1.0
+    # a window's taps and each (rows, N) array of a hit round fit one tile
+    tile_rows = max(1, TILE_BYTES // (16 * n))
+    width = max(1, min(n_steps, tile_rows // 2)) if free_flight else 1
+    taps = np.empty((n, 2 * width), dtype=complex) if free_flight else None
     # (U(t) b)[j] = sum_l G_t[(j - l) mod N] b[l], read at j = 0 and j = N - 1
     edge_taps = np.stack([-np.arange(n) % n, n - 1 - np.arange(n)], axis=1)
     # a row keeps the norm of psi0 until its first hit and unit norm after
     rms = min(np.linalg.norm(psi0.amplitudes), 1.0 / np.sqrt(psi0.dx)) / np.sqrt(n)
+
+    def screen(states, first, stop):
+        # leakage tests of states held on the steps [first, stop) of a window
+        lo = int(np.min(first, initial=width))
+        hi = max(lo, int(np.max(stop, initial=0)))
+        # harmonic rows are in position space, one step a window
+        edge = states @ taps[:, 2 * lo : 2 * hi] if free_flight else states[:, [0, -1]]
+        edge = np.abs(edge).reshape(len(states), hi - lo, 2).max(axis=2)
+        steps = np.arange(lo, hi)
+        over = edge > tol * rms
+        over &= (steps >= np.reshape(first, (-1, 1))) & (steps < np.reshape(stop, (-1, 1)))
+        for s in lo + np.nonzero(over.any(axis=0))[0]:
+            lag = times[s] if free_flight else 0.0
+            amps = split_step_batch(states[over[:, s - lo]], psi0, h, lag)
+            edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
+            peak = np.abs(amps).max(axis=1)
+            leaks[s] |= np.any(edge > tol * peak)
+            worst[s] = max(worst[s], (edge / peak).max())
 
     final = np.empty((n_traj, n), dtype=complex)
     hit_counts = np.zeros(n_traj, dtype=int)
@@ -181,55 +199,62 @@ def run_qmsl_ensemble(
     for start in range(0, n_traj, chunk):
         idx = np.arange(start, min(start + chunk, n_traj))
         rngs = [trajectory_generator(master_seed, int(i)) for i in idx]
-        next_hit = np.array(
-            [r.exponential(1.0 / lam) if lam > 0 else np.inf for r in rngs]
-        )
+        next_hit = np.array([r.exponential(1.0 / lam) for r in rngs])
         b = np.tile(psi0.amplitudes, (len(idx), 1))
-        g, t, lag = unit, 0.0, 0.0
-        for _ in range(n_steps):
-            t_prev, t = t, t + dt
+        g, t = np.eye(1, n, dtype=complex), 0.0
+        for first_step in range(0, n_steps, width):
+            w = min(width, n_steps - first_step)
+            # accumulated one dt at a time, as a step-by-step loop's t
+            times = np.add.accumulate(np.r_[t, np.full(w, dt)])[1:]
+            t_start, t = t, times[-1]
+            for s in range(w if free_flight else 0):
+                g = split_step_batch(g, psi0, h, dt)
+                taps[:, 2 * s : 2 * s + 2] = g[0, edge_taps]
+            leaks, worst = np.zeros(w, dtype=bool), np.zeros(w)
+            since = np.zeros(len(idx), dtype=int)  # first step of each row's state
             due = np.nonzero(next_hit <= t)[0]
-            rows = b[due]
-            # the time each due row stands at: 0 in the interaction picture
-            pic = np.full(due.size, 0.0 if free_flight else t_prev)
-            if free_flight:
-                g, lag = split_step_batch(g, psi0, h, dt), t
-            else:
+            # the rounds' block (harmonic: before the window's Strang step)
+            rows, pic = b, np.full(len(idx), 0.0 if free_flight else t_start)
+            if not free_flight:
                 b = split_step_batch(b, psi0, h, dt)
-            active = np.arange(due.size)
+            active = due
             while active.size:
-                hit = due[active]
-                tau = next_hit[hit]
-                amps = split_step_batch(rows[active], psi0, h, tau - pic[active])
-                density = hitting_density(psi0, params.alpha, amps)
-                u = np.array([rngs[k].uniform() for k in hit])
-                x, _ = sample_hit_center(psi0, density, u)
-                amps *= _gaussian_factor(psi0, x, params.alpha)
-                weight = np.sum(np.abs(amps) ** 2, axis=1) * psi0.dx
-                amps /= np.sqrt(weight)[:, None]
-                events.append(np.stack([idx[hit], tau, x, weight], axis=1))
-                hit_counts[idx[hit]] += 1
-                next_hit[hit] += [rngs[k].exponential(1.0 / lam) for k in hit]
-                if free_flight:
-                    rows[active] = split_step_batch(amps, psi0, h, pic[active] - tau)
-                else:
-                    rows[active], pic[active] = amps, tau
-                active = active[next_hit[hit] <= t]
-            if due.size:
-                b[due] = rows if free_flight else split_step_batch(rows, psi0, h, t - pic)
-            over = np.nonzero(np.abs(b @ g[0, edge_taps]).max(axis=1) > tol * rms)[0]
-            if over.size:
-                amps = split_step_batch(b[over], psi0, h, lag)
-                edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
-                peak = np.abs(amps).max(axis=1)
-                if np.any(edge > tol * peak):
-                    worst = float((edge / peak).max())
-                    raise GridLeakageError(
-                        f"boundary amplitude reached {worst:.2e} of peak at "
-                        f"t={t:.4g}; enlarge the grid"
-                    )
-        amps = split_step_batch(b, psi0, h, lag)
-        final[idx] = amps
+                for part in np.split(active, range(tile_rows, active.size, tile_rows)):
+                    old = rows[part]
+                    tau = next_hit[part]
+                    lag = tau - pic[part]  # from the time the row stands at
+                    kin = _kinetic_phase(psi0, lag)
+                    amps = split_step_batch(old, psi0, h, lag, kin)
+                    density = hitting_density(psi0, params.alpha, amps)
+                    x, _ = sample_hit_center(psi0, density, [rngs[k].uniform() for k in part])
+                    amps *= _gaussian_factor(psi0, x, params.alpha)
+                    weight = np.sum(np.abs(amps) ** 2, axis=1) * psi0.dx
+                    amps /= np.sqrt(weight)[:, None]
+                    events.append(np.stack([idx[part], tau, x, weight], axis=1))
+                    hit_counts[idx[part]] += 1
+                    next_hit[part] += [rngs[k].exponential(1.0 / lam) for k in part]
+                    if free_flight:
+                        step = np.searchsorted(times, tau, "left")
+                        screen(old, since[part], step)
+                        since[part] = step
+                        back = np.conjugate(kin, out=kin)  # the jump's inverse
+                        rows[part] = split_step_batch(amps, psi0, h, -lag, back)
+                    else:
+                        rows[part], pic[part] = amps, tau
+                active = active[next_hit[active] <= t]
+            if not free_flight and due.size:
+                b[due] = split_step_batch(rows[due], psi0, h, t - pic[due])
+            screen(b, since, w)
+            if leaks.any():
+                s = int(np.argmax(leaks))
+                raise GridLeakageError(
+                    f"boundary amplitude reached {worst[s]:.2e} of peak at "
+                    f"t={times[s]:.4g}; enlarge the grid"
+                )
+        amps = final[idx[0] : idx[-1] + 1]  # to t_end a tile of rows at a time
+        for r in range(0, len(idx), tile_rows):
+            part = slice(r, r + tile_rows)
+            amps[part] = split_step_batch(b[part], psi0, h, t if free_flight else 0.0)
         if accumulate_kernel:
             mean_kernel += amps.conj().T @ amps
     if accumulate_kernel:

@@ -69,21 +69,6 @@ class NoisePath:
         return self.increments.shape[1]
 
 
-def sample_wiener(
-    master_seed: int,
-    steps: int,
-    channels: int,
-    gamma: float,
-    dt: float,
-    traj_index: int = 0,
-) -> NoisePath:
-    """White Wiener increments, i.i.d. Gaussian(0, gamma*dt) per channel."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    inc = wiener_increment_block(master_seed, [traj_index], steps, channels, gamma, dt)
-    return NoisePath(master_seed, traj_index, dt, gamma, inc[:, 0], kind="white")
-
-
 def wiener_increment_block(
     master_seed: int,
     traj_indices: np.ndarray,

@@ -15,30 +15,24 @@ from .states import GridWavefunction
 
 
 def _kinetic_phase(psi: GridWavefunction, dt) -> np.ndarray:
-    """exp(-i dt k^2 / 2m) on the grid's wavenumbers, (N,) for one lag and
-    (m, N) for an (m,) array of them; read-only, shared."""
-    lags = dt if np.ndim(dt) == 0 else tuple(dt)
-    return _kinetic_phase_on(psi.n, psi.dx, psi.mass, lags)
-
-
-# a hitting step asks for the one-dt phase of its edge kernel, and each of
-# its hit rounds for one lag per row forwards and then the same lags
-# backwards, so a few entries serve every call of a run; a backward phase
-# conjugates the forward one (equal values; the zero imaginary part at
-# k = 0 changes sign)
-@lru_cache(maxsize=4)
-def _kinetic_phase_on(n: int, dx: float, mass: float, dt) -> np.ndarray:
-    lags = np.asarray(dt)
-    if np.all(lags < 0):
-        phase = np.conj(_kinetic_phase_on(n, dx, mass, type(dt)(-lags)))
-    else:
-        # k and -k share k^2: exponentiate the n // 2 + 1 values and spread
-        # them, the same bits as over the whole grid in half the time
-        k = 2.0 * np.pi * np.fft.fftfreq(n, dx)[: n // 2 + 1]
-        half = np.exp(-0.5j * lags[..., None] * k**2 / mass)
-        phase = np.take(half, np.minimum(np.arange(n), n - np.arange(n)), axis=-1)
+    """exp(-i dt k^2 / 2m) on the grid's wavenumbers: (N,) for one lag,
+    cached, read-only and shared; (m, N) for an (m,) array of them, fresh."""
+    if np.ndim(dt) != 0:
+        return _phase.__wrapped__(psi.n, psi.dx, psi.mass, dt)
+    phase = _phase(psi.n, psi.dx, psi.mass, dt)
     phase.flags.writeable = False
     return phase
+
+
+# a hitting run asks for the one-dt phase of its edge kernel and the lag of
+# each leakage test; per-row lags are not kept (a hit round reuses its own)
+@lru_cache(maxsize=4)
+def _phase(n: int, dx: float, mass: float, dt) -> np.ndarray:
+    # k and -k share k^2: exponentiate the n // 2 + 1 values and spread
+    # them, the same bits as over the whole grid in half the time
+    k = 2.0 * np.pi * np.fft.fftfreq(n, dx)[: n // 2 + 1]
+    half = np.exp(-0.5j * np.asarray(dt)[..., None] * k**2 / mass)
+    return np.take(half, np.minimum(np.arange(n), n - np.arange(n)), axis=-1)
 
 
 def _potential_phase(psi: GridWavefunction, h: HamiltonianSpec, dt) -> np.ndarray:
@@ -66,19 +60,13 @@ def split_step_evolve(
         raise ValueError("dt must be nonnegative")
     if dt == 0 or steps == 0 or h.kind == "none":
         return psi
-    amps = psi.amplitudes
+    amps = psi.amplitudes[None]
     if h.kind == "free":
-        phase = _kinetic_phase(psi, dt) ** steps
-        amps = np.fft.ifft(np.fft.fft(amps) * phase)
-        out = psi.with_amplitudes(amps)
+        amps = np.fft.ifft(np.fft.fft(amps) * _kinetic_phase(psi, dt) ** steps)
     else:  # harmonic
-        half_v = _potential_phase(psi, h, dt)
-        kin = _kinetic_phase(psi, dt)
         for _ in range(steps):
-            amps = half_v * amps
-            amps = np.fft.ifft(np.fft.fft(amps) * kin)
-            amps = half_v * amps
-        out = psi.with_amplitudes(amps)
+            amps = split_step_batch(amps, psi, h, dt)
+    out = psi.with_amplitudes(amps[0])
     if check_leakage:
         out.check_leakage()
     return out
@@ -89,13 +77,15 @@ def split_step_batch(
     template: GridWavefunction,
     h: HamiltonianSpec,
     dt,
+    kin: np.ndarray | None = None,
 ) -> np.ndarray:
     """One split step applied to a (n_traj, N) amplitude block: one ``dt``
-    for every row, or an (n_traj,) array of them, one per row."""
+    for every row, or an (n_traj,) array of them, one per row.  ``kin`` is
+    ``_kinetic_phase(template, dt)`` when the caller holds it already."""
     require_grid_compatible(h)
     if h.kind == "none" or not np.any(dt):
         return amplitudes
-    kin = _kinetic_phase(template, dt)
+    kin = _kinetic_phase(template, dt) if kin is None else kin
     if h.kind == "free":
         return np.fft.ifft(np.fft.fft(amplitudes, axis=1) * kin, axis=1)
     half_v = _potential_phase(template, h, dt)

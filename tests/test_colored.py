@@ -14,7 +14,7 @@ from collapsim.colored import (
 )
 from collapsim.cooking import linear_exact_commuting, two_level_analytic
 from collapsim.errors import NonCommutingError
-from collapsim.noise import sample_wiener
+from collapsim.noise import wiener_increment_block
 from collapsim.operators import ProjectorFamily
 
 from oracles import double_integral_by_quadrature
@@ -27,8 +27,8 @@ TWO = ProjectorFamily.two_level()
 
 def test_white_spec_falls_back_to_wiener():
     a = sample_colored_path(CorrelationSpec.white(), 500, 0.01, 1.3, 42)
-    b = sample_wiener(42, 500, 1, 1.3, 0.01)
-    assert np.array_equal(a.increments, b.increments)
+    b = wiener_increment_block(42, [0], 500, 1, 1.3, 0.01)
+    assert np.array_equal(a.increments, b[:, 0])
 
 
 def test_exponential_autocorrelation():
@@ -158,7 +158,7 @@ def test_colored_cooked_density_separation_grows():
 def test_white_step_matches_exact_linear_solution_shared_noise():
     gamma, dt, steps = 1.0, 0.01, 300
     spec = CorrelationSpec.white()
-    path = sample_wiener(11, steps, 1, gamma, dt)
+    path = sample_colored_path(spec, steps, dt, gamma, 11)
     psi = np.sqrt(np.array([0.4, 0.6], dtype=complex))
     logw = 0.0
     f_prev = 0.0

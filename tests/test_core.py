@@ -18,7 +18,8 @@ from collapsim import (
     expectation,
     normalize,
 )
-from collapsim.noise import sample_wiener, trajectory_generator
+from collapsim.colored import CorrelationSpec, sample_colored_path
+from collapsim.noise import trajectory_generator
 from collapsim.schrodinger import (
     _kinetic_phase,
     gaussian_packet,
@@ -27,6 +28,8 @@ from collapsim.schrodinger import (
 )
 
 from oracles import free_gaussian_q_var
+
+WHITE = CorrelationSpec.white()
 
 
 # ---------------------------------------------------------------- units
@@ -213,21 +216,21 @@ def test_hamiltonian_spec_validation():
 
 
 def test_wiener_variance_law_of_large_numbers():
-    path = sample_wiener(master_seed=2024, steps=10**6, channels=1, gamma=1.0, dt=0.01)
+    path = sample_colored_path(WHITE, 10**6, 0.01, 1.0, 2024)
     var = float(np.var(path.increments))
     assert abs(var - 0.01) / 0.01 < 0.005
 
 
 def test_wiener_determinism():
-    a = sample_wiener(99, 1000, 2, 0.5, 0.02, traj_index=7)
-    b = sample_wiener(99, 1000, 2, 0.5, 0.02, traj_index=7)
+    a = sample_colored_path(WHITE, 1000, 0.02, 0.5, 99, 7, 2)
+    b = sample_colored_path(WHITE, 1000, 0.02, 0.5, 99, 7, 2)
     assert np.array_equal(a.increments, b.increments)
-    c = sample_wiener(99, 1000, 2, 0.5, 0.02, traj_index=8)
+    c = sample_colored_path(WHITE, 1000, 0.02, 0.5, 99, 8, 2)
     assert not np.array_equal(a.increments, c.increments)
 
 
 def test_wiener_channel_independence():
-    path = sample_wiener(5, 200_000, 2, 1.0, 0.01)
+    path = sample_colored_path(WHITE, 200_000, 0.01, 1.0, 5, channels=2)
     x, y = path.increments[:, 0], path.increments[:, 1]
     cross = np.mean(x * y)
     # 3 sigma of zero for the empirical cross-covariance

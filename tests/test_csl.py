@@ -7,6 +7,7 @@ import pytest
 
 from collapsim import DensityMatrix, StabilityError
 from collapsim.cells import CellModel, discrete_decay_exponent, discrete_decay_log
+from collapsim.colored import CorrelationSpec, sample_colored_path
 from collapsim.cooking import linear_exact_commuting, systematic_resample, two_level_analytic
 from collapsim.diffusion import (
     CslStepper,
@@ -27,7 +28,6 @@ from collapsim.macrobody import (
 )
 from collapsim.noise import (
     RESAMPLE,
-    sample_wiener,
     trajectory_generator,
     wiener_increment_block,
 )
@@ -43,6 +43,7 @@ from oracles import (
 )
 
 TWO = ProjectorFamily.two_level()
+WHITE = CorrelationSpec.white()
 
 
 # ---------------------------------------------------------------- steppers
@@ -365,7 +366,7 @@ def test_linear_eigenstate_fixed_ray_and_zero_eigenvalue_weight():
     fam = ProjectorFamily.two_level(a_plus=0.0, a_minus=1.5)
     stepper = CslStepper(fam, gamma=1.0, dt=0.004, form="linear")
     psi = np.array([1.0, 0.0], dtype=complex)  # eigenvalue-0 sector
-    path = sample_wiener(3, 200, 1, 1.0, 0.004)
+    path = sample_colored_path(WHITE, 200, 0.004, 1.0, 3)
     out = psi[None, :]  # a one-row batch
     ws = StepWorkspace(stepper, out)
     logw = 0.0
@@ -379,7 +380,7 @@ def test_linear_eigenstate_fixed_ray_and_zero_eigenvalue_weight():
 def test_nonlinear_eigenstate_is_stationary():
     stepper = CslStepper(TWO, gamma=1.0, dt=0.004, form="nonlinear")
     psi = np.array([0.0, 1.0], dtype=complex)
-    path = sample_wiener(4, 200, 1, 1.0, 0.004)
+    path = sample_colored_path(WHITE, 200, 0.004, 1.0, 4)
     out = psi[None, :]
     ws = StepWorkspace(stepper, out)
     for k in range(path.steps):
@@ -434,7 +435,7 @@ def test_linear_stratonovich_matches_exact_commuting_solution():
     psi0 = np.array([np.sqrt(0.3), np.sqrt(0.7)], dtype=complex)
     gamma, dt, steps = 1.0, 0.0005, 400
     stepper = CslStepper(TWO, gamma, dt, form="linear", calculus="stratonovich")
-    path = sample_wiener(21, steps, 1, gamma, dt)
+    path = sample_colored_path(WHITE, steps, dt, gamma, 21)
     out = psi0[None, :]
     ws = StepWorkspace(stepper, out)
     logw = 0.0
@@ -524,7 +525,7 @@ def test_linear_exact_commuting_is_exact_solution():
     # exp(a B - gamma a^2 t); verify via fine Euler on a shared path
     gamma, dt, steps = 0.8, 0.0002, 500
     stepper = CslStepper(TWO, gamma, dt, form="linear", calculus="ito")
-    path = sample_wiener(31, steps, 1, gamma, dt)
+    path = sample_colored_path(WHITE, steps, dt, gamma, 31)
     out = np.array([[np.sqrt(0.5), np.sqrt(0.5)]], dtype=complex)
     ws = StepWorkspace(stepper, out)
     logw = 0.0
@@ -712,17 +713,12 @@ def test_lindblad_purity_decay():
 
 
 def test_single_path_samplers_keep_their_streams_and_bits():
-    # sample_wiener, the white colored path and the Hermitian ensemble now
-    # draw through wiener_increment_block; the outputs are the old ones
-    from collapsim.colored import CorrelationSpec, sample_colored_path
-
+    # the white colored path and the Hermitian ensemble now draw through
+    # wiener_increment_block; the outputs are the old ones
     for args in [(99, 1000, 2, 0.5, 0.02, 7), (2**64 - 1, 3, 1, 1.0, 0.01, 2**63)]:
         reference = sample_wiener_reference(*args)
-        assert np.array_equal(sample_wiener(*args).increments, reference)
         seed, steps, channels, gamma, dt, index = args
-        white = sample_colored_path(
-            CorrelationSpec("white"), steps, dt, gamma, seed, index, channels
-        )
+        white = sample_colored_path(WHITE, steps, dt, gamma, seed, index, channels)
         assert np.array_equal(white.increments, reference)
     family = ProjectorFamily.diagonal(np.array([[1.0, 1.0, -1.0]]))
     psi0 = np.sqrt(np.array([0.2, 0.3, 0.5], dtype=complex))

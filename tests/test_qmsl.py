@@ -1,11 +1,12 @@
 """Hitting process and its exact ensemble-level consequences."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from collapsim import CollapseParams, HamiltonianSpec, normalize
+from collapsim import CollapseParams, GridWavefunction, HamiltonianSpec, normalize
 from collapsim.errors import GridLeakageError
 from collapsim.freeparticle import (
     characteristic_times,
@@ -26,7 +27,7 @@ from collapsim.hitting import (
     run_qmsl_ensemble,
     sample_hit_center,
 )
-from collapsim.noise import trajectory_generator
+from collapsim.noise import TILE_BYTES, trajectory_generator
 from collapsim.schrodinger import gaussian_packet, split_step_evolve, two_packet_state
 from collapsim.units import ERG_PER_EV, HBAR_CGS
 
@@ -272,14 +273,16 @@ def test_ensemble_matches_lockstep_oracle(seed, h, params):
 
 
 def test_ensemble_does_not_depend_on_chunk():
+    # chunk = 1 hits one row a round, chunk = 64 up to 64 rows together
     psi = _two_packets()
     args = (psi, HamiltonianSpec.free(), DESK, 1.0, 100, 5, 0.02)
-    small = run_qmsl_ensemble(*args, chunk=16)
     whole = run_qmsl_ensemble(*args, chunk=64)
-    assert np.array_equal(small.hit_counts, whole.hit_counts)
-    assert np.array_equal(small.events, whole.events)
-    assert np.array_equal(small.amplitudes, whole.amplitudes)
-    assert np.allclose(small.mean_kernel, whole.mean_kernel, rtol=0, atol=1e-14)
+    for chunk in (1, 16):
+        small = run_qmsl_ensemble(*args, chunk=chunk)
+        assert np.array_equal(small.hit_counts, whole.hit_counts)
+        assert np.array_equal(small.events, whole.events)
+        assert np.array_equal(small.amplitudes, whole.amplitudes)
+        assert np.allclose(small.mean_kernel, whole.mean_kernel, rtol=0, atol=1e-14)
 
 
 def _leak_report(exc) -> tuple[float, str]:
@@ -299,6 +302,48 @@ def test_ensemble_leakage_raises_when_the_oracle_does():
     assert t == _leak_report(oracle)[1] == "0.12"
     assert worst == pytest.approx(_leak_report(oracle)[0], rel=1e-6)
     assert worst > psi.leak_tol
+
+
+def test_leak_first_seen_in_a_row_hit_mid_window_matches_the_oracle():
+    # a light packet runs at the right edge beside a narrow one at rest
+    # that holds the peak; a hit picking the runner removes that peak, so
+    # a hit row leaks first (t = 1.92) inside the first window of steps,
+    # and its leaking state is in most rows replaced by a later hit there
+    n, dx, x0, mass = 256, 0.125, -16.0, 10.0
+    rest = gaussian_packet(n, dx, x0, mass, -8.0, 0.3).amplitudes
+    runner = gaussian_packet(n, dx, x0, mass, 6.0, 0.8, momentum=20.0).amplitudes
+    psi = normalize(GridWavefunction(np.sqrt(0.8) * rest + np.sqrt(0.2) * runner, dx, x0, mass))
+    h = HamiltonianSpec.free()
+    args = (psi, h, CollapseParams(4.0, 0.1, 1.0, dimension=1), 3.0, 16, 2, 0.02)
+    with pytest.raises(GridLeakageError) as engine:
+        run_qmsl_ensemble(*args)
+    with pytest.raises(GridLeakageError) as oracle:
+        qmsl_exact_time_lockstep(*args)
+    worst, t = _leak_report(engine)
+    assert t == _leak_report(oracle)[1] == "1.92"
+    assert worst == pytest.approx(_leak_report(oracle)[0], rel=1e-6)
+    # without hits the same state leaks only later
+    no_hits = (psi, h, CollapseParams(1e-12, 0.1, 1.0, dimension=1), 3.0, 1, 2, 0.02)
+    with pytest.raises(GridLeakageError) as unhit:
+        run_qmsl_ensemble(*no_hits)
+    assert float(_leak_report(unhit)[1]) > 2.0
+
+
+def test_long_run_memory_does_not_grow_with_steps():
+    # 5000 steps on a 2048-point grid: the edge taps of all steps would be
+    # 328 MB; a window's taps fill one tile
+    psi = two_packet_state(2048, 0.05, -51.2, 20.0, (-3.0, 3.0), 0.45)
+    params = CollapseParams(1e-12, 1.0, 1.0, dimension=1)
+    tracemalloc.start()
+    try:
+        res = run_qmsl_ensemble(
+            psi, HamiltonianSpec.free(), params, 5.0, 2, 3, 0.001, accumulate_kernel=False
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.hit_counts.sum() == 0
+    assert peak < 2 * TILE_BYTES
 
 
 def test_ensemble_harmonic_matches_split_step_evolve():
