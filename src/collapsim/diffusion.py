@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.mixins import NDArrayOperatorsMixin
 
+from .cooking import linear_exact_commuting, systematic_resample
 from .errors import ConfigError, StabilityError
 from .noise import require_memory, wiener_increment_block
 from .operators import ProjectorFamily
@@ -73,25 +74,19 @@ class CslStepper:
         object.__setattr__(self, "_a_sq_sum", np.sum(table**2, axis=0).tolist())
 
     def step_batch(
-        self,
-        psis: np.ndarray,
-        dbs: np.ndarray,
-        h_matrix: np.ndarray | None = None,
-        ws: StepWorkspace | None = None,
+        self, psis: np.ndarray, dbs: np.ndarray, h_matrix: np.ndarray | None, ws: StepWorkspace
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance a (n, d) block of normalized states by one step.
+        """Advance a (n, d) block of normalized states by one step through
+        the workspace ``ws`` made for this stepper, ``h_matrix`` and n rows.
         Returns the column-major (n, d) states and d log||psi||^2 per row,
-        zero by construction for nonlinear forms.
+        zero by construction for nonlinear forms: the workspace's arrays,
+        the states overwritten two steps later, dlog at the next step.
 
         The step works on the d basis columns and the channel columns of
         ``dbs``, one 1-D array each: sums over basis indices and channels
         are column additions in the order numpy reduces a row.  Real rows
-        stay real when there is no Hamiltonian.  With a workspace ``ws``
-        the step allocates nothing and returns the workspace's arrays: the
-        states are overwritten two steps later, dlog at the next step.
-        Without one both are fresh arrays.
+        stay real when there is no Hamiltonian.  The step allocates nothing.
         """
-        ws = StepWorkspace(self, psis, h_matrix) if ws is None else ws
         if ws.stepper is not self or ws.h_matrix is not h_matrix:
             raise ValueError("the workspace was made for another stepper or Hamiltonian")
         side = 1 if psis is ws.slabs[1] else 0
@@ -355,6 +350,14 @@ def _initial_rows(psi0: np.ndarray, h_matrix: np.ndarray | None) -> np.ndarray:
     return psi0.astype(complex)
 
 
+def _sector_rows(family: ProjectorFamily, cols: np.ndarray) -> np.ndarray:
+    """``family.sector_weights``, as (n_sectors, n), of the rows whose basis
+    columns are the rows of ``cols`` (a slab's contiguous rows, so no
+    gather): the same squares, summed left to right as it sums them."""
+    return np.array([sum(_abs2(cols[j]) for j in np.atleast_1d(idx).ravel())
+                     for idx in family.sectors])
+
+
 def _check_finite(z: np.ndarray, logw: np.ndarray, step: int) -> None:
     """Raise StabilityError when an amplitude (seen through the sector
     weights of its normalized row) or a log-weight is NaN or infinite."""
@@ -370,6 +373,7 @@ class _Ensemble:
                  n_traj: int, record_every: int | None, h_matrix) -> None:
         self.stepper, self.psi0, self.every = stepper, psi0, record_every
         self.h_matrix, self.ws = h_matrix, None
+        self.exact = stepper.form == "linear" and h_matrix is None
         n_rec, dim = (steps // record_every if record_every else 0), psi0.shape[0]
         self.res = EnsembleResult(
             np.empty((n_traj, dim), dtype=complex),
@@ -384,35 +388,39 @@ class _Ensemble:
     def start(self, m: int) -> None:
         self.psis, self.lw = np.tile(self.psi0, (m, 1)), np.zeros(m)
         self.done = np.full(m, -1, dtype=int)
-        if self.ws is None or self.ws.dlog.shape[0] != m:
+        if not self.exact and (self.ws is None or self.ws.dlog.shape[0] != m):
             self.ws = StepWorkspace(self.stepper, self.psis, self.h_matrix)
 
     def advance(self, block: np.ndarray, k0: int, idx: np.ndarray) -> None:
-        """Step the chunk through ``block``, whose first row is step k0 + 1,
-        checking finiteness and marking collapses every 16 steps and at
-        the block's end."""
-        stepper, every, psis, lw, done = self.stepper, self.every, self.psis, self.lw, self.done
-        weights, h_matrix, ws = stepper.family.sector_weights, self.h_matrix, self.ws
-        linear = stepper.form == "linear"
-        for s, db in enumerate(block, 1):
-            psis, dlog = stepper.step_batch(psis, db, h_matrix, ws)
-            if linear:
+        """Take the chunk through ``block``, whose first row is step k0 + 1,
+        a segment at a time: one exact update by the summed increments for
+        a linear form without Hamiltonian, else step by step.  Segments end
+        at record steps, where z is recorded, and every 16 steps and at the
+        block's end, where finiteness is checked and collapses marked."""
+        stepper, fam, every, lw = self.stepper, self.stepper.family, self.every, self.lw
+        ends = [s for s in range(1, len(block) + 1) if (k0 + s) % 16 == 0
+                or s == len(block) or (every and (k0 + s) % every == 0)]
+        for s0, s in zip([0] + ends, ends):
+            if self.exact:
+                x, f = block[s0:s].sum(axis=0), (s - s0) * stepper.dt
+                self.psis, dlog = linear_exact_commuting(self.psis, fam, x, stepper.gamma, f)
                 lw += dlog
-            k = k0 + s
+            else:
+                for db in block[s0:s]:
+                    self.psis, dlog = stepper.step_batch(self.psis, db, self.h_matrix, self.ws)
+                    if stepper.form == "linear":
+                        lw += dlog
+            k, z = k0 + s, _sector_rows(fam, self.psis.T)
             if every and k % every == 0:
-                self.res.z_history[k // every - 1, idx] = weights(psis)
+                self.res.z_history[k // every - 1, idx] = z.T
             if k % 16 == 0 or s == len(block):
-                z = weights(psis)
                 _check_finite(z, lw, k)
-                newly = (done < 0) & (z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL)
-                done[newly] = k
-        self.psis = psis
+                newly = (self.done < 0) & (np.max(z, axis=0) >= 1.0 - REDUCTION_COMPLETE_TOL)
+                self.done[newly] = k
 
     def resample(self, master_seed: int, k: int) -> None:
         """Cooked reweighting at step k: descendants take their ancestor's
         state and collapse step, and every log-weight restarts at zero."""
-        from .cooking import systematic_resample
-
         picked = systematic_resample(self.lw, master_seed, k)
         self.psis, self.done = self.psis[picked], self.done[picked]
         self.lw[:] = 0.0
@@ -458,6 +466,11 @@ def run_ensemble(
     For the linear form the returned density is the raw average of the
     unnormalized projectors (equivalently the cooked-weighted average of
     the normalized ones); for the nonlinear form it is the plain average.
+    A linear ensemble without ``h_matrix`` is not Euler-stepped: the
+    couplings commute, so between two check or record points each row
+    takes the exact update ``linear_exact_commuting`` by its summed
+    increments, free of step-size error.  Every other ensemble is stepped
+    by ``CslStepper.step_batch``.
 
     The noise is drawn one window at a time, ``resample_every`` steps or
     the whole run: window w of trajectory i is the stream (traj_offset +

@@ -162,8 +162,10 @@ def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
             res.events[:, 1:].tolist(),
         )
         return
-    x = psi0.positions
-    right_mass = (np.abs(res.amplitudes) ** 2 * dx) @ (x > 0.5 * (centers[0] + centers[1]))
+    right = psi0.positions > 0.5 * (centers[0] + centers[1])
+    # one |psi|^2 dx buffer and one product: a product per tile of rows rounds differently
+    mass = np.abs(res.amplitudes)
+    right_mass = np.multiply(np.square(mass, out=mass), dx, out=mass) @ right
     rows = [
         (int(j), int(res.hit_counts[j]), float(right_mass[j]), int(right_mass[j] > 0.5))
         for j in range(run.trajectories)

@@ -88,8 +88,8 @@ EXACT_FAMILIES = {
 def _steps_against_reference(family, form, calculus, complex_psi, hamiltonian, seed):
     """Three steps of the stepper and of the reference from the same rows
     and increments: per step (states, dlog, reference states, reference dlog).
-    The stepper also takes the three steps through one reused workspace,
-    which must give the same arrays."""
+    The stepper takes each step through a fresh workspace and all three
+    through one reused workspace, which must give the same arrays."""
     rng = np.random.default_rng(seed)
     a_max = float(np.max(np.abs(family.eigenvalues)))
     stepper = CslStepper(family, 0.9, 0.008 / a_max**2, form, calculus)
@@ -105,7 +105,7 @@ def _steps_against_reference(family, form, calculus, complex_psi, hamiltonian, s
     steps = []
     for _ in range(3):
         dbs = rng.normal(0.0, np.sqrt(stepper.gamma * stepper.dt), (n, family.channel_count))
-        a, dlog_a = stepper.step_batch(a, dbs, h)
+        a, dlog_a = stepper.step_batch(a, dbs, h, StepWorkspace(stepper, a, h))
         b, dlog_b = step_batch_reference(stepper, b, dbs, h)
         c, dlog_c = stepper.step_batch(c, dbs, h, ws)
         assert np.array_equal(c, a) and np.array_equal(dlog_c, dlog_a)
@@ -196,21 +196,58 @@ def test_run_ensemble_rejects_an_empty_ensemble():
 
 @pytest.mark.parametrize("form", ["linear", "nonlinear"])
 def test_run_ensemble_equals_reference_steps(form):
-    # a real psi0 runs on float64 rows; the result matches complex rows
-    # stepped by the reference with the same increments
+    # a real psi0 runs on float64 rows; the nonlinear result matches
+    # complex rows stepped by the reference with the same increments, the
+    # linear one (not stepped) the exact update by the summed increments
     psi0 = np.sqrt(np.array([0.3, 0.7]))
     stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form=form)
     res = run_ensemble(psi0, stepper, 40, 50, master_seed=3, chunk=32, record_every=20)
-    psis = np.tile(psi0.astype(complex), (50, 1))
-    logw = np.zeros(50)
     block = wiener_increment_block(3, np.arange(50), 40, 1, 1.0, 0.005)
-    for k in range(40):
-        psis, dlog = step_batch_reference(stepper, psis, block[k])
-        logw += dlog
     assert res.final_states.dtype == complex
+    if form == "linear":
+        psis, logw = linear_exact_commuting(psi0, TWO, block.sum(axis=0), 1.0, 40 * 0.005)
+        assert np.max(np.abs(res.final_states - psis)) <= 1e-12
+        assert np.max(np.abs(res.log_weights - logw)) <= 1e-10
+        assert np.max(np.abs(res.z_history[-1] - TWO.sector_weights(psis))) <= 1e-12
+        return
+    psis = np.tile(psi0.astype(complex), (50, 1))
+    for k in range(40):
+        psis, _ = step_batch_reference(stepper, psis, block[k])
     assert np.array_equal(res.final_states, psis)
-    assert np.array_equal(res.log_weights, logw)
+    assert np.array_equal(res.log_weights, np.zeros(50))
     assert np.array_equal(res.z_history[-1], TWO.sector_weights(psis))
+
+
+@pytest.mark.parametrize("chunk", [16, 64])
+def test_linear_run_without_h_is_the_exact_update_by_summed_increments(chunk):
+    # three sectors, two channels; the run is cut into segments at every
+    # record step (10) and every 16 steps, and each row of every chunk
+    # ends where one exact update by its whole increment sum takes it
+    fam = EXACT_FAMILIES["diagonal-3-sectors-2-channels"]
+    psi0 = np.sqrt(np.array([0.1, 0.2, 0.3, 0.4]))
+    gamma, dt, steps, n = 0.9, 0.002, 90, 100
+    stepper = CslStepper(fam, gamma, dt, form="linear")
+    res = run_ensemble(psi0, stepper, steps, n, 12, chunk=chunk, record_every=10)
+    block = wiener_increment_block(12, np.arange(n), steps, 2, gamma, dt)
+    exact, logw = linear_exact_commuting(psi0, fam, block.sum(axis=0), gamma, steps * dt)
+    assert np.max(np.abs(res.final_states - exact)) <= 1e-12
+    assert np.max(np.abs(res.log_weights - logw)) <= 1e-10
+    at_40, _ = linear_exact_commuting(psi0, fam, block[:40].sum(axis=0), gamma, 40 * dt)
+    assert np.max(np.abs(res.z_history[3] - fam.sector_weights(at_40))) <= 1e-12
+    # the segments do not depend on the chunk, so neither do the bits
+    whole = run_ensemble(psi0, stepper, steps, n, 12, record_every=10)
+    for field in ("final_states", "log_weights", "z_history", "mean_density"):
+        assert np.array_equal(getattr(res, field), getattr(whole, field)), field
+
+
+def test_run_ensemble_z_sums_a_sector_as_sector_weights_does():
+    # z is read from the workspace's slab rows; over a sector of nine
+    # basis states its sum runs left to right, bit for bit the sum of
+    # family.sector_weights (a pairwise sum would differ in the last bit)
+    fam = ProjectorFamily.diagonal(np.array([[1.0] * 9 + [-1.0, 0.5, -1.0]]))
+    res = run_ensemble(np.full(12, 12**-0.5), CslStepper(fam, 1.0, 0.002), 32, 64, 5,
+                       record_every=32)
+    assert np.array_equal(res.z_history[-1], fam.sector_weights(res.final_states))
 
 
 def _nan_block(*args, **kwargs):
@@ -274,8 +311,9 @@ def test_shared_runner_in_one_window_equals_the_plain_runs(every):
 
 def test_shared_runner_steps_both_forms_through_window_keyed_streams():
     # reference: window w of every slot drawn by wiener_increment_block
-    # (window=w), both forms stepped through it by the row-wise step, the
-    # linear one resampled at each inner window boundary
+    # (window=w), the nonlinear form stepped through it by the row-wise
+    # step, the linear one updated exactly by the window's increment sum
+    # and resampled at each inner window boundary
     psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
     steppers = tuple(
         CslStepper(TWO, gamma=1.0, dt=0.005, form=f) for f in ("linear", "nonlinear")
@@ -283,20 +321,42 @@ def test_shared_runner_steps_both_forms_through_window_keyed_streams():
     n, steps, every, seed = 64, 50, 20, 17
     lin, non = run_ensemble(psi0, steppers, steps, n, seed, resample_every=every)
     psis = [np.tile(psi0, (n, 1)) for _ in steppers]
-    logw = np.zeros(n)
     for w, k0 in enumerate(range(0, steps, every)):
         take = min(every, steps - k0)
         block = wiener_increment_block(seed, np.arange(n), take, 1, 1.0, 0.005, window=w)
+        psis[0], logw = linear_exact_commuting(psis[0], TWO, block.sum(axis=0), 1.0, take * 0.005)
         for k in range(take):
-            psis[0], dlog = step_batch_reference(steppers[0], psis[0], block[k])
-            logw += dlog
             psis[1], _ = step_batch_reference(steppers[1], psis[1], block[k])
         if k0 + take < steps:
             psis[0] = psis[0][systematic_resample(logw, seed, k0 + take)]
-            logw[:] = 0.0
-    assert np.array_equal(lin.final_states, psis[0])
-    assert np.array_equal(lin.log_weights, logw)
+    assert np.max(np.abs(lin.final_states - psis[0])) <= 1e-12
+    assert np.max(np.abs(lin.log_weights - logw)) <= 1e-10
     assert np.array_equal(non.final_states, psis[1])
+
+
+LINEAR_COOKED_SD = 0.0126
+"""sd of the cooked linear frequency of csl-equivalence at its bench config
+(1e4 trajectories, 750 steps of 0.002, resampled every 100), over seeds
+100-239 with the exact linear update; its mean offset from the exact
+value there was -0.0003 +- 0.0011."""
+
+
+def test_cooked_linear_frequency_matches_the_exact_law():
+    # cooked, the two-level record B(T) is the mixture over sectors of
+    # N(2 gamma a T, gamma T) weighted by p (Girsanov), and z_0(T) > 1/2
+    # exactly when B(T) > c = ln(p_1 / p_0) / 4
+    from scipy.special import ndtr
+
+    p, gamma, dt, steps = np.array([0.3, 0.7]), 1.0, 0.002, 750
+    t, c = steps * dt, np.log(p[1] / p[0]) / 4.0
+    exact = sum(w * ndtr((2.0 * gamma * t * a - c) / np.sqrt(gamma * t))
+                for w, a in zip(p, (1.0, -1.0)))
+    assert exact == pytest.approx(0.29963, abs=5e-6)
+    stepper = CslStepper(TWO, gamma, dt, form="linear")
+    res = run_ensemble(np.sqrt(p), stepper, steps, 10_000, 20, resample_every=100)
+    w = np.exp(res.log_weights - res.log_weights.max())
+    f_lin = np.sum(w * (TWO.sector_weights(res.final_states)[:, 0] > 0.5)) / w.sum()
+    assert abs(f_lin - exact) <= 4.0 * LINEAR_COOKED_SD
 
 
 def test_wiener_block_windows_are_disjoint_counter_keyed_streams():
