@@ -11,7 +11,6 @@ from .errors import (
     DimensionMismatchError,
     GridLeakageError,
     IncompatibleHamiltonianError,
-    NonCommutingError,
     StabilityError,
     StatisticalPreconditionError,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "GridWavefunction",
     "HamiltonianSpec",
     "IncompatibleHamiltonianError",
-    "NonCommutingError",
     "ProjectorFamily",
     "StabilityError",
     "StatisticalPreconditionError",

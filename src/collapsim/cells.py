@@ -48,10 +48,6 @@ class CellModel:
         )
 
     @property
-    def cell_count(self) -> int:
-        return self.occupations.shape[1]
-
-    @property
     def n_configurations(self) -> int:
         return self.occupations.shape[0]
 

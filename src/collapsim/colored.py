@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cooking import linear_exact_commuting
-from .errors import DimensionMismatchError, NonCommutingError
-from .noise import NoisePath, wiener_increment_block
+from .noise import wiener_increment_block
 from .operators import ProjectorFamily
-
-DEFAULT_TEMPORAL_WIDTH = 9e20
-"""Suggested inverse-squared correlation-time scale (s^-2): the squared
-speed of light times the canonical inverse localization area.  A
-documented default, not a model requirement."""
 
 _PSD_TOL = -1e-8
 
@@ -202,23 +196,6 @@ def colored_increment_block(
     return w
 
 
-def sample_colored_path(
-    spec: CorrelationSpec,
-    steps: int,
-    dt: float,
-    gamma: float,
-    master_seed: int,
-    traj_index: int = 0,
-    channels: int = 1,
-) -> NoisePath:
-    """Row ``traj_index`` of ``colored_increment_block``, as one path."""
-    inc = colored_increment_block(
-        spec, master_seed, [traj_index], steps, channels, gamma, dt
-    )
-    kind = "white" if spec.kind == "white" else f"colored:{spec.kind}"
-    return NoisePath(master_seed, traj_index, dt, gamma, inc[:, 0], kind=kind)
-
-
 def colored_damping_factor(
     family: ProjectorFamily,
     spec: CorrelationSpec,
@@ -257,45 +234,6 @@ def colored_instantaneous_rate(
     if t_since_start is None:
         return 0.5 * gamma * quad
     return gamma * quad * spec.single_integral(t_since_start)
-
-
-def commuting_nonwhite_step(
-    psi: np.ndarray,
-    family: ProjectorFamily,
-    path_increment: np.ndarray,
-    gamma: float,
-    spec: CorrelationSpec,
-    f_increment: float,
-    h_matrix: np.ndarray | None = None,
-    dt: float = 0.0,
-) -> tuple[np.ndarray, float]:
-    """Exact exponential update over one step of the solvable regime.
-
-    Each sector amplitude is multiplied by
-    exp(a_sigma . dx - gamma |a_sigma|^2 df), where dx is the integrated
-    noise increment over the step and df the increment of the kernel's
-    double integral.  Requires H = 0 or [H, A_i] = 0; a commuting matrix
-    Hamiltonian is applied as its own exact unitary factor over ``dt``.
-
-    Returns (normalized state, log||psi||^2 increment).
-    """
-    dx = np.atleast_1d(np.asarray(path_increment, dtype=float))
-    if dx.shape[0] != family.channel_count:
-        raise DimensionMismatchError("one increment per channel required")
-    if h_matrix is not None:
-        h = np.asarray(h_matrix, dtype=complex)
-        for a in family.channel_matrices():
-            if np.max(np.abs(h @ a - a @ h)) > 1e-10:
-                raise NonCommutingError(
-                    "colored dynamics with non-commuting Hamiltonian has no "
-                    "closed solution; refusing to approximate silently"
-                )
-    out, log_norm_sq = linear_exact_commuting(psi, family, dx, gamma, f_increment)
-    if h_matrix is not None and dt > 0:
-        from scipy.linalg import expm
-
-        out = expm(-1j * h * dt) @ out
-    return out, log_norm_sq
 
 
 def run_commuting_nonwhite_ensemble(

@@ -33,15 +33,12 @@ _RIGHT = ProjectorFamily(np.array([[-1.0], [1.0]]), (np.array([0]), np.array([1]
 _SINGLET = np.array([1.0, -1.0]) / np.sqrt(2.0)
 
 
-def _nonlinear_outcomes_batch(
-    psis: np.ndarray, family: ProjectorFamily, stepper: CslStepper, blocks: np.ndarray
-) -> np.ndarray:
-    """Evolve a (n, d) batch along per-seed noise blocks (steps, n, 1);
-    returns the winning sector per row."""
+def _evolve_batch(psis: np.ndarray, stepper: CslStepper, blocks: np.ndarray) -> np.ndarray:
+    """Step a (n, d) batch along per-seed noise blocks (steps, n, 1)."""
     ws = StepWorkspace(stepper, psis)
     for k in range(blocks.shape[0]):
         psis, _ = stepper.step_batch(psis, blocks[k], None, ws)
-    return np.argmax(family.sector_weights(psis), axis=1)
+    return psis
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,6 @@ def epr_nonlinear_experiment(
     t_end: float,
     master_seed: int,
     steps: int = 400,
-    detector_on: bool = True,
 ) -> NonlinearEprResult:
     """Conditional probability of left outcome -1 given the left-noise
     class that yields +1 on the bare singlet.
@@ -81,28 +77,21 @@ def epr_nonlinear_experiment(
     db_left, db_right = block[..., :1], block[..., 1:]  # channel 0 left, 1 right
     singlets = np.tile(_SINGLET, (n_seeds, 1))
     # class membership: replay each left-noise path against the bare singlet
-    bare = _nonlinear_outcomes_batch(singlets, _LEFT, stepper_l, db_left)
-    in_class = bare == 0  # w~_L: left outcome +1 on the bare singlet
+    bare = _LEFT.sector_weights(_evolve_batch(singlets, stepper_l, db_left))
+    in_class = np.argmax(bare, axis=1) == 0  # w~_L: left outcome +1 on the bare singlet
     n_class = int(in_class.sum())
     if n_class < MIN_CONDITIONING_SAMPLES:
         raise StatisticalPreconditionError(
             f"only {n_class} conditioning samples (< {MIN_CONDITIONING_SAMPLES})"
         )
-    # detector off: stage 1 leaves the singlet untouched, so the left
-    # outcome in the class is +1 by construction
-    p_off = 0.0
-    p_on = 0.0
-    if detector_on:
-        after_right, ws = singlets, StepWorkspace(stepper_r, singlets)
-        for k in range(steps):
-            after_right, _ = stepper_r.step_batch(after_right, db_right[k], None, ws)
-        on_outcomes = _nonlinear_outcomes_batch(
-            after_right, _LEFT, stepper_l, db_left
-        )
-        p_on = float(np.mean(on_outcomes[in_class] != 0))
+    # detector on: the right measurement collapses the singlet first
+    after_right = _evolve_batch(singlets, stepper_r, db_right)
+    on = _LEFT.sector_weights(_evolve_batch(after_right, stepper_l, db_left))
     return NonlinearEprResult(
-        p_minus_detector_off=p_off,
-        p_minus_detector_on=p_on,
+        # detector off: stage 1 leaves the singlet untouched, so the left
+        # outcome in the class is +1 by construction
+        p_minus_detector_off=0.0,
+        p_minus_detector_on=float(np.mean(np.argmax(on, axis=1)[in_class] != 0)),
         class_frequency=n_class / n_seeds,
         n_conditioning=n_class,
     )

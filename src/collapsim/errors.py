@@ -28,11 +28,6 @@ class DimensionMismatchError(CollapsimError):
     """Raised on operator/state dimension mismatches."""
 
 
-class NonCommutingError(CollapsimError):
-    """Raised when colored-noise dynamics is requested outside the exactly
-    solvable commuting regime."""
-
-
 class StatisticalPreconditionError(CollapsimError):
     """Raised when an experiment cannot produce a statistically meaningful
     estimate (e.g. too few conditioning samples)."""

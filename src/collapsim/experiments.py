@@ -95,9 +95,10 @@ def plan(cfg: ExperimentConfig) -> tuple[list[str], Iterator]:
     and the runner paused before its first random draw.
 
     A malformed config raises ConfigError, also where building a stepper,
-    grid or kernel raises ValueError or overflows, where the run's arrays
-    would not fit in memory, or where a kernel file cannot be read; a step
-    past the stability limit raises StabilityError.
+    grid, kernel or closed form raises ValueError or ArithmeticError (an
+    overflow or a division by zero), where the run's arrays would not fit
+    in memory, or where a kernel file cannot be read; a step past the
+    stability limit raises StabilityError.
     """
     table, default_trajectories, runner = TABLES[cfg.experiment]
     p = read_params(cfg, table)
@@ -107,8 +108,8 @@ def plan(cfg: ExperimentConfig) -> tuple[list[str], Iterator]:
         return next(steps) or [], steps
     except (ValueError, OSError) as exc:
         raise ConfigError(f"{cfg.experiment}: {exc}") from exc
-    except OverflowError as exc:
-        raise ConfigError(f"{cfg.experiment}: a parameter overflows: {exc}") from exc
+    except ArithmeticError as exc:
+        raise ConfigError(f"{cfg.experiment}: a closed form fails: {exc}") from exc
 
 
 def run_experiment(cfg: ExperimentConfig) -> TableOutput | dict:
@@ -476,9 +477,8 @@ def run_rates_report(p: dict, run: Settings) -> Iterator:
     micro = CollapseParams.consistent(lam, alpha)
     lam_macro = com_amplified_rate(lam, n_macro)
     macro = CollapseParams.consistent(lam_macro, alpha)
-    yield
     t1, t2 = characteristic_times(macro, 1.0, 1e-5, 1.0, hbar=HBAR_CGS)
-    yield {
+    record = {  # built with the plan, so an overflowing input is a config error
         "inputs": {
             "lambda_micro_per_s": lam,
             "alpha_per_cm2": alpha,
@@ -506,6 +506,8 @@ def run_rates_report(p: dict, run: Settings) -> Iterator:
         "diosi_rate_per_s": diosi_rate(1.0, 1.0, 1e-5),
         "condenser_decay_rate_per_s": condenser_decay_rate(params=micro),
     }
+    yield
+    yield record
 
 
 @experiment("decoherence-table", params={})

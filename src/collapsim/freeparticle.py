@@ -8,8 +8,6 @@ calculators take hbar explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IncompatibleHamiltonianError
@@ -54,22 +52,6 @@ def damping_factor(
     lam = params.lambda_rate
     integral = damping_time_integral(k, u, t, params.alpha, mass)
     return np.exp(lam * (integral - t))
-
-
-@dataclass(frozen=True)
-class FreeKernelSolution:
-    """Parameter bundle for the free-particle damping factor F(k, u, t).
-
-    F(k, 0, t) lies in (exp(-lambda t), 1] and F is symmetric under
-    (k, u) -> (-k, -u), which is what keeps the evolved kernel Hermitian.
-    """
-
-    params: CollapseParams
-    mass: float
-    t: float
-
-    def factor(self, k: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return damping_factor(k, u, self.t, self.params, self.mass)
 
 
 def evolve_schrodinger_kernel(

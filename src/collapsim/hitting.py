@@ -31,18 +31,6 @@ def _gaussian_factor(psi: GridWavefunction, x, alpha: float) -> np.ndarray:
     return (alpha / np.pi) ** 0.25 * np.exp(-0.5 * alpha * u**2)
 
 
-def localization_operator_apply(
-    psi: GridWavefunction, x: float, alpha: float
-) -> GridWavefunction:
-    """Apply the (norm-reducing) localization operator L_x; no renormalization.
-
-    The 1D normalization (alpha/pi)^(1/4) makes int dx L_x^2 = 1.
-    """
-    if not (psi.x0 <= x < psi.x0 + psi.length):
-        raise ValueError(f"hit center {x} outside grid [{psi.x0}, {psi.x0 + psi.length})")
-    return psi.with_amplitudes(_gaussian_factor(psi, x, alpha) * psi.amplitudes)
-
-
 def hitting_density(
     psi: GridWavefunction, alpha: float, amplitudes: np.ndarray | None = None
 ) -> np.ndarray:

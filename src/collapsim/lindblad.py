@@ -41,14 +41,12 @@ def lindblad_evolve(
     family: ProjectorFamily | list[np.ndarray],
     gamma: float,
     t: float,
-    sample_times: np.ndarray | None = None,
-) -> DensityMatrix | list[DensityMatrix]:
+) -> DensityMatrix:
     """Evolve a finite density matrix under the ensemble generator.
 
     ``family`` may be a ProjectorFamily (channels become the coupling
     operators) or an explicit operator list.  Trace is conserved within
     1e-9 and positivity within -1e-8; the evolved matrix is validated.
-    If ``sample_times`` is given, a list of snapshots is returned.
     """
     from scipy.linalg import expm
 
@@ -67,26 +65,7 @@ def lindblad_evolve(
         gamma,
         dim,
     )
-    vec0 = rho0.entries.reshape(-1)
-    if sample_times is None:
-        rho = (expm(gen * t) @ vec0).reshape(dim, dim)
-        return DensityMatrix(rho, "finite").validate(
-            herm_tol=1e-9, trace_tol=1e-9, eig_tol=-1e-8
-        )
-    out = []
-    for tk in sample_times:
-        rho = (expm(gen * tk) @ vec0).reshape(dim, dim)
-        out.append(
-            DensityMatrix(rho, "finite").validate(
-                herm_tol=1e-9, trace_tol=1e-9, eig_tol=-1e-8
-            )
-        )
-    return out
-
-
-def offdiag_decay_rate(
-    family: ProjectorFamily, gamma: float, sector_a: int, sector_b: int
-) -> float:
-    """H = 0 decay rate of <alpha|rho|beta>: (gamma/2) sum_i (a_i - b_i)^2."""
-    diff = family.eigenvalues[sector_a] - family.eigenvalues[sector_b]
-    return 0.5 * gamma * float(diff @ diff)
+    rho = (expm(gen * t) @ rho0.entries.reshape(-1)).reshape(dim, dim)
+    return DensityMatrix(rho, "finite").validate(
+        herm_tol=1e-9, trace_tol=1e-9, eig_tol=-1e-8
+    )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # lazy in numpy; every run here draws from it, so load it at import
@@ -34,39 +33,6 @@ def trajectory_generator(
     counter = np.array([0, 0, window, purpose], dtype=np.uint64)
     key = np.array([master_seed, traj_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """One discretized noise realization.
-
-    ``increments`` has shape (steps, channels) and integrates the driving
-    process: for white noise these are Wiener increments dB with variance
-    gamma*dt per channel; for colored noise they are w(t_k)*dt for the
-    sampled process values.  Reconstruction from (seed, traj_index, dt,
-    steps) is bit-identical.
-    """
-
-    seed: int
-    traj_index: int
-    dt: float
-    gamma: float
-    increments: np.ndarray
-    kind: str = "white"
-
-    def __post_init__(self) -> None:
-        inc = np.atleast_2d(np.asarray(self.increments, dtype=float))
-        object.__setattr__(self, "increments", inc)
-        if not (self.dt > 0.0 and self.gamma > 0.0):
-            raise ValueError("dt and gamma must be strictly positive")
-
-    @property
-    def steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.increments.shape[1]
 
 
 def wiener_increment_block(

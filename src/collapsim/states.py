@@ -8,7 +8,7 @@ state (a leakage monitor raises instead of silently wrapping).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -77,9 +77,6 @@ class GridWavefunction:
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "GridWavefunction":
         return replace(self, amplitudes=amplitudes)
-
-    def probability_density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
     def check_leakage(self) -> None:
         """Raise if the boundary amplitude exceeds the configured threshold."""
@@ -223,16 +220,3 @@ def density_from_ensemble(
         rho += w * np.outer(psi, psi.conj())
     return DensityMatrix(rho, "finite")
 
-
-def interleaved_columns(amplitudes: np.ndarray) -> np.ndarray:
-    """Serialize a complex array as interleaved (re, im) real columns."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    out = np.empty((amps.shape[0], 2), dtype=float)
-    out[:, 0] = amps.real
-    out[:, 1] = amps.imag
-    return out
-
-
-def from_interleaved_columns(columns: Sequence[Sequence[float]]) -> np.ndarray:
-    arr = np.asarray(columns, dtype=float)
-    return arr[:, 0] + 1j * arr[:, 1]

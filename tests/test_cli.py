@@ -312,6 +312,11 @@ BASES = {
         "experiment = qmsl-master\noutput = master\n[params]\nn = 64\ndx = 0.1\n"
         "mass = 1.0\nsigma = 0.5\nalpha = 1.0\nlambda = 1.0\ntimes = 0.0, 1.0\n"
     ),
+    "rates": (  # every key at its default
+        "experiment = rates-report\noutput = rates\n[params]\nlambda = 1e-16\n"
+        "alpha = 1e10\ngamma = 1e-30\ndensity = 1e24\nn_out = 1e13\nn_macro = 1e23\n"
+        "mass = 1e-23\nseparation = 4e-5\n"
+    ),
 }
 
 
@@ -336,6 +341,9 @@ BASES = {
         ("born", "steps = 600", "steps = 1e300"),
         ("master", "mass = 1.0", "mass = 1e300"),
         ("equivalence", "steps = 600", "steps = 1e12\nresample_every = 1e12"),
+        ("master", "mass = 1.0", "mass = 1e-300"),
+        ("master", "sigma = 0.5", "sigma = 1e-300"),
+        ("rates", "density = 1e24", "density = 1e308"),
     ],
     ids=[
         "steps-text", "steps-negative", "weights-scalar", "trajectories-negative",
@@ -343,6 +351,7 @@ BASES = {
         "kernel-file-missing", "grid-not-power-of-two", "t_end-not-whole-steps",
         "no-cells", "occupation-lengths-differ", "epr-no-steps",
         "steps-past-memory", "mass-overflows", "equivalence-window-past-memory",
+        "mass-divides-by-zero", "sigma-divides-by-zero", "density-overflows",
     ],
 )
 def test_cli_malformed_value_exit_2_when_run_and_validated(
@@ -468,6 +477,10 @@ SMALL = {
     # samples; a fuzzed one may not (exit 4)
     "epr": "experiment = epr\nseed = 5\ntrajectories = 1200\n[params]\n"
     "gamma = 1.0\nt_end = 0.4\nsteps = 40\n",
+    "qmsl-master": BASES["master"],
+    "rates-report": BASES["rates"],
+    # no [params] keys: every drawn key is an unknown name
+    "decoherence-table": "experiment = decoherence-table\noutput = table\n[params]\n",
 }
 
 # Magnitudes stay where a valid run is small: a step of 1e-300 is a valid
@@ -497,15 +510,16 @@ def _render(value) -> str:
 def test_cli_exit_code_contract_on_arbitrary_params(experiment, data):
     head, _, body = SMALL[experiment].partition("[params]\n")
     params = dict(line.split(" = ", 1) for line in body.splitlines())
-    replaced = data.draw(
-        st.dictionaries(st.sampled_from(sorted(params)), VALUES, min_size=1, max_size=3)
-    )
+    unknown = st.from_regex(r"[a-z]{1,8}", fullmatch=True)
+    keys = st.sampled_from(sorted(params)) if params else unknown
+    replaced = data.draw(st.dictionaries(keys, VALUES, min_size=1, max_size=3))
+    codes = (0, 2, 3, 4) if params else (2,)
     params.update({key: _render(value) for key, value in replaced.items()})
     text = head + "[params]\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "exp.cfg"
         path.write_text(text, encoding="utf-8")
-        assert main(["--config", str(path), "--out", out]) in (0, 2, 3, 4)
+        assert main(["--config", str(path), "--out", out]) in codes
 
 
 # ------------------------------------------------------------ import budget

@@ -8,12 +8,9 @@ from collapsim.colored import (
     colored_damping_factor,
     colored_increment_block,
     colored_instantaneous_rate,
-    commuting_nonwhite_step,
     run_commuting_nonwhite_ensemble,
-    sample_colored_path,
 )
 from collapsim.cooking import linear_exact_commuting, two_level_analytic
-from collapsim.errors import NonCommutingError
 from collapsim.noise import wiener_increment_block
 from collapsim.operators import ProjectorFamily
 
@@ -26,15 +23,15 @@ TWO = ProjectorFamily.two_level()
 
 
 def test_white_spec_falls_back_to_wiener():
-    a = sample_colored_path(CorrelationSpec.white(), 500, 0.01, 1.3, 42)
+    a = colored_increment_block(CorrelationSpec.white(), 42, [0], 500, 1, 1.3, 0.01)
     b = wiener_increment_block(42, [0], 500, 1, 1.3, 0.01)
-    assert np.array_equal(a.increments, b[:, 0])
+    assert np.array_equal(a, b)
 
 
 def test_exponential_autocorrelation():
     tau, dt, gamma = 0.5, 0.05, 2.0
-    path = sample_colored_path(CorrelationSpec.exponential(tau), 100_000, dt, gamma, 9)
-    w = path.increments[:, 0] / dt
+    spec = CorrelationSpec.exponential(tau)
+    w = colored_increment_block(spec, 9, [0], 100_000, 1, gamma, dt)[:, 0, 0] / dt
     assert np.var(w) == pytest.approx(gamma / (2 * tau), rel=0.02)
     for lag in (1, 2, 5):
         corr = np.mean(w[:-lag] * w[lag:]) / np.var(w)
@@ -60,14 +57,14 @@ def test_gaussian_kernel_small_tau_approaches_white_variance():
     [CorrelationSpec.white(), CorrelationSpec.exponential(0.3), CorrelationSpec.gaussian(0.2)],
     ids=["white", "exponential", "gaussian"],
 )
-def test_single_path_is_its_row_of_the_block(spec):
+def test_one_row_block_is_its_row_of_a_larger_block(spec):
     block = colored_increment_block(spec, 31, np.array([4, 0, 9]), 120, 2, 1.3, 0.01)
     for j, index in enumerate((4, 0, 9)):
-        path = sample_colored_path(spec, 120, 0.01, 1.3, 31, index, channels=2)
+        row = colored_increment_block(spec, 31, [index], 120, 2, 1.3, 0.01)[:, 0]
         if spec.kind == "gaussian":  # one Cholesky product for the batch
-            assert np.allclose(path.increments, block[:, j], rtol=0, atol=1e-12)
+            assert np.allclose(row, block[:, j], rtol=0, atol=1e-12)
         else:
-            assert np.array_equal(path.increments, block[:, j])
+            assert np.array_equal(row, block[:, j])
 
 
 def test_custom_kernel_psd_validation():
@@ -155,56 +152,10 @@ def test_colored_cooked_density_separation_grows():
 # ------------------------------------------------------- trajectory steps
 
 
-def test_white_step_matches_exact_linear_solution_shared_noise():
-    gamma, dt, steps = 1.0, 0.01, 300
-    spec = CorrelationSpec.white()
-    path = sample_colored_path(spec, steps, dt, gamma, 11)
-    psi = np.sqrt(np.array([0.4, 0.6], dtype=complex))
-    logw = 0.0
-    f_prev = 0.0
-    for k in range(steps):
-        f_now = spec.double_integral((k + 1) * dt)
-        psi, dlog = commuting_nonwhite_step(
-            psi, TWO, path.increments[k], gamma, spec, f_now - f_prev
-        )
-        logw += dlog
-        f_prev = f_now
-    exact, exact_logw = linear_exact_commuting(
-        np.sqrt(np.array([0.4, 0.6], dtype=complex)),
-        TWO,
-        np.array([float(path.increments.sum())]),
-        gamma,
-        steps * dt,
-    )
-    assert np.max(np.abs(psi - exact)) < 1e-10
-    assert logw == pytest.approx(exact_logw, abs=1e-10)
-
-
 def test_eigenstate_fixed_ray():
     psi = np.array([0.0, 1.0], dtype=complex)
-    spec = CorrelationSpec.exponential(0.4)
-    out, _ = commuting_nonwhite_step(psi, TWO, np.array([0.31]), 1.0, spec, 0.05)
+    out, _ = linear_exact_commuting(psi, TWO, np.array([0.31]), 1.0, 0.05)
     assert np.allclose(np.abs(out), np.abs(psi))
-
-
-def test_noncommuting_hamiltonian_rejected():
-    psi = np.sqrt(np.array([0.5, 0.5], dtype=complex))
-    h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    spec = CorrelationSpec.exponential(0.4)
-    with pytest.raises(NonCommutingError):
-        commuting_nonwhite_step(
-            psi, TWO, np.array([0.1]), 1.0, spec, 0.01, h_matrix=h, dt=0.01
-        )
-
-
-def test_commuting_hamiltonian_allowed():
-    psi = np.sqrt(np.array([0.5, 0.5], dtype=complex))
-    h = np.diag([0.3, -0.4]).astype(complex)  # commutes with the family
-    spec = CorrelationSpec.exponential(0.4)
-    out, _ = commuting_nonwhite_step(
-        psi, TWO, np.array([0.1]), 1.0, spec, 0.01, h_matrix=h, dt=0.01
-    )
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_ensemble_is_the_exact_update_of_each_summed_path():
@@ -215,7 +166,7 @@ def test_ensemble_is_the_exact_update_of_each_summed_path():
     states, logws = run_commuting_nonwhite_ensemble(psi0, fam, spec, 1.0, 2.0, 80, 314, 5)
     f = spec.double_integral(2.0)
     for j in range(5):
-        x = sample_colored_path(spec, 80, 2.0 / 80, 1.0, 314, j, channels=2).increments
+        x = colored_increment_block(spec, 314, [j], 80, 2, 1.0, 2.0 / 80)[:, 0]
         psi, logw = linear_exact_commuting(psi0, fam, x.sum(axis=0), 1.0, f)
         assert np.max(np.abs(psi - states[j])) < 1e-12
         assert logw == pytest.approx(logws[j], abs=1e-12)

@@ -18,7 +18,7 @@ from collapsim import (
     expectation,
     normalize,
 )
-from collapsim.colored import CorrelationSpec, sample_colored_path
+from collapsim.colored import CorrelationSpec, colored_increment_block
 from collapsim.noise import trajectory_generator
 from collapsim.schrodinger import (
     _kinetic_phase,
@@ -216,22 +216,22 @@ def test_hamiltonian_spec_validation():
 
 
 def test_wiener_variance_law_of_large_numbers():
-    path = sample_colored_path(WHITE, 10**6, 0.01, 1.0, 2024)
-    var = float(np.var(path.increments))
+    path = colored_increment_block(WHITE, 2024, [0], 10**6, 1, 1.0, 0.01)[:, 0]
+    var = float(np.var(path))
     assert abs(var - 0.01) / 0.01 < 0.005
 
 
 def test_wiener_determinism():
-    a = sample_colored_path(WHITE, 1000, 0.02, 0.5, 99, 7, 2)
-    b = sample_colored_path(WHITE, 1000, 0.02, 0.5, 99, 7, 2)
-    assert np.array_equal(a.increments, b.increments)
-    c = sample_colored_path(WHITE, 1000, 0.02, 0.5, 99, 8, 2)
-    assert not np.array_equal(a.increments, c.increments)
+    a = colored_increment_block(WHITE, 99, [7], 1000, 2, 0.5, 0.02)[:, 0]
+    b = colored_increment_block(WHITE, 99, [7], 1000, 2, 0.5, 0.02)[:, 0]
+    assert np.array_equal(a, b)
+    c = colored_increment_block(WHITE, 99, [8], 1000, 2, 0.5, 0.02)[:, 0]
+    assert not np.array_equal(a, c)
 
 
 def test_wiener_channel_independence():
-    path = sample_colored_path(WHITE, 200_000, 0.01, 1.0, 5, channels=2)
-    x, y = path.increments[:, 0], path.increments[:, 1]
+    path = colored_increment_block(WHITE, 5, [0], 200_000, 2, 1.0, 0.01)[:, 0]
+    x, y = path[:, 0], path[:, 1]
     cross = np.mean(x * y)
     # 3 sigma of zero for the empirical cross-covariance
     sigma = np.std(x * y) / np.sqrt(len(x))
@@ -348,17 +348,6 @@ def test_leakage_monitor_raises():
     psi = gaussian_packet(64, 0.25, -8.0, 1.0, -7.8, 0.5)
     with pytest.raises(Exception, match="boundary amplitude"):
         psi.check_leakage()
-
-
-def test_interleaved_serialization_round_trip():
-    from collapsim.states import from_interleaved_columns, interleaved_columns
-
-    rng = np.random.default_rng(17)
-    amps = rng.normal(size=12) + 1j * rng.normal(size=12)
-    cols = interleaved_columns(amps)
-    assert cols.shape == (12, 2)
-    back = from_interleaved_columns(cols)
-    assert np.array_equal(back, amps)
 
 
 def test_expectation_dimension_mismatch():

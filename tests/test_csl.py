@@ -7,7 +7,11 @@ import pytest
 
 from collapsim import DensityMatrix, StabilityError
 from collapsim.cells import CellModel, discrete_decay_exponent, discrete_decay_log
-from collapsim.colored import CorrelationSpec, sample_colored_path
+from collapsim.colored import (
+    CorrelationSpec,
+    colored_increment_block,
+    colored_instantaneous_rate,
+)
 from collapsim.cooking import linear_exact_commuting, systematic_resample, two_level_analytic
 from collapsim.diffusion import (
     CslStepper,
@@ -15,7 +19,7 @@ from collapsim.diffusion import (
     hermitian_phase_noise_ensemble,
     run_ensemble,
 )
-from collapsim.lindblad import lindblad_evolve, offdiag_decay_rate
+from collapsim.lindblad import lindblad_evolve
 from collapsim.macrobody import (
     MassDensitySpec,
     condenser_decay_rate,
@@ -426,12 +430,12 @@ def test_linear_eigenstate_fixed_ray_and_zero_eigenvalue_weight():
     fam = ProjectorFamily.two_level(a_plus=0.0, a_minus=1.5)
     stepper = CslStepper(fam, gamma=1.0, dt=0.004, form="linear")
     psi = np.array([1.0, 0.0], dtype=complex)  # eigenvalue-0 sector
-    path = sample_colored_path(WHITE, 200, 0.004, 1.0, 3)
+    path = colored_increment_block(WHITE, 3, [0], 200, 1, 1.0, 0.004)[:, 0]
     out = psi[None, :]  # a one-row batch
     ws = StepWorkspace(stepper, out)
     logw = 0.0
-    for k in range(path.steps):
-        out, dlog = stepper.step_batch(out, path.increments[k : k + 1], None, ws)
+    for k in range(len(path)):
+        out, dlog = stepper.step_batch(out, path[k : k + 1], None, ws)
         logw += dlog[0]
     assert np.allclose(out[0], psi)
     assert logw == pytest.approx(0.0, abs=1e-12)  # weight constant
@@ -440,11 +444,11 @@ def test_linear_eigenstate_fixed_ray_and_zero_eigenvalue_weight():
 def test_nonlinear_eigenstate_is_stationary():
     stepper = CslStepper(TWO, gamma=1.0, dt=0.004, form="nonlinear")
     psi = np.array([0.0, 1.0], dtype=complex)
-    path = sample_colored_path(WHITE, 200, 0.004, 1.0, 4)
+    path = colored_increment_block(WHITE, 4, [0], 200, 1, 1.0, 0.004)[:, 0]
     out = psi[None, :]
     ws = StepWorkspace(stepper, out)
-    for k in range(path.steps):
-        out = stepper.step_batch(out, path.increments[k : k + 1], None, ws)[0]
+    for k in range(len(path)):
+        out = stepper.step_batch(out, path[k : k + 1], None, ws)[0]
     assert abs(abs(np.vdot(psi, out[0])) - 1.0) < 1e-12
 
 
@@ -495,14 +499,14 @@ def test_linear_stratonovich_matches_exact_commuting_solution():
     psi0 = np.array([np.sqrt(0.3), np.sqrt(0.7)], dtype=complex)
     gamma, dt, steps = 1.0, 0.0005, 400
     stepper = CslStepper(TWO, gamma, dt, form="linear", calculus="stratonovich")
-    path = sample_colored_path(WHITE, steps, dt, gamma, 21)
+    path = colored_increment_block(WHITE, 21, [0], steps, 1, gamma, dt)[:, 0]
     out = psi0[None, :]
     ws = StepWorkspace(stepper, out)
     logw = 0.0
     for k in range(steps):
-        out, dlog = stepper.step_batch(out, path.increments[k : k + 1], None, ws)
+        out, dlog = stepper.step_batch(out, path[k : k + 1], None, ws)
         logw += dlog[0]
-    b_total = float(path.increments.sum())
+    b_total = float(path.sum())
     exact, exact_logw = linear_exact_commuting(
         psi0, TWO, np.array([b_total]), gamma, dt * steps
     )
@@ -585,17 +589,17 @@ def test_linear_exact_commuting_is_exact_solution():
     # exp(a B - gamma a^2 t); verify via fine Euler on a shared path
     gamma, dt, steps = 0.8, 0.0002, 500
     stepper = CslStepper(TWO, gamma, dt, form="linear", calculus="ito")
-    path = sample_colored_path(WHITE, steps, dt, gamma, 31)
+    path = colored_increment_block(WHITE, 31, [0], steps, 1, gamma, dt)[:, 0]
     out = np.array([[np.sqrt(0.5), np.sqrt(0.5)]], dtype=complex)
     ws = StepWorkspace(stepper, out)
     logw = 0.0
     for k in range(steps):
-        out, dlog = stepper.step_batch(out, path.increments[k : k + 1], None, ws)
+        out, dlog = stepper.step_batch(out, path[k : k + 1], None, ws)
         logw += dlog[0]
     exact, exact_logw = linear_exact_commuting(
         np.array([np.sqrt(0.5), np.sqrt(0.5)], dtype=complex),
         TWO,
-        np.array([float(path.increments.sum())]),
+        np.array([float(path.sum())]),
         gamma,
         dt * steps,
     )
@@ -723,7 +727,7 @@ def test_lindblad_offdiag_rate_formula():
         for b in range(3):
             if a == b:
                 continue
-            rate = offdiag_decay_rate(fam, gamma, a, b)
+            rate = colored_instantaneous_rate(fam, WHITE, gamma, a, b)
             expected = rho0.entries[a, b] * np.exp(-rate * t)
             assert rho_t.entries[a, b] == pytest.approx(expected, rel=1e-9)
 
@@ -773,13 +777,13 @@ def test_lindblad_purity_decay():
 
 
 def test_single_path_samplers_keep_their_streams_and_bits():
-    # the white colored path and the Hermitian ensemble now draw through
+    # a row of the white colored block and the Hermitian ensemble draw through
     # wiener_increment_block; the outputs are the old ones
     for args in [(99, 1000, 2, 0.5, 0.02, 7), (2**64 - 1, 3, 1, 1.0, 0.01, 2**63)]:
         reference = sample_wiener_reference(*args)
         seed, steps, channels, gamma, dt, index = args
-        white = sample_colored_path(WHITE, steps, dt, gamma, seed, index, channels)
-        assert np.array_equal(white.increments, reference)
+        white = colored_increment_block(WHITE, seed, [index], steps, channels, gamma, dt)[:, 0]
+        assert np.array_equal(white, reference)
     family = ProjectorFamily.diagonal(np.array([[1.0, 1.0, -1.0]]))
     psi0 = np.sqrt(np.array([0.2, 0.3, 0.5], dtype=complex))
     for fam, psi in [(TWO, np.sqrt(np.array([0.3, 0.7], dtype=complex))), (family, psi0)]:
@@ -891,8 +895,8 @@ def test_mass_weighted_family():
 
     espec = MassDensitySpec(species_masses=(ELECTRON_MASS_G,))
     efam = mass_weighted_family(fam, espec, np.zeros(2, dtype=int))
-    rate_ratio = offdiag_decay_rate(efam, 1.0, 0, 1) / offdiag_decay_rate(fam, 1.0, 0, 1)
-    assert rate_ratio == pytest.approx((ELECTRON_MASS_G / NUCLEON_MASS_G) ** 2, rel=1e-12)
+    rate, rate_e = (colored_instantaneous_rate(f, WHITE, 1.0, 0, 1) for f in (fam, efam))
+    assert rate_e / rate == pytest.approx((ELECTRON_MASS_G / NUCLEON_MASS_G) ** 2, rel=1e-12)
 
 
 def test_condenser_scenario_order():
@@ -937,14 +941,3 @@ def test_z_step_rejects_invalid_simplex():
     eig = np.array([[1.0], [-1.0]])
     with pytest.raises(ValueError, match="simplex"):
         z_dynamics_step(np.array([0.6, 0.6]), eig, np.array([0.01]))
-
-
-def test_free_kernel_solution_bundle():
-    from collapsim import CollapseParams
-    from collapsim.freeparticle import FreeKernelSolution, damping_factor
-
-    params = CollapseParams(2.0, 3.0, 1.0, dimension=1)
-    sol = FreeKernelSolution(params, mass=5.0, t=0.7)
-    k = np.linspace(-3, 3, 7)
-    u = np.linspace(-2, 2, 7)
-    assert np.allclose(sol.factor(k, u), damping_factor(k, u, 0.7, params, 5.0))

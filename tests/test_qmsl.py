@@ -23,7 +23,6 @@ from collapsim.freeparticle import (
 from collapsim.hitting import (
     _gaussian_factor,
     hitting_density,
-    localization_operator_apply,
     run_qmsl_ensemble,
     sample_hit_center,
 )
@@ -56,7 +55,7 @@ def test_hit_suppresses_far_packet():
     alpha = 1.0
     a = 3.0
     psi = _two_packets(sigma=0.3, sep=2 * a)
-    hit = localization_operator_apply(psi, a, alpha)
+    hit = psi.with_amplitudes(_gaussian_factor(psi, a, alpha) * psi.amplitudes)
     x = psi.positions
     near = np.abs(hit.amplitudes[np.argmin(np.abs(x - a))])
     far = np.abs(hit.amplitudes[np.argmin(np.abs(x + a))])
@@ -74,7 +73,7 @@ def test_hit_suppresses_far_packet():
 def test_hit_on_localized_packet_is_gentle():
     alpha = 1.0
     psi = gaussian_packet(64, 0.25, -8.0, 10.0, 0.0, 0.3)
-    hit = normalize(localization_operator_apply(psi, 0.2, alpha))
+    hit = normalize(psi.with_amplitudes(_gaussian_factor(psi, 0.2, alpha) * psi.amplitudes))
     fidelity = abs(np.vdot(psi.amplitudes, hit.amplitudes) * psi.dx) ** 2
     assert fidelity >= 0.99
 
@@ -83,7 +82,7 @@ def test_hit_far_from_packets_changes_nothing_but_is_unlikely():
     alpha = 1.0
     a = 2.5
     psi = two_packet_state(1024, 12.0 / 1024, -6.0, 20.0, (-a, a), 0.03)
-    hit = localization_operator_apply(psi, 0.0, alpha)
+    hit = psi.with_amplitudes(_gaussian_factor(psi, 0.0, alpha) * psi.amplitudes)
     weight = hit.norm_sq()  # sampling mass of this center
     # quadrature oracle: P(0) = int sqrt(a/pi) exp(-a q^2)|psi|^2 dq
     x = psi.positions
@@ -100,12 +99,6 @@ def test_hit_far_from_packets_changes_nothing_but_is_unlikely():
     # no reduction occurred: both packets keep their half masses
     mass_right = float((np.abs(post.amplitudes) ** 2 * psi.dx) @ (x > 0))
     assert mass_right == pytest.approx(0.5, abs=1e-3)
-
-
-def test_hit_center_outside_grid_rejected():
-    psi = _two_packets()
-    with pytest.raises(ValueError, match="outside grid"):
-        localization_operator_apply(psi, 99.0, 1.0)
 
 
 # ------------------------------------------------------- hitting density
