@@ -477,7 +477,11 @@ SMALL = {
     # samples; a fuzzed one may not (exit 4)
     "epr": "experiment = epr\nseed = 5\ntrajectories = 1200\n[params]\n"
     "gamma = 1.0\nt_end = 0.4\nsteps = 40\n",
-    "qmsl-master": BASES["master"],
+    # a wider grid and a shorter time than BASES["master"], where the packet
+    # reaches the grid's edge (exit 3)
+    "qmsl-master": BASES["master"].replace("dx = 0.1", "dx = 0.2").replace(
+        "times = 0.0, 1.0", "times = 0.0, 0.5"
+    ),
     "rates-report": BASES["rates"],
     # no [params] keys: every drawn key is an unknown name
     "decoherence-table": "experiment = decoherence-table\noutput = table\n[params]\n",
