@@ -229,8 +229,9 @@ def colored_instantaneous_rate(
     ``t_since_start = None`` means t0 = -infinity (stationary limit), where
     every normalized kernel reproduces the white rate (gamma/2) sum (a-b)^2.
     """
-    diff = family.eigenvalues[sector_a] - family.eigenvalues[sector_b]
-    quad = float(diff @ diff)
+    with np.errstate(over="ignore"):  # an infinite rate is the caller's to report
+        diff = family.eigenvalues[sector_a] - family.eigenvalues[sector_b]
+        quad = float(diff @ diff)
     if t_since_start is None:
         return 0.5 * gamma * quad
     return gamma * quad * spec.single_integral(t_since_start)

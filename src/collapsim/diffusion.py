@@ -1,11 +1,10 @@
 """Continuous stochastic localization steppers on finite states.
 
-Four formulations: {linear, nonlinear} x {Ito, Stratonovich}, all driven
-by the same white-noise convention <<dB_i dB_j>> = gamma delta_ij dt.
-Ito steps are Euler-Maruyama; Stratonovich steps use the Heun
-(midpoint predictor-corrector) scheme.  Linear forms track the cooked
-weight log||psi||^2 in log space and keep the stored state normalized;
-nonlinear forms renormalize every step to absorb discretization residue.
+Two forms, linear and nonlinear, both Ito equations driven by the
+white-noise convention <<dB_i dB_j>> = gamma delta_ij dt; each step is
+Euler-Maruyama.  The linear form tracks the cooked weight log||psi||^2
+in log space and keeps the stored state normalized; the nonlinear form
+renormalizes every step to absorb discretization residue.
 """
 
 from __future__ import annotations
@@ -41,20 +40,16 @@ class CslStepper:
     dt : float
         Step size; must satisfy gamma * max|a|^2 * dt <= 0.01.
     form : {"linear", "nonlinear"}
-    calculus : {"ito", "stratonovich"}
     """
 
     family: ProjectorFamily
     gamma: float
     dt: float
     form: str = "nonlinear"
-    calculus: str = "ito"
 
     def __post_init__(self) -> None:
         if self.form not in ("linear", "nonlinear"):
             raise ValueError("form must be 'linear' or 'nonlinear'")
-        if self.calculus not in ("ito", "stratonovich"):
-            raise ValueError("calculus must be 'ito' or 'stratonovich'")
         if not (0 < self.gamma < np.inf and 0 < self.dt < np.inf):
             raise ConfigError(
                 f"gamma = {self.gamma} and dt = {self.dt} must be finite and positive"
@@ -67,10 +62,9 @@ class CslStepper:
                 f"exceeds the stability criterion {STABILITY_LIMIT}"
             )
         table = self.family.basis_eigenvalues()  # (channels, d)
-        # plain floats: rows of the table, its columns, and its squares
+        # plain floats: rows of the table, its columns, and its column sums of squares
         object.__setattr__(self, "_rows", table.tolist())
         object.__setattr__(self, "_cols", table.T.tolist())
-        object.__setattr__(self, "_rows_sq", (table**2).tolist())
         object.__setattr__(self, "_a_sq_sum", np.sum(table**2, axis=0).tolist())
 
     def step_batch(
@@ -99,47 +93,15 @@ class CslStepper:
             fn(*args)
         return ws.slabs[1 - side], ws.dlog
 
-    def _with_ham(self, chi: list, h_matrix: np.ndarray | None, terms: list) -> list:
-        """-i H psi dt + terms, column by column; the terms alone without a
-        Hamiltonian."""
-        if h_matrix is None:
-            return terms
-        ws = chi[0].ws
-        rows, ham = ws.block("rows", len(chi), complex), ws.block("ham", len(chi), complex)
-        for j, x in enumerate(chi):
-            np.positive(x, out=rows[:, j])
-        ws.calls += [(np.matmul, (rows, h_matrix.T, ham)), (np.multiply, (-1j, ham, ham)),
-                     (np.multiply, (ham, self.dt, ham))]
-        return [ham[:, j] + t for j, t in enumerate(terms)]
-
-    def _euler(self, chi: list, h_matrix: np.ndarray | None, factors: list) -> list:
-        """psi + (-i H psi dt + factor psi), column by column."""
-        terms = [f * x for f, x in zip(factors, chi)]
-        return [x + t for x, t in zip(chi, self._with_ham(chi, h_matrix, terms))]
-
-    @staticmethod
-    def _heun(chi: list, rhs) -> list:
-        """psi + (k1 + k2)/2 with k1 = rhs(psi), k2 = rhs(psi + k1)."""
-        k1 = rhs(chi)
-        k2 = rhs([x + k for x, k in zip(chi, k1)])
-        return [x + 0.5 * (a + b) for x, a, b in zip(chi, k1, k2)]
-
-    def _step_linear(self, chi, db, h_matrix):
+    def _factors(self, chi: list, db: list) -> list:
+        """Per basis column, the factor f of the step psi -> psi + f psi: for
+        the linear form the noise sum_i a_i dB_i less gamma |a|^2 dt / 2; for
+        the nonlinear form the centered noise sum_i (a_i - r_i) dB_i less
+        gamma sum_i (a_i - r_i)^2 dt / 2, with r_i = <A_i> of each row."""
         gamma, dt = self.gamma, self.dt
-        noise = [_combine(db, col) for col in self._cols]
-        if self.calculus == "ito":
-            factors = [z + (-0.5 * gamma * a * dt) for z, a in zip(noise, self._a_sq_sum)]
-            return self._euler(chi, h_matrix, factors)
-        # Stratonovich drift for self-adjoint couplings: -gamma A^2 dt
-        factors = [z - gamma * a * dt for z, a in zip(noise, self._a_sq_sum)]
-        return self._heun(
-            chi, lambda x: self._with_ham(x, h_matrix, [f * c for f, c in zip(factors, x)])
-        )
-
-    def _centered(self, chi, db):
-        """Probabilities and channel means r_i = <A_i> of each row, the
-        centered noise sum_i (a_i - r_i) dB_i and the quadratic term
-        sum_i (a_i - r_i)^2, the last two per basis column."""
+        if self.form == "linear":
+            noise = [_combine(db, col) for col in self._cols]
+            return [z + (-0.5 * gamma * a * dt) for z, a in zip(noise, self._a_sq_sum)]
         sq = [_abs2(x) for x in chi]
         total = _row_sum(sq)
         prob = [s / total for s in sq]
@@ -151,27 +113,21 @@ class CslStepper:
             a - 2.0 * _combine(r, col) + r_sq
             for a, col in zip(self._a_sq_sum, self._cols)
         ]
-        return prob, r, noise, quad
+        return [z - 0.5 * gamma * q * dt for z, q in zip(noise, quad)]
 
-    def _step_nonlinear(self, chi, db, h_matrix):
-        gamma, dt = self.gamma, self.dt
-        if self.calculus == "ito":
-            _, _, noise, quad = self._centered(chi, db)
-            factors = [z - 0.5 * gamma * q * dt for z, q in zip(noise, quad)]
-            return self._euler(chi, h_matrix, factors)
-
-        def rhs(x):
-            prob, r, noise, quad = self._centered(x, db)
-            # Stratonovich form adds gamma (<A^2> - <A>^2) counterterm
-            spread = _row_sum(
-                [_combine(prob, row) - m * m for row, m in zip(self._rows_sq, r)]
-            )
-            gain = gamma * spread * dt
-            terms = [(z - gamma * q * dt) * c for z, q, c in zip(noise, quad, x)]
-            terms = self._with_ham(x, h_matrix, terms)
-            return [t + gain * c for t, c in zip(terms, x)]
-
-        return self._heun(chi, rhs)
+    def _step(self, chi: list, db: list, h_matrix: np.ndarray | None) -> list:
+        """psi + (-i H psi dt + f psi), column by column; psi + f psi without
+        a Hamiltonian."""
+        terms = [f * x for f, x in zip(self._factors(chi, db), chi)]
+        if h_matrix is not None:
+            ws = chi[0].ws
+            rows, ham = ws.block("rows", len(chi), complex), ws.block("ham", len(chi), complex)
+            for j, x in enumerate(chi):
+                np.positive(x, out=rows[:, j])
+            ws.calls += [(np.matmul, (rows, h_matrix.T, ham)), (np.multiply, (-1j, ham, ham)),
+                         (np.multiply, (ham, self.dt, ham))]
+            terms = [ham[:, j] + t for j, t in enumerate(terms)]
+        return [x + t for x, t in zip(chi, terms)]
 
 
 class StepWorkspace:
@@ -196,8 +152,7 @@ class StepWorkspace:
         src, dst = (slab.T for slab in self.slabs)  # row j of a (d, n) slab is column j
         chi = [_Col(self, dtype, pair) for pair in zip(src, dst)]
         db = [_Col(self, float, (row, row)) for row in self.db]
-        step = stepper._step_linear if stepper.form == "linear" else stepper._step_nonlinear
-        new = step(chi, db, h_matrix)
+        new = stepper._step(chi, db, h_matrix)
         norm_sq = _row_sum([_abs2(col) for col in new])
         inv = 1.0 / np.sqrt(norm_sq)  # complex / real divides this way too
         for col, x, y in zip(new, src, dst):
@@ -248,7 +203,7 @@ class _Col(NDArrayOperatorsMixin):
         if method != "__call__":
             return NotImplemented
         if out is None:
-            kinds = [x.dtype if isinstance(x, (_Col, np.ndarray)) else type(x) for x in inputs]
+            kinds = [getattr(x, "dtype", type(x)) for x in inputs]  # numpy scalars too
             out = (_Col(self.ws, ufunc.resolve_dtypes((*kinds, None))[-1]),)
         self.ws.calls.append((ufunc, (*inputs, out[0])))
         return out[0]

@@ -130,13 +130,13 @@ _GRID = {
 """Grid and model keys of the two hitting experiments."""
 
 
-def _hitting_model(p: dict, psi0) -> tuple[CollapseParams, list[str]]:
+def _hitting_model(p: dict) -> tuple[CollapseParams, list[str]]:
     """The 1D collapse parameters, and a notice when the grid spacing
     under-resolves their localization width."""
     params = CollapseParams(p["lambda"], p["alpha"], 1.0, dimension=1)
     width = params.localization_width
     notice = f"grid: localization width 1/sqrt(alpha) under-resolved ({width:.3g} < 2*dx)"
-    return params, [notice] if width < 2 * psi0.dx else []
+    return params, [notice] if width < 2 * p["dx"] else []
 
 
 @experiment("qmsl-hitting", trajectories=1000, params={
@@ -149,10 +149,11 @@ def _hitting_model(p: dict, psi0) -> tuple[CollapseParams, list[str]]:
 def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
     n, dx, centers = p["n"], p["dx"], tuple(p["centers"])
     psi0 = two_packet_state(n, dx, -0.5 * n * dx, p["mass"], centers, p["sigma"])
-    params, notices = _hitting_model(p, psi0)
+    params, notices = _hitting_model(p)
     step_count(p["t_end"], p["dt"])
-    yield notices
     n_traj = 1 if p["record_events"] else run.trajectories
+    require_memory(16 * n * n_traj, "the final states")
+    yield notices
     res = run_qmsl_ensemble(
         psi0, HamiltonianSpec.free(), params, p["t_end"], n_traj, run.seed, p["dt"],
         accumulate_kernel=False,
@@ -188,8 +189,7 @@ def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
 })
 def run_qmsl_master(p: dict, run: Settings) -> Iterator:
     n, dx, mass, sigma = p["n"], p["dx"], p["mass"], p["sigma"]
-    psi0 = gaussian_packet(n, dx, -0.5 * n * dx, mass, 0.0, sigma)
-    params, notices = _hitting_model(p, psi0)
+    params, notices = _hitting_model(p)
     p_var0 = 1.0 / (4.0 * sigma**2)  # of the minimal packet, constant in free flight
     formulas = [  # built with the plan, so an overflowing input is a config error
         free_particle_moments(params, mass, t, {
@@ -201,6 +201,9 @@ def run_qmsl_master(p: dict, run: Settings) -> Iterator:
         })
         for t in p["times"]
     ]
+    # after the closed forms: a width whose square underflows fails there,
+    # as a config error, before the packet divides by it
+    psi0 = gaussian_packet(n, dx, -0.5 * n * dx, mass, 0.0, sigma)
     yield notices
     rows = []
     x = psi0.positions
@@ -256,7 +259,7 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
     weights, dt, steps, n_traj = p["weights"], p["dt"], p["steps"], run.trajectories
     family = ProjectorFamily.two_level()
     psi0 = _weighted_superposition(weights)
-    stepper = CslStepper(family, p["gamma"], dt, form="nonlinear", calculus="ito")
+    stepper = CslStepper(family, p["gamma"], dt, form="nonlinear")
     require_ensemble_fits(stepper, steps, n_traj)
     yield
     res = run_ensemble(psi0, stepper, steps, n_traj, run.seed)
@@ -308,8 +311,7 @@ def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
     family = ProjectorFamily.two_level()
     psi0 = _weighted_superposition(p["weights"])
     linear, nonlinear = (
-        CslStepper(family, p["gamma"], p["dt"], form=form, calculus="ito")
-        for form in ("linear", "nonlinear")
+        CslStepper(family, p["gamma"], p["dt"], form=form) for form in ("linear", "nonlinear")
     )
     steps, n_traj, every = p["steps"], run.trajectories, p["resample_every"]
     require_ensemble_fits((linear, nonlinear), steps, n_traj, every)

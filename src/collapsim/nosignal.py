@@ -24,6 +24,10 @@ EvolveMany = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 amplitudes (n, d), cooked log-weights (n,)); log-weights are zero for
 physical-process dynamics (nonlinear diffusion, hittings)."""
 
+GISIN_SIGMAS = 3.0
+"""The check passes when the final distance is within this many combined
+Monte Carlo bands (the ``passed_within_3sigma`` of the gisin experiment)."""
+
 
 @dataclass(frozen=True)
 class GisinReport:
@@ -99,13 +103,12 @@ def gisin_check(
     ensemble_b: Ensemble,
     evolve_many: EvolveMany,
     n_traj: int,
-    sigma_factor: float = 3.0,
 ) -> GisinReport:
     """Equal-density ensembles must stay equal under the cooked dynamics.
 
     Raises if the initial density matrices differ or if ``n_traj`` leaves
     a mixture member without a trajectory; passes when the final
-    Frobenius distance lies within ``sigma_factor`` times the combined
+    Frobenius distance lies within ``GISIN_SIGMAS`` times the combined
     Monte Carlo band.  Trajectory indices are disjoint between the two
     ensembles so the comparison is between independent runs.
     """
@@ -119,7 +122,7 @@ def gisin_check(
     rho_b = _weighted_density(states_b, logw_b)
     distance = float(np.linalg.norm(rho_a - rho_b))
     band = float(np.hypot(_mc_band(states_a, logw_a), _mc_band(states_b, logw_b)))
-    return GisinReport(distance, band, distance <= sigma_factor * band, rho_a, rho_b)
+    return GisinReport(distance, band, distance <= GISIN_SIGMAS * band, rho_a, rho_b)
 
 
 def here_there_mixtures() -> tuple[list, list]:

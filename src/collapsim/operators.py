@@ -3,19 +3,17 @@
 A :class:`ProjectorFamily` encodes a commuting self-adjoint set
 A_i = sum_sigma a_{i sigma} P_sigma through its spectral data: one
 eigenvalue vector per sector (one entry per noise channel) plus the
-orthogonal projectors, given either as index sets over a fixed basis
-(the common, fast case) or as explicit matrices.
+orthogonal projectors, given as index sets over a fixed basis in which
+every A_i is diagonal (cell occupations, mass densities).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
-from .errors import DimensionMismatchError, IncompatibleHamiltonianError
+from .errors import DimensionMismatchError
 from .states import FiniteState, GridWavefunction
-
-_ORTHO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -28,14 +26,12 @@ class ProjectorFamily:
         a_{i sigma}: row sigma holds the eigenvalue of every channel
         operator A_i on sector sigma.
     sectors : tuple of ndarray
-        Index sets partitioning range(dim) (diagonal families), or square
-        projector matrices.  Sectors must be orthogonal, idempotent, and
-        sum to the identity.
+        Index sets partitioning range(dim): each basis index lies in
+        exactly one sector.
     """
 
     eigenvalues: np.ndarray
     sectors: tuple
-    projector_matrices: bool = field(default=False)
 
     def __post_init__(self) -> None:
         eig = np.atleast_2d(np.asarray(self.eigenvalues, dtype=float))
@@ -51,34 +47,10 @@ class ProjectorFamily:
                     raise ValueError(
                         f"sectors {s} and {t} share the same eigenvalue vector"
                     )
-        if self.projector_matrices:
-            self._check_matrix_sectors()
-        else:
-            self._check_index_sectors()
-
-    def _check_index_sectors(self) -> None:
-        all_idx = np.concatenate([np.atleast_1d(s).ravel() for s in self.sectors])
+        all_idx = np.concatenate([np.atleast_1d(s).ravel() for s in sectors])
         dim = all_idx.size
         if np.any(np.sort(all_idx) != np.arange(dim)):
             raise ValueError("index sectors must partition the basis exactly once")
-        object.__setattr__(self, "_dim", int(dim))
-
-    def _check_matrix_sectors(self) -> None:
-        dim = self.sectors[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, p in enumerate(self.sectors):
-            if p.shape != (dim, dim):
-                raise DimensionMismatchError("projector matrices must share shape")
-            if np.max(np.abs(p @ p - p)) > _ORTHO_TOL:
-                raise ValueError(f"sector {i} is not idempotent")
-            if np.max(np.abs(p - p.conj().T)) > _ORTHO_TOL:
-                raise ValueError(f"sector {i} is not self-adjoint")
-            for j, q in enumerate(self.sectors[:i]):
-                if np.max(np.abs(p @ q)) > _ORTHO_TOL:
-                    raise ValueError(f"sectors {i} and {j} are not orthogonal")
-            total += p
-        if np.max(np.abs(total - np.eye(dim))) > _ORTHO_TOL:
-            raise ValueError("projectors must sum to the identity")
         object.__setattr__(self, "_dim", int(dim))
 
     # -- constructors -------------------------------------------------
@@ -133,13 +105,7 @@ class ProjectorFamily:
         return self.eigenvalues.shape[1]
 
     def basis_eigenvalues(self) -> np.ndarray:
-        """Per-basis-index eigenvalue table, shape (n_channels, dim).
-
-        Only available for index-set families; this is the fast path used
-        by the diffusion steppers.
-        """
-        if self.projector_matrices:
-            raise ValueError("basis eigenvalue table requires index sectors")
+        """Per-basis-index eigenvalue table, shape (n_channels, dim)."""
         table = np.empty((self.channel_count, self.dim), dtype=float)
         for sigma, idx in enumerate(self.sectors):
             table[:, np.atleast_1d(idx).ravel()] = self.eigenvalues[sigma][:, None]
@@ -147,17 +113,7 @@ class ProjectorFamily:
 
     def channel_matrices(self) -> list[np.ndarray]:
         """Dense A_i matrices."""
-        mats = []
-        for i in range(self.channel_count):
-            a = np.zeros((self.dim, self.dim), dtype=complex)
-            for sigma, p in enumerate(self.sectors):
-                if self.projector_matrices:
-                    a += self.eigenvalues[sigma, i] * p
-                else:
-                    idx = np.atleast_1d(p).ravel()
-                    a[idx, idx] += self.eigenvalues[sigma, i]
-            mats.append(a)
-        return mats
+        return [np.diag(row).astype(complex) for row in self.basis_eigenvalues()]
 
     def sector_weights(self, amplitudes: np.ndarray) -> np.ndarray:
         """z_sigma = <psi|P_sigma|psi> for a normalized amplitude vector.
@@ -166,13 +122,9 @@ class ProjectorFamily:
         """
         amps = np.asarray(amplitudes)
         out = np.empty(amps.shape[:-1] + (self.n_sectors,), dtype=float)
-        for sigma, p in enumerate(self.sectors):
-            if self.projector_matrices:
-                proj = amps @ p.T
-                out[..., sigma] = np.sum(np.abs(proj) ** 2, axis=-1)
-            else:
-                idx = np.atleast_1d(p).ravel()
-                out[..., sigma] = np.sum(np.abs(amps[..., idx]) ** 2, axis=-1)
+        for sigma, idx in enumerate(self.sectors):
+            idx = np.atleast_1d(idx).ravel()
+            out[..., sigma] = np.sum(np.abs(amps[..., idx]) ** 2, axis=-1)
         return out
 
     def scaled(self, channel_factors: np.ndarray) -> "ProjectorFamily":
@@ -180,32 +132,22 @@ class ProjectorFamily:
         factors = np.asarray(channel_factors, dtype=float)
         if factors.shape != (self.channel_count,):
             raise DimensionMismatchError("one factor per channel required")
-        return ProjectorFamily(
-            self.eigenvalues * factors[None, :], self.sectors, self.projector_matrices
-        )
+        return ProjectorFamily(self.eigenvalues * factors[None, :], self.sectors)
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Hamiltonian selector: free | harmonic(frequency) | matrix | none."""
+    """Grid Hamiltonian selector: free | harmonic(frequency) | none."""
 
     kind: str
     frequency: float = 0.0
     center: float = 0.0
-    matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("free", "harmonic", "matrix", "none"):
+        if self.kind not in ("free", "harmonic", "none"):
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
         if self.kind == "harmonic" and not self.frequency > 0:
             raise ValueError("harmonic Hamiltonian needs frequency > 0")
-        if self.kind == "matrix":
-            if self.matrix is None:
-                raise ValueError("matrix Hamiltonian needs a matrix")
-            mat = np.asarray(self.matrix, dtype=complex)
-            if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-                raise ValueError("Hamiltonian matrix must be Hermitian")
-            object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def free(cls) -> "HamiltonianSpec":
@@ -218,10 +160,6 @@ class HamiltonianSpec:
     @classmethod
     def harmonic(cls, frequency: float, center: float = 0.0) -> "HamiltonianSpec":
         return cls("harmonic", frequency=frequency, center=center)
-
-    @classmethod
-    def of_matrix(cls, matrix: np.ndarray) -> "HamiltonianSpec":
-        return cls("matrix", matrix=matrix)
 
 
 def _grid_moment(psi: GridWavefunction, which: str, order: int) -> float:
@@ -270,7 +208,3 @@ def expectation(state, operator) -> float | np.ndarray:
     val = np.vdot(amps, mat @ amps)
     return float(val.real)
 
-
-def require_grid_compatible(h: HamiltonianSpec) -> None:
-    if h.kind == "matrix":
-        raise IncompatibleHamiltonianError("incompatible Hamiltonian")

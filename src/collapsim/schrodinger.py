@@ -1,7 +1,6 @@
 """Deterministic Schroedinger propagation on the grid (split-step FFT).
 
-Natural units: hbar = 1.  Free and harmonic Hamiltonians only; matrix
-Hamiltonians on grid states are rejected.
+Natural units: hbar = 1.  Free and harmonic Hamiltonians.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import HamiltonianSpec, require_grid_compatible
+from .operators import HamiltonianSpec
 from .states import GridWavefunction
 
 
@@ -47,15 +46,13 @@ def split_step_evolve(
     h: HamiltonianSpec,
     dt: float,
     steps: int = 1,
-    check_leakage: bool = True,
 ) -> GridWavefunction:
     """Evolve a grid wavefunction through ``steps`` Strang-split steps.
 
     Norm is preserved to machine precision (the propagator is a product of
-    unitary diagonal factors).  Raises on matrix Hamiltonians and on grid
-    leakage after the evolution.
+    unitary diagonal factors).  Raises GridLeakageError on grid leakage
+    after the evolution.
     """
-    require_grid_compatible(h)
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if dt == 0 or steps == 0 or h.kind == "none":
@@ -67,8 +64,7 @@ def split_step_evolve(
         for _ in range(steps):
             amps = split_step_batch(amps, psi, h, dt)
     out = psi.with_amplitudes(amps[0])
-    if check_leakage:
-        out.check_leakage()
+    out.require_contained()
     return out
 
 
@@ -82,7 +78,6 @@ def split_step_batch(
     """One split step applied to a (n_traj, N) amplitude block: one ``dt``
     for every row, or an (n_traj,) array of them, one per row.  ``kin`` is
     ``_kinetic_phase(template, dt)`` when the caller holds it already."""
-    require_grid_compatible(h)
     if h.kind == "none" or not np.any(dt):
         return amplitudes
     kin = _kinetic_phase(template, dt) if kin is None else kin

@@ -78,8 +78,9 @@ class GridWavefunction:
     def with_amplitudes(self, amplitudes: np.ndarray) -> "GridWavefunction":
         return replace(self, amplitudes=amplitudes)
 
-    def check_leakage(self) -> None:
-        """Raise if the boundary amplitude exceeds the configured threshold."""
+    def require_contained(self) -> None:
+        """Raise GridLeakageError if the boundary amplitude exceeds the
+        configured fraction of the peak."""
         peak = float(np.max(np.abs(self.amplitudes)))
         if peak == 0.0:
             return

@@ -10,7 +10,7 @@ trajectory through every ``dt`` in position space, one at a time,
 splitting its step at each of its hit times.  Another is
 ``step_batch_reference``, the row-wise complex CSL step kept as the
 reference for the column-wise stepper: it reads the stepper's family,
-gamma, dt, form and calculus.  The per-trajectory samplers
+gamma, dt and form.  The per-trajectory samplers
 ``sample_wiener_reference`` and ``hermitian_phase_noise_reference`` are
 the one-generator-per-path code the block draw replaced, kept to pin its
 streams and bits, and ``hit_center_reference`` is the per-hit draw the
@@ -235,51 +235,24 @@ def step_batch_reference(stepper, psis, dbs, h_matrix=None):
 
     def step_linear():
         noise = dbs @ table  # (n, d)
-        if stepper.calculus == "ito":
-            drift = -0.5 * gamma * a_sq_sum
-            return psis + (
-                ham_term(psis) * dt + (noise + drift[None, :] * dt) * psis
-            )
-
-        def rhs(chi):
-            return ham_term(chi) * dt + (noise - gamma * a_sq_sum[None, :] * dt) * chi
-
-        k1 = rhs(psis)
-        k2 = rhs(psis + k1)
-        return psis + 0.5 * (k1 + k2)
+        drift = -0.5 * gamma * a_sq_sum
+        return psis + (
+            ham_term(psis) * dt + (noise + drift[None, :] * dt) * psis
+        )
 
     def step_nonlinear():
-        def centered(chi):
-            prob = np.abs(chi) ** 2
-            prob = prob / prob.sum(axis=1, keepdims=True)
-            r = prob @ table.T  # (n, channels) channel means
-            noise = dbs @ table - np.sum(dbs * r, axis=1, keepdims=True)
-            quad = (
-                a_sq_sum[None, :]
-                - 2.0 * (r @ table)
-                + np.sum(r**2, axis=1, keepdims=True)
-            )
-            return prob, r, noise, quad
-
-        if stepper.calculus == "ito":
-            _, _, noise, quad = centered(psis)
-            return psis + (
-                ham_term(psis) * dt + (noise - 0.5 * gamma * quad * dt) * psis
-            )
-
-        def rhs(chi):
-            prob, r, noise, quad = centered(chi)
-            q_sq = prob @ (table**2).T
-            spread = np.sum(q_sq - r**2, axis=1, keepdims=True)
-            return (
-                ham_term(chi) * dt
-                + (noise - gamma * quad * dt) * chi
-                + gamma * spread * dt * chi
-            )
-
-        k1 = rhs(psis)
-        k2 = rhs(psis + k1)
-        return psis + 0.5 * (k1 + k2)
+        prob = np.abs(psis) ** 2
+        prob = prob / prob.sum(axis=1, keepdims=True)
+        r = prob @ table.T  # (n, channels) channel means
+        noise = dbs @ table - np.sum(dbs * r, axis=1, keepdims=True)
+        quad = (
+            a_sq_sum[None, :]
+            - 2.0 * (r @ table)
+            + np.sum(r**2, axis=1, keepdims=True)
+        )
+        return psis + (
+            ham_term(psis) * dt + (noise - 0.5 * gamma * quad * dt) * psis
+        )
 
     new = step_linear() if stepper.form == "linear" else step_nonlinear()
     norm_sq = np.sum(np.abs(new) ** 2, axis=1)

@@ -354,6 +354,7 @@ BASES = {
         "mass-divides-by-zero", "sigma-divides-by-zero", "density-overflows",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the exit code comes alone
 def test_cli_malformed_value_exit_2_when_run_and_validated(
     tmp_path, capsys, base, line, bad
 ):
@@ -437,6 +438,7 @@ def test_cli_hitting_grid_leakage_exit_3(tmp_path, capsys):
     ],
     ids=["rates-report-infinite-lifetime", "colored-damping-infinite-rate"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the exit code comes alone
 def test_cli_nonfinite_result_exit_3(tmp_path, capsys, text, result):
     path = _write(tmp_path, text)
     assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_NUMERICAL
@@ -524,6 +526,51 @@ def test_cli_exit_code_contract_on_arbitrary_params(experiment, data):
         path = Path(out) / "exp.cfg"
         path.write_text(text, encoding="utf-8")
         assert main(["--config", str(path), "--out", out]) in codes
+
+
+# values of the top-level keys, valid and not
+TOP_VALUES = st.one_of(
+    st.tuples(st.just("seed"), st.one_of(st.integers(-2, 2**64 + 2), FLOATS, st.just("x"))),
+    st.tuples(
+        st.just("trajectories"),
+        st.one_of(st.integers(-2, 50), st.just(10**30), FLOATS, st.just("x")),
+    ),
+    st.tuples(st.just("format"), st.sampled_from(["csv", "json", "JSON", "xml", ""])),
+    st.tuples(st.just("output"), st.text(alphabet="abcxyz019_-", min_size=1, max_size=8)),
+)
+
+
+def _grammar_lines(keys: list[str]):
+    """Lines that exercise the grammar: section lines, a key without '=',
+    duplicate and unknown keys, and comments."""
+    unknown = st.from_regex(r"[a-z]{1,8}", fullmatch=True)
+    return st.one_of(
+        st.sampled_from(["[params]", "[]", "[ ]", "[params.x]", "[other]", "[params"]),
+        st.sampled_from(keys),
+        st.builds("{} = 1".format, st.sampled_from(keys)),
+        st.builds("{} = 1".format, unknown),
+        st.sampled_from(["# a comment", "= 1", "  ", "seed = 1 # trailing"]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_contract_on_arbitrary_grammar(data):
+    lines = SMALL[data.draw(st.sampled_from(sorted(SMALL)))].strip().splitlines()
+    keys = [line.partition(" = ")[0] for line in lines if " = " in line]
+    for key, value in data.draw(st.lists(TOP_VALUES, max_size=3)):
+        line = f"{key} = {_render(value)}"
+        at = [i for i, old in enumerate(lines) if old.startswith(f"{key} = ")]
+        if at:
+            lines[at[0]] = line
+        else:
+            lines.insert(0, line)
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(_grammar_lines(keys)))
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "exp.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["--config", str(path), "--out", out]) in (0, 2, 3, 4)
 
 
 # ------------------------------------------------------------ import budget

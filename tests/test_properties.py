@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from collapsim import UnitSystem, normalize
 from collapsim.cells import discrete_decay_exponent, discrete_decay_log
 from collapsim.colored import CorrelationSpec
+from collapsim.diffusion import CslStepper, StepWorkspace
 from collapsim.operators import ProjectorFamily
 from collapsim.states import FiniteState
-from collapsim.zvariables import z_dynamics_step
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 
@@ -79,15 +79,17 @@ def test_discrete_decay_factor_in_unit_interval(n, m, lam, t):
     st.floats(-0.05, 0.05),
 )
 @settings(max_examples=60)
-def test_z_step_stays_on_simplex_hyperplane(z_raw, a_raw, db):
+def test_nonlinear_step_stays_on_the_simplex(z_raw, a_raw, db):
     size = min(len(z_raw), len(a_raw))
     if size < 2 or len(set(a_raw[:size])) < size:
         return
     z = np.array(z_raw[:size])
-    z = z / z.sum()
-    eig = np.array(a_raw[:size])[:, None]
-    out = z_dynamics_step(z, eig, np.array([db]))
-    assert abs(out.sum() - 1.0) < 1e-9
+    psi = np.sqrt(z / z.sum())[None, :]
+    family = ProjectorFamily.diagonal(np.array(a_raw[:size])[None, :])
+    stepper = CslStepper(family, 1.0, 0.005 / max(1.0, np.max(family.eigenvalues**2)))
+    out, _ = stepper.step_batch(psi, np.array([[db]]), None, StepWorkspace(stepper, psi))
+    weights = family.sector_weights(out)
+    assert abs(weights.sum() - 1.0) < 1e-12 and weights.min() >= 0.0
 
 
 @given(st.floats(0.01, 5.0), st.floats(0.0, 20.0))
