@@ -309,8 +309,7 @@ def _sector_rows(family: ProjectorFamily, cols: np.ndarray) -> np.ndarray:
     """``family.sector_weights``, as (n_sectors, n), of the rows whose basis
     columns are the rows of ``cols`` (a slab's contiguous rows, so no
     gather): the same squares, summed left to right as it sums them."""
-    return np.array([sum(_abs2(cols[j]) for j in np.atleast_1d(idx).ravel())
-                     for idx in family.sectors])
+    return np.array([sum(_abs2(cols[j]) for j in idx) for idx in family.sectors])
 
 
 def _check_finite(z: np.ndarray, logw: np.ndarray, step: int) -> None:
@@ -505,7 +504,7 @@ def hermitian_phase_noise_ensemble(
     n_sec = family.n_sectors
     table = np.zeros((n_sec, psi0.shape[0]))
     for sigma, idx in enumerate(family.sectors):
-        table[sigma, np.atleast_1d(idx).ravel()] = 1.0
+        table[sigma, idx] = 1.0
     block = wiener_increment_block(master_seed, np.arange(n_traj), steps, n_sec, gamma, dt)
     theta = block.sum(axis=0)  # (n_traj, n_sec), summed step by step
     del block

@@ -27,7 +27,7 @@ class ProjectorFamily:
         operator A_i on sector sigma.
     sectors : tuple of ndarray
         Index sets partitioning range(dim): each basis index lies in
-        exactly one sector.
+        exactly one sector.  Stored as 1-D index arrays.
     """
 
     eigenvalues: np.ndarray
@@ -36,7 +36,7 @@ class ProjectorFamily:
     def __post_init__(self) -> None:
         eig = np.atleast_2d(np.asarray(self.eigenvalues, dtype=float))
         object.__setattr__(self, "eigenvalues", eig)
-        sectors = tuple(np.asarray(s) for s in self.sectors)
+        sectors = tuple(np.atleast_1d(np.asarray(s)).ravel() for s in self.sectors)
         object.__setattr__(self, "sectors", sectors)
         if eig.shape[0] != len(sectors):
             raise DimensionMismatchError("one eigenvalue row per sector required")
@@ -47,7 +47,7 @@ class ProjectorFamily:
                     raise ValueError(
                         f"sectors {s} and {t} share the same eigenvalue vector"
                     )
-        all_idx = np.concatenate([np.atleast_1d(s).ravel() for s in sectors])
+        all_idx = np.concatenate(sectors)
         dim = all_idx.size
         if np.any(np.sort(all_idx) != np.arange(dim)):
             raise ValueError("index sectors must partition the basis exactly once")
@@ -108,7 +108,7 @@ class ProjectorFamily:
         """Per-basis-index eigenvalue table, shape (n_channels, dim)."""
         table = np.empty((self.channel_count, self.dim), dtype=float)
         for sigma, idx in enumerate(self.sectors):
-            table[:, np.atleast_1d(idx).ravel()] = self.eigenvalues[sigma][:, None]
+            table[:, idx] = self.eigenvalues[sigma][:, None]
         return table
 
     def channel_matrices(self) -> list[np.ndarray]:
@@ -123,7 +123,6 @@ class ProjectorFamily:
         amps = np.asarray(amplitudes)
         out = np.empty(amps.shape[:-1] + (self.n_sectors,), dtype=float)
         for sigma, idx in enumerate(self.sectors):
-            idx = np.atleast_1d(idx).ravel()
             out[..., sigma] = np.sum(np.abs(amps[..., idx]) ** 2, axis=-1)
         return out
 
@@ -207,4 +206,3 @@ def expectation(state, operator) -> float | np.ndarray:
         raise DimensionMismatchError("operator and state dimensions differ")
     val = np.vdot(amps, mat @ amps)
     return float(val.real)
-
