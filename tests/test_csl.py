@@ -133,6 +133,45 @@ def test_step_batch_equals_row_wise_reference(family, form, complex_psi, hamilto
         assert steps[-1][0].dtype == float  # real rows stay real
 
 
+@pytest.mark.parametrize("hamiltonian", [False, True], ids=["no-h", "h"])
+@pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("form", ["linear", "nonlinear"])
+@pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+def test_single_row_steps_as_in_a_batch(family, form, complex_psi, hamiltonian):
+    # A row stepped alone, as in the last chunk of an ensemble, reaches the
+    # same bits as in a batch of 64: no step couples rows, and with one row
+    # nothing may drop or broadcast the row axis.  The Hamiltonian term is
+    # one BLAS product, whose kernel (so its rounding) depends on the row
+    # count: with it the two agree to a few ulps.
+    family = EXACT_FAMILIES[family]
+    rng = np.random.default_rng(23)
+    a_max = float(np.max(np.abs(family.eigenvalues)))
+    stepper = CslStepper(family, 0.9, 0.008 / a_max**2, form)
+    n, d = 64, family.dim
+    psis = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if complex_psi else 0.0)
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    h = None
+    if hamiltonian:
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = m + m.conj().T
+    rows = {k: psis[k:k + 1] for k in (0, n - 1)}
+    spaces = {k: StepWorkspace(stepper, row, h) for k, row in rows.items()}
+    batch, ws = psis, StepWorkspace(stepper, psis, h)
+    for _ in range(3):
+        dbs = rng.normal(0.0, np.sqrt(stepper.gamma * stepper.dt), (n, family.channel_count))
+        batch, dlog = stepper.step_batch(batch, dbs, h, ws)
+        for k in rows:
+            rows[k], dlog_k = stepper.step_batch(rows[k], dbs[k:k + 1], h, spaces[k])
+            assert rows[k].shape == (1, d) and dlog_k.shape == (1,)
+            assert rows[k].dtype == batch.dtype
+            if h is None:
+                assert np.array_equal(rows[k][0], batch[k])
+                assert np.array_equal(dlog_k[0], dlog[k])
+            else:
+                assert np.max(np.abs(rows[k][0] - batch[k])) <= 4e-16
+                assert abs(dlog_k[0] - dlog[k]) <= 4e-16
+
+
 @pytest.mark.parametrize("form", ["linear", "nonlinear"])
 def test_step_batch_within_rounding_of_reference_for_inexact_products(form):
     # With entries such as 0.3 or an occupation of 3, a product rounds.
