@@ -21,6 +21,7 @@ from .states import (
     FiniteState,
     GridWavefunction,
     density_from_ensemble,
+    ensemble_density,
     normalize,
 )
 from .units import UnitSystem, cgs_convert
@@ -45,6 +46,7 @@ __all__ = [
     "canonical_qmsl",
     "cgs_convert",
     "density_from_ensemble",
+    "ensemble_density",
     "expectation",
     "normalize",
 ]

@@ -1,10 +1,14 @@
-"""Continuous stochastic localization steppers on finite states.
+"""Continuous stochastic localization ensembles on finite states.
 
 Two forms, linear and nonlinear, both Ito equations driven by the
-white-noise convention <<dB_i dB_j>> = gamma delta_ij dt; each step is
-Euler-Maruyama.  The linear form tracks the cooked weight log||psi||^2
-in log space and keeps the stored state normalized; the nonlinear form
-renormalizes every step to absorb discretization residue.
+white-noise convention <<dB_i dB_j>> = gamma delta_ij dt.  The nonlinear
+form, with or without a Hamiltonian, takes Euler-Maruyama steps and
+renormalizes every step to absorb discretization residue.  The linear
+form has no Hamiltonian and commuting couplings, so it takes the exact
+update by summed increments (``cooking.linear_exact_commuting``), which
+keeps the stored state normalized and the cooked weight log||psi||^2 in
+log space.  The engines return final states and log-weights; the
+ensemble's density is ``states.ensemble_density`` of them.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .cooking import linear_exact_commuting, systematic_resample
 from .errors import ConfigError, StabilityError
 from .noise import require_memory, wiener_increment_block
 from .operators import ProjectorFamily
+from .states import ensemble_density
 
 STABILITY_LIMIT = 0.01
 """Maximum allowed gamma * max|a|^2 * dt for the explicit steppers."""
@@ -40,6 +45,8 @@ class CslStepper:
     dt : float
         Step size; must satisfy gamma * max|a|^2 * dt <= 0.01.
     form : {"linear", "nonlinear"}
+        Only a nonlinear stepper steps (``step_batch``); ``run_ensemble``
+        updates a linear one exactly.
     """
 
     family: ProjectorFamily
@@ -67,22 +74,19 @@ class CslStepper:
         object.__setattr__(self, "_cols", table.T.tolist())
         object.__setattr__(self, "_a_sq_sum", np.sum(table**2, axis=0).tolist())
 
-    def step_batch(
-        self, psis: np.ndarray, dbs: np.ndarray, h_matrix: np.ndarray | None, ws: StepWorkspace
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance a (n, d) block of normalized states by one step through
-        the workspace ``ws`` made for this stepper, ``h_matrix`` and n rows.
-        Returns the column-major (n, d) states and d log||psi||^2 per row,
-        zero by construction for nonlinear forms: the workspace's arrays,
-        the states overwritten two steps later, dlog at the next step.
+    def step_batch(self, psis: np.ndarray, dbs: np.ndarray, ws: StepWorkspace) -> np.ndarray:
+        """Advance a (n, d) block of normalized states by one nonlinear step
+        through the workspace ``ws`` made for this stepper, its Hamiltonian
+        and n rows.  Returns the column-major (n, d) states: a slab of the
+        workspace, overwritten two steps later.
 
         The step works on the d basis columns and the channel columns of
         ``dbs``, one 1-D array each: sums over basis indices and channels
         are column additions in the order numpy reduces a row.  Real rows
         stay real when there is no Hamiltonian.  The step allocates nothing.
         """
-        if ws.stepper is not self or ws.h_matrix is not h_matrix:
-            raise ValueError("the workspace was made for another stepper or Hamiltonian")
+        if ws.stepper is not self:
+            raise ValueError("the workspace was made for another stepper")
         side = 1 if psis is ws.slabs[1] else 0
         if psis is not ws.slabs[side]:
             if psis.shape != ws.slabs[0].shape:
@@ -91,17 +95,13 @@ class CslStepper:
         np.copyto(ws.db.T, dbs)
         for fn, args in ws.programs[side]:
             fn(*args)
-        return ws.slabs[1 - side], ws.dlog
+        return ws.slabs[1 - side]
 
     def _factors(self, chi: list, db: list) -> list:
-        """Per basis column, the factor f of the step psi -> psi + f psi: for
-        the linear form the noise sum_i a_i dB_i less gamma |a|^2 dt / 2; for
-        the nonlinear form the centered noise sum_i (a_i - r_i) dB_i less
-        gamma sum_i (a_i - r_i)^2 dt / 2, with r_i = <A_i> of each row."""
+        """Per basis column, the factor f of the step psi -> psi + f psi:
+        the centered noise sum_i (a_i - r_i) dB_i less gamma sum_i (a_i -
+        r_i)^2 dt / 2, with r_i = <A_i> of each row."""
         gamma, dt = self.gamma, self.dt
-        if self.form == "linear":
-            noise = [_combine(db, col) for col in self._cols]
-            return [z + (-0.5 * gamma * a * dt) for z, a in zip(noise, self._a_sq_sum)]
         sq = [_abs2(x) for x in chi]
         total = _row_sum(sq)
         prob = [s / total for s in sq]
@@ -116,17 +116,13 @@ class CslStepper:
         return [z - 0.5 * gamma * q * dt for z, q in zip(noise, quad)]
 
     def _step(self, chi: list, db: list, h_matrix: np.ndarray | None) -> list:
-        """psi + (-i H psi dt + f psi), column by column; psi + f psi without
-        a Hamiltonian."""
+        """psi + (-i H psi dt + f psi), column by column, with (H psi)_j
+        summed left to right, so each row's bits do not depend on how many
+        rows step with it; psi + f psi without a Hamiltonian."""
         terms = [f * x for f, x in zip(self._factors(chi, db), chi)]
         if h_matrix is not None:
-            ws = chi[0].ws
-            rows, ham = ws.block("rows", len(chi), complex), ws.block("ham", len(chi), complex)
-            for j, x in enumerate(chi):
-                np.positive(x, out=rows[:, j])
-            ws.calls += [(np.matmul, (rows, h_matrix.T, ham)), (np.multiply, (-1j, ham, ham)),
-                         (np.multiply, (ham, self.dt, ham))]
-            terms = [ham[:, j] + t for j, t in enumerate(terms)]
+            ham = [-1j * _combine(chi, row) * self.dt for row in h_matrix.tolist()]
+            terms = [h + t for h, t in zip(ham, terms)]
         return [x + t for x, t in zip(chi, terms)]
 
 
@@ -134,7 +130,8 @@ class StepWorkspace:
     """Buffers and the recorded step with which ``CslStepper.step_batch``
     advances as many rows as ``psis`` has under ``h_matrix`` without
     allocating (real rows if they are real and there is no Hamiltonian).
-    Its caller holds it for one run; no stepper keeps it.
+    Its caller holds it for one run; no stepper keeps it.  A linear
+    stepper has no workspace: it is updated exactly, not stepped.
 
     The step's code runs once, on ``_Col`` columns, recorded as a fixed
     list of numpy calls that write through ``out``: the same operations
@@ -144,11 +141,13 @@ class StepWorkspace:
     """
 
     def __init__(self, stepper: CslStepper, psis: np.ndarray, h_matrix=None) -> None:
+        if stepper.form == "linear":
+            raise ValueError("the linear form takes the exact update, not an Euler step")
         d, n = stepper.family.dim, psis.shape[0]
         dtype = float if h_matrix is None and psis.dtype.kind == "f" else complex
-        self.stepper, self.h_matrix, self.n, self.calls, self.blocks = stepper, h_matrix, n, [], {}
+        self.stepper, self.n, self.calls, self.sums = stepper, n, [], {}
         self.slabs = tuple(np.empty((d, n), dtype).T for _ in range(2))
-        self.db, self.dlog = np.empty((stepper.family.channel_count, n)), np.zeros(n)
+        self.db = np.empty((stepper.family.channel_count, n))
         src, dst = (slab.T for slab in self.slabs)  # row j of a (d, n) slab is column j
         chi = [_Col(self, dtype, pair) for pair in zip(src, dst)]
         db = [_Col(self, float, (row, row)) for row in self.db]
@@ -157,13 +156,7 @@ class StepWorkspace:
         inv = 1.0 / np.sqrt(norm_sq)  # complex / real divides this way too
         for col, x, y in zip(new, src, dst):
             np.multiply(col, inv, out=_Col(self, dtype, (y, x)))
-        if stepper.form == "linear":
-            np.log(norm_sq, out=self.dlog)
         self.programs = self._link()
-
-    def block(self, name: str, width: int, dtype) -> np.ndarray:
-        """An (n, width) C-order buffer; each use must end before the next."""
-        return self.blocks.setdefault((name, width, dtype), np.empty((self.n, width), dtype))
 
     def _link(self) -> list:
         """The recorded calls on arrays, reading slab 0, then slab 1.  A
@@ -171,8 +164,7 @@ class StepWorkspace:
         at its last reader, whose own result may then reuse it in place.
         The reuse keeps the step in cache: with one buffer per scratch
         column, the nonlinear Ito step on 4096 two-level rows took 108-133
-        against 80-108 us on one Xeon core, the linear step 54-61 against
-        45-53 us."""
+        against 80-108 us on one Xeon core."""
         last = {id(c): k for k, (_, args) in enumerate(self.calls) for c in args}
         free = {}
         for k, (_, (*ins, out)) in enumerate(self.calls):
@@ -218,8 +210,9 @@ def _row_sum(cols: list):
     """Sum of the columns in the order numpy reduces a row of them: left
     to right below eight, pairwise from eight on."""
     if len(cols) >= 8:
-        ws = cols[0].ws
-        rows = ws.block("sum", len(cols), cols[0].dtype)
+        ws, key = cols[0].ws, (len(cols), cols[0].dtype)
+        # one (n, width) buffer per width and dtype: each sum ends before the next
+        rows = ws.sums.setdefault(key, np.empty((ws.n, len(cols)), cols[0].dtype))
         total = _Col(ws, rows.dtype)
         # copies, as np.stack makes, then numpy's pairwise sum of each row
         ws.calls += [(np.positive, (col, rows[:, j])) for j, col in enumerate(cols)]
@@ -255,21 +248,21 @@ class EnsembleResult:
 
     ``outcomes[k]`` is the sector a trajectory collapsed onto (z >= 1-1e-6)
     or -1 if still undecided; ``collapse_steps`` likewise (-1 = never).
-    ``mean_density`` averages |phi><phi| with cooked weights (linear form)
-    or uniformly (nonlinear form), i.e. the physical-ensemble density.
+    The physical-ensemble density is ``states.ensemble_density`` of the
+    final states, weighted by exp(log_weights) for the linear form.
     """
 
     final_states: np.ndarray
     log_weights: np.ndarray
     outcomes: np.ndarray
     collapse_steps: np.ndarray
-    mean_density: np.ndarray
     z_history: np.ndarray | None = None
     history_steps: np.ndarray | None = None
 
 
 CHUNK = 4096
-"""Trajectories per noise block in ``run_ensemble`` when it does not resample."""
+"""Trajectories per noise block in ``run_ensemble`` when it does not
+resample; a trajectory's bits do not depend on it."""
 
 
 def _shared_noise(stepper) -> tuple:
@@ -327,14 +320,12 @@ class _Ensemble:
                  n_traj: int, record_every: int | None, h_matrix) -> None:
         self.stepper, self.psi0, self.every = stepper, psi0, record_every
         self.h_matrix, self.ws = h_matrix, None
-        self.exact = stepper.form == "linear" and h_matrix is None
         n_rec, dim = (steps // record_every if record_every else 0), psi0.shape[0]
         self.res = EnsembleResult(
             np.empty((n_traj, dim), dtype=complex),
             np.zeros(n_traj),
             np.full(n_traj, -1, dtype=int),
             np.full(n_traj, -1, dtype=int),
-            None,
             np.zeros((n_rec, n_traj, stepper.family.n_sectors)) if record_every else None,
             np.arange(1, n_rec + 1) * record_every if record_every else None,
         )
@@ -342,28 +333,26 @@ class _Ensemble:
     def start(self, m: int) -> None:
         self.psis, self.lw = np.tile(self.psi0, (m, 1)), np.zeros(m)
         self.done = np.full(m, -1, dtype=int)
-        if not self.exact and (self.ws is None or self.ws.dlog.shape[0] != m):
+        if self.stepper.form != "linear" and (self.ws is None or self.ws.n != m):
             self.ws = StepWorkspace(self.stepper, self.psis, self.h_matrix)
 
     def advance(self, block: np.ndarray, k0: int, idx: np.ndarray) -> None:
         """Take the chunk through ``block``, whose first row is step k0 + 1,
         a segment at a time: one exact update by the summed increments for
-        a linear form without Hamiltonian, else step by step.  Segments end
+        the linear form, nonlinear steps one by one.  Segments end
         at record steps, where z is recorded, and every 16 steps and at the
         block's end, where finiteness is checked and collapses marked."""
         stepper, fam, every, lw = self.stepper, self.stepper.family, self.every, self.lw
         ends = [s for s in range(1, len(block) + 1) if (k0 + s) % 16 == 0
                 or s == len(block) or (every and (k0 + s) % every == 0)]
         for s0, s in zip([0] + ends, ends):
-            if self.exact:
+            if stepper.form == "linear":
                 x, f = block[s0:s].sum(axis=0), (s - s0) * stepper.dt
                 self.psis, dlog = linear_exact_commuting(self.psis, fam, x, stepper.gamma, f)
                 lw += dlog
             else:
                 for db in block[s0:s]:
-                    self.psis, dlog = stepper.step_batch(self.psis, db, self.h_matrix, self.ws)
-                    if stepper.form == "linear":
-                        lw += dlog
+                    self.psis = stepper.step_batch(self.psis, db, self.ws)
             k, z = k0 + s, _sector_rows(fam, self.psis.T)
             if every and k % every == 0:
                 self.res.z_history[k // every - 1, idx] = z.T
@@ -388,18 +377,6 @@ class _Ensemble:
         res.outcomes[idx[decided]] = np.argmax(z, axis=1)[decided]
         res.collapse_steps[idx] = self.done
 
-    def result(self) -> EnsembleResult:
-        """The result with its density: one product over all rows (complex,
-        row-major), so chunking cannot move its sums; linear-form weights
-        are scaled by the largest, so that none underflows to zero."""
-        res, rows = self.res, self.res.final_states
-        if self.stepper.form == "linear":
-            w = np.exp(res.log_weights - res.log_weights.max())
-            res.mean_density = (rows * w[:, None]).T @ rows.conj() / w.sum()
-        else:
-            res.mean_density = rows.T @ rows.conj() / len(rows)
-        return res
-
 
 def run_ensemble(
     psi0: np.ndarray,
@@ -408,7 +385,6 @@ def run_ensemble(
     n_traj: int,
     master_seed: int,
     h_matrix: np.ndarray | None = None,
-    chunk: int | None = None,
     record_every: int | None = None,
     resample_every: int | None = None,
     traj_offset: int = 0,
@@ -417,14 +393,11 @@ def run_ensemble(
 
     ``stepper`` is one CslStepper, or a tuple of them that step one
     ensemble each through the same increments (results in its order).
-    For the linear form the returned density is the raw average of the
-    unnormalized projectors (equivalently the cooked-weighted average of
-    the normalized ones); for the nonlinear form it is the plain average.
-    A linear ensemble without ``h_matrix`` is not Euler-stepped: the
-    couplings commute, so between two check or record points each row
-    takes the exact update ``linear_exact_commuting`` by its summed
-    increments, free of step-size error.  Every other ensemble is stepped
-    by ``CslStepper.step_batch``.
+    A linear ensemble is not Euler-stepped: the couplings commute, so
+    between two check or record points each row takes the exact update
+    ``linear_exact_commuting`` by its summed increments, free of
+    step-size error; it takes no ``h_matrix``.  A nonlinear ensemble is
+    stepped by ``CslStepper.step_batch``.
 
     The noise is drawn one window at a time, ``resample_every`` steps or
     the whole run: window w of trajectory i is the stream (traj_offset +
@@ -437,9 +410,8 @@ def run_ensemble(
     prescription commutes with being applied at intermediate times.
     Descendants go on with their slot's next window; nonlinear ensembles
     are not resampled.  Resampling steps every trajectory at once and
-    records no z history, so ``chunk`` and ``record_every`` are rejected
-    with it; otherwise ``chunk`` (default ``CHUNK``) trajectories are
-    stepped at a time.
+    records no z history, so ``record_every`` is rejected with it;
+    otherwise ``CHUNK`` trajectories are stepped at a time.
 
     Every 16 steps and at the end of each window a NaN or infinite
     amplitude or log-weight raises StabilityError.
@@ -447,15 +419,15 @@ def run_ensemble(
     steppers = _shared_noise(stepper)
     if n_traj < 1:
         raise ValueError(f"an ensemble needs at least one trajectory, not {n_traj}")
+    if h_matrix is not None and any(s.form == "linear" for s in steppers):
+        raise ValueError("the linear form's exact update takes no Hamiltonian")
     if resample_every is None:
-        chunk, window = (CHUNK if chunk is None else chunk), steps
+        chunk, window = CHUNK, steps
     else:
         if all(s.form != "linear" for s in steppers):
             raise ValueError("sequential resampling applies to the linear form")
         if record_every is not None:
             raise ValueError("the resampled runner records no z history")
-        if chunk is not None:
-            raise ValueError("the resampled runner steps every slot at once, in no chunk")
         chunk, window = n_traj, resample_every
     psi0 = _initial_rows(psi0, h_matrix)
     runs = [_Ensemble(s, psi0, steps, n_traj, record_every, h_matrix) for s in steppers]
@@ -476,7 +448,7 @@ def run_ensemble(
             del block  # so that the next block is not drawn beside it
         for run in runs:
             run.finish(idx)
-    results = tuple(run.result() for run in runs)
+    results = tuple(run.res for run in runs)
     return results if isinstance(stepper, tuple) else results[0]
 
 
@@ -509,6 +481,4 @@ def hermitian_phase_noise_ensemble(
     theta = block.sum(axis=0)  # (n_traj, n_sec), summed step by step
     del block
     psis = psi0 * np.exp(-1j * (theta @ table))
-    # summed over trajectories in order, as a running sum of outer products
-    density = (psis[:, :, None] * psis.conj()[:, None, :]).sum(axis=0)
-    return density / n_traj, family.sector_weights(psis)
+    return ensemble_density(psis), family.sector_weights(psis)

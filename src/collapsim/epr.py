@@ -37,7 +37,7 @@ def _evolve_batch(psis: np.ndarray, stepper: CslStepper, blocks: np.ndarray) -> 
     """Step a (n, d) batch along per-seed noise blocks (steps, n, 1)."""
     ws = StepWorkspace(stepper, psis)
     for k in range(blocks.shape[0]):
-        psis, _ = stepper.step_batch(psis, blocks[k], None, ws)
+        psis = stepper.step_batch(psis, blocks[k], ws)
     return psis
 
 

@@ -155,8 +155,7 @@ def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
     require_memory(16 * n * n_traj, "the final states")
     yield notices
     res = run_qmsl_ensemble(
-        psi0, HamiltonianSpec.free(), params, p["t_end"], n_traj, run.seed, p["dt"],
-        accumulate_kernel=False,
+        psi0, HamiltonianSpec.free(), params, p["t_end"], n_traj, run.seed, p["dt"]
     )
     if p["record_events"]:
         yield TableOutput(
@@ -337,7 +336,7 @@ def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
 @experiment("csl-discrete", trajectories=10_000, params={
     "lambda_eff": Param(float, bound=POSITIVE),
     "dt": _STEPPER["dt"],
-    "steps": _STEPPER["steps"],
+    "steps": Param(int, bound="[2, inf)"),  # the rate fit needs two record points
     "occupations_a": Param(int, bound=NONNEGATIVE, length=MANY),
     "occupations_b": Param(int, bound=NONNEGATIVE, length=MANY),
 })

@@ -93,11 +93,15 @@ class QmslEnsembleResult:
 
     amplitudes: np.ndarray        # (n_traj, N) final normalized amplitudes
     hit_counts: np.ndarray        # (n_traj,)
-    mean_kernel: np.ndarray       # (N, N) average of |psi><psi|, grid kernel
     template: GridWavefunction
     # (hits, 4) rows (trajectory, time, center, ||L_x psi||^2), ordered by
     # trajectory, then time
     events: np.ndarray
+
+
+CHUNK = 256
+"""Trajectories ``run_qmsl_ensemble`` advances at a time; a trajectory's
+results do not depend on it."""
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -116,8 +120,6 @@ def run_qmsl_ensemble(
     n_traj: int,
     master_seed: int,
     dt: float,
-    chunk: int = 256,
-    accumulate_kernel: bool = True,
 ) -> QmslEnsembleResult:
     """Hitting ensemble, hits at their exact Poisson times.
 
@@ -125,8 +127,9 @@ def run_qmsl_ensemble(
     own time tau.  Each trajectory draws from its own (master_seed, index)
     stream in the same order whatever the chunk size, so the results and
     the hit log (trajectory, time, center and ||L_x psi||^2 of each hit)
-    do not depend on ``chunk``, and a one-trajectory run is trajectory 0
-    of any larger one.
+    do not depend on ``CHUNK``, and a one-trajectory run is trajectory 0
+    of any larger one.  The ensemble's grid kernel is
+    ``states.ensemble_density`` of the final amplitudes.
 
     A chunk advances a window of W steps at a time.  For ``free`` and
     ``none`` Hamiltonians rows are held in the interaction picture (pulled
@@ -181,11 +184,10 @@ def run_qmsl_ensemble(
 
     final = np.empty((n_traj, n), dtype=complex)
     hit_counts = np.zeros(n_traj, dtype=int)
-    mean_kernel = np.zeros((n, n), dtype=complex) if accumulate_kernel else None
     events = [np.empty((0, 4))]
 
-    for start in range(0, n_traj, chunk):
-        idx = np.arange(start, min(start + chunk, n_traj))
+    for start in range(0, n_traj, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, n_traj))
         rngs = [trajectory_generator(master_seed, int(i)) for i in idx]
         next_hit = np.array([r.exponential(1.0 / lam) for r in rngs])
         b = np.tile(psi0.amplitudes, (len(idx), 1))
@@ -243,13 +245,9 @@ def run_qmsl_ensemble(
         for r in range(0, len(idx), tile_rows):
             part = slice(r, r + tile_rows)
             amps[part] = split_step_batch(b[part], psi0, h, t if free_flight else 0.0)
-        if accumulate_kernel:
-            mean_kernel += amps.conj().T @ amps
-    if accumulate_kernel:
-        mean_kernel = (mean_kernel / n_traj).T
     log = np.concatenate(events)
     log = log[np.argsort(log[:, 0], kind="stable")]
-    return QmslEnsembleResult(final, hit_counts, mean_kernel, psi0, log)
+    return QmslEnsembleResult(final, hit_counts, psi0, log)
 
 
 def ensemble_moments(result: QmslEnsembleResult) -> dict[str, float]:

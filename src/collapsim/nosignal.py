@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StatisticalPreconditionError
+from .states import FiniteState, density_from_ensemble, ensemble_density
 
 Ensemble = Sequence[tuple[np.ndarray, float]]
 """(normalized amplitude vector, statistical weight) pairs."""
@@ -36,16 +37,6 @@ class GisinReport:
     passed: bool
     rho_a: np.ndarray
     rho_b: np.ndarray
-
-
-def _density_of(ensemble: Ensemble) -> np.ndarray:
-    dim = len(ensemble[0][0])
-    rho = np.zeros((dim, dim), dtype=complex)
-    for amps, w in ensemble:
-        psi = np.asarray(amps, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
-        rho += w * np.outer(psi, psi.conj())
-    return rho
 
 
 def _evolve_ensemble(
@@ -74,20 +65,12 @@ def _evolve_ensemble(
     return states, logw
 
 
-def _weighted_density(states: np.ndarray, logw: np.ndarray) -> np.ndarray:
-    w = np.exp(logw - logw.max())
-    w = w / w.sum()
-    return (states * w[:, None]).T @ states.conj()
-
-
-def _mc_band(states: np.ndarray, logw: np.ndarray) -> float:
-    """One-sigma Frobenius resolution of the weighted-mean density:
-    sqrt(sum_ij sum_k w_k^2 |P_k,ij - mean_ij|^2), computed without
-    materializing the per-trajectory projectors (rows are unit-norm, so
-    sum_ij |P_k,ij|^2 = 1)."""
-    w = np.exp(logw - logw.max())
-    w = w / w.sum()
-    mean = (states * w[:, None]).T @ states.conj()
+def _mc_band(states: np.ndarray, weights: np.ndarray, mean: np.ndarray) -> float:
+    """One-sigma Frobenius resolution of ``mean``, the density of the rows
+    ``states`` under ``weights``: sqrt(sum_ij sum_k w_k^2 |P_k,ij -
+    mean_ij|^2) with w normalized, computed without materializing the
+    per-trajectory projectors (rows are unit-norm, so sum_ij |P_k,ij|^2 = 1)."""
+    w = weights / weights.sum()
     second = (states * (w**2)[:, None]).T @ states.conj()
     sum_w2 = float(np.sum(w**2))
     band_sq = (
@@ -112,16 +95,21 @@ def gisin_check(
     Monte Carlo band.  Trajectory indices are disjoint between the two
     ensembles so the comparison is between independent runs.
     """
-    rho_a0 = _density_of(ensemble_a)
-    rho_b0 = _density_of(ensemble_b)
+    rho_a0, rho_b0 = (
+        density_from_ensemble((FiniteState(a), w) for a, w in e).entries
+        for e in (ensemble_a, ensemble_b)
+    )
     if np.max(np.abs(rho_a0 - rho_b0)) > 1e-10:
         raise ValueError("ensembles are not initially equivalent")
-    states_a, logw_a = _evolve_ensemble(ensemble_a, evolve_many, n_traj, 0)
-    states_b, logw_b = _evolve_ensemble(ensemble_b, evolve_many, n_traj, n_traj)
-    rho_a = _weighted_density(states_a, logw_a)
-    rho_b = _weighted_density(states_b, logw_b)
+    bands, rho = [], []
+    for ensemble, offset in ((ensemble_a, 0), (ensemble_b, n_traj)):
+        states, logw = _evolve_ensemble(ensemble, evolve_many, n_traj, offset)
+        weights = np.exp(logw - logw.max())
+        rho.append(ensemble_density(states, weights))
+        bands.append(_mc_band(states, weights, rho[-1]))
+    rho_a, rho_b = rho
     distance = float(np.linalg.norm(rho_a - rho_b))
-    band = float(np.hypot(_mc_band(states_a, logw_a), _mc_band(states_b, logw_b)))
+    band = float(np.hypot(*bands))
     return GisinReport(distance, band, distance <= GISIN_SIGMAS * band, rho_a, rho_b)
 
 

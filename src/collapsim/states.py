@@ -197,6 +197,14 @@ def normalize(state):
     return state.with_amplitudes(state.amplitudes / np.sqrt(nsq))
 
 
+def ensemble_density(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Statistical operator sum_k w_k |r_k><r_k| / sum_k w_k of the (n, d)
+    rows, uniformly weighted when ``weights`` is None."""
+    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    return (rows * w[:, None]).T @ rows.conj()
+
+
 def density_from_ensemble(
     members: Iterable[tuple[FiniteState, float]], weight_tol: float = 1e-9
 ) -> DensityMatrix:
@@ -213,11 +221,7 @@ def density_from_ensemble(
     if abs(weights.sum() - 1.0) > weight_tol:
         raise ValueError("ensemble weights must sum to one")
     dim = members[0][0].dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    for state, w in members:
-        if state.dim != dim:
-            raise DimensionMismatchError("ensemble members differ in dimension")
-        psi = state.amplitudes / np.sqrt(state.norm_sq())
-        rho += w * np.outer(psi, psi.conj())
-    return DensityMatrix(rho, "finite")
-
+    if any(state.dim != dim for state, _ in members):
+        raise DimensionMismatchError("ensemble members differ in dimension")
+    rows = np.array([normalize(state).amplitudes for state, _ in members])
+    return DensityMatrix(ensemble_density(rows, weights), "finite")

@@ -1,8 +1,9 @@
 """Internal natural units (hbar = 1) and conversion to/from CGS.
 
 Simulations run in natural units so that collapse rates of order
-1e-16 1/s can be rescaled to O(1) without float underflow; every CGS
-magnitude enters or leaves through a :class:`UnitSystem`.
+1e-16 1/s can be rescaled to O(1) without float underflow; a
+:class:`UnitSystem` converts magnitudes to and from CGS.  The closed-form
+calculators take CGS values directly, with the constants below.
 """
 
 from __future__ import annotations

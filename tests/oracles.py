@@ -10,7 +10,8 @@ trajectory through every ``dt`` in position space, one at a time,
 splitting its step at each of its hit times.  Another is
 ``step_batch_reference``, the row-wise complex CSL step kept as the
 reference for the column-wise stepper: it reads the stepper's family,
-gamma, dt and form.  The per-trajectory samplers
+gamma, dt and form, and its linear Euler step is the reference the exact
+linear update is checked against.  The per-trajectory samplers
 ``sample_wiener_reference`` and ``hermitian_phase_noise_reference`` are
 the one-generator-per-path code the block draw replaced, kept to pin its
 streams and bits, and ``hit_center_reference`` is the per-hit draw the

@@ -337,6 +337,7 @@ BASES = {
         ("hitting", "dt = 0.02", "dt = 0.03"),
         ("mass", "scenario = superposed", "scenario = superposed\nn_cells = 0"),
         ("discrete", "occupations_b = 0, 3", "occupations_b = 0, 3, 1"),
+        ("discrete", "steps = 40", "steps = 1"),
         ("epr", "t_end = 2.0", "t_end = 2.0\nsteps = 0"),
         ("born", "steps = 600", "steps = 1e300"),
         ("master", "mass = 1.0", "mass = 1e300"),
@@ -349,7 +350,7 @@ BASES = {
         "steps-text", "steps-negative", "weights-scalar", "trajectories-negative",
         "seed-negative", "seed-past-u64", "dt-nan", "tau-zero", "kind-unknown",
         "kernel-file-missing", "grid-not-power-of-two", "t_end-not-whole-steps",
-        "no-cells", "occupation-lengths-differ", "epr-no-steps",
+        "no-cells", "occupation-lengths-differ", "discrete-one-record-point", "epr-no-steps",
         "steps-past-memory", "mass-overflows", "equivalence-window-past-memory",
         "mass-divides-by-zero", "sigma-divides-by-zero", "density-overflows",
     ],

@@ -6,7 +6,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from collapsim import DensityMatrix, StabilityError
+from collapsim import DensityMatrix, StabilityError, ensemble_density
 from collapsim.cells import CellModel, discrete_decay_exponent, discrete_decay_log
 from collapsim.colored import (
     CorrelationSpec,
@@ -89,14 +89,14 @@ EXACT_FAMILIES = {
 }
 
 
-def _steps_against_reference(family, form, complex_psi, hamiltonian, seed):
+def _steps_against_reference(family, complex_psi, hamiltonian, seed):
     """Three steps of the stepper and of the reference from the same rows
-    and increments: per step (states, dlog, reference states, reference dlog).
-    The stepper takes each step through a fresh workspace and all three
-    through one reused workspace, which must give the same arrays."""
+    and increments: per step (states, reference states).  The stepper
+    takes each step through a fresh workspace and all three through one
+    reused workspace, which must give the same arrays."""
     rng = np.random.default_rng(seed)
     a_max = float(np.max(np.abs(family.eigenvalues)))
-    stepper = CslStepper(family, 0.9, 0.008 / a_max**2, form)
+    stepper = CslStepper(family, 0.9, 0.008 / a_max**2)
     n, d = 64, family.dim
     psis = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if complex_psi else 0.0)
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
@@ -109,44 +109,41 @@ def _steps_against_reference(family, form, complex_psi, hamiltonian, seed):
     steps = []
     for _ in range(3):
         dbs = rng.normal(0.0, np.sqrt(stepper.gamma * stepper.dt), (n, family.channel_count))
-        a, dlog_a = stepper.step_batch(a, dbs, h, StepWorkspace(stepper, a, h))
-        b, dlog_b = step_batch_reference(stepper, b, dbs, h)
-        c, dlog_c = stepper.step_batch(c, dbs, h, ws)
-        assert np.array_equal(c, a) and np.array_equal(dlog_c, dlog_a)
-        assert c.dtype == a.dtype
-        steps.append((a, dlog_a, b, dlog_b))
+        a = stepper.step_batch(a, dbs, StepWorkspace(stepper, a, h))
+        b, _ = step_batch_reference(stepper, b, dbs, h)
+        c = stepper.step_batch(c, dbs, ws)
+        assert np.array_equal(c, a) and c.dtype == a.dtype
+        steps.append((a, b))
     return steps
 
 
 @pytest.mark.parametrize("hamiltonian", [False, True], ids=["no-h", "h"])
 @pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("form", ["linear", "nonlinear"])
 @pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
-def test_step_batch_equals_row_wise_reference(family, form, complex_psi, hamiltonian):
-    steps = _steps_against_reference(
-        EXACT_FAMILIES[family], form, complex_psi, hamiltonian, seed=17
-    )
-    for states, dlog, ref_states, ref_dlog in steps:
-        assert np.array_equal(states, ref_states)
-        assert np.array_equal(dlog, ref_dlog)
+def test_step_batch_equals_row_wise_reference(family, complex_psi, hamiltonian):
+    # The reference's H psi is one BLAS product, which may fuse or reorder
+    # its multiply-adds; the stepper's sums run left to right.
+    steps = _steps_against_reference(EXACT_FAMILIES[family], complex_psi, hamiltonian, seed=17)
+    for states, ref_states in steps:
+        if hamiltonian:
+            assert np.max(np.abs(states - ref_states)) <= 1e-15
+        else:
+            assert np.array_equal(states, ref_states)
     if not (complex_psi or hamiltonian):
         assert steps[-1][0].dtype == float  # real rows stay real
 
 
 @pytest.mark.parametrize("hamiltonian", [False, True], ids=["no-h", "h"])
 @pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("form", ["linear", "nonlinear"])
 @pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
-def test_single_row_steps_as_in_a_batch(family, form, complex_psi, hamiltonian):
+def test_single_row_steps_as_in_a_batch(family, complex_psi, hamiltonian):
     # A row stepped alone, as in the last chunk of an ensemble, reaches the
     # same bits as in a batch of 64: no step couples rows, and with one row
-    # nothing may drop or broadcast the row axis.  The Hamiltonian term is
-    # one BLAS product, whose kernel (so its rounding) depends on the row
-    # count: with it the two agree to a few ulps.
+    # nothing may drop or broadcast the row axis.
     family = EXACT_FAMILIES[family]
     rng = np.random.default_rng(23)
     a_max = float(np.max(np.abs(family.eigenvalues)))
-    stepper = CslStepper(family, 0.9, 0.008 / a_max**2, form)
+    stepper = CslStepper(family, 0.9, 0.008 / a_max**2)
     n, d = 64, family.dim
     psis = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if complex_psi else 0.0)
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
@@ -159,44 +156,36 @@ def test_single_row_steps_as_in_a_batch(family, form, complex_psi, hamiltonian):
     batch, ws = psis, StepWorkspace(stepper, psis, h)
     for _ in range(3):
         dbs = rng.normal(0.0, np.sqrt(stepper.gamma * stepper.dt), (n, family.channel_count))
-        batch, dlog = stepper.step_batch(batch, dbs, h, ws)
+        batch = stepper.step_batch(batch, dbs, ws)
         for k in rows:
-            rows[k], dlog_k = stepper.step_batch(rows[k], dbs[k:k + 1], h, spaces[k])
-            assert rows[k].shape == (1, d) and dlog_k.shape == (1,)
-            assert rows[k].dtype == batch.dtype
-            if h is None:
-                assert np.array_equal(rows[k][0], batch[k])
-                assert np.array_equal(dlog_k[0], dlog[k])
-            else:
-                assert np.max(np.abs(rows[k][0] - batch[k])) <= 4e-16
-                assert abs(dlog_k[0] - dlog[k]) <= 4e-16
+            rows[k] = stepper.step_batch(rows[k], dbs[k:k + 1], spaces[k])
+            assert rows[k].shape == (1, d) and rows[k].dtype == batch.dtype
+            assert np.array_equal(rows[k][0], batch[k])
 
 
-@pytest.mark.parametrize("form", ["linear", "nonlinear"])
-def test_step_batch_within_rounding_of_reference_for_inexact_products(form):
+def test_step_batch_within_rounding_of_reference_for_inexact_products():
     # With entries such as 0.3 or an occupation of 3, a product rounds.
     # The reference's matrix products (BLAS) fuse each multiply-add and
     # round once, the column sums round each product: a few ulps apart.
     family = CellModel(np.array([[3, 0, 1], [1, 3, 0], [0, 1, 3]]), 0.7).family
-    for states, _, ref_states, _ in _steps_against_reference(family, form, True, False, seed=5):
+    for states, ref_states in _steps_against_reference(family, True, False, seed=5):
         assert np.max(np.abs(states - ref_states)) <= 2e-15
 
 
-@pytest.mark.parametrize("form", ["linear", "nonlinear"])
-def test_workspace_steps_allocate_nothing(form):
+def test_workspace_steps_allocate_nothing():
     # after warm-up, stepping through a workspace makes no array: the
     # step's columns and both state slabs were allocated with it
     n = 4096
-    stepper = CslStepper(TWO, gamma=1.0, dt=0.0025, form=form)
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.0025)
     block = wiener_increment_block(5, np.arange(n), 60, 1, 1.0, 0.0025)
     psis = np.tile(np.sqrt([0.3, 0.7]), (n, 1))
     ws = StepWorkspace(stepper, psis)
     for db in block[:10]:
-        psis, _ = stepper.step_batch(psis, db, None, ws)
+        psis = stepper.step_batch(psis, db, ws)
     tracemalloc.start()
     try:
         for db in block[10:]:
-            psis, _ = stepper.step_batch(psis, db, None, ws)
+            psis = stepper.step_batch(psis, db, ws)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -208,11 +197,24 @@ def test_workspace_rejects_rows_it_was_not_made_for():
     psis = np.tile(np.sqrt([0.3, 0.7]), (8, 1))
     ws = StepWorkspace(stepper, psis)
     with pytest.raises(ValueError, match="rows"):
-        stepper.step_batch(psis[:4], np.zeros((4, 1)), None, ws)
-    with pytest.raises(ValueError, match="Hamiltonian"):
-        stepper.step_batch(psis, np.zeros((8, 1)), np.eye(2), ws)
+        stepper.step_batch(psis[:4], np.zeros((4, 1)), ws)
     with pytest.raises(ValueError, match="stepper"):
-        CslStepper(TWO, gamma=1.0, dt=0.002).step_batch(psis, np.zeros((8, 1)), None, ws)
+        CslStepper(TWO, gamma=1.0, dt=0.002).step_batch(psis, np.zeros((8, 1)), ws)
+
+
+def test_the_linear_form_is_never_euler_stepped():
+    # it takes the exact commuting update, which has no Hamiltonian term
+    linear = CslStepper(TWO, gamma=1.0, dt=0.0025, form="linear")
+    with pytest.raises(ValueError, match="exact update"):
+        StepWorkspace(linear, np.tile(np.sqrt([0.3, 0.7]), (8, 1)))
+    with pytest.raises(ValueError, match="Hamiltonian"):
+        run_ensemble(np.sqrt([0.3, 0.7]), linear, 10, 4, 1, h_matrix=np.eye(2))
+
+
+def _density(res):
+    """The ensemble's density, with cooked weights (all one for a
+    nonlinear run) scaled by the largest, so that none underflows."""
+    return ensemble_density(res.final_states, np.exp(res.log_weights - res.log_weights.max()))
 
 
 def test_linear_density_survives_weights_below_exp_underflow():
@@ -223,8 +225,8 @@ def test_linear_density_survives_weights_below_exp_underflow():
     stepper = CslStepper(family, gamma=1.0, dt=1e-4, form="linear")
     res = run_ensemble(np.sqrt([0.5, 0.5]), stepper, 50_000, 8, master_seed=1)
     assert res.log_weights.max() < -745.0
-    assert np.isfinite(res.mean_density).all()
-    assert np.trace(res.mean_density).real == pytest.approx(1.0, abs=1e-12)
+    assert np.isfinite(_density(res)).all()
+    assert np.trace(_density(res)).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_ensemble_rejects_an_empty_ensemble():
@@ -233,13 +235,16 @@ def test_run_ensemble_rejects_an_empty_ensemble():
 
 
 @pytest.mark.parametrize("form", ["linear", "nonlinear"])
-def test_run_ensemble_equals_reference_steps(form):
+def test_run_ensemble_equals_reference_steps(monkeypatch, form):
     # a real psi0 runs on float64 rows; the nonlinear result matches
     # complex rows stepped by the reference with the same increments, the
     # linear one (not stepped) the exact update by the summed increments
+    import collapsim.diffusion as diffusion
+
+    monkeypatch.setattr(diffusion, "CHUNK", 32)
     psi0 = np.sqrt(np.array([0.3, 0.7]))
     stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form=form)
-    res = run_ensemble(psi0, stepper, 40, 50, master_seed=3, chunk=32, record_every=20)
+    res = run_ensemble(psi0, stepper, 40, 50, master_seed=3, record_every=20)
     block = wiener_increment_block(3, np.arange(50), 40, 1, 1.0, 0.005)
     assert res.final_states.dtype == complex
     if form == "linear":
@@ -257,15 +262,19 @@ def test_run_ensemble_equals_reference_steps(form):
 
 
 @pytest.mark.parametrize("chunk", [16, 64])
-def test_linear_run_without_h_is_the_exact_update_by_summed_increments(chunk):
+def test_linear_run_is_the_exact_update_by_summed_increments(monkeypatch, chunk):
     # three sectors, two channels; the run is cut into segments at every
     # record step (10) and every 16 steps, and each row of every chunk
     # ends where one exact update by its whole increment sum takes it
+    import collapsim.diffusion as diffusion
+
     fam = EXACT_FAMILIES["diagonal-3-sectors-2-channels"]
     psi0 = np.sqrt(np.array([0.1, 0.2, 0.3, 0.4]))
     gamma, dt, steps, n = 0.9, 0.002, 90, 100
     stepper = CslStepper(fam, gamma, dt, form="linear")
-    res = run_ensemble(psi0, stepper, steps, n, 12, chunk=chunk, record_every=10)
+    whole = run_ensemble(psi0, stepper, steps, n, 12, record_every=10)
+    monkeypatch.setattr(diffusion, "CHUNK", chunk)
+    res = run_ensemble(psi0, stepper, steps, n, 12, record_every=10)
     block = wiener_increment_block(12, np.arange(n), steps, 2, gamma, dt)
     exact, logw = linear_exact_commuting(psi0, fam, block.sum(axis=0), gamma, steps * dt)
     assert np.max(np.abs(res.final_states - exact)) <= 1e-12
@@ -273,9 +282,26 @@ def test_linear_run_without_h_is_the_exact_update_by_summed_increments(chunk):
     at_40, _ = linear_exact_commuting(psi0, fam, block[:40].sum(axis=0), gamma, 40 * dt)
     assert np.max(np.abs(res.z_history[3] - fam.sector_weights(at_40))) <= 1e-12
     # the segments do not depend on the chunk, so neither do the bits
-    whole = run_ensemble(psi0, stepper, steps, n, 12, record_every=10)
-    for field in ("final_states", "log_weights", "z_history", "mean_density"):
+    for field in ("final_states", "log_weights", "z_history"):
         assert np.array_equal(getattr(res, field), getattr(whole, field)), field
+    assert np.array_equal(_density(res), _density(whole))
+
+
+def test_hamiltonian_ensemble_does_not_depend_on_the_chunk(monkeypatch):
+    # criterion 3's ensemble (d = 3, H != 0) on 64 trajectories: a row's
+    # H psi is summed in the row alone, so a chunk of one row steps it to
+    # the bits of a chunk of 64
+    import collapsim.diffusion as diffusion
+
+    psi0 = np.array([0.6, 0.64, 0.48], dtype=complex)
+    psi0 /= np.linalg.norm(psi0)
+    h = np.array([[0.0, 0.4, 0.0], [0.4, 0.0, 0.4], [0.0, 0.4, 0.0]], dtype=complex)
+    stepper = CslStepper(ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]])), 0.5, 0.005)
+    finals = []
+    for chunk in (1, 64):
+        monkeypatch.setattr(diffusion, "CHUNK", chunk)
+        finals.append(run_ensemble(psi0, stepper, 100, 64, 301, h_matrix=h).final_states)
+    assert np.array_equal(*finals)
 
 
 def test_run_ensemble_z_sums_a_sector_as_sector_weights_does():
@@ -342,9 +368,9 @@ def test_shared_runner_in_one_window_equals_the_plain_runs(every):
     assert isinstance(shared, tuple) and len(shared) == 2
     for stepper, res in zip(steppers, shared):
         plain = run_ensemble(psi0, stepper, 40, 50, master_seed=9, traj_offset=3)
-        for field in ("final_states", "log_weights", "outcomes", "collapse_steps",
-                      "mean_density"):
+        for field in ("final_states", "log_weights", "outcomes", "collapse_steps"):
             assert np.array_equal(getattr(res, field), getattr(plain, field)), field
+        assert np.array_equal(_density(res), _density(plain))
 
 
 def test_shared_runner_steps_both_forms_through_window_keyed_streams():
@@ -474,25 +500,12 @@ def test_resampled_runner_rejects_record_every():
         run_ensemble(psi0, stepper, 10, 4, 1, record_every=5, resample_every=5)
 
 
-def test_resampled_runner_rejects_chunk():
-    psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
-    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form="linear")
-    with pytest.raises(ValueError, match="chunk"):
-        run_ensemble(psi0, stepper, 10, 4, 1, chunk=2, resample_every=5)
-
-
 def test_linear_eigenstate_fixed_ray_and_zero_eigenvalue_weight():
     fam = ProjectorFamily.two_level(a_plus=0.0, a_minus=1.5)
-    stepper = CslStepper(fam, gamma=1.0, dt=0.004, form="linear")
     psi = np.array([1.0, 0.0], dtype=complex)  # eigenvalue-0 sector
     path = colored_increment_block(WHITE, 3, [0], 200, 1, 1.0, 0.004)[:, 0]
-    out = psi[None, :]  # a one-row batch
-    ws = StepWorkspace(stepper, out)
-    logw = 0.0
-    for k in range(len(path)):
-        out, dlog = stepper.step_batch(out, path[k : k + 1], None, ws)
-        logw += dlog[0]
-    assert np.allclose(out[0], psi)
+    out, logw = linear_exact_commuting(psi, fam, path.sum(axis=0), 1.0, 200 * 0.004)
+    assert np.allclose(out, psi)
     assert logw == pytest.approx(0.0, abs=1e-12)  # weight constant
 
 
@@ -503,7 +516,7 @@ def test_nonlinear_eigenstate_is_stationary():
     out = psi[None, :]
     ws = StepWorkspace(stepper, out)
     for k in range(len(path)):
-        out = stepper.step_batch(out, path[k : k + 1], None, ws)[0]
+        out = stepper.step_batch(out, path[k : k + 1], ws)
     assert abs(abs(np.vdot(psi, out[0])) - 1.0) < 1e-12
 
 
@@ -608,17 +621,15 @@ def test_two_level_analytic_monte_carlo_ks():
 
 def test_linear_exact_commuting_is_exact_solution():
     # d psi = [a dB - gamma a^2 dt] psi per sector (Ito) integrates to
-    # exp(a B - gamma a^2 t); verify via fine Euler on a shared path
+    # exp(a B - gamma a^2 t); verify via fine Euler (the reference's
+    # linear step) on a shared path
     gamma, dt, steps = 0.8, 0.0002, 500
     stepper = CslStepper(TWO, gamma, dt, form="linear")
     path = colored_increment_block(WHITE, 31, [0], steps, 1, gamma, dt)[:, 0]
     out = np.array([[np.sqrt(0.5), np.sqrt(0.5)]], dtype=complex)
-    ws = StepWorkspace(stepper, out)
-    logw = 0.0
     for k in range(steps):
-        out, dlog = stepper.step_batch(out, path[k : k + 1], None, ws)
-        logw += dlog[0]
-    exact, exact_logw = linear_exact_commuting(
+        out, _ = step_batch_reference(stepper, out, path[k : k + 1])
+    exact, _ = linear_exact_commuting(
         np.array([np.sqrt(0.5), np.sqrt(0.5)], dtype=complex),
         TWO,
         np.array([float(path.sum())]),
@@ -669,7 +680,7 @@ def test_nonlinear_step_keeps_vertices_and_the_simplex():
     psis = np.sqrt(np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3]]))
     ws = StepWorkspace(stepper, psis)
     for db in wiener_increment_block(5, np.arange(2), 200, 2, 1.0, 0.002):
-        psis, _ = stepper.step_batch(psis, db, None, ws)
+        psis = stepper.step_batch(psis, db, ws)
         z = fam.sector_weights(psis)
         assert np.max(np.abs(z.sum(axis=1) - 1.0)) < 1e-12
         assert np.array_equal(z[0], [1.0, 0.0, 0.0])
@@ -688,7 +699,7 @@ def test_nonlinear_step_projects_to_the_driftless_z_diffusion():
         db = rng.normal(0.0, np.sqrt(gamma * dt), size=1)
         z_now = np.abs(psi[0]) ** 2
         z_pred = z_now + 2.0 * z_now * (a - z_now @ a) * db[0]
-        psi = stepper.step_batch(psi, db[None, :], None, ws)[0]
+        psi = stepper.step_batch(psi, db[None, :], ws)
         assert np.max(np.abs(z_pred - np.abs(psi[0]) ** 2)) < 1e-6
 
 
@@ -762,7 +773,7 @@ def test_lindblad_equals_cooked_trajectory_average():
     res = run_ensemble(psi0, stepper, steps, 10_000, 2222, h_matrix=h)
     rho0 = DensityMatrix(np.outer(psi0, psi0.conj()))
     rho_t = lindblad_evolve(rho0, h, fam, gamma, dt * steps)
-    err = np.linalg.norm(res.mean_density - rho_t.entries)
+    err = np.linalg.norm(ensemble_density(res.final_states) - rho_t.entries)
     assert err < 0.05
 
 
@@ -794,7 +805,9 @@ def test_single_path_samplers_keep_their_streams_and_bits():
         args = (psi, fam, 0.8, 0.01, 120, 300, 55)
         rho, z = hermitian_phase_noise_ensemble(*args)
         rho_ref, z_ref = hermitian_phase_noise_reference(*args)
-        assert np.array_equal(rho, rho_ref)
+        # one BLAS product sums the 300 projectors in another order than
+        # the reference's running sum (3.6e-15 apart with OpenBLAS)
+        assert np.max(np.abs(rho - rho_ref)) <= 1e-14
         assert np.array_equal(z, z_ref)
 
 

@@ -87,7 +87,7 @@ def test_nonlinear_step_stays_on_the_simplex(z_raw, a_raw, db):
     psi = np.sqrt(z / z.sum())[None, :]
     family = ProjectorFamily.diagonal(np.array(a_raw[:size])[None, :])
     stepper = CslStepper(family, 1.0, 0.005 / max(1.0, np.max(family.eigenvalues**2)))
-    out, _ = stepper.step_batch(psi, np.array([[db]]), None, StepWorkspace(stepper, psi))
+    out = stepper.step_batch(psi, np.array([[db]]), StepWorkspace(stepper, psi))
     weights = family.sector_weights(out)
     assert abs(weights.sum() - 1.0) < 1e-12 and weights.min() >= 0.0
 

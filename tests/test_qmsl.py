@@ -28,6 +28,7 @@ from collapsim.hitting import (
 )
 from collapsim.noise import TILE_BYTES, trajectory_generator
 from collapsim.schrodinger import gaussian_packet, split_step_evolve, two_packet_state
+from collapsim.states import ensemble_density
 from collapsim.units import ERG_PER_EV, HBAR_CGS
 
 from oracles import (
@@ -189,10 +190,7 @@ def test_trajectory_zero_rate_is_pure_schrodinger():
 
 def test_trajectory_hit_count_poisson():
     psi = _two_packets()
-    res = run_qmsl_ensemble(
-        psi, HamiltonianSpec.free(), DESK, 2.0, 800, 7, 0.02,
-        accumulate_kernel=False,
-    )
+    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), DESK, 2.0, 800, 7, 0.02)
     lam_t = DESK.lambda_rate * 2.0
     mean = res.hit_counts.mean()
     sigma = np.sqrt(lam_t / 800)
@@ -204,10 +202,7 @@ def test_trajectory_two_packet_reduction_binomial():
     # ~10 hits per trajectory heat the ensemble; dx resolves the grown
     # momentum spread (Nyquist ~ 10 sigma_p) so no aliasing floor forms
     psi = _two_packets()
-    res = run_qmsl_ensemble(
-        psi, HamiltonianSpec.free(), DESK, 2.5, 4000, 99, 0.02,
-        accumulate_kernel=False,
-    )
+    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), DESK, 2.5, 4000, 99, 0.02)
     x = psi.positions
     right = (np.abs(res.amplitudes) ** 2 * psi.dx) @ (x > 0)
     decided = (right < 0.05) | (right > 0.95)
@@ -233,8 +228,8 @@ def test_trajectory_events_monotone_times():
 def test_one_trajectory_log_is_trajectory_zero_of_a_larger_run():
     psi = _two_packets()
     args = (psi, HamiltonianSpec.free(), DESK, 1.0)
-    one = run_qmsl_ensemble(*args, 1, 9, 0.02, accumulate_kernel=False)
-    many = run_qmsl_ensemble(*args, 64, 9, 0.02, accumulate_kernel=False)
+    one = run_qmsl_ensemble(*args, 1, 9, 0.02)
+    many = run_qmsl_ensemble(*args, 64, 9, 0.02)
     assert one.events.shape[0] > 0
     assert np.array_equal(one.events, many.events[many.events[:, 0] == 0])
     assert np.array_equal(one.amplitudes[0], many.amplitudes[0])
@@ -253,7 +248,7 @@ def test_one_trajectory_log_is_trajectory_zero_of_a_larger_run():
 )
 def test_ensemble_matches_lockstep_oracle(seed, h, params):
     psi = _two_packets()
-    res = run_qmsl_ensemble(psi, h, params, 1.0, 24, seed, 0.02, accumulate_kernel=False)
+    res = run_qmsl_ensemble(psi, h, params, 1.0, 24, seed, 0.02)
     amps, hit_counts, log = qmsl_exact_time_lockstep(psi, h, params, 1.0, 24, seed, 0.02)
     assert np.array_equal(res.hit_counts, hit_counts)
     if params is DESK:
@@ -265,17 +260,23 @@ def test_ensemble_matches_lockstep_oracle(seed, h, params):
     assert np.max(np.abs(res.amplitudes - amps)) < 1e-12
 
 
-def test_ensemble_does_not_depend_on_chunk():
-    # chunk = 1 hits one row a round, chunk = 64 up to 64 rows together
+def test_ensemble_does_not_depend_on_chunk(monkeypatch):
+    # CHUNK = 1 hits one row a round, CHUNK = 64 up to 64 rows together
+    import collapsim.hitting as hitting
+
     psi = _two_packets()
     args = (psi, HamiltonianSpec.free(), DESK, 1.0, 100, 5, 0.02)
-    whole = run_qmsl_ensemble(*args, chunk=64)
-    for chunk in (1, 16):
-        small = run_qmsl_ensemble(*args, chunk=chunk)
+    runs = {}
+    for chunk in (64, 1, 16):
+        monkeypatch.setattr(hitting, "CHUNK", chunk)
+        runs[chunk] = run_qmsl_ensemble(*args)
+    whole = runs.pop(64)
+    for small in runs.values():
         assert np.array_equal(small.hit_counts, whole.hit_counts)
         assert np.array_equal(small.events, whole.events)
         assert np.array_equal(small.amplitudes, whole.amplitudes)
-        assert np.allclose(small.mean_kernel, whole.mean_kernel, rtol=0, atol=1e-14)
+        rho = ensemble_density(small.amplitudes)
+        assert np.array_equal(rho, ensemble_density(whole.amplitudes))
 
 
 def _leak_report(exc) -> tuple[float, str]:
@@ -329,9 +330,7 @@ def test_long_run_memory_does_not_grow_with_steps():
     params = CollapseParams(1e-12, 1.0, 1.0, dimension=1)
     tracemalloc.start()
     try:
-        res = run_qmsl_ensemble(
-            psi, HamiltonianSpec.free(), params, 5.0, 2, 3, 0.001, accumulate_kernel=False
-        )
+        res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), params, 5.0, 2, 3, 0.001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -343,7 +342,7 @@ def test_ensemble_harmonic_matches_split_step_evolve():
     h = HamiltonianSpec.harmonic(0.7)
     psi = gaussian_packet(256, 0.125, -16.0, 2.0, 1.5, 0.6)
     params = CollapseParams(1e-12, 1.0, 1.0, dimension=1)
-    res = run_qmsl_ensemble(psi, h, params, 2.0, 3, 1, 0.01, accumulate_kernel=False)
+    res = run_qmsl_ensemble(psi, h, params, 2.0, 3, 1, 0.01)
     ref = split_step_evolve(psi, h, 0.01, steps=200)
     assert res.hit_counts.sum() == 0
     assert np.max(np.abs(res.amplitudes - ref.amplitudes[None, :])) < 1e-10
@@ -467,10 +466,7 @@ def test_moments_monte_carlo_match():
     mass, sigma = 8.0, 0.8
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
-    res = run_qmsl_ensemble(
-        psi, HamiltonianSpec.free(), params, t, 4000, 31, 0.02,
-        accumulate_kernel=False,
-    )
+    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), params, t, 4000, 31, 0.02)
     from collapsim.hitting import ensemble_moments
 
     mc = ensemble_moments(res)
@@ -566,10 +562,7 @@ def test_energy_increase_monte_carlo():
     mass, sigma = 8.0, 0.8
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
-    res = run_qmsl_ensemble(
-        psi, HamiltonianSpec.free(), params, t, 4000, 17, 0.02,
-        accumulate_kernel=False,
-    )
+    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), params, t, 4000, 17, 0.02)
     from collapsim.hitting import ensemble_moments
 
     mc = ensemble_moments(res)
