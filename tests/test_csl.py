@@ -211,6 +211,39 @@ def test_the_linear_form_is_never_euler_stepped():
         run_ensemble(np.sqrt([0.3, 0.7]), linear, 10, 4, 1, h_matrix=np.eye(2))
 
 
+def _linear_run(family, complex_psi, n_traj=64, **kwargs):
+    """psi0, a linear stepper and its 40-step run from psi0 (seed 19)."""
+    psi0 = np.sqrt(np.arange(1.0, family.dim + 1))
+    psi0 = psi0 / np.linalg.norm(psi0) * (np.exp(1j * np.arange(family.dim)) if complex_psi else 1)
+    stepper = CslStepper(family, 0.9, 0.008 / np.max(np.abs(family.eigenvalues)) ** 2, "linear")
+    return psi0, stepper, run_ensemble(psi0, stepper, 40, n_traj, 19, **kwargs)
+
+
+@pytest.mark.parametrize("every", [None, 1], ids=["segment-per-16", "segment-per-step"])
+@pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("fam", list(EXACT_FAMILIES.values()), ids=list(EXACT_FAMILIES))
+def test_linear_segments_compose_to_one_exact_update(fam, complex_psi, every):
+    # updates by each segment's increments end where one by their sum does
+    psi0, stepper, res = _linear_run(fam, complex_psi, record_every=every)
+    block = wiener_increment_block(19, np.arange(64), 40, fam.channel_count, 0.9, stepper.dt)
+    exact, logw = linear_exact_commuting(psi0, fam, block.sum(axis=0), 0.9, 40 * stepper.dt)
+    assert np.max(np.abs(res.final_states - exact)) <= 1e-12
+    assert np.allclose(res.log_weights, logw, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("every", [None, 10], ids=["no-record", "record"])
+@pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("fam", list(EXACT_FAMILIES.values()), ids=list(EXACT_FAMILIES))
+def test_linear_row_runs_alone_as_in_a_batch(fam, complex_psi, every):
+    # a row alone ends as among 64 only within rounding: numpy sums one
+    # channel's increments pairwise and x @ table takes another BLAS kernel
+    many = _linear_run(fam, complex_psi, record_every=every)[2]
+    one = _linear_run(fam, complex_psi, 1, record_every=every, traj_offset=63)[2]
+    assert np.max(np.abs(one.final_states[0] - many.final_states[63])) <= 1e-15
+    assert np.isclose(one.log_weights[0], many.log_weights[63], rtol=1e-15, atol=1e-15)
+    assert (one.outcomes[0], one.collapse_steps[0]) == (many.outcomes[63], many.collapse_steps[63])
+
+
 def _density(res):
     """The ensemble's density, with cooked weights (all one for a
     nonlinear run) scaled by the largest, so that none underflows."""
