@@ -14,6 +14,7 @@ ensemble's density is ``states.ensemble_density`` of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.lib.mixins import NDArrayOperatorsMixin
@@ -262,7 +263,8 @@ class EnsembleResult:
 
 CHUNK = 4096
 """Trajectories per noise block in ``run_ensemble`` when it does not
-resample; a trajectory's bits do not depend on it."""
+resample; a trajectory's bits do not depend on it, but for a lone linear row
+with many channels, whose ``x @ table`` may take another BLAS kernel."""
 
 
 def _shared_noise(stepper) -> tuple:
@@ -347,7 +349,8 @@ class _Ensemble:
                 or s == len(block) or (every and (k0 + s) % every == 0)]
         for s0, s in zip([0] + ends, ends):
             if stepper.form == "linear":
-                x, f = block[s0:s].sum(axis=0), (s - s0) * stepper.dt
+                # summed in step order, as numpy sums a batch (pairwise for one row)
+                x, f = reduce(np.add, block[s0:s]), (s - s0) * stepper.dt
                 self.psis, dlog = linear_exact_commuting(self.psis, fam, x, stepper.gamma, f)
                 lw += dlog
             else:

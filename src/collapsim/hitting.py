@@ -131,22 +131,20 @@ def run_qmsl_ensemble(
     of any larger one.  The ensemble's grid kernel is
     ``states.ensemble_density`` of the final amplitudes.
 
-    A chunk advances a window of W steps at a time.  For ``free`` and
-    ``none`` Hamiltonians rows are held in the interaction picture (pulled
-    back to t = 0 by U(t) = ``split_step_batch(., t)``); round i of a
-    window jumps each row whose i-th hit in it is due to its own tau, hits
-    it and pulls it back.  A hit belongs to the first step whose
-    accumulated time is >= tau.  Harmonic Hamiltonians take windows of one
-    Strang step, split at each hit time.
+    A chunk advances a window of W steps at a time.  A free row is held as
+    its momentum-picture spectrum chi = fft(U(-t) psi(t)), which free
+    flight leaves alone (under ``none``, as its amplitudes).  Round i of a
+    window takes each row whose i-th hit in it is due to its own tau,
+    psi = ifft(chi kin(tau)), hits it and stores fft(psi) conj(kin(tau)).
+    A hit belongs to the first step whose accumulated time is >= tau.
+    Harmonic rows take windows of one Strang step, split at each hit time.
 
-    Leakage is checked at every step: a row's edge amplitudes at t are
-    ``b @ [G_t[-j mod N], G_t[N-1-j]]``, G_t = U(t) of a unit vector.  The
-    window's taps form one (N, 2W) block, W as large as one
-    ``noise.TILE_BYTES`` tile allows, so a state is screened by one
-    product over the steps it is held on.  Edges over ``leak_tol`` times
-    the RMS amplitude (a lower bound on the peak, fixed in time) get the
-    exact test edge > leak_tol * peak; the first failing step raises
-    ``GridLeakageError``, as a step-by-step check would.
+    Leakage is checked at every step: chi's edge amplitudes at t are
+    chi @ [kin(t), kin(t) exp(-2 pi i k/N)] / N, one (N, 2W) block of taps
+    a window, W as large as one ``noise.TILE_BYTES`` tile allows.  Edges
+    over ``leak_tol`` times the RMS amplitude (a lower bound on the peak,
+    fixed in time) get the exact test edge > leak_tol * peak; the first
+    failing step raises ``GridLeakageError``, as a step-by-step check would.
     """
     if abs(psi0.norm_sq() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
@@ -154,13 +152,14 @@ def run_qmsl_ensemble(
     n = psi0.n
     lam = params.lambda_rate
     tol = psi0.leak_tol
-    free_flight = h.kind in ("free", "none")
+    free = h.kind == "free"
+    free_flight = free or h.kind == "none"
     # a window's taps and each (rows, N) array of a hit round fit one tile
     tile_rows = max(1, TILE_BYTES // (16 * n))
     width = max(1, min(n_steps, tile_rows // 2)) if free_flight else 1
-    taps = np.empty((n, 2 * width), dtype=complex) if free_flight else None
-    # (U(t) b)[j] = sum_l G_t[(j - l) mod N] b[l], read at j = 0 and j = N - 1
-    edge_taps = np.stack([-np.arange(n) % n, n - 1 - np.arange(n)], axis=1)
+    taps = np.empty((width, 2, n), dtype=complex)  # (step, edge, k)
+    shift = np.exp(-2j * np.pi * np.arange(n) / n)  # x_{N-1} is x_0 - dx on the ring
+    held0 = np.fft.fft(psi0.amplitudes) if free else psi0.amplitudes
     # a row keeps the norm of psi0 until its first hit and unit norm after
     rms = min(np.linalg.norm(psi0.amplitudes), 1.0 / np.sqrt(psi0.dx)) / np.sqrt(n)
 
@@ -168,15 +167,16 @@ def run_qmsl_ensemble(
         # leakage tests of states held on the steps [first, stop) of a window
         lo = int(np.min(first, initial=width))
         hi = max(lo, int(np.max(stop, initial=0)))
-        # harmonic rows are in position space, one step a window
-        edge = states @ taps[:, 2 * lo : 2 * hi] if free_flight else states[:, [0, -1]]
+        # rows under none stand still, and harmonic windows are one step
+        edge = states @ taps[lo:hi].reshape(-1, n).T if free else states[:, [0, -1] * (hi - lo)]
         edge = np.abs(edge).reshape(len(states), hi - lo, 2).max(axis=2)
         steps = np.arange(lo, hi)
         over = edge > tol * rms
         over &= (steps >= np.reshape(first, (-1, 1))) & (steps < np.reshape(stop, (-1, 1)))
         for s in lo + np.nonzero(over.any(axis=0))[0]:
-            lag = times[s] if free_flight else 0.0
-            amps = split_step_batch(states[over[:, s - lo]], psi0, h, lag)
+            amps = states[over[:, s - lo]]
+            if free:
+                amps = split_step_batch(amps, psi0, h, times[s], _kinetic_phase(psi0, times[s]))
             edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
             peak = np.abs(amps).max(axis=1)
             leaks[s] |= np.any(edge > tol * peak)
@@ -190,20 +190,19 @@ def run_qmsl_ensemble(
         idx = np.arange(start, min(start + CHUNK, n_traj))
         rngs = [trajectory_generator(master_seed, int(i)) for i in idx]
         next_hit = np.array([r.exponential(1.0 / lam) for r in rngs])
-        b = np.tile(psi0.amplitudes, (len(idx), 1))
-        g, t = np.eye(1, n, dtype=complex), 0.0
+        b, t = np.tile(held0, (len(idx), 1)), 0.0
         for first_step in range(0, n_steps, width):
             w = min(width, n_steps - first_step)
             # accumulated one dt at a time, as a step-by-step loop's t
             times = np.add.accumulate(np.r_[t, np.full(w, dt)])[1:]
             t_start, t = t, times[-1]
-            for s in range(w if free_flight else 0):
-                g = split_step_batch(g, psi0, h, dt)
-                taps[:, 2 * s : 2 * s + 2] = g[0, edge_taps]
+            if free:
+                np.divide(_kinetic_phase(psi0, times), n, out=taps[:w, 0])
+                np.multiply(taps[:w, 0], shift, out=taps[:w, 1])
             leaks, worst = np.zeros(w, dtype=bool), np.zeros(w)
             since = np.zeros(len(idx), dtype=int)  # first step of each row's state
             due = np.nonzero(next_hit <= t)[0]
-            # the rounds' block (harmonic: before the window's Strang step)
+            # the rounds' block, its rows at pic (harmonic: before the Strang step)
             rows, pic = b, np.full(len(idx), 0.0 if free_flight else t_start)
             if not free_flight:
                 b = split_step_batch(b, psi0, h, dt)
@@ -212,9 +211,12 @@ def run_qmsl_ensemble(
                 for part in np.split(active, range(tile_rows, active.size, tile_rows)):
                     old = rows[part]
                     tau = next_hit[part]
-                    lag = tau - pic[part]  # from the time the row stands at
-                    kin = _kinetic_phase(psi0, lag)
-                    amps = split_step_batch(old, psi0, h, lag, kin)
+                    kin = _kinetic_phase(psi0, tau) if free else None
+                    amps = split_step_batch(old, psi0, h, tau - pic[part], kin)
+                    if free_flight:  # before the hit, which under none scales old
+                        step = np.searchsorted(times, tau, "left")
+                        screen(old, since[part], step)
+                        since[part] = step
                     density = hitting_density(psi0, params.alpha, amps)
                     x, _ = sample_hit_center(psi0, density, [rngs[k].uniform() for k in part])
                     amps *= _gaussian_factor(psi0, x, params.alpha)
@@ -223,14 +225,11 @@ def run_qmsl_ensemble(
                     events.append(np.stack([idx[part], tau, x, weight], axis=1))
                     hit_counts[idx[part]] += 1
                     next_hit[part] += [rngs[k].exponential(1.0 / lam) for k in part]
-                    if free_flight:
-                        step = np.searchsorted(times, tau, "left")
-                        screen(old, since[part], step)
-                        since[part] = step
-                        back = np.conjugate(kin, out=kin)  # the jump's inverse
-                        rows[part] = split_step_batch(amps, psi0, h, -lag, back)
-                    else:
-                        rows[part], pic[part] = amps, tau
+                    if free:  # back to the picture
+                        amps = np.multiply(np.fft.fft(amps, axis=1), np.conj(kin, out=kin), out=kin)
+                    rows[part] = amps
+                    if not free_flight:
+                        pic[part] = tau
                 active = active[next_hit[active] <= t]
             if not free_flight and due.size:
                 b[due] = split_step_batch(rows[due], psi0, h, t - pic[due])
@@ -242,9 +241,10 @@ def run_qmsl_ensemble(
                     f"t={times[s]:.4g}; enlarge the grid"
                 )
         amps = final[idx[0] : idx[-1] + 1]  # to t_end a tile of rows at a time
+        kin = _kinetic_phase(psi0, t)
         for r in range(0, len(idx), tile_rows):
             part = slice(r, r + tile_rows)
-            amps[part] = split_step_batch(b[part], psi0, h, t if free_flight else 0.0)
+            amps[part] = split_step_batch(b[part], psi0, h, t, kin) if free else b[part]
     log = np.concatenate(events)
     log = log[np.argsort(log[:, 0], kind="stable")]
     return QmslEnsembleResult(final, hit_counts, psi0, log)

@@ -23,8 +23,8 @@ def _kinetic_phase(psi: GridWavefunction, dt) -> np.ndarray:
     return phase
 
 
-# a hitting run asks for the one-dt phase of its edge kernel and the lag of
-# each leakage test; per-row lags are not kept (a hit round reuses its own)
+# a hitting run asks for one dt (harmonic), its end time and each exact leakage
+# test's time; per-row and per-step arrays are not kept (a hit round reuses its own)
 @lru_cache(maxsize=4)
 def _phase(n: int, dx: float, mass: float, dt) -> np.ndarray:
     # k and -k share k^2: exponentiate the n // 2 + 1 values and spread
@@ -76,11 +76,14 @@ def split_step_batch(
     kin: np.ndarray | None = None,
 ) -> np.ndarray:
     """One split step applied to a (n_traj, N) amplitude block: one ``dt``
-    for every row, or an (n_traj,) array of them, one per row.  ``kin`` is
-    ``_kinetic_phase(template, dt)`` when the caller holds it already."""
+    for every row, or an (n_traj,) array of them, one per row.  Given ``kin``
+    = ``_kinetic_phase(template, dt)``, free rows are momentum-picture spectra
+    fft(U(-t) psi(t)), and the result is ifft(rows kin): one FFT a row."""
+    if kin is not None:
+        return np.fft.ifft(amplitudes * kin, axis=1)
     if h.kind == "none" or not np.any(dt):
         return amplitudes
-    kin = _kinetic_phase(template, dt) if kin is None else kin
+    kin = _kinetic_phase(template, dt)
     if h.kind == "free":
         return np.fft.ifft(np.fft.fft(amplitudes, axis=1) * kin, axis=1)
     half_v = _potential_phase(template, h, dt)
@@ -118,10 +121,7 @@ def two_packet_state(
 ) -> GridWavefunction:
     """Normalized superposition of two Gaussian packets."""
     x = x0 + dx * np.arange(n)
-    amps = np.sqrt(weights[0]) * np.exp(-((x - centers[0]) ** 2) / (4 * sigma**2))
-    amps = amps + np.sqrt(weights[1]) * np.exp(
-        -((x - centers[1]) ** 2) / (4 * sigma**2)
-    )
-    amps = amps.astype(complex)
+    g = [np.sqrt(w) * np.exp(-((x - c) ** 2) / (4 * sigma**2)) for w, c in zip(weights, centers)]
+    amps = (g[0] + g[1]).astype(complex)
     amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2) * dx)
     return GridWavefunction(amps, dx, x0, mass, leak_tol)

@@ -323,6 +323,10 @@ def test_backward_split_step_equals_the_freshly_computed_phase():
         direct = np.fft.ifft(np.fft.fft(amps, axis=1) * fresh, axis=1)
         out = split_step_batch(amps, psi, HamiltonianSpec.free(), t)
         assert np.array_equal(out.view(np.uint64), direct.view(np.uint64))
+        # the same rows held as momentum-picture spectra
+        spectra = np.fft.fft(amps, axis=1)
+        out = split_step_batch(spectra, psi, HamiltonianSpec.free(), t, _kinetic_phase(psi, t))
+        assert np.array_equal(out.view(np.uint64), direct.view(np.uint64))
 
 
 def test_leakage_monitor_raises():

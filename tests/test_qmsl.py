@@ -323,6 +323,38 @@ def test_leak_first_seen_in_a_row_hit_mid_window_matches_the_oracle():
     assert float(_leak_report(unhit)[1]) > 2.0
 
 
+def test_leak_before_a_hit_without_hamiltonian_matches_the_oracle():
+    # the far packet leaks from t = 0 and every row is hit in the first
+    # window; under h = none a hit must not overwrite the state it replaces
+    # before that state is screened
+    psi = two_packet_state(256, 0.125, -16.0, 20.0, (-4.0, 15.0), 0.45, (0.999, 0.001))
+    args = (psi, HamiltonianSpec.none(), CollapseParams(50.0, 1.0, 1.0, dimension=1))
+    with pytest.raises(GridLeakageError) as engine:
+        run_qmsl_ensemble(*args, 0.2, 4, 3, 0.02)
+    with pytest.raises(GridLeakageError) as oracle:
+        qmsl_exact_time_lockstep(*args, 0.2, 4, 3, 0.02)
+    worst, t = _leak_report(engine)
+    assert t == _leak_report(oracle)[1] == "0.02"
+    assert worst == pytest.approx(_leak_report(oracle)[0], rel=1e-6)
+
+
+def test_free_flight_takes_two_fft_rows_per_hit(monkeypatch):
+    # a held spectrum goes to its hit time by one inverse FFT and comes back
+    # by one FFT; no round trip, no propagated edge kernel
+    psi = _two_packets()
+    rows = []
+    for name in ("fft", "ifft"):
+        def counted(a, *args, _transform=getattr(np.fft, name), **kwargs):
+            rows.append(np.size(a) // psi.n)
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), DESK, 1.0, 24, 3, 0.02)
+    assert res.hit_counts.sum() > 0
+    # plus one a row to t_end and one for the spectrum of psi0
+    assert sum(rows) <= 2 * res.hit_counts.sum() + 24 + 1
+
+
 def test_long_run_memory_does_not_grow_with_steps():
     # 5000 steps on a 2048-point grid: the edge taps of all steps would be
     # 328 MB; a window's taps fill one tile
