@@ -14,8 +14,8 @@ from .errors import (
     StabilityError,
     StatisticalPreconditionError,
 )
-from .operators import HamiltonianSpec, ProjectorFamily, expectation
-from .params import CollapseParams, canonical_csl, canonical_qmsl
+from .operators import HamiltonianSpec, ProjectorFamily
+from .params import CollapseParams, canonical_qmsl
 from .states import (
     DensityMatrix,
     FiniteState,
@@ -24,7 +24,6 @@ from .states import (
     ensemble_density,
     normalize,
 )
-from .units import UnitSystem, cgs_convert
 
 __all__ = [
     "CollapseParams",
@@ -41,12 +40,8 @@ __all__ = [
     "ProjectorFamily",
     "StabilityError",
     "StatisticalPreconditionError",
-    "UnitSystem",
-    "canonical_csl",
     "canonical_qmsl",
-    "cgs_convert",
     "density_from_ensemble",
     "ensemble_density",
-    "expectation",
     "normalize",
 ]

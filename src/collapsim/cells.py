@@ -9,7 +9,6 @@ the configurations as sectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,14 +63,3 @@ def discrete_decay_log(
         raise DimensionMismatchError("occupation tuples differ in length")
     diff = n - m
     return -0.5 * lambda_eff * float(diff @ diff) * t
-
-
-def discrete_decay_exponent(
-    n: np.ndarray, m: np.ndarray, lambda_eff: float, t: float
-) -> float:
-    """Damping factor exp(-(lambda/2) sum (n-m)^2 t); underflows to 0.0
-    for macroscopic occupation differences (use the log form there)."""
-    log_factor = discrete_decay_log(n, m, lambda_eff, t)
-    if log_factor < -745.0:  # below smallest positive double
-        return 0.0
-    return math.exp(log_factor)

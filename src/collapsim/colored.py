@@ -1,10 +1,11 @@
 """Reduction dynamics driven by general Gaussian (non-white) noises.
 
 Stationary correlation kernels (white, gaussian, exponential, custom
-sampled) drive the same commuting coupling families as the white theory;
-the exactly solvable regime ([H, A_i] = 0 or H disregarded) admits a
-closed exponential propagator with the kernel's double time integral in
-the drift.
+sampled) drive the same commuting coupling families as the white theory.
+In the exactly solvable regime ([H, A_i] = 0 or H disregarded) the
+off-diagonal damping of two sectors follows from the kernel's time
+integrals alone: its exponent grows with the double integral, its rate
+with the single one.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooking import linear_exact_commuting
-from .noise import wiener_increment_block
 from .operators import ProjectorFamily
 
 _PSD_TOL = -1e-8
@@ -52,8 +51,7 @@ class CorrelationSpec:
                 raise ValueError("custom kernels need samples and dt")
             samples = np.asarray(self.samples, dtype=float)
             object.__setattr__(self, "samples", samples)
-            gram = self.gram(samples.size)
-            if np.linalg.eigvalsh(gram).min() < _PSD_TOL:
+            if np.linalg.eigvalsh(_toeplitz(samples)).min() < _PSD_TOL:
                 raise ValueError("custom kernel is not positive semidefinite")
 
     @classmethod
@@ -100,14 +98,6 @@ class CorrelationSpec:
             out[valid] = self.samples[idx[valid]]
             return out
         raise ValueError("white kernel is distributional; use integrals")
-
-    def gram(self, steps: int) -> np.ndarray:
-        """Covariance matrix D(t_j - t_k) on the step grid (unit gamma)."""
-        if self.kind == "custom":
-            lags = self.dt * np.arange(steps)
-        else:
-            raise ValueError("gram() is for custom kernels; others are closed-form")
-        return _toeplitz(self.kernel(lags))
 
     def double_integral(self, t_span: float) -> float:
         """f(T) = double integral of D over [0, T]^2; the variance growth
@@ -156,66 +146,6 @@ def _toeplitz(first_row: np.ndarray) -> np.ndarray:
     return first_row[idx]
 
 
-def colored_increment_block(
-    spec: CorrelationSpec,
-    master_seed: int,
-    traj_indices,
-    steps: int,
-    channels: int,
-    gamma: float,
-    dt: float,
-) -> np.ndarray:
-    """Discretized Gaussian paths with covariance gamma * D for a batch of
-    trajectories, shape (steps, n, channels).
-
-    Row j is built from the standard normals of stream ``traj_indices[j]``
-    (``wiener_increment_block`` at unit variance); white kernels are the
-    Wiener increments themselves.  Exponential kernels use the exact AR(1)
-    recursion started from the stationary distribution; gaussian/custom
-    kernels use one Cholesky factor of the Gram matrix for the whole batch.
-    The block holds w(t_k) * dt so downstream integrals read uniformly.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if spec.kind == "white":
-        return wiener_increment_block(master_seed, traj_indices, steps, channels, gamma, dt)
-    w = wiener_increment_block(master_seed, traj_indices, steps, channels, 1.0, 1.0)
-    if spec.kind == "exponential":
-        rho = np.exp(-dt / spec.tau)
-        stationary_sd = np.sqrt(gamma / (2 * spec.tau))
-        innov_sd = stationary_sd * np.sqrt(1 - rho**2)
-        w[0] *= stationary_sd
-        for k in range(1, steps):
-            w[k] = rho * w[k - 1] + innov_sd * w[k]
-    else:
-        lags = dt * np.arange(steps)
-        gram = gamma * _toeplitz(spec.kernel(lags))
-        gram[np.diag_indices(steps)] += 1e-12 * gram[0, 0]
-        w = (np.linalg.cholesky(gram) @ w.reshape(steps, -1)).reshape(w.shape)
-    w *= dt
-    return w
-
-
-def colored_damping_factor(
-    family: ProjectorFamily,
-    spec: CorrelationSpec,
-    gamma: float,
-    t0: float,
-    t: float,
-    sector_a: int,
-    sector_b: int,
-) -> float:
-    """Off-diagonal damping of <alpha|rho(t)|beta> in the H-disregarded
-    regime: exp[-(gamma/2) sum_i (a_i - b_i)^2 f(t - t0)] with f the
-    kernel's double integral.  Diagonal sectors are exactly invariant.
-    """
-    if sector_a == sector_b:
-        return 1.0
-    diff = family.eigenvalues[sector_a] - family.eigenvalues[sector_b]
-    f_val = spec.double_integral(t - t0)
-    return float(np.exp(-0.5 * gamma * float(diff @ diff) * f_val))
-
-
 def colored_instantaneous_rate(
     family: ProjectorFamily,
     spec: CorrelationSpec,
@@ -235,32 +165,3 @@ def colored_instantaneous_rate(
     if t_since_start is None:
         return 0.5 * gamma * quad
     return gamma * quad * spec.single_integral(t_since_start)
-
-
-def run_commuting_nonwhite_ensemble(
-    psi0: np.ndarray,
-    family: ProjectorFamily,
-    spec: CorrelationSpec,
-    gamma: float,
-    t_end: float,
-    steps: int,
-    master_seed: int,
-    n_traj: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Colored ensemble in the H-disregarded regime.
-
-    The per-step exponential updates compose exactly, so each trajectory
-    is one update with its total integrated noise x(T) (the sum of its
-    rows of ``colored_increment_block``, trajectory j on stream j) and the
-    kernel's full double integral f(T); the raw average of the squared
-    norm is conserved up to the path-sampling discretization alone.
-
-    Returns (final normalized states (n, d), cooked log-weights (n,)).
-    """
-    block = colored_increment_block(
-        spec, master_seed, np.arange(n_traj), steps, family.channel_count, gamma,
-        t_end / steps,
-    )
-    return linear_exact_commuting(
-        psi0, family, block.sum(axis=0), gamma, spec.double_integral(t_end)
-    )

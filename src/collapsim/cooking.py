@@ -1,4 +1,4 @@
-"""Cooked-probability bookkeeping: reweighting, resampling, closed forms.
+"""Cooked-probability bookkeeping: reweighting, resampling, the exact update.
 
 The physical ("cooked") probability of a noise realization is its raw
 probability times the final squared norm of the linearly evolved state;
@@ -8,7 +8,6 @@ equal-weight ensembles by systematic (comb) resampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -45,58 +44,6 @@ def systematic_resample(
     rng = trajectory_generator(master_seed, step, RESAMPLE)
     points = (rng.uniform() + np.arange(n)) / n
     return np.searchsorted(np.cumsum(w / total), points, side="right").clip(0, n - 1)
-
-
-@dataclass(frozen=True)
-class GaussianMixture1D:
-    """Two-component Gaussian mixture over a scalar noise record."""
-
-    weights: tuple[float, float]
-    means: tuple[float, float]
-    variance: float
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        norm = 1.0 / np.sqrt(2.0 * np.pi * self.variance)
-        for w, mu in zip(self.weights, self.means):
-            out = out + w * norm * np.exp(-((x - mu) ** 2) / (2.0 * self.variance))
-        return out
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        from scipy.special import ndtr
-
-        x = np.asarray(x, dtype=float)
-        sd = np.sqrt(self.variance)
-        out = np.zeros_like(x)
-        for w, mu in zip(self.weights, self.means):
-            out = out + w * ndtr((x - mu) / sd)
-        return out
-
-
-def two_level_analytic(
-    weights: tuple[float, float],
-    eigenvalues: tuple[float, float],
-    gamma: float,
-    f: float,
-) -> GaussianMixture1D:
-    """Cooked density of the integrated noise x(t) for a two-sector state.
-
-    A mixture of Gaussians centered at 2*gamma*a*f and 2*gamma*b*f with
-    variance gamma*f, weighted by the initial sector weights, where f is
-    the noise kernel's double time integral f(t): t itself for white noise
-    (x is then the Brownian record B(t)).
-    """
-    if abs(weights[0] + weights[1] - 1.0) > 1e-9:
-        raise ValueError("sector weights must sum to one")
-    if f < 0:
-        raise ValueError("f(t) must be nonnegative")
-    a, b = eigenvalues
-    return GaussianMixture1D(
-        (float(weights[0]), float(weights[1])),
-        (2.0 * gamma * a * f, 2.0 * gamma * b * f),
-        gamma * f,
-    )
 
 
 def linear_exact_commuting(

@@ -23,7 +23,6 @@ from .cooking import linear_exact_commuting, systematic_resample
 from .errors import ConfigError, StabilityError
 from .noise import require_memory, wiener_increment_block
 from .operators import ProjectorFamily
-from .states import ensemble_density
 
 STABILITY_LIMIT = 0.01
 """Maximum allowed gamma * max|a|^2 * dt for the explicit steppers."""
@@ -453,35 +452,3 @@ def run_ensemble(
             run.finish(idx)
     results = tuple(run.res for run in runs)
     return results if isinstance(stepper, tuple) else results[0]
-
-
-# ---- the linear-but-Hermitian contrast model -------------------------
-
-
-def hermitian_phase_noise_ensemble(
-    psi0: np.ndarray,
-    family: ProjectorFamily,
-    gamma: float,
-    dt: float,
-    steps: int,
-    n_traj: int,
-    master_seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian white-noise coupling: random sector phases, no reduction.
-
-    Each sector amplitude picks up exp(-i theta_sigma) with independent
-    Brownian phases of variance gamma*t.  Returns (mean density, sector
-    weights z per trajectory): z is exactly constant path-by-path while
-    the ensemble off-diagonals damp at rate gamma, the ensemble-only
-    ("apparent") collapse this model demonstrates.
-    """
-    psi0 = np.asarray(psi0, dtype=complex)
-    n_sec = family.n_sectors
-    table = np.zeros((n_sec, psi0.shape[0]))
-    for sigma, idx in enumerate(family.sectors):
-        table[sigma, idx] = 1.0
-    block = wiener_increment_block(master_seed, np.arange(n_traj), steps, n_sec, gamma, dt)
-    theta = block.sum(axis=0)  # (n_traj, n_sec), summed step by step
-    del block
-    psis = psi0 * np.exp(-1j * (theta @ table))
-    return ensemble_density(psis), family.sector_weights(psis)

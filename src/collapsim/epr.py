@@ -152,33 +152,3 @@ def epr_linear_experiment(
     w_off = np.exp(logw_off - logw_off.max())
     dist, crit, n_on, n_off = _weighted_ks(b_l, w_on, b_l, w_off)
     return LinearEprResult(dist, crit, n_on, n_off)
-
-
-def linear_discordance_mass(gamma_t: float, grid_points: int = 801) -> float:
-    """Cooked probability that the left outcome read off the noise records
-    differs between detector-on and detector-off, by exhaustive
-    enumeration of the discretized (B_L, B_R) plane.
-
-    With the detector on, the left outcome is sign(B_R - B_L) read
-    through the dominant component exp(+-(B_L - B_R)); off, it is
-    sign(-B_L).  The discordant region carries only the far tails of the
-    cooked mixture (components centered at (+-2 gamma t, -+2 gamma t)).
-    """
-    sd = np.sqrt(gamma_t)
-    mu = 2.0 * gamma_t
-    lim = mu + 8.0 * sd
-    axis = np.linspace(-lim, lim, grid_points)
-    bl, br = np.meshgrid(axis, axis, indexing="ij")
-    cell = (axis[1] - axis[0]) ** 2
-
-    def gauss2(x, mx, y, my):
-        return np.exp(-((x - mx) ** 2 + (y - my) ** 2) / (2 * gamma_t)) / (
-            2 * np.pi * gamma_t
-        )
-
-    # cooked joint density: 1/2 each component (|+->: B_L up, B_R down)
-    density = 0.5 * gauss2(bl, mu, br, -mu) + 0.5 * gauss2(bl, -mu, br, mu)
-    outcome_on = np.where(bl - br > 0, 0, 1)   # sector 0 = left outcome +1
-    outcome_off = np.where(bl > 0, 0, 1)
-    discordant = outcome_on != outcome_off
-    return float(np.sum(density[discordant]) * cell)

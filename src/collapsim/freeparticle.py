@@ -200,55 +200,6 @@ def com_amplified_rate(lambda_micro: float, n_particles: float) -> float:
     return n_particles * lambda_micro
 
 
-def traced_com_kernel(
-    psi_two: np.ndarray, dx: float, params: CollapseParams, t: float
-) -> np.ndarray:
-    """Center-of-mass kernel of the two-particle hitting master equation.
-
-    ``psi_two[i1, i2]`` is the two-particle wavefunction on the shared
-    periodic (q1, q2) grid.  The H = 0 master equation is solved exactly
-    (each localization channel damps its own coordinate pair) and the
-    relative coordinate is traced out numerically: Q = x_i with
-    r = 2 s dx pairs (q1, q2) = (x_{i+s}, x_{i-s}).
-    """
-    n = psi_two.shape[0]
-    lam, alpha = params.lambda_rate, params.alpha
-    length = n * dx
-    i = np.arange(n)
-    overlap = np.zeros((n, n), dtype=complex)
-    for s in range(-(n // 4), n // 4 + 1):
-        amp = psi_two[(i + s) % n, (i - s) % n]
-        overlap += np.outer(amp, np.conj(amp))
-    u = dx * (i[:, None] - i[None, :])
-    u = u - length * np.round(u / length)
-    g = np.exp(-0.25 * alpha * u**2)
-    damping = np.exp(-2.0 * lam * (1.0 - g) * t)  # one factor per particle
-    kernel = overlap * damping * (2.0 * dx)
-    trace = np.trace(kernel).real * dx
-    return kernel / trace
-
-
-def two_particle_com_decay_rate(
-    psi_two: np.ndarray,
-    dx: float,
-    params: CollapseParams,
-    t: float,
-    separation_cells: int,
-) -> float:
-    """Fitted off-diagonal decay rate of the traced center-of-mass kernel.
-
-    Reproduces the single-particle form with the summed rate: for
-    separations >> 1/sqrt(alpha) the fitted rate approaches 2*lambda.
-    """
-    d = separation_cells
-    vals = []
-    for t_k in (0.5 * t, t):
-        kernel = traced_com_kernel(psi_two, dx, params, t_k)
-        band = np.abs(np.diagonal(kernel, offset=d))
-        vals.append(band.sum())
-    return float(2.0 * np.log(vals[0] / vals[1]) / t)
-
-
 def energy_increase_rate(
     params: CollapseParams, mass: float, hbar: float = 1.0
 ) -> float:

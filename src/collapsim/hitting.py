@@ -197,8 +197,9 @@ def run_qmsl_ensemble(
             times = np.add.accumulate(np.r_[t, np.full(w, dt)])[1:]
             t_start, t = t, times[-1]
             if free:
-                np.divide(_kinetic_phase(psi0, times), n, out=taps[:w, 0])
-                np.multiply(taps[:w, 0], shift, out=taps[:w, 1])
+                x0_taps = _kinetic_phase(psi0, times, taps[:w, 0])
+                np.divide(x0_taps, n, out=x0_taps)
+                np.multiply(x0_taps, shift, out=taps[:w, 1])
             leaks, worst = np.zeros(w, dtype=bool), np.zeros(w)
             since = np.zeros(len(idx), dtype=int)  # first step of each row's state
             due = np.nonzero(next_hit <= t)[0]
@@ -248,30 +249,3 @@ def run_qmsl_ensemble(
     log = np.concatenate(events)
     log = log[np.argsort(log[:, 0], kind="stable")]
     return QmslEnsembleResult(final, hit_counts, psi0, log)
-
-
-def ensemble_moments(result: QmslEnsembleResult) -> dict[str, float]:
-    """Ensemble-level position/momentum moments Tr[rho q^k], Tr[rho p^k].
-
-    These are the master-equation moments: the ensemble average of the
-    per-trajectory expectations, with variances taken across the pooled
-    distribution.
-    """
-    psi = result.template
-    amps = result.amplitudes
-    x = psi.positions
-    prob_x = np.abs(amps) ** 2 * psi.dx
-    q_mean = float(np.mean(prob_x @ x))
-    q_sq = float(np.mean(prob_x @ x**2))
-    k = psi.wavenumbers
-    phi = np.fft.fft(amps, axis=1)
-    prob_k = np.abs(phi) ** 2
-    prob_k = prob_k / prob_k.sum(axis=1, keepdims=True)
-    p_mean = float(np.mean(prob_k @ k))
-    p_sq = float(np.mean(prob_k @ k**2))
-    return {
-        "q_mean": q_mean,
-        "p_mean": p_mean,
-        "q_var": q_sq - q_mean**2,
-        "p_var": p_sq - p_mean**2,
-    }

@@ -1,4 +1,4 @@
-"""Average mass-density profiles, accessibility, tail magnitudes.
+"""Average mass-density profiles and accessibility.
 
 The mass in a cell is "accessible" (behaves classically) when the ratio
 R = sqrt(variance)/mean is small; superpositions of macroscopically
@@ -119,24 +119,3 @@ def accessibility_ratio(
     ratios[occupied] = np.sqrt(profile.variances[occupied]) / means[occupied]
     accessible = occupied & (ratios <= threshold)
     return ratios, accessible
-
-
-def tail_magnitude(
-    lambda_eff: float, t: float, occupations: np.ndarray, total_mass_log: float = 0.0
-) -> tuple[float, float]:
-    """Log-space magnitude of the suppressed branch after reduction.
-
-    Returns (log of the branch-amplitude product alpha*beta, log of the
-    residual mass in the empty region).  Requires the strong-reduction
-    regime lambda * t * sum n^2 >> 1; everything stays in log space, the
-    magnitudes themselves being far below any float.
-    """
-    occ = np.asarray(occupations, dtype=float)
-    exponent = -lambda_eff * t * float(occ @ occ)
-    return exponent, exponent + total_mass_log
-
-
-def branch_product_mean(z_a: np.ndarray, z_b: np.ndarray) -> float:
-    """Ensemble mean of alpha*beta = sqrt(z_A z_B) from trajectory weights;
-    the desk-scale Monte Carlo counterpart of the log-space estimate."""
-    return float(np.mean(np.sqrt(np.maximum(z_a * z_b, 0.0))))

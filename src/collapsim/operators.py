@@ -1,4 +1,4 @@
-"""Preferred-basis operator families, Hamiltonian specs, expectations.
+"""Preferred-basis operator families and Hamiltonian specs.
 
 A :class:`ProjectorFamily` encodes a commuting self-adjoint set
 A_i = sum_sigma a_{i sigma} P_sigma through its spectral data: one
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .states import FiniteState, GridWavefunction
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,6 @@ class ProjectorFamily:
             table[:, idx] = self.eigenvalues[sigma][:, None]
         return table
 
-    def channel_matrices(self) -> list[np.ndarray]:
-        """Dense A_i matrices."""
-        return [np.diag(row).astype(complex) for row in self.basis_eigenvalues()]
-
     def sector_weights(self, amplitudes: np.ndarray) -> np.ndarray:
         """z_sigma = <psi|P_sigma|psi> for a normalized amplitude vector.
 
@@ -125,13 +120,6 @@ class ProjectorFamily:
         for sigma, idx in enumerate(self.sectors):
             out[..., sigma] = np.sum(np.abs(amps[..., idx]) ** 2, axis=-1)
         return out
-
-    def scaled(self, channel_factors: np.ndarray) -> "ProjectorFamily":
-        """New family with channel i eigenvalues multiplied by factor i."""
-        factors = np.asarray(channel_factors, dtype=float)
-        if factors.shape != (self.channel_count,):
-            raise DimensionMismatchError("one factor per channel required")
-        return ProjectorFamily(self.eigenvalues * factors[None, :], self.sectors)
 
 
 @dataclass(frozen=True)
@@ -159,50 +147,3 @@ class HamiltonianSpec:
     @classmethod
     def harmonic(cls, frequency: float, center: float = 0.0) -> "HamiltonianSpec":
         return cls("harmonic", frequency=frequency, center=center)
-
-
-def _grid_moment(psi: GridWavefunction, which: str, order: int) -> float:
-    amps = psi.amplitudes
-    if which == "q":
-        values = psi.positions**order
-        return float(np.sum(values * np.abs(amps) ** 2) * psi.dx)
-    if which == "p":
-        k = psi.wavenumbers
-        phi = np.fft.fft(amps)
-        weights = np.abs(phi) ** 2
-        weights = weights / weights.sum()
-        return float(np.sum(k**order * weights))
-    raise ValueError(f"unknown moment {which!r}")
-
-
-def expectation(state, operator) -> float | np.ndarray:
-    """Expectation value in a normalized state.
-
-    ``operator`` may be a :class:`ProjectorFamily` (returns the vector of
-    channel expectations <A_i> = sum_sigma a_{i sigma} z_sigma, or a scalar
-    for a single channel), a Hermitian matrix, or a position/momentum
-    moment spec ``("q", k)`` / ``("p", k)`` for grid states.
-    """
-    if isinstance(state, (FiniteState, GridWavefunction)):
-        nsq = state.norm_sq()
-        if abs(nsq - 1.0) > 1e-8:
-            raise ValueError("expectation requires a normalized state")
-    if isinstance(operator, ProjectorFamily):
-        if not isinstance(state, FiniteState):
-            raise DimensionMismatchError("projector family acts on finite states")
-        if operator.dim != state.dim:
-            raise DimensionMismatchError("family and state dimensions differ")
-        z = operator.sector_weights(state.amplitudes)
-        vals = operator.eigenvalues.T @ z
-        return float(vals[0]) if vals.shape == (1,) else vals
-    if isinstance(operator, tuple) and len(operator) == 2:
-        which, order = operator
-        if not isinstance(state, GridWavefunction):
-            raise DimensionMismatchError("moment operators act on grid states")
-        return _grid_moment(state, which, int(order))
-    mat = np.asarray(operator, dtype=complex)
-    amps = state.amplitudes
-    if mat.shape != (amps.shape[0], amps.shape[0]):
-        raise DimensionMismatchError("operator and state dimensions differ")
-    val = np.vdot(amps, mat @ amps)
-    return float(val.real)

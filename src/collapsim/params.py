@@ -44,29 +44,11 @@ class CollapseParams:
         gamma = lambda_rate * (4.0 * math.pi / alpha) ** (dimension / 2.0)
         return cls(lambda_rate, alpha, gamma, dimension)
 
-    @classmethod
-    def from_gamma(
-        cls, gamma_coupling: float, alpha: float, dimension: int = 3
-    ) -> "CollapseParams":
-        lam = gamma_coupling * (alpha / (4.0 * math.pi)) ** (dimension / 2.0)
-        return cls(lam, alpha, gamma_coupling, dimension)
-
     @property
     def localization_width(self) -> float:
         return 1.0 / math.sqrt(self.alpha)
-
-    def is_consistent(self, rel_tol: float = 1e-12) -> bool:
-        target = self.lambda_rate * (4.0 * math.pi / self.alpha) ** (
-            self.dimension / 2.0
-        )
-        return abs(self.gamma_coupling - target) <= rel_tol * abs(target)
 
 
 def canonical_qmsl() -> CollapseParams:
     """Canonical microscopic hitting parameters with the matched coupling."""
     return CollapseParams.consistent(CANONICAL_LAMBDA_MICRO, CANONICAL_ALPHA)
-
-
-def canonical_csl() -> CollapseParams:
-    """Canonical diffusion parameters (gamma chosen first, rate derived)."""
-    return CollapseParams.from_gamma(CANONICAL_GAMMA, CANONICAL_ALPHA)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import CollapseParams
-from .states import DensityMatrix
 from .units import G_NEWTON_CGS, HBAR_CGS
 
 
@@ -55,101 +54,17 @@ def localization_decoherence_rate(params: CollapseParams) -> float:
     return 0.5 * params.alpha * params.lambda_rate
 
 
-def scattering_master_step(
-    rho: DensityMatrix, p_hat: np.ndarray, rate: float, dt: float
-) -> DensityMatrix:
-    """One collision step of the scattering master equation.
-
-    Off-diagonal kernel entries are multiplied by
-    1 - rate*dt*(1 - p_hat(x - y)); p_hat is the Fourier-transformed
-    momentum-transfer distribution sampled on the kernel's separation
-    grid, with |p_hat| <= 1 and p_hat(0) = 1 (diagonal invariant).
-    """
-    p_hat = np.asarray(p_hat)
-    if p_hat.shape != rho.entries.shape:
-        raise ValueError("p_hat must be sampled on the kernel grid")
-    if np.max(np.abs(p_hat)) > 1.0 + 1e-12:
-        raise ValueError("invalid transfer distribution: |p_hat| must be <= 1")
-    n = rho.dim
-    diag = np.abs(np.diagonal(p_hat) - 1.0)
-    if np.max(diag) > 1e-12:
-        raise ValueError("invalid transfer distribution: p_hat(0) must be 1")
-    factor = 1.0 - rate * dt * (1.0 - p_hat)
-    return DensityMatrix(rho.entries * factor, rho.representation, rho.dx)
-
-
-def gaussian_transfer_profile(
-    positions: np.ndarray, l_eff: float, length: float
-) -> np.ndarray:
-    """p_hat(x - y) = exp(-(x-y)^2 / 2 l_eff^2) on a periodic grid."""
-    u = positions[:, None] - positions[None, :]
-    u = u - length * np.round(u / length)
-    return np.exp(-(u**2) / (2.0 * l_eff**2))
-
-
-@dataclass(frozen=True)
-class BoundStateSpec:
-    """Gaussian bound state psi ~ exp(-kappa^2 q^2): inverse width kappa.
-
-    (Named kappa rather than the width symbol used for the diffusion
-    coupling elsewhere.)
-    """
-
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-
-
-def excitation_rate_qmsl(
-    params: CollapseParams, kappa: "float | BoundStateSpec"
-) -> float:
+def excitation_rate_qmsl(params: CollapseParams, kappa: float) -> float:
     """Hitting-induced excitation/dissociation rate of a Gaussian bound
     state of inverse width kappa: lambda * (1 - P_ND) with
     P_ND = 1/sqrt(1 + alpha/4 kappa^2); ~ lambda*alpha/(8 kappa^2) for
     tight binding."""
-    if isinstance(kappa, BoundStateSpec):
-        kappa = kappa.kappa
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     x = params.alpha / (4.0 * kappa**2)
     # 1 - 1/sqrt(1+x), cancellation-free for x ~ 1e-15
     one_minus_pnd = -np.expm1(-0.5 * np.log1p(x))
     return params.lambda_rate * one_minus_pnd
-
-
-def harmonic_matrix_element(kappa: float) -> float:
-    """|<E|q|B>| for the first excited state of the oscillator whose
-    ground state is the width-1/kappa Gaussian exp(-kappa^2 q^2): 1/(2 kappa).
-
-    This value makes the single-nucleon first-order rate agree exactly
-    with the small-alpha hitting rate.
-    """
-    return 1.0 / (2.0 * kappa)
-
-
-def excitation_rate_csl_first_order(
-    params: CollapseParams,
-    species_counts: np.ndarray,
-    matrix_elements_sq: np.ndarray,
-    mass_proportional: bool = False,
-) -> float:
-    """First-order excitation rate sum_j (alpha lambda N_j^2 / 2) |<E|Q_j|B>|^2.
-
-    ``species_counts`` are the N_j per identical-particle species and
-    ``matrix_elements_sq`` the squared center-of-mass matrix elements.
-    With mass-proportional coupling the noise couples only to the total
-    center of mass, which cannot excite internal motion: the rate is
-    exactly zero.
-    """
-    if mass_proportional:
-        return 0.0
-    n = np.asarray(species_counts, dtype=float)
-    me2 = np.asarray(matrix_elements_sq, dtype=float)
-    return float(
-        0.5 * params.alpha * params.lambda_rate * np.sum(n**2 * me2)
-    )
 
 
 def sphere_interaction_energy(

@@ -13,11 +13,12 @@ from .operators import HamiltonianSpec
 from .states import GridWavefunction
 
 
-def _kinetic_phase(psi: GridWavefunction, dt) -> np.ndarray:
+def _kinetic_phase(psi: GridWavefunction, dt, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-i dt k^2 / 2m) on the grid's wavenumbers: (N,) for one lag,
-    cached, read-only and shared; (m, N) for an (m,) array of them, fresh."""
+    cached, read-only and shared; (m, N) for an (m,) array of them, written
+    into ``out`` (a view of another array will do) or a fresh array."""
     if np.ndim(dt) != 0:
-        return _phase.__wrapped__(psi.n, psi.dx, psi.mass, dt)
+        return _phase.__wrapped__(psi.n, psi.dx, psi.mass, dt, out)
     phase = _phase(psi.n, psi.dx, psi.mass, dt)
     phase.flags.writeable = False
     return phase
@@ -26,12 +27,21 @@ def _kinetic_phase(psi: GridWavefunction, dt) -> np.ndarray:
 # a hitting run asks for one dt (harmonic), its end time and each exact leakage
 # test's time; per-row and per-step arrays are not kept (a hit round reuses its own)
 @lru_cache(maxsize=4)
-def _phase(n: int, dx: float, mass: float, dt) -> np.ndarray:
-    # k and -k share k^2: exponentiate the n // 2 + 1 values and spread
-    # them, the same bits as over the whole grid in half the time
+def _phase(n: int, dx: float, mass: float, dt, out: np.ndarray | None = None) -> np.ndarray:
+    # k and -k share k^2: exponentiate the n // 2 + 1 values, each operation
+    # in place so an array of lags makes no temporary, and mirror them: the
+    # same bits as over the whole grid in half the time
     k = 2.0 * np.pi * np.fft.fftfreq(n, dx)[: n // 2 + 1]
-    half = np.exp(-0.5j * np.asarray(dt)[..., None] * k**2 / mass)
-    return np.take(half, np.minimum(np.arange(n), n - np.arange(n)), axis=-1)
+    dt = np.asarray(dt)[..., None]
+    if out is None:
+        out = np.empty(dt.shape[:-1] + (n,), dtype=complex)
+    half = out[..., : k.size]
+    np.multiply(-0.5j, dt, out=half)
+    np.multiply(half, k**2, out=half)
+    np.divide(half, mass, out=half)
+    np.exp(half, out=half)
+    out[..., k.size :] = out[..., n - k.size : 0 : -1]  # index j > n / 2 holds k_{n - j}^2
+    return out
 
 
 def _potential_phase(psi: GridWavefunction, h: HamiltonianSpec, dt) -> np.ndarray:

@@ -15,16 +15,8 @@ import pytest
 
 from collapsim import CollapseParams, DensityMatrix, ensemble_density
 from collapsim.cells import discrete_decay_log
-from collapsim.colored import (
-    CorrelationSpec,
-    colored_instantaneous_rate,
-    run_commuting_nonwhite_ensemble,
-)
-from collapsim.diffusion import (
-    CslStepper,
-    hermitian_phase_noise_ensemble,
-    run_ensemble,
-)
+from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
+from collapsim.diffusion import CslStepper, run_ensemble
 from collapsim.epr import epr_linear_experiment, epr_nonlinear_experiment
 from collapsim.freeparticle import (
     com_amplified_rate,
@@ -33,27 +25,26 @@ from collapsim.freeparticle import (
     free_particle_moments,
     offdiag_lifetime,
 )
-from collapsim.hitting import ensemble_moments, run_qmsl_ensemble
-from collapsim.lindblad import lindblad_evolve
+from collapsim.hitting import run_qmsl_ensemble
 from collapsim.macrobody import macro_reduction_rate, momentum_diffusion
 from collapsim.nosignal import gisin_check, here_there_mixtures
 from collapsim.operators import HamiltonianSpec, ProjectorFamily
 from collapsim.params import canonical_qmsl
-from collapsim.rates import (
-    diosi_rate,
-    excitation_rate_qmsl,
-    gaussian_transfer_profile,
-    localization_decoherence_rate,
-    scattering_master_step,
-)
+from collapsim.rates import diosi_rate, excitation_rate_qmsl, localization_decoherence_rate
 from collapsim.refdata import LOCALIZATION_TABLE_DELTA_REFERENCE
 from collapsim.schrodinger import gaussian_packet, two_packet_state
 from collapsim.units import ERG_PER_EV, HBAR_CGS
 
 from oracles import (
     double_integral_by_quadrature,
+    ensemble_moments,
     free_gaussian_q_var,
+    gaussian_transfer_profile,
+    hermitian_phase_noise_reference,
+    lindblad_evolve,
     master_kernel_by_ode,
+    run_commuting_nonwhite_ensemble,
+    scattering_master_step,
 )
 
 TWO = ProjectorFamily.two_level()
@@ -348,7 +339,7 @@ def test_criterion_10_decoherence_vs_collapse():
         # constant sector weights
         psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
         gamma = 0.8
-        rho_h, z_all = hermitian_phase_noise_ensemble(
+        rho_h, z_all = hermitian_phase_noise_reference(
             psi0, TWO, gamma, 0.01, 250, 4000, 1055
         )
         assert np.max(np.abs(z_all - np.array([0.3, 0.7]))) < 1e-12

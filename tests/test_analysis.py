@@ -4,20 +4,15 @@ import numpy as np
 import pytest
 
 from collapsim import CollapseParams, DensityMatrix
+from collapsim.cells import discrete_decay_log
 from collapsim.diffusion import CslStepper, run_ensemble
-from collapsim.epr import (
-    epr_linear_experiment,
-    epr_nonlinear_experiment,
-    linear_discordance_mass,
-)
+from collapsim.epr import epr_linear_experiment, epr_nonlinear_experiment
 from collapsim.errors import StatisticalPreconditionError
 from collapsim.massdensity import (
     CellConfigurationState,
     IndependentParticleState,
     accessibility_ratio,
-    branch_product_mean,
     mass_profile,
-    tail_magnitude,
 )
 from collapsim.nosignal import gisin_check, here_there_mixtures
 from collapsim.operators import ProjectorFamily
@@ -26,18 +21,18 @@ from collapsim.rates import (
     DecoherenceSource,
     decoherence_rates,
     diosi_rate,
-    excitation_rate_csl_first_order,
     excitation_rate_qmsl,
-    gaussian_transfer_profile,
     localization_decoherence_rate,
-    harmonic_matrix_element,
-    scattering_master_step,
     sphere_interaction_energy,
 )
 from collapsim.refdata import LOCALIZATION_TABLE_DELTA_REFERENCE, load_decoherence_sources
 from collapsim.units import G_NEWTON_CGS, NUCLEON_MASS_G
 
-from oracles import sphere_energy_by_quadrature
+from oracles import (
+    gaussian_transfer_profile,
+    scattering_master_step,
+    sphere_energy_by_quadrature,
+)
 
 M0 = NUCLEON_MASS_G
 
@@ -113,24 +108,6 @@ def test_accessibility_zero_mean_undefined():
     assert accessible[1]
 
 
-def test_tail_magnitude_log_space():
-    # marble numbers: K = 1e18 cells of n = 1e9, lambda*t = 1e-18
-    lam_t = 1e-16 * 1e-2
-    occ_sum_sq = 1e18 * (1e9) ** 2
-    log_ab, log_mass = tail_magnitude(lam_t, 1.0, np.array([1e9]), 0.0)
-    # single-cell sanity: exponent = -lam*t*n^2
-    assert log_ab == pytest.approx(-lam_t * 1e18)
-    # full-marble exponent via the same formula, kept symbolic
-    full = -lam_t * occ_sum_sq
-    assert full == pytest.approx(-1e18, rel=1e-10)
-
-
-def test_tail_magnitude_no_occupation_no_suppression():
-    log_ab, log_mass = tail_magnitude(1.0, 5.0, np.zeros(4), np.log(7.0))
-    assert log_ab == 0.0
-    assert log_mass == pytest.approx(np.log(7.0))
-
-
 def test_tail_magnitude_matches_trajectories_desk_scale():
     # <<alpha_B beta_B>> from cooked trajectories vs exp(-lam t sum n^2)
     occ = np.array([[4.0, 2.0, 0.0, 0.0], [0.0, 0.0, 4.0, 2.0]])
@@ -141,11 +118,9 @@ def test_tail_magnitude_matches_trajectories_desk_scale():
     steps = 500
     res = run_ensemble(psi0, stepper, steps, 10_000, 808)
     z = np.abs(res.final_states) ** 2
-    measured = branch_product_mean(z[:, 0], z[:, 1])
-    t = steps * 0.004
+    measured = np.mean(np.sqrt(z[:, 0] * z[:, 1]))
     # off-diagonal rate: (lam/2) sum (n - m)^2 over cells
-    diff = occ[0] - occ[1]
-    expected = 0.5 * np.exp(-0.5 * lam * float(diff @ diff) * t)
+    expected = 0.5 * np.exp(discrete_decay_log(occ[0], occ[1], lam, steps * 0.004))
     assert measured == pytest.approx(expected, rel=0.10)
 
 
@@ -230,13 +205,6 @@ def test_epr_linear_finite_when_every_sector_factor_underflows():
     assert np.all(np.isfinite(values))
 
 
-def test_epr_discordance_enumeration_tiny():
-    mass = linear_discordance_mass(10.0)
-    assert mass < 1e-3
-    # and it grows toward small gamma*t (sanity of the enumeration)
-    assert linear_discordance_mass(0.5) > mass
-
-
 # ------------------------------------------------------------------- rates
 
 
@@ -317,29 +285,6 @@ def test_excitation_rate_qmsl_orders():
     assert excitation_rate_qmsl(small, 1e8) < 1e-60
 
 
-def test_excitation_rate_csl_first_order_agrees_with_hitting():
-    params = canonical_qmsl()
-    kappa = 1e8
-    rate_csl = excitation_rate_csl_first_order(
-        params, np.array([1.0]), np.array([harmonic_matrix_element(kappa) ** 2])
-    )
-    assert rate_csl == pytest.approx(excitation_rate_qmsl(params, kappa), rel=0.01)
-    # N^2 amplification and the mass-proportional null result
-    rate_4 = excitation_rate_csl_first_order(
-        params, np.array([2.0]), np.array([harmonic_matrix_element(kappa) ** 2])
-    )
-    assert rate_4 == pytest.approx(4.0 * rate_csl, rel=1e-12)
-    assert (
-        excitation_rate_csl_first_order(
-            params,
-            np.array([2.0]),
-            np.array([harmonic_matrix_element(kappa) ** 2]),
-            mass_proportional=True,
-        )
-        == 0.0
-    )
-
-
 def test_diosi_rate_canonical_and_limits():
     gamma_rate = diosi_rate(1.0, 1.0, 1e-5)
     assert abs(np.log10(gamma_rate) - 9.0) < 1.0
@@ -390,16 +335,6 @@ def test_epr_gap_stable_across_master_seeds():
         gaps.append(gap_nl)
     gaps = np.array(gaps)
     assert np.all(gaps > 0.4) and np.all(gaps < 0.6)
-
-
-def test_bound_state_spec_and_rate_equivalence():
-    from collapsim.rates import BoundStateSpec
-
-    params = canonical_qmsl()
-    spec = BoundStateSpec(kappa=1e8)
-    assert excitation_rate_qmsl(params, spec) == excitation_rate_qmsl(params, 1e8)
-    with pytest.raises(ValueError):
-        BoundStateSpec(kappa=-1.0)
 
 
 def test_decoherence_rates_missing_inputs_raise():

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from collapsim.colored import (
-    CorrelationSpec,
-    colored_damping_factor,
-    colored_increment_block,
-    colored_instantaneous_rate,
-    run_commuting_nonwhite_ensemble,
-)
-from collapsim.cooking import linear_exact_commuting, two_level_analytic
+from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
+from collapsim.cooking import linear_exact_commuting
 from collapsim.noise import wiener_increment_block
 from collapsim.operators import ProjectorFamily
 
-from oracles import double_integral_by_quadrature
+from oracles import (
+    colored_increment_block,
+    double_integral_by_quadrature,
+    run_commuting_nonwhite_ensemble,
+    two_level_analytic,
+)
 
 TWO = ProjectorFamily.two_level()
 
@@ -109,21 +108,23 @@ def test_exponential_rate_rampup_factor():
 
 
 def test_damping_factor_diagonal_invariant():
+    # a sector's diagonal entry damps at rate zero, an off-diagonal one does not
     spec = CorrelationSpec.gaussian(0.4)
-    assert colored_damping_factor(TWO, spec, 1.0, 0.0, 5.0, 0, 0) == 1.0
-    off = colored_damping_factor(TWO, spec, 1.0, 0.0, 5.0, 0, 1)
-    assert 0.0 < off < 1.0
+    assert colored_instantaneous_rate(TWO, spec, 1.0, 0, 0, 5.0) == 0.0
+    assert colored_instantaneous_rate(TWO, spec, 1.0, 0, 1, 5.0) > 0.0
 
 
 def test_damping_exponent_nonpositive_for_psd_kernels():
+    # the exponent is -(gamma/2) sum (a - b)^2 f(t), so f(t) >= 0
+    custom = CorrelationSpec.custom(np.exp(-np.arange(40) * 0.05 / 0.4) / 0.8, 0.05)
     for spec in (
         CorrelationSpec.gaussian(0.3),
         CorrelationSpec.exponential(1.2),
         CorrelationSpec.white(),
+        custom,
     ):
         for t in (0.1, 1.0, 10.0):
-            factor = colored_damping_factor(TWO, spec, 0.9, 0.0, t, 0, 1)
-            assert factor <= 1.0 + 1e-12
+            assert spec.double_integral(t) >= 0.0
 
 
 # ------------------------------------------------------------ cooked density

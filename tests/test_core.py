@@ -11,14 +11,10 @@ from collapsim import (
     GridWavefunction,
     HamiltonianSpec,
     ProjectorFamily,
-    UnitSystem,
-    cgs_convert,
     density_from_ensemble,
-    expectation,
     normalize,
 )
-from collapsim.colored import CorrelationSpec, colored_increment_block
-from collapsim.noise import trajectory_generator
+from collapsim.noise import trajectory_generator, wiener_increment_block
 from collapsim.schrodinger import (
     _kinetic_phase,
     gaussian_packet,
@@ -28,49 +24,16 @@ from collapsim.schrodinger import (
 
 from oracles import free_gaussian_q_var
 
-WHITE = CorrelationSpec.white()
-
-
-# ---------------------------------------------------------------- units
-
-
-def test_unit_roundtrip_identity():
-    units = UnitSystem.natural(length_unit=1e-5, time_unit=1e-2)
-    for kind in ("length", "time", "mass", "rate", "energy", "energy-rate", "coupling"):
-        value = 0.731
-        back = units.from_cgs(units.to_cgs(value, kind), kind)
-        assert back == pytest.approx(value, rel=1e-12)
-
-
-def test_cgs_convert_length():
-    units = UnitSystem.natural(length_unit=1e-5, time_unit=1.0)
-    assert cgs_convert(1.0, "length", "to_cgs", units) == pytest.approx(1e-5)
-
-
-def test_cgs_convert_rate_roundtrip():
-    # lambda = 1e-16 1/s expressed in internal units and back
-    units = UnitSystem.natural(length_unit=1e-5, time_unit=3.17e8)
-    lam_int = cgs_convert(1e-16, "rate", "from_cgs", units)
-    assert lam_int == pytest.approx(1e-16 * 3.17e8, rel=1e-12)
-    assert cgs_convert(lam_int, "rate", "to_cgs", units) == pytest.approx(1e-16)
-
-
-def test_unit_validation():
-    with pytest.raises(ValueError):
-        UnitSystem(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        UnitSystem.natural(1.0, 1.0).factor("volume")
-
 
 # --------------------------------------------------------------- params
 
 
 def test_collapse_params_consistency():
+    # lambda = gamma (alpha / 4 pi)^(d/2), in three dimensions and in one
     p = CollapseParams.consistent(1e-16, 1e10)
-    assert p.is_consistent()
     assert p.gamma_coupling == pytest.approx(1e-16 * (4 * np.pi / 1e10) ** 1.5, rel=1e-12)
-    q = CollapseParams(1e-16, 1e10, 1e-30)
-    assert not q.is_consistent()
+    q = CollapseParams.consistent(2.0, 1.0, dimension=1)
+    assert q.gamma_coupling == pytest.approx(2.0 * (4 * np.pi) ** 0.5, rel=1e-12)
 
 
 def test_collapse_params_positive():
@@ -171,29 +134,6 @@ def test_projector_family_partition_checks():
         ProjectorFamily(np.array([[1.0], [1.0]]), (np.array([0]), np.array([1])))
 
 
-def test_expectation_eigenstate():
-    fam = ProjectorFamily.two_level(a_plus=3.0, a_minus=-2.0)
-    up = FiniteState(np.array([1.0, 0.0], dtype=complex))
-    assert expectation(up, fam) == pytest.approx(3.0)
-
-
-def test_expectation_symmetric_superposition():
-    fam = ProjectorFamily.two_level()
-    plus = FiniteState(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
-    assert expectation(plus, fam) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_expectation_matches_dense_oracle():
-    rng = np.random.default_rng(11)
-    amps = rng.normal(size=5) + 1j * rng.normal(size=5)
-    amps /= np.linalg.norm(amps)
-    state = FiniteState(amps)
-    fam = ProjectorFamily.diagonal(np.array([[1.0, 1.0, 2.0, -1.0, 0.0]]))
-    dense = fam.channel_matrices()[0]
-    oracle = float(np.real(np.vdot(amps, dense @ amps)))
-    assert expectation(state, fam) == pytest.approx(oracle, abs=1e-12)
-
-
 def test_hamiltonian_spec_validation():
     with pytest.raises(ValueError, match="unknown Hamiltonian kind"):
         HamiltonianSpec("matrix")
@@ -205,21 +145,21 @@ def test_hamiltonian_spec_validation():
 
 
 def test_wiener_variance_law_of_large_numbers():
-    path = colored_increment_block(WHITE, 2024, [0], 10**6, 1, 1.0, 0.01)[:, 0]
+    path = wiener_increment_block(2024, [0], 10**6, 1, 1.0, 0.01)[:, 0]
     var = float(np.var(path))
     assert abs(var - 0.01) / 0.01 < 0.005
 
 
 def test_wiener_determinism():
-    a = colored_increment_block(WHITE, 99, [7], 1000, 2, 0.5, 0.02)[:, 0]
-    b = colored_increment_block(WHITE, 99, [7], 1000, 2, 0.5, 0.02)[:, 0]
+    a = wiener_increment_block(99, [7], 1000, 2, 0.5, 0.02)[:, 0]
+    b = wiener_increment_block(99, [7], 1000, 2, 0.5, 0.02)[:, 0]
     assert np.array_equal(a, b)
-    c = colored_increment_block(WHITE, 99, [8], 1000, 2, 0.5, 0.02)[:, 0]
+    c = wiener_increment_block(99, [8], 1000, 2, 0.5, 0.02)[:, 0]
     assert not np.array_equal(a, c)
 
 
 def test_wiener_channel_independence():
-    path = colored_increment_block(WHITE, 5, [0], 200_000, 2, 1.0, 0.01)[:, 0]
+    path = wiener_increment_block(5, [0], 200_000, 2, 1.0, 0.01)[:, 0]
     x, y = path[:, 0], path[:, 1]
     cross = np.mean(x * y)
     # 3 sigma of zero for the empirical cross-covariance
@@ -334,14 +274,3 @@ def test_leakage_monitor_raises():
     psi = gaussian_packet(64, 0.25, -8.0, 1.0, -7.8, 0.5)
     with pytest.raises(Exception, match="boundary amplitude"):
         psi.require_contained()
-
-
-def test_expectation_dimension_mismatch():
-    from collapsim import DimensionMismatchError
-
-    state = FiniteState(np.array([1.0, 0.0], dtype=complex))
-    fam3 = ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]]))
-    with pytest.raises(DimensionMismatchError):
-        expectation(state, fam3)
-    with pytest.raises(DimensionMismatchError):
-        expectation(state, np.eye(3))

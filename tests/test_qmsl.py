@@ -18,7 +18,6 @@ from collapsim.freeparticle import (
     free_particle_moments,
     offdiag_damping_beta,
     offdiag_lifetime,
-    two_particle_com_decay_rate,
 )
 from collapsim.hitting import (
     _gaussian_factor,
@@ -33,6 +32,7 @@ from collapsim.units import ERG_PER_EV, HBAR_CGS
 
 from oracles import (
     damping_integral_by_quadrature,
+    ensemble_moments,
     erf_beta_by_quadrature,
     free_gaussian_q_var,
     hit_center_reference,
@@ -156,6 +156,23 @@ def test_hit_sampling_preserves_density_in_expectation():
     acc /= nrep
     orig = np.abs(psi.amplitudes) ** 2
     assert np.max(np.abs(acc - orig)) < 4.0 / np.sqrt(nrep)
+
+
+@pytest.mark.parametrize("state", ["packet", "two-packets"])
+def test_post_hit_states_weighted_by_the_hit_density_give_the_localized_density(state):
+    # sum_j dx P(x_j) |phi_j><phi_j|, phi_j = L_{x_j} psi / ||L_{x_j} psi||, is
+    # sum_j dx L_{x_j} rho L_{x_j} exactly when P(x_j) = ||L_{x_j} psi||^2:
+    # the hit factor and the hit density must be the same L_x
+    if state == "packet":
+        psi = gaussian_packet(128, 0.25, -16.0, 20.0, 1.3, 0.7, momentum=0.8)
+    else:
+        psi = two_packet_state(128, 0.25, -16.0, 20.0, (-3.0, 3.0), 0.45, (0.3, 0.7))
+    alpha = 1.7
+    hit = _gaussian_factor(psi, psi.positions, alpha) * psi.amplitudes  # row j: L_{x_j} psi
+    post = hit / np.sqrt(np.sum(np.abs(hit) ** 2, axis=1) * psi.dx)[:, None]
+    mixture = (post.T * hitting_density(psi, alpha) * psi.dx) @ post.conj()
+    localized = hit.T @ hit.conj() * psi.dx
+    assert np.max(np.abs(mixture - localized)) <= 1e-13 * np.max(np.abs(localized))
 
 
 def test_batched_hit_sampling_matches_rows_drawn_one_by_one():
@@ -499,8 +516,6 @@ def test_moments_monte_carlo_match():
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
     res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), params, t, 4000, 31, 0.02)
-    from collapsim.hitting import ensemble_moments
-
     mc = ensemble_moments(res)
     sch = {
         "q_mean": 0.0,
@@ -563,22 +578,6 @@ def test_amplified_rate_canonical():
     assert com_amplified_rate(3.3, 1) == 3.3
 
 
-def test_two_particle_com_rate_doubles():
-    n, dx = 32, 0.5
-    x = -8.0 + dx * np.arange(n)
-    q1, q2 = np.meshgrid(x, x, indexing="ij")
-    com = (q1 + q2) / 2.0
-    rel = q1 - q2
-    # superposed center of mass, tight relative coordinate
-    phi = np.exp(-((com - 3.0) ** 2)) + np.exp(-((com + 3.0) ** 2))
-    chi = np.exp(-(rel**2) / (2 * 0.5**2))
-    psi2 = (phi * chi).astype(complex)
-    psi2 /= np.sqrt(np.sum(np.abs(psi2) ** 2) * dx * dx)
-    params = CollapseParams(1.5, 1.0, 1.0, dimension=1)
-    rate = two_particle_com_decay_rate(psi2, dx, params, 0.4, separation_cells=12)
-    assert rate == pytest.approx(2.0 * params.lambda_rate, rel=0.02)
-
-
 # ------------------------------------------------------- energy increase
 
 
@@ -595,8 +594,6 @@ def test_energy_increase_monte_carlo():
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
     res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), params, t, 4000, 17, 0.02)
-    from collapsim.hitting import ensemble_moments
-
     mc = ensemble_moments(res)
     e0 = (1.0 / (4 * sigma**2)) / (2 * mass)
     e_t = mc["p_var"] / (2 * mass) + mc["p_mean"] ** 2 / (2 * mass)
