@@ -21,7 +21,7 @@ from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .cooking import linear_exact_commuting, systematic_resample
 from .errors import ConfigError, StabilityError
-from .noise import require_memory, wiener_increment_block
+from .noise import LiveStreams, require_memory, wiener_increment_block
 from .operators import ProjectorFamily
 
 STABILITY_LIMIT = 0.01
@@ -261,9 +261,18 @@ class EnsembleResult:
 
 
 CHUNK = 4096
-"""Trajectories per noise block in ``run_ensemble`` when it does not
-resample; a trajectory's bits do not depend on it, but for a lone linear row
-with many channels, whose ``x @ table`` may take another BLAS kernel."""
+"""Trajectories per chunk of live noise streams in ``run_ensemble`` when it
+does not resample; a trajectory's bits do not depend on it, but for a lone
+linear row with many channels, whose ``x @ table`` may take another BLAS kernel."""
+
+WINDOW_BYTES = 1 << 24
+"""Size of the buffer into which ``run_ensemble``, when it does not resample,
+reads a chunk's noise, whole 16-step check intervals at a time (512 steps of
+4096 one-channel rows), so no check point or linear segment moves."""
+
+
+def _plain_window(rows: int, channels: int, steps: int) -> int:
+    return min(steps, max(16, WINDOW_BYTES // (8 * rows * channels) // 16 * 16))
 
 
 def _shared_noise(stepper) -> tuple:
@@ -279,13 +288,16 @@ def _shared_noise(stepper) -> tuple:
 def require_ensemble_fits(
     stepper, steps: int, n_traj: int, resample_every: int | None = None
 ) -> None:
-    """Raise ValueError when the noise window of ``run_ensemble`` (one
-    chunk, or every trajectory when resampling) and the final states of
-    each of its ensembles would not fit in this machine's memory."""
+    """Raise ValueError when ``steps`` reach 2^63 (collapse steps are int64)
+    or when ``run_ensemble``'s final states and noise window (one chunk's and
+    its live streams, or every trajectory's when resampling) would not fit."""
     steppers = _shared_noise(stepper)
-    window = steps if resample_every is None else min(resample_every, steps)
-    chunk = min(CHUNK, n_traj) if resample_every is None else n_traj
-    nbytes = 8 * window * chunk * steppers[0].family.channel_count
+    if not steps < 2**63:
+        raise ValueError(f"steps = {steps} must be below 2^63")
+    channels, plain = steppers[0].family.channel_count, resample_every is None
+    rows = min(CHUNK, n_traj) if plain else n_traj
+    window = _plain_window(rows, channels, steps) if plain else min(resample_every, steps)
+    nbytes = (8 * window * channels + 1024 * plain) * rows  # 0.5 KB a live stream
     nbytes += 16 * n_traj * sum(s.family.dim for s in steppers)
     require_memory(nbytes, "the noise window and the states")
 
@@ -401,9 +413,10 @@ def run_ensemble(
     step-size error; it takes no ``h_matrix``.  A nonlinear ensemble is
     stepped by ``CslStepper.step_batch``.
 
-    The noise is drawn one window at a time, ``resample_every`` steps or
-    the whole run: window w of trajectory i is the stream (traj_offset +
-    i, w) of ``wiener_increment_block``, so one window is the whole stream.
+    Trajectory i steps through stream traj_offset + i.  Without
+    resampling, ``CHUNK`` trajectories step at a time, each reading its
+    stream on from a live generator, ``_plain_window`` steps at a time.
+    Resampled, its window w is the stream (traj_offset + i, w).
 
     ``resample_every`` applies the cooked reweighting sequentially to the
     linear-form ensembles: after every window but the last, each is
@@ -412,8 +425,7 @@ def run_ensemble(
     prescription commutes with being applied at intermediate times.
     Descendants go on with their slot's next window; nonlinear ensembles
     are not resampled.  Resampling steps every trajectory at once and
-    records no z history, so ``record_every`` is rejected with it;
-    otherwise ``CHUNK`` trajectories are stepped at a time.
+    records no z history, so ``record_every`` is rejected with it.
 
     Every 16 steps and at the end of each window a NaN or infinite
     amplitude or log-weight raises StabilityError.
@@ -423,31 +435,34 @@ def run_ensemble(
         raise ValueError(f"an ensemble needs at least one trajectory, not {n_traj}")
     if h_matrix is not None and any(s.form == "linear" for s in steppers):
         raise ValueError("the linear form's exact update takes no Hamiltonian")
+    noise = steppers[0].family.channel_count, steppers[0].gamma, steppers[0].dt
     if resample_every is None:
-        chunk, window = CHUNK, steps
+        chunk = min(CHUNK, n_traj)
+        window = _plain_window(chunk, noise[0], steps)
+        streams = LiveStreams(chunk, window, noise[0])
     else:
         if all(s.form != "linear" for s in steppers):
             raise ValueError("sequential resampling applies to the linear form")
         if record_every is not None:
             raise ValueError("the resampled runner records no z history")
-        chunk, window = n_traj, resample_every
+        chunk, window, streams = n_traj, resample_every, None
     psi0 = _initial_rows(psi0, h_matrix)
     runs = [_Ensemble(s, psi0, steps, n_traj, record_every, h_matrix) for s in steppers]
-    noise = steppers[0].family.channel_count, steppers[0].gamma, steppers[0].dt
     for start in range(0, n_traj, chunk):
         idx = np.arange(start, min(start + chunk, n_traj))
         for run in runs:
             run.start(len(idx))
+        if streams is not None:
+            streams.start(master_seed, idx + traj_offset)
         for k0 in range(0, steps, window):
             take = min(window, steps - k0)
-            block = wiener_increment_block(
-                master_seed, idx + traj_offset, take, *noise, window=k0 // window
-            )
+            rows, w = (idx + traj_offset, k0 // window) if streams is None else (streams, 0)
+            block = wiener_increment_block(master_seed, rows, take, *noise, window=w)
             for run in runs:
                 run.advance(block, k0, idx)
-                if k0 + take < steps and run.stepper.form == "linear":
+                if streams is None and k0 + take < steps and run.stepper.form == "linear":
                     run.resample(master_seed, k0 + take)
-            del block  # so that the next block is not drawn beside it
+            del block  # so that the next resampled block is not drawn beside it
         for run in runs:
             run.finish(idx)
     results = tuple(run.res for run in runs)

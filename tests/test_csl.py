@@ -10,10 +10,11 @@ from collapsim import DensityMatrix, StabilityError, ensemble_density
 from collapsim.cells import CellModel, discrete_decay_log
 from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
 from collapsim.cooking import linear_exact_commuting, systematic_resample
-from collapsim.diffusion import CslStepper, StepWorkspace, run_ensemble
+from collapsim.diffusion import CslStepper, StepWorkspace, require_ensemble_fits, run_ensemble
 from collapsim.macrobody import condenser_decay_rate, macro_reduction_rate, momentum_diffusion
 from collapsim.noise import (
     RESAMPLE,
+    LiveStreams,
     trajectory_generator,
     wiener_increment_block,
 )
@@ -149,47 +150,52 @@ def test_single_row_steps_as_in_a_batch(family, complex_psi, hamiltonian):
             assert np.array_equal(rows[k][0], batch[k])
 
 
-# One-channel families: a step's increment is one Gaussian, so Gauss-Hermite
-# quadrature gives the moments of a step's change to rounding.
-ONE_CHANNEL_FAMILIES = {
+# Families whose step increment is one Gaussian per channel, so a
+# Gauss-Hermite rule (a product rule for two channels) gives the moments of
+# a step's change to rounding.
+GAUSS_HERMITE_FAMILIES = {
     "two-level": TWO,
     "two-level-zero-eigenvalue": ProjectorFamily.two_level(a_plus=0.0, a_minus=1.5),
     "three-sectors": ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]])),
     "two-states-in-a-sector": ProjectorFamily.diagonal(np.array([[1.0, 1.0, -1.0]])),
+    "diagonal-3-sectors-2-channels": EXACT_FAMILIES["diagonal-3-sectors-2-channels"],
 }
 
 
 @pytest.mark.parametrize("hamiltonian", [False, True], ids=["no-h", "h"])
 @pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("family", sorted(ONE_CHANNEL_FAMILIES))
+@pytest.mark.parametrize("family", sorted(GAUSS_HERMITE_FAMILIES))
 def test_step_drift_and_diffusion_by_gauss_hermite(family, complex_psi, hamiltonian):
-    # One step from psi0 per node of a 60-node rule, increments sqrt(gamma
-    # dt) x.  For the Ito equation, E[dz_0]/dt is the Hamiltonian's drift v
-    # of z_0 (zero without H) and E[dz_0^2]/dt is 4 gamma z_0^2 (a_0 - r)^2,
-    # r = <A>.  Euler steps reach both at weak order 1: the error halves
-    # with dt.
-    family = ONE_CHANNEL_FAMILIES[family]
-    d, gamma = family.dim, 1.0
-    psi0 = np.sqrt([0.3, 0.7] if d == 2 else [0.3, 0.45, 0.25])
+    # One step from psi0 per node of a 60-node rule (30 x 30 for two
+    # channels), increments sqrt(gamma dt) x.  For the Ito equation,
+    # E[dz_0]/dt is the Hamiltonian's drift v of z_0 (zero without H) and
+    # E[dz_0^2]/dt is 4 gamma z_0^2 sum_i (a_i0 - r_i)^2, r_i = <A_i>.
+    # Euler steps reach both at weak order 1: the error halves with dt.
+    family = GAUSS_HERMITE_FAMILIES[family]
+    d, channels, gamma = family.dim, family.channel_count, 1.0
+    psi0 = np.sqrt({2: [0.3, 0.7], 3: [0.3, 0.45, 0.25], 4: [0.3, 0.25, 0.2, 0.25]}[d])
     if complex_psi:
-        psi0 = psi0 * np.exp(1j * np.array([0.4, -1.1, 2.0])[:d])
+        psi0 = psi0 * np.exp(1j * np.array([0.4, -1.1, 2.0, 0.7])[:d])
     h, v = None, 0.0
     sector = family.sectors[0]
     if hamiltonian:
-        m = np.array([[0.0, 0.5 + 0.3j, 0.0], [0.0, 0.2, 0.4 - 0.1j], [0.1j, 0.0, -0.3]])[:d, :d]
+        m = np.array([[0.0, 0.5 + 0.3j, 0.0, 0.2], [0.0, 0.2, 0.4 - 0.1j, 0.0],
+                      [0.1j, 0.0, -0.3, 0.3j], [0.1, 0.0, 0.25, 0.1]])[:d, :d]
         h = m + m.conj().T
         v = 2.0 * np.sum(np.imag(np.conj(psi0[sector]) * (h @ psi0)[sector]))
     z = family.sector_weights(psi0)
-    r = family.eigenvalues[:, 0] @ z
-    limit = 4.0 * gamma * z[0] ** 2 * (family.eigenvalues[0, 0] - r) ** 2
-    nodes, weights = np.polynomial.hermite_e.hermegauss(60)
-    weights = weights / weights.sum()
-    psis = np.tile(psi0, (nodes.size, 1))
+    r = z @ family.eigenvalues  # the table is (n_sectors, channels)
+    limit = 4.0 * gamma * z[0] ** 2 * np.sum((family.eigenvalues[0] - r) ** 2)
+    x, w = np.polynomial.hermite_e.hermegauss(60 if channels == 1 else 30)
+    grid = np.meshgrid(*[x] * channels, indexing="ij")
+    nodes = np.stack([g.ravel() for g in grid], axis=1)
+    weights = np.prod(np.meshgrid(*[w / w.sum()] * channels, indexing="ij"), axis=0).ravel()
+    psis = np.tile(psi0, (len(nodes), 1))
     errors = []
     for k in range(3):
         dt = 0.008 / np.max(family.eigenvalues**2) / 2**k
         stepper = CslStepper(family, gamma, dt)
-        out = stepper.step_batch(psis, np.sqrt(gamma * dt) * nodes[:, None],
+        out = stepper.step_batch(psis, np.sqrt(gamma * dt) * nodes,
                                  StepWorkspace(stepper, psis, h))
         dz = family.sector_weights(out)[:, 0] - z[0]
         errors.append((weights @ dz / dt - v, weights @ dz**2 / dt - limit))
@@ -528,6 +534,71 @@ def test_wiener_block_windows_are_disjoint_counter_keyed_streams():
             keyed = np.random.Generator(philox).normal(0.0, scale, size=(30, 2))
             assert np.array_equal(windows[w][:, j], keyed)
             assert not np.array_equal(windows[w][:, j], windows[0][:, j])
+
+
+@pytest.mark.parametrize("rows", [1, 37])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("window", [16, 48])
+def test_live_streams_read_in_windows_are_the_whole_streams(monkeypatch, window, channels, rows):
+    # the windows, the last one short, concatenate bit for bit to the block
+    # of the whole streams of trajectories 1000 on; the pool has rows to
+    # spare, as in a run's last chunk, and tiles of five rows leave the
+    # last tile ragged; a second start rewinds the streams
+    import collapsim.noise as noise
+
+    monkeypatch.setattr(noise, "TILE_BYTES", 5 * window * channels * 8)
+    steps, indices = 2 * window + 7, np.arange(rows) + 1000
+    whole = wiener_increment_block(8, indices, steps, channels, 0.6, 0.01)
+    streams = LiveStreams(rows + 3, window, channels)
+    for _ in range(2):
+        streams.start(8, indices)
+        parts = [
+            wiener_increment_block(8, streams, min(window, steps - k0), channels, 0.6, 0.01)
+            .copy() for k0 in range(0, steps, window)
+        ]
+        assert [len(part) for part in parts] == [window, window, 7]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("form", ["linear", "nonlinear"])
+def test_plain_run_reads_its_noise_a_window_at_a_time(monkeypatch, form):
+    # chunks of 32 rows and a buffer of 16 steps: 50 trajectories over 200
+    # steps read every chunk's noise 16 steps at a time into one buffer, and
+    # end on the bits of the run that reads each chunk's 200 steps at once
+    import collapsim.diffusion as diffusion
+
+    psi0 = np.sqrt(np.array([0.3, 0.7]))
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form=form)
+    monkeypatch.setattr(diffusion, "CHUNK", 32)
+    args = (psi0, stepper, 200, 50, 5)
+    whole = run_ensemble(*args, record_every=40, traj_offset=3)
+    blocks = []
+
+    def recording_block(*args, **kwargs):
+        block = wiener_increment_block(*args, **kwargs)
+        blocks.append(block)
+        return block
+
+    monkeypatch.setattr(diffusion, "WINDOW_BYTES", 16 * 32 * 8)
+    monkeypatch.setattr(diffusion, "wiener_increment_block", recording_block)
+    res = run_ensemble(*args, record_every=40, traj_offset=3)
+    assert all(block.base is blocks[0].base for block in blocks)
+    assert blocks[0].base.shape == (16, 32, 1)
+    assert [block.shape[1] for block in blocks] == [32] * 13 + [18] * 13
+    assert sum(len(block) for block in blocks[:13]) == sum(len(block) for block in blocks[13:]) == 200
+    for field in ("final_states", "log_weights", "outcomes", "collapse_steps", "z_history"):
+        assert np.array_equal(getattr(res, field), getattr(whole, field)), field
+
+
+def test_plain_run_memory_does_not_grow_with_steps():
+    # the plain runner holds one window, however long the run; collapse
+    # steps are int64, so a run of 2^63 steps or more is refused
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005)
+    require_ensemble_fits(stepper, 2**63 - 1, 10_000)
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        require_ensemble_fits(stepper, 2**63, 10_000)
+    with pytest.raises(ValueError, match="memory"):
+        require_ensemble_fits(stepper, 10**12, 10_000, resample_every=10**12)
 
 
 def test_shared_runner_rejects_steppers_with_different_noise():
