@@ -6,6 +6,11 @@ the left coupling has sector eigenvalues (+1, -1), the right (-1, +1).
 The right measurement, when switched on, completes before the left one
 starts.
 
+The nonlinear half runs ``diffusion.CHUNK`` seeds at a time, each chunk
+from its own noise block: the right pass, then the bare-singlet and
+detector-on left passes as one batch of twice the chunk's rows through
+the same left increments.  A seed's result does not depend on its chunk.
+
 Nonlinear dynamics: conditional left-outcome probabilities given the
 left-noise class (defined operationally: replay the same left-noise path
 against the bare singlet and record its outcome) flip from 0 to 1/2 when
@@ -19,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diffusion
 from .cooking import linear_exact_commuting
 from .diffusion import CslStepper, StepWorkspace
 from .errors import StatisticalPreconditionError
-from .noise import wiener_increment_block
+from .noise import require_memory, wiener_increment_block
 from .operators import ProjectorFamily
 
 MIN_CONDITIONING_SAMPLES = 500
@@ -34,10 +40,13 @@ _SINGLET = np.array([1.0, -1.0]) / np.sqrt(2.0)
 
 
 def _evolve_batch(psis: np.ndarray, stepper: CslStepper, blocks: np.ndarray) -> np.ndarray:
-    """Step a (n, d) batch along per-seed noise blocks (steps, n, 1)."""
+    """Step a (n, d) batch along per-seed noise blocks (steps, m, 1), m
+    dividing n: row i takes the increments of seed i % m."""
     ws = StepWorkspace(stepper, psis)
-    for k in range(blocks.shape[0]):
-        psis = stepper.step_batch(psis, blocks[k], ws)
+    rows = np.empty((psis.shape[0] // blocks.shape[1], *blocks.shape[1:]))  # (n / m, m, 1)
+    for db in blocks:
+        np.copyto(rows, db)
+        psis = stepper.step_batch(psis, rows.reshape(-1, 1), ws)
     return psis
 
 
@@ -52,6 +61,14 @@ class NonlinearEprResult:
 def nonlinear_steppers(gamma: float, t_end: float, steps: int) -> list[CslStepper]:
     """The left and right nonlinear Ito steppers of ``steps`` steps to ``t_end``."""
     return [CslStepper(f, gamma, t_end / steps) for f in (_LEFT, _RIGHT)]
+
+
+def require_epr_fits(n_seeds: int, steps: int) -> None:
+    """Raise ValueError when the run would not fit: one chunk's noise block
+    and step buffers (2m rows at once), and what grows with ``n_seeds``,
+    each seed's outcomes and the linear half's (1, n, 2) block and weights."""
+    m = min(diffusion.CHUNK, n_seeds)
+    require_memory(16 * steps * m + 512 * m + 256 * n_seeds, "the epr noise chunk and seeds")
 
 
 def epr_nonlinear_experiment(
@@ -71,30 +88,40 @@ def epr_nonlinear_experiment(
     independent of the left-noise class.
     """
     stepper_l, stepper_r = nonlinear_steppers(gamma, t_end, steps)
-    block = wiener_increment_block(
-        master_seed, np.arange(n_seeds), steps, 2, gamma, stepper_l.dt
-    )
-    db_left, db_right = block[..., :1], block[..., 1:]  # channel 0 left, 1 right
-    singlets = np.tile(_SINGLET, (n_seeds, 1))
-    # class membership: replay each left-noise path against the bare singlet
-    bare = _LEFT.sector_weights(_evolve_batch(singlets, stepper_l, db_left))
-    in_class = np.argmax(bare, axis=1) == 0  # w~_L: left outcome +1 on the bare singlet
+    # whether each seed's left outcome is +1 on the bare singlet, and with the detector on
+    plus = np.empty((2, n_seeds), dtype=bool)
+    for lo in range(0, n_seeds, diffusion.CHUNK):
+        seeds = np.arange(lo, min(lo + diffusion.CHUNK, n_seeds))
+        plus[:, lo : lo + seeds.size] = _left_plus(master_seed, seeds, steps, stepper_l, stepper_r)
+    in_class = plus[0]  # w~_L: left outcome +1 on the bare singlet
     n_class = int(in_class.sum())
     if n_class < MIN_CONDITIONING_SAMPLES:
         raise StatisticalPreconditionError(
             f"only {n_class} conditioning samples (< {MIN_CONDITIONING_SAMPLES})"
         )
-    # detector on: the right measurement collapses the singlet first
-    after_right = _evolve_batch(singlets, stepper_r, db_right)
-    on = _LEFT.sector_weights(_evolve_batch(after_right, stepper_l, db_left))
     return NonlinearEprResult(
         # detector off: stage 1 leaves the singlet untouched, so the left
         # outcome in the class is +1 by construction
         p_minus_detector_off=0.0,
-        p_minus_detector_on=float(np.mean(np.argmax(on, axis=1)[in_class] != 0)),
+        p_minus_detector_on=float(np.mean(~plus[1][in_class])),
         class_frequency=n_class / n_seeds,
         n_conditioning=n_class,
     )
+
+
+def _left_plus(
+    master_seed: int, seeds: np.ndarray, steps: int, stepper_l: CslStepper, stepper_r: CslStepper
+) -> np.ndarray:
+    """Whether the left outcome of each of ``seeds`` is +1 on the bare
+    singlet (row 0) and with the right detector on (row 1), from one noise
+    block, freed on return."""
+    block = wiener_increment_block(master_seed, seeds, steps, 2, stepper_l.gamma, stepper_l.dt)
+    singlets = np.tile(_SINGLET, (seeds.size, 1))
+    # detector on: the right measurement (channel 1) collapses the singlet first
+    after_right = _evolve_batch(singlets, stepper_r, block[..., 1:])
+    # the bare singlet replays the same left noise (channel 0) in one batch
+    both = _evolve_batch(np.concatenate((singlets, after_right)), stepper_l, block[..., :1])
+    return (np.argmax(_LEFT.sector_weights(both), axis=1) == 0).reshape(2, -1)
 
 
 @dataclass(frozen=True)

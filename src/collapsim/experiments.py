@@ -22,7 +22,12 @@ from .cells import CellModel, discrete_decay_log
 from .colored import CorrelationSpec, colored_instantaneous_rate
 from .config import MANY, ExperimentConfig, Param, read_params
 from .diffusion import CslStepper, require_ensemble_fits, run_ensemble
-from .epr import epr_linear_experiment, epr_nonlinear_experiment, nonlinear_steppers
+from .epr import (
+    epr_linear_experiment,
+    epr_nonlinear_experiment,
+    nonlinear_steppers,
+    require_epr_fits,
+)
 from .errors import ConfigError
 from .freeparticle import (
     characteristic_times,
@@ -417,7 +422,7 @@ def run_colored_damping(p: dict, run: Settings) -> Iterator:
 def run_epr(p: dict, run: Settings) -> Iterator:
     gamma, t_end, steps = p["gamma"], p["t_end"], p["steps"]
     nonlinear_steppers(gamma, t_end, steps)  # the steppers the run builds
-    require_memory(16 * steps * run.trajectories, "the noise block")
+    require_epr_fits(run.trajectories, steps)
     yield
     nonlinear = epr_nonlinear_experiment(
         run.trajectories, gamma, t_end, run.seed, steps=steps

@@ -54,20 +54,6 @@ def damping_factor(
     return np.exp(lam * (integral - t))
 
 
-def evolve_schrodinger_kernel(
-    kernel: np.ndarray, dx: float, mass: float, t: float
-) -> np.ndarray:
-    """Free unitary evolution of a position-space kernel (spectral)."""
-    n = kernel.shape[0]
-    k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
-    phase = np.exp(-0.5j * t * k**2 / mass)
-    out = np.fft.ifft(np.fft.fft(kernel, axis=0) * phase[:, None], axis=0)
-    out = np.conj(
-        np.fft.ifft(np.fft.fft(np.conj(out), axis=1) * phase[None, :], axis=1)
-    )
-    return out
-
-
 def _diagonal_indices(n: int) -> np.ndarray:
     rows = np.arange(n)[:, None]
     offsets = np.arange(n)[None, :]
@@ -75,10 +61,9 @@ def _diagonal_indices(n: int) -> np.ndarray:
 
 
 def evolve_free_master(
-    initial: GridWavefunction | DensityMatrix,
+    initial: GridWavefunction,
     params: CollapseParams,
     t: float,
-    mass: float | None = None,
     h: HamiltonianSpec | None = None,
 ) -> DensityMatrix:
     """Kernel of the hitting master equation for a free particle at time t.
@@ -91,22 +76,9 @@ def evolve_free_master(
     """
     if h is not None and h.kind not in ("free", "none"):
         raise IncompatibleHamiltonianError("incompatible Hamiltonian")
-    if isinstance(initial, GridWavefunction):
-        mass = initial.mass
-        dx = initial.dx
-        psi_t = split_step_evolve(initial, HamiltonianSpec.free(), t, 1)
-        kernel_sch = np.outer(psi_t.amplitudes, np.conj(psi_t.amplitudes))
-        n = initial.n
-        length = initial.length
-    else:
-        if initial.representation != "grid":
-            raise ValueError("kernel input must be a grid representation")
-        if mass is None:
-            raise ValueError("mass is required for kernel input")
-        dx = initial.dx
-        n = initial.dim
-        length = n * dx
-        kernel_sch = evolve_schrodinger_kernel(initial.entries, dx, mass, t)
+    mass, dx, n, length = initial.mass, initial.dx, initial.n, initial.length
+    psi_t = split_step_evolve(initial, HamiltonianSpec.free(), t, 1)
+    kernel_sch = np.outer(psi_t.amplitudes, np.conj(psi_t.amplitudes))
     if params.lambda_rate == 0.0:
         return DensityMatrix(kernel_sch, "grid", dx)
 

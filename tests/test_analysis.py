@@ -187,6 +187,26 @@ def test_epr_nonlinear_insufficient_samples():
         epr_nonlinear_experiment(600, gamma=1.0, t_end=2.0, master_seed=11, steps=200)
 
 
+@pytest.mark.parametrize("n", [1200, 600], ids=["result", "too-few-samples"])
+def test_epr_nonlinear_does_not_depend_on_the_chunk(monkeypatch, n):
+    # chunks that divide n, that leave an uneven last chunk, and that hold
+    # every seed: each seed draws its own stream and steps in its own rows
+    import collapsim.diffusion as diffusion
+
+    def run():
+        try:
+            return epr_nonlinear_experiment(n, gamma=1.0, t_end=1.0, master_seed=11, steps=100)
+        except StatisticalPreconditionError as err:
+            return str(err)
+
+    results = []
+    for chunk in (n // 4, 5 * n // 12, n, diffusion.CHUNK):
+        monkeypatch.setattr(diffusion, "CHUNK", chunk)
+        results.append(run())
+    assert isinstance(results[0], str) == (n == 600)
+    assert all(res == results[0] for res in results[1:])
+
+
 def test_epr_linear_marginals_agree():
     res = epr_linear_experiment(4000, gamma=1.0, t_end=10.0, master_seed=13)
     assert res.ks_distance < res.ks_critical_5pct

@@ -339,6 +339,7 @@ BASES = {
         ("discrete", "occupations_b = 0, 3", "occupations_b = 0, 3, 1"),
         ("discrete", "steps = 40", "steps = 1"),
         ("epr", "t_end = 2.0", "t_end = 2.0\nsteps = 0"),
+        ("epr", "t_end = 2.0", "t_end = 2.0\nsteps = 1e15"),
         ("born", "steps = 600", "steps = 1e300"),
         ("master", "mass = 1.0", "mass = 1e300"),
         ("equivalence", "steps = 600", "steps = 1e12\nresample_every = 1e12"),
@@ -351,8 +352,9 @@ BASES = {
         "seed-negative", "seed-past-u64", "dt-nan", "tau-zero", "kind-unknown",
         "kernel-file-missing", "grid-not-power-of-two", "t_end-not-whole-steps",
         "no-cells", "occupation-lengths-differ", "discrete-one-record-point", "epr-no-steps",
-        "steps-past-memory", "mass-overflows", "equivalence-window-past-memory",
-        "mass-divides-by-zero", "sigma-divides-by-zero", "density-overflows",
+        "epr-steps-past-memory", "steps-past-memory", "mass-overflows",
+        "equivalence-window-past-memory", "mass-divides-by-zero", "sigma-divides-by-zero",
+        "density-overflows",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the exit code comes alone

@@ -192,6 +192,32 @@ def test_batched_hit_sampling_matches_rows_drawn_one_by_one():
     assert np.all((psi.x0 <= x) & (x < psi.x0 + psi.length))
 
 
+def test_hit_center_inverts_the_interpolated_cdf():
+    # random positive densities, cell 9 flat in every row and, in row 1, the
+    # ring's last cell (between the last node and the first) flat too; at the
+    # center drawn for u the piecewise-linear CDF must read u * total
+    psi = gaussian_packet(64, 0.25, -8.0, 5.0, 0.0, 0.9)
+    dens = trajectory_generator(41).uniform(0.05, 2.0, size=(4, psi.n))
+    dens[:, 10] = dens[:, 9]
+    dens[1, -1] = dens[1, 0]
+    u = np.arange(4000) / 4000.0
+    rows, us = np.repeat(dens, u.size, axis=0), np.tile(u, len(dens))
+    x, j = sample_hit_center(psi, rows, us)
+    s = (x - psi.x0) / psi.dx - j
+    at = np.arange(j.size)
+    p0, p1 = rows[at, j], rows[at, (j + 1) % psi.n]
+    cdf = np.cumsum(0.5 * (rows + np.roll(rows, -1, axis=1)) * psi.dx, axis=1)
+    below = np.where(j > 0, cdf[at, j - 1], 0.0)
+    at_x = below + psi.dx * (p0 * s + (p1 - p0) * s**2 / 2.0)
+    assert np.max(np.abs(at_x - us * cdf[:, -1]) / cdf[:, -1]) <= 1e-12
+    assert np.all((-1e-12 <= s) & (s < 1.0))
+    assert np.all(np.diff(x.reshape(len(dens), -1), axis=1) >= 0.0)
+    # both branches ran, and the last cell wrapped, flat and curved
+    last = j == psi.n - 1
+    assert np.all(p0[j == 9] == p1[j == 9]) and np.any(j == 9)
+    assert np.any(last & (p0 == p1)) and np.any(last & (p0 != p1))
+
+
 # ---------------------------------------------------------- trajectories
 
 
@@ -607,16 +633,3 @@ def test_master_rejects_non_free_hamiltonian():
     psi = gaussian_packet(64, 0.25, -8.0, 5.0, 0.0, 0.9)
     with pytest.raises(IncompatibleHamiltonianError):
         evolve_free_master(psi, DESK, 0.5, h=HamiltonianSpec.harmonic(1.0))
-
-
-def test_master_kernel_input_matches_pure_state_input():
-    from collapsim import DensityMatrix
-
-    params = CollapseParams(2.0, 1.0, 1.0, dimension=1)
-    psi = gaussian_packet(64, 0.25, -8.0, 5.0, 0.3, 0.8)
-    via_state = evolve_free_master(psi, params, 0.6).entries
-    rho0 = DensityMatrix(
-        np.outer(psi.amplitudes, psi.amplitudes.conj()), "grid", psi.dx
-    )
-    via_kernel = evolve_free_master(rho0, params, 0.6, mass=5.0).entries
-    assert np.max(np.abs(via_state - via_kernel)) < 1e-10
