@@ -31,6 +31,12 @@ REDUCTION_COMPLETE_TOL = 1e-6
 """A trajectory counts as collapsed onto sector sigma when
 z_sigma >= 1 - REDUCTION_COMPLETE_TOL (reduction is asymptotic)."""
 
+RETIRE_TOL = 1e-12
+"""``run_ensemble(until_decided=True)`` stops stepping a row once its
+minority weight, the sum of its sector weights but the largest, is at most
+this.  Each 1 - z_sigma is a nonnegative martingale, so the row's final
+argmax could then still change with probability at most 2 * RETIRE_TOL."""
+
 
 @dataclass(frozen=True)
 class CslStepper:
@@ -87,15 +93,15 @@ class CslStepper:
         """
         if ws.stepper is not self:
             raise ValueError("the workspace was made for another stepper")
-        side = 1 if psis is ws.slabs[1] else 0
-        if psis is not ws.slabs[side]:
-            if psis.shape != ws.slabs[0].shape:
-                raise ValueError(f"the workspace steps {ws.slabs[0].shape} rows, not {psis.shape}")
-            np.copyto(ws.slabs[0], psis)
-        np.copyto(ws.db.T, dbs)
+        side = 1 if psis is ws.rows[1] else 0
+        if psis is not ws.rows[side]:
+            if psis.shape != ws.rows[0].shape:
+                raise ValueError(f"the workspace steps {ws.rows[0].shape} rows, not {psis.shape}")
+            np.copyto(ws.rows[0], psis)
+        np.copyto(ws.db_rows, dbs)
         for fn, args in ws.programs[side]:
             fn(*args)
-        return ws.slabs[1 - side]
+        return ws.rows[1 - side]
 
     def _factors(self, chi: list, db: list) -> list:
         """Per basis column, the factor f of the step psi -> psi + f psi:
@@ -138,6 +144,8 @@ class StepWorkspace:
     in the same order as on arrays, so the same bits.  A step reads one
     of two (d, n) slabs and writes the other, so the list is linked both
     ways round, and the input rows are never overwritten mid-step.
+    ``front`` and ``keep`` narrow the step to the first rows of every
+    array without recording it again.
     """
 
     def __init__(self, stepper: CslStepper, psis: np.ndarray, h_matrix=None) -> None:
@@ -156,10 +164,33 @@ class StepWorkspace:
         inv = 1.0 / np.sqrt(norm_sq)  # complex / real divides this way too
         for col, x, y in zip(new, src, dst):
             np.multiply(col, inv, out=_Col(self, dtype, (y, x)))
-        self.programs = self._link()
+        self.args, self.plan = self._link()
+        self.front(n)
 
-    def _link(self) -> list:
-        """The recorded calls on arrays, reading slab 0, then slab 1.  A
+    def front(self, m: int) -> None:
+        """Step the first m rows from now on: the linked calls with every
+        array cut to its first m rows (each is a column of n values or an
+        (n, width) sum buffer), so nothing is recorded again."""
+        self.rows = tuple(slab[:m] for slab in self.slabs)
+        self.db_rows = self.db[:, :m].T
+        cut = [x[:m] if isinstance(x, np.ndarray) else x for x in self.args]
+        self.programs = [[(fn, tuple(map(cut.__getitem__, slots))) for fn, slots in program]
+                         for program in self.plan]
+
+    def keep(self, psis: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Move the rows of ``psis`` that the mask ``kept`` picks to the
+        front of a slab, in order, and step only those from now on.
+        Returns them, as ``step_batch`` returns states."""
+        side = 1 if psis is self.rows[1] else 0
+        rows = psis[kept]
+        self.front(len(rows))
+        np.copyto(self.rows[side], rows)
+        return self.rows[side]
+
+    def _link(self) -> tuple:
+        """The recorded calls on arrays, reading slab 0, then slab 1, as
+        their distinct arguments and, per call, the function and the
+        positions of its arguments among them.  A
         scratch column gets a buffer when it is written, and gives it up
         at its last reader, whose own result may then reuse it in place.
         The reuse keeps the step in cache: with one buffer per scratch
@@ -175,11 +206,12 @@ class StepWorkspace:
             if isinstance(out, _Col) and out.arrays is None:
                 pool = free.setdefault(out.dtype, [])
                 out.arrays = (pool.pop() if pool else np.empty(self.n, out.dtype),) * 2
-        return [
-            [(fn, tuple(x.arrays[side] if isinstance(x, _Col) else x for x in args))
-             for fn, args in self.calls]
-            for side in (0, 1)
-        ]
+        programs = [[(fn, [x.arrays[side] if isinstance(x, _Col) else x for x in args])
+                     for fn, args in self.calls] for side in (0, 1)]
+        args = list({id(x): x for program in programs for _, xs in program for x in xs}.values())
+        slot = {id(x): j for j, x in enumerate(args)}
+        return args, [[(fn, [slot[id(x)] for x in xs]) for fn, xs in program]
+                      for program in programs]
 
 
 class _Col(NDArrayOperatorsMixin):
@@ -249,7 +281,10 @@ class EnsembleResult:
     ``outcomes[k]`` is the sector a trajectory collapsed onto (z >= 1-1e-6)
     or -1 if still undecided; ``collapse_steps`` likewise (-1 = never).
     The physical-ensemble density is ``states.ensemble_density`` of the
-    final states, weighted by exp(log_weights) for the linear form.
+    final states, weighted by exp(log_weights) for the linear form.  A
+    row that ``run_ensemble(until_decided=True)`` retired holds its state
+    at retirement, whose argmax the full run would change with probability
+    at most 2 * RETIRE_TOL.
     """
 
     final_states: np.ndarray
@@ -330,9 +365,9 @@ class _Ensemble:
     (states, log-weights, collapse steps) and the result it fills."""
 
     def __init__(self, stepper: CslStepper, psi0: np.ndarray, steps: int,
-                 n_traj: int, record_every: int | None, h_matrix) -> None:
+                 n_traj: int, record_every: int | None, h_matrix, until_decided: bool) -> None:
         self.stepper, self.psi0, self.every = stepper, psi0, record_every
-        self.h_matrix, self.ws = h_matrix, None
+        self.h_matrix, self.ws, self.until_decided = h_matrix, None, until_decided
         n_rec, dim = (steps // record_every if record_every else 0), psi0.shape[0]
         self.res = EnsembleResult(
             np.empty((n_traj, dim), dtype=complex),
@@ -346,34 +381,58 @@ class _Ensemble:
     def start(self, m: int) -> None:
         self.psis, self.lw = np.tile(self.psi0, (m, 1)), np.zeros(m)
         self.done = np.full(m, -1, dtype=int)
-        if self.stepper.form != "linear" and (self.ws is None or self.ws.n != m):
-            self.ws = StepWorkspace(self.stepper, self.psis, self.h_matrix)
+        # the chunk rows still stepping, and their columns in the window's block
+        self.live, self.cols = np.arange(m), np.arange(m)
+        if self.stepper.form != "linear":
+            if self.ws is None or self.ws.n != m:
+                self.ws = StepWorkspace(self.stepper, self.psis, self.h_matrix)
+            self.ws.front(m)
 
     def advance(self, block: np.ndarray, k0: int, idx: np.ndarray) -> None:
         """Take the chunk through ``block``, whose first row is step k0 + 1,
         a segment at a time: one exact update by the summed increments for
         the linear form, nonlinear steps one by one.  Segments end
         at record steps, where z is recorded, and every 16 steps and at the
-        block's end, where finiteness is checked and collapses marked."""
+        block's end, where finiteness is checked, collapses marked and,
+        until decided, settled rows retired."""
         stepper, fam, every, lw = self.stepper, self.stepper.family, self.every, self.lw
         ends = [s for s in range(1, len(block) + 1) if (k0 + s) % 16 == 0
                 or s == len(block) or (every and (k0 + s) % every == 0)]
         for s0, s in zip([0] + ends, ends):
+            if not len(self.live):  # every row retired
+                return
             if stepper.form == "linear":
                 # summed in step order, as numpy sums a batch (pairwise for one row)
                 x, f = reduce(np.add, block[s0:s]), (s - s0) * stepper.dt
                 self.psis, dlog = linear_exact_commuting(self.psis, fam, x, stepper.gamma, f)
                 lw += dlog
             else:
+                cols = None if len(self.cols) == block.shape[1] else self.cols
                 for db in block[s0:s]:
+                    db = db if cols is None else db.take(cols, axis=0)
                     self.psis = stepper.step_batch(self.psis, db, self.ws)
             k, z = k0 + s, _sector_rows(fam, self.psis.T)
             if every and k % every == 0:
                 self.res.z_history[k // every - 1, idx] = z.T
             if k % 16 == 0 or s == len(block):
                 _check_finite(z, lw, k)
-                newly = (self.done < 0) & (np.max(z, axis=0) >= 1.0 - REDUCTION_COMPLETE_TOL)
+                decided = np.max(z, axis=0) >= 1.0 - REDUCTION_COMPLETE_TOL
+                newly = self.live[(self.done[self.live] < 0) & decided]
                 self.done[newly] = k
+                if self.until_decided:
+                    self.retire(z, idx)
+
+    def retire(self, z: np.ndarray, idx: np.ndarray) -> None:
+        """Store the final states of the rows whose minority weight is at
+        most RETIRE_TOL (their collapse step is already marked) and step
+        only the others from now on."""
+        # a weight above 1/2 is the row's largest, so this is the minority
+        # weight of every row that has one, and near 1 for the others
+        out = np.where(z > 0.5, 0.0, z).sum(axis=0) <= RETIRE_TOL
+        if out.any():
+            self.res.final_states[idx[self.live[out]]] = self.psis[out]
+            self.psis = self.ws.keep(self.psis, ~out)
+            self.live, self.cols = self.live[~out], self.cols[~out]
 
     def resample(self, master_seed: int, k: int) -> None:
         """Cooked reweighting at step k: descendants take their ancestor's
@@ -384,7 +443,7 @@ class _Ensemble:
 
     def finish(self, idx: np.ndarray) -> None:
         res = self.res
-        res.final_states[idx] = self.psis
+        res.final_states[idx[self.live]] = self.psis
         res.log_weights[idx] = self.lw
         z = self.stepper.family.sector_weights(res.final_states[idx[0] : idx[-1] + 1])
         decided = z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL
@@ -402,6 +461,7 @@ def run_ensemble(
     record_every: int | None = None,
     resample_every: int | None = None,
     traj_offset: int = 0,
+    until_decided: bool = False,
 ) -> EnsembleResult | tuple[EnsembleResult, ...]:
     """Vectorized trajectory ensemble with per-trajectory noise streams.
 
@@ -429,10 +489,23 @@ def run_ensemble(
 
     Every 16 steps and at the end of each window a NaN or infinite
     amplitude or log-weight raises StabilityError.
+
+    ``until_decided`` stops stepping a row, and drops its live stream
+    before the next window is drawn, at the first such check point where
+    its minority weight is at most ``RETIRE_TOL``.  Its ``final_states`` row
+    is then its state at that step, whose argmax the full run would change
+    with probability at most 2 * RETIRE_TOL; its collapse step is already
+    marked, and the rows that never retire end on the bits of the full run.
+    It takes one nonlinear stepper and no Hamiltonian (which can rotate a
+    collapsed state back out of its sector), z history or resampling.
     """
     steppers = _shared_noise(stepper)
     if n_traj < 1:
         raise ValueError(f"an ensemble needs at least one trajectory, not {n_traj}")
+    if until_decided and (len(steppers) > 1 or steppers[0].form == "linear" or any(
+            x is not None for x in (h_matrix, record_every, resample_every))):
+        raise ValueError("until_decided takes one nonlinear stepper and no h_matrix, "
+                         "record_every or resample_every")
     if h_matrix is not None and any(s.form == "linear" for s in steppers):
         raise ValueError("the linear form's exact update takes no Hamiltonian")
     noise = steppers[0].family.channel_count, steppers[0].gamma, steppers[0].dt
@@ -447,7 +520,8 @@ def run_ensemble(
             raise ValueError("the resampled runner records no z history")
         chunk, window, streams = n_traj, resample_every, None
     psi0 = _initial_rows(psi0, h_matrix)
-    runs = [_Ensemble(s, psi0, steps, n_traj, record_every, h_matrix) for s in steppers]
+    runs = [_Ensemble(s, psi0, steps, n_traj, record_every, h_matrix, until_decided)
+            for s in steppers]
     for start in range(0, n_traj, chunk):
         idx = np.arange(start, min(start + chunk, n_traj))
         for run in runs:
@@ -455,6 +529,9 @@ def run_ensemble(
         if streams is not None:
             streams.start(master_seed, idx + traj_offset)
         for k0 in range(0, steps, window):
+            if until_decided:  # one run: its live rows' streams go on, in order
+                streams[:] = [streams[j] for j in runs[0].cols.tolist()]
+                runs[0].cols = np.arange(len(streams))
             take = min(window, steps - k0)
             rows, w = (idx + traj_offset, k0 // window) if streams is None else (streams, 0)
             block = wiener_increment_block(master_seed, rows, take, *noise, window=w)

@@ -266,7 +266,7 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
     stepper = CslStepper(family, p["gamma"], dt, form="nonlinear")
     require_ensemble_fits(stepper, steps, n_traj)
     yield
-    res = run_ensemble(psi0, stepper, steps, n_traj, run.seed)
+    res = run_ensemble(psi0, stepper, steps, n_traj, run.seed, until_decided=True)
     if p["per_trajectory"]:
         rows = [
             (

@@ -474,6 +474,9 @@ SMALL = {
     "qmsl-hitting-events": HITTING_CFG.replace("n = 128", "n = 64")
     + "record_events = true\n",
     "colored-damping": COLORED_CFG,
+    # the custom kind stays out: its kernel file's absolute path enters the
+    # config hash in the output's header
+    "colored-damping-gaussian": COLORED_CFG.replace("kind = exponential", "kind = gaussian"),
     "csl-discrete": BASES["discrete"],
     "gisin": "experiment = gisin\ntrajectories = 40\n[params]\ngamma = 1.0\n"
     "dt = 0.01\nsteps = 20\n",
@@ -608,7 +611,7 @@ with tempfile.TemporaryDirectory() as out:
 def test_pinned_experiments_never_import_scipy():
     # a fresh interpreter: this test session has scipy loaded already
     pinned = [SMALL[name] for name in PINNED]
-    on_demand = COLORED_CFG.replace("kind = exponential", "kind = gaussian")
+    on_demand = SMALL["colored-damping-gaussian"]
     src = str(Path(collapsim.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}

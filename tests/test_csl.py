@@ -151,14 +151,17 @@ def test_single_row_steps_as_in_a_batch(family, complex_psi, hamiltonian):
 
 
 # Families whose step increment is one Gaussian per channel, so a
-# Gauss-Hermite rule (a product rule for two channels) gives the moments of
-# a step's change to rounding.
+# Gauss-Hermite rule (a product rule for two and three channels) gives the
+# moments of a step's change to rounding.
 GAUSS_HERMITE_FAMILIES = {
     "two-level": TWO,
     "two-level-zero-eigenvalue": ProjectorFamily.two_level(a_plus=0.0, a_minus=1.5),
     "three-sectors": ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]])),
     "two-states-in-a-sector": ProjectorFamily.diagonal(np.array([[1.0, 1.0, -1.0]])),
     "diagonal-3-sectors-2-channels": EXACT_FAMILIES["diagonal-3-sectors-2-channels"],
+    "cells-3-channels": ProjectorFamily.from_configurations(
+        np.array([[2, 0, 1], [1, 2, 0], [0, 1, 2]])
+    ),
 }
 
 
@@ -167,7 +170,7 @@ GAUSS_HERMITE_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(GAUSS_HERMITE_FAMILIES))
 def test_step_drift_and_diffusion_by_gauss_hermite(family, complex_psi, hamiltonian):
     # One step from psi0 per node of a 60-node rule (30 x 30 for two
-    # channels), increments sqrt(gamma dt) x.  For the Ito equation,
+    # channels, 30 x 30 x 30 for three), increments sqrt(gamma dt) x.  For the Ito equation,
     # E[dz_0]/dt is the Hamiltonian's drift v of z_0 (zero without H) and
     # E[dz_0^2]/dt is 4 gamma z_0^2 sum_i (a_i0 - r_i)^2, r_i = <A_i>.
     # Euler steps reach both at weak order 1: the error halves with dt.
@@ -599,6 +602,105 @@ def test_plain_run_memory_does_not_grow_with_steps():
         require_ensemble_fits(stepper, 2**63, 10_000)
     with pytest.raises(ValueError, match="memory"):
         require_ensemble_fits(stepper, 10**12, 10_000, resample_every=10**12)
+
+
+# Families run to their decision: (family, dt, psi0, steps), at which some
+# rows retire mid-run and some never do.
+UNTIL_DECIDED = {
+    "two-level": (TWO, 0.005, np.sqrt([0.3, 0.7]), 800),
+    "diagonal-3-sectors-2-channels": (
+        EXACT_FAMILIES["diagonal-3-sectors-2-channels"], 0.0025,
+        np.sqrt([0.3, 0.25, 0.2, 0.25]), 1200,
+    ),
+}
+
+
+def _until_decided_runs(family, seed, n=96):
+    """The full run and the run until decided of ``UNTIL_DECIDED[family]``."""
+    fam, dt, psi0, steps = UNTIL_DECIDED[family]
+    stepper = CslStepper(fam, 1.0, dt)
+    return (run_ensemble(psi0, stepper, steps, n, seed),
+            run_ensemble(psi0, stepper, steps, n, seed, until_decided=True))
+
+
+def _minority(fam, states):
+    z = np.sort(fam.sector_weights(states), axis=1)
+    return z[:, :-1].sum(axis=1)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("family", sorted(UNTIL_DECIDED))
+def test_until_decided_keeps_outcomes_and_collapse_steps(monkeypatch, family, seed):
+    # windows of 64 steps, so retired rows' streams are dropped between them
+    import collapsim.diffusion as diffusion
+
+    monkeypatch.setattr(diffusion, "WINDOW_BYTES", 64 * 96 * 16)
+    fam = UNTIL_DECIDED[family][0]
+    full, until = _until_decided_runs(family, seed)
+    assert np.array_equal(until.outcomes, full.outcomes)
+    assert np.array_equal(until.collapse_steps, full.collapse_steps)
+    # a retired row ends on its state at retirement, on the full run's argmax
+    retired = np.any(until.final_states != full.final_states, axis=1)
+    assert 0 < retired.sum() < len(retired)
+    assert np.all(_minority(fam, until.final_states[retired]) <= diffusion.RETIRE_TOL)
+    assert np.array_equal(np.argmax(fam.sector_weights(until.final_states), axis=1),
+                          np.argmax(fam.sector_weights(full.final_states), axis=1))
+
+
+@pytest.mark.parametrize("family", sorted(UNTIL_DECIDED))
+def test_until_decided_rows_that_never_retire_step_as_in_the_full_run(monkeypatch, family):
+    # the rows still stepping are cut to the front of the workspace's
+    # slabs and read their own columns of the window: the same bits
+    import collapsim.diffusion as diffusion
+
+    monkeypatch.setattr(diffusion, "WINDOW_BYTES", 64 * 96 * 16)
+    fam = UNTIL_DECIDED[family][0]
+    full, until = _until_decided_runs(family, 6)
+    kept = _minority(fam, until.final_states) > diffusion.RETIRE_TOL
+    assert 0 < kept.sum() < len(kept)
+    assert np.array_equal(until.final_states[kept], full.final_states[kept])
+
+
+def test_until_decided_does_not_depend_on_the_chunk(monkeypatch):
+    # chunks that divide n, leave an uneven last chunk, and hold every
+    # row, each read in windows of 32 steps and in one window; the later
+    # windows draw only the rows still stepping
+    import collapsim.diffusion as diffusion
+
+    fam, dt, psi0, steps = UNTIL_DECIDED["two-level"]
+    stepper, n = CslStepper(fam, 1.0, dt), 96
+    widths = []
+
+    def recording_block(*args, **kwargs):
+        block = wiener_increment_block(*args, **kwargs)
+        widths.append(block.shape[1])
+        return block
+
+    monkeypatch.setattr(diffusion, "wiener_increment_block", recording_block)
+    results = []
+    for chunk, window_bytes in [(24, 32 * 24 * 8), (40, 32 * 40 * 8), (n, 32 * n * 8),
+                                (diffusion.CHUNK, diffusion.WINDOW_BYTES)]:
+        monkeypatch.setattr(diffusion, "CHUNK", chunk)
+        monkeypatch.setattr(diffusion, "WINDOW_BYTES", window_bytes)
+        widths.clear()
+        results.append(run_ensemble(psi0, stepper, steps, n, 8, until_decided=True,
+                                    traj_offset=5))
+        if chunk == n:
+            assert widths[0] == n and widths[-1] < n and widths == sorted(widths, reverse=True)
+    for res in results[1:]:
+        for field in ("final_states", "log_weights", "outcomes", "collapse_steps"):
+            assert np.array_equal(getattr(res, field), getattr(results[0], field)), field
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"h_matrix": np.array([[0.0, 0.3], [0.3, 0.0]])},
+    {"record_every": 10},
+    {"resample_every": 10},
+], ids=["h_matrix", "record_every", "resample_every"])
+def test_until_decided_rejects_a_hamiltonian_a_z_history_and_resampling(kwargs):
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005)
+    with pytest.raises(ValueError, match="until_decided"):
+        run_ensemble(np.sqrt([0.3, 0.7]), stepper, 20, 4, 1, until_decided=True, **kwargs)
 
 
 def test_shared_runner_rejects_steppers_with_different_noise():
