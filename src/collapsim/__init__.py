@@ -10,11 +10,10 @@ from .errors import (
     DegenerateStateError,
     DimensionMismatchError,
     GridLeakageError,
-    IncompatibleHamiltonianError,
     StabilityError,
     StatisticalPreconditionError,
 )
-from .operators import HamiltonianSpec, ProjectorFamily
+from .operators import ProjectorFamily
 from .params import CollapseParams, canonical_qmsl
 from .states import (
     DensityMatrix,
@@ -35,8 +34,6 @@ __all__ = [
     "FiniteState",
     "GridLeakageError",
     "GridWavefunction",
-    "HamiltonianSpec",
-    "IncompatibleHamiltonianError",
     "ProjectorFamily",
     "StabilityError",
     "StatisticalPreconditionError",

@@ -46,10 +46,6 @@ class CellModel:
             self, "family", ProjectorFamily.from_configurations(self.occupations)
         )
 
-    @property
-    def n_configurations(self) -> int:
-        return self.occupations.shape[0]
-
 
 def discrete_decay_log(
     n: np.ndarray, m: np.ndarray, lambda_eff: float, t: float

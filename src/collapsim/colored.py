@@ -59,14 +59,6 @@ class CorrelationSpec:
         return cls("white")
 
     @classmethod
-    def gaussian(cls, tau: float) -> "CorrelationSpec":
-        return cls("gaussian", tau=tau)
-
-    @classmethod
-    def exponential(cls, tau: float) -> "CorrelationSpec":
-        return cls("exponential", tau=tau)
-
-    @classmethod
     def custom(cls, samples: np.ndarray, dt: float) -> "CorrelationSpec":
         return cls("custom", samples=samples, dt=dt)
 

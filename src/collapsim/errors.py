@@ -9,10 +9,6 @@ class DegenerateStateError(CollapsimError):
     """Raised when an operation receives a zero-norm state."""
 
 
-class IncompatibleHamiltonianError(CollapsimError):
-    """Raised when a Hamiltonian kind cannot act on the given state type."""
-
-
 class GridLeakageError(CollapsimError):
     """Raised when wavefunction amplitude at the grid boundary exceeds the
     configured leakage threshold (the periodic box is too small for the

@@ -47,7 +47,7 @@ from .massdensity import (
 )
 from .noise import require_memory
 from .nosignal import gisin_check, here_there_mixtures
-from .operators import HamiltonianSpec, ProjectorFamily
+from .operators import ProjectorFamily
 from .params import (
     CANONICAL_ALPHA,
     CANONICAL_DENSITY,
@@ -159,9 +159,7 @@ def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
     n_traj = 1 if p["record_events"] else run.trajectories
     require_memory(16 * n * n_traj, "the final states")
     yield notices
-    res = run_qmsl_ensemble(
-        psi0, HamiltonianSpec.free(), params, p["t_end"], n_traj, run.seed, p["dt"]
-    )
+    res = run_qmsl_ensemble(psi0, params, p["t_end"], n_traj, run.seed, p["dt"])
     if p["record_events"]:
         yield TableOutput(
             [("time", "internal"), ("center", "internal length"), ("weight", "1")],

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IncompatibleHamiltonianError
-from .operators import HamiltonianSpec
 from .params import CollapseParams
 from .schrodinger import split_step_evolve
 from .states import DensityMatrix, GridWavefunction
@@ -64,7 +62,6 @@ def evolve_free_master(
     initial: GridWavefunction,
     params: CollapseParams,
     t: float,
-    h: HamiltonianSpec | None = None,
 ) -> DensityMatrix:
     """Kernel of the hitting master equation for a free particle at time t.
 
@@ -74,10 +71,8 @@ def evolve_free_master(
     kernel is a uniform center-coordinate grid, so the k-integral is an
     FFT per diagonal and the time integral is closed-form.
     """
-    if h is not None and h.kind not in ("free", "none"):
-        raise IncompatibleHamiltonianError("incompatible Hamiltonian")
     mass, dx, n, length = initial.mass, initial.dx, initial.n, initial.length
-    psi_t = split_step_evolve(initial, HamiltonianSpec.free(), t, 1)
+    psi_t = split_step_evolve(initial, t)
     kernel_sch = np.outer(psi_t.amplitudes, np.conj(psi_t.amplitudes))
     if params.lambda_rate == 0.0:
         return DensityMatrix(kernel_sch, "grid", dx)

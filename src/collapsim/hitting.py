@@ -4,8 +4,9 @@ A hitting multiplies the wavefunction by a normalized Gaussian of width
 1/sqrt(alpha) centered at a random point x drawn from the density
 P(x) = ||L_x psi||^2, and renormalizes.  Hit times are Poisson with the
 configured rate, and each hit is applied at its exact time; between hits
-the state follows the Schroedinger evolution.  One ensemble engine runs
-every trajectory count, a single trajectory included, and logs each hit.
+the particle moves freely (Ghirardi, Rimini & Weber's free particle).  One
+ensemble engine runs every trajectory count, a single trajectory included,
+and logs each hit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import GridLeakageError
 from .noise import TILE_BYTES, trajectory_generator
-from .operators import HamiltonianSpec
 from .params import CollapseParams
 from .schrodinger import _kinetic_phase, split_step_batch
 from .states import GridWavefunction
@@ -114,14 +114,13 @@ def step_count(t_end: float, dt: float) -> int:
 
 def run_qmsl_ensemble(
     psi0: GridWavefunction,
-    h: HamiltonianSpec,
     params: CollapseParams,
     t_end: float,
     n_traj: int,
     master_seed: int,
     dt: float,
 ) -> QmslEnsembleResult:
-    """Hitting ensemble, hits at their exact Poisson times.
+    """Free-particle hitting ensemble, hits at their exact Poisson times.
 
     Inter-arrival times are exponential, and each hit is applied at its
     own time tau.  Each trajectory draws from its own (master_seed, index)
@@ -131,13 +130,12 @@ def run_qmsl_ensemble(
     of any larger one.  The ensemble's grid kernel is
     ``states.ensemble_density`` of the final amplitudes.
 
-    A chunk advances a window of W steps at a time.  A free row is held as
-    its momentum-picture spectrum chi = fft(U(-t) psi(t)), which free
-    flight leaves alone (under ``none``, as its amplitudes).  Round i of a
-    window takes each row whose i-th hit in it is due to its own tau,
-    psi = ifft(chi kin(tau)), hits it and stores fft(psi) conj(kin(tau)).
-    A hit belongs to the first step whose accumulated time is >= tau.
-    Harmonic rows take windows of one Strang step, split at each hit time.
+    A chunk advances a window of W steps at a time.  A row is held as its
+    momentum-picture spectrum chi = fft(U(-t) psi(t)), which free flight
+    leaves alone.  Round i of a window takes each row whose i-th hit in it
+    is due to its own tau, psi = ifft(chi kin(tau)), hits it and stores
+    fft(psi) conj(kin(tau)).  A hit belongs to the first step whose
+    accumulated time is >= tau.
 
     Leakage is checked at every step: chi's edge amplitudes at t are
     chi @ [kin(t), kin(t) exp(-2 pi i k/N)] / N, one (N, 2W) block of taps
@@ -152,31 +150,26 @@ def run_qmsl_ensemble(
     n = psi0.n
     lam = params.lambda_rate
     tol = psi0.leak_tol
-    free = h.kind == "free"
-    free_flight = free or h.kind == "none"
     # a window's taps and each (rows, N) array of a hit round fit one tile
     tile_rows = max(1, TILE_BYTES // (16 * n))
-    width = max(1, min(n_steps, tile_rows // 2)) if free_flight else 1
+    width = max(1, min(n_steps, tile_rows // 2))
     taps = np.empty((width, 2, n), dtype=complex)  # (step, edge, k)
     shift = np.exp(-2j * np.pi * np.arange(n) / n)  # x_{N-1} is x_0 - dx on the ring
-    held0 = np.fft.fft(psi0.amplitudes) if free else psi0.amplitudes
+    chi0 = np.fft.fft(psi0.amplitudes)
     # a row keeps the norm of psi0 until its first hit and unit norm after
     rms = min(np.linalg.norm(psi0.amplitudes), 1.0 / np.sqrt(psi0.dx)) / np.sqrt(n)
 
-    def screen(states, first, stop):
-        # leakage tests of states held on the steps [first, stop) of a window
+    def screen(spectra, first, stop):
+        # leakage tests of spectra held on the steps [first, stop) of a window
         lo = int(np.min(first, initial=width))
         hi = max(lo, int(np.max(stop, initial=0)))
-        # rows under none stand still, and harmonic windows are one step
-        edge = states @ taps[lo:hi].reshape(-1, n).T if free else states[:, [0, -1] * (hi - lo)]
-        edge = np.abs(edge).reshape(len(states), hi - lo, 2).max(axis=2)
+        edge = spectra @ taps[lo:hi].reshape(-1, n).T
+        edge = np.abs(edge).reshape(len(spectra), hi - lo, 2).max(axis=2)
         steps = np.arange(lo, hi)
         over = edge > tol * rms
         over &= (steps >= np.reshape(first, (-1, 1))) & (steps < np.reshape(stop, (-1, 1)))
         for s in lo + np.nonzero(over.any(axis=0))[0]:
-            amps = states[over[:, s - lo]]
-            if free:
-                amps = split_step_batch(amps, psi0, h, times[s], _kinetic_phase(psi0, times[s]))
+            amps = split_step_batch(spectra[over[:, s - lo]], _kinetic_phase(psi0, times[s]))
             edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
             peak = np.abs(amps).max(axis=1)
             leaks[s] |= np.any(edge > tol * peak)
@@ -190,34 +183,28 @@ def run_qmsl_ensemble(
         idx = np.arange(start, min(start + CHUNK, n_traj))
         rngs = [trajectory_generator(master_seed, int(i)) for i in idx]
         next_hit = np.array([r.exponential(1.0 / lam) for r in rngs])
-        b, t = np.tile(held0, (len(idx), 1)), 0.0
+        chi, t = np.tile(chi0, (len(idx), 1)), 0.0
         for first_step in range(0, n_steps, width):
             w = min(width, n_steps - first_step)
             # accumulated one dt at a time, as a step-by-step loop's t
             times = np.add.accumulate(np.r_[t, np.full(w, dt)])[1:]
-            t_start, t = t, times[-1]
-            if free:
-                x0_taps = _kinetic_phase(psi0, times, taps[:w, 0])
-                np.divide(x0_taps, n, out=x0_taps)
-                np.multiply(x0_taps, shift, out=taps[:w, 1])
+            t = times[-1]
+            x0_taps = _kinetic_phase(psi0, times, taps[:w, 0])
+            np.divide(x0_taps, n, out=x0_taps)
+            np.multiply(x0_taps, shift, out=taps[:w, 1])
             leaks, worst = np.zeros(w, dtype=bool), np.zeros(w)
-            since = np.zeros(len(idx), dtype=int)  # first step of each row's state
-            due = np.nonzero(next_hit <= t)[0]
-            # the rounds' block, its rows at pic (harmonic: before the Strang step)
-            rows, pic = b, np.full(len(idx), 0.0 if free_flight else t_start)
-            if not free_flight:
-                b = split_step_batch(b, psi0, h, dt)
-            active = due
+            since = np.zeros(len(idx), dtype=int)  # first step of each row's spectrum
+            active = np.nonzero(next_hit <= t)[0]
             while active.size:
                 for part in np.split(active, range(tile_rows, active.size, tile_rows)):
-                    old = rows[part]
+                    old = chi[part]
                     tau = next_hit[part]
-                    kin = _kinetic_phase(psi0, tau) if free else None
-                    amps = split_step_batch(old, psi0, h, tau - pic[part], kin)
-                    if free_flight:  # before the hit, which under none scales old
-                        step = np.searchsorted(times, tau, "left")
-                        screen(old, since[part], step)
-                        since[part] = step
+                    kin = _kinetic_phase(psi0, tau)
+                    amps = split_step_batch(old, kin)
+                    # the spectrum the hit replaces, on the steps it was held
+                    step = np.searchsorted(times, tau, "left")
+                    screen(old, since[part], step)
+                    since[part] = step
                     density = hitting_density(psi0, params.alpha, amps)
                     x, _ = sample_hit_center(psi0, density, [rngs[k].uniform() for k in part])
                     amps *= _gaussian_factor(psi0, x, params.alpha)
@@ -226,15 +213,10 @@ def run_qmsl_ensemble(
                     events.append(np.stack([idx[part], tau, x, weight], axis=1))
                     hit_counts[idx[part]] += 1
                     next_hit[part] += [rngs[k].exponential(1.0 / lam) for k in part]
-                    if free:  # back to the picture
-                        amps = np.multiply(np.fft.fft(amps, axis=1), np.conj(kin, out=kin), out=kin)
-                    rows[part] = amps
-                    if not free_flight:
-                        pic[part] = tau
+                    # back to the picture
+                    chi[part] = np.multiply(np.fft.fft(amps, axis=1), np.conj(kin, out=kin), out=kin)
                 active = active[next_hit[active] <= t]
-            if not free_flight and due.size:
-                b[due] = split_step_batch(rows[due], psi0, h, t - pic[due])
-            screen(b, since, w)
+            screen(chi, since, w)
             if leaks.any():
                 s = int(np.argmax(leaks))
                 raise GridLeakageError(
@@ -244,8 +226,7 @@ def run_qmsl_ensemble(
         amps = final[idx[0] : idx[-1] + 1]  # to t_end a tile of rows at a time
         kin = _kinetic_phase(psi0, t)
         for r in range(0, len(idx), tile_rows):
-            part = slice(r, r + tile_rows)
-            amps[part] = split_step_batch(b[part], psi0, h, t, kin) if free else b[part]
+            amps[r : r + tile_rows] = split_step_batch(chi[r : r + tile_rows], kin)
     log = np.concatenate(events)
     log = log[np.argsort(log[:, 0], kind="stable")]
     return QmslEnsembleResult(final, hit_counts, psi0, log)

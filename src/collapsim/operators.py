@@ -1,4 +1,4 @@
-"""Preferred-basis operator families and Hamiltonian specs.
+"""Preferred-basis operator families.
 
 A :class:`ProjectorFamily` encodes a commuting self-adjoint set
 A_i = sum_sigma a_{i sigma} P_sigma through its spectral data: one
@@ -120,30 +120,3 @@ class ProjectorFamily:
         for sigma, idx in enumerate(self.sectors):
             out[..., sigma] = np.sum(np.abs(amps[..., idx]) ** 2, axis=-1)
         return out
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Grid Hamiltonian selector: free | harmonic(frequency) | none."""
-
-    kind: str
-    frequency: float = 0.0
-    center: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("free", "harmonic", "none"):
-            raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
-        if self.kind == "harmonic" and not self.frequency > 0:
-            raise ValueError("harmonic Hamiltonian needs frequency > 0")
-
-    @classmethod
-    def free(cls) -> "HamiltonianSpec":
-        return cls("free")
-
-    @classmethod
-    def none(cls) -> "HamiltonianSpec":
-        return cls("none")
-
-    @classmethod
-    def harmonic(cls, frequency: float, center: float = 0.0) -> "HamiltonianSpec":
-        return cls("harmonic", frequency=frequency, center=center)

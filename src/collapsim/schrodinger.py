@@ -1,6 +1,8 @@
-"""Deterministic Schroedinger propagation on the grid (split-step FFT).
+"""Deterministic free Schroedinger propagation on the grid (FFT).
 
-Natural units: hbar = 1.  Free and harmonic Hamiltonians.
+Natural units: hbar = 1.  The free particle, the only Hamiltonian of the
+hitting process here: its propagator is the kinetic phase exp(-i t k^2 / 2m),
+one diagonal factor in momentum space.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import HamiltonianSpec
 from .states import GridWavefunction
 
 
@@ -24,8 +25,8 @@ def _kinetic_phase(psi: GridWavefunction, dt, out: np.ndarray | None = None) -> 
     return phase
 
 
-# a hitting run asks for one dt (harmonic), its end time and each exact leakage
-# test's time; per-row and per-step arrays are not kept (a hit round reuses its own)
+# a hitting run asks for its end time and each exact leakage test's time;
+# per-row and per-step arrays are not kept (a hit round reuses its own)
 @lru_cache(maxsize=4)
 def _phase(n: int, dx: float, mass: float, dt, out: np.ndarray | None = None) -> np.ndarray:
     # k and -k share k^2: exponentiate the n // 2 + 1 values, each operation
@@ -44,62 +45,29 @@ def _phase(n: int, dx: float, mass: float, dt, out: np.ndarray | None = None) ->
     return out
 
 
-def _potential_phase(psi: GridWavefunction, h: HamiltonianSpec, dt) -> np.ndarray:
-    # half-step factor for Strang splitting, one row per lag of an array dt
-    x = psi.wrap_displacement(psi.positions - h.center) + h.center
-    v = 0.5 * psi.mass * h.frequency**2 * (x - h.center) ** 2
-    return np.exp(-0.5j * np.asarray(dt)[..., None] * v)
+def split_step_evolve(psi: GridWavefunction, dt: float, steps: int = 1) -> GridWavefunction:
+    """Evolve a grid wavefunction freely through ``steps`` steps of ``dt``.
 
-
-def split_step_evolve(
-    psi: GridWavefunction,
-    h: HamiltonianSpec,
-    dt: float,
-    steps: int = 1,
-) -> GridWavefunction:
-    """Evolve a grid wavefunction through ``steps`` Strang-split steps.
-
-    Norm is preserved to machine precision (the propagator is a product of
-    unitary diagonal factors).  Raises GridLeakageError on grid leakage
-    after the evolution.
+    Norm is preserved to machine precision (the propagator is a unitary
+    diagonal factor in momentum space).  Raises GridLeakageError on grid
+    leakage after the evolution.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    if dt == 0 or steps == 0 or h.kind == "none":
+    if dt == 0 or steps == 0:
         return psi
-    amps = psi.amplitudes[None]
-    if h.kind == "free":
-        amps = np.fft.ifft(np.fft.fft(amps) * _kinetic_phase(psi, dt) ** steps)
-    else:  # harmonic
-        for _ in range(steps):
-            amps = split_step_batch(amps, psi, h, dt)
-    out = psi.with_amplitudes(amps[0])
+    amps = np.fft.ifft(np.fft.fft(psi.amplitudes) * _kinetic_phase(psi, dt) ** steps)
+    out = psi.with_amplitudes(amps)
     out.require_contained()
     return out
 
 
-def split_step_batch(
-    amplitudes: np.ndarray,
-    template: GridWavefunction,
-    h: HamiltonianSpec,
-    dt,
-    kin: np.ndarray | None = None,
-) -> np.ndarray:
-    """One split step applied to a (n_traj, N) amplitude block: one ``dt``
-    for every row, or an (n_traj,) array of them, one per row.  Given ``kin``
-    = ``_kinetic_phase(template, dt)``, free rows are momentum-picture spectra
-    fft(U(-t) psi(t)), and the result is ifft(rows kin): one FFT a row."""
-    if kin is not None:
-        return np.fft.ifft(amplitudes * kin, axis=1)
-    if h.kind == "none" or not np.any(dt):
-        return amplitudes
-    kin = _kinetic_phase(template, dt)
-    if h.kind == "free":
-        return np.fft.ifft(np.fft.fft(amplitudes, axis=1) * kin, axis=1)
-    half_v = _potential_phase(template, h, dt)
-    amps = amplitudes * half_v
-    amps = np.fft.ifft(np.fft.fft(amps, axis=1) * kin, axis=1)
-    return amps * half_v
+def split_step_batch(spectra: np.ndarray, kin: np.ndarray) -> np.ndarray:
+    """Free flight of a (n_traj, N) block of momentum-picture spectra
+    fft(U(-t) psi(t)) to the lags of ``kin`` = ``_kinetic_phase(template,
+    lag)``, one for every row or one row per row: ifft(spectra kin), one
+    FFT a row."""
+    return np.fft.ifft(spectra * kin, axis=1)
 
 
 def gaussian_packet(

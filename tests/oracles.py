@@ -6,10 +6,11 @@ quadrature, and the kernel master equation is integrated as a
 brute-force ODE.  The exceptions reuse production pieces on purpose:
 
 - ``qmsl_exact_time_lockstep``, the exact-time lockstep hitting ensemble,
-  a reference for the interaction-picture engine: it reuses the
-  production split step, hitting density, hit sampling and random
-  streams, but steps every trajectory through every ``dt`` in position
-  space, one at a time, splitting its step at each of its hit times.
+  a reference for the momentum-picture engine: it reuses the production
+  kinetic phase, hitting density, hit sampling and random streams, but
+  steps every trajectory through every ``dt`` in position space
+  (``free_step_reference``), one at a time, splitting its step at each
+  of its hit times.
 - ``step_batch_reference``, the row-wise complex CSL step kept as the
   reference for the column-wise stepper: it reads the stepper's family,
   gamma, dt and form, and its linear Euler step is the reference the
@@ -51,7 +52,7 @@ from collapsim.hitting import (
 )
 from collapsim.noise import trajectory_generator, wiener_increment_block
 from collapsim.operators import ProjectorFamily
-from collapsim.schrodinger import split_step_batch
+from collapsim.schrodinger import _kinetic_phase
 from collapsim.states import DensityMatrix
 
 
@@ -175,7 +176,13 @@ def sphere_energy_by_quadrature(
     return val
 
 
-def qmsl_exact_time_lockstep(psi0, h, params, t_end, n_traj, master_seed, dt):
+def free_step_reference(rows, psi0, lag):
+    """Free flight of position-space rows by ``lag``, one for every row or
+    one per row: ifft(fft(rows) kin(lag)), never through the picture."""
+    return np.fft.ifft(np.fft.fft(rows, axis=1) * _kinetic_phase(psi0, lag), axis=1)
+
+
+def qmsl_exact_time_lockstep(psi0, params, t_end, n_traj, master_seed, dt):
     """Hitting ensemble stepped in lockstep: each trajectory steps through
     every ``dt`` in position space, its step split at each of its hit
     times, where the hit is applied; after each step, a leakage check on
@@ -196,7 +203,7 @@ def qmsl_exact_time_lockstep(psi0, h, params, t_end, n_traj, master_seed, dt):
         for j, r in enumerate(rngs):
             row, now = amps[j : j + 1], t
             while next_hit[j] <= t_stop:
-                row = split_step_batch(row, psi0, h, next_hit[j] - now)
+                row = free_step_reference(row, psi0, next_hit[j] - now)
                 now = next_hit[j]
                 density = hitting_density(psi0, params.alpha, row)
                 x, _ = sample_hit_center(psi0, density, [r.uniform()])
@@ -205,7 +212,7 @@ def qmsl_exact_time_lockstep(psi0, h, params, t_end, n_traj, master_seed, dt):
                 row = row / np.sqrt(weight)
                 events.append((j, now, x[0], weight))
                 next_hit[j] += r.exponential(1.0 / lam)
-            amps[j] = split_step_batch(row, psi0, h, t_stop - now)[0]
+            amps[j] = free_step_reference(row, psi0, t_stop - now)[0]
         t = t_stop
         edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
         peak = np.abs(amps).max(axis=1)

@@ -28,7 +28,7 @@ from collapsim.freeparticle import (
 from collapsim.hitting import run_qmsl_ensemble
 from collapsim.macrobody import macro_reduction_rate, momentum_diffusion
 from collapsim.nosignal import gisin_check, here_there_mixtures
-from collapsim.operators import HamiltonianSpec, ProjectorFamily
+from collapsim.operators import ProjectorFamily
 from collapsim.params import canonical_qmsl
 from collapsim.rates import diosi_rate, excitation_rate_qmsl, localization_decoherence_rate
 from collapsim.refdata import LOCALIZATION_TABLE_DELTA_REFERENCE
@@ -126,9 +126,7 @@ def test_criterion_03_trajectory_master_consistency():
         # a 64-point grid
         params = CollapseParams(2.0, 1.0, 1.0, dimension=1)
         psi = gaussian_packet(64, 0.25, -8.0, 20.0, 0.0, 0.45)
-        qres = run_qmsl_ensemble(
-            psi, HamiltonianSpec.free(), params, 1.0, 10_000, 302, 0.02
-        )
+        qres = run_qmsl_ensemble(psi, params, 1.0, 10_000, 302, 0.02)
         rho_kernel = evolve_free_master(psi, params, 1.0).entries
         err = np.linalg.norm(ensemble_density(qres.amplitudes) - rho_kernel)
         rel = err / np.linalg.norm(rho_kernel)
@@ -140,7 +138,7 @@ def test_criterion_04_free_particle_spreads():
         params = CollapseParams(3.0, 1.0, 1.0, dimension=1)
         mass, sigma, t = 8.0, 0.8, 1.6
         psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
-        res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), params, t, 4000, 31, 0.02)
+        res = run_qmsl_ensemble(psi, params, t, 4000, 31, 0.02)
         mc = ensemble_moments(res)
         sch = {
             "q_mean": 0.0,
@@ -201,7 +199,7 @@ def test_criterion_07_colored_noise():
         # gaussian kernel, stationary: rate equals the white rate within 1%
         for tau in (0.05, 0.5, 2.0):
             rate = colored_instantaneous_rate(
-                TWO, CorrelationSpec.gaussian(tau), 1.3, 0, 1, None
+                TWO, CorrelationSpec("gaussian", tau=tau), 1.3, 0, 1, None
             )
             white = colored_instantaneous_rate(
                 TWO, CorrelationSpec.white(), 1.3, 0, 1, None
@@ -212,12 +210,12 @@ def test_criterion_07_colored_noise():
         quad_sum = 4.0  # (a - b)^2 for eigenvalues +1/-1
         for t in (0.2, 0.9, 3.0):
             rate = colored_instantaneous_rate(
-                TWO, CorrelationSpec.exponential(tau), gamma, 0, 1, t
+                TWO, CorrelationSpec("exponential", tau=tau), gamma, 0, 1, t
             )
             expected = 0.5 * gamma * quad_sum * (1.0 - np.exp(-t / tau))
             assert rate == pytest.approx(expected, rel=0.02)
         # double integral closed forms vs 2D quadrature to 1e-8
-        for spec in (CorrelationSpec.gaussian(0.7), CorrelationSpec.exponential(0.7)):
+        for spec in (CorrelationSpec(kind, tau=0.7) for kind in ("gaussian", "exponential")):
             for t_span in (0.4, 1.7):
                 assert spec.double_integral(t_span) == pytest.approx(
                     double_integral_by_quadrature(spec.kernel, t_span), rel=1e-8
@@ -238,14 +236,12 @@ def _csl_evolver(gamma, dt, steps, master_seed):
 
 
 def _qmsl_evolver(params, t_end, dt, master_seed):
-    h = HamiltonianSpec.free()
-
     def evolve_many(psi0_amps, indices):
         template = two_packet_state(128, 0.25, -16.0, 20.0, (-3.0, 3.0), 0.45)
         # gisin_check works with unit-norm vectors; the grid carries dx
         psi0 = template.with_amplitudes(psi0_amps / np.sqrt(template.dx))
         res = run_qmsl_ensemble(
-            psi0, h, params, t_end, len(indices),
+            psi0, params, t_end, len(indices),
             master_seed + 7919 * int(indices[0]), dt,
         )
         return res.amplitudes * np.sqrt(psi0.dx), np.zeros(len(indices))
@@ -295,7 +291,7 @@ def test_criterion_08_no_signaling():
         qreport = gisin_check(ga, gb, _qmsl_evolver(params, 1.5, 0.02, 802), 600)
         assert qreport.passed
         # colored commuting dynamics (cooked linear weights)
-        spec = CorrelationSpec.exponential(0.3)
+        spec = CorrelationSpec("exponential", tau=0.3)
         creport = gisin_check(
             ens_a, ens_b, _colored_evolver(spec, 1.0, 2.0, 200, 803), 4000
         )

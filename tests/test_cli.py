@@ -467,6 +467,10 @@ SMALL = {
     "csl-born": BORN_CFG.replace("trajectories = 1500", "trajectories = 20").replace(
         "steps = 600", "steps = 30"
     ),
+    # long enough that every trajectory settles and retires
+    "csl-born-settled": BORN_CFG.replace("trajectories = 1500", "trajectories = 20").replace(
+        "steps = 600", "steps = 1000\nper_trajectory = true"
+    ),
     "csl-equivalence": BORN_CFG.replace("csl-born", "csl-equivalence")
     .replace("trajectories = 1500", "trajectories = 20")
     .replace("steps = 600", "steps = 30\nresample_every = 10"),

@@ -29,7 +29,7 @@ def test_white_spec_falls_back_to_wiener():
 
 def test_exponential_autocorrelation():
     tau, dt, gamma = 0.5, 0.05, 2.0
-    spec = CorrelationSpec.exponential(tau)
+    spec = CorrelationSpec("exponential", tau=tau)
     w = colored_increment_block(spec, 9, [0], 100_000, 1, gamma, dt)[:, 0, 0] / dt
     assert np.var(w) == pytest.approx(gamma / (2 * tau), rel=0.02)
     for lag in (1, 2, 5):
@@ -41,11 +41,11 @@ def test_gaussian_kernel_small_tau_approaches_white_variance():
     # integrated variance over [0, T] approaches gamma*T as tau -> 0
     gamma, t_span = 1.5, 2.0
     for tau, tol in ((0.2, 0.12), (0.05, 0.03)):
-        spec = CorrelationSpec.gaussian(tau)
+        spec = CorrelationSpec("gaussian", tau=tau)
         var = gamma * spec.double_integral(t_span)
         assert var == pytest.approx(gamma * t_span, rel=tol)
     # and sampled paths reproduce the integrated variance
-    spec = CorrelationSpec.gaussian(0.2)
+    spec = CorrelationSpec("gaussian", tau=0.2)
     block = colored_increment_block(spec, 77, np.arange(400), 200, 1, gamma, 0.01)
     xs = block.sum(axis=0)
     assert np.var(xs) == pytest.approx(gamma * spec.double_integral(2.0), rel=0.25)
@@ -53,7 +53,11 @@ def test_gaussian_kernel_small_tau_approaches_white_variance():
 
 @pytest.mark.parametrize(
     "spec",
-    [CorrelationSpec.white(), CorrelationSpec.exponential(0.3), CorrelationSpec.gaussian(0.2)],
+    [
+        CorrelationSpec.white(),
+        CorrelationSpec("exponential", tau=0.3),
+        CorrelationSpec("gaussian", tau=0.2),
+    ],
     ids=["white", "exponential", "gaussian"],
 )
 def test_one_row_block_is_its_row_of_a_larger_block(spec):
@@ -76,7 +80,7 @@ def test_custom_kernel_psd_validation():
 
 
 def test_double_integral_closed_forms_vs_quadrature():
-    for spec in (CorrelationSpec.gaussian(0.7), CorrelationSpec.exponential(0.7)):
+    for spec in (CorrelationSpec(kind, tau=0.7) for kind in ("gaussian", "exponential")):
         for t_span in (0.3, 1.1, 4.0):
             closed = spec.double_integral(t_span)
             oracle = double_integral_by_quadrature(spec.kernel, t_span)
@@ -88,7 +92,7 @@ def test_double_integral_closed_forms_vs_quadrature():
 
 def test_stationary_gaussian_rate_equals_white():
     for tau in (0.01, 0.3, 2.0):
-        spec = CorrelationSpec.gaussian(tau)
+        spec = CorrelationSpec("gaussian", tau=tau)
         rate = colored_instantaneous_rate(TWO, spec, 1.7, 0, 1, None)
         white = colored_instantaneous_rate(TWO, CorrelationSpec.white(), 1.7, 0, 1, None)
         assert rate == pytest.approx(white, rel=1e-12)
@@ -96,7 +100,7 @@ def test_stationary_gaussian_rate_equals_white():
 
 def test_exponential_rate_rampup_factor():
     tau, gamma = 0.8, 1.1
-    spec = CorrelationSpec.exponential(tau)
+    spec = CorrelationSpec("exponential", tau=tau)
     quad = float(
         (TWO.eigenvalues[0] - TWO.eigenvalues[1])
         @ (TWO.eigenvalues[0] - TWO.eigenvalues[1])
@@ -109,7 +113,7 @@ def test_exponential_rate_rampup_factor():
 
 def test_damping_factor_diagonal_invariant():
     # a sector's diagonal entry damps at rate zero, an off-diagonal one does not
-    spec = CorrelationSpec.gaussian(0.4)
+    spec = CorrelationSpec("gaussian", tau=0.4)
     assert colored_instantaneous_rate(TWO, spec, 1.0, 0, 0, 5.0) == 0.0
     assert colored_instantaneous_rate(TWO, spec, 1.0, 0, 1, 5.0) > 0.0
 
@@ -118,8 +122,8 @@ def test_damping_exponent_nonpositive_for_psd_kernels():
     # the exponent is -(gamma/2) sum (a - b)^2 f(t), so f(t) >= 0
     custom = CorrelationSpec.custom(np.exp(-np.arange(40) * 0.05 / 0.4) / 0.8, 0.05)
     for spec in (
-        CorrelationSpec.gaussian(0.3),
-        CorrelationSpec.exponential(1.2),
+        CorrelationSpec("gaussian", tau=0.3),
+        CorrelationSpec("exponential", tau=1.2),
         CorrelationSpec.white(),
         custom,
     ):
@@ -139,7 +143,7 @@ def test_two_level_analytic_checks_its_arguments():
 
 def test_colored_cooked_density_separation_grows():
     gamma = 1.0
-    spec = CorrelationSpec.exponential(0.5)
+    spec = CorrelationSpec("exponential", tau=0.5)
     ratios = []
     for t in (1.0, 4.0, 16.0):
         f = spec.double_integral(t)
@@ -162,7 +166,7 @@ def test_eigenstate_fixed_ray():
 def test_ensemble_is_the_exact_update_of_each_summed_path():
     # two channels: the ensemble takes any commuting family
     fam = ProjectorFamily.diagonal(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, 1.0]]))
-    spec = CorrelationSpec.exponential(0.3)
+    spec = CorrelationSpec("exponential", tau=0.3)
     psi0 = np.sqrt(np.array([0.2, 0.35, 0.45], dtype=complex))
     states, logws = run_commuting_nonwhite_ensemble(psi0, fam, spec, 1.0, 2.0, 80, 314, 5)
     f = spec.double_integral(2.0)
@@ -176,7 +180,7 @@ def test_ensemble_is_the_exact_update_of_each_summed_path():
 def test_colored_born_frequencies():
     # exponential kernel, large t: outcome frequencies match initial weights
     gamma, tau, t_end, steps = 1.0, 0.3, 6.0, 480
-    spec = CorrelationSpec.exponential(tau)
+    spec = CorrelationSpec("exponential", tau=tau)
     w0 = 0.35
     psi0 = np.sqrt(np.array([w0, 1 - w0], dtype=complex))
     states, logws = run_commuting_nonwhite_ensemble(
@@ -193,7 +197,7 @@ def test_colored_born_frequencies():
 def test_colored_raw_norm_average_conserved():
     # commuting regime martingale at modest gamma*f(t)
     gamma, tau, t_end, steps = 1.0, 0.3, 0.5, 100
-    spec = CorrelationSpec.exponential(tau)
+    spec = CorrelationSpec("exponential", tau=tau)
     psi0 = np.sqrt(np.array([0.5, 0.5], dtype=complex))
     _, logws = run_commuting_nonwhite_ensemble(
         psi0, TWO, spec, gamma, t_end, steps, 161, 20_000
@@ -204,7 +208,7 @@ def test_colored_raw_norm_average_conserved():
 def test_colored_ks_against_analytic_density():
     # histogram of x(t) under cooked weights vs the mixture density
     gamma, tau, t_end, steps = 1.0, 0.4, 4.0, 640
-    spec = CorrelationSpec.exponential(tau)
+    spec = CorrelationSpec("exponential", tau=tau)
     w0 = (0.5, 0.5)
     psi0 = np.sqrt(np.array(w0, dtype=complex))
     n = 4000

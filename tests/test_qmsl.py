@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from collapsim import CollapseParams, GridWavefunction, HamiltonianSpec, normalize
+from collapsim import CollapseParams, GridWavefunction, normalize
 from collapsim.errors import GridLeakageError
 from collapsim.freeparticle import (
     characteristic_times,
@@ -224,16 +224,16 @@ def test_hit_center_inverts_the_interpolated_cdf():
 def test_trajectory_zero_rate_is_pure_schrodinger():
     psi = _two_packets()
     lam0 = CollapseParams(1e-300, 1.0, 1.0, dimension=1)
-    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), lam0, 1.0, 1, 42, 0.05)
+    res = run_qmsl_ensemble(psi, lam0, 1.0, 1, 42, 0.05)
     assert res.events.shape == (0, 4)
 
-    ref = split_step_evolve(psi, HamiltonianSpec.free(), 1.0)
+    ref = split_step_evolve(psi, 1.0)
     assert np.max(np.abs(res.amplitudes[0] - ref.amplitudes)) < 1e-10
 
 
 def test_trajectory_hit_count_poisson():
     psi = _two_packets()
-    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), DESK, 2.0, 800, 7, 0.02)
+    res = run_qmsl_ensemble(psi, DESK, 2.0, 800, 7, 0.02)
     lam_t = DESK.lambda_rate * 2.0
     mean = res.hit_counts.mean()
     sigma = np.sqrt(lam_t / 800)
@@ -245,7 +245,7 @@ def test_trajectory_two_packet_reduction_binomial():
     # ~10 hits per trajectory heat the ensemble; dx resolves the grown
     # momentum spread (Nyquist ~ 10 sigma_p) so no aliasing floor forms
     psi = _two_packets()
-    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), DESK, 2.5, 4000, 99, 0.02)
+    res = run_qmsl_ensemble(psi, DESK, 2.5, 4000, 99, 0.02)
     x = psi.positions
     right = (np.abs(res.amplitudes) ** 2 * psi.dx) @ (x > 0)
     decided = (right < 0.05) | (right > 0.95)
@@ -257,7 +257,7 @@ def test_trajectory_two_packet_reduction_binomial():
 def test_trajectory_events_monotone_times():
     psi = _two_packets()
     dt = 0.02
-    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), DESK, 2.0, 8, 5, dt)
+    res = run_qmsl_ensemble(psi, DESK, 2.0, 8, 5, dt)
     traj, times, weights = res.events[:, 0], res.events[:, 1], res.events[:, 3]
     assert np.array_equal(np.bincount(traj.astype(int), minlength=8), res.hit_counts)
     for j in range(8):
@@ -270,7 +270,7 @@ def test_trajectory_events_monotone_times():
 
 def test_one_trajectory_log_is_trajectory_zero_of_a_larger_run():
     psi = _two_packets()
-    args = (psi, HamiltonianSpec.free(), DESK, 1.0)
+    args = (psi, DESK, 1.0)
     one = run_qmsl_ensemble(*args, 1, 9, 0.02)
     many = run_qmsl_ensemble(*args, 64, 9, 0.02)
     assert one.events.shape[0] > 0
@@ -280,19 +280,14 @@ def test_one_trajectory_log_is_trajectory_zero_of_a_larger_run():
 
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize(
-    "h, params",
-    [
-        (HamiltonianSpec.free(), DESK),
-        (HamiltonianSpec.none(), DESK),
-        (HamiltonianSpec.harmonic(0.5), DESK),
-        (HamiltonianSpec.free(), CollapseParams(1e-12, 1.0, 1.0, dimension=1)),
-    ],
-    ids=["free", "none", "harmonic", "free-no-hits"],
+    "params",
+    [DESK, CollapseParams(1e-12, 1.0, 1.0, dimension=1)],
+    ids=["free", "free-no-hits"],
 )
-def test_ensemble_matches_lockstep_oracle(seed, h, params):
+def test_ensemble_matches_lockstep_oracle(seed, params):
     psi = _two_packets()
-    res = run_qmsl_ensemble(psi, h, params, 1.0, 24, seed, 0.02)
-    amps, hit_counts, log = qmsl_exact_time_lockstep(psi, h, params, 1.0, 24, seed, 0.02)
+    res = run_qmsl_ensemble(psi, params, 1.0, 24, seed, 0.02)
+    amps, hit_counts, log = qmsl_exact_time_lockstep(psi, params, 1.0, 24, seed, 0.02)
     assert np.array_equal(res.hit_counts, hit_counts)
     if params is DESK:
         assert hit_counts.sum() > 0
@@ -308,7 +303,7 @@ def test_ensemble_does_not_depend_on_chunk(monkeypatch):
     import collapsim.hitting as hitting
 
     psi = _two_packets()
-    args = (psi, HamiltonianSpec.free(), DESK, 1.0, 100, 5, 0.02)
+    args = (psi, DESK, 1.0, 100, 5, 0.02)
     runs = {}
     for chunk in (64, 1, 16):
         monkeypatch.setattr(hitting, "CHUNK", chunk)
@@ -330,7 +325,7 @@ def _leak_report(exc) -> tuple[float, str]:
 
 def test_ensemble_leakage_raises_when_the_oracle_does():
     psi = gaussian_packet(256, 0.125, -16.0, 1.0, 10.0, 0.8, momentum=4.0)
-    args = (psi, HamiltonianSpec.free(), DESK, 3.0, 16, 8, 0.02)
+    args = (psi, DESK, 3.0, 16, 8, 0.02)
     with pytest.raises(GridLeakageError) as engine:
         run_qmsl_ensemble(*args)
     with pytest.raises(GridLeakageError) as oracle:
@@ -350,8 +345,7 @@ def test_leak_first_seen_in_a_row_hit_mid_window_matches_the_oracle():
     rest = gaussian_packet(n, dx, x0, mass, -8.0, 0.3).amplitudes
     runner = gaussian_packet(n, dx, x0, mass, 6.0, 0.8, momentum=20.0).amplitudes
     psi = normalize(GridWavefunction(np.sqrt(0.8) * rest + np.sqrt(0.2) * runner, dx, x0, mass))
-    h = HamiltonianSpec.free()
-    args = (psi, h, CollapseParams(4.0, 0.1, 1.0, dimension=1), 3.0, 16, 2, 0.02)
+    args = (psi, CollapseParams(4.0, 0.1, 1.0, dimension=1), 3.0, 16, 2, 0.02)
     with pytest.raises(GridLeakageError) as engine:
         run_qmsl_ensemble(*args)
     with pytest.raises(GridLeakageError) as oracle:
@@ -360,18 +354,18 @@ def test_leak_first_seen_in_a_row_hit_mid_window_matches_the_oracle():
     assert t == _leak_report(oracle)[1] == "1.92"
     assert worst == pytest.approx(_leak_report(oracle)[0], rel=1e-6)
     # without hits the same state leaks only later
-    no_hits = (psi, h, CollapseParams(1e-12, 0.1, 1.0, dimension=1), 3.0, 1, 2, 0.02)
+    no_hits = (psi, CollapseParams(1e-12, 0.1, 1.0, dimension=1), 3.0, 1, 2, 0.02)
     with pytest.raises(GridLeakageError) as unhit:
         run_qmsl_ensemble(*no_hits)
     assert float(_leak_report(unhit)[1]) > 2.0
 
 
-def test_leak_before_a_hit_without_hamiltonian_matches_the_oracle():
-    # the far packet leaks from t = 0 and every row is hit in the first
-    # window; under h = none a hit must not overwrite the state it replaces
-    # before that state is screened
+def test_leak_before_a_hit_matches_the_oracle():
+    # the far packet leaks from the first step, and every row is hit within
+    # the run's one window of steps, which removes that packet; a hit must
+    # not replace a spectrum before it is screened on the steps it was held
     psi = two_packet_state(256, 0.125, -16.0, 20.0, (-4.0, 15.0), 0.45, (0.999, 0.001))
-    args = (psi, HamiltonianSpec.none(), CollapseParams(50.0, 1.0, 1.0, dimension=1))
+    args = (psi, CollapseParams(50.0, 1.0, 1.0, dimension=1))
     with pytest.raises(GridLeakageError) as engine:
         run_qmsl_ensemble(*args, 0.2, 4, 3, 0.02)
     with pytest.raises(GridLeakageError) as oracle:
@@ -392,7 +386,7 @@ def test_free_flight_takes_two_fft_rows_per_hit(monkeypatch):
             return _transform(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), DESK, 1.0, 24, 3, 0.02)
+    res = run_qmsl_ensemble(psi, DESK, 1.0, 24, 3, 0.02)
     assert res.hit_counts.sum() > 0
     # plus one a row to t_end and one for the spectrum of psi0
     assert sum(rows) <= 2 * res.hit_counts.sum() + 24 + 1
@@ -405,22 +399,12 @@ def test_long_run_memory_does_not_grow_with_steps():
     params = CollapseParams(1e-12, 1.0, 1.0, dimension=1)
     tracemalloc.start()
     try:
-        res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), params, 5.0, 2, 3, 0.001)
+        res = run_qmsl_ensemble(psi, params, 5.0, 2, 3, 0.001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert res.hit_counts.sum() == 0
     assert peak < 2 * TILE_BYTES
-
-
-def test_ensemble_harmonic_matches_split_step_evolve():
-    h = HamiltonianSpec.harmonic(0.7)
-    psi = gaussian_packet(256, 0.125, -16.0, 2.0, 1.5, 0.6)
-    params = CollapseParams(1e-12, 1.0, 1.0, dimension=1)
-    res = run_qmsl_ensemble(psi, h, params, 2.0, 3, 1, 0.01)
-    ref = split_step_evolve(psi, h, 0.01, steps=200)
-    assert res.hit_counts.sum() == 0
-    assert np.max(np.abs(res.amplitudes - ref.amplitudes[None, :])) < 1e-10
 
 
 # ------------------------------------------------------- master equation
@@ -431,7 +415,7 @@ def test_master_zero_rate_matches_schrodinger():
     lam0 = CollapseParams(1e-300, 4.0, 1.0, dimension=1)
     rho = evolve_free_master(psi, lam0, 0.8).entries
 
-    ref = split_step_evolve(psi, HamiltonianSpec.free(), 0.8)
+    ref = split_step_evolve(psi, 0.8)
     ref_kernel = np.outer(ref.amplitudes, ref.amplitudes.conj())
     assert np.max(np.abs(rho - ref_kernel)) < 1e-8
 
@@ -453,7 +437,7 @@ def test_master_short_time_diagonal_matches_schrodinger():
     t = 0.1
     rho = evolve_free_master(psi, params, t).entries
 
-    ref = split_step_evolve(psi, HamiltonianSpec.free(), t)
+    ref = split_step_evolve(psi, t)
     diag = np.diag(rho).real
     ref_diag = np.abs(ref.amplitudes) ** 2
     assert np.max(np.abs(diag - ref_diag)) < 2e-3 * ref_diag.max()
@@ -541,7 +525,7 @@ def test_moments_monte_carlo_match():
     mass, sigma = 8.0, 0.8
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
-    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), params, t, 4000, 31, 0.02)
+    res = run_qmsl_ensemble(psi, params, t, 4000, 31, 0.02)
     mc = ensemble_moments(res)
     sch = {
         "q_mean": 0.0,
@@ -619,17 +603,10 @@ def test_energy_increase_monte_carlo():
     mass, sigma = 8.0, 0.8
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
-    res = run_qmsl_ensemble(psi, HamiltonianSpec.free(), params, t, 4000, 17, 0.02)
+    res = run_qmsl_ensemble(psi, params, t, 4000, 17, 0.02)
     mc = ensemble_moments(res)
     e0 = (1.0 / (4 * sigma**2)) / (2 * mass)
     e_t = mc["p_var"] / (2 * mass) + mc["p_mean"] ** 2 / (2 * mass)
     measured_rate = (e_t - e0) / t
     assert measured_rate == pytest.approx(energy_increase_rate(params, mass), rel=0.05)
 
-
-def test_master_rejects_non_free_hamiltonian():
-    from collapsim import IncompatibleHamiltonianError
-
-    psi = gaussian_packet(64, 0.25, -8.0, 5.0, 0.0, 0.9)
-    with pytest.raises(IncompatibleHamiltonianError):
-        evolve_free_master(psi, DESK, 0.5, h=HamiltonianSpec.harmonic(1.0))
