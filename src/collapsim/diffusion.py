@@ -21,7 +21,7 @@ from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .cooking import linear_exact_commuting, systematic_resample
 from .errors import ConfigError, StabilityError
-from .noise import LiveStreams, require_memory, wiener_increment_block
+from .noise import LiveStreams, WindowStream, require_memory, wiener_increment_block
 from .operators import ProjectorFamily
 
 STABILITY_LIMIT = 0.01
@@ -476,16 +476,17 @@ def run_ensemble(
     Trajectory i steps through stream traj_offset + i.  Without
     resampling, ``CHUNK`` trajectories step at a time, each reading its
     stream on from a live generator, ``_plain_window`` steps at a time.
-    Resampled, its window w is the stream (traj_offset + i, w).
+    Resampled rows are coupled, so window w of them all is one draw of
+    the stream (master seed, w) under WINDOWS; it takes no ``traj_offset``.
 
     ``resample_every`` applies the cooked reweighting sequentially to the
     linear-form ensembles: after every window but the last, each is
     resampled by its accumulated weights (``systematic_resample``), which
     keeps the paths in the cooked-typical region; the reweighting
     prescription commutes with being applied at intermediate times.
-    Descendants go on with their slot's next window; nonlinear ensembles
-    are not resampled.  Resampling steps every trajectory at once and
-    records no z history, so ``record_every`` is rejected with it.
+    Descendants step on in their slot's row of the next window; nonlinear
+    ensembles are not resampled.  Resampling steps every trajectory at
+    once and records no z history, so ``record_every`` is rejected with it.
 
     Every 16 steps and at the end of each window a NaN or infinite
     amplitude or log-weight raises StabilityError.
@@ -516,8 +517,8 @@ def run_ensemble(
     else:
         if all(s.form != "linear" for s in steppers):
             raise ValueError("sequential resampling applies to the linear form")
-        if record_every is not None:
-            raise ValueError("the resampled runner records no z history")
+        if record_every is not None or traj_offset:
+            raise ValueError("the resampled runner records no z history and takes no traj_offset")
         chunk, window, streams = n_traj, resample_every, None
     psi0 = _initial_rows(psi0, h_matrix)
     runs = [_Ensemble(s, psi0, steps, n_traj, record_every, h_matrix, until_decided)
@@ -533,8 +534,8 @@ def run_ensemble(
                 streams[:] = [streams[j] for j in runs[0].cols.tolist()]
                 runs[0].cols = np.arange(len(streams))
             take = min(window, steps - k0)
-            rows, w = (idx + traj_offset, k0 // window) if streams is None else (streams, 0)
-            block = wiener_increment_block(master_seed, rows, take, *noise, window=w)
+            rows = WindowStream(len(idx), k0 // window) if streams is None else streams
+            block = wiener_increment_block(master_seed, rows, take, *noise)
             for run in runs:
                 run.advance(block, k0, idx)
                 if streams is None and k0 + take < steps and run.stepper.form == "linear":

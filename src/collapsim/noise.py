@@ -5,10 +5,10 @@ a Philox generator keyed by (master seed, trajectory index), so ensembles
 are reproducible bit-for-bit and order-independent under parallel
 execution.  Drawn in consecutive calls, a stream gives the normals of
 one call, so a run reads it a window at a time (``LiveStreams``).  A
-window drawn on its own has its number in the third word of the Philox
-counter (window 0 is the whole stream) and a purpose (noise, resampling)
-in the fourth, so no two such streams overlap (Salmon et al., SC'11).
-"""
+resampled run couples its rows, so it draws each window whole from the
+stream keyed by (master seed, window).  A stream's counter is [0, 0, 0,
+purpose]: the purpose (noise, resampling, windows) keeps streams of one
+key disjoint (Salmon et al., SC'11)."""
 
 from __future__ import annotations
 
@@ -19,27 +19,26 @@ import numpy as np
 import numpy.random  # lazy in numpy; every run here draws from it, so load it at import
 
 
-NOISE, RESAMPLE = 0, 1
-"""Stream purposes: trajectory noise, and the draws of the resamplers."""
+NOISE, RESAMPLE, WINDOWS = 0, 1, 2
+"""Stream purposes: trajectory noise, resampling draws, resampled windows."""
 
 TILE_BYTES = 1 << 20
 """Size of the contiguous tile ``wiener_increment_block`` draws streams into."""
 
 
-def trajectory_generator(
-    master_seed: int, traj_index: int = 0, purpose: int = NOISE, window: int = 0
-) -> np.random.Generator:
-    """Independent stream keyed by (master seed, index), with ``window`` and
-    ``purpose`` in the third and fourth words of the Philox counter."""
-    counter = np.array([0, 0, window, purpose], dtype=np.uint64)
-    key = np.array([master_seed, traj_index], dtype=np.uint64)
+def trajectory_generator(master_seed: int, index: int = 0,
+                         purpose: int = NOISE) -> np.random.Generator:
+    """Independent stream keyed by (master seed, index), with ``purpose``
+    in the fourth word of the Philox counter."""
+    counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
+    key = np.array([master_seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _rekeyed(master_seed: int, traj_indices, window: int = 0, rngs: list | None = None):
+def _rekeyed(master_seed: int, traj_indices, rngs: list | None = None):
     """The ``standard_normal`` of each of ``rngs`` (or of one generator),
-    reset as it is reached to stream (master_seed, traj_indices[j], NOISE, window)."""
-    one = trajectory_generator(master_seed, 0, NOISE, window)
+    reset as it is reached to stream (master_seed, traj_indices[j], NOISE)."""
+    one = trajectory_generator(master_seed)
     # a fresh stream's state, re-keyed below; lists set faster than arrays
     fresh = one.bit_generator.state
     start = {**fresh, "buffer": fresh["buffer"].tolist(),
@@ -71,35 +70,48 @@ class LiveStreams(list):
 
     def start(self, master_seed: int, traj_indices: np.ndarray) -> None:
         """Start the first len(traj_indices) streams as those trajectories'."""
-        self[:] = _rekeyed(master_seed, traj_indices, 0, self.pool)
+        self[:] = _rekeyed(master_seed, traj_indices, self.pool)
+
+
+class WindowStream:
+    """The ``rows`` rows of window ``window`` of a resampled run: one
+    stream, (master seed, window) under WINDOWS, drawn whole."""
+
+    def __init__(self, rows: int, window: int) -> None:
+        self.rows, self.window = rows, window
+
+    def __len__(self) -> int:
+        return self.rows
 
 
 def wiener_increment_block(
     master_seed: int,
-    traj_indices: np.ndarray | LiveStreams,
+    traj_indices: np.ndarray | LiveStreams | WindowStream,
     steps: int,
     channels: int,
     gamma: float,
     dt: float,
-    window: int = 0,
 ) -> np.ndarray:
     """Increments for a batch of trajectories, shape (steps, n, channels).
 
-    Row j is the stream ``trajectory_generator(master_seed,
-    traj_indices[j], NOISE, window)``, drawn by one Philox generator reset
-    to each stream in turn; given ``LiveStreams``, it is their row j read
-    on for ``steps`` steps, in a view of their buffer.  Rows are drawn into
-    a contiguous tile of about ``TILE_BYTES``, copied into the block.
+    Row j is the stream ``trajectory_generator(master_seed, traj_indices[j])``,
+    drawn by one Philox generator reset to each stream in turn; given
+    ``LiveStreams``, it is their row j read on for ``steps`` steps, in a
+    view of their buffer; either way rows go through a contiguous tile of
+    about ``TILE_BYTES``.  Given a ``WindowStream``, the block is one draw of its stream.
     """
+    scale = np.sqrt(gamma * dt)
+    if isinstance(traj_indices, WindowStream):
+        rng = trajectory_generator(master_seed, traj_indices.window, WINDOWS)
+        return rng.normal(0.0, scale, (steps, len(traj_indices), channels))
     n, live = len(traj_indices), isinstance(traj_indices, LiveStreams)
     out = traj_indices.buffer[:steps, :n] if live else np.empty((steps, n, channels))
-    draws = iter(traj_indices) if live else _rekeyed(master_seed, traj_indices, window)
+    draws = iter(traj_indices) if live else _rekeyed(master_seed, traj_indices)
     width = int(np.clip(TILE_BYTES // max(steps * channels * 8, 1), 1, max(n, 1)))
     # tile rows an odd number of 64-byte lines apart: 4 KiB apart, the
     # transposed copy below takes twice as long
     flat = np.zeros((width, 8 * ((steps * channels + 7) // 8 | 1)))
     tile = flat[:, : steps * channels].reshape(width, steps, channels)
-    scale = np.sqrt(gamma * dt)
     for lo in range(0, n, width):
         part, padded = tile[: min(width, n - lo)], flat[: min(width, n - lo)]
         for row in part:

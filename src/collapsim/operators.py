@@ -62,23 +62,6 @@ class ProjectorFamily:
         return cls(np.array([[a_plus], [a_minus]]), (np.array([0]), np.array([1])))
 
     @classmethod
-    def diagonal(cls, channel_values: np.ndarray) -> "ProjectorFamily":
-        """Family defined by per-basis-index channel eigenvalues.
-
-        ``channel_values`` has shape (n_channels, dim); basis indices with
-        identical eigenvalue columns are grouped into one sector.
-        """
-        vals = np.atleast_2d(np.asarray(channel_values, dtype=float))
-        dim = vals.shape[1]
-        columns = [tuple(vals[:, j]) for j in range(dim)]
-        order: dict[tuple, list[int]] = {}
-        for j, col in enumerate(columns):
-            order.setdefault(col, []).append(j)
-        eig = np.array(list(order.keys()), dtype=float)
-        sectors = tuple(np.array(v) for v in order.values())
-        return cls(eig, sectors)
-
-    @classmethod
     def from_configurations(cls, occupations: np.ndarray) -> "ProjectorFamily":
         """Cell-occupation family: sector sigma = configuration sigma,
         channel i = cell i, eigenvalue = occupation number.

@@ -45,8 +45,8 @@ def _phase(n: int, dx: float, mass: float, dt, out: np.ndarray | None = None) ->
     return out
 
 
-def split_step_evolve(psi: GridWavefunction, dt: float, steps: int = 1) -> GridWavefunction:
-    """Evolve a grid wavefunction freely through ``steps`` steps of ``dt``.
+def split_step_evolve(psi: GridWavefunction, dt: float) -> GridWavefunction:
+    """Evolve a grid wavefunction freely over a time ``dt``.
 
     Norm is preserved to machine precision (the propagator is a unitary
     diagonal factor in momentum space).  Raises GridLeakageError on grid
@@ -54,9 +54,9 @@ def split_step_evolve(psi: GridWavefunction, dt: float, steps: int = 1) -> GridW
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    if dt == 0 or steps == 0:
+    if dt == 0:
         return psi
-    amps = np.fft.ifft(np.fft.fft(psi.amplitudes) * _kinetic_phase(psi, dt) ** steps)
+    amps = np.fft.ifft(np.fft.fft(psi.amplitudes) * _kinetic_phase(psi, dt))
     out = psi.with_amplitudes(amps)
     out.require_contained()
     return out

@@ -25,6 +25,9 @@ brute-force ODE.  The exceptions reuse production pieces on purpose:
   summed path by the production ``linear_exact_commuting``: the colored
   side of criterion 8, which no experiment runs.
 
+``diagonal_family`` builds the commuting families the tests step from a
+table of channel eigenvalues; no experiment builds one that way.
+
 The rest are the reference sides of criteria and closed forms, which no
 experiment computes: the superoperator-exponential ensemble generator
 (``lindblad_evolve``, criteria 3 and 11), the ensemble moments of a
@@ -54,6 +57,18 @@ from collapsim.noise import trajectory_generator, wiener_increment_block
 from collapsim.operators import ProjectorFamily
 from collapsim.schrodinger import _kinetic_phase
 from collapsim.states import DensityMatrix
+
+
+def diagonal_family(channel_values) -> ProjectorFamily:
+    """The family whose basis index j has the channel eigenvalues
+    ``channel_values[:, j]`` (shape (n_channels, dim)); indices with equal
+    columns form one sector, in the order of their first index."""
+    vals = np.atleast_2d(np.asarray(channel_values, dtype=float))
+    order: dict[tuple, list[int]] = {}
+    for j, col in enumerate(map(tuple, vals.T)):
+        order.setdefault(col, []).append(j)
+    sectors = tuple(np.array(v) for v in order.values())
+    return ProjectorFamily(np.array(list(order), dtype=float), sectors)
 
 
 def free_gaussian_q_var(t: float, sigma0: float, mass: float, hbar: float = 1.0):

@@ -36,6 +36,7 @@ from collapsim.schrodinger import gaussian_packet, two_packet_state
 from collapsim.units import ERG_PER_EV, HBAR_CGS
 
 from oracles import (
+    diagonal_family,
     double_integral_by_quadrature,
     ensemble_moments,
     free_gaussian_q_var,
@@ -111,7 +112,7 @@ def test_criterion_03_trajectory_master_consistency():
         h = np.array(
             [[0.0, 0.4, 0.0], [0.4, 0.0, 0.4], [0.0, 0.4, 0.0]], dtype=complex
         )
-        fam = ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]]))
+        fam = diagonal_family(np.array([[1.0, 0.0, -1.0]]))
         gamma, dt, steps = 0.5, 0.005, 400
         res = run_ensemble(
             psi0, CslStepper(fam, gamma, dt, form="nonlinear"),
@@ -356,7 +357,7 @@ def test_criterion_11_martingale_suite():
         second = (z0**2).mean(axis=1)
         assert np.all(np.diff(second) > -3.0 * 2.0 * sigma[1:])
         # trace conservation along the ensemble generator
-        fam = ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]]))
+        fam = diagonal_family(np.array([[1.0, 0.0, -1.0]]))
         rho0 = DensityMatrix(np.full((3, 3), 1.0 / 3.0, dtype=complex))
         h = np.diag([0.1, 0.0, -0.1]).astype(complex)
         traces = [

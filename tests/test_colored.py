@@ -10,6 +10,7 @@ from collapsim.operators import ProjectorFamily
 
 from oracles import (
     colored_increment_block,
+    diagonal_family,
     double_integral_by_quadrature,
     run_commuting_nonwhite_ensemble,
     two_level_analytic,
@@ -165,7 +166,7 @@ def test_eigenstate_fixed_ray():
 
 def test_ensemble_is_the_exact_update_of_each_summed_path():
     # two channels: the ensemble takes any commuting family
-    fam = ProjectorFamily.diagonal(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, 1.0]]))
+    fam = diagonal_family(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, 1.0]]))
     spec = CorrelationSpec("exponential", tau=0.3)
     psi0 = np.sqrt(np.array([0.2, 0.35, 0.45], dtype=complex))
     states, logws = run_commuting_nonwhite_ensemble(psi0, fam, spec, 1.0, 2.0, 80, 314, 5)

@@ -13,8 +13,11 @@ from collapsim.cooking import linear_exact_commuting, systematic_resample
 from collapsim.diffusion import CslStepper, StepWorkspace, require_ensemble_fits, run_ensemble
 from collapsim.macrobody import condenser_decay_rate, macro_reduction_rate, momentum_diffusion
 from collapsim.noise import (
+    NOISE,
     RESAMPLE,
+    WINDOWS,
     LiveStreams,
+    WindowStream,
     trajectory_generator,
     wiener_increment_block,
 )
@@ -22,6 +25,7 @@ from collapsim.operators import ProjectorFamily
 from collapsim.units import ELECTRON_MASS_G, HBAR_CGS, NUCLEON_MASS_G
 
 from oracles import (
+    diagonal_family,
     hermitian_phase_noise_reference,
     lindblad_by_ode,
     lindblad_evolve,
@@ -51,7 +55,7 @@ def test_stability_criterion_enforced():
 # reference only through the order of its sums.
 EXACT_FAMILIES = {
     "two-level": TWO,
-    "diagonal-3-sectors-2-channels": ProjectorFamily.diagonal(
+    "diagonal-3-sectors-2-channels": diagonal_family(
         np.array([[1.0, -1.0, 0.0, 0.0], [0.5, 0.5, -2.0, -2.0]])
     ),
     "cells": CellModel(np.array([[2, 0, 1], [1, 2, 0], [0, 1, 2]]), 0.7).family,
@@ -60,13 +64,13 @@ EXACT_FAMILIES = {
         np.array([[2, 0, 1, 0, 1, 2, 0, 1, 1], [0, 1, 2, 1, 0, 0, 2, 1, 0]]), 0.7
     ).family,
     # nine basis states: so do the sums over basis columns
-    "diagonal-9-states": ProjectorFamily.diagonal(
+    "diagonal-9-states": diagonal_family(
         np.array([[1.0, -1.0, 0.5, 0.0, 2.0, -2.0, 1.0, 0.5, -0.5],
                   [0.5, 1.0, -1.0, 2.0, 0.0, 1.0, -2.0, 0.5, 1.0]])
     ),
     # a channel that is zero on every state and a state that is zero in
     # every channel: their eigenvalue-table sums have no term
-    "diagonal-zero-channel-zero-state": ProjectorFamily.diagonal(
+    "diagonal-zero-channel-zero-state": diagonal_family(
         np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0]])
     ),
     # cell 0 empty in both configurations, and nine channels
@@ -156,8 +160,8 @@ def test_single_row_steps_as_in_a_batch(family, complex_psi, hamiltonian):
 GAUSS_HERMITE_FAMILIES = {
     "two-level": TWO,
     "two-level-zero-eigenvalue": ProjectorFamily.two_level(a_plus=0.0, a_minus=1.5),
-    "three-sectors": ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]])),
-    "two-states-in-a-sector": ProjectorFamily.diagonal(np.array([[1.0, 1.0, -1.0]])),
+    "three-sectors": diagonal_family(np.array([[1.0, 0.0, -1.0]])),
+    "two-states-in-a-sector": diagonal_family(np.array([[1.0, 1.0, -1.0]])),
     "diagonal-3-sectors-2-channels": EXACT_FAMILIES["diagonal-3-sectors-2-channels"],
     "cells-3-channels": ProjectorFamily.from_configurations(
         np.array([[2, 0, 1], [1, 2, 0], [0, 1, 2]])
@@ -376,7 +380,7 @@ def test_hamiltonian_ensemble_does_not_depend_on_the_chunk(monkeypatch):
     psi0 = np.array([0.6, 0.64, 0.48], dtype=complex)
     psi0 /= np.linalg.norm(psi0)
     h = np.array([[0.0, 0.4, 0.0], [0.4, 0.0, 0.4], [0.0, 0.4, 0.0]], dtype=complex)
-    stepper = CslStepper(ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]])), 0.5, 0.005)
+    stepper = CslStepper(diagonal_family(np.array([[1.0, 0.0, -1.0]])), 0.5, 0.005)
     finals = []
     for chunk in (1, 64):
         monkeypatch.setattr(diffusion, "CHUNK", chunk)
@@ -388,7 +392,7 @@ def test_run_ensemble_z_sums_a_sector_as_sector_weights_does():
     # z is read from the workspace's slab rows; over a sector of nine
     # basis states its sum runs left to right, bit for bit the sum of
     # family.sector_weights (a pairwise sum would differ in the last bit)
-    fam = ProjectorFamily.diagonal(np.array([[1.0] * 9 + [-1.0, 0.5, -1.0]]))
+    fam = diagonal_family(np.array([[1.0] * 9 + [-1.0, 0.5, -1.0]]))
     res = run_ensemble(np.full(12, 12**-0.5), CslStepper(fam, 1.0, 0.002), 32, 64, 5,
                        record_every=32)
     assert np.array_equal(res.z_history[-1], fam.sector_weights(res.final_states))
@@ -413,51 +417,66 @@ def test_run_ensemble_nan_increment_raises_stability_error(monkeypatch, form):
 
 @pytest.mark.parametrize("first", ["linear", "nonlinear"])
 def test_resampled_runner_nan_increment_raises_stability_error(monkeypatch, first):
-    # the ensemble that steps through the window first meets the NaN
+    # the NaN comes in through the first window's draw, and the ensemble
+    # that steps through the window first meets it
     import collapsim.diffusion as diffusion
 
-    monkeypatch.setattr(diffusion, "wiener_increment_block", _nan_block)
+    windows = []
+
+    def nan_window(master_seed, rows, *args):
+        assert isinstance(rows, WindowStream)
+        windows.append(rows.window)
+        return _nan_block(master_seed, rows, *args)
+
+    monkeypatch.setattr(diffusion, "wiener_increment_block", nan_window)
     forms = [first, "nonlinear" if first == "linear" else "linear"]
     steppers = tuple(CslStepper(TWO, gamma=1.0, dt=0.005, form=f) for f in forms)
     with pytest.raises(StabilityError, match="not finite at step 10"):
         run_ensemble(np.sqrt([0.3, 0.7]), steppers, 30, 4, 1, resample_every=10)
+    assert windows == [0]
 
 
-def test_resampled_runner_honours_traj_offset():
-    # with resample_every = steps nothing is resampled, so slot i must be
-    # trajectory traj_offset + i of the plain runner
-    psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
+def test_resampled_runner_rejects_traj_offset():
+    # its rows share each window's stream, so an offset would be ignored
     stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form="linear")
-    plain = run_ensemble(psi0, stepper, 40, 4, master_seed=9, traj_offset=3)
-    slots = run_ensemble(
-        psi0, stepper, 40, 4, master_seed=9, resample_every=40, traj_offset=3
-    )
-    assert np.array_equal(slots.final_states, plain.final_states)
-    assert np.array_equal(slots.log_weights, plain.log_weights)
+    with pytest.raises(ValueError, match="takes no traj_offset"):
+        run_ensemble(np.sqrt([0.3, 0.7]), stepper, 40, 4, 9, resample_every=40, traj_offset=3)
+
+
+def _window_draw(seed, w, take, n, channels, gamma, dt):
+    """Window w of a resampled run: one draw of the stream (seed, w) under WINDOWS."""
+    rng = trajectory_generator(seed, w, WINDOWS)
+    return rng.normal(0.0, np.sqrt(gamma * dt), (take, n, channels))
 
 
 @pytest.mark.parametrize("every", [40, 41, 1000])
-def test_shared_runner_in_one_window_equals_the_plain_runs(every):
+def test_shared_runner_in_one_window_steps_both_forms_through_window_stream_0(
+    monkeypatch, every
+):
+    # nothing is resampled, so each form's result is the plain run's
+    # through WINDOWS stream 0 in place of the trajectories' own streams
+    import collapsim.diffusion as diffusion
+
     psi0 = np.sqrt(np.array([0.3, 0.7]))
     steppers = tuple(
         CslStepper(TWO, gamma=1.0, dt=0.005, form=f) for f in ("linear", "nonlinear")
     )
-    shared = run_ensemble(
-        psi0, steppers, 40, 50, master_seed=9, resample_every=every, traj_offset=3
-    )
+    shared = run_ensemble(psi0, steppers, 40, 50, master_seed=9, resample_every=every)
     assert isinstance(shared, tuple) and len(shared) == 2
+    monkeypatch.setattr(diffusion, "wiener_increment_block", lambda seed, rows, take, *noise:
+                        _window_draw(seed, 0, take, len(rows), *noise))
     for stepper, res in zip(steppers, shared):
-        plain = run_ensemble(psi0, stepper, 40, 50, master_seed=9, traj_offset=3)
+        plain = run_ensemble(psi0, stepper, 40, 50, master_seed=9)
         for field in ("final_states", "log_weights", "outcomes", "collapse_steps"):
             assert np.array_equal(getattr(res, field), getattr(plain, field)), field
         assert np.array_equal(_density(res), _density(plain))
 
 
 def test_shared_runner_steps_both_forms_through_window_keyed_streams():
-    # reference: window w of every slot drawn by wiener_increment_block
-    # (window=w), the nonlinear form stepped through it by the row-wise
-    # step, the linear one updated exactly by the window's increment sum
-    # and resampled at each inner window boundary
+    # reference: window w of every slot drawn from WINDOWS stream w, the
+    # nonlinear form stepped through it by the row-wise step, the linear
+    # one updated exactly by the window's increment sum and resampled at
+    # each inner window boundary
     psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
     steppers = tuple(
         CslStepper(TWO, gamma=1.0, dt=0.005, form=f) for f in ("linear", "nonlinear")
@@ -467,7 +486,7 @@ def test_shared_runner_steps_both_forms_through_window_keyed_streams():
     psis = [np.tile(psi0, (n, 1)) for _ in steppers]
     for w, k0 in enumerate(range(0, steps, every)):
         take = min(every, steps - k0)
-        block = wiener_increment_block(seed, np.arange(n), take, 1, 1.0, 0.005, window=w)
+        block = _window_draw(seed, w, take, n, 1, 1.0, 0.005)
         psis[0], logw = linear_exact_commuting(psis[0], TWO, block.sum(axis=0), 1.0, take * 0.005)
         for k in range(take):
             psis[1], _ = step_batch_reference(steppers[1], psis[1], block[k])
@@ -524,19 +543,35 @@ def test_cooked_nonlinear_frequency_matches_the_exact_law():
     assert abs(f_non - exact) <= 4.0 * NONLINEAR_SD
 
 
-def test_wiener_block_windows_are_disjoint_counter_keyed_streams():
-    idx = np.array([0, 5, 2**40])
-    scale = np.sqrt(0.7 * 0.01)
-    windows = [wiener_increment_block(11, idx, 30, 2, 0.7, 0.01, window=w) for w in range(3)]
-    for j, i in enumerate(idx):
-        # window 0 is the trajectory's own stream
-        direct = trajectory_generator(11, int(i)).normal(0.0, scale, size=(30, 2))
-        assert np.array_equal(windows[0][:, j], direct)
-        for w in (1, 2):
-            philox = np.random.Philox(key=[11, int(i)], counter=[0, 0, w, 0])
-            keyed = np.random.Generator(philox).normal(0.0, scale, size=(30, 2))
-            assert np.array_equal(windows[w][:, j], keyed)
-            assert not np.array_equal(windows[w][:, j], windows[0][:, j])
+def test_wiener_block_windows_are_disjoint_counter_keyed_streams(monkeypatch):
+    # window w of a resampled run is the stream keyed by (seed, w) with
+    # counter [0, 0, 0, WINDOWS]: disjoint from the NOISE and RESAMPLE
+    # streams of that key; the run's window blocks, two channels over 30
+    # rows, are its (take, n, channels) draws bit for bit
+    import collapsim.diffusion as diffusion
+
+    seed, gamma, dt = 2**64 - 1, 0.7, 0.002
+    for w in (0, 1, 2**40):
+        philox = trajectory_generator(seed, w, WINDOWS).bit_generator.state["state"]
+        assert philox["counter"].tolist() == [0, 0, 0, 2]
+        assert philox["key"].tolist() == [seed, w]
+        draws = [trajectory_generator(seed, w, p).standard_normal(64)
+                 for p in (WINDOWS, NOISE, RESAMPLE)]
+        assert not np.isin(draws[0], np.concatenate(draws[1:])).any()
+    blocks = []
+
+    def recording_block(master_seed, rows, *args):
+        blocks.append((rows.window, wiener_increment_block(master_seed, rows, *args)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(diffusion, "wiener_increment_block", recording_block)
+    stepper = CslStepper(EXACT_FAMILIES["diagonal-3-sectors-2-channels"], gamma, dt, "linear")
+    run_ensemble(np.full(4, 0.5), stepper, 70, 30, seed, resample_every=30)
+    assert [(w, block.shape) for w, block in blocks] == [
+        (0, (30, 30, 2)), (1, (30, 30, 2)), (2, (10, 30, 2))
+    ]
+    for w, block in blocks:
+        assert np.array_equal(block, _window_draw(seed, w, len(block), 30, 2, gamma, dt))
 
 
 @pytest.mark.parametrize("rows", [1, 37])
@@ -711,7 +746,7 @@ def test_shared_runner_rejects_steppers_with_different_noise():
 
 
 def test_csl_equivalence_draws_each_increment_once(monkeypatch, tmp_path):
-    # both forms read the same windows: n x steps increments in all
+    # both forms read the same window draws: n x steps increments in all
     import json
 
     import collapsim.diffusion as diffusion
@@ -719,9 +754,9 @@ def test_csl_equivalence_draws_each_increment_once(monkeypatch, tmp_path):
 
     drawn = []
 
-    def counting_block(*args, **kwargs):
-        block = wiener_increment_block(*args, **kwargs)
-        drawn.append(block.size)
+    def counting_block(master_seed, rows, *args):
+        block = wiener_increment_block(master_seed, rows, *args)
+        drawn.append((rows.window, block.shape))
         return block
 
     monkeypatch.setattr(diffusion, "wiener_increment_block", counting_block)
@@ -733,8 +768,8 @@ def test_csl_equivalence_draws_each_increment_once(monkeypatch, tmp_path):
     )
     assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "eq.json").read_text())["data"]["trajectories"] == 300
-    assert len(drawn) == 3  # windows of 100, 100 and 50 steps
-    assert sum(drawn) == 300 * 250
+    # one draw a window: windows of 100, 100 and 50 steps
+    assert drawn == [(0, (100, 300, 1)), (1, (100, 300, 1)), (2, (50, 300, 1))]
 
 
 def test_resampled_runner_rejects_record_every():
@@ -885,7 +920,7 @@ def test_linear_exact_commuting_is_exact_solution():
 
 def test_linear_exact_commuting_rows_match_single_calls():
     # two channels, three sectors (basis indices 1 and 3 share a sector)
-    fam = ProjectorFamily.diagonal(
+    fam = diagonal_family(
         np.array([[1.0, -1.0, 0.5, -1.0], [0.0, 2.0, 1.0, 2.0]])
     )
     assert (fam.channel_count, fam.n_sectors) == (2, 3)
@@ -919,7 +954,7 @@ def test_linear_exact_commuting_rows_match_single_calls():
 def test_nonlinear_step_keeps_vertices_and_the_simplex():
     # three sectors, two channels: a vertex (an eigenstate) stays one, and
     # the sector weights of every step sum to 1
-    fam = ProjectorFamily.diagonal(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, -0.3]]))
+    fam = diagonal_family(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, -0.3]]))
     stepper = CslStepper(fam, 1.0, 0.002, form="nonlinear")
     psis = np.sqrt(np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3]]))
     ws = StepWorkspace(stepper, psis)
@@ -952,7 +987,7 @@ def test_z_vertex_absorption_multi_sector():
     # vertex; the slowest pair gap sets the required horizon
     eig = np.array([1.0, 0.4, -0.2, -0.8, 1.6])
     stepper = CslStepper(
-        ProjectorFamily.diagonal(eig[None, :]), 1.0, 0.003, form="nonlinear"
+        diagonal_family(eig[None, :]), 1.0, 0.003, form="nonlinear"
     )
     psi0 = np.ones(5, dtype=complex) / np.sqrt(5)
     res = run_ensemble(psi0, stepper, 14000, 400, 2024)
@@ -978,7 +1013,7 @@ def test_lindblad_identity_coupling_is_decoherence_free():
 
 
 def test_lindblad_offdiag_rate_formula():
-    fam = ProjectorFamily.diagonal(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, 1.0]]))
+    fam = diagonal_family(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, 1.0]]))
     gamma, t = 0.7, 0.9
     rho0 = DensityMatrix(np.full((3, 3), 1.0 / 3.0, dtype=complex))
     rho_t = lindblad_evolve(rho0, None, fam, gamma, t)
@@ -998,7 +1033,7 @@ def test_lindblad_matches_rk_oracle_and_conserves():
     rho0_m /= np.trace(rho0_m).real
     rho0 = DensityMatrix(rho0_m)
     h = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.1]], dtype=complex)
-    fam = ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]]))
+    fam = diagonal_family(np.array([[1.0, 0.0, -1.0]]))
     rho_t = lindblad_evolve(rho0, h, fam, 0.8, 1.1)
     oracle = lindblad_by_ode(rho0_m, h, [np.diag(fam.basis_eigenvalues()[0])], 0.8, 1.1)
     assert np.max(np.abs(rho_t.entries - oracle)) < 1e-8
@@ -1011,7 +1046,7 @@ def test_lindblad_equals_cooked_trajectory_average():
     psi0 = np.array([0.6, 0.64, 0.48], dtype=complex)
     psi0 /= np.linalg.norm(psi0)
     h = np.array([[0.0, 0.4, 0.0], [0.4, 0.0, 0.4], [0.0, 0.4, 0.0]], dtype=complex)
-    fam = ProjectorFamily.diagonal(np.array([[1.0, 0.0, -1.0]]))
+    fam = diagonal_family(np.array([[1.0, 0.0, -1.0]]))
     gamma, dt, steps = 0.5, 0.005, 400
     stepper = CslStepper(fam, gamma, dt, form="nonlinear")
     res = run_ensemble(psi0, stepper, steps, 10_000, 2222, h_matrix=h)
