@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .errors import (
     CollapsimError,
     ConfigError,
-    DegenerateStateError,
     DimensionMismatchError,
     GridLeakageError,
     StabilityError,
@@ -15,30 +14,18 @@ from .errors import (
 )
 from .operators import ProjectorFamily
 from .params import CollapseParams, canonical_qmsl
-from .states import (
-    DensityMatrix,
-    FiniteState,
-    GridWavefunction,
-    density_from_ensemble,
-    ensemble_density,
-    normalize,
-)
+from .states import GridWavefunction, ensemble_density
 
 __all__ = [
     "CollapseParams",
     "CollapsimError",
     "ConfigError",
-    "DegenerateStateError",
-    "DensityMatrix",
     "DimensionMismatchError",
-    "FiniteState",
     "GridLeakageError",
     "GridWavefunction",
     "ProjectorFamily",
     "StabilityError",
     "StatisticalPreconditionError",
     "canonical_qmsl",
-    "density_from_ensemble",
     "ensemble_density",
-    "normalize",
 ]

@@ -1,11 +1,12 @@
 """Reduction dynamics driven by general Gaussian (non-white) noises.
 
-Stationary correlation kernels (white, gaussian, exponential, custom
-sampled) drive the same commuting coupling families as the white theory.
-In the exactly solvable regime ([H, A_i] = 0 or H disregarded) the
-off-diagonal damping of two sectors follows from the kernel's time
-integrals alone: its exponent grows with the double integral, its rate
-with the single one.
+Stationary correlation kernels (white, gaussian, exponential, or custom:
+samples D(k dt) given inline in the config) drive the same commuting
+coupling families as the white theory.  In the exactly solvable regime
+([H, A_i] = 0 or H disregarded) the off-diagonal damping of two sectors
+follows from the kernel's time integrals alone: its exponent grows with
+the double integral, its rate with the single one.  Both integrals of a
+custom kernel are sums over its samples, O(K) for K samples at any T.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import require_memory
 from .operators import ProjectorFamily
 
 _PSD_TOL = -1e-8
@@ -32,8 +34,9 @@ class CorrelationSpec:
     exponential
         D(s) = exp(-|s| / tau) / (2 tau).
     custom
-        Kernel sampled on the simulation step grid: ``samples[k]`` is
-        D(k * dt); positive semidefiniteness is verified at construction.
+        Kernel sampled on a uniform grid: ``samples[k]`` is D(k * dt), and
+        D vanishes past the last sample; positive semidefiniteness is
+        verified at construction.
     """
 
     kind: str
@@ -51,6 +54,8 @@ class CorrelationSpec:
                 raise ValueError("custom kernels need samples and dt")
             samples = np.asarray(self.samples, dtype=float)
             object.__setattr__(self, "samples", samples)
+            # the Toeplitz matrix, its index table and eigvalsh's copy
+            require_memory(32 * samples.size**2, "the kernel's Toeplitz matrix")
             if np.linalg.eigvalsh(_toeplitz(samples)).min() < _PSD_TOL:
                 raise ValueError("custom kernel is not positive semidefinite")
 
@@ -58,45 +63,14 @@ class CorrelationSpec:
     def white(cls) -> "CorrelationSpec":
         return cls("white")
 
-    @classmethod
-    def custom(cls, samples: np.ndarray, dt: float) -> "CorrelationSpec":
-        return cls("custom", samples=samples, dt=dt)
-
-    @classmethod
-    def from_csv(cls, path: str) -> "CorrelationSpec":
-        """Custom kernel from ``lag,value`` CSV rows, lags 0, dt, 2 dt, ..."""
-        rows = np.loadtxt(path, delimiter=",", comments="#")
-        if rows.ndim != 2 or rows.shape[1] != 2:
-            raise ValueError(f"kernel file {path!r} must have lag,value columns")
-        lags, values = rows[:, 0], rows[:, 1]
-        gaps = np.diff(lags)
-        if lags[0] != 0.0 or np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
-            raise ValueError("kernel lags must start at 0 with uniform spacing")
-        return cls.custom(values, float(gaps[0]))
-
-    def kernel(self, lag: np.ndarray) -> np.ndarray:
-        """D at the given lags (white noise has no pointwise kernel)."""
-        s = np.abs(np.asarray(lag, dtype=float))
-        if self.kind == "gaussian":
-            return np.exp(-(s**2) / (2 * self.tau**2)) / (
-                np.sqrt(2 * np.pi) * self.tau
-            )
-        if self.kind == "exponential":
-            return np.exp(-s / self.tau) / (2 * self.tau)
-        if self.kind == "custom":
-            idx = np.rint(s / self.dt).astype(int)
-            out = np.zeros_like(s)
-            valid = idx < self.samples.shape[0]
-            out[valid] = self.samples[idx[valid]]
-            return out
-        raise ValueError("white kernel is distributional; use integrals")
-
     def double_integral(self, t_span: float) -> float:
         """f(T) = double integral of D over [0, T]^2; the variance growth
         of the integrated noise (per unit gamma).
 
         White: T.  Gaussian: T erf(T / sqrt(2) tau) - tau sqrt(2/pi)
         (1 - exp(-T^2/2 tau^2)).  Exponential: T - tau (1 - exp(-T/tau)).
+        Custom: the sum of the S x S Toeplitz matrix of the samples, S =
+        round(T/dt), in O(K): dt^2 [S D_0 + 2 sum_{k=1}^{min(S,K)-1} (S-k) D_k].
         """
         t_span = float(t_span)
         if t_span < 0:
@@ -112,10 +86,10 @@ class CorrelationSpec:
             return max(value, 0.0)
         if self.kind == "exponential":
             return max(t_span + self.tau * np.expm1(-t_span / self.tau), 0.0)
-        # custom: cumulative Gram sum on its own grid
-        steps = int(round(t_span / self.dt))
-        gram = _toeplitz(self.kernel(self.dt * np.arange(max(steps, 1))))
-        return float(gram[:steps, :steps].sum()) * self.dt**2
+        steps = np.rint(t_span / self.dt)
+        k = np.arange(1, int(min(steps, self.samples.size)))
+        total = steps * self.samples[0] + 2.0 * (steps - k) @ self.samples[k]
+        return float(total) * self.dt**2
 
     def single_integral(self, t_span: float) -> float:
         """int_0^T D(s) ds; approaches 1/2 for T >> tau (stationary limit)."""
@@ -128,8 +102,8 @@ class CorrelationSpec:
             return 0.5 * float(erf(t_span / (np.sqrt(2) * self.tau)))
         if self.kind == "exponential":
             return 0.5 * (1.0 - np.exp(-t_span / self.tau))
-        steps = int(round(t_span / self.dt))
-        return float(self.kernel(self.dt * np.arange(steps)).sum() * self.dt)
+        steps = int(min(np.rint(t_span / self.dt), self.samples.size))
+        return float(self.samples[:steps].sum() * self.dt)
 
 
 def _toeplitz(first_row: np.ndarray) -> np.ndarray:

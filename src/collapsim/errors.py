@@ -5,14 +5,10 @@ class CollapsimError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DegenerateStateError(CollapsimError):
-    """Raised when an operation receives a zero-norm state."""
-
-
 class GridLeakageError(CollapsimError):
     """Raised when wavefunction amplitude at the grid boundary exceeds the
-    configured leakage threshold (the periodic box is too small for the
-    state it is carrying)."""
+    leakage threshold (the periodic box is too small for the state it is
+    carrying)."""
 
 
 class StabilityError(CollapsimError):

@@ -101,9 +101,8 @@ def plan(cfg: ExperimentConfig) -> tuple[list[str], Iterator]:
 
     A malformed config raises ConfigError, also where building a stepper,
     grid, kernel or closed form raises ValueError or ArithmeticError (an
-    overflow or a division by zero), where the run's arrays would not fit
-    in memory, or where a kernel file cannot be read; a step past the
-    stability limit raises StabilityError.
+    overflow or a division by zero), or where the run's arrays would not
+    fit in memory; a step past the stability limit raises StabilityError.
     """
     table, default_trajectories, runner = TABLES[cfg.experiment]
     p = read_params(cfg, table)
@@ -111,7 +110,7 @@ def plan(cfg: ExperimentConfig) -> tuple[list[str], Iterator]:
     steps = runner(p, Settings(seed, cfg.trajectories or default_trajectories))
     try:
         return next(steps) or [], steps
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{cfg.experiment}: {exc}") from exc
     except ArithmeticError as exc:
         raise ConfigError(f"{cfg.experiment}: a closed form fails: {exc}") from exc
@@ -211,7 +210,7 @@ def run_qmsl_master(p: dict, run: Settings) -> Iterator:
     x = psi0.positions
     k = psi0.wavenumbers
     for t, formula in zip(p["times"], formulas):
-        rho = evolve_free_master(psi0, params, t).entries
+        rho = evolve_free_master(psi0, params, t)
         diag = np.maximum(np.diag(rho).real, 0.0)
         diag = diag / (diag.sum() * dx)
         q_var = float(dx * diag @ x**2 - (dx * diag @ x) ** 2)
@@ -377,14 +376,22 @@ def run_csl_discrete(p: dict, run: Settings) -> Iterator:
     "gamma": Param(float, bound=POSITIVE),
     "times": Param(float, bound=NONNEGATIVE, length=MANY),
     "eigenvalues": Param(float, (1.0, -1.0), length=2),
-    "kernel_file": Param(str, None),
+    "kernel": Param(float, None, length=MANY),
 })
 def run_colored_damping(p: dict, run: Settings) -> Iterator:
-    needs = "kernel_file" if p["kind"] == "custom" else "tau"
+    """``kind = custom`` reads ``kernel = lag, value, lag, value, ...``:
+    at least two lags, from 0 with uniform spacing."""
+    needs = "kernel" if p["kind"] == "custom" else "tau"
     if p[needs] is None:
         raise ConfigError(f"kind = {p['kind']} needs {needs}")
     if p["kind"] == "custom":
-        spec = CorrelationSpec.from_csv(p["kernel_file"])
+        if len(p["kernel"]) % 2 or len(p["kernel"]) < 4:
+            raise ValueError("kernel takes lag, value pairs, at least two")
+        lags, values = np.reshape(p["kernel"], (-1, 2)).T
+        gaps = np.diff(lags)
+        if lags[0] != 0.0 or np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
+            raise ValueError("kernel lags must start at 0 with uniform spacing")
+        spec = CorrelationSpec("custom", samples=values, dt=float(gaps[0]))
     else:
         spec = CorrelationSpec(p["kind"], tau=p["tau"])
     gamma = p["gamma"]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .params import CollapseParams
 from .schrodinger import split_step_evolve
-from .states import DensityMatrix, GridWavefunction
+from .states import GridWavefunction
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -62,8 +62,10 @@ def evolve_free_master(
     initial: GridWavefunction,
     params: CollapseParams,
     t: float,
-) -> DensityMatrix:
-    """Kernel of the hitting master equation for a free particle at time t.
+) -> np.ndarray:
+    """Kernel rho(q', q'') of the hitting master equation for a free
+    particle at time t, an (N, N) array on the grid of ``initial`` (its
+    trace is sum(diag) * dx).
 
     Uses the exact representation: Fourier transform of the Schroedinger
     kernel along the center coordinate, multiplied by the damping factor
@@ -75,7 +77,7 @@ def evolve_free_master(
     psi_t = split_step_evolve(initial, t)
     kernel_sch = np.outer(psi_t.amplitudes, np.conj(psi_t.amplitudes))
     if params.lambda_rate == 0.0:
-        return DensityMatrix(kernel_sch, "grid", dx)
+        return kernel_sch
 
     cols = _diagonal_indices(n)
     diags = kernel_sch[np.arange(n)[:, None], cols]  # [c_index, offset]
@@ -87,8 +89,7 @@ def evolve_free_master(
     out = np.empty_like(kernel_sch)
     out[np.arange(n)[:, None], cols] = diags
     # enforce exact Hermitian symmetry against roundoff
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, "grid", dx)
+    return 0.5 * (out + out.conj().T)
 
 
 def free_particle_moments(

@@ -20,7 +20,7 @@ from .errors import GridLeakageError
 from .noise import TILE_BYTES, trajectory_generator
 from .params import CollapseParams
 from .schrodinger import _kinetic_phase, split_step_batch
-from .states import GridWavefunction
+from .states import DEFAULT_LEAK_TOL, GridWavefunction
 
 
 def _gaussian_factor(psi: GridWavefunction, x, alpha: float) -> np.ndarray:
@@ -140,8 +140,8 @@ def run_qmsl_ensemble(
     Leakage is checked at every step: chi's edge amplitudes at t are
     chi @ [kin(t), kin(t) exp(-2 pi i k/N)] / N, one (N, 2W) block of taps
     a window, W as large as one ``noise.TILE_BYTES`` tile allows.  Edges
-    over ``leak_tol`` times the RMS amplitude (a lower bound on the peak,
-    fixed in time) get the exact test edge > leak_tol * peak; the first
+    over ``DEFAULT_LEAK_TOL`` times the RMS amplitude (a lower bound on the
+    peak, fixed in time) get the exact test against the peak; the first
     failing step raises ``GridLeakageError``, as a step-by-step check would.
     """
     if abs(psi0.norm_sq() - 1.0) > 1e-8:
@@ -149,7 +149,6 @@ def run_qmsl_ensemble(
     n_steps = step_count(t_end, dt)
     n = psi0.n
     lam = params.lambda_rate
-    tol = psi0.leak_tol
     # a window's taps and each (rows, N) array of a hit round fit one tile
     tile_rows = max(1, TILE_BYTES // (16 * n))
     width = max(1, min(n_steps, tile_rows // 2))
@@ -166,13 +165,13 @@ def run_qmsl_ensemble(
         edge = spectra @ taps[lo:hi].reshape(-1, n).T
         edge = np.abs(edge).reshape(len(spectra), hi - lo, 2).max(axis=2)
         steps = np.arange(lo, hi)
-        over = edge > tol * rms
+        over = edge > DEFAULT_LEAK_TOL * rms
         over &= (steps >= np.reshape(first, (-1, 1))) & (steps < np.reshape(stop, (-1, 1)))
         for s in lo + np.nonzero(over.any(axis=0))[0]:
             amps = split_step_batch(spectra[over[:, s - lo]], _kinetic_phase(psi0, times[s]))
             edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
             peak = np.abs(amps).max(axis=1)
-            leaks[s] |= np.any(edge > tol * peak)
+            leaks[s] |= np.any(edge > DEFAULT_LEAK_TOL * peak)
             worst[s] = max(worst[s], (edge / peak).max())
 
     final = np.empty((n_traj, n), dtype=complex)

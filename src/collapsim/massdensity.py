@@ -18,11 +18,10 @@ from .errors import DimensionMismatchError
 
 @dataclass(frozen=True)
 class MassProfile:
-    """Per-cell mean mass and variance, with the cell volume for context."""
+    """Per-cell mean mass and variance."""
 
     means: np.ndarray
     variances: np.ndarray
-    cell_volume: float = 1.0
 
     def __post_init__(self) -> None:
         means = np.asarray(self.means, dtype=float)
@@ -63,7 +62,8 @@ class IndependentParticleState:
     """Product of single-particle two-cell superpositions.
 
     ``placements[k] = (cell_a, cell_b, prob_a)``: particle k sits in
-    cell_a with probability prob_a, else in cell_b.  Occupancies of
+    cell_a with probability prob_a, else in cell_b (certainly in cell_a
+    when the two are one cell).  Occupancies of
     distinct particles are independent, so per-cell mass cumulants add.
     """
 
@@ -79,7 +79,7 @@ class IndependentParticleState:
                 raise ValueError("probability out of range")
 
 
-def mass_profile(state, cell_volume: float = 1.0) -> MassProfile:
+def mass_profile(state) -> MassProfile:
     """Mean and variance of the cell mass operators in the given state."""
     if isinstance(state, CellConfigurationState):
         probs = np.abs(state.amplitudes) ** 2
@@ -87,18 +87,20 @@ def mass_profile(state, cell_volume: float = 1.0) -> MassProfile:
         m = state.particle_mass
         mean = m * probs @ state.occupations
         second = m**2 * probs @ state.occupations**2
-        return MassProfile(mean, np.maximum(second - mean**2, 0.0), cell_volume)
+        return MassProfile(mean, np.maximum(second - mean**2, 0.0))
     if isinstance(state, IndependentParticleState):
         mean = np.zeros(state.n_cells)
         var = np.zeros(state.n_cells)
         m = state.particle_mass
         for cell_a, cell_b, p in state.placements:
+            if cell_a == cell_b:
+                p = 1.0
             mean[cell_a] += m * p
             mean[cell_b] += m * (1.0 - p)
             bern = m**2 * p * (1.0 - p)
             var[cell_a] += bern
             var[cell_b] += bern
-        return MassProfile(mean, var, cell_volume)
+        return MassProfile(mean, var)
     raise ValueError("missing mass assignment for state type")
 
 

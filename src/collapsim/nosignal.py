@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StatisticalPreconditionError
-from .states import FiniteState, density_from_ensemble, ensemble_density
+from .states import ensemble_density
 
 Ensemble = Sequence[tuple[np.ndarray, float]]
 """(normalized amplitude vector, statistical weight) pairs."""
@@ -96,7 +96,9 @@ def gisin_check(
     ensembles so the comparison is between independent runs.
     """
     rho_a0, rho_b0 = (
-        density_from_ensemble((FiniteState(a), w) for a, w in e).entries
+        ensemble_density(
+            np.array([a / np.linalg.norm(a) for a, _ in e]), np.array([w for _, w in e])
+        )
         for e in (ensemble_a, ensemble_b)
     )
     if np.max(np.abs(rho_a0 - rho_b0)) > 1e-10:

@@ -78,13 +78,12 @@ def gaussian_packet(
     center: float,
     sigma: float,
     momentum: float = 0.0,
-    leak_tol: float = 1e-5,
 ) -> GridWavefunction:
     """Normalized minimal Gaussian packet: position spread ``sigma``."""
     x = x0 + dx * np.arange(n)
     amps = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x)
     amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2) * dx)
-    return GridWavefunction(amps, dx, x0, mass, leak_tol)
+    return GridWavefunction(amps, dx, x0, mass)
 
 
 def two_packet_state(
@@ -95,11 +94,10 @@ def two_packet_state(
     centers: tuple[float, float],
     sigma: float,
     weights: tuple[float, float] = (0.5, 0.5),
-    leak_tol: float = 1e-5,
 ) -> GridWavefunction:
     """Normalized superposition of two Gaussian packets."""
     x = x0 + dx * np.arange(n)
     g = [np.sqrt(w) * np.exp(-((x - c) ** 2) / (4 * sigma**2)) for w, c in zip(weights, centers)]
     amps = (g[0] + g[1]).astype(complex)
     amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2) * dx)
-    return GridWavefunction(amps, dx, x0, mass, leak_tol)
+    return GridWavefunction(amps, dx, x0, mass)

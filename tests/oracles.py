@@ -56,7 +56,7 @@ from collapsim.hitting import (
 from collapsim.noise import trajectory_generator, wiener_increment_block
 from collapsim.operators import ProjectorFamily
 from collapsim.schrodinger import _kinetic_phase
-from collapsim.states import DensityMatrix
+from collapsim.states import DEFAULT_LEAK_TOL
 
 
 def diagonal_family(channel_values) -> ProjectorFamily:
@@ -160,11 +160,25 @@ def lindblad_by_ode(
     return sol.y[:, -1].reshape(dim, dim)
 
 
-def double_integral_by_quadrature(kernel, t_span: float) -> float:
+def correlation_kernel(spec: CorrelationSpec, lag) -> np.ndarray:
+    """D at the given lags of a gaussian, exponential or custom kernel,
+    from the formulas of ``CorrelationSpec``'s docstring; a custom kernel
+    takes its nearest sample, and zero past the last."""
+    s = np.abs(np.asarray(lag, dtype=float))
+    if spec.kind == "gaussian":
+        return np.exp(-(s**2) / (2 * spec.tau**2)) / (np.sqrt(2 * np.pi) * spec.tau)
+    if spec.kind == "exponential":
+        return np.exp(-s / spec.tau) / (2 * spec.tau)
+    padded = np.append(spec.samples, 0.0)
+    return padded[np.minimum(np.rint(s / spec.dt).astype(int), spec.samples.size)]
+
+
+def double_integral_by_quadrature(spec: CorrelationSpec, t_span: float) -> float:
     """2D adaptive quadrature of a stationary kernel over [0, T]^2, via
-    the lag representation 2*int_0^T (T - s) K(s) ds."""
+    the lag representation 2*int_0^T (T - s) D(s) ds."""
     val, _ = quad(
-        lambda s: (t_span - s) * kernel(s), 0.0, t_span, epsabs=1e-12, epsrel=1e-12
+        lambda s: (t_span - s) * correlation_kernel(spec, s), 0.0, t_span,
+        epsabs=1e-12, epsrel=1e-12,
     )
     return 2.0 * val
 
@@ -231,7 +245,7 @@ def qmsl_exact_time_lockstep(psi0, params, t_end, n_traj, master_seed, dt):
         t = t_stop
         edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
         peak = np.abs(amps).max(axis=1)
-        if np.any(edge > psi0.leak_tol * peak):
+        if np.any(edge > DEFAULT_LEAK_TOL * peak):
             worst = float((edge / peak).max())
             raise GridLeakageError(
                 f"boundary amplitude reached {worst:.2e} of peak at "
@@ -360,13 +374,27 @@ def _superoperator(
     return gen
 
 
+def require_density(
+    rho: np.ndarray, herm_tol: float = 1e-10, trace_tol: float = 1e-10, eig_tol: float = -1e-8
+) -> np.ndarray:
+    """``rho`` if it is a density matrix within the tolerances: Hermitian,
+    of unit trace, and no eigenvalue below ``eig_tol``."""
+    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    if abs(np.trace(rho).real - 1.0) > trace_tol:
+        raise ValueError("density matrix trace differs from one")
+    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < eig_tol:
+        raise ValueError("density matrix has a negative eigenvalue")
+    return rho
+
+
 def lindblad_evolve(
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     h_matrix: np.ndarray | None,
     family: ProjectorFamily | list[np.ndarray],
     gamma: float,
     t: float,
-) -> DensityMatrix:
+) -> np.ndarray:
     """Evolve a finite density matrix under the ensemble generator.
 
     ``family`` may be a ProjectorFamily (channels become the coupling
@@ -375,10 +403,8 @@ def lindblad_evolve(
     """
     from scipy.linalg import expm
 
-    if rho0.representation != "finite":
-        raise ValueError("ensemble generator requires a finite matrix")
-    rho0.validate(herm_tol=1e-10, trace_tol=1e-8)
-    dim = rho0.dim
+    rho0 = require_density(np.asarray(rho0, dtype=complex), trace_tol=1e-8)
+    dim = rho0.shape[0]
     ops = (
         [np.diag(row).astype(complex) for row in family.basis_eigenvalues()]
         if isinstance(family, ProjectorFamily)
@@ -390,10 +416,8 @@ def lindblad_evolve(
         gamma,
         dim,
     )
-    rho = (expm(gen * t) @ rho0.entries.reshape(-1)).reshape(dim, dim)
-    return DensityMatrix(rho, "finite").validate(
-        herm_tol=1e-9, trace_tol=1e-9, eig_tol=-1e-8
-    )
+    rho = (expm(gen * t) @ rho0.reshape(-1)).reshape(dim, dim)
+    return require_density(rho, herm_tol=1e-9, trace_tol=1e-9)
 
 
 def ensemble_moments(result: QmslEnsembleResult) -> dict[str, float]:
@@ -456,7 +480,7 @@ def colored_increment_block(
             w[k] = rho * w[k - 1] + innov_sd * w[k]
     else:
         lags = dt * np.arange(steps)
-        gram = gamma * _toeplitz(spec.kernel(lags))
+        gram = gamma * _toeplitz(correlation_kernel(spec, lags))
         gram[np.diag_indices(steps)] += 1e-12 * gram[0, 0]
         w = (np.linalg.cholesky(gram) @ w.reshape(steps, -1)).reshape(w.shape)
     w *= dt
@@ -493,8 +517,8 @@ def run_commuting_nonwhite_ensemble(
 
 
 def scattering_master_step(
-    rho: DensityMatrix, p_hat: np.ndarray, rate: float, dt: float
-) -> DensityMatrix:
+    rho: np.ndarray, p_hat: np.ndarray, rate: float, dt: float
+) -> np.ndarray:
     """One collision step of the scattering master equation.
 
     Off-diagonal kernel entries are multiplied by
@@ -503,16 +527,14 @@ def scattering_master_step(
     grid, with |p_hat| <= 1 and p_hat(0) = 1 (diagonal invariant).
     """
     p_hat = np.asarray(p_hat)
-    if p_hat.shape != rho.entries.shape:
+    if p_hat.shape != rho.shape:
         raise ValueError("p_hat must be sampled on the kernel grid")
     if np.max(np.abs(p_hat)) > 1.0 + 1e-12:
         raise ValueError("invalid transfer distribution: |p_hat| must be <= 1")
-    n = rho.dim
     diag = np.abs(np.diagonal(p_hat) - 1.0)
     if np.max(diag) > 1e-12:
         raise ValueError("invalid transfer distribution: p_hat(0) must be 1")
-    factor = 1.0 - rate * dt * (1.0 - p_hat)
-    return DensityMatrix(rho.entries * factor, rho.representation, rho.dx)
+    return rho * (1.0 - rate * dt * (1.0 - p_hat))
 
 
 def gaussian_transfer_profile(

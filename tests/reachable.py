@@ -6,7 +6,8 @@ Imports collapsim and runs every ``SMALL`` config of ``tests/test_cli.py``
 through ``collapsim.cli.main``, all under ``sys.setprofile``, then prints,
 one per line, each function or method defined in ``src/collapsim`` whose
 code never ran.  Closures and dataclass-generated methods are not
-listed.  Exits 0 whatever it finds: the list is informational.
+listed.  Exits 1 when the list is not empty, so code that no experiment
+runs is either wired to one or deleted; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def main() -> int:
     for name in unreached:
         print(name)
     print(f"{len(unreached)} of {len(names)} functions and methods unreached", file=sys.stderr)
-    return 0
+    return 1 if unreached else 0
 
 
 if __name__ == "__main__":

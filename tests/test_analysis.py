@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from collapsim import CollapseParams, DensityMatrix
+from collapsim import CollapseParams
 from collapsim.cells import discrete_decay_log
 from collapsim.diffusion import CslStepper, run_ensemble
 from collapsim.epr import epr_linear_experiment, epr_nonlinear_experiment
@@ -263,15 +263,15 @@ def test_scattering_master_step_properties():
     x = dx * np.arange(n)
     length = n * dx
     p_hat = gaussian_transfer_profile(x, l_eff=1.0, length=length)
-    rho0 = DensityMatrix(np.full((n, n), 1.0 / (n * dx), dtype=complex), "grid", dx)
+    rho0 = np.full((n, n), 1.0 / (n * dx), dtype=complex)
     rho = rho0
     rate, dt, steps = 2.0, 0.005, 400
     for _ in range(steps):
         rho = scattering_master_step(rho, p_hat, rate, dt)
     t = dt * steps
     # diagonal exactly invariant
-    assert np.allclose(np.diag(rho.entries), np.diag(rho0.entries))
-    damping = np.abs(rho.entries) / np.abs(rho0.entries)
+    assert np.allclose(np.diag(rho), np.diag(rho0))
+    damping = np.abs(rho) / np.abs(rho0)
     u = x[:, None] - x[None, :]
     u -= length * np.round(u / length)
     # near diagonal: Gaussian damping with the configured transfer length
@@ -285,13 +285,13 @@ def test_scattering_master_step_properties():
 
 
 def test_scattering_master_step_validates_profile():
-    rho = DensityMatrix(np.eye(4) / 4.0)
+    rho = np.eye(4, dtype=complex) / 4.0
     bad = np.full((4, 4), 1.2)
     with pytest.raises(ValueError, match="invalid transfer"):
         scattering_master_step(rho, bad, 1.0, 0.01)
     p_identity = np.ones((4, 4))
     out = scattering_master_step(rho, p_identity, 1.0, 0.01)
-    assert np.allclose(out.entries, rho.entries)  # no decoherence
+    assert np.allclose(out, rho)  # no decoherence
 
 
 def test_excitation_rate_qmsl_orders():

@@ -16,7 +16,7 @@ import collapsim
 from collapsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_STATISTICAL, main
 from collapsim.config import parse_config_text
 from collapsim.errors import ConfigError
-from collapsim.experiments import plan
+from collapsim.experiments import plan, run_experiment
 
 BORN_CFG = """
 experiment = csl-born
@@ -201,6 +201,17 @@ def test_decoherence_table_runs(tmp_path):
     assert "reference-only" in text
 
 
+def test_mass_profile_product_in_one_cell_is_the_superposed_profile():
+    # a particle in (0, 0, 0.5) is certainly in cell 0: its mass has no variance
+    text = "experiment = mass-profile\n[params]\nn_particles = 4\nn_cells = 1\n"
+    product, superposed = (
+        run_experiment(parse_config_text(text + f"scenario = {scenario}\n")).rows
+        for scenario in ("product", "superposed")
+    )
+    assert product[0][1] == pytest.approx(superposed[0][1], rel=1e-12)
+    assert product[0][2:] == superposed[0][2:] == (0.0, 0.0, 1)  # variance, ratio, accessible
+
+
 def test_mass_profile_experiment(tmp_path):
     path = _write(
         tmp_path,
@@ -254,23 +265,33 @@ def test_csl_born_per_trajectory_export(tmp_path):
     assert len(lines) == 3 + 1500  # one row per trajectory
 
 
-def test_colored_damping_custom_kernel_file(tmp_path):
-    import numpy as np
-
-    lags = 0.05 * np.arange(40)
-    values = np.exp(-lags / 0.5) / (2 * 0.5)
-    kernel_path = tmp_path / "kernel.csv"
-    kernel_path.write_text(
-        "\n".join(f"{l},{v}" for l, v in zip(lags, values)) + "\n"
-    )
+def test_colored_damping_custom_kernel_at_long_times(tmp_path):
+    # T = 1e5 at a lag spacing of 0.05: S = 2e6 steps of a 40-sample kernel
+    pairs = [(k / 20, math.exp(-k / 10)) for k in range(40)]
+    kernel = ", ".join(f"{lag!r}, {value!r}" for lag, value in pairs)
     cfg = (
         "experiment = colored-damping\noutput = damp\n[params]\nkind = custom\n"
-        f"kernel_file = {kernel_path}\ngamma = 1.0\ntimes = 0.5, 1.0\n"
+        f"kernel = {kernel}\ngamma = 1.0\ntimes = 0.5, 100000\n"
     )
     path = _write(tmp_path, cfg)
     assert main(["--config", path, "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "damp.csv").read_text().splitlines()
-    assert len(lines) == 5
+    lines = (tmp_path / "damp.csv").read_text().splitlines()[3:]
+    for line, steps in zip(lines, (10, 2_000_000), strict=True):
+        closed = sum(
+            (steps if k == 0 else 2 * (steps - k)) * value
+            for k, (_, value) in enumerate(pairs[:steps])
+        )
+        double_integral = float(line.split(",")[4])
+        assert double_integral == pytest.approx(closed * 0.05**2, rel=1e-12)
+
+
+def test_colored_damping_oversized_kernel_exit_2(tmp_path, capsys, monkeypatch):
+    # the PSD check's K x K Toeplitz matrix against a machine of one 4 KiB page
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    path = _write(tmp_path, SMALL["colored-damping-custom"])
+    assert main(["--config", path, "--validate"]) == EXIT_CONFIG
+    assert "the kernel's Toeplitz matrix need" in capsys.readouterr().err
 
 
 def test_epr_experiment_json_serializes(tmp_path):
@@ -332,7 +353,11 @@ BASES = {
         ("born", "dt = 0.005", "dt = nan"),
         ("colored", "tau = 0.5", "tau = 0"),
         ("colored", "kind = exponential", "kind = pink"),
-        ("colored", "kind = exponential", "kind = custom\nkernel_file = no/such.csv"),
+        ("colored", "kind = exponential", "kind = custom"),
+        ("colored", "kind = exponential", "kind = custom\nkernel = 0, 1.0, 0.1"),
+        ("colored", "kind = exponential", "kind = custom\nkernel = 0, 1.0, 0.1, 0.5, 0.3, 0.2"),
+        ("colored", "kind = exponential", "kind = custom\nkernel = 0, 1.0, 0.1, inf"),
+        ("colored", "kind = exponential", "kind = custom\nkernel = 0, 1.0, 0.1, 0.9, 0.2, 0"),
         ("hitting", "n = 128", "n = 100"),
         ("hitting", "dt = 0.02", "dt = 0.03"),
         ("mass", "scenario = superposed", "scenario = superposed\nn_cells = 0"),
@@ -350,7 +375,8 @@ BASES = {
     ids=[
         "steps-text", "steps-negative", "weights-scalar", "trajectories-negative",
         "seed-negative", "seed-past-u64", "dt-nan", "tau-zero", "kind-unknown",
-        "kernel-file-missing", "grid-not-power-of-two", "t_end-not-whole-steps",
+        "kernel-missing", "kernel-odd-count", "kernel-lags-not-uniform", "kernel-inf",
+        "kernel-not-psd", "grid-not-power-of-two", "t_end-not-whole-steps",
         "no-cells", "occupation-lengths-differ", "discrete-one-record-point", "epr-no-steps",
         "epr-steps-past-memory", "steps-past-memory", "mass-overflows",
         "equivalence-window-past-memory", "mass-divides-by-zero", "sigma-divides-by-zero",
@@ -478,13 +504,20 @@ SMALL = {
     "qmsl-hitting-events": HITTING_CFG.replace("n = 128", "n = 64")
     + "record_events = true\n",
     "colored-damping": COLORED_CFG,
-    # the custom kind stays out: its kernel file's absolute path enters the
-    # config hash in the output's header
+    # exp(-|s|/tau)/(2 tau) at tau = 0.5 every 0.05 to 0.95: positive semidefinite
+    "colored-damping-custom": COLORED_CFG.replace(
+        "kind = exponential\ntau = 0.5",
+        "kind = custom\nkernel = "
+        + ", ".join(f"{k / 20!r}, {math.exp(-k / 10)!r}" for k in range(20)),
+    ),
     "colored-damping-gaussian": COLORED_CFG.replace("kind = exponential", "kind = gaussian"),
     "csl-discrete": BASES["discrete"],
     "gisin": "experiment = gisin\ntrajectories = 40\n[params]\ngamma = 1.0\n"
     "dt = 0.01\nsteps = 20\n",
     "mass-profile": BASES["mass"] + "n_particles = 100\nn_cells = 2\ntail_weight = 1e-8\n",
+    # cell 2 holds no particle: its ratio is blank
+    "mass-profile-product": BASES["mass"].replace("superposed", "product")
+    + "n_particles = 4\nn_cells = 3\n",
     # enough seeds that the unfuzzed config clears the 500 conditioning
     # samples; a fuzzed one may not (exit 4)
     "epr": "experiment = epr\nseed = 5\ntrajectories = 1200\n[params]\n"

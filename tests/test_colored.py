@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
+from collapsim.colored import CorrelationSpec, _toeplitz, colored_instantaneous_rate
 from collapsim.cooking import linear_exact_commuting
 from collapsim.noise import wiener_increment_block
 from collapsim.operators import ProjectorFamily
@@ -74,17 +74,29 @@ def test_one_row_block_is_its_row_of_a_larger_block(spec):
 def test_custom_kernel_psd_validation():
     dt = 0.1
     good = np.exp(-np.arange(20) * dt / 0.4) / (2 * 0.4)
-    CorrelationSpec.custom(good, dt)
+    CorrelationSpec("custom", samples=good, dt=dt)
     bad = np.array([1.0, 0.9, 0.0])  # lag-1 too strong for zero lag-2
     with pytest.raises(ValueError, match="positive semidefinite"):
-        CorrelationSpec.custom(bad, dt)
+        CorrelationSpec("custom", samples=bad, dt=dt)
+
+
+def test_custom_double_integral_is_the_gram_sum():
+    # the O(K) sum against the sum of the S x S Toeplitz matrix, S = 0..200,
+    # for a kernel of K = 40 samples (zero past the last)
+    dt = 0.05
+    samples = np.exp(-np.arange(40) * dt / 0.5)
+    spec = CorrelationSpec("custom", samples=samples, dt=dt)
+    gram = _toeplitz(np.append(samples, np.zeros(160)))
+    for steps in range(201):
+        expected = gram[:steps, :steps].sum() * dt**2
+        assert spec.double_integral(steps * dt) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_double_integral_closed_forms_vs_quadrature():
     for spec in (CorrelationSpec(kind, tau=0.7) for kind in ("gaussian", "exponential")):
         for t_span in (0.3, 1.1, 4.0):
             closed = spec.double_integral(t_span)
-            oracle = double_integral_by_quadrature(spec.kernel, t_span)
+            oracle = double_integral_by_quadrature(spec, t_span)
             assert closed == pytest.approx(oracle, rel=1e-8)
 
 
@@ -121,7 +133,8 @@ def test_damping_factor_diagonal_invariant():
 
 def test_damping_exponent_nonpositive_for_psd_kernels():
     # the exponent is -(gamma/2) sum (a - b)^2 f(t), so f(t) >= 0
-    custom = CorrelationSpec.custom(np.exp(-np.arange(40) * 0.05 / 0.4) / 0.8, 0.05)
+    samples = np.exp(-np.arange(40) * 0.05 / 0.4) / 0.8
+    custom = CorrelationSpec("custom", samples=samples, dt=0.05)
     for spec in (
         CorrelationSpec("gaussian", tau=0.3),
         CorrelationSpec("exponential", tau=1.2),

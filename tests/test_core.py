@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from collapsim import (
-    CollapseParams,
-    DegenerateStateError,
-    DensityMatrix,
-    FiniteState,
-    GridWavefunction,
-    ProjectorFamily,
-    density_from_ensemble,
-    normalize,
-)
+from collapsim import CollapseParams, GridWavefunction, ProjectorFamily, ensemble_density
 from collapsim.noise import trajectory_generator, wiener_increment_block
 from collapsim.schrodinger import (
     _kinetic_phase,
@@ -21,7 +12,7 @@ from collapsim.schrodinger import (
     split_step_evolve,
 )
 
-from oracles import free_gaussian_q_var, free_step_reference
+from oracles import free_gaussian_q_var, free_step_reference, require_density
 
 
 # --------------------------------------------------------------- params
@@ -43,36 +34,6 @@ def test_collapse_params_positive():
 # --------------------------------------------------------------- states
 
 
-def test_normalize_identity_on_normalized():
-    state = FiniteState(np.array([1.0, 0.0], dtype=complex))
-    out = normalize(state)
-    assert np.allclose(out.amplitudes, state.amplitudes)
-
-
-def test_normalize_scaling():
-    state = FiniteState(np.array([2.0, 0.0], dtype=complex))
-    out = normalize(state)
-    assert np.allclose(out.amplitudes, [1.0, 0.0])
-
-
-def test_normalize_grid_quadrature():
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=64) + 1j * rng.normal(size=64)
-    psi = GridWavefunction(amps, dx=0.31, x0=0.0, mass=1.0)
-    out = normalize(psi)
-    # independent quadrature of the squared modulus
-    norm_sq = float(np.sum(np.abs(out.amplitudes) ** 2) * 0.31)
-    assert norm_sq == pytest.approx(1.0, abs=1e-12)
-    # direction preserved
-    ratio = out.amplitudes / psi.amplitudes
-    assert np.allclose(ratio, ratio[0])
-
-
-def test_normalize_degenerate():
-    with pytest.raises(DegenerateStateError, match="degenerate state"):
-        normalize(FiniteState(np.zeros(3, dtype=complex)))
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridWavefunction(np.ones(12, dtype=complex), 0.1, 0.0, 1.0)  # not 2^k
@@ -81,44 +42,32 @@ def test_grid_validation():
 
 
 def test_density_pure_state_projector():
-    psi = FiniteState(np.array([0.6, 0.8j], dtype=complex))
-    rho = density_from_ensemble([(psi, 1.0)])
-    sq = rho.entries @ rho.entries
-    assert np.max(np.abs(sq - rho.entries)) < 1e-10
+    rho = ensemble_density(np.array([[0.6, 0.8j]]))
+    sq = rho @ rho
+    assert np.max(np.abs(sq - rho)) < 1e-10
 
 
 def test_density_equal_mixture_is_half_identity():
-    up = FiniteState(np.array([1.0, 0.0], dtype=complex))
-    down = FiniteState(np.array([0.0, 1.0], dtype=complex))
-    rho = density_from_ensemble([(up, 0.5), (down, 0.5)])
-    assert np.allclose(rho.entries, 0.5 * np.eye(2))
+    rho = ensemble_density(np.eye(2, dtype=complex), np.array([0.5, 0.5]))
+    assert np.allclose(rho, 0.5 * np.eye(2))
 
 
 def test_density_inequivalent_mixtures_same_operator():
     # {|H>, |T>} at 50/50 vs {(|H>+|T>)/sqrt2, (|H>-|T>)/sqrt2} at 50/50
-    here = FiniteState(np.array([1.0, 0.0], dtype=complex))
-    there = FiniteState(np.array([0.0, 1.0], dtype=complex))
-    plus = FiniteState(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
-    minus = FiniteState(np.array([1.0, -1.0], dtype=complex) / np.sqrt(2))
-    rho1 = density_from_ensemble([(here, 0.5), (there, 0.5)])
-    rho2 = density_from_ensemble([(plus, 0.5), (minus, 0.5)])
-    assert np.max(np.abs(rho1.entries - rho2.entries)) < 1e-12
-
-
-def test_density_validation_catches_bad_weights():
-    psi = FiniteState(np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(ValueError):
-        density_from_ensemble([(psi, 0.7)])
-    with pytest.raises(ValueError):
-        density_from_ensemble([])
+    rho1 = ensemble_density(np.eye(2, dtype=complex))
+    rho2 = ensemble_density(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2))
+    assert np.max(np.abs(rho1 - rho2)) < 1e-12
 
 
 def test_density_matrix_validate():
-    rho = DensityMatrix(np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex))
-    rho.validate()
-    bad = DensityMatrix(np.array([[0.5, 0.2], [0.1, 0.5]], dtype=complex))
-    with pytest.raises(ValueError):
-        bad.validate()
+    # the reference master equation's guard on its input and output
+    require_density(np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="Hermitian"):
+        require_density(np.array([[0.5, 0.2], [0.1, 0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="trace"):
+        require_density(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        require_density(np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex))
 
 
 # ------------------------------------------------------------ operators

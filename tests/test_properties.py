@@ -4,29 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsim import normalize
 from collapsim.cells import discrete_decay_log
 from collapsim.colored import CorrelationSpec
 from collapsim.diffusion import CslStepper, StepWorkspace
-from collapsim.states import FiniteState
 
 from oracles import diagonal_family
-
-finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
-
-
-@given(
-    st.lists(
-        st.tuples(finite_floats, finite_floats), min_size=2, max_size=8
-    ).filter(lambda v: sum(re * re + im * im for re, im in v) > 1e-6)
-)
-def test_normalize_preserves_direction(amps):
-    vec = np.array([complex(re, im) for re, im in amps])
-    out = normalize(FiniteState(vec))
-    assert abs(out.norm_sq() - 1.0) < 1e-12
-    # proportionality: the normalized state is a positive multiple
-    scale = np.linalg.norm(vec)
-    assert np.allclose(out.amplitudes * scale, vec, atol=1e-9 * scale)
 
 
 @given(st.integers(2, 6), st.integers(1, 3), st.randoms(use_true_random=False))
