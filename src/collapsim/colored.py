@@ -7,6 +7,9 @@ coupling families as the white theory.  In the exactly solvable regime
 follows from the kernel's time integrals alone: its exponent grows with
 the double integral, its rate with the single one.  Both integrals of a
 custom kernel are sums over its samples, O(K) for K samples at any T.
+The white stationary rate (gamma/2) sum_i (a_i - b_i)^2 is also the
+discrete cell model's: for a cell-occupation family the a_i are the
+occupation numbers.
 """
 
 from __future__ import annotations
@@ -71,6 +74,10 @@ class CorrelationSpec:
         (1 - exp(-T^2/2 tau^2)).  Exponential: T - tau (1 - exp(-T/tau)).
         Custom: the sum of the S x S Toeplitz matrix of the samples, S =
         round(T/dt), in O(K): dt^2 [S D_0 + 2 sum_{k=1}^{min(S,K)-1} (S-k) D_k].
+        Where S, dt^2 or the sum leaves the float range, the same sum is
+        taken as S dt (dt D_0) + 2 sum (S dt - k dt) (dt D_k), with S dt =
+        T past the largest float S: of the factors, dt D_k is O(1) for a
+        normalized kernel, and the others are times.
         """
         t_span = float(t_span)
         if t_span < 0:
@@ -88,8 +95,13 @@ class CorrelationSpec:
             return max(t_span + self.tau * np.expm1(-t_span / self.tau), 0.0)
         steps = np.rint(t_span / self.dt)
         k = np.arange(1, int(min(steps, self.samples.size)))
-        total = steps * self.samples[0] + 2.0 * (steps - k) @ self.samples[k]
-        return float(total) * self.dt**2
+        with np.errstate(over="ignore"):
+            total = steps * self.samples[0] + 2.0 * (steps - k) @ self.samples[k]
+        if np.isfinite(total) and self.dt**2 >= np.finfo(float).tiny:
+            return float(total) * self.dt**2
+        span = steps * self.dt if np.isfinite(steps) else t_span
+        weights = self.samples * self.dt
+        return float(span * weights[0] + 2.0 * ((span - k * self.dt) @ weights[k]))
 
     def single_integral(self, t_span: float) -> float:
         """int_0^T D(s) ds; approaches 1/2 for T >> tau (stationary limit)."""

@@ -76,7 +76,7 @@ def epr_nonlinear_experiment(
     gamma: float,
     t_end: float,
     master_seed: int,
-    steps: int = 400,
+    steps: int,
 ) -> NonlinearEprResult:
     """Conditional probability of left outcome -1 given the left-noise
     class that yields +1 on the bare singlet.

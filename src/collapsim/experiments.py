@@ -18,7 +18,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .cells import CellModel, discrete_decay_log
 from .colored import CorrelationSpec, colored_instantaneous_rate
 from .config import MANY, ExperimentConfig, Param, read_params
 from .diffusion import CslStepper, require_ensemble_fits, run_ensemble
@@ -343,11 +342,10 @@ def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
     "occupations_b": Param(int, bound=NONNEGATIVE, length=MANY),
 })
 def run_csl_discrete(p: dict, run: Settings) -> Iterator:
-    occ_a = np.asarray(p["occupations_a"], dtype=float)
-    occ_b = np.asarray(p["occupations_b"], dtype=float)
-    model = CellModel(np.stack([occ_a, occ_b]), p["lambda_eff"])
-    dt, steps, n_traj = p["dt"], p["steps"], run.trajectories
-    stepper = CslStepper(model.family, model.lambda_eff, dt, form="nonlinear")
+    # one channel per cell, its eigenvalue the cell's occupation number
+    family = ProjectorFamily.from_configurations(np.stack([p["occupations_a"], p["occupations_b"]]))
+    lam, dt, steps, n_traj = p["lambda_eff"], p["dt"], p["steps"], run.trajectories
+    stepper = CslStepper(family, lam, dt, form="nonlinear")
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     require_ensemble_fits(stepper, steps, n_traj)
     yield
@@ -358,7 +356,8 @@ def run_csl_discrete(p: dict, run: Settings) -> Iterator:
     offdiag = np.sqrt(np.maximum(z[..., 0] * z[..., 1], 0.0)).mean(axis=1)
     t_rec = res.history_steps * dt
     slope = np.polyfit(t_rec, np.log(offdiag), 1)[0]
-    expected = -discrete_decay_log(occ_a, occ_b, model.lambda_eff, 1.0)
+    # the white two-sector rate (lambda/2) sum_k (n_k - m_k)^2
+    expected = colored_instantaneous_rate(family, CorrelationSpec.white(), lam, 0, 1)
     yield {
         "fitted_rate": -float(slope),
         "formula_rate": expected,
@@ -515,7 +514,7 @@ def run_rates_report(p: dict, run: Settings) -> Iterator:
         "localization_decoherence_rate_per_cm2_s": localization_decoherence_rate(micro),
         "localization_table_reference_per_cm2_s": LOCALIZATION_TABLE_DELTA_REFERENCE,
         "diosi_rate_per_s": diosi_rate(1.0, 1.0, 1e-5),
-        "condenser_decay_rate_per_s": condenser_decay_rate(params=micro),
+        "condenser_decay_rate_per_s": condenser_decay_rate(micro),
     }
     yield
     yield record

@@ -2,8 +2,9 @@
 particle: the damped-kernel solution, moment corrections, characteristic
 times, off-diagonal lifetimes, rate amplification, and energy increase.
 
-Closed forms are in natural units (hbar defaults to 1); the CGS-facing
-calculators take hbar explicitly.
+The master kernel and the moment corrections are in natural units
+(hbar = 1); the characteristic times and the energy increase take hbar,
+which the CGS report sets.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import CollapseParams
-from .schrodinger import split_step_evolve
+from .schrodinger import _kinetic_phase, split_step_batch
 from .states import GridWavefunction
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -71,19 +72,22 @@ def evolve_free_master(
     kernel along the center coordinate, multiplied by the damping factor
     F(k, q'-q'', t), and transformed back.  Each wrapped diagonal of the
     kernel is a uniform center-coordinate grid, so the k-integral is an
-    FFT per diagonal and the time integral is closed-form.
+    FFT per diagonal and the time integral is closed-form.  The
+    Schroedinger kernel is that of the freely evolved state, one kinetic
+    phase in momentum space; GridLeakageError if that state reaches the
+    grid's edge, at t = 0 too.
     """
-    mass, dx, n, length = initial.mass, initial.dx, initial.n, initial.length
-    psi_t = split_step_evolve(initial, t)
-    kernel_sch = np.outer(psi_t.amplitudes, np.conj(psi_t.amplitudes))
-    if params.lambda_rate == 0.0:
-        return kernel_sch
+    mass, dx, n = initial.mass, initial.dx, initial.n
+    amps = initial.amplitudes
+    if t > 0:  # at t = 0 an FFT round trip would move the identity's bits
+        amps = split_step_batch(np.fft.fft(amps)[None], _kinetic_phase(initial, t))[0]
+    initial.with_amplitudes(amps).require_contained()
+    kernel_sch = np.outer(amps, np.conj(amps))
 
     cols = _diagonal_indices(n)
     diags = kernel_sch[np.arange(n)[:, None], cols]  # [c_index, offset]
-    u = dx * np.arange(n)
-    u = u - length * np.round(u / length)  # minimum-image separation
-    k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
+    u = initial.wrap_displacement(dx * np.arange(n))  # minimum-image separation
+    k = initial.wavenumbers
     f = damping_factor(k[:, None], u[None, :], t, params, mass)
     diags = np.fft.ifft(np.fft.fft(diags, axis=0) * f, axis=0)
     out = np.empty_like(kernel_sch)
@@ -97,7 +101,6 @@ def free_particle_moments(
     mass: float,
     t: float,
     sch_moments: dict[str, float],
-    hbar: float = 1.0,
 ) -> dict[str, float]:
     """Moments of the hitting master evolution from the Schroedinger ones.
 
@@ -105,7 +108,7 @@ def free_particle_moments(
     t^3/(6 m^2), t^2/(4 m), t/2 (position, symmetrized correlation,
     momentum respectively).
     """
-    al = params.alpha * params.lambda_rate * hbar**2
+    al = params.alpha * params.lambda_rate
     return {
         "q_mean": sch_moments["q_mean"],
         "p_mean": sch_moments["p_mean"],

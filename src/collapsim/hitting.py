@@ -31,18 +31,15 @@ def _gaussian_factor(psi: GridWavefunction, x, alpha: float) -> np.ndarray:
     return (alpha / np.pi) ** 0.25 * np.exp(-0.5 * alpha * u**2)
 
 
-def hitting_density(
-    psi: GridWavefunction, alpha: float, amplitudes: np.ndarray | None = None
-) -> np.ndarray:
-    """P(x_j) = ||L_{x_j} psi||^2 on the grid; integrates to 1.
+def hitting_density(psi: GridWavefunction, alpha: float, amplitudes: np.ndarray) -> np.ndarray:
+    """P(x_j) = ||L_{x_j} psi||^2 on the grid of ``psi``; integrates to 1.
 
-    ``amplitudes`` (default: those of ``psi``) may hold one state per
-    row on the grid of ``psi``; the density then has one row per state.
-    Computed as the circular convolution of |psi|^2 with the squared
-    localization kernel sqrt(alpha/pi) exp(-alpha u^2).
+    ``amplitudes`` holds one state, or one state per row; the density
+    then has one row per state.  Computed as the circular convolution of
+    |amplitudes|^2 with the squared localization kernel sqrt(alpha/pi)
+    exp(-alpha u^2).
     """
-    amps = psi.amplitudes if amplitudes is None else amplitudes
-    prob = np.abs(amps) ** 2 * psi.dx
+    prob = np.abs(amplitudes) ** 2 * psi.dx
     if np.any(np.abs(prob.sum(axis=-1) - 1.0) > 1e-8):
         raise ValueError("hitting density requires normalized states")
     kernel_hat = _squared_kernel_hat(psi.n, psi.dx, alpha)
@@ -93,7 +90,6 @@ class QmslEnsembleResult:
 
     amplitudes: np.ndarray        # (n_traj, N) final normalized amplitudes
     hit_counts: np.ndarray        # (n_traj,)
-    template: GridWavefunction
     # (hits, 4) rows (trajectory, time, center, ||L_x psi||^2), ordered by
     # trajectory, then time
     events: np.ndarray
@@ -228,4 +224,4 @@ def run_qmsl_ensemble(
             amps[r : r + tile_rows] = split_step_batch(chi[r : r + tile_rows], kin)
     log = np.concatenate(events)
     log = log[np.argsort(log[:, 0], kind="stable")]
-    return QmslEnsembleResult(final, hit_counts, psi0, log)
+    return QmslEnsembleResult(final, hit_counts, log)

@@ -1,5 +1,10 @@
 """Macroscopic-body reduction rates, momentum diffusion, and the
 mass-weighted condenser rate; closed forms in CGS.
+
+The condenser rate is the discrete cell model's rate (lambda/2) sum_k
+(n_k - m_k)^2 for one fixed scenario, weighted by the squared mass ratio
+of the displaced electrons; the cell model itself is a cell-occupation
+``ProjectorFamily`` and its rate ``colored.colored_instantaneous_rate``.
 """
 
 from __future__ import annotations
@@ -33,26 +38,18 @@ def momentum_diffusion(
     return 0.5 * gamma * delta * hbar**2
 
 
-def condenser_decay_rate(
-    n_electrons: float = 1e12,
-    plate_area_cm2: float = 1.0,
-    params: CollapseParams | None = None,
-    m_electron: float = ELECTRON_MASS_G,
-    m0: float = NUCLEON_MASS_G,
-) -> float:
-    """Decay rate of a charged/uncharged condenser superposition.
+def condenser_decay_rate(params: CollapseParams) -> float:
+    """Decay rate of a charged/uncharged condenser superposition: 1e12
+    electrons moved between plates of 1 cm^2.
 
     Geometry: each plate discretized into localization-width cells of area
     1/alpha; the displaced electrons spread uniformly, n per cell, and the
     mass-weighted discrete rate is lambda * K * n^2 * (m_e/m0)^2 summed
-    over both plates.
+    over both plates, m0 the nucleon mass.
     """
-    from .params import canonical_qmsl
-
-    params = params or canonical_qmsl()
     cell_area = 1.0 / params.alpha  # (1/sqrt(alpha))^2
-    k_cells = plate_area_cm2 / cell_area
-    n_per_cell = n_electrons / k_cells
+    k_cells = 1.0 / cell_area  # on a plate of 1 cm^2
+    n_per_cell = 1e12 / k_cells
     # (lambda/2) * sum over 2K cells of n^2, mass-weighted
     rate = params.lambda_rate * k_cells * n_per_cell**2
-    return rate * (m_electron / m0) ** 2
+    return rate * (ELECTRON_MASS_G / NUCLEON_MASS_G) ** 2

@@ -107,9 +107,7 @@ def mass_profile(state) -> MassProfile:
 ACCESSIBILITY_THRESHOLD = 1e-2
 
 
-def accessibility_ratio(
-    profile: MassProfile, threshold: float = ACCESSIBILITY_THRESHOLD
-) -> tuple[np.ndarray, np.ndarray]:
+def accessibility_ratio(profile: MassProfile) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell R_i = sqrt(V_i)/M_i and the accessibility predicate.
 
     Zero-mean cells get R = nan (undefined, never infinite) and count as
@@ -119,5 +117,5 @@ def accessibility_ratio(
     ratios = np.full_like(means, np.nan, dtype=float)
     occupied = means > 0
     ratios[occupied] = np.sqrt(profile.variances[occupied]) / means[occupied]
-    accessible = occupied & (ratios <= threshold)
+    accessible = occupied & (ratios <= ACCESSIBILITY_THRESHOLD)
     return ratios, accessible

@@ -67,9 +67,7 @@ def excitation_rate_qmsl(params: CollapseParams, kappa: float) -> float:
     return params.lambda_rate * one_minus_pnd
 
 
-def sphere_interaction_energy(
-    mass: float, radius: float, separation: float, g_newton: float = G_NEWTON_CGS
-) -> float:
+def sphere_interaction_energy(mass: float, radius: float, separation: float) -> float:
     """Newtonian interaction energy of two uniform spheres of equal mass
     and radius at center separation d (closed-form overlap integral).
 
@@ -80,22 +78,16 @@ def sphere_interaction_energy(
     if radius <= 0 or mass <= 0:
         raise ValueError("mass and radius must be positive")
     if separation >= 2.0 * radius:
-        return -g_newton * mass**2 / separation
+        return -G_NEWTON_CGS * mass**2 / separation
     xi = separation / radius
     bracket = 6.0 / 5.0 - 0.5 * xi**2 + (3.0 / 16.0) * xi**3 - xi**5 / 160.0
-    return -g_newton * mass**2 / radius * bracket
+    return -G_NEWTON_CGS * mass**2 / radius * bracket
 
 
-def diosi_rate(
-    mass: float,
-    radius: float,
-    separation: float,
-    hbar: float = HBAR_CGS,
-    g_newton: float = G_NEWTON_CGS,
-) -> float:
+def diosi_rate(mass: float, radius: float, separation: float) -> float:
     """Gravity-linked reduction rate Gamma(Delta) = [U(Delta) - U(0)]/hbar
     for a superposition of two center-of-mass positions of a homogeneous
     sphere; zero at zero separation."""
-    u0 = sphere_interaction_energy(mass, radius, 0.0, g_newton)
-    ud = sphere_interaction_energy(mass, radius, separation, g_newton)
-    return (ud - u0) / hbar
+    u0 = sphere_interaction_energy(mass, radius, 0.0)
+    ud = sphere_interaction_energy(mass, radius, separation)
+    return (ud - u0) / HBAR_CGS

@@ -45,23 +45,6 @@ def _phase(n: int, dx: float, mass: float, dt, out: np.ndarray | None = None) ->
     return out
 
 
-def split_step_evolve(psi: GridWavefunction, dt: float) -> GridWavefunction:
-    """Evolve a grid wavefunction freely over a time ``dt``.
-
-    Norm is preserved to machine precision (the propagator is a unitary
-    diagonal factor in momentum space).  Raises GridLeakageError on grid
-    leakage after the evolution.
-    """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0:
-        return psi
-    amps = np.fft.ifft(np.fft.fft(psi.amplitudes) * _kinetic_phase(psi, dt))
-    out = psi.with_amplitudes(amps)
-    out.require_contained()
-    return out
-
-
 def split_step_batch(spectra: np.ndarray, kin: np.ndarray) -> np.ndarray:
     """Free flight of a (n_traj, N) block of momentum-picture spectra
     fft(U(-t) psi(t)) to the lags of ``kin`` = ``_kinetic_phase(template,

@@ -34,6 +34,8 @@ experiment computes: the superoperator-exponential ensemble generator
 hitting run (criterion 4), the scattering master step (criterion 10),
 the cooked two-sector density of the integrated noise, and the
 smeared-profile quadratures behind the macroscopic closed forms.
+``discrete_decay_log`` writes the cell model's decay exponent out on its
+own, the formula the white two-sector rate of a cell family is held to.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from collapsim.hitting import (
 from collapsim.noise import trajectory_generator, wiener_increment_block
 from collapsim.operators import ProjectorFamily
 from collapsim.schrodinger import _kinetic_phase
-from collapsim.states import DEFAULT_LEAK_TOL
+from collapsim.states import DEFAULT_LEAK_TOL, GridWavefunction
 
 
 def diagonal_family(channel_values) -> ProjectorFamily:
@@ -69,6 +71,14 @@ def diagonal_family(channel_values) -> ProjectorFamily:
         order.setdefault(col, []).append(j)
     sectors = tuple(np.array(v) for v in order.values())
     return ProjectorFamily(np.array(list(order), dtype=float), sectors)
+
+
+def discrete_decay_log(n, m, lambda_eff: float, t: float) -> float:
+    """Log of the off-diagonal damping factor between two cell
+    configurations, -(lambda/2) sum_k (n_k - m_k)^2 t: in log space, so
+    astronomically large occupations stay finite."""
+    diff = np.asarray(n, dtype=float) - np.asarray(m, dtype=float)
+    return -0.5 * lambda_eff * float(diff @ diff) * t
 
 
 def free_gaussian_q_var(t: float, sigma0: float, mass: float, hbar: float = 1.0):
@@ -420,14 +430,14 @@ def lindblad_evolve(
     return require_density(rho, herm_tol=1e-9, trace_tol=1e-9)
 
 
-def ensemble_moments(result: QmslEnsembleResult) -> dict[str, float]:
-    """Ensemble-level position/momentum moments Tr[rho q^k], Tr[rho p^k].
+def ensemble_moments(result: QmslEnsembleResult, psi: GridWavefunction) -> dict[str, float]:
+    """Ensemble-level position/momentum moments Tr[rho q^k], Tr[rho p^k]
+    of a hitting run from ``psi``.
 
     These are the master-equation moments: the ensemble average of the
     per-trajectory expectations, with variances taken across the pooled
     distribution.
     """
-    psi = result.template
     amps = result.amplitudes
     x = psi.positions
     prob_x = np.abs(amps) ** 2 * psi.dx

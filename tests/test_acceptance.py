@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from collapsim import CollapseParams, ensemble_density
-from collapsim.cells import discrete_decay_log
 from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
 from collapsim.diffusion import CslStepper, run_ensemble
 from collapsim.epr import epr_linear_experiment, epr_nonlinear_experiment
@@ -37,6 +36,7 @@ from collapsim.units import ERG_PER_EV, HBAR_CGS
 
 from oracles import (
     diagonal_family,
+    discrete_decay_log,
     double_integral_by_quadrature,
     ensemble_moments,
     free_gaussian_q_var,
@@ -138,7 +138,7 @@ def test_criterion_04_free_particle_spreads():
         mass, sigma, t = 8.0, 0.8, 1.6
         psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
         res = run_qmsl_ensemble(psi, params, t, 4000, 31, 0.02)
-        mc = ensemble_moments(res)
+        mc = ensemble_moments(res, psi)
         sch = {
             "q_mean": 0.0,
             "p_mean": 0.0,

@@ -99,6 +99,15 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))  # no partial outputs
 
 
+def test_cli_master_initial_state_at_the_grid_edge_exit_3(tmp_path, capsys):
+    # a packet of width 1.5 on the [-3.2, 3.2) ring wraps already at t = 0
+    text = BASES["master"].replace("sigma = 0.5", "sigma = 1.5")
+    path = _write(tmp_path, text.replace("times = 0.0, 1.0", "times = 0.0"))
+    assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "numerical-stability abort: boundary amplitude" in capsys.readouterr().err
+    assert not list(tmp_path.glob("master.*"))
+
+
 def test_cli_missing_file_exit_2(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
@@ -285,6 +294,20 @@ def test_colored_damping_custom_kernel_at_long_times(tmp_path):
         assert double_integral == pytest.approx(closed * 0.05**2, rel=1e-12)
 
 
+def test_colored_damping_custom_kernel_at_a_tiny_lag_spacing(tmp_path):
+    # T/dt reaches 1e310 and dt^2 = 1e-600: past the float range both, where
+    # f(T) = dt^2 [S D_0 + 2 (S - 1) D_1] = dt T (D_0 + 2 D_1) to rounding
+    cfg = COLORED_CFG.replace(
+        "kind = exponential\ntau = 0.5", "kind = custom\nkernel = 0, 1.0, 1e-300, 0.5"
+    ).replace("times = 0.5, 1.0, 2.0", "times = 0.5, 1e10")
+    path = _write(tmp_path, cfg)
+    assert main(["--config", path, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "damp.csv").read_text().splitlines()[3:]
+    for line, t in zip(lines, (0.5, 1e10), strict=True):
+        double_integral = float(line.split(",")[4])
+        assert double_integral == pytest.approx(1e-300 * t * (1.0 + 2 * 0.5), rel=1e-12)
+
+
 def test_colored_damping_oversized_kernel_exit_2(tmp_path, capsys, monkeypatch):
     # the PSD check's K x K Toeplitz matrix against a machine of one 4 KiB page
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
@@ -362,6 +385,7 @@ BASES = {
         ("hitting", "dt = 0.02", "dt = 0.03"),
         ("mass", "scenario = superposed", "scenario = superposed\nn_cells = 0"),
         ("discrete", "occupations_b = 0, 3", "occupations_b = 0, 3, 1"),
+        ("discrete", "occupations_a = 3, 0", "occupations_a = 1.5, 0"),
         ("discrete", "steps = 40", "steps = 1"),
         ("epr", "t_end = 2.0", "t_end = 2.0\nsteps = 0"),
         ("epr", "t_end = 2.0", "t_end = 2.0\nsteps = 1e15"),
@@ -377,7 +401,8 @@ BASES = {
         "seed-negative", "seed-past-u64", "dt-nan", "tau-zero", "kind-unknown",
         "kernel-missing", "kernel-odd-count", "kernel-lags-not-uniform", "kernel-inf",
         "kernel-not-psd", "grid-not-power-of-two", "t_end-not-whole-steps",
-        "no-cells", "occupation-lengths-differ", "discrete-one-record-point", "epr-no-steps",
+        "no-cells", "occupation-lengths-differ", "occupation-not-integer",
+        "discrete-one-record-point", "epr-no-steps",
         "epr-steps-past-memory", "steps-past-memory", "mass-overflows",
         "equivalence-window-past-memory", "mass-divides-by-zero", "sigma-divides-by-zero",
         "density-overflows",
@@ -511,10 +536,21 @@ SMALL = {
         + ", ".join(f"{k / 20!r}, {math.exp(-k / 10)!r}" for k in range(20)),
     ),
     "colored-damping-gaussian": COLORED_CFG.replace("kind = exponential", "kind = gaussian"),
+    # a table written as JSON
+    "colored-damping-json": COLORED_CFG.replace("output = damp", "output = damp\nformat = json"),
     "csl-discrete": BASES["discrete"],
+    # nine cells, the first empty in both configurations: the stepper's sums
+    # over nine channels go pairwise, and one channel is zero on every state
+    "csl-discrete-nine-cells": BASES["discrete"]
+    .replace("lambda_eff = 0.01", "lambda_eff = 0.2")
+    .replace("occupations_a = 3, 0", "occupations_a = 0, 2, 1, 0, 1, 2, 0, 1, 1")
+    .replace("occupations_b = 0, 3", "occupations_b = 0, 1, 2, 1, 0, 0, 2, 1, 0"),
     "gisin": "experiment = gisin\ntrajectories = 40\n[params]\ngamma = 1.0\n"
     "dt = 0.01\nsteps = 20\n",
     "mass-profile": BASES["mass"] + "n_particles = 100\nn_cells = 2\ntail_weight = 1e-8\n",
+    "mass-profile-tails": BASES["mass"].replace("superposed", "tails")
+    + "n_particles = 100\nn_cells = 2\ntail_weight = 1e-8\n",
+    "mass-profile-micro": BASES["mass"].replace("superposed", "micro") + "n_cells = 2\n",
     # cell 2 holds no particle: its ratio is blank
     "mass-profile-product": BASES["mass"].replace("superposed", "product")
     + "n_particles = 4\nn_cells = 3\n",

@@ -5,12 +5,7 @@ import pytest
 
 from collapsim import CollapseParams, GridWavefunction, ProjectorFamily, ensemble_density
 from collapsim.noise import trajectory_generator, wiener_increment_block
-from collapsim.schrodinger import (
-    _kinetic_phase,
-    gaussian_packet,
-    split_step_batch,
-    split_step_evolve,
-)
+from collapsim.schrodinger import _kinetic_phase, gaussian_packet, split_step_batch
 
 from oracles import free_gaussian_q_var, free_step_reference, require_density
 
@@ -148,7 +143,7 @@ def test_split_step_free_gaussian_spreading():
     mass, sigma = 2.0, 0.7
     psi = gaussian_packet(n=256, dx=0.125, x0=-16.0, mass=mass, center=0.0, sigma=sigma)
     t = 1.5
-    out = split_step_evolve(psi, t)
+    out = psi.with_amplitudes(free_step_reference(psi.amplitudes[None], psi, t)[0])
     x = out.positions
     prob = np.abs(out.amplitudes) ** 2 * out.dx
     q_var = float(prob @ x**2 - (prob @ x) ** 2)
@@ -157,20 +152,24 @@ def test_split_step_free_gaussian_spreading():
 
 
 def test_split_step_dt_zero_identity():
+    # the kinetic phase of lag 0 is exactly 1, so a spectrum's free flight
+    # by 0 is its inverse FFT
     psi = gaussian_packet(64, 0.25, -8.0, 1.0, 0.0, 0.8)
-    out = split_step_evolve(psi, 0.0)
-    assert np.array_equal(out.amplitudes, psi.amplitudes)
+    assert np.array_equal(_kinetic_phase(psi, 0.0), np.ones(psi.n))
+    spectrum = np.fft.fft(psi.amplitudes)[None]
+    assert np.array_equal(split_step_batch(spectrum, _kinetic_phase(psi, 0.0)), np.fft.ifft(spectrum))
+    assert np.max(np.abs(np.fft.ifft(spectrum)[0] - psi.amplitudes)) < 1e-15
 
 
 def test_split_step_norm_conservation_long_run():
     # 1000 free steps, one FFT round trip each, against one step over 1000 dt
     psi = gaussian_packet(256, 0.0625, -8.0, 1.5, 0.0, 0.53)
-    out = psi
+    rows = psi.amplitudes[None]
     for _ in range(1000):
-        out = split_step_evolve(out, 0.001)
-    assert abs(out.norm_sq() - 1.0) < 1e-10
-    once = split_step_evolve(psi, 1000 * 0.001)
-    assert np.max(np.abs(out.amplitudes - once.amplitudes)) < 1e-10
+        rows = free_step_reference(rows, psi, 0.001)
+    assert abs(psi.with_amplitudes(rows[0]).norm_sq() - 1.0) < 1e-10
+    once = split_step_batch(np.fft.fft(psi.amplitudes)[None], _kinetic_phase(psi, 1000 * 0.001))
+    assert np.max(np.abs(rows - once)) < 1e-10
 
 
 def test_kinetic_phase_cache_is_bit_identical_and_read_only():

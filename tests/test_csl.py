@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from collapsim import StabilityError, ensemble_density
-from collapsim.cells import CellModel, discrete_decay_log
 from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
 from collapsim.cooking import linear_exact_commuting, systematic_resample
 from collapsim.diffusion import CslStepper, StepWorkspace, require_ensemble_fits, run_ensemble
@@ -22,10 +21,12 @@ from collapsim.noise import (
     wiener_increment_block,
 )
 from collapsim.operators import ProjectorFamily
+from collapsim.params import canonical_qmsl
 from collapsim.units import ELECTRON_MASS_G, HBAR_CGS, NUCLEON_MASS_G
 
 from oracles import (
     diagonal_family,
+    discrete_decay_log,
     hermitian_phase_noise_reference,
     lindblad_by_ode,
     lindblad_evolve,
@@ -58,11 +59,11 @@ EXACT_FAMILIES = {
     "diagonal-3-sectors-2-channels": diagonal_family(
         np.array([[1.0, -1.0, 0.0, 0.0], [0.5, 0.5, -2.0, -2.0]])
     ),
-    "cells": CellModel(np.array([[2, 0, 1], [1, 2, 0], [0, 1, 2]]), 0.7).family,
+    "cells": ProjectorFamily.from_configurations([[2, 0, 1], [1, 2, 0], [0, 1, 2]]),
     # nine channels: sums over channels take numpy's pairwise order
-    "cells-9": CellModel(
-        np.array([[2, 0, 1, 0, 1, 2, 0, 1, 1], [0, 1, 2, 1, 0, 0, 2, 1, 0]]), 0.7
-    ).family,
+    "cells-9": ProjectorFamily.from_configurations(
+        [[2, 0, 1, 0, 1, 2, 0, 1, 1], [0, 1, 2, 1, 0, 0, 2, 1, 0]]
+    ),
     # nine basis states: so do the sums over basis columns
     "diagonal-9-states": diagonal_family(
         np.array([[1.0, -1.0, 0.5, 0.0, 2.0, -2.0, 1.0, 0.5, -0.5],
@@ -74,9 +75,9 @@ EXACT_FAMILIES = {
         np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0]])
     ),
     # cell 0 empty in both configurations, and nine channels
-    "cells-9-empty-cell": CellModel(
-        np.array([[0, 2, 1, 0, 1, 2, 0, 1, 1], [0, 1, 2, 1, 0, 0, 2, 1, 0]]), 0.7
-    ).family,
+    "cells-9-empty-cell": ProjectorFamily.from_configurations(
+        [[0, 2, 1, 0, 1, 2, 0, 1, 1], [0, 1, 2, 1, 0, 0, 2, 1, 0]]
+    ),
 }
 
 
@@ -214,7 +215,7 @@ def test_step_batch_within_rounding_of_reference_for_inexact_products():
     # With entries such as 0.3 or an occupation of 3, a product rounds.
     # The reference's matrix products (BLAS) fuse each multiply-add and
     # round once, the column sums round each product: a few ulps apart.
-    family = CellModel(np.array([[3, 0, 1], [1, 3, 0], [0, 1, 3]]), 0.7).family
+    family = ProjectorFamily.from_configurations([[3, 0, 1], [1, 3, 0], [0, 1, 3]])
     for states, ref_states in _steps_against_reference(family, True, False, seed=5):
         assert np.max(np.abs(states - ref_states)) <= 2e-15
 
@@ -1040,20 +1041,6 @@ def test_lindblad_matches_rk_oracle_and_conserves():
     assert np.linalg.eigvalsh(rho_t)[0] > -1e-8
 
 
-def test_lindblad_equals_cooked_trajectory_average():
-    # d = 3, H != 0: ensemble of nonlinear trajectories vs the generator
-    psi0 = np.array([0.6, 0.64, 0.48], dtype=complex)
-    psi0 /= np.linalg.norm(psi0)
-    h = np.array([[0.0, 0.4, 0.0], [0.4, 0.0, 0.4], [0.0, 0.4, 0.0]], dtype=complex)
-    fam = diagonal_family(np.array([[1.0, 0.0, -1.0]]))
-    gamma, dt, steps = 0.5, 0.005, 400
-    stepper = CslStepper(fam, gamma, dt, form="nonlinear")
-    res = run_ensemble(psi0, stepper, steps, 10_000, 2222, h_matrix=h)
-    rho_t = lindblad_evolve(np.outer(psi0, psi0.conj()), h, fam, gamma, dt * steps)
-    err = np.linalg.norm(ensemble_density(res.final_states) - rho_t)
-    assert err < 0.05
-
-
 def test_lindblad_purity_decay():
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     rho0 = np.outer(psi0, psi0.conj())
@@ -1095,11 +1082,17 @@ def test_hermitian_phase_noise_dephases_without_reduction():
 
 
 def test_discrete_decay_identity_and_scaling():
-    n = np.array([3, 1, 0])
+    # a cell family's white two-sector rate is (lambda/2) sum_k (n_k - m_k)^2
+    n, m = np.array([3, 1, 0]), np.array([0, 1, 3])
+    family = ProjectorFamily.from_configurations(np.stack([n, m]))
+    rate = colored_instantaneous_rate(family, WHITE, 0.5, 0, 1)
+    assert rate == pytest.approx(0.5 * 0.5 * 18)
+    assert -rate * 2.0 == discrete_decay_log(n, m, 0.5, 2.0)
+    assert colored_instantaneous_rate(family, WHITE, 0.5, 1, 0) == rate
+    # equal configurations do not decay, and are one sector, not two
     assert discrete_decay_log(n, n, 0.5, 2.0) == 0.0
-    m = np.array([0, 1, 3])
-    log_factor = discrete_decay_log(n, m, 0.5, 2.0)
-    assert log_factor == pytest.approx(-0.5 * 0.5 * 18 * 2.0)
+    with pytest.raises(ValueError):
+        ProjectorFamily.from_configurations(np.stack([n, n]))
 
 
 def test_discrete_decay_log_space_macro():
@@ -1107,33 +1100,11 @@ def test_discrete_decay_log_space_macro():
     # representable double, handled purely in log space
     n = np.full(4, 1e9)
     m = np.zeros(4)
-    log_factor = discrete_decay_log(n, m, 1.0, 1e-2)
+    family = ProjectorFamily.from_configurations(np.stack([n, m]))
+    log_factor = -colored_instantaneous_rate(family, WHITE, 1.0, 0, 1) * 1e-2
     assert log_factor == pytest.approx(-0.5 * 4e18 * 1e-2)
+    assert log_factor == discrete_decay_log(n, m, 1.0, 1e-2)
     assert np.exp(log_factor) == 0.0  # the factor itself underflows
-
-
-def test_cell_model_monte_carlo_decay_rate():
-    occ = np.array([[6.0, 0.0, 2.0], [0.0, 5.0, 2.0]])
-    lam = 0.02
-    model = CellModel(occ, lam)
-    dt, steps = 0.004, 250
-    stepper = CslStepper(model.family, lam, dt, form="nonlinear")
-    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    res = run_ensemble(psi0, stepper, steps, 10_000, 414, record_every=50)
-    offdiag = np.sqrt(
-        np.maximum(res.z_history[..., 0] * res.z_history[..., 1], 0.0)
-    ).mean(axis=1)
-    t_rec = res.history_steps * dt
-    fitted = -np.polyfit(t_rec, np.log(offdiag), 1)[0]
-    expected = -discrete_decay_log(occ[0], occ[1], lam, 1.0)
-    assert fitted == pytest.approx(expected, rel=0.05)
-
-
-def test_cell_model_validation():
-    with pytest.raises(ValueError):
-        CellModel(np.array([[1.5, 0.0], [0.0, 1.0]]), 0.1)  # non-integer
-    with pytest.raises(Exception):
-        discrete_decay_log(np.array([1, 2]), np.array([1]), 0.1, 1.0)
 
 
 # ------------------------------------------------------------- macro rates
@@ -1170,10 +1141,12 @@ def test_momentum_diffusion_canonical_and_quadrature():
 
 
 def test_condenser_scenario_order():
-    rate = condenser_decay_rate()
+    params = canonical_qmsl()
+    rate = condenser_decay_rate(params)
     assert abs(np.log10(rate) - np.log10(1e-8)) < 1.0
-    # electrons suppress the nucleon-mass rate by (m_e/m0)^2 ~ 2.97e-7
-    unweighted = condenser_decay_rate(m_electron=NUCLEON_MASS_G)
+    # electrons suppress the nucleon-mass rate, lambda n^2 / K of 1e12
+    # nucleons on K = alpha cells of a 1 cm^2 plate, by (m_e/m0)^2 ~ 2.97e-7
+    unweighted = params.lambda_rate * 1e24 / params.alpha
     assert rate / unweighted == pytest.approx((ELECTRON_MASS_G / NUCLEON_MASS_G) ** 2, rel=1e-12)
     assert rate / unweighted == pytest.approx(2.97e-7, rel=0.01)
 

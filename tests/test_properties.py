@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsim.cells import discrete_decay_log
-from collapsim.colored import CorrelationSpec
+from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
 from collapsim.diffusion import CslStepper, StepWorkspace
+from collapsim.operators import ProjectorFamily
 
-from oracles import diagonal_family
+from oracles import diagonal_family, discrete_decay_log
 
 
 @given(st.integers(2, 6), st.integers(1, 3), st.randoms(use_true_random=False))
@@ -43,6 +43,10 @@ def test_discrete_decay_factor_in_unit_interval(n, m, lam, t):
     assert log_factor <= 0.0
     if np.array_equal(n_arr, m_arr):
         assert log_factor == 0.0
+        return
+    # the two-sector white rate of the cell family is the same formula, bit for bit
+    family = ProjectorFamily.from_configurations(np.stack([n_arr, m_arr]))
+    assert -colored_instantaneous_rate(family, CorrelationSpec.white(), lam, 0, 1) * t == log_factor
 
 
 @given(

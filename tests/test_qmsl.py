@@ -26,7 +26,7 @@ from collapsim.hitting import (
     sample_hit_center,
 )
 from collapsim.noise import TILE_BYTES, trajectory_generator
-from collapsim.schrodinger import gaussian_packet, split_step_evolve, two_packet_state
+from collapsim.schrodinger import gaussian_packet, two_packet_state
 from collapsim.states import DEFAULT_LEAK_TOL, ensemble_density
 from collapsim.units import ERG_PER_EV, HBAR_CGS
 
@@ -35,6 +35,7 @@ from oracles import (
     ensemble_moments,
     erf_beta_by_quadrature,
     free_gaussian_q_var,
+    free_step_reference,
     hit_center_reference,
     master_kernel_by_ode,
     qmsl_exact_time_lockstep,
@@ -111,7 +112,7 @@ def test_hit_far_from_packets_changes_nothing_but_is_unlikely():
 
 def test_hitting_density_normalized_and_split():
     psi = _two_packets()
-    dens = hitting_density(psi, 1.0)
+    dens = hitting_density(psi, 1.0, psi.amplitudes)
     assert abs(float(dens.sum() * psi.dx) - 1.0) < 1e-8
     x = psi.positions
     left = float(dens[x < 0].sum() * psi.dx)
@@ -122,7 +123,7 @@ def test_hitting_density_pointlike_packet_convolution():
     # near-point packet: density ~ Gaussian of combined width
     alpha, sigma = 1.0, 0.25
     psi = gaussian_packet(128, 0.125, -8.0, 10.0, 0.7, sigma)
-    dens = hitting_density(psi, alpha)
+    dens = hitting_density(psi, alpha, psi.amplitudes)
     x = psi.positions
     mean = float(dens @ x * psi.dx)
     var = float(dens @ x**2 * psi.dx) - mean**2
@@ -136,20 +137,20 @@ def test_hitting_density_uniform_on_ring():
     psi = _normalized(
         two_packet_state(64, 0.25, -8.0, 1.0, (-3, 3), 0.45).with_amplitudes(amps)
     )
-    dens = hitting_density(psi, 1.0)
+    dens = hitting_density(psi, 1.0, psi.amplitudes)
     assert np.max(np.abs(dens - dens[0])) < 1e-10
 
 
 def test_hitting_density_requires_normalized():
     psi = _two_packets()
     with pytest.raises(ValueError, match="normalized"):
-        hitting_density(psi.with_amplitudes(2.0 * psi.amplitudes), 1.0)
+        hitting_density(psi, 1.0, 2.0 * psi.amplitudes)
 
 
 def test_hit_sampling_preserves_density_in_expectation():
     # diagonal preservation: E[post-hit density] = density (Eq. consequence)
     psi = _two_packets()
-    dens = hitting_density(psi, 1.0)
+    dens = hitting_density(psi, 1.0, psi.amplitudes)
     nrep = 20000
     u = trajectory_generator(123).uniform(size=nrep)
     acc = np.zeros(psi.n)
@@ -174,7 +175,7 @@ def test_post_hit_states_weighted_by_the_hit_density_give_the_localized_density(
     alpha = 1.7
     hit = _gaussian_factor(psi, psi.positions, alpha) * psi.amplitudes  # row j: L_{x_j} psi
     post = hit / np.sqrt(np.sum(np.abs(hit) ** 2, axis=1) * psi.dx)[:, None]
-    mixture = (post.T * hitting_density(psi, alpha) * psi.dx) @ post.conj()
+    mixture = (post.T * hitting_density(psi, alpha, psi.amplitudes) * psi.dx) @ post.conj()
     localized = hit.T @ hit.conj() * psi.dx
     assert np.max(np.abs(mixture - localized)) <= 1e-13 * np.max(np.abs(localized))
 
@@ -231,8 +232,8 @@ def test_trajectory_zero_rate_is_pure_schrodinger():
     res = run_qmsl_ensemble(psi, lam0, 1.0, 1, 42, 0.05)
     assert res.events.shape == (0, 4)
 
-    ref = split_step_evolve(psi, 1.0)
-    assert np.max(np.abs(res.amplitudes[0] - ref.amplitudes)) < 1e-10
+    ref = free_step_reference(psi.amplitudes[None], psi, 1.0)
+    assert np.max(np.abs(res.amplitudes - ref)) < 1e-10
 
 
 def test_trajectory_hit_count_poisson():
@@ -419,8 +420,8 @@ def test_master_zero_rate_matches_schrodinger():
     lam0 = CollapseParams(1e-300, 4.0, 1.0, dimension=1)
     rho = evolve_free_master(psi, lam0, 0.8)
 
-    ref = split_step_evolve(psi, 0.8)
-    ref_kernel = np.outer(ref.amplitudes, ref.amplitudes.conj())
+    ref = free_step_reference(psi.amplitudes[None], psi, 0.8)[0]
+    ref_kernel = np.outer(ref, ref.conj())
     assert np.max(np.abs(rho - ref_kernel)) < 1e-8
 
 
@@ -441,9 +442,9 @@ def test_master_short_time_diagonal_matches_schrodinger():
     t = 0.1
     rho = evolve_free_master(psi, params, t)
 
-    ref = split_step_evolve(psi, t)
+    ref = free_step_reference(psi.amplitudes[None], psi, t)[0]
     diag = np.diag(rho).real
-    ref_diag = np.abs(ref.amplitudes) ** 2
+    ref_diag = np.abs(ref) ** 2
     assert np.max(np.abs(diag - ref_diag)) < 2e-3 * ref_diag.max()
 
 
@@ -530,7 +531,7 @@ def test_moments_monte_carlo_match():
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
     res = run_qmsl_ensemble(psi, params, t, 4000, 31, 0.02)
-    mc = ensemble_moments(res)
+    mc = ensemble_moments(res, psi)
     sch = {
         "q_mean": 0.0,
         "p_mean": 0.0,
@@ -608,7 +609,7 @@ def test_energy_increase_monte_carlo():
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
     res = run_qmsl_ensemble(psi, params, t, 4000, 17, 0.02)
-    mc = ensemble_moments(res)
+    mc = ensemble_moments(res, psi)
     e0 = (1.0 / (4 * sigma**2)) / (2 * mass)
     e_t = mc["p_var"] / (2 * mass) + mc["p_mean"] ** 2 / (2 * mass)
     measured_rate = (e_t - e0) / t
