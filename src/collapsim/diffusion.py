@@ -278,13 +278,14 @@ def _combine(cols: list, coeffs: list):
 class EnsembleResult:
     """Trajectory ensemble summary.
 
-    ``outcomes[k]`` is the sector a trajectory collapsed onto (z >= 1-1e-6)
-    or -1 if still undecided; ``collapse_steps`` likewise (-1 = never).
-    The physical-ensemble density is ``states.ensemble_density`` of the
-    final states, weighted by exp(log_weights) for the linear form.  A
-    row that ``run_ensemble(until_decided=True)`` retired holds its state
-    at retirement, whose argmax the full run would change with probability
-    at most 2 * RETIRE_TOL.
+    ``outcomes[k]`` is the sector trajectory k collapsed onto (z >= 1-1e-6)
+    or -1 if still undecided; ``collapse_steps`` likewise (-1 = never),
+    counted from the trajectory's own start.  The physical-ensemble density
+    is ``states.ensemble_density`` of the final states, weighted by
+    exp(log_weights) for the linear form.  A row that
+    ``run_ensemble(until_decided=True)`` retired holds its state at
+    retirement, whose argmax the full run would change with probability at
+    most 2 * RETIRE_TOL.
     """
 
     final_states: np.ndarray
@@ -296,14 +297,17 @@ class EnsembleResult:
 
 
 CHUNK = 4096
-"""Trajectories per chunk of live noise streams in ``run_ensemble`` when it
-does not resample; a trajectory's bits do not depend on it, but for a lone
-linear row with many channels, whose ``x @ table`` may take another BLAS kernel."""
+"""Slots in ``run_ensemble``'s pool of live noise streams when it does not
+resample (a slot whose row retired or took its last step takes the next
+trajectory at the next window boundary), and ``epr``'s seeds per chunk.
+A trajectory's bits do not depend on it, but for a lone linear row with
+many channels, whose ``x @ table`` may take another BLAS kernel."""
 
-WINDOW_BYTES = 1 << 24
+WINDOW_BYTES = 1 << 23
 """Size of the buffer into which ``run_ensemble``, when it does not resample,
-reads a chunk's noise, whole 16-step check intervals at a time (512 steps of
-4096 one-channel rows), so no check point or linear segment moves."""
+reads its pool's noise, whole 16-step check intervals at a time (256 steps
+of 4096 one-channel rows), so no check point or linear segment moves.  A
+row that retires mid-window leaves the rest of its window's normals unread."""
 
 
 def _plain_window(rows: int, channels: int, steps: int) -> int:
@@ -324,7 +328,7 @@ def require_ensemble_fits(
     stepper, steps: int, n_traj: int, resample_every: int | None = None
 ) -> None:
     """Raise ValueError when ``steps`` reach 2^63 (collapse steps are int64)
-    or when ``run_ensemble``'s final states and noise window (one chunk's and
+    or when ``run_ensemble``'s final states and noise window (the pool's and
     its live streams, or every trajectory's when resampling) would not fit."""
     steppers = _shared_noise(stepper)
     if not steps < 2**63:
@@ -353,21 +357,18 @@ def _sector_rows(family: ProjectorFamily, cols: np.ndarray) -> np.ndarray:
     return np.array([sum(_abs2(cols[j]) for j in idx) for idx in family.sectors])
 
 
-def _check_finite(z: np.ndarray, logw: np.ndarray, step: int) -> None:
-    """Raise StabilityError when an amplitude (seen through the sector
-    weights of its normalized row) or a log-weight is NaN or infinite."""
-    if not (np.isfinite(z).all() and np.isfinite(logw).all()):
-        raise StabilityError(f"amplitudes or log-weights not finite at step {step}")
-
-
 class _Ensemble:
-    """One stepper's trajectories in ``run_ensemble``: the chunk in flight
-    (states, log-weights, collapse steps) and the result it fills."""
+    """One stepper's trajectories in ``run_ensemble``: the rows in the pool's
+    slots (states, log-weights, collapse steps, trajectory indices, the pool
+    step each joined at and its column in the window's block) and the
+    result each fills as it leaves."""
 
     def __init__(self, stepper: CslStepper, psi0: np.ndarray, steps: int,
                  n_traj: int, record_every: int | None, h_matrix, until_decided: bool) -> None:
-        self.stepper, self.psi0, self.every = stepper, psi0, record_every
+        self.stepper, self.psi0, self.steps, self.every = stepper, psi0, steps, record_every
         self.h_matrix, self.ws, self.until_decided = h_matrix, None, until_decided
+        self.psis, self.lw = np.tile(psi0, (0, 1)), np.zeros(0)
+        self.done = self.traj = self.join = self.cols = np.zeros(0, dtype=int)
         n_rec, dim = (steps // record_every if record_every else 0), psi0.shape[0]
         self.res = EnsembleResult(
             np.empty((n_traj, dim), dtype=complex),
@@ -378,61 +379,84 @@ class _Ensemble:
             np.arange(1, n_rec + 1) * record_every if record_every else None,
         )
 
-    def start(self, m: int) -> None:
-        self.psis, self.lw = np.tile(self.psi0, (m, 1)), np.zeros(m)
-        self.done = np.full(m, -1, dtype=int)
-        # the chunk rows still stepping, and their columns in the window's block
-        self.live, self.cols = np.arange(m), np.arange(m)
+    def refill(self, traj: np.ndarray, k: int) -> None:
+        """Start trajectories ``traj`` from psi0 at pool step k in the slots
+        after the live rows (the first call fills every slot)."""
+        if not len(traj):
+            return
+        m, new = len(traj), np.tile(self.psi0, (len(traj), 1))
+        self.psis = np.concatenate([self.psis, new])
         if self.stepper.form != "linear":
-            if self.ws is None or self.ws.n != m:
-                self.ws = StepWorkspace(self.stepper, self.psis, self.h_matrix)
-            self.ws.front(m)
+            self.ws = self.ws or StepWorkspace(self.stepper, new, self.h_matrix)
+            self.psis = self.ws.keep(self.psis, slice(None))
+        self.lw, self.done, self.traj, self.join = (np.concatenate(pair) for pair in (
+            (self.lw, np.zeros(m)), (self.done, np.full(m, -1)), (self.traj, traj),
+            (self.join, np.full(m, k))))
 
-    def advance(self, block: np.ndarray, k0: int, idx: np.ndarray) -> None:
-        """Take the chunk through ``block``, whose first row is step k0 + 1,
-        a segment at a time: one exact update by the summed increments for
-        the linear form, nonlinear steps one by one.  Segments end
-        at record steps, where z is recorded, and every 16 steps and at the
-        block's end, where finiteness is checked, collapses marked and,
-        until decided, settled rows retired."""
-        stepper, fam, every, lw = self.stepper, self.stepper.family, self.every, self.lw
-        ends = [s for s in range(1, len(block) + 1) if (k0 + s) % 16 == 0
-                or s == len(block) or (every and (k0 + s) % every == 0)]
+    def advance(self, block: np.ndarray, k0: int) -> None:
+        """Take the rows through ``block``, whose first row is pool step
+        k0 + 1, a segment at a time: one exact update by the summed
+        increments for the linear form, nonlinear steps one by one.  A row
+        that joined at pool step j is at its own step k0 - j + s after s
+        rows of the block.  Segments end at a row's record steps, where z
+        is recorded, and at its check points (every 16 of its steps, its
+        last step and the block's end), where finiteness is checked,
+        collapses marked and, until decided, settled rows retired.  A row
+        leaves at its last step or when it retires."""
+        stepper, fam, every, size = self.stepper, self.stepper.family, self.every, len(block)
+        # rows join only at window boundaries, and a window is cut short only
+        # where all its rows end, so ages differ by whole windows: one residue
+        # mod 16, and only the oldest rows (first, as joins never decrease
+        # along the rows) can take their last step inside a whole window
+        ends = {size}
+        for a in {k0 - int(self.join[0]), k0 - int(self.join[-1])}:
+            ends.update(range(16 - a % 16, size + 1, 16), [min(self.steps - a, size)])
+            if every:
+                ends.update(range(every - a % every, size + 1, every))
+        ends, self.cols = sorted(ends), np.arange(len(self.traj))  # columns follow the rows
         for s0, s in zip([0] + ends, ends):
-            if not len(self.live):  # every row retired
+            if not len(self.traj):  # every row left
                 return
             if stepper.form == "linear":
                 # summed in step order, as numpy sums a batch (pairwise for one row)
                 x, f = reduce(np.add, block[s0:s]), (s - s0) * stepper.dt
                 self.psis, dlog = linear_exact_commuting(self.psis, fam, x, stepper.gamma, f)
-                lw += dlog
+                self.lw += dlog
             else:
                 cols = None if len(self.cols) == block.shape[1] else self.cols
                 for db in block[s0:s]:
                     db = db if cols is None else db.take(cols, axis=0)
                     self.psis = stepper.step_batch(self.psis, db, self.ws)
-            k, z = k0 + s, _sector_rows(fam, self.psis.T)
-            if every and k % every == 0:
-                self.res.z_history[k // every - 1, idx] = z.T
-            if k % 16 == 0 or s == len(block):
-                _check_finite(z, lw, k)
-                decided = np.max(z, axis=0) >= 1.0 - REDUCTION_COMPLETE_TOL
-                newly = self.live[(self.done[self.live] < 0) & decided]
-                self.done[newly] = k
-                if self.until_decided:
-                    self.retire(z, idx)
+            k, z = k0 + s - self.join, _sector_rows(fam, self.psis.T)
+            if every:
+                rec = k % every == 0
+                self.res.z_history[k[rec] // every - 1, self.traj[rec]] = z.T[rec]
+            # between the rows' common check points only those at their last step
+            out = k == self.steps
+            at = s == size or k[0] % 16 == 0 or out
+            # NaN or infinite amplitudes (seen through z) or log-weights
+            if not (np.isfinite(z).all() and np.isfinite(self.lw).all()):
+                bad = ~(np.isfinite(z).all(axis=0) & np.isfinite(self.lw)) & at
+                if bad.any():
+                    raise StabilityError(f"amplitudes or log-weights not finite at step {k[bad][0]}")
+            decided = at & (self.done < 0) & (np.max(z, axis=0) >= 1.0 - REDUCTION_COMPLETE_TOL)
+            self.done[decided] = k[decided]
+            if self.until_decided:
+                # a weight above 1/2 is the row's largest, so this is the minority
+                # weight of every row that has one, and near 1 for the others
+                out |= at & (np.where(z > 0.5, 0.0, z).sum(axis=0) <= RETIRE_TOL)
+            if out.any():
+                self.leave(out)
 
-    def retire(self, z: np.ndarray, idx: np.ndarray) -> None:
-        """Store the final states of the rows whose minority weight is at
-        most RETIRE_TOL (their collapse step is already marked) and step
-        only the others from now on."""
-        # a weight above 1/2 is the row's largest, so this is the minority
-        # weight of every row that has one, and near 1 for the others
-        out = np.where(z > 0.5, 0.0, z).sum(axis=0) <= RETIRE_TOL
-        if out.any():
-            self.res.final_states[idx[self.live[out]]] = self.psis[out]
-            self.psis = self.ws.keep(self.psis, ~out)
-            self.live, self.cols = self.live[~out], self.cols[~out]
+    def leave(self, out: np.ndarray) -> None:
+        """Store the results of the rows that the mask ``out`` picks (their
+        collapse steps are already marked) and step only the others."""
+        res, traj, kept = self.res, self.traj[out], ~out
+        res.final_states[traj], res.log_weights[traj] = self.psis[out], self.lw[out]
+        res.collapse_steps[traj] = self.done[out]
+        self.psis = self.psis[kept] if self.ws is None else self.ws.keep(self.psis, kept)
+        self.lw, self.done, self.traj, self.join, self.cols = (
+            x[kept] for x in (self.lw, self.done, self.traj, self.join, self.cols))
 
     def resample(self, master_seed: int, k: int) -> None:
         """Cooked reweighting at step k: descendants take their ancestor's
@@ -441,14 +465,12 @@ class _Ensemble:
         self.psis, self.done = self.psis[picked], self.done[picked]
         self.lw[:] = 0.0
 
-    def finish(self, idx: np.ndarray) -> None:
+    def finish(self) -> None:
+        """Mark every trajectory's outcome from its final state."""
         res = self.res
-        res.final_states[idx[self.live]] = self.psis
-        res.log_weights[idx] = self.lw
-        z = self.stepper.family.sector_weights(res.final_states[idx[0] : idx[-1] + 1])
+        z = self.stepper.family.sector_weights(res.final_states)
         decided = z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL
-        res.outcomes[idx[decided]] = np.argmax(z, axis=1)[decided]
-        res.collapse_steps[idx] = self.done
+        res.outcomes[decided] = np.argmax(z, axis=1)[decided]
 
 
 def run_ensemble(
@@ -474,8 +496,13 @@ def run_ensemble(
     stepped by ``CslStepper.step_batch``.
 
     Trajectory i steps through stream traj_offset + i.  Without
-    resampling, ``CHUNK`` trajectories step at a time, each reading its
-    stream on from a live generator, ``_plain_window`` steps at a time.
+    resampling, a pool of ``CHUNK`` slots steps, each row reading its
+    stream on from a live generator, ``_plain_window`` steps at a time;
+    at each window boundary the slots of rows that retired or took their
+    last step take the next trajectories in index order, from psi0, on
+    freed generators re-keyed to their streams (without retirement, one
+    pool-full after another).  A row's steps, checks and collapse step
+    count from its own start, so its bits do not depend on the pool.
     Resampled rows are coupled, so window w of them all is one draw of
     the stream (master seed, w) under WINDOWS; it takes no ``traj_offset``.
 
@@ -488,11 +515,12 @@ def run_ensemble(
     ensembles are not resampled.  Resampling steps every trajectory at
     once and records no z history, so ``record_every`` is rejected with it.
 
-    Every 16 steps and at the end of each window a NaN or infinite
-    amplitude or log-weight raises StabilityError.
+    Every 16 of a row's steps, at its last step and at the end of each
+    window a NaN or infinite amplitude or log-weight raises StabilityError,
+    which names the row's own step.
 
-    ``until_decided`` stops stepping a row, and drops its live stream
-    before the next window is drawn, at the first such check point where
+    ``until_decided`` stops stepping a row, and frees its slot and live
+    stream before the next window is drawn, at the first check point where
     its minority weight is at most ``RETIRE_TOL``.  Its ``final_states`` row
     is then its state at that step, whose argmax the full run would change
     with probability at most 2 * RETIRE_TOL; its collapse step is already
@@ -511,37 +539,40 @@ def run_ensemble(
         raise ValueError("the linear form's exact update takes no Hamiltonian")
     noise = steppers[0].family.channel_count, steppers[0].gamma, steppers[0].dt
     if resample_every is None:
-        chunk = min(CHUNK, n_traj)
-        window = _plain_window(chunk, noise[0], steps)
-        streams = LiveStreams(chunk, window, noise[0])
+        slots = min(CHUNK, n_traj)
+        window = _plain_window(slots, noise[0], steps)
+        streams = LiveStreams(slots, window, noise[0])
     else:
         if all(s.form != "linear" for s in steppers):
             raise ValueError("sequential resampling applies to the linear form")
         if record_every is not None or traj_offset:
             raise ValueError("the resampled runner records no z history and takes no traj_offset")
-        chunk, window, streams = n_traj, resample_every, None
+        slots, window, streams = n_traj, resample_every, None
     psi0 = _initial_rows(psi0, h_matrix)
     runs = [_Ensemble(s, psi0, steps, n_traj, record_every, h_matrix, until_decided)
             for s in steppers]
-    for start in range(0, n_traj, chunk):
-        idx = np.arange(start, min(start + chunk, n_traj))
-        for run in runs:
-            run.start(len(idx))
+    k0 = waiting = 0  # the pool's step and the first trajectory without a slot
+    while True:
+        # the rows keep their streams, in order; freed slots take the next trajectories
+        new = np.arange(waiting, min(waiting + slots - len(runs[0].traj), n_traj))
+        waiting += len(new)
         if streams is not None:
-            streams.start(master_seed, idx + traj_offset)
-        for k0 in range(0, steps, window):
-            if until_decided:  # one run: its live rows' streams go on, in order
-                streams[:] = [streams[j] for j in runs[0].cols.tolist()]
-                runs[0].cols = np.arange(len(streams))
-            take = min(window, steps - k0)
-            rows = WindowStream(len(idx), k0 // window) if streams is None else streams
-            block = wiener_increment_block(master_seed, rows, take, *noise)
-            for run in runs:
-                run.advance(block, k0, idx)
-                if streams is None and k0 + take < steps and run.stepper.form == "linear":
-                    run.resample(master_seed, k0 + take)
-            del block  # so that the next resampled block is not drawn beside it
+            streams.refill(master_seed, runs[0].cols, new + traj_offset)
         for run in runs:
-            run.finish(idx)
+            run.refill(new, k0)
+        if not len(runs[0].traj):
+            break
+        # one window, cut short where the rows that joined last take their last step
+        take = min(window, steps - k0 + int(runs[0].join.max()))
+        rows = WindowStream(slots, k0 // window) if streams is None else streams
+        block = wiener_increment_block(master_seed, rows, take, *noise)
+        for run in runs:
+            run.advance(block, k0)
+            if streams is None and k0 + take < steps and run.stepper.form == "linear":
+                run.resample(master_seed, k0 + take)
+        del block  # so that the next resampled block is not drawn beside it
+        k0 += take
+    for run in runs:
+        run.finish()
     results = tuple(run.res for run in runs)
     return results if isinstance(stepper, tuple) else results[0]

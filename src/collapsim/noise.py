@@ -61,16 +61,24 @@ class _Unkeyed(np.random.bit_generator.ISeedSequence):
 
 class LiveStreams(list):
     """The ``standard_normal`` of each stream a run reads a window at a time:
-    a pool of ``rows`` generators, set by ``start`` to each chunk's NOISE
-    streams, and the (window, rows, channels) buffer they are read into."""
+    a pool of ``rows`` generators, whose freed ones ``refill`` starts on new
+    trajectories' NOISE streams, and the (window, rows, channels) buffer they
+    are read into."""
 
     def __init__(self, rows: int, window: int, channels: int) -> None:
-        self.pool = [np.random.Generator(np.random.Philox(_Unkeyed())) for _ in range(rows)]
+        self.free = [np.random.Generator(np.random.Philox(_Unkeyed())) for _ in range(rows)]
         self.buffer = np.empty((window, rows, channels))
 
-    def start(self, master_seed: int, traj_indices: np.ndarray) -> None:
-        """Start the first len(traj_indices) streams as those trajectories'."""
-        self[:] = _rekeyed(master_seed, traj_indices, self.pool)
+    def refill(self, master_seed: int, kept, traj_indices: np.ndarray) -> None:
+        """Keep the streams at positions ``kept``, in order, free the other
+        streams' generators, and re-key freed ones to start the streams of
+        ``traj_indices`` after the kept ones."""
+        gone = np.ones(len(self), dtype=bool)
+        gone[kept] = False
+        self.free += [self[j].__self__ for j in np.flatnonzero(gone).tolist()]
+        rngs, self.free = self.free[: len(traj_indices)], self.free[len(traj_indices):]
+        self[:] = [self[j] for j in np.asarray(kept, dtype=int).tolist()] + list(
+            _rekeyed(master_seed, traj_indices, rngs))
 
 
 class WindowStream:

@@ -582,7 +582,7 @@ def test_live_streams_read_in_windows_are_the_whole_streams(monkeypatch, window,
     # the windows, the last one short, concatenate bit for bit to the block
     # of the whole streams of trajectories 1000 on; the pool has rows to
     # spare, as in a run's last chunk, and tiles of five rows leave the
-    # last tile ragged; a second start rewinds the streams
+    # last tile ragged; a second refill of every slot rewinds the streams
     import collapsim.noise as noise
 
     monkeypatch.setattr(noise, "TILE_BYTES", 5 * window * channels * 8)
@@ -590,7 +590,7 @@ def test_live_streams_read_in_windows_are_the_whole_streams(monkeypatch, window,
     whole = wiener_increment_block(8, indices, steps, channels, 0.6, 0.01)
     streams = LiveStreams(rows + 3, window, channels)
     for _ in range(2):
-        streams.start(8, indices)
+        streams.refill(8, [], indices)
         parts = [
             wiener_increment_block(8, streams, min(window, steps - k0), channels, 0.6, 0.01)
             .copy() for k0 in range(0, steps, window)
@@ -697,35 +697,87 @@ def test_until_decided_rows_that_never_retire_step_as_in_the_full_run(monkeypatc
     assert np.array_equal(until.final_states[kept], full.final_states[kept])
 
 
+def _recording_refills(monkeypatch) -> list:
+    """Patch ``LiveStreams.refill`` to append (live rows kept, trajectories
+    started) to the list returned, at every window boundary."""
+    refill, calls = LiveStreams.refill, []
+
+    def recording_refill(self, master_seed, kept, traj_indices):
+        calls.append((len(kept), len(traj_indices)))
+        refill(self, master_seed, kept, traj_indices)
+
+    monkeypatch.setattr(LiveStreams, "refill", recording_refill)
+    return calls
+
+
 def test_until_decided_does_not_depend_on_the_chunk(monkeypatch):
-    # chunks that divide n, leave an uneven last chunk, and hold every
-    # row, each read in windows of 32 steps and in one window; the later
-    # windows draw only the rows still stepping
+    # pools of 24 and 40 slots on 96 rows, each read in windows of 32 steps,
+    # take the next trajectories into retired rows' slots at window
+    # boundaries; a trajectory that starts in a later window and never
+    # retires ends at its own step 810 (a multiple of neither 16 nor the
+    # window), mid-window; while trajectories wait for a slot every window
+    # draws a full pool, and every result is that of the pools holding all
+    # 96 rows (in windows of 32 steps and in one window), bit for bit
     import collapsim.diffusion as diffusion
 
-    fam, dt, psi0, steps = UNTIL_DECIDED["two-level"]
-    stepper, n = CslStepper(fam, 1.0, dt), 96
-    widths = []
+    fam, dt, psi0, _ = UNTIL_DECIDED["two-level"]
+    stepper, n, steps = CslStepper(fam, 1.0, dt), 96, 810
+    refills, draws = _recording_refills(monkeypatch), []
 
-    def recording_block(*args, **kwargs):
-        block = wiener_increment_block(*args, **kwargs)
-        widths.append(block.shape[1])
-        return block
+    def recording_block(master_seed, rows, *args):
+        draws.append((len(rows), sum(started for _, started in refills)))
+        return wiener_increment_block(master_seed, rows, *args)
 
     monkeypatch.setattr(diffusion, "wiener_increment_block", recording_block)
-    results = []
+    results = {}
     for chunk, window_bytes in [(24, 32 * 24 * 8), (40, 32 * 40 * 8), (n, 32 * n * 8),
                                 (diffusion.CHUNK, diffusion.WINDOW_BYTES)]:
         monkeypatch.setattr(diffusion, "CHUNK", chunk)
         monkeypatch.setattr(diffusion, "WINDOW_BYTES", window_bytes)
-        widths.clear()
-        results.append(run_ensemble(psi0, stepper, steps, n, 8, until_decided=True,
-                                    traj_offset=5))
-        if chunk == n:
-            assert widths[0] == n and widths[-1] < n and widths == sorted(widths, reverse=True)
-    for res in results[1:]:
+        refills.clear()
+        draws.clear()
+        res = results[chunk] = run_ensemble(psi0, stepper, steps, n, 8, until_decided=True,
+                                            traj_offset=5)
+        # the windows drawn while trajectories wait, then those after the last start
+        waiting = [rows for rows, begun in draws if begun < n]
+        rest = [rows for rows, begun in draws if begun == n]
+        assert waiting == [chunk] * len(waiting) and len(waiting) + len(rest) == len(draws)
+        assert rest == sorted(rest, reverse=True)
+        if chunk < n:
+            assert len(waiting) > 1 and any(kept and started for kept, started in refills[1:])
+            late = np.arange(n) >= chunk
+            assert np.any(late & (_minority(fam, res.final_states) > diffusion.RETIRE_TOL))
+        elif chunk == n:  # the later windows draw only the rows still stepping
+            assert rest[0] == n and rest[-1] < n
+    for res in results.values():
         for field in ("final_states", "log_weights", "outcomes", "collapse_steps"):
-            assert np.array_equal(getattr(res, field), getattr(results[0], field)), field
+            assert np.array_equal(getattr(res, field), getattr(results[n], field)), field
+
+
+def test_nan_increment_in_a_refilled_row_names_its_own_step(monkeypatch):
+    # a pool of 24 slots in windows of 32 steps: the first refill beside
+    # live rows comes at a window boundary k0 >= 32, and a NaN 6 steps into
+    # that window in the last column, a trajectory that starts there, fails
+    # that row's check at its own step 16, not at the pool's step k0 + 16
+    import collapsim.diffusion as diffusion
+
+    fam, dt, psi0, steps = UNTIL_DECIDED["two-level"]
+    refills, takes = _recording_refills(monkeypatch), []
+
+    def nan_block(master_seed, rows, take, *noise):
+        block = wiener_increment_block(master_seed, rows, take, *noise)
+        if all(refills[-1]) and not any(map(all, refills[:-1])):
+            block[5, -1, 0] = np.nan
+            assert sum(takes) >= 32
+        takes.append(take)
+        return block
+
+    monkeypatch.setattr(diffusion, "CHUNK", 24)
+    monkeypatch.setattr(diffusion, "WINDOW_BYTES", 32 * 24 * 8)
+    monkeypatch.setattr(diffusion, "wiener_increment_block", nan_block)
+    with pytest.raises(StabilityError, match="not finite at step 16$"):
+        run_ensemble(psi0, CslStepper(fam, 1.0, dt), steps, 96, 8, until_decided=True)
+    assert any(map(all, refills))
 
 
 @pytest.mark.parametrize("kwargs", [
