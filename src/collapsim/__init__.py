@@ -1,5 +1,8 @@
 """collapsim: simulation and analysis of dynamical wavefunction-collapse
 models, from single hitting trajectories to closed-form macroscopic rates.
+
+Besides ``__version__`` it re-exports only the error classes: importing it
+loads no numpy, and each engine is imported from its own module.
 """
 
 __version__ = "0.1.0"
@@ -12,20 +15,12 @@ from .errors import (
     StabilityError,
     StatisticalPreconditionError,
 )
-from .operators import ProjectorFamily
-from .params import CollapseParams, canonical_qmsl
-from .states import GridWavefunction, ensemble_density
 
 __all__ = [
-    "CollapseParams",
     "CollapsimError",
     "ConfigError",
     "DimensionMismatchError",
     "GridLeakageError",
-    "GridWavefunction",
-    "ProjectorFamily",
     "StabilityError",
     "StatisticalPreconditionError",
-    "canonical_qmsl",
-    "ensemble_density",
 ]

@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 numerical-stability abort,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -137,6 +136,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None, *_ignored) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here: a run through ``run`` needs no parser
     parser = argparse.ArgumentParser(
         prog="collapsim", description="collapse-model experiment runner"
     )

@@ -7,9 +7,11 @@ Grammar (one construct per line, '#' starts a comment):
     key = value          entry inside the open section
 
 Values parse as int, float, bool (true/false), or comma-separated lists
-thereof; anything else stays a string.  Each experiment declares its
-``[params]`` in a table of :class:`Param` entries; ``read_params`` rejects
-unknown keys, so the config file is the whole truth of a run.
+thereof; anything else stays a string.  Top-level values are read from
+their text: ``output`` is the file name as written, less its suffix.
+Each experiment declares its ``[params]`` in a table of :class:`Param`
+entries; ``read_params`` rejects unknown keys, so the config file is the
+whole truth of a run.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
 
 from .errors import ConfigError
@@ -135,20 +138,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
         target = top if current is None else current
         if key in target:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        target[key] = _parse_value(value)
+        target[key] = value.strip() if current is None else _parse_value(value)
 
     unknown_top = sorted(set(top) - set(_TOP_KEYS))
     if unknown_top:
         raise ConfigError(f"unknown top-level keys: {unknown_top}")
     if "experiment" not in top:
         raise ConfigError("missing required key 'experiment'")
-    experiment = str(top["experiment"])
+    experiment = top["experiment"]
     from .experiments import TABLES  # which imports this module
 
     if experiment not in TABLES:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of {tuple(TABLES)}"
         )
+    for module in TABLES[experiment][3]:  # its engines, loaded here and not in the run
+        import_module(f".{module}", __package__)
     unknown_sections = sorted(set(sections) - {"params"})
     if unknown_sections:
         raise ConfigError(f"unknown sections: {unknown_sections}")
@@ -156,18 +161,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
     defaults = []
     if "seed" not in top:
         defaults.append(f"seed defaulted to {DEFAULT_SEED}")
-    seed = Param(int).read("seed", top.get("seed", DEFAULT_SEED))
+    seed = Param(int).read("seed", _parse_value(top.get("seed", str(DEFAULT_SEED))))
     trajectories = top.get("trajectories")
     if trajectories is not None:
-        trajectories = Param(int, bound="[1, inf)").read("trajectories", trajectories)
-    fmt = str(top.get("format", "csv"))
+        trajectories = Param(int, bound="[1, inf)").read("trajectories", _parse_value(trajectories))
+    fmt = top.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    output = top.get("output", experiment)
+    if output in ("", ".", "..") or any(c in output for c in ",/\0"):
+        raise ConfigError(f"output = {output!r} is not a file name")
     return ExperimentConfig(
         experiment=experiment,
         seed=seed,
         trajectories=trajectories,
-        output=str(top.get("output", experiment)),
+        output=output,
         fmt=fmt,
         params=sections.get("params", {}),
         source_text=text,

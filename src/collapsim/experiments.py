@@ -18,35 +18,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .colored import CorrelationSpec, colored_instantaneous_rate
 from .config import MANY, ExperimentConfig, Param, read_params
-from .diffusion import CslStepper, require_ensemble_fits, run_ensemble
-from .epr import (
-    epr_linear_experiment,
-    epr_nonlinear_experiment,
-    nonlinear_steppers,
-    require_epr_fits,
-)
 from .errors import ConfigError
-from .freeparticle import (
-    characteristic_times,
-    com_amplified_rate,
-    energy_increase_rate,
-    evolve_free_master,
-    free_particle_moments,
-    offdiag_lifetime,
-)
-from .hitting import run_qmsl_ensemble, step_count
-from .macrobody import condenser_decay_rate, macro_reduction_rate, momentum_diffusion
-from .massdensity import (
-    CellConfigurationState,
-    IndependentParticleState,
-    accessibility_ratio,
-    mass_profile,
-)
-from .noise import require_memory
-from .nosignal import gisin_check, here_there_mixtures
-from .operators import ProjectorFamily
 from .params import (
     CANONICAL_ALPHA,
     CANONICAL_DENSITY,
@@ -56,14 +29,6 @@ from .params import (
     CollapseParams,
     canonical_qmsl,
 )
-from .rates import (
-    decoherence_rates,
-    diosi_rate,
-    excitation_rate_qmsl,
-    localization_decoherence_rate,
-)
-from .refdata import LOCALIZATION_TABLE_DELTA_REFERENCE, load_decoherence_sources
-from .schrodinger import gaussian_packet, two_packet_state
 from .units import ERG_PER_EV, HBAR_CGS, NUCLEON_MASS_G
 
 
@@ -80,15 +45,17 @@ SEED_RANGE = f"[0, {2**64})"
 
 Settings = namedtuple("Settings", "seed trajectories")  # run-level inputs
 
-TABLES: dict[str, tuple[dict[str, Param], int | None, Callable[..., Iterator]]] = {}
-"""Experiment name -> (parameter table, default trajectory count, runner)."""
+TABLES: dict[str, tuple[dict[str, Param], int | None, Callable[..., Iterator], tuple]] = {}
+"""Experiment name -> (parameter table, default trajectories, runner, engine modules)."""
 
 
-def experiment(name: str, params: dict[str, Param], trajectories: int | None = None):
-    """Register the decorated runner and its parameter table as ``name``."""
+def experiment(name: str, params: dict[str, Param], trajectories: int | None = None,
+               modules: tuple[str, ...] = ()):
+    """Register the decorated runner, its parameter table and the engine modules
+    its body imports as ``name``; ``parse_config_text`` loads those modules."""
 
     def register(runner):
-        TABLES[name] = (params, trajectories, runner)
+        TABLES[name] = (params, trajectories, runner, modules)
         return runner
 
     return register
@@ -103,7 +70,7 @@ def plan(cfg: ExperimentConfig) -> tuple[list[str], Iterator]:
     overflow or a division by zero), or where the run's arrays would not
     fit in memory; a step past the stability limit raises StabilityError.
     """
-    table, default_trajectories, runner = TABLES[cfg.experiment]
+    table, default_trajectories, runner, _ = TABLES[cfg.experiment]
     p = read_params(cfg, table)
     seed = Param(int, bound=SEED_RANGE).read("seed", cfg.seed)
     steps = runner(p, Settings(seed, cfg.trajectories or default_trajectories))
@@ -142,7 +109,7 @@ def _hitting_model(p: dict) -> tuple[CollapseParams, list[str]]:
     return params, [notice] if width < 2 * p["dx"] else []
 
 
-@experiment("qmsl-hitting", trajectories=1000, params={
+@experiment("qmsl-hitting", trajectories=1000, modules=("hitting", "noise", "schrodinger"), params={
     **_GRID,
     "centers": Param(float, length=2),
     "t_end": Param(float, bound=POSITIVE),
@@ -150,14 +117,16 @@ def _hitting_model(p: dict) -> tuple[CollapseParams, list[str]]:
     "record_events": Param(bool, False),
 })
 def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
+    from . import hitting, noise, schrodinger
+
     n, dx, centers = p["n"], p["dx"], tuple(p["centers"])
-    psi0 = two_packet_state(n, dx, -0.5 * n * dx, p["mass"], centers, p["sigma"])
+    psi0 = schrodinger.two_packet_state(n, dx, -0.5 * n * dx, p["mass"], centers, p["sigma"])
     params, notices = _hitting_model(p)
-    step_count(p["t_end"], p["dt"])
+    hitting.step_count(p["t_end"], p["dt"])
     n_traj = 1 if p["record_events"] else run.trajectories
-    require_memory(16 * n * n_traj, "the final states")
+    noise.require_memory(16 * n * n_traj, "the final states")
     yield notices
-    res = run_qmsl_ensemble(psi0, params, p["t_end"], n_traj, run.seed, p["dt"])
+    res = hitting.run_qmsl_ensemble(psi0, params, p["t_end"], n_traj, run.seed, p["dt"])
     if p["record_events"]:
         yield TableOutput(
             [("time", "internal"), ("center", "internal length"), ("weight", "1")],
@@ -183,16 +152,18 @@ def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
     )
 
 
-@experiment("qmsl-master", params={
+@experiment("qmsl-master", modules=("freeparticle", "schrodinger"), params={
     **_GRID,
     "times": Param(float, bound=NONNEGATIVE, length=MANY),
 })
 def run_qmsl_master(p: dict, run: Settings) -> Iterator:
+    from . import freeparticle, schrodinger
+
     n, dx, mass, sigma = p["n"], p["dx"], p["mass"], p["sigma"]
     params, notices = _hitting_model(p)
     p_var0 = 1.0 / (4.0 * sigma**2)  # of the minimal packet, constant in free flight
     formulas = [  # built with the plan, so an overflowing input is a config error
-        free_particle_moments(params, mass, t, {
+        freeparticle.free_particle_moments(params, mass, t, {
             "q_mean": 0.0,
             "p_mean": 0.0,
             "q_var": sigma**2 + p_var0 / mass**2 * t**2,
@@ -203,13 +174,13 @@ def run_qmsl_master(p: dict, run: Settings) -> Iterator:
     ]
     # after the closed forms: a width whose square underflows fails there,
     # as a config error, before the packet divides by it
-    psi0 = gaussian_packet(n, dx, -0.5 * n * dx, mass, 0.0, sigma)
+    psi0 = schrodinger.gaussian_packet(n, dx, -0.5 * n * dx, mass, 0.0, sigma)
     yield notices
     rows = []
     x = psi0.positions
     k = psi0.wavenumbers
     for t, formula in zip(p["times"], formulas):
-        rho = evolve_free_master(psi0, params, t)
+        rho = freeparticle.evolve_free_master(psi0, params, t)
         diag = np.maximum(np.diag(rho).real, 0.0)
         diag = diag / (diag.sum() * dx)
         q_var = float(dx * diag @ x**2 - (dx * diag @ x) ** 2)
@@ -248,7 +219,7 @@ def _weighted_superposition(weights: list[float]) -> np.ndarray:
     return np.sqrt(np.array(weights, dtype=complex))
 
 
-@experiment("csl-born", trajectories=10_000, params={
+@experiment("csl-born", trajectories=10_000, modules=("diffusion", "operators"), params={
     **_CSL,
     "per_trajectory": Param(bool, False),
 })
@@ -256,13 +227,15 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
     """Outcome frequencies with binomial errors or, with ``per_trajectory``,
     one row per trajectory: seed, outcome sector, collapse time, final
     cooked log-weight."""
+    from . import diffusion, operators
+
     weights, dt, steps, n_traj = p["weights"], p["dt"], p["steps"], run.trajectories
-    family = ProjectorFamily.two_level()
+    family = operators.ProjectorFamily.two_level()
     psi0 = _weighted_superposition(weights)
-    stepper = CslStepper(family, p["gamma"], dt, form="nonlinear")
-    require_ensemble_fits(stepper, steps, n_traj)
+    stepper = diffusion.CslStepper(family, p["gamma"], dt, form="nonlinear")
+    diffusion.require_ensemble_fits(stepper, steps, n_traj)
     yield
-    res = run_ensemble(psi0, stepper, steps, n_traj, run.seed, until_decided=True)
+    res = diffusion.run_ensemble(psi0, stepper, steps, n_traj, run.seed, until_decided=True)
     if p["per_trajectory"]:
         rows = [
             (
@@ -303,21 +276,24 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
     )
 
 
-@experiment("csl-equivalence", trajectories=10_000, params={
+@experiment("csl-equivalence", trajectories=10_000, modules=("diffusion", "operators"), params={
     **_CSL,
     "resample_every": Param(int, 100, COUNT),
 })
 def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
-    family = ProjectorFamily.two_level()
+    from . import diffusion, operators
+
+    family = operators.ProjectorFamily.two_level()
     psi0 = _weighted_superposition(p["weights"])
     linear, nonlinear = (
-        CslStepper(family, p["gamma"], p["dt"], form=form) for form in ("linear", "nonlinear")
+        diffusion.CslStepper(family, p["gamma"], p["dt"], form=form)
+        for form in ("linear", "nonlinear")
     )
     steps, n_traj, every = p["steps"], run.trajectories, p["resample_every"]
-    require_ensemble_fits((linear, nonlinear), steps, n_traj, every)
+    diffusion.require_ensemble_fits((linear, nonlinear), steps, n_traj, every)
     yield
     # both forms step through the same noise windows
-    lin, nonlin = run_ensemble(
+    lin, nonlin = diffusion.run_ensemble(
         psi0, (linear, nonlinear), steps, n_traj, run.seed, resample_every=every
     )
     z = family.sector_weights(lin.final_states)
@@ -334,7 +310,8 @@ def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
     }
 
 
-@experiment("csl-discrete", trajectories=10_000, params={
+@experiment("csl-discrete", trajectories=10_000,
+            modules=("colored", "diffusion", "operators"), params={
     "lambda_eff": Param(float, bound=POSITIVE),
     "dt": _STEPPER["dt"],
     "steps": Param(int, bound="[2, inf)"),  # the rate fit needs two record points
@@ -342,14 +319,17 @@ def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
     "occupations_b": Param(int, bound=NONNEGATIVE, length=MANY),
 })
 def run_csl_discrete(p: dict, run: Settings) -> Iterator:
+    from . import colored, diffusion, operators
+
     # one channel per cell, its eigenvalue the cell's occupation number
-    family = ProjectorFamily.from_configurations(np.stack([p["occupations_a"], p["occupations_b"]]))
+    occupations = np.stack([p["occupations_a"], p["occupations_b"]])
+    family = operators.ProjectorFamily.from_configurations(occupations)
     lam, dt, steps, n_traj = p["lambda_eff"], p["dt"], p["steps"], run.trajectories
-    stepper = CslStepper(family, lam, dt, form="nonlinear")
+    stepper = diffusion.CslStepper(family, lam, dt, form="nonlinear")
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    require_ensemble_fits(stepper, steps, n_traj)
+    diffusion.require_ensemble_fits(stepper, steps, n_traj)
     yield
-    res = run_ensemble(
+    res = diffusion.run_ensemble(
         psi0, stepper, steps, n_traj, run.seed, record_every=max(steps // 8, 1)
     )
     z = res.z_history  # (n_rec, n_traj, 2)
@@ -357,7 +337,8 @@ def run_csl_discrete(p: dict, run: Settings) -> Iterator:
     t_rec = res.history_steps * dt
     slope = np.polyfit(t_rec, np.log(offdiag), 1)[0]
     # the white two-sector rate (lambda/2) sum_k (n_k - m_k)^2
-    expected = colored_instantaneous_rate(family, CorrelationSpec.white(), lam, 0, 1)
+    white = colored.CorrelationSpec.white()
+    expected = colored.colored_instantaneous_rate(family, white, lam, 0, 1)
     yield {
         "fitted_rate": -float(slope),
         "formula_rate": expected,
@@ -369,7 +350,7 @@ def run_csl_discrete(p: dict, run: Settings) -> Iterator:
 # --------------------------------------------------------------- other
 
 
-@experiment("colored-damping", params={
+@experiment("colored-damping", modules=("colored", "operators"), params={
     "kind": Param(str),
     "tau": Param(float, None, POSITIVE),
     "gamma": Param(float, bound=POSITIVE),
@@ -380,6 +361,8 @@ def run_csl_discrete(p: dict, run: Settings) -> Iterator:
 def run_colored_damping(p: dict, run: Settings) -> Iterator:
     """``kind = custom`` reads ``kernel = lag, value, lag, value, ...``:
     at least two lags, from 0 with uniform spacing."""
+    from . import colored, operators
+
     needs = "kernel" if p["kind"] == "custom" else "tau"
     if p[needs] is None:
         raise ConfigError(f"kind = {p['kind']} needs {needs}")
@@ -390,18 +373,18 @@ def run_colored_damping(p: dict, run: Settings) -> Iterator:
         gaps = np.diff(lags)
         if lags[0] != 0.0 or np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
             raise ValueError("kernel lags must start at 0 with uniform spacing")
-        spec = CorrelationSpec("custom", samples=values, dt=float(gaps[0]))
+        spec = colored.CorrelationSpec("custom", samples=values, dt=float(gaps[0]))
     else:
-        spec = CorrelationSpec(p["kind"], tau=p["tau"])
+        spec = colored.CorrelationSpec(p["kind"], tau=p["tau"])
     gamma = p["gamma"]
-    family = ProjectorFamily.two_level(*p["eigenvalues"])
-    white = CorrelationSpec.white()
+    family = operators.ProjectorFamily.two_level(*p["eigenvalues"])
+    white = colored.CorrelationSpec.white()
     yield
     rows = []
     for t in p["times"]:
-        rate_stationary = colored_instantaneous_rate(family, spec, gamma, 0, 1, None)
-        rate_from_t0 = colored_instantaneous_rate(family, spec, gamma, 0, 1, t)
-        rate_white = colored_instantaneous_rate(family, white, gamma, 0, 1, None)
+        rate_stationary = colored.colored_instantaneous_rate(family, spec, gamma, 0, 1, None)
+        rate_from_t0 = colored.colored_instantaneous_rate(family, spec, gamma, 0, 1, t)
+        rate_white = colored.colored_instantaneous_rate(family, white, gamma, 0, 1, None)
         f_col = spec.double_integral(t)
         f_white = white.double_integral(t)
         rows.append((t, rate_from_t0, rate_stationary, rate_white, f_col, f_white))
@@ -418,21 +401,23 @@ def run_colored_damping(p: dict, run: Settings) -> Iterator:
     )
 
 
-@experiment("epr", trajectories=4000, params={
+@experiment("epr", trajectories=4000, modules=("epr",), params={
     "gamma": _STEPPER["gamma"],
     "t_end": Param(float, bound=POSITIVE),
     "steps": Param(int, 400, COUNT),
 })
 def run_epr(p: dict, run: Settings) -> Iterator:
+    from . import epr
+
     gamma, t_end, steps = p["gamma"], p["t_end"], p["steps"]
-    nonlinear_steppers(gamma, t_end, steps)  # the steppers the run builds
-    require_epr_fits(run.trajectories, steps)
+    epr.nonlinear_steppers(gamma, t_end, steps)  # the steppers the run builds
+    epr.require_epr_fits(run.trajectories, steps)
     yield
-    nonlinear = epr_nonlinear_experiment(
+    nonlinear = epr.epr_nonlinear_experiment(
         run.trajectories, gamma, t_end, run.seed, steps=steps
     )
     # the linear half keys its streams one seed on
-    linear = epr_linear_experiment(run.trajectories, gamma, t_end, (run.seed + 1) % 2**64)
+    linear = epr.epr_linear_experiment(run.trajectories, gamma, t_end, (run.seed + 1) % 2**64)
     yield {
         "nonlinear": {
             "p_minus_given_class_detector_off": nonlinear.p_minus_detector_off,
@@ -449,20 +434,24 @@ def run_epr(p: dict, run: Settings) -> Iterator:
     }
 
 
-@experiment("gisin", trajectories=2000, params=_STEPPER)
+@experiment("gisin", trajectories=2000, modules=("diffusion", "nosignal", "operators"),
+            params=_STEPPER)
 def run_gisin(p: dict, run: Settings) -> Iterator:
-    stepper = CslStepper(ProjectorFamily.two_level(), p["gamma"], p["dt"], form="nonlinear")
-    require_ensemble_fits(stepper, p["steps"], run.trajectories)
+    from . import diffusion, nosignal, operators
+
+    family = operators.ProjectorFamily.two_level()
+    stepper = diffusion.CslStepper(family, p["gamma"], p["dt"], form="nonlinear")
+    diffusion.require_ensemble_fits(stepper, p["steps"], run.trajectories)
     yield
 
     def evolve_many(psi0, indices):
-        res = run_ensemble(
+        res = diffusion.run_ensemble(
             psi0, stepper, p["steps"], len(indices), run.seed,
             traj_offset=int(indices[0]),
         )
         return res.final_states, np.zeros(len(indices))
 
-    report = gisin_check(*here_there_mixtures(), evolve_many, run.trajectories)
+    report = nosignal.gisin_check(*nosignal.here_there_mixtures(), evolve_many, run.trajectories)
     yield {
         "frobenius_distance": report.distance,
         "monte_carlo_band_1sigma": report.band,
@@ -471,7 +460,7 @@ def run_gisin(p: dict, run: Settings) -> Iterator:
     }
 
 
-@experiment("rates-report", params={
+@experiment("rates-report", modules=("freeparticle", "macrobody", "rates", "refdata"), params={
     "lambda": Param(float, CANONICAL_LAMBDA_MICRO, POSITIVE),
     "alpha": Param(float, CANONICAL_ALPHA, POSITIVE),
     "gamma": Param(float, CANONICAL_GAMMA, POSITIVE),
@@ -482,12 +471,14 @@ def run_gisin(p: dict, run: Settings) -> Iterator:
     "separation": Param(float, 4e-5, POSITIVE),
 })
 def run_rates_report(p: dict, run: Settings) -> Iterator:
+    from . import freeparticle, macrobody, rates, refdata
+
     lam, alpha, gamma, density = p["lambda"], p["alpha"], p["gamma"], p["density"]
     n_out, n_macro, mass, separation = p["n_out"], p["n_macro"], p["mass"], p["separation"]
     micro = CollapseParams.consistent(lam, alpha)
-    lam_macro = com_amplified_rate(lam, n_macro)
+    lam_macro = freeparticle.com_amplified_rate(lam, n_macro)
     macro = CollapseParams.consistent(lam_macro, alpha)
-    t1, t2 = characteristic_times(macro, 1.0, 1e-5, 1.0, hbar=HBAR_CGS)
+    t1, t2 = freeparticle.characteristic_times(macro, 1.0, 1e-5, 1.0, hbar=HBAR_CGS)
     record = {  # built with the plan, so an overflowing input is a config error
         "inputs": {
             "lambda_micro_per_s": lam,
@@ -499,36 +490,38 @@ def run_rates_report(p: dict, run: Settings) -> Iterator:
             "mass_g": mass,
             "separation_cm": separation,
         },
-        "offdiag_lifetime_s": offdiag_lifetime(separation, macro),
+        "offdiag_lifetime_s": freeparticle.offdiag_lifetime(separation, macro),
         "lambda_macro_per_s": lam_macro,
-        "energy_increase_eV_per_s": energy_increase_rate(micro, mass, hbar=HBAR_CGS)
+        "energy_increase_eV_per_s": freeparticle.energy_increase_rate(micro, mass, hbar=HBAR_CGS)
         / ERG_PER_EV,
         "t1_spread_time_s": t1,
         "t2_spread_time_s": t2,
-        "macro_reduction_rate_per_s": macro_reduction_rate(gamma, density, n_out),
-        "momentum_diffusion_cgs_per_cm2": momentum_diffusion(
+        "macro_reduction_rate_per_s": macrobody.macro_reduction_rate(gamma, density, n_out),
+        "momentum_diffusion_cgs_per_cm2": macrobody.momentum_diffusion(
             gamma, alpha, density, 1.0, HBAR_CGS
         ),
-        "excitation_rate_atom_per_s": excitation_rate_qmsl(micro, 1e8),
-        "excitation_rate_nucleus_per_s": excitation_rate_qmsl(micro, 1e12),
-        "localization_decoherence_rate_per_cm2_s": localization_decoherence_rate(micro),
-        "localization_table_reference_per_cm2_s": LOCALIZATION_TABLE_DELTA_REFERENCE,
-        "diosi_rate_per_s": diosi_rate(1.0, 1.0, 1e-5),
-        "condenser_decay_rate_per_s": condenser_decay_rate(micro),
+        "excitation_rate_atom_per_s": rates.excitation_rate_qmsl(micro, 1e8),
+        "excitation_rate_nucleus_per_s": rates.excitation_rate_qmsl(micro, 1e12),
+        "localization_decoherence_rate_per_cm2_s": rates.localization_decoherence_rate(micro),
+        "localization_table_reference_per_cm2_s": refdata.LOCALIZATION_TABLE_DELTA_REFERENCE,
+        "diosi_rate_per_s": rates.diosi_rate(1.0, 1.0, 1e-5),
+        "condenser_decay_rate_per_s": macrobody.condenser_decay_rate(micro),
     }
     yield
     yield record
 
 
-@experiment("decoherence-table", params={})
+@experiment("decoherence-table", modules=("rates", "refdata"), params={})
 def run_decoherence_table(p: dict, run: Settings) -> Iterator:
+    from . import rates, refdata
+
     yield
     rows = []
-    for source in load_decoherence_sources():
+    for source in refdata.load_decoherence_sources():
         if source.reference_only:
             rows.append((source.name, "", "", source.tau_reference, "", "reference-only"))
             continue
-        tau, delta = decoherence_rates(source)
+        tau, delta = rates.decoherence_rates(source)
         rows.append(
             (
                 source.name,
@@ -546,7 +539,7 @@ def run_decoherence_table(p: dict, run: Settings) -> Iterator:
             "",
             "",
             1.0 / loc_params.lambda_rate,
-            localization_decoherence_rate(loc_params),
+            rates.localization_decoherence_rate(loc_params),
             "alpha*lambda/2 identity",
         )
     )
@@ -563,13 +556,15 @@ def run_decoherence_table(p: dict, run: Settings) -> Iterator:
     )
 
 
-@experiment("mass-profile", params={
+@experiment("mass-profile", modules=("massdensity",), params={
     "scenario": Param(str),
     "n_particles": Param(int, 100, NONNEGATIVE),
     "n_cells": Param(int, 2, COUNT),
     "tail_weight": Param(float, 1e-8, "[0, 1]"),
 })
 def run_mass_profile(p: dict, run: Settings) -> Iterator:
+    from . import massdensity
+
     scenario, n_particles, n_cells = p["scenario"], p["n_particles"], p["n_cells"]
     other = min(1, n_cells - 1)
     m0 = NUCLEON_MASS_G
@@ -582,21 +577,21 @@ def run_mass_profile(p: dict, run: Settings) -> Iterator:
         return occ
 
     if scenario == "superposed":
-        state = CellConfigurationState(half, two_cells(n_particles), m0)
+        state = massdensity.CellConfigurationState(half, two_cells(n_particles), m0)
     elif scenario == "tails":
         beta_sq = p["tail_weight"]
         amps = np.array([np.sqrt(1 - beta_sq), np.sqrt(beta_sq)], dtype=complex)
-        state = CellConfigurationState(amps, two_cells(n_particles), m0)
+        state = massdensity.CellConfigurationState(amps, two_cells(n_particles), m0)
     elif scenario == "product":
         placements = tuple((0, other, 0.5) for _ in range(n_particles))
-        state = IndependentParticleState(placements, n_cells, m0)
+        state = massdensity.IndependentParticleState(placements, n_cells, m0)
     elif scenario == "micro":
-        state = CellConfigurationState(half, two_cells(1), m0)
+        state = massdensity.CellConfigurationState(half, two_cells(1), m0)
     else:
         raise ConfigError(f"unknown scenario {scenario!r}")
     yield
-    profile = mass_profile(state)
-    ratios, accessible = accessibility_ratio(profile)
+    profile = massdensity.mass_profile(state)
+    ratios, accessible = massdensity.accessibility_ratio(profile)
     rows = [
         (
             i,

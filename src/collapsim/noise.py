@@ -16,7 +16,7 @@ import os
 import sys
 
 import numpy as np
-import numpy.random  # lazy in numpy; every run here draws from it, so load it at import
+import numpy.random  # lazy in numpy: loaded here, it comes with a config that uses noise
 
 
 NOISE, RESAMPLE, WINDOWS = 0, 1, 2

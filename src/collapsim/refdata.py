@@ -24,7 +24,8 @@ def _parse_float(text: str) -> float | None:
 
 def load_decoherence_sources() -> list[DecoherenceSource]:
     """Sources from the bundled reference table."""
-    path = resources.files("collapsim._data").joinpath("decoherence_sources.csv")
+    # a path under the package, so that reading the table imports no ``_data`` package
+    path = resources.files(__package__) / "_data" / "decoherence_sources.csv"
     out = []
     with path.open("r", encoding="utf-8") as handle:
         for row in csv.DictReader(handle):

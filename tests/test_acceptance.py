@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from collapsim import CollapseParams, ensemble_density
 from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
 from collapsim.diffusion import CslStepper, run_ensemble
 from collapsim.epr import epr_linear_experiment, epr_nonlinear_experiment
@@ -28,10 +27,11 @@ from collapsim.hitting import run_qmsl_ensemble
 from collapsim.macrobody import macro_reduction_rate, momentum_diffusion
 from collapsim.nosignal import gisin_check, here_there_mixtures
 from collapsim.operators import ProjectorFamily
-from collapsim.params import canonical_qmsl
+from collapsim.params import CollapseParams, canonical_qmsl
 from collapsim.rates import diosi_rate, excitation_rate_qmsl, localization_decoherence_rate
 from collapsim.refdata import LOCALIZATION_TABLE_DELTA_REFERENCE
 from collapsim.schrodinger import gaussian_packet, two_packet_state
+from collapsim.states import ensemble_density
 from collapsim.units import ERG_PER_EV, HBAR_CGS
 
 from oracles import (

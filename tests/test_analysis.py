@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from collapsim import CollapseParams
 from collapsim.diffusion import CslStepper, run_ensemble
 from collapsim.epr import epr_linear_experiment, epr_nonlinear_experiment
 from collapsim.errors import StatisticalPreconditionError
@@ -15,7 +14,7 @@ from collapsim.massdensity import (
 )
 from collapsim.nosignal import gisin_check, here_there_mixtures
 from collapsim.operators import ProjectorFamily
-from collapsim.params import canonical_qmsl
+from collapsim.params import CollapseParams, canonical_qmsl
 from collapsim.rates import (
     DecoherenceSource,
     decoherence_rates,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,13 @@ def test_cli_json_format(tmp_path):
     doc = json.loads((tmp_path / "born.json").read_text())
     assert doc["provenance"]["seed"] == 20
     assert doc["data"]["rows"]
+
+
+def test_cli_output_name_is_the_text_as_written(tmp_path):
+    for name in ("true", "1e3"):
+        path = _write(tmp_path, BORN_CFG.replace("output = born", f"output = {name}"))
+        assert main(["--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["1e3.csv", "true.csv"]
 
 
 def test_rates_report_contains_reference_orders(tmp_path):
@@ -395,6 +403,13 @@ BASES = {
         ("master", "mass = 1.0", "mass = 1e-300"),
         ("master", "sigma = 0.5", "sigma = 1e-300"),
         ("rates", "density = 1e24", "density = 1e308"),
+        ("born", "output = born", "output ="),
+        ("born", "output = born", "output = a, b"),
+        ("born", "output = born", "output = /tmp/born"),
+        ("born", "output = born", "output = sub/born"),
+        ("born", "output = born", "output = ."),
+        ("born", "output = born", "output = .."),
+        ("born", "output = born", "output = born\0"),
     ],
     ids=[
         "steps-text", "steps-negative", "weights-scalar", "trajectories-negative",
@@ -405,7 +420,8 @@ BASES = {
         "discrete-one-record-point", "epr-no-steps",
         "epr-steps-past-memory", "steps-past-memory", "mass-overflows",
         "equivalence-window-past-memory", "mass-divides-by-zero", "sigma-divides-by-zero",
-        "density-overflows",
+        "density-overflows", "output-empty", "output-list", "output-absolute",
+        "output-in-a-directory", "output-dot", "output-dot-dot", "output-nul",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the exit code comes alone
@@ -656,40 +672,75 @@ def test_cli_exit_code_contract_on_arbitrary_grammar(data):
 
 PINNED = ("csl-born", "qmsl-hitting", "csl-equivalence", "epr")  # the benchmark's workloads
 
-IMPORT_BUDGET = """
+MODULES_BY_STAGE = """
 import json, sys, tempfile
 from pathlib import Path
 
+def loaded():
+    return sorted(
+        m for m in sys.modules
+        if m.split(".")[0] in ("collapsim", "scipy", "concurrent") or m == "numpy.random"
+    )
+
 import collapsim.cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-assert not scipy_modules(), scipy_modules()
-assert "concurrent.futures" not in sys.modules, "concurrent.futures imported"
-pinned, on_demand = json.loads(sys.argv[1])
+stages = [loaded()]
 with tempfile.TemporaryDirectory() as out:
-    for i, text in enumerate(pinned):
-        path = Path(out) / f"{i}.cfg"
-        path.write_text(text, encoding="utf-8")
-        assert collapsim.cli.main(["--config", str(path), "--out", out]) == 0, text
-        assert not scipy_modules(), (text, scipy_modules())
-    path = Path(out) / "on_demand.cfg"
-    path.write_text(on_demand, encoding="utf-8")
-    assert collapsim.cli.main(["--config", str(path), "--out", out]) == 0
-    assert "scipy.special" in sys.modules
+    path = Path(out) / "run.cfg"
+    path.write_text(sys.argv[1], encoding="utf-8")
+    cfg = collapsim.config.load_config(path)
+    stages.append(loaded())
+    collapsim.cli.run(cfg, out)
+    stages.append(loaded())
+print(json.dumps(stages))
 """
 
 
-def test_pinned_experiments_never_import_scipy():
-    # a fresh interpreter: this test session has scipy loaded already
-    pinned = [SMALL[name] for name in PINNED]
-    on_demand = SMALL["colored-damping-gaussian"]
+@cache
+def _modules_by_stage(name: str) -> tuple[set[str], set[str], set[str]]:
+    """The collapsim, scipy and concurrent modules and numpy.random that a
+    fresh interpreter loads in ``import collapsim.cli``, then in
+    ``load_config`` of ``SMALL[name]``, then in ``cli.run`` of it."""
+    # a fresh interpreter: this test session has every module loaded already
     src = str(Path(collapsim.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_BUDGET, json.dumps([pinned, on_demand])],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", MODULES_BY_STAGE, SMALL[name]],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    imported, configured, ran = (set(stage) for stage in json.loads(proc.stdout))
+    return imported, configured - imported, ran - configured
+
+
+CLI_MODULES = {"collapsim"} | {
+    f"collapsim.{m}" for m in ("cli", "config", "errors", "experiments", "params", "units")
+}
+
+ENGINES = {
+    "csl-born": ("cooking", "diffusion", "noise", "operators"),
+    "csl-equivalence": ("cooking", "diffusion", "noise", "operators"),
+    "epr": ("cooking", "diffusion", "epr", "noise", "operators"),
+    "qmsl-hitting": ("hitting", "noise", "schrodinger", "states"),
+}
+"""The modules each pinned experiment's config loads beyond the CLI's."""
+
+
+def test_pinned_experiments_never_import_scipy():
+    for name in PINNED:
+        imported, configured, ran = _modules_by_stage(name)
+        assert imported == CLI_MODULES
+        # exactly: csl-born, csl-equivalence and epr never load hitting,
+        # schrodinger or states, qmsl-hitting never diffusion, cooking or
+        # epr, and none loads scipy or concurrent.futures
+        assert configured == {f"collapsim.{m}" for m in ENGINES[name]} | {"numpy.random"}
+        assert not ran, (name, ran)
+    assert "scipy.special" in _modules_by_stage("colored-damping-gaussian")[2]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_a_run_loads_no_module_its_config_did_not(name):
+    # each @experiment names every engine module its runner imports
+    ran = _modules_by_stage(name)[2]
+    assert not {m for m in ran if m.split(".")[0] == "collapsim"}, ran
+    # noise loads numpy.random with the config; scipy, loaded on use, loads it too
+    assert "numpy.random" not in ran or "scipy" in ran

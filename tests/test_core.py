@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from collapsim import CollapseParams, GridWavefunction, ProjectorFamily, ensemble_density
 from collapsim.noise import trajectory_generator, wiener_increment_block
+from collapsim.operators import ProjectorFamily
+from collapsim.params import CollapseParams
 from collapsim.schrodinger import _kinetic_phase, gaussian_packet, split_step_batch
+from collapsim.states import GridWavefunction, ensemble_density
 
 from oracles import free_gaussian_q_var, free_step_reference, require_density
 

@@ -6,7 +6,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from collapsim import StabilityError, ensemble_density
+from collapsim import StabilityError
 from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
 from collapsim.cooking import linear_exact_commuting, systematic_resample
 from collapsim.diffusion import CslStepper, StepWorkspace, require_ensemble_fits, run_ensemble
@@ -22,6 +22,7 @@ from collapsim.noise import (
 )
 from collapsim.operators import ProjectorFamily
 from collapsim.params import canonical_qmsl
+from collapsim.states import ensemble_density
 from collapsim.units import ELECTRON_MASS_G, HBAR_CGS, NUCLEON_MASS_G
 
 from oracles import (

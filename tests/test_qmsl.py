@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from collapsim import CollapseParams, GridWavefunction
 from collapsim.errors import GridLeakageError
 from collapsim.freeparticle import (
     characteristic_times,
@@ -26,8 +25,9 @@ from collapsim.hitting import (
     sample_hit_center,
 )
 from collapsim.noise import TILE_BYTES, trajectory_generator
+from collapsim.params import CollapseParams
 from collapsim.schrodinger import gaussian_packet, two_packet_state
-from collapsim.states import DEFAULT_LEAK_TOL, ensemble_density
+from collapsim.states import DEFAULT_LEAK_TOL, GridWavefunction, ensemble_density
 from collapsim.units import ERG_PER_EV, HBAR_CGS
 
 from oracles import (
