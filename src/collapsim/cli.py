@@ -119,7 +119,9 @@ def run(cfg: ExperimentConfig, out_dir: str | None, *_ignored) -> Path:
 
     Returns the output path.  Deterministic given (config, seed); the
     output begins with a provenance header and is written atomically.  A
-    NaN or infinite result raises ``StabilityError`` and writes nothing.
+    NaN or infinite result raises ``StabilityError`` and writes nothing; a
+    directory or file that cannot be made or written raises ``ConfigError``
+    naming the path and the OS message.
     Further positional arguments are accepted and ignored: they were the
     thread count of earlier versions, which ``bench/worker.py`` still
     passes as ``run(cfg, out, 1)``.
@@ -131,7 +133,10 @@ def run(cfg: ExperimentConfig, out_dir: str | None, *_ignored) -> Path:
     else:
         suffix, text = ".json", _render_json(output, cfg)
     path = (Path(out_dir) if out_dir else Path(".")) / (cfg.output + suffix)
-    _atomic_write(path, text)
+    try:
+        _atomic_write(path, text)
+    except OSError as exc:  # the directory or the file cannot be made or written
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import require_memory
+from .errors import require_memory
 from .operators import ProjectorFamily
 
 _PSD_TOL = -1e-8

@@ -25,6 +25,8 @@ from pathlib import Path
 from .errors import ConfigError
 
 DEFAULT_SEED = 20_260_101
+OUTPUT_BYTES = 255 - len(".json") - 12
+"""The longest ``output`` name, in UTF-8 bytes."""
 
 
 def _parse_scalar(text: str):
@@ -171,6 +173,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     output = top.get("output", experiment)
     if output in ("", ".", "..") or any(c in output for c in ",/\0"):
         raise ConfigError(f"output = {output!r} is not a file name")
+    # the longest name a run makes, its temporary "<output>.json" + 8
+    # characters + ".tmp", must fit a file name's 255 bytes
+    if len(output.encode("utf-8", "surrogatepass")) > OUTPUT_BYTES:
+        raise ConfigError(f"output = {output[:16]!r}... is longer than {OUTPUT_BYTES} bytes")
     return ExperimentConfig(
         experiment=experiment,
         seed=seed,

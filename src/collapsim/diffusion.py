@@ -20,8 +20,8 @@ import numpy as np
 from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .cooking import linear_exact_commuting, systematic_resample
-from .errors import ConfigError, StabilityError
-from .noise import LiveStreams, WindowStream, require_memory, wiener_increment_block
+from .errors import ConfigError, StabilityError, require_memory
+from .noise import LiveStreams, WindowStream, wiener_increment_block
 from .operators import ProjectorFamily
 
 STABILITY_LIMIT = 0.01

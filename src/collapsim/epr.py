@@ -6,10 +6,14 @@ the left coupling has sector eigenvalues (+1, -1), the right (-1, +1).
 The right measurement, when switched on, completes before the left one
 starts.
 
-The nonlinear half runs ``diffusion.CHUNK`` seeds at a time, each chunk
-from its own noise block: the right pass, then the bare-singlet and
-detector-on left passes as one batch of twice the chunk's rows through
-the same left increments.  A seed's result does not depend on its chunk.
+The nonlinear half runs ``diffusion.CHUNK`` seeds at a time.  A seed's
+right-detector increments come from its stream under the ``RIGHT``
+purpose, its left increments from its ``NOISE`` stream.  A chunk draws
+the right block and takes the right pass, frees that block, and only
+then draws the left block for the bare-singlet and detector-on left
+passes, one batch of twice the chunk's rows through the same left
+increments.  So a chunk holds one channel's block at a time, and a
+seed's result does not depend on its chunk.
 
 Nonlinear dynamics: conditional left-outcome probabilities given the
 left-noise class (defined operationally: replay the same left-noise path
@@ -27,8 +31,8 @@ import numpy as np
 from . import diffusion
 from .cooking import linear_exact_commuting
 from .diffusion import CslStepper, StepWorkspace
-from .errors import StatisticalPreconditionError
-from .noise import require_memory, wiener_increment_block
+from .errors import StatisticalPreconditionError, require_memory
+from .noise import RIGHT, wiener_increment_block
 from .operators import ProjectorFamily
 
 MIN_CONDITIONING_SAMPLES = 500
@@ -64,11 +68,12 @@ def nonlinear_steppers(gamma: float, t_end: float, steps: int) -> list[CslSteppe
 
 
 def require_epr_fits(n_seeds: int, steps: int) -> None:
-    """Raise ValueError when the run would not fit: one chunk's noise block
-    and step buffers (2m rows at once), and what grows with ``n_seeds``,
-    each seed's outcomes and the linear half's (1, n, 2) block and weights."""
+    """Raise ValueError when the run would not fit: one chunk's one-channel
+    noise block and step buffers (2m rows at once), and what grows with
+    ``n_seeds``, each seed's outcomes and the linear half's (1, n, 2) block
+    and weights."""
     m = min(diffusion.CHUNK, n_seeds)
-    require_memory(16 * steps * m + 512 * m + 256 * n_seeds, "the epr noise chunk and seeds")
+    require_memory(8 * steps * m + 512 * m + 256 * n_seeds, "the epr noise chunk and seeds")
 
 
 def epr_nonlinear_experiment(
@@ -113,14 +118,17 @@ def _left_plus(
     master_seed: int, seeds: np.ndarray, steps: int, stepper_l: CslStepper, stepper_r: CslStepper
 ) -> np.ndarray:
     """Whether the left outcome of each of ``seeds`` is +1 on the bare
-    singlet (row 0) and with the right detector on (row 1), from one noise
-    block, freed on return."""
-    block = wiener_increment_block(master_seed, seeds, steps, 2, stepper_l.gamma, stepper_l.dt)
+    singlet (row 0) and with the right detector on (row 1): the right
+    block is freed before the left one is drawn."""
+    gamma, dt = stepper_l.gamma, stepper_l.dt
     singlets = np.tile(_SINGLET, (seeds.size, 1))
-    # detector on: the right measurement (channel 1) collapses the singlet first
-    after_right = _evolve_batch(singlets, stepper_r, block[..., 1:])
-    # the bare singlet replays the same left noise (channel 0) in one batch
-    both = _evolve_batch(np.concatenate((singlets, after_right)), stepper_l, block[..., :1])
+    # detector on: the right measurement collapses the singlet first
+    after_right = _evolve_batch(
+        singlets, stepper_r, wiener_increment_block(master_seed, seeds, steps, 1, gamma, dt, RIGHT)
+    )
+    # the bare singlet replays the same left noise in one batch
+    left = wiener_increment_block(master_seed, seeds, steps, 1, gamma, dt)
+    both = _evolve_batch(np.concatenate((singlets, after_right)), stepper_l, left)
     return (np.argmax(_LEFT.sector_weights(both), axis=1) == 0).reshape(2, -1)
 
 

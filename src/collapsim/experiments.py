@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .config import MANY, ExperimentConfig, Param, read_params
-from .errors import ConfigError
+from .errors import ConfigError, require_memory
 from .params import (
     CANONICAL_ALPHA,
     CANONICAL_DENSITY,
@@ -109,7 +109,7 @@ def _hitting_model(p: dict) -> tuple[CollapseParams, list[str]]:
     return params, [notice] if width < 2 * p["dx"] else []
 
 
-@experiment("qmsl-hitting", trajectories=1000, modules=("hitting", "noise", "schrodinger"), params={
+@experiment("qmsl-hitting", trajectories=1000, modules=("hitting", "schrodinger"), params={
     **_GRID,
     "centers": Param(float, length=2),
     "t_end": Param(float, bound=POSITIVE),
@@ -117,14 +117,14 @@ def _hitting_model(p: dict) -> tuple[CollapseParams, list[str]]:
     "record_events": Param(bool, False),
 })
 def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
-    from . import hitting, noise, schrodinger
+    from . import hitting, schrodinger
 
     n, dx, centers = p["n"], p["dx"], tuple(p["centers"])
     psi0 = schrodinger.two_packet_state(n, dx, -0.5 * n * dx, p["mass"], centers, p["sigma"])
     params, notices = _hitting_model(p)
     hitting.step_count(p["t_end"], p["dt"])
     n_traj = 1 if p["record_events"] else run.trajectories
-    noise.require_memory(16 * n * n_traj, "the final states")
+    require_memory(16 * n * n_traj, "the final states")
     yield notices
     res = hitting.run_qmsl_ensemble(psi0, params, p["t_end"], n_traj, run.seed, p["dt"])
     if p["record_events"]:

@@ -7,20 +7,18 @@ execution.  Drawn in consecutive calls, a stream gives the normals of
 one call, so a run reads it a window at a time (``LiveStreams``).  A
 resampled run couples its rows, so it draws each window whole from the
 stream keyed by (master seed, window).  A stream's counter is [0, 0, 0,
-purpose]: the purpose (noise, resampling, windows) keeps streams of one
-key disjoint (Salmon et al., SC'11)."""
+purpose]: the purpose (noise, resampling, windows, right detector) keeps
+streams of one key disjoint (Salmon et al., SC'11)."""
 
 from __future__ import annotations
-
-import os
-import sys
 
 import numpy as np
 import numpy.random  # lazy in numpy: loaded here, it comes with a config that uses noise
 
 
-NOISE, RESAMPLE, WINDOWS = 0, 1, 2
-"""Stream purposes: trajectory noise, resampling draws, resampled windows."""
+NOISE, RESAMPLE, WINDOWS, RIGHT = 0, 1, 2, 3
+"""Stream purposes: trajectory noise, resampling draws, resampled windows,
+and the right detector's record of an epr seed."""
 
 TILE_BYTES = 1 << 20
 """Size of the contiguous tile ``wiener_increment_block`` draws streams into."""
@@ -35,10 +33,11 @@ def trajectory_generator(master_seed: int, index: int = 0,
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _rekeyed(master_seed: int, traj_indices, rngs: list | None = None):
+def _rekeyed(master_seed: int, traj_indices, rngs: list | None = None,
+             purpose: int = NOISE):
     """The ``standard_normal`` of each of ``rngs`` (or of one generator),
-    reset as it is reached to stream (master_seed, traj_indices[j], NOISE)."""
-    one = trajectory_generator(master_seed)
+    reset as it is reached to stream (master_seed, traj_indices[j], purpose)."""
+    one = trajectory_generator(master_seed, 0, purpose)
     # a fresh stream's state, re-keyed below; lists set faster than arrays
     fresh = one.bit_generator.state
     start = {**fresh, "buffer": fresh["buffer"].tolist(),
@@ -99,11 +98,13 @@ def wiener_increment_block(
     channels: int,
     gamma: float,
     dt: float,
+    purpose: int = NOISE,
 ) -> np.ndarray:
     """Increments for a batch of trajectories, shape (steps, n, channels).
 
-    Row j is the stream ``trajectory_generator(master_seed, traj_indices[j])``,
-    drawn by one Philox generator reset to each stream in turn; given
+    Row j is the stream ``trajectory_generator(master_seed, traj_indices[j],
+    purpose)``, drawn by one Philox generator reset to each stream in turn
+    (``purpose`` applies to index arrays only); given
     ``LiveStreams``, it is their row j read on for ``steps`` steps, in a
     view of their buffer; either way rows go through a contiguous tile of
     about ``TILE_BYTES``.  Given a ``WindowStream``, the block is one draw of its stream.
@@ -114,7 +115,7 @@ def wiener_increment_block(
         return rng.normal(0.0, scale, (steps, len(traj_indices), channels))
     n, live = len(traj_indices), isinstance(traj_indices, LiveStreams)
     out = traj_indices.buffer[:steps, :n] if live else np.empty((steps, n, channels))
-    draws = iter(traj_indices) if live else _rekeyed(master_seed, traj_indices)
+    draws = iter(traj_indices) if live else _rekeyed(master_seed, traj_indices, None, purpose)
     width = int(np.clip(TILE_BYTES // max(steps * channels * 8, 1), 1, max(n, 1)))
     # tile rows an odd number of 64-byte lines apart: 4 KiB apart, the
     # transposed copy below takes twice as long
@@ -131,16 +132,3 @@ def wiener_increment_block(
         out[:, lo : lo + len(part)] = part.transpose(1, 0, 2)
     return out
 
-
-def require_memory(nbytes: int, what: str) -> None:
-    """Raise ValueError when ``nbytes`` exceed this machine's physical memory."""
-    try:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        limit = sys.maxsize
-    if nbytes > limit:
-        gib = nbytes / 2**30 if nbytes < 1e300 else np.inf
-        raise ValueError(
-            f"{what} need {gib:.3g} GiB, more than the {limit / 2**30:.3g} GiB "
-            "of memory here"
-        )

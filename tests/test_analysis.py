@@ -1,5 +1,7 @@
 """Derived physics: mass density, tails, no-signaling, EPR, rates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,21 @@ def test_epr_nonlinear_does_not_depend_on_the_chunk(monkeypatch, n):
         results.append(run())
     assert isinstance(results[0], str) == (n == 600)
     assert all(res == results[0] for res in results[1:])
+
+
+def test_epr_nonlinear_chunk_holds_one_channel_block():
+    # the right block is freed before the left one is drawn: a full chunk's
+    # peak stays well below the two-channel block, 2 x 8 B x steps x CHUNK
+    import collapsim.diffusion as diffusion
+
+    steps = 400
+    tracemalloc.start()
+    try:
+        epr_nonlinear_experiment(diffusion.CHUNK, 1.0, 2.0, 20, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * steps * diffusion.CHUNK
 
 
 def test_epr_linear_marginals_agree():

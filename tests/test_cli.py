@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import collapsim
 from collapsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_STATISTICAL, main
-from collapsim.config import parse_config_text
+from collapsim.config import OUTPUT_BYTES, parse_config_text
 from collapsim.errors import ConfigError
 from collapsim.experiments import plan, run_experiment
 
@@ -410,6 +410,7 @@ BASES = {
         ("born", "output = born", "output = ."),
         ("born", "output = born", "output = .."),
         ("born", "output = born", "output = born\0"),
+        ("born", "output = born", "output = " + "b" * 250),
     ],
     ids=[
         "steps-text", "steps-negative", "weights-scalar", "trajectories-negative",
@@ -422,6 +423,7 @@ BASES = {
         "equivalence-window-past-memory", "mass-divides-by-zero", "sigma-divides-by-zero",
         "density-overflows", "output-empty", "output-list", "output-absolute",
         "output-in-a-directory", "output-dot", "output-dot-dot", "output-nul",
+        "output-too-long",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the exit code comes alone
@@ -437,6 +439,27 @@ def test_cli_malformed_value_exit_2_when_run_and_validated(
     assert not out.exists()
     assert main(["--config", path, "--validate"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_longest_output_name_is_written(tmp_path):
+    # the temporary file's name, "<output>.json" + 8 characters + ".tmp", is 255 bytes
+    name = "\u00e9" * (OUTPUT_BYTES // 2) + "b" * (OUTPUT_BYTES % 2)
+    text = SMALL["decoherence-table"].replace("output = table", f"output = {name}\nformat = json")
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"{name}.json").is_file()
+    text = text.replace(f"output = {name}", f"output = {name}b")
+    assert main(["--config", _write(tmp_path, text), "--validate"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "name-too-long"])
+def test_cli_write_failure_exit_2(tmp_path, capsys, where):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out" if where == "under-a-file" else tmp_path / ("d" * 300)
+    path = _write(tmp_path, SMALL["decoherence-table"])
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / 'table.csv'}: [Errno")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "file"]
 
 
 @pytest.mark.parametrize("experiment", ["csl-born", "csl-equivalence"])
@@ -735,6 +758,9 @@ def test_pinned_experiments_never_import_scipy():
         assert configured == {f"collapsim.{m}" for m in ENGINES[name]} | {"numpy.random"}
         assert not ran, (name, ran)
     assert "scipy.special" in _modules_by_stage("colored-damping-gaussian")[2]
+    # colored-damping draws no noise: neither noise nor numpy.random loads
+    _, configured, ran = _modules_by_stage("colored-damping")
+    assert configured == {"collapsim.colored", "collapsim.operators"} and not ran
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))

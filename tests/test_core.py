@@ -138,6 +138,20 @@ def test_wiener_block_rows_are_the_trajectory_streams(monkeypatch, channels):
         assert np.array_equal(block[:, j], rng.normal(0.0, np.sqrt(0.007), (steps, channels)))
 
 
+def test_wiener_block_right_purpose_rows_are_their_own_streams(monkeypatch):
+    import collapsim.noise as noise
+
+    steps = 40
+    monkeypatch.setattr(noise, "TILE_BYTES", 2 * steps * 8)  # two tiles, the last ragged
+    indices = np.array([3, 0, 4095])
+    right = noise.wiener_increment_block(20, indices, steps, 1, 1.0, 0.005, noise.RIGHT)
+    plain = noise.wiener_increment_block(20, indices, steps, 1, 1.0, 0.005)
+    for j, index in enumerate(indices.tolist()):
+        rng = trajectory_generator(20, index, noise.RIGHT)
+        assert np.array_equal(right[:, j, 0], rng.normal(0.0, np.sqrt(0.005), steps))
+        assert not np.any(right[:, j] == plain[:, j])
+
+
 # ----------------------------------------------------------- schrodinger
 
 
