@@ -5,10 +5,10 @@ white-noise convention <<dB_i dB_j>> = gamma delta_ij dt.  The nonlinear
 form, with or without a Hamiltonian, takes Euler-Maruyama steps and
 renormalizes every step to absorb discretization residue.  The linear
 form has no Hamiltonian and commuting couplings, so it takes the exact
-update by summed increments (``cooking.linear_exact_commuting``), which
-keeps the stored state normalized and the cooked weight log||psi||^2 in
-log space.  The engines return final states and log-weights; the
-ensemble's density is ``states.ensemble_density`` of them.
+update by summed increments (``cooking.linear_exact_commuting``) only
+where its state or weight is read; the stored state stays normalized and
+the cooked weight log||psi||^2 in log space.  The engines return final
+states and log-weights; their density is ``states.ensemble_density``.
 """
 
 from __future__ import annotations
@@ -280,9 +280,10 @@ class EnsembleResult:
 
     ``outcomes[k]`` is the sector trajectory k collapsed onto (z >= 1-1e-6)
     or -1 if still undecided; ``collapse_steps`` likewise (-1 = never),
-    counted from the trajectory's own start.  The physical-ensemble density
-    is ``states.ensemble_density`` of the final states, weighted by
-    exp(log_weights) for the linear form.  A row that
+    counted from the trajectory's own start, at a nonlinear row's check
+    points or a linear row's update points (see ``run_ensemble``).  The
+    ensemble's density is ``states.ensemble_density`` of the final states,
+    weighted by exp(log_weights) for the linear form.  A row that
     ``run_ensemble(until_decided=True)`` retired holds its state at
     retirement, whose argmax the full run would change with probability at
     most 2 * RETIRE_TOL.
@@ -306,7 +307,7 @@ many channels, whose ``x @ table`` may take another BLAS kernel."""
 WINDOW_BYTES = 1 << 23
 """Size of the buffer into which ``run_ensemble``, when it does not resample,
 reads its pool's noise, whole 16-step check intervals at a time (256 steps
-of 4096 one-channel rows), so no check point or linear segment moves.  A
+of 4096 one-channel rows), so no check point moves.  A
 row that retires mid-window leaves the rest of its window's normals unread."""
 
 
@@ -336,7 +337,7 @@ def require_ensemble_fits(
     channels, plain = steppers[0].family.channel_count, resample_every is None
     rows = min(CHUNK, n_traj) if plain else n_traj
     window = _plain_window(rows, channels, steps) if plain else min(resample_every, steps)
-    nbytes = (8 * window * channels + 1024 * plain) * rows  # 0.5 KB a live stream
+    nbytes = (8 * (window + 1) * channels + 1024 * plain) * rows  # +1: linear sums; 1 KB a stream
     nbytes += 16 * n_traj * sum(s.family.dim for s in steppers)
     require_memory(nbytes, "the noise window and the states")
 
@@ -367,7 +368,7 @@ class _Ensemble:
                  n_traj: int, record_every: int | None, h_matrix, until_decided: bool) -> None:
         self.stepper, self.psi0, self.steps, self.every = stepper, psi0, steps, record_every
         self.h_matrix, self.ws, self.until_decided = h_matrix, None, until_decided
-        self.psis, self.lw = np.tile(psi0, (0, 1)), np.zeros(0)
+        self.psis, self.lw, self.sums, self.last = np.tile(psi0, (0, 1)), np.zeros(0), 0.0, 0
         self.done = self.traj = self.join = self.cols = np.zeros(0, dtype=int)
         n_rec, dim = (steps // record_every if record_every else 0), psi0.shape[0]
         self.res = EnsembleResult(
@@ -395,15 +396,16 @@ class _Ensemble:
 
     def advance(self, block: np.ndarray, k0: int) -> None:
         """Take the rows through ``block``, whose first row is pool step
-        k0 + 1, a segment at a time: one exact update by the summed
-        increments for the linear form, nonlinear steps one by one.  A row
-        that joined at pool step j is at its own step k0 - j + s after s
-        rows of the block.  Segments end at a row's record steps, where z
-        is recorded, and at its check points (every 16 of its steps, its
-        last step and the block's end), where finiteness is checked,
-        collapses marked and, until decided, settled rows retired.  A row
-        leaves at its last step or when it retires."""
+        k0 + 1, a segment at a time: nonlinear steps one by one, linear
+        increments added in step order to sums that ``update`` reads at
+        record and last steps.  A row that joined at pool step j is at its
+        own step k0 - j + s after s rows of the block.  Segments end at its
+        record steps, where z is recorded, and check points (every 16 of its
+        steps, its last step and the block's end), where finiteness (of
+        unread sums too) is checked, collapses marked and, until decided,
+        settled rows retired.  A row leaves at its last step or on retiring."""
         stepper, fam, every, size = self.stepper, self.stepper.family, self.every, len(block)
+        assert stepper.form != "linear" or self.join[0] == self.join[-1], "linear rows differ in age"
         # rows join only at window boundaries, and a window is cut short only
         # where all its rows end, so ages differ by whole windows: one residue
         # mod 16, and only the oldest rows (first, as joins never decrease
@@ -417,23 +419,26 @@ class _Ensemble:
         for s0, s in zip([0] + ends, ends):
             if not len(self.traj):  # every row left
                 return
+            k = k0 + s - self.join
+            # between the rows' common check points only those at their last step
+            out = k == self.steps
+            at = s == size or k[0] % 16 == 0 or out
             if stepper.form == "linear":
-                # summed in step order, as numpy sums a batch (pairwise for one row)
-                x, f = reduce(np.add, block[s0:s]), (s - s0) * stepper.dt
-                self.psis, dlog = linear_exact_commuting(self.psis, fam, x, stepper.gamma, f)
-                self.lw += dlog
+                self.sums, self.now = reduce(np.add, block[s0:s], self.sums), k0 + s
+                if not (out[0] or every and k[0] % every == 0):  # not an update point
+                    if np.any(at) and not np.isfinite(self.sums.sum(1) + self.lw).all():
+                        raise StabilityError(f"noise sums or log-weights not finite at step {k[0]}")
+                    continue
+                self.update()
             else:
                 cols = None if len(self.cols) == block.shape[1] else self.cols
                 for db in block[s0:s]:
                     db = db if cols is None else db.take(cols, axis=0)
                     self.psis = stepper.step_batch(self.psis, db, self.ws)
-            k, z = k0 + s - self.join, _sector_rows(fam, self.psis.T)
+            z = _sector_rows(fam, self.psis.T)
             if every:
                 rec = k % every == 0
                 self.res.z_history[k[rec] // every - 1, self.traj[rec]] = z.T[rec]
-            # between the rows' common check points only those at their last step
-            out = k == self.steps
-            at = s == size or k[0] % 16 == 0 or out
             # NaN or infinite amplitudes (seen through z) or log-weights
             if not (np.isfinite(z).all() and np.isfinite(self.lw).all()):
                 bad = ~(np.isfinite(z).all(axis=0) & np.isfinite(self.lw)) & at
@@ -448,6 +453,15 @@ class _Ensemble:
             if out.any():
                 self.leave(out)
 
+    def update(self) -> None:
+        """The linear rows' exact update by their sums from pool step ``last``,
+        their join or last update, to ``now``; it marks their collapses."""
+        st, f = self.stepper, (self.now - self.last) * self.stepper.dt
+        self.psis, dlog = linear_exact_commuting(self.psis, st.family, self.sums, st.gamma, f)
+        self.lw, self.sums, self.last = self.lw + dlog, 0.0, self.now
+        z = _sector_rows(st.family, self.psis.T).max(axis=0)
+        self.done[(self.done < 0) & (z >= 1.0 - REDUCTION_COMPLETE_TOL)] = self.now - self.join[0]
+
     def leave(self, out: np.ndarray) -> None:
         """Store the results of the rows that the mask ``out`` picks (their
         collapse steps are already marked) and step only the others."""
@@ -459,8 +473,9 @@ class _Ensemble:
             x[kept] for x in (self.lw, self.done, self.traj, self.join, self.cols))
 
     def resample(self, master_seed: int, k: int) -> None:
-        """Cooked reweighting at step k: descendants take their ancestor's
-        state and collapse step, and every log-weight restarts at zero."""
+        """Cooked reweighting at step k, after ``update``: descendants take
+        their ancestor's state and collapse step; log-weights restart at 0."""
+        self.update()
         picked = systematic_resample(self.lw, master_seed, k)
         self.psis, self.done = self.psis[picked], self.done[picked]
         self.lw[:] = 0.0
@@ -489,11 +504,11 @@ def run_ensemble(
 
     ``stepper`` is one CslStepper, or a tuple of them that step one
     ensemble each through the same increments (results in its order).
-    A linear ensemble is not Euler-stepped: the couplings commute, so
-    between two check or record points each row takes the exact update
-    ``linear_exact_commuting`` by its summed increments, free of
-    step-size error; it takes no ``h_matrix``.  A nonlinear ensemble is
-    stepped by ``CslStepper.step_batch``.
+    A linear ensemble is not Euler-stepped: the couplings commute, so each
+    row sums its increments in step order and takes the exact update
+    ``linear_exact_commuting`` by them only at its update points (record
+    steps, resample points and its last step), free of step-size error; it
+    takes no ``h_matrix``.  Nonlinear ones step by ``CslStepper.step_batch``.
 
     Trajectory i steps through stream traj_offset + i.  Without
     resampling, a pool of ``CHUNK`` slots steps, each row reading its
@@ -516,8 +531,8 @@ def run_ensemble(
     once and records no z history, so ``record_every`` is rejected with it.
 
     Every 16 of a row's steps, at its last step and at the end of each
-    window a NaN or infinite amplitude or log-weight raises StabilityError,
-    which names the row's own step.
+    window (its check points) a NaN or infinite amplitude, log-weight or
+    linear increment sum raises StabilityError, naming the row's own step.
 
     ``until_decided`` stops stepping a row, and frees its slot and live
     stream before the next window is drawn, at the first check point where

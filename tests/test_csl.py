@@ -1,7 +1,7 @@
 """Continuous-localization steppers, cooking, reduction, ensemble level."""
 
 import tracemalloc
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 import pytest
@@ -268,11 +268,14 @@ def _linear_run(family, complex_psi, n_traj=64, **kwargs):
     return psi0, stepper, run_ensemble(psi0, stepper, 40, n_traj, 19, **kwargs)
 
 
-@pytest.mark.parametrize("every", [None, 1], ids=["segment-per-16", "segment-per-step"])
+@pytest.mark.parametrize(
+    "every", [None, 16, 1], ids=["one-update", "segment-per-16", "segment-per-step"]
+)
 @pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("fam", list(EXACT_FAMILIES.values()), ids=list(EXACT_FAMILIES))
 def test_linear_segments_compose_to_one_exact_update(fam, complex_psi, every):
-    # updates by each segment's increments end where one by their sum does
+    # a linear row is updated at its record steps and last step; updates by
+    # each segment's increments end where one by their sum does
     psi0, stepper, res = _linear_run(fam, complex_psi, record_every=every)
     block = wiener_increment_block(19, np.arange(64), 40, fam.channel_count, 0.9, stepper.dt)
     exact, logw = linear_exact_commuting(psi0, fam, block.sum(axis=0), 0.9, 40 * stepper.dt)
@@ -349,9 +352,9 @@ def test_run_ensemble_equals_reference_steps(monkeypatch, form):
 
 @pytest.mark.parametrize("chunk", [16, 64])
 def test_linear_run_is_the_exact_update_by_summed_increments(monkeypatch, chunk):
-    # three sectors, two channels; the run is cut into segments at every
-    # record step (10) and every 16 steps, and each row of every chunk
-    # ends where one exact update by its whole increment sum takes it
+    # three sectors, two channels; the run takes an exact update at every
+    # record step (10) and its last step, and each row of every chunk ends
+    # where one exact update by its whole increment sum takes it
     import collapsim.diffusion as diffusion
 
     fam = EXACT_FAMILIES["diagonal-3-sectors-2-channels"]
@@ -371,6 +374,47 @@ def test_linear_run_is_the_exact_update_by_summed_increments(monkeypatch, chunk)
     for field in ("final_states", "log_weights", "z_history"):
         assert np.array_equal(getattr(res, field), getattr(whole, field)), field
     assert np.array_equal(_density(res), _density(whole))
+
+
+def test_linear_rows_are_updated_only_where_they_are_read(monkeypatch):
+    # csl-equivalence's bench config (750 steps resampled every 100) takes
+    # one exact update per window, at its 7 resample points and its last
+    # step; a plain run takes one at each of its 9 record steps (of 90)
+    import collapsim.diffusion as diffusion
+
+    spans = []
+
+    def counted(psis, family, x, gamma, f):
+        spans.append(f)
+        return linear_exact_commuting(psis, family, x, gamma, f)
+
+    monkeypatch.setattr(diffusion, "linear_exact_commuting", counted)
+    steppers = tuple(CslStepper(TWO, 1.0, 0.002, form=f) for f in ("linear", "nonlinear"))
+    run_ensemble(np.sqrt([0.3, 0.7]), steppers, 750, 64, 20, resample_every=100)
+    assert spans == [100 * 0.002] * 7 + [50 * 0.002]
+    spans.clear()
+    fam = EXACT_FAMILIES["diagonal-3-sectors-2-channels"]
+    stepper = CslStepper(fam, 0.9, 0.002, form="linear")
+    run_ensemble(np.sqrt([0.1, 0.2, 0.3, 0.4]), stepper, 90, 100, 12, record_every=10)
+    assert spans == [10 * 0.002] * 9
+
+
+def test_plain_linear_run_in_16_step_windows_is_one_exact_update(monkeypatch):
+    # the rows' increment sums run on across window boundaries in step
+    # order, so a run read in 16-step windows ends on the bits of one exact
+    # update by the step-order sum of all its increments
+    import collapsim.diffusion as diffusion
+
+    fam = EXACT_FAMILIES["diagonal-3-sectors-2-channels"]
+    psi0 = np.sqrt(np.array([0.1, 0.2, 0.3, 0.4]))
+    gamma, dt, steps, n = 0.9, 0.002, 90, 48
+    monkeypatch.setattr(diffusion, "WINDOW_BYTES", 16 * n * 2 * 8)
+    assert diffusion._plain_window(n, 2, steps) == 16
+    res = run_ensemble(psi0, CslStepper(fam, gamma, dt, form="linear"), steps, n, 12)
+    block = wiener_increment_block(12, np.arange(n), steps, 2, gamma, dt)
+    exact, logw = linear_exact_commuting(psi0, fam, reduce(np.add, block), gamma, steps * dt)
+    assert np.array_equal(res.final_states, exact)
+    assert np.array_equal(res.log_weights, logw)
 
 
 def test_hamiltonian_ensemble_does_not_depend_on_the_chunk(monkeypatch):
@@ -438,6 +482,21 @@ def test_resampled_runner_nan_increment_raises_stability_error(monkeypatch, firs
     assert windows == [0]
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"resample_every": 40}, {"record_every": 10}], ids=["resampled-40", "record-10"]
+)
+def test_linear_nan_increment_is_named_at_the_next_check_point(monkeypatch, kwargs):
+    # a linear row reads its increment sums only at its update points (the
+    # resample point 40, or the record step 10), but its check point 16
+    # sees the NaN of step 6 in its sums or log-weight
+    import collapsim.diffusion as diffusion
+
+    monkeypatch.setattr(diffusion, "wiener_increment_block", _nan_block)
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form="linear")
+    with pytest.raises(StabilityError, match="not finite at step 16"):
+        run_ensemble(np.sqrt([0.3, 0.7]), stepper, 80, 4, 1, **kwargs)
+
+
 def test_resampled_runner_rejects_traj_offset():
     # its rows share each window's stream, so an offset would be ignored
     stepper = CslStepper(TWO, gamma=1.0, dt=0.005, form="linear")
@@ -477,8 +536,8 @@ def test_shared_runner_in_one_window_steps_both_forms_through_window_stream_0(
 def test_shared_runner_steps_both_forms_through_window_keyed_streams():
     # reference: window w of every slot drawn from WINDOWS stream w, the
     # nonlinear form stepped through it by the row-wise step, the linear
-    # one updated exactly by the window's increment sum and resampled at
-    # each inner window boundary
+    # one updated exactly by the window's increment sum in step order and
+    # resampled at each inner window boundary, all to the same bits
     psi0 = np.sqrt(np.array([0.3, 0.7], dtype=complex))
     steppers = tuple(
         CslStepper(TWO, gamma=1.0, dt=0.005, form=f) for f in ("linear", "nonlinear")
@@ -489,13 +548,14 @@ def test_shared_runner_steps_both_forms_through_window_keyed_streams():
     for w, k0 in enumerate(range(0, steps, every)):
         take = min(every, steps - k0)
         block = _window_draw(seed, w, take, n, 1, 1.0, 0.005)
-        psis[0], logw = linear_exact_commuting(psis[0], TWO, block.sum(axis=0), 1.0, take * 0.005)
+        x = reduce(np.add, block)
+        psis[0], logw = linear_exact_commuting(psis[0], TWO, x, 1.0, take * 0.005)
         for k in range(take):
             psis[1], _ = step_batch_reference(steppers[1], psis[1], block[k])
         if k0 + take < steps:
             psis[0] = psis[0][systematic_resample(logw, seed, k0 + take)]
-    assert np.max(np.abs(lin.final_states - psis[0])) <= 1e-12
-    assert np.max(np.abs(lin.log_weights - logw)) <= 1e-10
+    assert np.array_equal(lin.final_states, psis[0])
+    assert np.array_equal(lin.log_weights, logw)
     assert np.array_equal(non.final_states, psis[1])
 
 
