@@ -161,6 +161,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.format is not None:
             cfg.fmt = args.format
         if args.validate:
+            # a run makes its directory, each name at most 255 bytes, under
+            # the nearest one that exists, which it must be able to write in
+            out = base = Path(args.out or ".")
+            try:
+                while not base.exists() and base != base.parent:
+                    base = base.parent
+            except OSError as exc:  # the path is too long to look up
+                raise ConfigError(f"cannot write {out}: {exc}") from exc
+            if any(len(os.fsencode(name)) > 255 for name in out.parts) or not (
+                base.is_dir() and os.access(base, os.W_OK | os.X_OK)
+            ):
+                raise ConfigError(f"cannot write {out}: no directory can be made there")
             for notice in cfg.defaults_applied + plan(cfg)[0]:
                 print(notice)
             print("ok")

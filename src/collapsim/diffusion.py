@@ -429,13 +429,13 @@ class _Ensemble:
                     if np.any(at) and not np.isfinite(self.sums.sum(1) + self.lw).all():
                         raise StabilityError(f"noise sums or log-weights not finite at step {k[0]}")
                     continue
-                self.update()
+                z = self.update()
             else:
                 cols = None if len(self.cols) == block.shape[1] else self.cols
                 for db in block[s0:s]:
                     db = db if cols is None else db.take(cols, axis=0)
                     self.psis = stepper.step_batch(self.psis, db, self.ws)
-            z = _sector_rows(fam, self.psis.T)
+                z = _sector_rows(fam, self.psis.T)
             if every:
                 rec = k % every == 0
                 self.res.z_history[k[rec] // every - 1, self.traj[rec]] = z.T[rec]
@@ -453,14 +453,17 @@ class _Ensemble:
             if out.any():
                 self.leave(out)
 
-    def update(self) -> None:
+    def update(self) -> np.ndarray:
         """The linear rows' exact update by their sums from pool step ``last``,
-        their join or last update, to ``now``; it marks their collapses."""
+        their join or last update, to ``now``; it marks their collapses and
+        returns their sector weights, (d, rows)."""
         st, f = self.stepper, (self.now - self.last) * self.stepper.dt
         self.psis, dlog = linear_exact_commuting(self.psis, st.family, self.sums, st.gamma, f)
         self.lw, self.sums, self.last = self.lw + dlog, 0.0, self.now
-        z = _sector_rows(st.family, self.psis.T).max(axis=0)
-        self.done[(self.done < 0) & (z >= 1.0 - REDUCTION_COMPLETE_TOL)] = self.now - self.join[0]
+        z = _sector_rows(st.family, self.psis.T)
+        decided = (self.done < 0) & (z.max(axis=0) >= 1.0 - REDUCTION_COMPLETE_TOL)
+        self.done[decided] = self.now - self.join[0]
+        return z
 
     def leave(self, out: np.ndarray) -> None:
         """Store the results of the rows that the mask ``out`` picks (their

@@ -108,6 +108,26 @@ def step_count(t_end: float, dt: float) -> int:
     return n_steps
 
 
+def band_cuts(n: int) -> tuple[int, int]:
+    """The leakage screen's band cut-offs K on an N-point grid."""
+    return n // 8, 3 * n // 16
+
+
+def tail_bounds(spectra: np.ndarray, norm: float) -> np.ndarray:
+    """T = sum_{|j|>K} |chi_j| / N plus a rounding margin, which bounds what
+    the band |j| <= K leaves out of ``spectra`` @ taps of modulus 1/N, for
+    spectra of position-space norm at most ``norm``: a row per spectrum, a
+    column per ``band_cuts`` K."""
+    n, cuts = spectra.shape[1], band_cuts(spectra.shape[1])
+    # sum_j |chi_j| <= sqrt(N) ||chi|| = N ||psi||, and 8 u times it bounds the
+    # rounding of a row's band and full products (each about sqrt(2) u times
+    # sum_j |chi_j|, Higham 2002, section 3.1) and of its tail sums
+    margin = 4 * np.finfo(float).eps * n * norm
+    a = np.abs(spectra[:, cuts[0] + 1 : n - cuts[0]])  # |j| > N/8
+    tails = [a[:, k - cuts[0] : a.shape[1] - k + cuts[0]].sum(axis=1) for k in cuts]
+    return np.stack(tails, axis=1) / n + margin
+
+
 def run_qmsl_ensemble(
     psi0: GridWavefunction,
     params: CollapseParams,
@@ -135,9 +155,16 @@ def run_qmsl_ensemble(
 
     Leakage is checked at every step: chi's edge amplitudes at t are
     chi @ [kin(t), kin(t) exp(-2 pi i k/N)] / N, one (N, 2W) block of taps
-    a window, W as large as one ``noise.TILE_BYTES`` tile allows.  Edges
-    over ``DEFAULT_LEAK_TOL`` times the RMS amplitude (a lower bound on the
-    peak, fixed in time) get the exact test against the peak; the first
+    a window, W as large as one ``noise.TILE_BYTES`` tile allows.  An edge
+    is at most its band part, over |j| <= K, plus the ``tail_bounds`` T of
+    the spectrum, which free flight leaves alone (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1, for the rounding
+    margin).  The screen takes the band product at the first K of
+    ``band_cuts`` where every row whose T can fit under the cap,
+    ``DEFAULT_LEAK_TOL`` times the RMS amplitude (a lower bound on the
+    peak, fixed in time), fits.  Rows whose band edge plus T may pass the
+    cap (a moving or narrow packet) take the full-width product, and its
+    edges over the cap get the exact test against the peak.  The first
     failing step raises ``GridLeakageError``, as a step-by-step check would.
     """
     if abs(psi0.norm_sq() - 1.0) > 1e-8:
@@ -152,17 +179,31 @@ def run_qmsl_ensemble(
     shift = np.exp(-2j * np.pi * np.arange(n) / n)  # x_{N-1} is x_0 - dx on the ring
     chi0 = np.fft.fft(psi0.amplitudes)
     # a row keeps the norm of psi0 until its first hit and unit norm after
-    rms = min(np.linalg.norm(psi0.amplitudes), 1.0 / np.sqrt(psi0.dx)) / np.sqrt(n)
+    norms = np.linalg.norm(psi0.amplitudes), 1.0 / np.sqrt(psi0.dx)
+    cap, cuts = DEFAULT_LEAK_TOL * (min(norms) / np.sqrt(n)), band_cuts(n)  # tol times the RMS
 
-    def screen(spectra, first, stop):
+    def screen(spectra, first, stop, bounds):
         # leakage tests of spectra held on the steps [first, stop) of a window
         lo = int(np.min(first, initial=width))
         hi = max(lo, int(np.max(stop, initial=0)))
-        edge = spectra @ taps[lo:hi].reshape(-1, n).T
-        edge = np.abs(edge).reshape(len(spectra), hi - lo, 2).max(axis=2)
+        block = taps[lo:hi].reshape(-1, n)
         steps = np.arange(lo, hi)
-        over = edge > DEFAULT_LEAK_TOL * rms
-        over &= (steps >= np.reshape(first, (-1, 1))) & (steps < np.reshape(stop, (-1, 1)))
+        held = (steps >= np.reshape(first, (-1, 1))) & (steps < np.reshape(stop, (-1, 1)))
+        fits = bounds < cap
+        sure = fits[:, -1]  # rows a band product can certify
+        if sure.any():
+            c = int(np.argmax(fits[sure], axis=1).max())
+            k = cuts[c]  # np.matmul, not @, so the tests can see each product's width
+            edge = np.matmul(spectra[:, : k + 1], block[:, : k + 1].T)
+            edge += np.matmul(spectra[:, n - k :], block[:, n - k :].T)
+            edge = np.abs(edge).reshape(len(spectra), hi - lo, 2).max(axis=2)
+            sure &= ~np.any(held & (edge + bounds[:, c, None] > cap), axis=1)
+        if sure.all():
+            return
+        spectra, held = spectra[~sure], held[~sure]
+        edge = np.matmul(spectra, block.T)
+        edge = np.abs(edge).reshape(len(spectra), hi - lo, 2).max(axis=2)
+        over = (edge > cap) & held
         for s in lo + np.nonzero(over.any(axis=0))[0]:
             amps = split_step_batch(spectra[over[:, s - lo]], _kinetic_phase(psi0, times[s]))
             edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
@@ -179,6 +220,7 @@ def run_qmsl_ensemble(
         rngs = [trajectory_generator(master_seed, int(i)) for i in idx]
         next_hit = np.array([r.exponential(1.0 / lam) for r in rngs])
         chi, t = np.tile(chi0, (len(idx), 1)), 0.0
+        bounds = np.tile(tail_bounds(chi0[None], max(norms)), (len(idx), 1))
         for first_step in range(0, n_steps, width):
             w = min(width, n_steps - first_step)
             # accumulated one dt at a time, as a step-by-step loop's t
@@ -198,7 +240,7 @@ def run_qmsl_ensemble(
                     amps = split_step_batch(old, kin)
                     # the spectrum the hit replaces, on the steps it was held
                     step = np.searchsorted(times, tau, "left")
-                    screen(old, since[part], step)
+                    screen(old, since[part], step, bounds[part])
                     since[part] = step
                     density = hitting_density(psi0, params.alpha, amps)
                     x, _ = sample_hit_center(psi0, density, [rngs[k].uniform() for k in part])
@@ -210,8 +252,9 @@ def run_qmsl_ensemble(
                     next_hit[part] += [rngs[k].exponential(1.0 / lam) for k in part]
                     # back to the picture
                     chi[part] = np.multiply(np.fft.fft(amps, axis=1), np.conj(kin, out=kin), out=kin)
+                    bounds[part] = tail_bounds(kin, max(norms))
                 active = active[next_hit[active] <= t]
-            screen(chi, since, w)
+            screen(chi, since, w, bounds)
             if leaks.any():
                 s = int(np.argmax(leaks))
                 raise GridLeakageError(

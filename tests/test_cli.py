@@ -460,6 +460,10 @@ def test_cli_write_failure_exit_2(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out / 'table.csv'}: [Errno")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "file"]
+    assert main(["--config", path, "--out", str(out), "--validate"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+    # nor a path too long to look up
+    assert main(["--config", path, "--out", "d/" * 3000, "--validate"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("experiment", ["csl-born", "csl-equivalence"])
@@ -689,6 +693,57 @@ def test_cli_exit_code_contract_on_arbitrary_grammar(data):
         path = Path(out) / "exp.cfg"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["--config", str(path), "--out", out]) in (0, 2, 3, 4)
+
+
+# flag values, valid and not; --out relative to a fresh working directory
+# that holds a file named "file" ("" is that directory)
+FLAGS = st.one_of(
+    st.tuples(
+        st.just("--seed"),
+        st.one_of(st.integers(-2, 2**64 + 2).map(str), st.sampled_from(["x", "1e3", ""])),
+    ),
+    st.tuples(st.just("--format"), st.sampled_from(["csv", "json", "JSON", "xml", ""])),
+    st.tuples(
+        st.just("--out"),
+        st.sampled_from(["", ".", "new", "new/deeper", "file", "file/out", "d" * 300]),
+    ),
+)
+# odd output names: empty, the longest that fits and one byte more, a NUL,
+# a path, non-ASCII
+LONGEST = "\u00e9" * (OUTPUT_BYTES // 2) + "b" * (OUTPUT_BYTES % 2)
+OUTPUT_NAMES = st.one_of(
+    st.sampled_from(["", LONGEST, LONGEST + "b", "a\0b", "/abs", "\u03c8-\u00e9tat"]),
+    st.text(alphabet="abz09_-.\u00e9\u03c8", min_size=1, max_size=8),
+)
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # the parser rejects a flag or its value
+        return exc.code
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_contract_on_arbitrary_flags_and_output_names(data):
+    lines = SMALL[data.draw(st.sampled_from(sorted(SMALL)))].strip().splitlines()
+    if data.draw(st.booleans()):
+        lines = [line for line in lines if not line.startswith("output = ")]
+        lines.insert(0, f"output = {data.draw(OUTPUT_NAMES)}")
+    flags = [arg for flag in data.draw(st.lists(FLAGS, max_size=3)) for arg in flag]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as base:
+        os.chdir(base)
+        try:
+            Path("file").write_text("")
+            Path("exp.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            code = _exit_code(["--config", "exp.cfg", *flags])
+            assert code in (0, 2, 3, 4)
+            if code == EXIT_CONFIG:
+                assert _exit_code(["--config", "exp.cfg", "--validate", *flags]) == EXIT_CONFIG
+        finally:
+            os.chdir(cwd)
 
 
 # ------------------------------------------------------------ import budget

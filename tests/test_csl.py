@@ -379,24 +379,32 @@ def test_linear_run_is_the_exact_update_by_summed_increments(monkeypatch, chunk)
 def test_linear_rows_are_updated_only_where_they_are_read(monkeypatch):
     # csl-equivalence's bench config (750 steps resampled every 100) takes
     # one exact update per window, at its 7 resample points and its last
-    # step; a plain run takes one at each of its 9 record steps (of 90)
+    # step; a plain run takes one at each of its 9 record steps (of 90),
+    # and reads the sector weights once at each
     import collapsim.diffusion as diffusion
 
-    spans = []
+    spans, weighed = [], []
 
     def counted(psis, family, x, gamma, f):
         spans.append(f)
         return linear_exact_commuting(psis, family, x, gamma, f)
 
+    def sector_rows(family, cols, _rows=diffusion._sector_rows):
+        weighed.append(cols.shape[1])
+        return _rows(family, cols)
+
     monkeypatch.setattr(diffusion, "linear_exact_commuting", counted)
+    monkeypatch.setattr(diffusion, "_sector_rows", sector_rows)
     steppers = tuple(CslStepper(TWO, 1.0, 0.002, form=f) for f in ("linear", "nonlinear"))
     run_ensemble(np.sqrt([0.3, 0.7]), steppers, 750, 64, 20, resample_every=100)
     assert spans == [100 * 0.002] * 7 + [50 * 0.002]
     spans.clear()
     fam = EXACT_FAMILIES["diagonal-3-sectors-2-channels"]
     stepper = CslStepper(fam, 0.9, 0.002, form="linear")
+    weighed.clear()
     run_ensemble(np.sqrt([0.1, 0.2, 0.3, 0.4]), stepper, 90, 100, 12, record_every=10)
     assert spans == [10 * 0.002] * 9
+    assert weighed == [100] * 9
 
 
 def test_plain_linear_run_in_16_step_windows_is_one_exact_update(monkeypatch):

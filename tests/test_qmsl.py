@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsim.errors import GridLeakageError
 from collapsim.freeparticle import (
@@ -20,13 +22,15 @@ from collapsim.freeparticle import (
 )
 from collapsim.hitting import (
     _gaussian_factor,
+    band_cuts,
     hitting_density,
     run_qmsl_ensemble,
     sample_hit_center,
+    tail_bounds,
 )
 from collapsim.noise import TILE_BYTES, trajectory_generator
 from collapsim.params import CollapseParams
-from collapsim.schrodinger import gaussian_packet, two_packet_state
+from collapsim.schrodinger import _kinetic_phase, gaussian_packet, two_packet_state
 from collapsim.states import DEFAULT_LEAK_TOL, GridWavefunction, ensemble_density
 from collapsim.units import ERG_PER_EV, HBAR_CGS
 
@@ -290,17 +294,22 @@ def test_one_trajectory_log_is_trajectory_zero_of_a_larger_run():
     ids=["free", "free-no-hits"],
 )
 def test_ensemble_matches_lockstep_oracle(seed, params):
-    psi = _two_packets()
-    res = run_qmsl_ensemble(psi, params, 1.0, 24, seed, 0.02)
-    amps, hit_counts, log = qmsl_exact_time_lockstep(psi, params, 1.0, 24, seed, 0.02)
-    assert np.array_equal(res.hit_counts, hit_counts)
+    args = (_two_packets(), params, 1.0, 24, seed, 0.02)
+    hit_counts = _matches_lockstep(run_qmsl_ensemble(*args), args)
     if params is DESK:
         assert hit_counts.sum() > 0
     else:
         assert hit_counts.sum() == 0
+
+
+def _matches_lockstep(res, args):
+    # the engine's run against the step-by-step oracle's; returns hit counts
+    amps, hit_counts, log = qmsl_exact_time_lockstep(*args)
+    assert np.array_equal(res.hit_counts, hit_counts)
     assert np.array_equal(res.events[:, :2], log[:, :2])
     assert np.max(np.abs(res.events[:, 2:] - log[:, 2:]), initial=0.0) < 1e-9
     assert np.max(np.abs(res.amplitudes - amps)) < 1e-12
+    return hit_counts
 
 
 def test_ensemble_does_not_depend_on_chunk(monkeypatch):
@@ -378,6 +387,78 @@ def test_leak_before_a_hit_matches_the_oracle():
     worst, t = _leak_report(engine)
     assert t == _leak_report(oracle)[1] == "0.02"
     assert worst == pytest.approx(_leak_report(oracle)[0], rel=1e-6)
+
+
+@given(
+    st.sampled_from([16, 64, 256, 2048]),
+    st.sampled_from([0.0, 1e-16, 1e-9, 1e-3, None, "spike"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_band_edge_plus_tail_bound_covers_the_full_edge(n, tail, seed):
+    # random spectra, band-limited with a small random tail (none at 0.0),
+    # fully random (None), or one mode just past a cut-off ("spike"),
+    # against a window of edge taps built as the engine builds them: at
+    # every step, |full edge| <= |band edge| + T
+    rng = np.random.default_rng(seed)
+    chi = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    j = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    if tail == "spike":
+        chi *= j == rng.choice(band_cuts(n)) + 1
+    elif tail is not None:
+        chi *= np.where(j <= rng.integers(0, n // 8 + 1), 1.0, tail * rng.uniform(size=n))
+    grid = GridWavefunction(np.ones(n), 0.05, 0.0, rng.uniform(0.5, 20.0))
+    kin = _kinetic_phase(grid, np.cumsum(rng.uniform(0.0, 0.1, size=16))) / n
+    taps = np.stack([kin, kin * np.exp(-2j * np.pi * np.arange(n) / n)], axis=1).reshape(-1, n)
+    bounds = tail_bounds(chi, np.linalg.norm(np.fft.ifft(chi, axis=1), axis=1).max())
+    full = np.abs(np.matmul(chi, taps.T))
+    for c, k in enumerate(band_cuts(n)):
+        band = np.matmul(chi[:, : k + 1], taps[:, : k + 1].T)
+        band += np.matmul(chi[:, n - k :], taps[:, n - k :].T)
+        assert np.all(full <= np.abs(band) + bounds[:, c, None])
+
+
+def _product_widths(monkeypatch) -> list:
+    # the inner width of every np.matmul call
+    widths = []
+
+    def counted(a, b, *args, _matmul=np.matmul, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return _matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return widths
+
+
+def test_screen_of_packets_at_rest_takes_no_full_width_product(monkeypatch):
+    # the bench's state: two packets at rest on a 2048-point grid, hit at
+    # the bench's rate; every (row, step) is certified on the band
+    psi = two_packet_state(2048, 0.05, -51.2, 20.0, (-3.0, 3.0), 0.45)
+    args = (psi, DESK, 0.25, 16, 20, 0.005)
+    widths = _product_widths(monkeypatch)
+    res = run_qmsl_ensemble(*args)
+    monkeypatch.undo()
+    assert widths and max(widths) <= 3 * psi.n // 16 + 1
+    assert _matches_lockstep(res, args).sum() > 0
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        gaussian_packet(256, 0.125, -16.0, 20.0, 0.0, 0.25),
+        gaussian_packet(256, 0.125, -16.0, 20.0, 0.0, 0.45, momentum=8.0),
+    ],
+    ids=["sigma-2dx", "kicked"],
+)
+def test_screen_of_a_broad_spectrum_takes_the_full_width_product(monkeypatch, psi):
+    # a narrow or moving packet's spectrum reaches past |j| = 3N/16, so no
+    # tail bound fits and the rows take the full-width product
+    args = (psi, DESK, 0.4, 16, 4, 0.02)
+    widths = _product_widths(monkeypatch)
+    res = run_qmsl_ensemble(*args)
+    monkeypatch.undo()
+    assert psi.n in widths
+    assert _matches_lockstep(res, args).sum() > 0
 
 
 def test_free_flight_takes_two_fft_rows_per_hit(monkeypatch):
