@@ -152,9 +152,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--validate", action="store_true", help="build the run's plan, run nothing"
     )
-    args = parser.parse_args(argv)
 
+    def reject(message: str):  # a bad flag or value is a config error
+        raise ConfigError(message)
+
+    parser.error = reject
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed

@@ -7,7 +7,7 @@ brute-force ODE.  The exceptions reuse production pieces on purpose:
 
 - ``qmsl_exact_time_lockstep``, the exact-time lockstep hitting ensemble,
   a reference for the momentum-picture engine: it reuses the production
-  kinetic phase, hitting density, hit sampling and random streams, but
+  kinetic phase, hit sampler (``hit_rows``) and random streams, but
   steps every trajectory through every ``dt`` in position space
   (``free_step_reference``), one at a time, splitting its step at each
   of its hit times.
@@ -19,7 +19,6 @@ brute-force ODE.  The exceptions reuse production pieces on purpose:
   the one-generator-per-path samplers the block draw replaced: the first
   pins the block draw's streams and bits, the second is the Hermitian
   phase-noise contrast model of acceptance criterion 10.
-- ``hit_center_reference``, the per-hit draw the batched one replaced.
 - ``colored_increment_block`` draws colored paths from the production
   Wiener streams, and ``run_commuting_nonwhite_ensemble`` updates each
   summed path by the production ``linear_exact_commuting``: the colored
@@ -29,7 +28,9 @@ brute-force ODE.  The exceptions reuse production pieces on purpose:
 table of channel eigenvalues; no experiment builds one that way.
 
 The rest are the reference sides of criteria and closed forms, which no
-experiment computes: the superoperator-exponential ensemble generator
+experiment computes: the hitting density ||L_x psi||^2 at the grid nodes
+by FFT convolution (``hitting_density_reference``, the law the hit
+sampler draws from), the superoperator-exponential ensemble generator
 (``lindblad_evolve``, criteria 3 and 11), the ensemble moments of a
 hitting run (criterion 4), the scattering master step (criterion 10),
 the cooked two-sector density of the integrated noise, and the
@@ -48,13 +49,7 @@ from scipy.integrate import quad, solve_ivp
 from collapsim.colored import CorrelationSpec, _toeplitz
 from collapsim.cooking import linear_exact_commuting
 from collapsim.errors import GridLeakageError
-from collapsim.hitting import (
-    QmslEnsembleResult,
-    _gaussian_factor,
-    hitting_density,
-    sample_hit_center,
-    step_count,
-)
+from collapsim.hitting import QmslEnsembleResult, hit_rows, step_count
 from collapsim.noise import trajectory_generator, wiener_increment_block
 from collapsim.operators import ProjectorFamily
 from collapsim.schrodinger import _kinetic_phase
@@ -244,12 +239,9 @@ def qmsl_exact_time_lockstep(psi0, params, t_end, n_traj, master_seed, dt):
             while next_hit[j] <= t_stop:
                 row = free_step_reference(row, psi0, next_hit[j] - now)
                 now = next_hit[j]
-                density = hitting_density(psi0, params.alpha, row)
-                x, _ = sample_hit_center(psi0, density, [r.uniform()])
-                row = row * _gaussian_factor(psi0, x, params.alpha)
-                weight = np.sum(np.abs(row) ** 2) * psi0.dx
-                row = row / np.sqrt(weight)
-                events.append((j, now, x[0], weight))
+                draw = [r.uniform()], [r.standard_normal()]
+                x, weight = hit_rows(psi0, params.alpha, row, *draw)
+                events.append((j, now, x[0], weight[0]))
                 next_hit[j] += r.exponential(1.0 / lam)
             amps[j] = free_step_reference(row, psi0, t_stop - now)[0]
         t = t_stop
@@ -266,27 +258,15 @@ def qmsl_exact_time_lockstep(psi0, params, t_end, n_traj, master_seed, dt):
     return amps, np.bincount(log[:, 0].astype(int), minlength=n_traj), log
 
 
-def hit_center_reference(psi, density, u):
-    """One inverse-CDF draw from a grid density linear within cells, the
-    per-hit code the batched ``sample_hit_center`` replaced.  Returns
-    (position, cell index)."""
-    left, right = density, np.roll(density, -1)
-    masses = 0.5 * (left + right) * psi.dx
-    cdf = np.cumsum(masses)
-    target = u * cdf[-1]
-    j = min(int(np.searchsorted(cdf, target, side="right")), density.shape[0] - 1)
-    residue = target - (cdf[j - 1] if j > 0 else 0.0)
-    p0, p1 = left[j], right[j]
-    slope = p1 - p0
-    if masses[j] <= 0.0:
-        s = 0.0
-    elif abs(slope) < 1e-14 * max(p0, p1):
-        s = residue / masses[j]
-    else:
-        disc = p0 * p0 + 2.0 * slope * residue / psi.dx
-        s = (np.sqrt(max(disc, 0.0)) - p0) / slope
-    x = psi.x0 + (j + float(np.clip(s, 0.0, 1.0 - 1e-12))) * psi.dx
-    return (x - psi.length if x >= psi.x0 + psi.length else x), j
+def hitting_density_reference(psi, alpha, amplitudes):
+    """P(x_j) = ||L_{x_j} psi||^2 at the grid nodes of ``psi``, one row per
+    state of ``amplitudes``: the circular convolution of |psi|^2 with the
+    squared localization kernel sqrt(alpha/pi) exp(-alpha u^2), by FFT."""
+    prob = np.abs(amplitudes) ** 2 * psi.dx
+    u = psi.dx * np.minimum(np.arange(psi.n), psi.n - np.arange(psi.n))  # ring distances
+    kernel_hat = np.fft.rfft(np.sqrt(alpha / np.pi) * np.exp(-alpha * u**2))
+    density = np.fft.irfft(np.fft.rfft(prob, axis=-1) * kernel_hat, n=psi.n, axis=-1)
+    return np.maximum(density, 0.0)
 
 
 def step_batch_reference(stepper, psis, dbs, h_matrix=None):

@@ -100,6 +100,24 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))  # no partial outputs
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "x"], ["--format", "xml"], ["--seed"], ["--bogus"], []],
+    ids=["seed-x", "format-xml", "seed-without-value", "unknown-flag", "no-config"],
+)
+def test_cli_bad_flag_exit_2(tmp_path, capsys, flags):
+    # a flag the parser rejects is a config error: main returns, it does not exit
+    path = _write(tmp_path, HITTING_CFG)
+    argv = flags if not flags else ["--config", path, "--out", str(tmp_path), *flags]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("hits.*"))
+    with pytest.raises(SystemExit) as help_exit:
+        main(["--help"])
+    assert help_exit.value.code == 0
+
+
 def test_cli_master_initial_state_at_the_grid_edge_exit_3(tmp_path, capsys):
     # a packet of width 1.5 on the [-3.2, 3.2) ring wraps already at t = 0
     text = BASES["master"].replace("sigma = 0.5", "sigma = 1.5")
@@ -717,13 +735,6 @@ OUTPUT_NAMES = st.one_of(
 )
 
 
-def _exit_code(argv: list[str]) -> int:
-    try:
-        return main(argv)
-    except SystemExit as exc:  # the parser rejects a flag or its value
-        return exc.code
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cli_exit_code_contract_on_arbitrary_flags_and_output_names(data):
@@ -738,10 +749,10 @@ def test_cli_exit_code_contract_on_arbitrary_flags_and_output_names(data):
         try:
             Path("file").write_text("")
             Path("exp.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
-            code = _exit_code(["--config", "exp.cfg", *flags])
+            code = main(["--config", "exp.cfg", *flags])
             assert code in (0, 2, 3, 4)
             if code == EXIT_CONFIG:
-                assert _exit_code(["--config", "exp.cfg", "--validate", *flags]) == EXIT_CONFIG
+                assert main(["--config", "exp.cfg", "--validate", *flags]) == EXIT_CONFIG
         finally:
             os.chdir(cwd)
 

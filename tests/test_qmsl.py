@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstest
 
 from collapsim.errors import GridLeakageError
 from collapsim.freeparticle import (
@@ -20,14 +21,7 @@ from collapsim.freeparticle import (
     offdiag_damping_beta,
     offdiag_lifetime,
 )
-from collapsim.hitting import (
-    _gaussian_factor,
-    band_cuts,
-    hitting_density,
-    run_qmsl_ensemble,
-    sample_hit_center,
-    tail_bounds,
-)
+from collapsim.hitting import _gaussian_factor, band_cuts, hit_rows, run_qmsl_ensemble, tail_bounds
 from collapsim.noise import TILE_BYTES, trajectory_generator
 from collapsim.params import CollapseParams
 from collapsim.schrodinger import _kinetic_phase, gaussian_packet, two_packet_state
@@ -40,7 +34,7 @@ from oracles import (
     erf_beta_by_quadrature,
     free_gaussian_q_var,
     free_step_reference,
-    hit_center_reference,
+    hitting_density_reference,
     master_kernel_by_ode,
     qmsl_exact_time_lockstep,
 )
@@ -116,7 +110,7 @@ def test_hit_far_from_packets_changes_nothing_but_is_unlikely():
 
 def test_hitting_density_normalized_and_split():
     psi = _two_packets()
-    dens = hitting_density(psi, 1.0, psi.amplitudes)
+    dens = hitting_density_reference(psi, 1.0, psi.amplitudes)
     assert abs(float(dens.sum() * psi.dx) - 1.0) < 1e-8
     x = psi.positions
     left = float(dens[x < 0].sum() * psi.dx)
@@ -127,7 +121,7 @@ def test_hitting_density_pointlike_packet_convolution():
     # near-point packet: density ~ Gaussian of combined width
     alpha, sigma = 1.0, 0.25
     psi = gaussian_packet(128, 0.125, -8.0, 10.0, 0.7, sigma)
-    dens = hitting_density(psi, alpha, psi.amplitudes)
+    dens = hitting_density_reference(psi, alpha, psi.amplitudes)
     x = psi.positions
     mean = float(dens @ x * psi.dx)
     var = float(dens @ x**2 * psi.dx) - mean**2
@@ -136,35 +130,97 @@ def test_hitting_density_pointlike_packet_convolution():
     assert var == pytest.approx(sigma**2 + 0.5 / alpha, rel=1e-3)
 
 
+def _uniform_on_ring(n=64, dx=0.25, x0=-8.0):
+    psi = two_packet_state(n, dx, x0, 1.0, (-3, 3), 0.45)
+    return _normalized(psi.with_amplitudes(np.ones(n, dtype=complex)))
+
+
 def test_hitting_density_uniform_on_ring():
-    amps = np.ones(64, dtype=complex)
-    psi = _normalized(
-        two_packet_state(64, 0.25, -8.0, 1.0, (-3, 3), 0.45).with_amplitudes(amps)
-    )
-    dens = hitting_density(psi, 1.0, psi.amplitudes)
+    psi = _uniform_on_ring()
+    dens = hitting_density_reference(psi, 1.0, psi.amplitudes)
     assert np.max(np.abs(dens - dens[0])) < 1e-10
 
 
 def test_hitting_density_requires_normalized():
     psi = _two_packets()
     with pytest.raises(ValueError, match="normalized"):
-        hitting_density(psi, 1.0, 2.0 * psi.amplitudes)
+        hit_rows(psi, 1.0, 2.0 * psi.amplitudes[None], [0.5], [0.0])
+
+
+def _hits(psi, alpha, n, seed, batch=2000):
+    # n hits of psi by hit_rows, a batch of rows at a time, with the uniforms
+    # and normals of one generator: (centers, weights, summed post-hit |psi|^2)
+    rng = trajectory_generator(seed)
+    u, z = rng.uniform(size=n), rng.standard_normal(size=n)
+    x, weight, post = np.empty(n), np.empty(n), np.zeros(psi.n)
+    for s in range(0, n, batch):
+        amps = np.tile(psi.amplitudes, (min(batch, n - s), 1))
+        x[s : s + batch], weight[s : s + batch] = hit_rows(
+            psi, alpha, amps, u[s : s + batch], z[s : s + batch]
+        )
+        post += np.sum(np.abs(amps) ** 2, axis=0)
+    return x, weight, post
+
+
+def _ring_gaussian_sq(psi, alpha, x):
+    # g^2(x - x_j) = sqrt(alpha/pi) exp(-alpha d^2), d the ring distance from
+    # each x to each node: one row per x
+    d = np.remainder(np.reshape(x, (-1, 1)) - psi.positions + psi.length / 2, psi.length)
+    return np.sqrt(alpha / np.pi) * np.exp(-alpha * (d - psi.length / 2) ** 2)
+
+
+@pytest.mark.parametrize("state", ["two-packets", "sigma-2dx-at-the-edge"])
+def test_hit_centers_follow_the_quadrature_law(state):
+    # 40 000 centers against the CDF of ||L_x psi||^2 = sum_j |psi_j|^2 dx
+    # g^2(x - x_j), by the trapezoid rule on a grid 32 times finer than psi's,
+    # between the nodes too; K-S at the 1e-5 level (critical distance 0.012)
+    if state == "two-packets":
+        psi, alpha = _two_packets(), 1.7
+    else:  # sigma = 2 dx, centered on x0: half its mass wraps to the far end
+        psi, alpha = gaussian_packet(256, 0.125, -16.0, 20.0, 0.0, 0.25), 8.0
+        psi = psi.with_amplitudes(np.roll(psi.amplitudes, psi.n // 2))
+    x, _, _ = _hits(psi, alpha, 40_000, 17)
+    fine = psi.x0 + np.linspace(0.0, psi.length, 32 * psi.n + 1)
+    dens = _ring_gaussian_sq(psi, alpha, fine) @ (np.abs(psi.amplitudes) ** 2 * psi.dx)
+    cdf = np.r_[0.0, np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))]
+    result = kstest(x, lambda v: np.interp(v, fine, cdf / cdf[-1]))
+    assert result.pvalue > 1e-5, result
+
+
+def test_hit_centers_stay_on_the_ring():
+    # a first-node draw with z < 0 and a last-node draw with z > 0 wrap
+    # round; -1e-300 puts the offset a rounding below L, which is x0
+    psi, alpha = _uniform_on_ring(), 2.0
+    below_one = np.nextafter(1.0, 0.0)
+    u = np.array([0.0, 0.0, below_one, below_one, 0.5])
+    z = np.array([-1e-300, -3.0, 1e-300, 3.0, 0.0])
+    x, _ = hit_rows(psi, alpha, np.tile(psi.amplitudes, (5, 1)), u, z)
+    top, s = psi.x0 + psi.length, 3.0 / np.sqrt(2.0 * alpha)
+    assert np.all((psi.x0 <= x) & (x < top))
+    expected = [psi.x0, top - s, top - psi.dx, psi.x0 + s - psi.dx, psi.x0 + psi.n // 2 * psi.dx]
+    assert x == pytest.approx(expected, abs=1e-12)
+
+
+def test_hit_weight_is_the_norm_of_the_localized_row():
+    # the logged weight is ||L_x psi||^2 = sum_j |psi_j|^2 g_j^2 dx, and the
+    # row becomes L_x psi / ||L_x psi||
+    psi, alpha, m = _two_packets(), 1.3, 64
+    rng = trajectory_generator(8)
+    amps = np.tile(psi.amplitudes, (m, 1))
+    x, weight = hit_rows(psi, alpha, amps, rng.uniform(size=m), rng.standard_normal(size=m))
+    norm_sq = _ring_gaussian_sq(psi, alpha, x) @ (np.abs(psi.amplitudes) ** 2 * psi.dx)
+    assert np.max(np.abs(weight / norm_sq - 1.0)) <= 1e-12
+    hit = _gaussian_factor(psi, x, alpha) * psi.amplitudes / np.sqrt(norm_sq)[:, None]
+    assert np.max(np.abs(amps - hit)) <= 1e-12 * np.max(np.abs(hit))
 
 
 def test_hit_sampling_preserves_density_in_expectation():
     # diagonal preservation: E[post-hit density] = density (Eq. consequence)
     psi = _two_packets()
-    dens = hitting_density(psi, 1.0, psi.amplitudes)
     nrep = 20000
-    u = trajectory_generator(123).uniform(size=nrep)
-    acc = np.zeros(psi.n)
-    for part in np.split(u, 4):
-        x, _ = sample_hit_center(psi, np.tile(dens, (part.size, 1)), part)
-        post = np.abs(_gaussian_factor(psi, x, 1.0) * psi.amplitudes) ** 2
-        acc += np.sum(post / post.sum(axis=1, keepdims=True), axis=0) / psi.dx
-    acc /= nrep
+    _, _, post = _hits(psi, 1.0, nrep, 123)
     orig = np.abs(psi.amplitudes) ** 2
-    assert np.max(np.abs(acc - orig)) < 4.0 / np.sqrt(nrep)
+    assert np.max(np.abs(post / nrep - orig)) < 4.0 / np.sqrt(nrep)
 
 
 @pytest.mark.parametrize("state", ["packet", "two-packets"])
@@ -179,52 +235,28 @@ def test_post_hit_states_weighted_by_the_hit_density_give_the_localized_density(
     alpha = 1.7
     hit = _gaussian_factor(psi, psi.positions, alpha) * psi.amplitudes  # row j: L_{x_j} psi
     post = hit / np.sqrt(np.sum(np.abs(hit) ** 2, axis=1) * psi.dx)[:, None]
-    mixture = (post.T * hitting_density(psi, alpha, psi.amplitudes) * psi.dx) @ post.conj()
+    density = hitting_density_reference(psi, alpha, psi.amplitudes)
+    mixture = (post.T * density * psi.dx) @ post.conj()
     localized = hit.T @ hit.conj() * psi.dx
     assert np.max(np.abs(mixture - localized)) <= 1e-13 * np.max(np.abs(localized))
 
 
 def test_batched_hit_sampling_matches_rows_drawn_one_by_one():
-    # each row of a batch is the density, draw and factor of its own state,
-    # the draw bit for bit that of the per-hit code
+    # each row of a batch is hit as it would be alone, bit for bit: its
+    # center, weight and post-hit state
     psi = _two_packets()
     amps = np.stack([psi.amplitudes, np.roll(psi.amplitudes, 40), psi.amplitudes[::-1]])
     amps = np.repeat(amps, 4, axis=0)
-    dens = hitting_density(psi, 1.3, amps)
-    u = np.append(trajectory_generator(6).uniform(size=amps.shape[0] - 2), [0.0, 0.9999])
-    x, j = sample_hit_center(psi, dens, u)
-    factors = _gaussian_factor(psi, x, 1.3)
+    rng = trajectory_generator(6)
+    u = np.append(rng.uniform(size=amps.shape[0] - 2), [0.0, 0.9999])
+    z = rng.standard_normal(size=amps.shape[0])
+    rows = amps.copy()
+    x, weight = hit_rows(psi, 1.3, rows, u, z)
     for k in range(amps.shape[0]):
-        assert np.array_equal(dens[k], hitting_density(psi, 1.3, amps[k]))
-        assert (x[k], j[k]) == hit_center_reference(psi, dens[k], u[k])
-        assert np.array_equal(factors[k], _gaussian_factor(psi, x[k], 1.3))
+        one = amps[k : k + 1].copy()
+        assert hit_rows(psi, 1.3, one, u[k : k + 1], z[k : k + 1]) == ([x[k]], [weight[k]])
+        assert np.array_equal(one[0], rows[k])
     assert np.all((psi.x0 <= x) & (x < psi.x0 + psi.length))
-
-
-def test_hit_center_inverts_the_interpolated_cdf():
-    # random positive densities, cell 9 flat in every row and, in row 1, the
-    # ring's last cell (between the last node and the first) flat too; at the
-    # center drawn for u the piecewise-linear CDF must read u * total
-    psi = gaussian_packet(64, 0.25, -8.0, 5.0, 0.0, 0.9)
-    dens = trajectory_generator(41).uniform(0.05, 2.0, size=(4, psi.n))
-    dens[:, 10] = dens[:, 9]
-    dens[1, -1] = dens[1, 0]
-    u = np.arange(4000) / 4000.0
-    rows, us = np.repeat(dens, u.size, axis=0), np.tile(u, len(dens))
-    x, j = sample_hit_center(psi, rows, us)
-    s = (x - psi.x0) / psi.dx - j
-    at = np.arange(j.size)
-    p0, p1 = rows[at, j], rows[at, (j + 1) % psi.n]
-    cdf = np.cumsum(0.5 * (rows + np.roll(rows, -1, axis=1)) * psi.dx, axis=1)
-    below = np.where(j > 0, cdf[at, j - 1], 0.0)
-    at_x = below + psi.dx * (p0 * s + (p1 - p0) * s**2 / 2.0)
-    assert np.max(np.abs(at_x - us * cdf[:, -1]) / cdf[:, -1]) <= 1e-12
-    assert np.all((-1e-12 <= s) & (s < 1.0))
-    assert np.all(np.diff(x.reshape(len(dens), -1), axis=1) >= 0.0)
-    # both branches ran, and the last cell wrapped, flat and curved
-    last = j == psi.n - 1
-    assert np.all(p0[j == 9] == p1[j == 9]) and np.any(j == 9)
-    assert np.any(last & (p0 == p1)) and np.any(last & (p0 != p1))
 
 
 # ---------------------------------------------------------- trajectories
@@ -353,7 +385,7 @@ def test_ensemble_leakage_raises_when_the_oracle_does():
 def test_leak_first_seen_in_a_row_hit_mid_window_matches_the_oracle():
     # a light packet runs at the right edge beside a narrow one at rest
     # that holds the peak; a hit picking the runner removes that peak, so
-    # a hit row leaks first (t = 1.92) inside the first window of steps,
+    # a hit row leaks first (t = 1.98) inside the first window of steps,
     # and its leaking state is in most rows replaced by a later hit there
     n, dx, x0, mass = 256, 0.125, -16.0, 10.0
     rest = gaussian_packet(n, dx, x0, mass, -8.0, 0.3).amplitudes
@@ -365,7 +397,7 @@ def test_leak_first_seen_in_a_row_hit_mid_window_matches_the_oracle():
     with pytest.raises(GridLeakageError) as oracle:
         qmsl_exact_time_lockstep(*args)
     worst, t = _leak_report(engine)
-    assert t == _leak_report(oracle)[1] == "1.92"
+    assert t == _leak_report(oracle)[1] == "1.98"
     assert worst == pytest.approx(_leak_report(oracle)[0], rel=1e-6)
     # without hits the same state leaks only later
     no_hits = (psi, CollapseParams(1e-12, 0.1, 1.0, dimension=1), 3.0, 1, 2, 0.02)
