@@ -24,48 +24,60 @@ from .schrodinger import _kinetic_phase, split_step_batch
 from .states import DEFAULT_LEAK_TOL, GridWavefunction
 
 
-def _gaussian_factor(psi: GridWavefunction, x, alpha: float) -> np.ndarray:
+def _gaussian_factor(psi: GridWavefunction, x, alpha: float, work: np.ndarray) -> np.ndarray:
     """L_x on the grid: one row per center of ``x``, a scalar center gives
-    one (N,) row.  It is 0 where it falls below exp(-300), 5e-131 of its
-    peak, so that neither exp nor a product with it yields a subnormal,
-    which takes a slow path: on 32 rows of 2048 points, where 2 % of the
-    exact factor is subnormal, exp took 5.5x and a hit's complex product
-    2x the time."""
-    # minimum-image distance keeps the operator single-valued on the ring
-    u = psi.wrap_displacement(psi.positions - np.asarray(x)[..., None])
-    u *= u  # in place from here, as a hit round's arrays set a run's peak memory
+    one (N,) row, written into ``work[0]`` of a (2, ..., N) float workspace,
+    whose ``work[1]`` it uses too.  It is 0 where it
+    falls below exp(-300), 5e-131 of its peak, so that neither exp nor a
+    product with it yields a subnormal, which takes a slow path: on 32 rows
+    of 2048 points, where 2 % of the exact factor is subnormal, exp took
+    5.5x and a hit's complex product 2x the time."""
+    x = np.asarray(x)[..., None]
+    u, r = work
+    # minimum-image distance keeps the operator single-valued on the ring:
+    # psi.wrap_displacement's u - L round(u / L), with its bits, in place
+    np.subtract(psi.positions, x, out=u)
+    np.round(np.divide(u, psi.length, out=r), out=r)
+    r *= psi.length
+    u -= r
+    u *= u
     u *= -0.5 * alpha
-    near = u > -300.0
+    np.greater(u, -300.0, out=r)  # 1 near the center, 0 in the tail
     np.exp(np.maximum(u, -300.0, out=u), out=u)
-    u *= near
+    u *= r
     u *= (alpha / np.pi) ** 0.25
     return u
 
 
 def hit_rows(
-    psi: GridWavefunction, alpha: float, amps: np.ndarray, u, z
+    psi: GridWavefunction, alpha: float, amps: np.ndarray, u, z, work=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hit each row of ``amps`` (m, N) in place, at a center drawn exactly
     from P(x) = ||L_x psi||^2.  On the grid P is the mixture over nodes j
     of N(x_j, 1/(2 alpha)) with weights |psi_j|^2 dx, so node j comes from
     the row's uniform on [0, 1) in ``u`` and the offset z/sqrt(2 alpha)
     from its standard normal in ``z``; the center is wrapped into
-    [x0, x0 + L).  Each row becomes L_x psi / ||L_x psi||.  Returns
+    [x0, x0 + L).  Each row becomes L_x psi / ||L_x psi||.  |psi|^2, its
+    cumsum and the factor take the first m rows of the planes of ``work``,
+    a (3, m' >= m, N) float workspace (a fresh one if None).  Returns
     (centers, weights ||L_x psi||^2 = sum_j |psi_j|^2 g_j^2 dx)."""
-    prob = np.abs(amps)
+    work = np.empty((3,) + amps.shape) if work is None else work[:, : len(amps)]
+    prob, cdf = work[0], work[2]
+    np.abs(amps, out=prob)
     prob *= prob
     prob *= psi.dx
-    cdf = np.cumsum(prob, axis=1)
+    np.cumsum(prob, axis=1, out=cdf)
     total = cdf[:, -1]
     if np.any(np.abs(total - 1.0) > 1e-8):
         raise ValueError("hitting density requires normalized states")
     target = np.asarray(u) * total
-    # the count of cdf entries <= target is searchsorted(side="right")
-    j = np.minimum(np.count_nonzero(cdf <= target[:, None], axis=1), psi.n - 1)
-    del cdf
+    # the count of cdf entries <= target is searchsorted(side="right"); the
+    # comparison's 0s and 1s sum exactly in the factor's plane
+    below = np.less_equal(cdf, target[:, None], out=work[1]).sum(axis=1)
+    j = np.minimum(below, psi.n - 1)
     x = psi.x0 + np.mod(psi.dx * j + np.asarray(z) / np.sqrt(2.0 * alpha), psi.length)
     x[x >= psi.x0 + psi.length] = psi.x0  # an offset that rounds up to L
-    g = _gaussian_factor(psi, x, alpha)
+    g = _gaussian_factor(psi, x, alpha, work[1:])
     prob *= g  # |psi|^2 g^2 dx, in place
     prob *= g
     weight = prob.sum(axis=1)
@@ -103,17 +115,19 @@ def band_cuts(n: int) -> tuple[int, int]:
     return n // 8, 3 * n // 16
 
 
-def tail_bounds(spectra: np.ndarray, norm: float) -> np.ndarray:
+def tail_bounds(spectra: np.ndarray, norm: float, work=None) -> np.ndarray:
     """T = sum_{|j|>K} |chi_j| / N plus a rounding margin, which bounds what
     the band |j| <= K leaves out of ``spectra`` @ taps of modulus 1/N, for
     spectra of position-space norm at most ``norm``: a row per spectrum, a
-    column per ``band_cuts`` K."""
+    column per ``band_cuts`` K.  The moduli go into a float plane ``work``
+    of at least the spectra's shape (a fresh one if None)."""
     n, cuts = spectra.shape[1], band_cuts(spectra.shape[1])
     # sum_j |chi_j| <= sqrt(N) ||chi|| = N ||psi||, and 8 u times it bounds the
     # rounding of a row's band and full products (each about sqrt(2) u times
     # sum_j |chi_j|, Higham 2002, section 3.1) and of its tail sums
     margin = 4 * np.finfo(float).eps * n * norm
-    a = np.abs(spectra[:, cuts[0] + 1 : n - cuts[0]])  # |j| > N/8
+    a = spectra[:, cuts[0] + 1 : n - cuts[0]]  # |j| > N/8
+    a = np.abs(a, out=np.empty(a.shape) if work is None else work[: len(a), : a.shape[1]])
     tails = [a[:, k - cuts[0] : a.shape[1] - k + cuts[0]].sum(axis=1) for k in cuts]
     return np.stack(tails, axis=1) / n + margin
 
@@ -138,13 +152,17 @@ def run_qmsl_ensemble(
 
     A chunk advances a window of W steps at a time.  A row is held as its
     momentum-picture spectrum chi = fft(U(-t) psi(t)), which free flight
-    leaves alone.  Round i of a window takes each row whose i-th hit in it
-    is due to its own tau, psi = ifft(chi kin(tau)), hits it and stores
-    fft(psi) conj(kin(tau)).  A hit draws from the row's stream a
-    uniform, which picks a node from |psi|^2, then a standard normal, the
-    center's offset from that node (``hit_rows``), then the exponential
-    wait to the next hit.  A hit belongs to the first step whose
-    accumulated time is >= tau.
+    leaves alone, in the chunk's rows of the result's amplitudes, which
+    are taken to t_end in place at the end.  Round i of a window takes
+    each row whose i-th hit in it is due to its own tau, psi = ifft(chi
+    kin(tau)), hits it and stores fft(psi) conj(kin(tau)).  A round works
+    in one workspace of the chunk, two complex planes (the rows and their
+    phases) and three float planes (``hit_rows``'s), each of at most a
+    tile's rows, so it allocates no (rows, N) array.  A hit draws from
+    the row's stream a uniform, which picks a node from |psi|^2, then a
+    standard normal, the center's offset from that node (``hit_rows``),
+    then the exponential wait to the next hit.  A hit belongs to the first
+    step whose accumulated time is >= tau.
 
     Leakage is checked at every step: chi's edge amplitudes at t are
     chi @ [kin(t), kin(t) exp(-2 pi i k/N)] / N, one (N, 2W) block of taps
@@ -165,7 +183,7 @@ def run_qmsl_ensemble(
     n_steps = step_count(t_end, dt)
     n = psi0.n
     lam = params.lambda_rate
-    # a window's taps and each (rows, N) array of a hit round fit one tile
+    # a window's taps and each plane of a hit round's workspace fit one tile
     tile_rows = max(1, TILE_BYTES // (16 * n))
     width = max(1, min(n_steps, tile_rows // 2))
     taps = np.empty((width, 2, n), dtype=complex)  # (step, edge, k)
@@ -212,8 +230,13 @@ def run_qmsl_ensemble(
         idx = np.arange(start, min(start + CHUNK, n_traj))
         rngs = [trajectory_generator(master_seed, int(i)) for i in idx]
         next_hit = np.array([r.exponential(1.0 / lam) for r in rngs])
-        chi, t = np.tile(chi0, (len(idx), 1)), 0.0
+        chi, t = final[start : start + len(idx)], 0.0  # spectra until t_end
+        chi[:] = chi0
         bounds = np.tile(tail_bounds(chi0[None], max(norms)), (len(idx), 1))
+        # a hit round's workspace: its spectra and phases, then |psi|^2, its
+        # cumsum and the factor of hit_rows
+        rows = min(tile_rows, len(idx))
+        spec, work = np.empty((2, rows, n), dtype=complex), np.empty((3, rows, n))
         for first_step in range(0, n_steps, width):
             w = min(width, n_steps - first_step)
             # accumulated one dt at a time, as a step-by-step loop's t
@@ -227,24 +250,24 @@ def run_qmsl_ensemble(
             active = np.nonzero(next_hit <= t)[0]
             while active.size:
                 for part in np.split(active, range(tile_rows, active.size, tile_rows)):
-                    old = chi[part]
+                    amps, kin = spec[:, : part.size]
+                    np.take(chi, part, axis=0, out=amps, mode="clip")  # "raise" buffers
                     tau = next_hit[part]
-                    kin = _kinetic_phase(psi0, tau)
-                    amps = split_step_batch(old, kin)
                     # the spectrum the hit replaces, on the steps it was held
                     step = np.searchsorted(times, tau, "left")
-                    screen(old, since[part], step, bounds[part])
+                    screen(amps, since[part], step, bounds[part])
                     since[part] = step
-                    del old  # the hit's temporaries set the run's peak memory
+                    split_step_batch(amps, _kinetic_phase(psi0, tau, kin), out=amps)
                     u = [rngs[k].uniform() for k in part]
                     z = [rngs[k].standard_normal() for k in part]
-                    x, weight = hit_rows(psi0, params.alpha, amps, u, z)
+                    x, weight = hit_rows(psi0, params.alpha, amps, u, z, work)
                     events.append(np.stack([idx[part], tau, x, weight], axis=1))
                     hit_counts[idx[part]] += 1
                     next_hit[part] += [rngs[k].exponential(1.0 / lam) for k in part]
                     # back to the picture
-                    chi[part] = np.multiply(np.fft.fft(amps, axis=1), np.conj(kin, out=kin), out=kin)
-                    bounds[part] = tail_bounds(kin, max(norms))
+                    np.fft.fft(amps, axis=1, out=amps)
+                    chi[part] = np.multiply(amps, np.conj(kin, out=kin), out=amps)
+                    bounds[part] = tail_bounds(amps, max(norms), work[0])
                 active = active[next_hit[active] <= t]
             screen(chi, since, w, bounds)
             if leaks.any():
@@ -253,10 +276,10 @@ def run_qmsl_ensemble(
                     f"boundary amplitude reached {worst[s]:.2e} of peak at "
                     f"t={times[s]:.4g}; enlarge the grid"
                 )
-        amps = final[idx[0] : idx[-1] + 1]  # to t_end a tile of rows at a time
+        del spec, work
         kin = _kinetic_phase(psi0, t)
-        for r in range(0, len(idx), tile_rows):
-            amps[r : r + tile_rows] = split_step_batch(chi[r : r + tile_rows], kin)
+        for r in range(0, len(idx), tile_rows):  # to t_end in place, a tile of rows at a time
+            split_step_batch(chi[r : r + tile_rows], kin, out=chi[r : r + tile_rows])
     log = np.concatenate(events)
     log = log[np.argsort(log[:, 0], kind="stable")]
     return QmslEnsembleResult(final, hit_counts, log)

@@ -45,12 +45,14 @@ def _phase(n: int, dx: float, mass: float, dt, out: np.ndarray | None = None) ->
     return out
 
 
-def split_step_batch(spectra: np.ndarray, kin: np.ndarray) -> np.ndarray:
+def split_step_batch(spectra: np.ndarray, kin: np.ndarray, out=None) -> np.ndarray:
     """Free flight of a (n_traj, N) block of momentum-picture spectra
     fft(U(-t) psi(t)) to the lags of ``kin`` = ``_kinetic_phase(template,
     lag)``, one for every row or one row per row: ifft(spectra kin), one
-    FFT a row."""
-    return np.fft.ifft(spectra * kin, axis=1)
+    FFT a row, written into ``out`` (``spectra`` itself will do) or a
+    fresh array."""
+    out = np.multiply(spectra, kin, out=out)
+    return np.fft.ifft(out, axis=1, out=out)
 
 
 def gaussian_packet(

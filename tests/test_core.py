@@ -215,6 +215,9 @@ def test_backward_split_step_equals_the_freshly_computed_phase():
         spectra = np.fft.fft(amps, axis=1)
         out = split_step_batch(spectra, _kinetic_phase(psi, t))
         assert np.array_equal(out.view(np.uint64), direct.view(np.uint64))
+        # in place, as the hitting engine steps its workspace and output rows
+        assert split_step_batch(spectra, _kinetic_phase(psi, t), out=spectra) is spectra
+        assert np.array_equal(spectra.view(np.uint64), direct.view(np.uint64))
         # and in position space, as the lockstep oracle steps them
         out = free_step_reference(amps, psi, t)
         assert np.array_equal(out.view(np.uint64), direct.view(np.uint64))

@@ -31,10 +31,8 @@ REL, FLOOR = 1e-9, 1e-300
 
 def _numerics() -> dict:
     """numpy's version and the dispatch targets this CPU runs."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
+
     targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     return {"numpy": np.__version__, "cpu_dispatch": sorted(targets)}
 

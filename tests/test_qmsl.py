@@ -51,6 +51,11 @@ def _normalized(psi):
     return psi.with_amplitudes(psi.amplitudes / np.sqrt(psi.norm_sq()))
 
 
+def _factor(psi, x, alpha):
+    """L_x on the grid, in a fresh workspace."""
+    return _gaussian_factor(psi, x, alpha, np.empty((2,) + np.shape(x) + (psi.n,)))
+
+
 # ------------------------------------------------- localization operator
 
 
@@ -59,7 +64,7 @@ def test_hit_suppresses_far_packet():
     alpha = 1.0
     a = 3.0
     psi = _two_packets(sigma=0.3, sep=2 * a)
-    hit = psi.with_amplitudes(_gaussian_factor(psi, a, alpha) * psi.amplitudes)
+    hit = psi.with_amplitudes(_factor(psi, a, alpha) * psi.amplitudes)
     x = psi.positions
     near = np.abs(hit.amplitudes[np.argmin(np.abs(x - a))])
     far = np.abs(hit.amplitudes[np.argmin(np.abs(x + a))])
@@ -77,7 +82,7 @@ def test_hit_suppresses_far_packet():
 def test_hit_on_localized_packet_is_gentle():
     alpha = 1.0
     psi = gaussian_packet(64, 0.25, -8.0, 10.0, 0.0, 0.3)
-    hit = _normalized(psi.with_amplitudes(_gaussian_factor(psi, 0.2, alpha) * psi.amplitudes))
+    hit = _normalized(psi.with_amplitudes(_factor(psi, 0.2, alpha) * psi.amplitudes))
     fidelity = abs(np.vdot(psi.amplitudes, hit.amplitudes) * psi.dx) ** 2
     assert fidelity >= 0.99
 
@@ -86,7 +91,7 @@ def test_hit_far_from_packets_changes_nothing_but_is_unlikely():
     alpha = 1.0
     a = 2.5
     psi = two_packet_state(1024, 12.0 / 1024, -6.0, 20.0, (-a, a), 0.03)
-    hit = psi.with_amplitudes(_gaussian_factor(psi, 0.0, alpha) * psi.amplitudes)
+    hit = psi.with_amplitudes(_factor(psi, 0.0, alpha) * psi.amplitudes)
     weight = hit.norm_sq()  # sampling mass of this center
     # quadrature oracle: P(0) = int sqrt(a/pi) exp(-a q^2)|psi|^2 dq
     x = psi.positions
@@ -210,7 +215,7 @@ def test_hit_weight_is_the_norm_of_the_localized_row():
     x, weight = hit_rows(psi, alpha, amps, rng.uniform(size=m), rng.standard_normal(size=m))
     norm_sq = _ring_gaussian_sq(psi, alpha, x) @ (np.abs(psi.amplitudes) ** 2 * psi.dx)
     assert np.max(np.abs(weight / norm_sq - 1.0)) <= 1e-12
-    hit = _gaussian_factor(psi, x, alpha) * psi.amplitudes / np.sqrt(norm_sq)[:, None]
+    hit = _factor(psi, x, alpha) * psi.amplitudes / np.sqrt(norm_sq)[:, None]
     assert np.max(np.abs(amps - hit)) <= 1e-12 * np.max(np.abs(hit))
 
 
@@ -233,7 +238,7 @@ def test_post_hit_states_weighted_by_the_hit_density_give_the_localized_density(
     else:
         psi = two_packet_state(128, 0.25, -16.0, 20.0, (-3.0, 3.0), 0.45, (0.3, 0.7))
     alpha = 1.7
-    hit = _gaussian_factor(psi, psi.positions, alpha) * psi.amplitudes  # row j: L_{x_j} psi
+    hit = _factor(psi, psi.positions, alpha) * psi.amplitudes  # row j: L_{x_j} psi
     post = hit / np.sqrt(np.sum(np.abs(hit) ** 2, axis=1) * psi.dx)[:, None]
     density = hitting_density_reference(psi, alpha, psi.amplitudes)
     mixture = (post.T * density * psi.dx) @ post.conj()
@@ -257,6 +262,48 @@ def test_batched_hit_sampling_matches_rows_drawn_one_by_one():
         assert hit_rows(psi, 1.3, one, u[k : k + 1], z[k : k + 1]) == ([x[k]], [weight[k]])
         assert np.array_equal(one[0], rows[k])
     assert np.all((psi.x0 <= x) & (x < psi.x0 + psi.length))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def test_factor_wraps_in_place_with_the_bits_of_wrap_displacement():
+    # centers on the first node, on x0 + L/2 and on the last node put ties
+    # u = +L/2 and -L/2 on the grid (np.round rounds half to even); the
+    # factor, built in place, is the one of wrap_displacement's distance
+    psi, alpha = _two_packets(), 1.3
+    x = np.array([psi.x0, psi.x0 + psi.length / 2, psi.positions[-1], 0.3, -7.77])
+    d = psi.positions - x[:, None]
+    assert np.any(d == psi.length / 2) and np.any(d == -psi.length / 2)
+    e = psi.wrap_displacement(d)
+    e = e * e * (-0.5 * alpha)
+    expected = np.exp(np.maximum(e, -300.0)) * (e > -300.0) * (alpha / np.pi) ** 0.25
+    work = np.full((2,) + d.shape, np.nan)
+    g = _gaussian_factor(psi, x, alpha, work)
+    assert np.array_equal(_bits(work[0]), _bits(expected)) and np.shares_memory(g, work[0])
+    assert np.array_equal(_bits(_factor(psi, x, alpha)), _bits(expected))
+    for k, c in enumerate(x):  # a scalar center gives one row
+        assert np.array_equal(_bits(_factor(psi, c, alpha)), _bits(expected[k]))
+
+
+def test_hit_rows_in_a_reused_workspace_match_fresh_buffers():
+    # rounds of 1, 7 and 32 rows through one workspace pre-filled with NaN,
+    # then smaller rounds over the larger ones' stale rows: centers, weights,
+    # post-hit rows and tail bounds equal those of fresh buffers bit for bit
+    psi, alpha = _two_packets(), 1.3
+    rng = trajectory_generator(11)
+    work = np.full((3, 32, psi.n), np.nan)
+    for m in (1, 7, 32, 7, 1):
+        rows = np.stack([np.roll(psi.amplitudes, s) for s in rng.integers(-40, 40, size=m)])
+        u, z = rng.uniform(size=m), rng.standard_normal(size=m)
+        fresh, reused = rows.copy(), rows.copy()
+        expected = hit_rows(psi, alpha, fresh, u, z)
+        got = hit_rows(psi, alpha, reused, u, z, work)
+        for a, b in zip(got + (reused,), expected + (fresh,)):
+            assert np.array_equal(_bits(a), _bits(b))
+        spectra = np.fft.fft(fresh, axis=1)
+        assert np.array_equal(tail_bounds(spectra, 1.0, work[0]), tail_bounds(spectra, 1.0))
 
 
 # ---------------------------------------------------------- trajectories
@@ -523,6 +570,22 @@ def test_long_run_memory_does_not_grow_with_steps():
         tracemalloc.stop()
     assert res.hit_counts.sum() == 0
     assert peak < 2 * TILE_BYTES
+
+
+def test_hit_rounds_allocate_no_rows_beyond_one_workspace():
+    # the bench's shape: 256 rows of 2048 points hit about 4 times each over
+    # 200 steps; the spectra live in the output rows and each hit round works
+    # in one workspace of at most a tile's rows, so the peak is the output
+    # plus a few tiles, however many rounds the run takes
+    psi = two_packet_state(2048, 0.05, -51.2, 20.0, (-3.0, 3.0), 0.45)
+    tracemalloc.start()
+    try:
+        res = run_qmsl_ensemble(psi, DESK, 1.0, 256, 20, 0.005)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.hit_counts.sum() > 500
+    assert peak < res.amplitudes.nbytes + 8 * TILE_BYTES
 
 
 # ------------------------------------------------------- master equation
