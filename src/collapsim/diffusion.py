@@ -278,10 +278,10 @@ def _combine(cols: list, coeffs: list):
 class EnsembleResult:
     """Trajectory ensemble summary.
 
-    ``outcomes[k]`` is the sector trajectory k collapsed onto (z >= 1-1e-6)
-    or -1 if still undecided; ``collapse_steps`` likewise (-1 = never),
-    counted from the trajectory's own start, at a nonlinear row's check
-    points or a linear row's update points (see ``run_ensemble``).  The
+    ``outcomes[k]`` is the sector trajectory k left the run collapsed onto
+    (z >= 1-1e-6) or -1 if undecided; ``collapse_steps`` likewise (-1 =
+    never), counted from the trajectory's own start, at a nonlinear row's
+    check points or a linear row's update points (see ``run_ensemble``).  The
     ensemble's density is ``states.ensemble_density`` of the final states,
     weighted by exp(log_weights) for the linear form.  A row that
     ``run_ensemble(until_decided=True)`` retired holds its state at
@@ -351,13 +351,6 @@ def _initial_rows(psi0: np.ndarray, h_matrix: np.ndarray | None) -> np.ndarray:
     return psi0.astype(complex)
 
 
-def _sector_rows(family: ProjectorFamily, cols: np.ndarray) -> np.ndarray:
-    """``family.sector_weights``, as (n_sectors, n), of the rows whose basis
-    columns are the rows of ``cols`` (a slab's contiguous rows, so no
-    gather): the same squares, summed left to right as it sums them."""
-    return np.array([sum(_abs2(cols[j]) for j in idx) for idx in family.sectors])
-
-
 class _Ensemble:
     """One stepper's trajectories in ``run_ensemble``: the rows in the pool's
     slots (states, log-weights, collapse steps, trajectory indices, the pool
@@ -404,7 +397,7 @@ class _Ensemble:
         steps, its last step and the block's end), where finiteness (of
         unread sums too) is checked, collapses marked and, until decided,
         settled rows retired.  A row leaves at its last step or on retiring."""
-        stepper, fam, every, size = self.stepper, self.stepper.family, self.every, len(block)
+        stepper, every, size = self.stepper, self.every, len(block)
         assert stepper.form != "linear" or self.join[0] == self.join[-1], "linear rows differ in age"
         # rows join only at window boundaries, and a window is cut short only
         # where all its rows end, so ages differ by whole windows: one residue
@@ -435,7 +428,7 @@ class _Ensemble:
                 for db in block[s0:s]:
                     db = db if cols is None else db.take(cols, axis=0)
                     self.psis = stepper.step_batch(self.psis, db, self.ws)
-                z = _sector_rows(fam, self.psis.T)
+                z = stepper.family.sector_weights(self.psis).T
             if every:
                 rec = k % every == 0
                 self.res.z_history[k[rec] // every - 1, self.traj[rec]] = z.T[rec]
@@ -451,7 +444,7 @@ class _Ensemble:
                 # weight of every row that has one, and near 1 for the others
                 out |= at & (np.where(z > 0.5, 0.0, z).sum(axis=0) <= RETIRE_TOL)
             if out.any():
-                self.leave(out)
+                self.leave(out, z)
 
     def update(self) -> np.ndarray:
         """The linear rows' exact update by their sums from pool step ``last``,
@@ -460,17 +453,20 @@ class _Ensemble:
         st, f = self.stepper, (self.now - self.last) * self.stepper.dt
         self.psis, dlog = linear_exact_commuting(self.psis, st.family, self.sums, st.gamma, f)
         self.lw, self.sums, self.last = self.lw + dlog, 0.0, self.now
-        z = _sector_rows(st.family, self.psis.T)
+        z = st.family.sector_weights(self.psis).T
         decided = (self.done < 0) & (z.max(axis=0) >= 1.0 - REDUCTION_COMPLETE_TOL)
         self.done[decided] = self.now - self.join[0]
         return z
 
-    def leave(self, out: np.ndarray) -> None:
+    def leave(self, out: np.ndarray, z: np.ndarray) -> None:
         """Store the results of the rows that the mask ``out`` picks (their
-        collapse steps are already marked) and step only the others."""
-        res, traj, kept = self.res, self.traj[out], ~out
+        collapse steps are already marked), their outcomes from their sector
+        weights z, (n_sectors, rows), and step only the others."""
+        res, traj, kept, z = self.res, self.traj[out], ~out, z.compress(out, axis=1)
         res.final_states[traj], res.log_weights[traj] = self.psis[out], self.lw[out]
         res.collapse_steps[traj] = self.done[out]
+        res.outcomes[traj] = np.where(z.max(axis=0) >= 1.0 - REDUCTION_COMPLETE_TOL,
+                                      z.argmax(axis=0), -1)
         self.psis = self.psis[kept] if self.ws is None else self.ws.keep(self.psis, kept)
         self.lw, self.done, self.traj, self.join, self.cols = (
             x[kept] for x in (self.lw, self.done, self.traj, self.join, self.cols))
@@ -482,13 +478,6 @@ class _Ensemble:
         picked = systematic_resample(self.lw, master_seed, k)
         self.psis, self.done = self.psis[picked], self.done[picked]
         self.lw[:] = 0.0
-
-    def finish(self) -> None:
-        """Mark every trajectory's outcome from its final state."""
-        res = self.res
-        z = self.stepper.family.sector_weights(res.final_states)
-        decided = z.max(axis=1) >= 1.0 - REDUCTION_COMPLETE_TOL
-        res.outcomes[decided] = np.argmax(z, axis=1)[decided]
 
 
 def run_ensemble(
@@ -590,7 +579,5 @@ def run_ensemble(
                 run.resample(master_seed, k0 + take)
         del block  # so that the next resampled block is not drawn beside it
         k0 += take
-    for run in runs:
-        run.finish()
     results = tuple(run.res for run in runs)
     return results if isinstance(stepper, tuple) else results[0]

@@ -149,10 +149,9 @@ def _weighted_ks(
     x2, w2 = x2[order2], w2[order2] / w2.sum()
     grid = np.concatenate([x1, x2])
     grid.sort()
-    cdf1 = np.cumsum(w1)[np.clip(np.searchsorted(x1, grid, "right") - 1, 0, None)]
-    cdf2 = np.cumsum(w2)[np.clip(np.searchsorted(x2, grid, "right") - 1, 0, None)]
-    cdf1[np.searchsorted(x1, grid, "right") == 0] = 0.0
-    cdf2[np.searchsorted(x2, grid, "right") == 0] = 0.0
+    # each weighted CDF at the grid: its zero-prefixed cumsum at the count of x <= grid
+    cdf1 = np.r_[0.0, np.cumsum(w1)][np.searchsorted(x1, grid, "right")]
+    cdf2 = np.r_[0.0, np.cumsum(w2)][np.searchsorted(x2, grid, "right")]
     dist = float(np.max(np.abs(cdf1 - cdf2)))
     n1 = float(1.0 / np.sum(w1**2))
     n2 = float(1.0 / np.sum(w2**2))

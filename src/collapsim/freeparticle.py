@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import GridLeakageError
 from .params import CollapseParams
 from .schrodinger import _kinetic_phase, split_step_batch
-from .states import GridWavefunction
+from .states import DEFAULT_LEAK_TOL, GridWavefunction, edges_and_peaks
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -81,7 +82,10 @@ def evolve_free_master(
     amps = initial.amplitudes
     if t > 0:  # at t = 0 an FFT round trip would move the identity's bits
         amps = split_step_batch(np.fft.fft(amps)[None], _kinetic_phase(initial, t))[0]
-    initial.with_amplitudes(amps).require_contained()
+    edge, peak = edges_and_peaks(amps)
+    if edge > DEFAULT_LEAK_TOL * peak:
+        raise GridLeakageError(f"boundary amplitude {edge:.3e} exceeds {DEFAULT_LEAK_TOL:.1e} "
+                               f"of peak {peak:.3e}; enlarge the grid")
     kernel_sch = np.outer(amps, np.conj(amps))
 
     cols = _diagonal_indices(n)

@@ -21,7 +21,7 @@ from .errors import GridLeakageError
 from .noise import TILE_BYTES, trajectory_generator
 from .params import CollapseParams
 from .schrodinger import _kinetic_phase, split_step_batch
-from .states import DEFAULT_LEAK_TOL, GridWavefunction
+from .states import DEFAULT_LEAK_TOL, GridWavefunction, edges_and_peaks
 
 
 def _gaussian_factor(psi: GridWavefunction, x, alpha: float, work: np.ndarray) -> np.ndarray:
@@ -50,7 +50,7 @@ def _gaussian_factor(psi: GridWavefunction, x, alpha: float, work: np.ndarray) -
 
 
 def hit_rows(
-    psi: GridWavefunction, alpha: float, amps: np.ndarray, u, z, work=None
+    psi: GridWavefunction, alpha: float, amps: np.ndarray, u, z, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hit each row of ``amps`` (m, N) in place, at a center drawn exactly
     from P(x) = ||L_x psi||^2.  On the grid P is the mixture over nodes j
@@ -59,9 +59,9 @@ def hit_rows(
     from its standard normal in ``z``; the center is wrapped into
     [x0, x0 + L).  Each row becomes L_x psi / ||L_x psi||.  |psi|^2, its
     cumsum and the factor take the first m rows of the planes of ``work``,
-    a (3, m' >= m, N) float workspace (a fresh one if None).  Returns
-    (centers, weights ||L_x psi||^2 = sum_j |psi_j|^2 g_j^2 dx)."""
-    work = np.empty((3,) + amps.shape) if work is None else work[:, : len(amps)]
+    a (3, m' >= m, N) float workspace.  Returns (centers, weights
+    ||L_x psi||^2 = sum_j |psi_j|^2 g_j^2 dx)."""
+    work = work[:, : len(amps)]
     prob, cdf = work[0], work[2]
     np.abs(amps, out=prob)
     prob *= prob
@@ -115,19 +115,19 @@ def band_cuts(n: int) -> tuple[int, int]:
     return n // 8, 3 * n // 16
 
 
-def tail_bounds(spectra: np.ndarray, norm: float, work=None) -> np.ndarray:
+def tail_bounds(spectra: np.ndarray, norm: float, work: np.ndarray) -> np.ndarray:
     """T = sum_{|j|>K} |chi_j| / N plus a rounding margin, which bounds what
     the band |j| <= K leaves out of ``spectra`` @ taps of modulus 1/N, for
     spectra of position-space norm at most ``norm``: a row per spectrum, a
     column per ``band_cuts`` K.  The moduli go into a float plane ``work``
-    of at least the spectra's shape (a fresh one if None)."""
+    of at least the spectra's shape."""
     n, cuts = spectra.shape[1], band_cuts(spectra.shape[1])
     # sum_j |chi_j| <= sqrt(N) ||chi|| = N ||psi||, and 8 u times it bounds the
     # rounding of a row's band and full products (each about sqrt(2) u times
     # sum_j |chi_j|, Higham 2002, section 3.1) and of its tail sums
     margin = 4 * np.finfo(float).eps * n * norm
     a = spectra[:, cuts[0] + 1 : n - cuts[0]]  # |j| > N/8
-    a = np.abs(a, out=np.empty(a.shape) if work is None else work[: len(a), : a.shape[1]])
+    a = np.abs(a, out=work[: len(a), : a.shape[1]])
     tails = [a[:, k - cuts[0] : a.shape[1] - k + cuts[0]].sum(axis=1) for k in cuts]
     return np.stack(tails, axis=1) / n + margin
 
@@ -217,8 +217,7 @@ def run_qmsl_ensemble(
         over = (edge > cap) & held
         for s in lo + np.nonzero(over.any(axis=0))[0]:
             amps = split_step_batch(spectra[over[:, s - lo]], _kinetic_phase(psi0, times[s]))
-            edge = np.maximum(np.abs(amps[:, 0]), np.abs(amps[:, -1]))
-            peak = np.abs(amps).max(axis=1)
+            edge, peak = edges_and_peaks(amps)
             leaks[s] |= np.any(edge > DEFAULT_LEAK_TOL * peak)
             worst[s] = max(worst[s], (edge / peak).max())
 
@@ -232,11 +231,11 @@ def run_qmsl_ensemble(
         next_hit = np.array([r.exponential(1.0 / lam) for r in rngs])
         chi, t = final[start : start + len(idx)], 0.0  # spectra until t_end
         chi[:] = chi0
-        bounds = np.tile(tail_bounds(chi0[None], max(norms)), (len(idx), 1))
         # a hit round's workspace: its spectra and phases, then |psi|^2, its
         # cumsum and the factor of hit_rows
         rows = min(tile_rows, len(idx))
         spec, work = np.empty((2, rows, n), dtype=complex), np.empty((3, rows, n))
+        bounds = np.tile(tail_bounds(chi0[None], max(norms), work[0]), (len(idx), 1))
         for first_step in range(0, n_steps, width):
             w = min(width, n_steps - first_step)
             # accumulated one dt at a time, as a step-by-step loop's t

@@ -35,8 +35,6 @@ class GisinReport:
     distance: float
     band: float
     passed: bool
-    rho_a: np.ndarray
-    rho_b: np.ndarray
 
 
 def _evolve_ensemble(
@@ -109,10 +107,9 @@ def gisin_check(
         weights = np.exp(logw - logw.max())
         rho.append(ensemble_density(states, weights))
         bands.append(_mc_band(states, weights, rho[-1]))
-    rho_a, rho_b = rho
-    distance = float(np.linalg.norm(rho_a - rho_b))
+    distance = float(np.linalg.norm(rho[0] - rho[1]))
     band = float(np.hypot(*bands))
-    return GisinReport(distance, band, distance <= GISIN_SIGMAS * band, rho_a, rho_b)
+    return GisinReport(distance, band, distance <= GISIN_SIGMAS * band)
 
 
 def here_there_mixtures() -> tuple[list, list]:

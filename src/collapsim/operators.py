@@ -96,10 +96,16 @@ class ProjectorFamily:
     def sector_weights(self, amplitudes: np.ndarray) -> np.ndarray:
         """z_sigma = <psi|P_sigma|psi> for a normalized amplitude vector.
 
-        For batched input of shape (..., dim) returns shape (..., n_sectors).
+        For batched input of shape (..., dim) returns shape (..., n_sectors),
+        floats for integer input too.  Each sector sums its |x_j|^2 (x * x
+        for real x) left to right, over the basis axis moved first, so a
+        column-major (n, dim) block's contiguous rows are read, not gathered.
         """
         amps = np.asarray(amplitudes)
-        out = np.empty(amps.shape[:-1] + (self.n_sectors,), dtype=float)
+        amps = amps.transpose(-1, *range(amps.ndim - 1))
+        sq = np.square(np.abs(amps)) if amps.dtype.kind == "c" else amps * amps
+        out = np.zeros((self.n_sectors,) + amps.shape[1:])
         for sigma, idx in enumerate(self.sectors):
-            out[..., sigma] = np.sum(np.abs(amps[..., idx]) ** 2, axis=-1)
-        return out
+            for j in idx:
+                out[sigma] += sq[j]
+        return out.transpose(*range(1, out.ndim), 0)

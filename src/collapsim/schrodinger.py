@@ -7,39 +7,27 @@ one diagonal factor in momentum space.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .states import GridWavefunction
 
 
-def _kinetic_phase(psi: GridWavefunction, dt, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(-i dt k^2 / 2m) on the grid's wavenumbers: (N,) for one lag,
-    cached, read-only and shared; (m, N) for an (m,) array of them, written
-    into ``out`` (a view of another array will do) or a fresh array."""
-    if np.ndim(dt) != 0:
-        return _phase.__wrapped__(psi.n, psi.dx, psi.mass, dt, out)
-    phase = _phase(psi.n, psi.dx, psi.mass, dt)
-    phase.flags.writeable = False
-    return phase
-
-
-# a hitting run asks for its end time and each exact leakage test's time;
-# per-row and per-step arrays are not kept (a hit round reuses its own)
-@lru_cache(maxsize=4)
-def _phase(n: int, dx: float, mass: float, dt, out: np.ndarray | None = None) -> np.ndarray:
+def _kinetic_phase(psi: GridWavefunction, lag, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i lag k^2 / 2m) on the grid's wavenumbers: (N,) for one lag,
+    (m, N) for an (m,) array of them, written into ``out`` (a view of
+    another array will do) or a fresh array."""
     # k and -k share k^2: exponentiate the n // 2 + 1 values, each operation
     # in place so an array of lags makes no temporary, and mirror them: the
     # same bits as over the whole grid in half the time
-    k = 2.0 * np.pi * np.fft.fftfreq(n, dx)[: n // 2 + 1]
-    dt = np.asarray(dt)[..., None]
+    n = psi.n
+    k = 2.0 * np.pi * np.fft.fftfreq(n, psi.dx)[: n // 2 + 1]
+    lag = np.asarray(lag)[..., None]
     if out is None:
-        out = np.empty(dt.shape[:-1] + (n,), dtype=complex)
+        out = np.empty(lag.shape[:-1] + (n,), dtype=complex)
     half = out[..., : k.size]
-    np.multiply(-0.5j, dt, out=half)
+    np.multiply(-0.5j, lag, out=half)
     np.multiply(half, k**2, out=half)
-    np.divide(half, mass, out=half)
+    np.divide(half, psi.mass, out=half)
     np.exp(half, out=half)
     out[..., k.size :] = out[..., n - k.size : 0 : -1]  # index j > n / 2 holds k_{n - j}^2
     return out

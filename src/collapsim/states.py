@@ -10,11 +10,9 @@ array of amplitude rows, and its statistical operator the (d, d) array
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import GridLeakageError
 
 DEFAULT_LEAK_TOL = 1e-5
 """Boundary amplitude threshold, relative to the peak amplitude
@@ -73,26 +71,17 @@ class GridWavefunction:
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.dx)
 
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "GridWavefunction":
-        return replace(self, amplitudes=amplitudes)
-
-    def require_contained(self) -> None:
-        """Raise GridLeakageError if the boundary amplitude exceeds
-        ``DEFAULT_LEAK_TOL`` of the peak."""
-        peak = float(np.max(np.abs(self.amplitudes)))
-        if peak == 0.0:
-            return
-        edge = max(abs(self.amplitudes[0]), abs(self.amplitudes[-1]))
-        if edge > DEFAULT_LEAK_TOL * peak:
-            raise GridLeakageError(
-                f"boundary amplitude {edge:.3e} exceeds {DEFAULT_LEAK_TOL:.1e} "
-                f"of peak {peak:.3e}; enlarge the grid"
-            )
-
     def wrap_displacement(self, u: np.ndarray | float) -> np.ndarray:
         """Minimum-image displacement on the periodic domain."""
         length = self.length
         return np.asarray(u) - length * np.round(np.asarray(u) / length)
+
+
+def edges_and_peaks(rows: np.ndarray) -> tuple:
+    """(max(|row_0|, |row_-1|), max_j |row_j|) of each row: the boundary
+    and peak amplitudes that a grid's leakage test compares, edge >
+    ``DEFAULT_LEAK_TOL`` * peak."""
+    return np.maximum(np.abs(rows[..., 0]), np.abs(rows[..., -1])), np.abs(rows).max(axis=-1)
 
 
 def ensemble_density(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

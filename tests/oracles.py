@@ -240,7 +240,7 @@ def qmsl_exact_time_lockstep(psi0, params, t_end, n_traj, master_seed, dt):
                 row = free_step_reference(row, psi0, next_hit[j] - now)
                 now = next_hit[j]
                 draw = [r.uniform()], [r.standard_normal()]
-                x, weight = hit_rows(psi0, params.alpha, row, *draw)
+                x, weight = hit_rows(psi0, params.alpha, row, *draw, np.empty((3, 1, psi0.n)))
                 events.append((j, now, x[0], weight[0]))
                 next_hit[j] += r.exponential(1.0 / lam)
             amps[j] = free_step_reference(row, psi0, t_stop - now)[0]

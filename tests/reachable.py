@@ -1,19 +1,25 @@
-"""Functions and methods of collapsim that no experiment reaches.
+"""Functions, methods and lines of collapsim that no experiment reaches.
 
     PYTHONPATH=src python tests/reachable.py
 
 Imports collapsim and runs every ``SMALL`` config of ``tests/test_cli.py``
-through ``collapsim.cli.main``, all under ``sys.setprofile``, then prints,
+through ``collapsim.cli.main``, all under ``sys.settrace``, then prints,
 one per line, each function or method defined in ``src/collapsim`` whose
 code never ran.  Closures and dataclass-generated methods are not
 listed.  Exits 1 when the list is not empty, so code that no experiment
 runs is either wired to one or deleted; 0 otherwise.
+
+On stderr it also reports the function-body lines that never ran (those
+of closures and comprehensions too, not the def or decorator line), per
+function, and their count; the count is a report, not a gate.  The last
+line on stderr is the function count.
 """
 
 from __future__ import annotations
 
 import contextlib
 import importlib
+import importlib.util
 import inspect
 import io
 import pkgutil
@@ -24,16 +30,22 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
-def reached() -> set:
-    """Code objects entered while collapsim is imported and every
-    ``SMALL`` config runs."""
-    seen = set()
+def reached() -> tuple[set, set]:
+    """Code objects entered, and (file, line) pairs of collapsim's source
+    run, while collapsim is imported and every ``SMALL`` config runs."""
+    package = str(Path(importlib.util.find_spec("collapsim").origin).parent)
+    seen, lines = set(), set()
 
-    def profile(frame, event, _arg):
-        if event == "call":
-            seen.add(frame.f_code)
+    def line(frame, event, _arg):
+        if event == "line":
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
 
-    sys.setprofile(profile)
+    def call(frame, _event, _arg):
+        seen.add(frame.f_code)
+        return line if str(Path(frame.f_code.co_filename).parent) == package else None
+
+    sys.settrace(call)
     try:
         from collapsim.cli import main
         from test_cli import SMALL
@@ -47,8 +59,8 @@ def reached() -> set:
                 if code != 0:
                     print(f"warning: {name} exited {code}", file=sys.stderr)
     finally:
-        sys.setprofile(None)
-    return seen
+        sys.settrace(None)
+    return seen, lines
 
 
 def _functions(obj) -> list:
@@ -75,16 +87,46 @@ def defined() -> dict:
             for member in members:
                 for fn in _functions(member):
                     if Path(fn.__code__.co_filename).resolve().parent == package:
-                        out[fn.__code__] = f"{info.name}.{fn.__qualname__}"
+                        module_name = fn.__module__.removeprefix("collapsim.")
+                        out[fn.__code__] = f"{module_name}.{fn.__qualname__}"
     return out
 
 
+def code_lines(code) -> set:
+    """(file, line) pairs of the lines of ``code`` and of the code nested
+    in it (closures, comprehensions)."""
+    lines = {(code.co_filename, n) for _, _, n in code.co_lines() if n is not None}
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            lines |= code_lines(const)
+    return lines
+
+
+def _spans(numbers: list) -> str:
+    """'3, 7-9' for [3, 7, 8, 9]."""
+    runs = []
+    for n in numbers:
+        if runs and n == runs[-1][1] + 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
 def main() -> int:
-    seen = reached()
+    seen, ran = reached()
     names = defined()
     unreached = sorted(name for code, name in names.items() if code not in seen)
     for name in unreached:
         print(name)
+    total = unrun = 0
+    for code, name in sorted(names.items(), key=lambda item: item[1]):
+        body = code_lines(code) - {(code.co_filename, code.co_firstlineno)}  # not the def line
+        missed = sorted(n for _, n in body - ran)
+        total, unrun = total + len(body), unrun + len(missed)
+        if missed:
+            print(f"{name}: lines {_spans(missed)}", file=sys.stderr)
+    print(f"{unrun} of {total} function-body lines unrun", file=sys.stderr)
     print(f"{len(unreached)} of {len(names)} functions and methods unreached", file=sys.stderr)
     return 1 if unreached else 0
 

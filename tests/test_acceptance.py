@@ -9,6 +9,7 @@ Every test prints one PASS/FAIL line (run with `pytest -s` to see them).
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ def _qmsl_evolver(params, t_end, dt, master_seed):
     def evolve_many(psi0_amps, indices):
         template = two_packet_state(128, 0.25, -16.0, 20.0, (-3.0, 3.0), 0.45)
         # gisin_check works with unit-norm vectors; the grid carries dx
-        psi0 = template.with_amplitudes(psi0_amps / np.sqrt(template.dx))
+        psi0 = replace(template, amplitudes=psi0_amps / np.sqrt(template.dx))
         res = run_qmsl_ensemble(
             psi0, params, t_end, len(indices),
             master_seed + 7919 * int(indices[0]), dt,

@@ -1,8 +1,12 @@
 """Core state/operator/noise layer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from collapsim.errors import GridLeakageError
+from collapsim.freeparticle import evolve_free_master
 from collapsim.noise import trajectory_generator, wiener_increment_block
 from collapsim.operators import ProjectorFamily
 from collapsim.params import CollapseParams
@@ -159,7 +163,7 @@ def test_split_step_free_gaussian_spreading():
     mass, sigma = 2.0, 0.7
     psi = gaussian_packet(n=256, dx=0.125, x0=-16.0, mass=mass, center=0.0, sigma=sigma)
     t = 1.5
-    out = psi.with_amplitudes(free_step_reference(psi.amplitudes[None], psi, t)[0])
+    out = replace(psi, amplitudes=free_step_reference(psi.amplitudes[None], psi, t)[0])
     x = out.positions
     prob = np.abs(out.amplitudes) ** 2 * out.dx
     q_var = float(prob @ x**2 - (prob @ x) ** 2)
@@ -183,12 +187,12 @@ def test_split_step_norm_conservation_long_run():
     rows = psi.amplitudes[None]
     for _ in range(1000):
         rows = free_step_reference(rows, psi, 0.001)
-    assert abs(psi.with_amplitudes(rows[0]).norm_sq() - 1.0) < 1e-10
+    assert abs(replace(psi, amplitudes=rows[0]).norm_sq() - 1.0) < 1e-10
     once = split_step_batch(np.fft.fft(psi.amplitudes)[None], _kinetic_phase(psi, 1000 * 0.001))
     assert np.max(np.abs(rows - once)) < 1e-10
 
 
-def test_kinetic_phase_cache_is_bit_identical_and_read_only():
+def test_kinetic_phase_is_bit_identical_to_the_phase_over_the_whole_grid():
     psi = gaussian_packet(256, 0.1, -12.8, 3.0, 0.0, 1.0)
     for t in (0.05, -0.05, 0.05, 1.3, -1.3):
         phase = _kinetic_phase(psi, t)
@@ -198,9 +202,6 @@ def test_kinetic_phase_cache_is_bit_identical_and_read_only():
         # for the sign of the zero imaginary part at k = 0
         bits = 2 if t < 0 else 0
         assert np.array_equal(phase.view(np.uint64)[bits:], fresh.view(np.uint64)[bits:])
-        with pytest.raises(ValueError, match="read-only"):
-            phase *= 2.0
-    assert _kinetic_phase(psi, 0.05) is _kinetic_phase(psi, 0.05)
 
 
 def test_backward_split_step_equals_the_freshly_computed_phase():
@@ -224,7 +225,7 @@ def test_backward_split_step_equals_the_freshly_computed_phase():
 
 
 def test_leakage_monitor_raises():
-    # a packet jammed against the boundary trips the monitor
+    # a packet jammed against the boundary trips the monitor, at t = 0 too
     psi = gaussian_packet(64, 0.25, -8.0, 1.0, -7.8, 0.5)
-    with pytest.raises(Exception, match="boundary amplitude"):
-        psi.require_contained()
+    with pytest.raises(GridLeakageError, match="boundary amplitude"):
+        evolve_free_master(psi, CollapseParams(4.0, 1.0, 1.0, dimension=1), 0.0)

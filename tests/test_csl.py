@@ -380,7 +380,7 @@ def test_linear_rows_are_updated_only_where_they_are_read(monkeypatch):
     # csl-equivalence's bench config (750 steps resampled every 100) takes
     # one exact update per window, at its 7 resample points and its last
     # step; a plain run takes one at each of its 9 record steps (of 90),
-    # and reads the sector weights once at each
+    # and reads the sector weights once at each, none after its last step
     import collapsim.diffusion as diffusion
 
     spans, weighed = [], []
@@ -389,12 +389,12 @@ def test_linear_rows_are_updated_only_where_they_are_read(monkeypatch):
         spans.append(f)
         return linear_exact_commuting(psis, family, x, gamma, f)
 
-    def sector_rows(family, cols, _rows=diffusion._sector_rows):
-        weighed.append(cols.shape[1])
-        return _rows(family, cols)
+    def weights(family, amplitudes, _weights=ProjectorFamily.sector_weights):
+        weighed.append(len(amplitudes))
+        return _weights(family, amplitudes)
 
     monkeypatch.setattr(diffusion, "linear_exact_commuting", counted)
-    monkeypatch.setattr(diffusion, "_sector_rows", sector_rows)
+    monkeypatch.setattr(ProjectorFamily, "sector_weights", weights)
     steppers = tuple(CslStepper(TWO, 1.0, 0.002, form=f) for f in ("linear", "nonlinear"))
     run_ensemble(np.sqrt([0.3, 0.7]), steppers, 750, 64, 20, resample_every=100)
     assert spans == [100 * 0.002] * 7 + [50 * 0.002]
@@ -443,13 +443,49 @@ def test_hamiltonian_ensemble_does_not_depend_on_the_chunk(monkeypatch):
 
 
 def test_run_ensemble_z_sums_a_sector_as_sector_weights_does():
-    # z is read from the workspace's slab rows; over a sector of nine
-    # basis states its sum runs left to right, bit for bit the sum of
-    # family.sector_weights (a pairwise sum would differ in the last bit)
+    # z is family.sector_weights of the workspace's slab rows; over a sector
+    # of nine basis states it sums left to right on a slab's columns as on
+    # the stored final states (np.sum's pairwise sum would differ in the last bit)
     fam = diagonal_family(np.array([[1.0] * 9 + [-1.0, 0.5, -1.0]]))
     res = run_ensemble(np.full(12, 12**-0.5), CslStepper(fam, 1.0, 0.002), 32, 64, 5,
                        record_every=32)
     assert np.array_equal(res.z_history[-1], fam.sector_weights(res.final_states))
+
+
+def _left_to_right(row, idx) -> float:
+    sq, total = np.abs(row) ** 2, 0.0
+    for j in idx:
+        total += sq[j]
+    return total
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("seed", range(4))
+def test_sector_weights_sum_each_sector_left_to_right(seed, kind):
+    # random partitions of the basis into sectors of 1-23 states: z of each
+    # row, of a single vector and of integer rows (as floats) is the sum of
+    # its sector's squares in index-set order, bit for bit, and run_ensemble
+    # records those bits and marks outcomes by them
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        sizes = rng.integers(1, 24, size=rng.integers(2, 6))
+        sectors = np.split(rng.permutation(sizes.sum()), np.cumsum(sizes)[:-1])
+        fam = ProjectorFamily(rng.permutation(len(sizes))[:, None] - 2.0, sectors)
+        rows = rng.normal(size=(5, fam.dim))
+        if kind == "complex":
+            rows = rows + 1j * rng.normal(size=rows.shape)
+        expected = np.array([[_left_to_right(r, idx) for idx in fam.sectors] for r in rows])
+        assert np.array_equal(fam.sector_weights(rows), expected)
+        assert np.array_equal(fam.sector_weights(rows[0]), expected[0])
+        ints = rng.integers(-9, 10, size=(3, fam.dim))
+        z = fam.sector_weights(ints)
+        assert z.dtype == float and np.array_equal(z, fam.sector_weights(ints.astype(float)))
+    psi0 = rows[0] / np.linalg.norm(rows[0])
+    stepper = CslStepper(fam, 0.5, 0.0005)
+    res = run_ensemble(psi0, stepper, 16, 6, seed, record_every=16)
+    z = fam.sector_weights(res.final_states)
+    assert np.array_equal(res.z_history[-1], z)
+    assert np.array_equal(res.outcomes, np.where(z.max(axis=1) >= 1.0 - 1e-6, z.argmax(axis=1), -1))
 
 
 def _nan_block(*args, **kwargs):

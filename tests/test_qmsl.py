@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def _two_packets(sigma=0.45, sep=6.0, n=256, dx=0.125, mass=20.0):
 
 
 def _normalized(psi):
-    return psi.with_amplitudes(psi.amplitudes / np.sqrt(psi.norm_sq()))
+    return replace(psi, amplitudes=psi.amplitudes / np.sqrt(psi.norm_sq()))
 
 
 def _factor(psi, x, alpha):
@@ -64,7 +65,7 @@ def test_hit_suppresses_far_packet():
     alpha = 1.0
     a = 3.0
     psi = _two_packets(sigma=0.3, sep=2 * a)
-    hit = psi.with_amplitudes(_factor(psi, a, alpha) * psi.amplitudes)
+    hit = replace(psi, amplitudes=_factor(psi, a, alpha) * psi.amplitudes)
     x = psi.positions
     near = np.abs(hit.amplitudes[np.argmin(np.abs(x - a))])
     far = np.abs(hit.amplitudes[np.argmin(np.abs(x + a))])
@@ -82,7 +83,7 @@ def test_hit_suppresses_far_packet():
 def test_hit_on_localized_packet_is_gentle():
     alpha = 1.0
     psi = gaussian_packet(64, 0.25, -8.0, 10.0, 0.0, 0.3)
-    hit = _normalized(psi.with_amplitudes(_factor(psi, 0.2, alpha) * psi.amplitudes))
+    hit = _normalized(replace(psi, amplitudes=_factor(psi, 0.2, alpha) * psi.amplitudes))
     fidelity = abs(np.vdot(psi.amplitudes, hit.amplitudes) * psi.dx) ** 2
     assert fidelity >= 0.99
 
@@ -91,7 +92,7 @@ def test_hit_far_from_packets_changes_nothing_but_is_unlikely():
     alpha = 1.0
     a = 2.5
     psi = two_packet_state(1024, 12.0 / 1024, -6.0, 20.0, (-a, a), 0.03)
-    hit = psi.with_amplitudes(_factor(psi, 0.0, alpha) * psi.amplitudes)
+    hit = replace(psi, amplitudes=_factor(psi, 0.0, alpha) * psi.amplitudes)
     weight = hit.norm_sq()  # sampling mass of this center
     # quadrature oracle: P(0) = int sqrt(a/pi) exp(-a q^2)|psi|^2 dq
     x = psi.positions
@@ -137,7 +138,7 @@ def test_hitting_density_pointlike_packet_convolution():
 
 def _uniform_on_ring(n=64, dx=0.25, x0=-8.0):
     psi = two_packet_state(n, dx, x0, 1.0, (-3, 3), 0.45)
-    return _normalized(psi.with_amplitudes(np.ones(n, dtype=complex)))
+    return _normalized(replace(psi, amplitudes=np.ones(n, dtype=complex)))
 
 
 def test_hitting_density_uniform_on_ring():
@@ -149,7 +150,7 @@ def test_hitting_density_uniform_on_ring():
 def test_hitting_density_requires_normalized():
     psi = _two_packets()
     with pytest.raises(ValueError, match="normalized"):
-        hit_rows(psi, 1.0, 2.0 * psi.amplitudes[None], [0.5], [0.0])
+        hit_rows(psi, 1.0, 2.0 * psi.amplitudes[None], [0.5], [0.0], np.empty((3, 1, psi.n)))
 
 
 def _hits(psi, alpha, n, seed, batch=2000):
@@ -161,7 +162,7 @@ def _hits(psi, alpha, n, seed, batch=2000):
     for s in range(0, n, batch):
         amps = np.tile(psi.amplitudes, (min(batch, n - s), 1))
         x[s : s + batch], weight[s : s + batch] = hit_rows(
-            psi, alpha, amps, u[s : s + batch], z[s : s + batch]
+            psi, alpha, amps, u[s : s + batch], z[s : s + batch], np.empty((3,) + amps.shape)
         )
         post += np.sum(np.abs(amps) ** 2, axis=0)
     return x, weight, post
@@ -183,7 +184,7 @@ def test_hit_centers_follow_the_quadrature_law(state):
         psi, alpha = _two_packets(), 1.7
     else:  # sigma = 2 dx, centered on x0: half its mass wraps to the far end
         psi, alpha = gaussian_packet(256, 0.125, -16.0, 20.0, 0.0, 0.25), 8.0
-        psi = psi.with_amplitudes(np.roll(psi.amplitudes, psi.n // 2))
+        psi = replace(psi, amplitudes=np.roll(psi.amplitudes, psi.n // 2))
     x, _, _ = _hits(psi, alpha, 40_000, 17)
     fine = psi.x0 + np.linspace(0.0, psi.length, 32 * psi.n + 1)
     dens = _ring_gaussian_sq(psi, alpha, fine) @ (np.abs(psi.amplitudes) ** 2 * psi.dx)
@@ -199,7 +200,7 @@ def test_hit_centers_stay_on_the_ring():
     below_one = np.nextafter(1.0, 0.0)
     u = np.array([0.0, 0.0, below_one, below_one, 0.5])
     z = np.array([-1e-300, -3.0, 1e-300, 3.0, 0.0])
-    x, _ = hit_rows(psi, alpha, np.tile(psi.amplitudes, (5, 1)), u, z)
+    x, _ = hit_rows(psi, alpha, np.tile(psi.amplitudes, (5, 1)), u, z, np.empty((3, 5, psi.n)))
     top, s = psi.x0 + psi.length, 3.0 / np.sqrt(2.0 * alpha)
     assert np.all((psi.x0 <= x) & (x < top))
     expected = [psi.x0, top - s, top - psi.dx, psi.x0 + s - psi.dx, psi.x0 + psi.n // 2 * psi.dx]
@@ -212,7 +213,8 @@ def test_hit_weight_is_the_norm_of_the_localized_row():
     psi, alpha, m = _two_packets(), 1.3, 64
     rng = trajectory_generator(8)
     amps = np.tile(psi.amplitudes, (m, 1))
-    x, weight = hit_rows(psi, alpha, amps, rng.uniform(size=m), rng.standard_normal(size=m))
+    u, z = rng.uniform(size=m), rng.standard_normal(size=m)
+    x, weight = hit_rows(psi, alpha, amps, u, z, np.empty((3,) + amps.shape))
     norm_sq = _ring_gaussian_sq(psi, alpha, x) @ (np.abs(psi.amplitudes) ** 2 * psi.dx)
     assert np.max(np.abs(weight / norm_sq - 1.0)) <= 1e-12
     hit = _factor(psi, x, alpha) * psi.amplitudes / np.sqrt(norm_sq)[:, None]
@@ -256,10 +258,11 @@ def test_batched_hit_sampling_matches_rows_drawn_one_by_one():
     u = np.append(rng.uniform(size=amps.shape[0] - 2), [0.0, 0.9999])
     z = rng.standard_normal(size=amps.shape[0])
     rows = amps.copy()
-    x, weight = hit_rows(psi, 1.3, rows, u, z)
+    x, weight = hit_rows(psi, 1.3, rows, u, z, np.empty((3,) + rows.shape))
     for k in range(amps.shape[0]):
         one = amps[k : k + 1].copy()
-        assert hit_rows(psi, 1.3, one, u[k : k + 1], z[k : k + 1]) == ([x[k]], [weight[k]])
+        got = hit_rows(psi, 1.3, one, u[k : k + 1], z[k : k + 1], np.empty((3, 1, psi.n)))
+        assert got == ([x[k]], [weight[k]])
         assert np.array_equal(one[0], rows[k])
     assert np.all((psi.x0 <= x) & (x < psi.x0 + psi.length))
 
@@ -298,12 +301,13 @@ def test_hit_rows_in_a_reused_workspace_match_fresh_buffers():
         rows = np.stack([np.roll(psi.amplitudes, s) for s in rng.integers(-40, 40, size=m)])
         u, z = rng.uniform(size=m), rng.standard_normal(size=m)
         fresh, reused = rows.copy(), rows.copy()
-        expected = hit_rows(psi, alpha, fresh, u, z)
+        expected = hit_rows(psi, alpha, fresh, u, z, np.empty((3, m, psi.n)))
         got = hit_rows(psi, alpha, reused, u, z, work)
         for a, b in zip(got + (reused,), expected + (fresh,)):
             assert np.array_equal(_bits(a), _bits(b))
         spectra = np.fft.fft(fresh, axis=1)
-        assert np.array_equal(tail_bounds(spectra, 1.0, work[0]), tail_bounds(spectra, 1.0))
+        expected = tail_bounds(spectra, 1.0, np.empty(spectra.shape))
+        assert np.array_equal(tail_bounds(spectra, 1.0, work[0]), expected)
 
 
 # ---------------------------------------------------------- trajectories
@@ -489,7 +493,8 @@ def test_band_edge_plus_tail_bound_covers_the_full_edge(n, tail, seed):
     grid = GridWavefunction(np.ones(n), 0.05, 0.0, rng.uniform(0.5, 20.0))
     kin = _kinetic_phase(grid, np.cumsum(rng.uniform(0.0, 0.1, size=16))) / n
     taps = np.stack([kin, kin * np.exp(-2j * np.pi * np.arange(n) / n)], axis=1).reshape(-1, n)
-    bounds = tail_bounds(chi, np.linalg.norm(np.fft.ifft(chi, axis=1), axis=1).max())
+    norm = np.linalg.norm(np.fft.ifft(chi, axis=1), axis=1).max()
+    bounds = tail_bounds(chi, norm, np.empty(chi.shape))
     full = np.abs(np.matmul(chi, taps.T))
     for c, k in enumerate(band_cuts(n)):
         band = np.matmul(chi[:, : k + 1], taps[:, : k + 1].T)
