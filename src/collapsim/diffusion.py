@@ -53,16 +53,22 @@ class CslStepper:
     form : {"linear", "nonlinear"}
         Only a nonlinear stepper steps (``step_batch``); ``run_ensemble``
         updates a linear one exactly.
+    hamiltonian : (d, d) array, optional
+        The Hamiltonian H of the nonlinear form's -i H psi dt term; the
+        linear form's exact update takes none.
     """
 
     family: ProjectorFamily
     gamma: float
     dt: float
     form: str = "nonlinear"
+    hamiltonian: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.form not in ("linear", "nonlinear"):
             raise ValueError("form must be 'linear' or 'nonlinear'")
+        if self.form == "linear" and self.hamiltonian is not None:
+            raise ValueError("the linear form's exact update takes no Hamiltonian")
         if not (0 < self.gamma < np.inf and 0 < self.dt < np.inf):
             raise ConfigError(
                 f"gamma = {self.gamma} and dt = {self.dt} must be finite and positive"
@@ -80,11 +86,11 @@ class CslStepper:
         object.__setattr__(self, "_cols", table.T.tolist())
         object.__setattr__(self, "_a_sq_sum", np.sum(table**2, axis=0).tolist())
 
-    def step_batch(self, psis: np.ndarray, dbs: np.ndarray, ws: StepWorkspace) -> np.ndarray:
-        """Advance a (n, d) block of normalized states by one nonlinear step
-        through the workspace ``ws`` made for this stepper, its Hamiltonian
-        and n rows.  Returns the column-major (n, d) states: a slab of the
-        workspace, overwritten two steps later.
+    def step_batch(self, dbs: np.ndarray, ws: StepWorkspace) -> np.ndarray:
+        """Advance the normalized states ``ws.rows`` of the workspace ``ws``
+        made for this stepper by one nonlinear step, with increments ``dbs``
+        (one row per state), in place.  Returns ``ws.rows``: column-major
+        (n, d) states, overwritten by the next step.
 
         The step works on the d basis columns and the channel columns of
         ``dbs``, one 1-D array each: sums over basis indices and channels
@@ -93,15 +99,10 @@ class CslStepper:
         """
         if ws.stepper is not self:
             raise ValueError("the workspace was made for another stepper")
-        side = 1 if psis is ws.rows[1] else 0
-        if psis is not ws.rows[side]:
-            if psis.shape != ws.rows[0].shape:
-                raise ValueError(f"the workspace steps {ws.rows[0].shape} rows, not {psis.shape}")
-            np.copyto(ws.rows[0], psis)
         np.copyto(ws.db_rows, dbs)
-        for fn, args in ws.programs[side]:
+        for fn, args in ws.program:
             fn(*args)
-        return ws.rows[1 - side]
+        return ws.rows
 
     def _factors(self, chi: list, db: list) -> list:
         """Per basis column, the factor f of the step psi -> psi + f psi:
@@ -121,107 +122,97 @@ class CslStepper:
         ]
         return [z - 0.5 * gamma * q * dt for z, q in zip(noise, quad)]
 
-    def _step(self, chi: list, db: list, h_matrix: np.ndarray | None) -> list:
+    def _step(self, chi: list, db: list) -> list:
         """psi + (-i H psi dt + f psi), column by column, with (H psi)_j
         summed left to right, so each row's bits do not depend on how many
         rows step with it; psi + f psi without a Hamiltonian."""
         terms = [f * x for f, x in zip(self._factors(chi, db), chi)]
-        if h_matrix is not None:
-            ham = [-1j * _combine(chi, row) * self.dt for row in h_matrix.tolist()]
+        if self.hamiltonian is not None:
+            ham = [-1j * _combine(chi, row) * self.dt for row in self.hamiltonian.tolist()]
             terms = [h + t for h, t in zip(ham, terms)]
         return [x + t for x, t in zip(chi, terms)]
 
 
 class StepWorkspace:
-    """Buffers and the recorded step with which ``CslStepper.step_batch``
-    advances as many rows as ``psis`` has under ``h_matrix`` without
-    allocating (real rows if they are real and there is no Hamiltonian).
-    Its caller holds it for one run; no stepper keeps it.  A linear
-    stepper has no workspace: it is updated exactly, not stepped.
+    """The state slab, buffers and recorded step with which
+    ``CslStepper.step_batch`` advances as many rows as ``psis`` has, loaded
+    from ``psis``, without allocating (real rows if they are real and the
+    stepper has no Hamiltonian).  Its caller holds it for one run; no
+    stepper keeps it.  A linear stepper has no workspace: it is updated
+    exactly, not stepped.
 
     The step's code runs once, on ``_Col`` columns, recorded as a fixed
     list of numpy calls that write through ``out``: the same operations
-    in the same order as on arrays, so the same bits.  A step reads one
-    of two (d, n) slabs and writes the other, so the list is linked both
-    ways round, and the input rows are never overwritten mid-step.
-    ``front`` and ``keep`` narrow the step to the first rows of every
-    array without recording it again.
+    in the same order as on arrays, so the same bits.  The step reads
+    every state column before it writes any (the normalized columns need
+    the norm, which reads every new column), so it writes its result back
+    into the one (d, n) slab it read.  ``load`` narrows the step to the
+    first rows of every array without recording it again.
     """
 
-    def __init__(self, stepper: CslStepper, psis: np.ndarray, h_matrix=None) -> None:
+    def __init__(self, stepper: CslStepper, psis: np.ndarray) -> None:
         if stepper.form == "linear":
             raise ValueError("the linear form takes the exact update, not an Euler step")
         d, n = stepper.family.dim, psis.shape[0]
-        dtype = float if h_matrix is None and psis.dtype.kind == "f" else complex
+        dtype = float if stepper.hamiltonian is None and psis.dtype.kind == "f" else complex
         self.stepper, self.n, self.calls, self.sums = stepper, n, [], {}
-        self.slabs = tuple(np.empty((d, n), dtype).T for _ in range(2))
+        self.slab = np.empty((d, n), dtype)  # row j is state column j
         self.db = np.empty((stepper.family.channel_count, n))
-        src, dst = (slab.T for slab in self.slabs)  # row j of a (d, n) slab is column j
-        chi = [_Col(self, dtype, pair) for pair in zip(src, dst)]
-        db = [_Col(self, float, (row, row)) for row in self.db]
-        new = stepper._step(chi, db, h_matrix)
+        new = stepper._step([_Col(self, dtype, x) for x in self.slab],
+                            [_Col(self, float, row) for row in self.db])
         norm_sq = _row_sum([_abs2(col) for col in new])
         inv = 1.0 / np.sqrt(norm_sq)  # complex / real divides this way too
-        for col, x, y in zip(new, src, dst):
-            np.multiply(col, inv, out=_Col(self, dtype, (y, x)))
+        for col, x in zip(new, self.slab):
+            np.multiply(col, inv, out=_Col(self, dtype, x))
         self.args, self.plan = self._link()
-        self.front(n)
+        self.load(psis)
 
-    def front(self, m: int) -> None:
-        """Step the first m rows from now on: the linked calls with every
-        array cut to its first m rows (each is a column of n values or an
-        (n, width) sum buffer), so nothing is recorded again."""
-        self.rows = tuple(slab[:m] for slab in self.slabs)
-        self.db_rows = self.db[:, :m].T
+    def load(self, rows: np.ndarray) -> np.ndarray:
+        """Copy ``rows`` to the front of the slab and step only those from
+        now on: the linked calls with every array cut to their count (each
+        is a column of n values or an (n, width) sum buffer), so nothing is
+        recorded again.  Returns them, as ``step_batch`` returns states."""
+        m = len(rows)
+        self.rows, self.db_rows = self.slab[:, :m].T, self.db[:, :m].T
         cut = [x[:m] if isinstance(x, np.ndarray) else x for x in self.args]
-        self.programs = [[(fn, tuple(map(cut.__getitem__, slots))) for fn, slots in program]
-                         for program in self.plan]
-
-    def keep(self, psis: np.ndarray, kept: np.ndarray) -> np.ndarray:
-        """Move the rows of ``psis`` that the mask ``kept`` picks to the
-        front of a slab, in order, and step only those from now on.
-        Returns them, as ``step_batch`` returns states."""
-        side = 1 if psis is self.rows[1] else 0
-        rows = psis[kept]
-        self.front(len(rows))
-        np.copyto(self.rows[side], rows)
-        return self.rows[side]
+        self.program = [(fn, tuple(map(cut.__getitem__, slots))) for fn, slots in self.plan]
+        np.copyto(self.rows, rows)
+        return self.rows
 
     def _link(self) -> tuple:
-        """The recorded calls on arrays, reading slab 0, then slab 1, as
-        their distinct arguments and, per call, the function and the
-        positions of its arguments among them.  A
-        scratch column gets a buffer when it is written, and gives it up
-        at its last reader, whose own result may then reuse it in place.
-        The reuse keeps the step in cache: with one buffer per scratch
-        column, the nonlinear Ito step on 4096 two-level rows took 108-133
-        against 80-108 us on one Xeon core."""
+        """The recorded calls on arrays, as their distinct arguments and,
+        per call, the function and the positions of its arguments among
+        them.  A scratch column gets a buffer when it is written, and gives
+        it up at its last reader, whose own result may then reuse it in
+        place.  The reuse keeps the step in cache: with one buffer per
+        scratch column, the nonlinear Ito step on 4096 two-level rows took
+        108-133 against 80-108 us on one Xeon core."""
         last = {id(c): k for k, (_, args) in enumerate(self.calls) for c in args}
         free = {}
         for k, (_, (*ins, out)) in enumerate(self.calls):
             for c in ins:
                 if isinstance(c, _Col) and c.scratch and last[id(c)] == k:
-                    free.setdefault(c.dtype, []).append(c.arrays[0])
+                    free.setdefault(c.dtype, []).append(c.array)
                     last[id(c)] = None  # a column read twice is freed once
-            if isinstance(out, _Col) and out.arrays is None:
+            if isinstance(out, _Col) and out.array is None:
                 pool = free.setdefault(out.dtype, [])
-                out.arrays = (pool.pop() if pool else np.empty(self.n, out.dtype),) * 2
-        programs = [[(fn, [x.arrays[side] if isinstance(x, _Col) else x for x in args])
-                     for fn, args in self.calls] for side in (0, 1)]
-        args = list({id(x): x for program in programs for _, xs in program for x in xs}.values())
+                out.array = pool.pop() if pool else np.empty(self.n, out.dtype)
+        program = [(fn, [x.array if isinstance(x, _Col) else x for x in args])
+                   for fn, args in self.calls]
+        args = list({id(x): x for _, xs in program for x in xs}.values())
         slot = {id(x): j for j, x in enumerate(args)}
-        return args, [[(fn, [slot[id(x)] for x in xs]) for fn, xs in program]
-                      for program in programs]
+        return args, [(fn, [slot[id(x)] for x in xs]) for fn, xs in program]
 
 
 class _Col(NDArrayOperatorsMixin):
     """A column of n values while a step is recorded: a ufunc called on
     it, through an operator too, is appended to its workspace's calls and
-    returns the column for the result.  ``arrays`` are its arrays when the
-    step reads slab 0 and slab 1; a scratch column's are set by linking."""
+    returns the column for the result.  ``array`` holds its values: a row
+    of the state slab or of the increments, or, for a scratch column, a
+    buffer that linking assigns."""
 
-    def __init__(self, ws: StepWorkspace, dtype, arrays: tuple | None = None) -> None:
-        self.ws, self.dtype, self.arrays, self.scratch = ws, np.dtype(dtype), arrays, arrays is None
+    def __init__(self, ws: StepWorkspace, dtype, array: np.ndarray | None = None) -> None:
+        self.ws, self.dtype, self.array, self.scratch = ws, np.dtype(dtype), array, array is None
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None):
         if method != "__call__":
@@ -269,8 +260,7 @@ def _combine(cols: list, coeffs: list):
         else:
             total = total - term if a == -1.0 else total + term
     if total is None:  # a column of zeros that no step writes
-        zero = np.zeros(cols[0].ws.n, cols[0].dtype)
-        total = _Col(cols[0].ws, zero.dtype, (zero, zero))
+        total = _Col(cols[0].ws, cols[0].dtype, np.zeros(cols[0].ws.n, cols[0].dtype))
     return total
 
 
@@ -294,7 +284,6 @@ class EnsembleResult:
     outcomes: np.ndarray
     collapse_steps: np.ndarray
     z_history: np.ndarray | None = None
-    history_steps: np.ndarray | None = None
 
 
 CHUNK = 4096
@@ -311,8 +300,14 @@ of 4096 one-channel rows), so no check point moves.  A
 row that retires mid-window leaves the rest of its window's normals unread."""
 
 
-def _plain_window(rows: int, channels: int, steps: int) -> int:
-    return min(steps, max(16, WINDOW_BYTES // (8 * rows * channels) // 16 * 16))
+def _pool_shape(n_traj: int, channels: int, steps: int, resample_every: int | None) -> tuple:
+    """``run_ensemble``'s (slots, window): a ``CHUNK`` of slots reading
+    whole 16-step check intervals of noise into ``WINDOW_BYTES``, or, when
+    it resamples, every trajectory, a resample interval at a time."""
+    if resample_every is not None:
+        return n_traj, min(resample_every, steps)
+    slots = min(CHUNK, n_traj)
+    return slots, min(steps, max(16, WINDOW_BYTES // (8 * slots * channels) // 16 * 16))
 
 
 def _shared_noise(stepper) -> tuple:
@@ -335,20 +330,10 @@ def require_ensemble_fits(
     if not steps < 2**63:
         raise ValueError(f"steps = {steps} must be below 2^63")
     channels, plain = steppers[0].family.channel_count, resample_every is None
-    rows = min(CHUNK, n_traj) if plain else n_traj
-    window = _plain_window(rows, channels, steps) if plain else min(resample_every, steps)
+    rows, window = _pool_shape(n_traj, channels, steps, resample_every)
     nbytes = (8 * (window + 1) * channels + 1024 * plain) * rows  # +1: linear sums; 1 KB a stream
     nbytes += 16 * n_traj * sum(s.family.dim for s in steppers)
     require_memory(nbytes, "the noise window and the states")
-
-
-def _initial_rows(psi0: np.ndarray, h_matrix: np.ndarray | None) -> np.ndarray:
-    """psi0 as float64 when it is real and there is no Hamiltonian (every
-    step then multiplies amplitudes by real factors), else complex."""
-    psi0 = np.asarray(psi0)
-    if h_matrix is None and not np.any(np.imag(psi0)):
-        return np.real(psi0).astype(float)
-    return psi0.astype(complex)
 
 
 class _Ensemble:
@@ -358,9 +343,13 @@ class _Ensemble:
     result each fills as it leaves."""
 
     def __init__(self, stepper: CslStepper, psi0: np.ndarray, steps: int,
-                 n_traj: int, record_every: int | None, h_matrix, until_decided: bool) -> None:
+                 n_traj: int, record_every: int | None, until_decided: bool) -> None:
+        # float64 rows when psi0 is real and there is no Hamiltonian (every
+        # step then multiplies amplitudes by real factors), else complex
+        real = stepper.hamiltonian is None and not np.any(np.imag(psi0))
+        psi0 = np.real(psi0).astype(float) if real else psi0.astype(complex)
         self.stepper, self.psi0, self.steps, self.every = stepper, psi0, steps, record_every
-        self.h_matrix, self.ws, self.until_decided = h_matrix, None, until_decided
+        self.ws, self.until_decided = None, until_decided
         self.psis, self.lw, self.sums, self.last = np.tile(psi0, (0, 1)), np.zeros(0), 0.0, 0
         self.done = self.traj = self.join = self.cols = np.zeros(0, dtype=int)
         n_rec, dim = (steps // record_every if record_every else 0), psi0.shape[0]
@@ -370,7 +359,6 @@ class _Ensemble:
             np.full(n_traj, -1, dtype=int),
             np.full(n_traj, -1, dtype=int),
             np.zeros((n_rec, n_traj, stepper.family.n_sectors)) if record_every else None,
-            np.arange(1, n_rec + 1) * record_every if record_every else None,
         )
 
     def refill(self, traj: np.ndarray, k: int) -> None:
@@ -378,11 +366,11 @@ class _Ensemble:
         after the live rows (the first call fills every slot)."""
         if not len(traj):
             return
-        m, new = len(traj), np.tile(self.psi0, (len(traj), 1))
-        self.psis = np.concatenate([self.psis, new])
+        m = len(traj)
+        self.psis = np.concatenate([self.psis, np.tile(self.psi0, (m, 1))])
         if self.stepper.form != "linear":
-            self.ws = self.ws or StepWorkspace(self.stepper, new, self.h_matrix)
-            self.psis = self.ws.keep(self.psis, slice(None))
+            self.ws = self.ws or StepWorkspace(self.stepper, self.psis)
+            self.psis = self.ws.load(self.psis)
         self.lw, self.done, self.traj, self.join = (np.concatenate(pair) for pair in (
             (self.lw, np.zeros(m)), (self.done, np.full(m, -1)), (self.traj, traj),
             (self.join, np.full(m, k))))
@@ -427,7 +415,7 @@ class _Ensemble:
                 cols = None if len(self.cols) == block.shape[1] else self.cols
                 for db in block[s0:s]:
                     db = db if cols is None else db.take(cols, axis=0)
-                    self.psis = stepper.step_batch(self.psis, db, self.ws)
+                    stepper.step_batch(db, self.ws)  # self.psis, in place
                 z = stepper.family.sector_weights(self.psis).T
             if every:
                 rec = k % every == 0
@@ -463,11 +451,14 @@ class _Ensemble:
         collapse steps are already marked), their outcomes from their sector
         weights z, (n_sectors, rows), and step only the others."""
         res, traj, kept, z = self.res, self.traj[out], ~out, z.compress(out, axis=1)
-        res.final_states[traj], res.log_weights[traj] = self.psis[out], self.lw[out]
+        res.final_states[traj] = self.psis.compress(out, axis=0)
+        res.log_weights[traj] = self.lw[out]
         res.collapse_steps[traj] = self.done[out]
         res.outcomes[traj] = np.where(z.max(axis=0) >= 1.0 - REDUCTION_COMPLETE_TOL,
                                       z.argmax(axis=0), -1)
-        self.psis = self.psis[kept] if self.ws is None else self.ws.keep(self.psis, kept)
+        self.psis = self.psis.compress(kept, axis=0)
+        if self.ws is not None:
+            self.psis = self.ws.load(self.psis)
         self.lw, self.done, self.traj, self.join, self.cols = (
             x[kept] for x in (self.lw, self.done, self.traj, self.join, self.cols))
 
@@ -486,7 +477,6 @@ def run_ensemble(
     steps: int,
     n_traj: int,
     master_seed: int,
-    h_matrix: np.ndarray | None = None,
     record_every: int | None = None,
     resample_every: int | None = None,
     traj_offset: int = 0,
@@ -500,11 +490,12 @@ def run_ensemble(
     row sums its increments in step order and takes the exact update
     ``linear_exact_commuting`` by them only at its update points (record
     steps, resample points and its last step), free of step-size error; it
-    takes no ``h_matrix``.  Nonlinear ones step by ``CslStepper.step_batch``.
+    has no Hamiltonian.  Nonlinear ones step by ``CslStepper.step_batch``
+    under their stepper's Hamiltonian, through one ``StepWorkspace`` each.
 
     Trajectory i steps through stream traj_offset + i.  Without
     resampling, a pool of ``CHUNK`` slots steps, each row reading its
-    stream on from a live generator, ``_plain_window`` steps at a time;
+    stream on from a live generator, a window (``_pool_shape``) at a time;
     at each window boundary the slots of rows that retired or took their
     last step take the next trajectories in index order, from psi0, on
     freed generators re-keyed to their streams (without retirement, one
@@ -539,25 +530,19 @@ def run_ensemble(
     if n_traj < 1:
         raise ValueError(f"an ensemble needs at least one trajectory, not {n_traj}")
     if until_decided and (len(steppers) > 1 or steppers[0].form == "linear" or any(
-            x is not None for x in (h_matrix, record_every, resample_every))):
-        raise ValueError("until_decided takes one nonlinear stepper and no h_matrix, "
+            x is not None for x in (steppers[0].hamiltonian, record_every, resample_every))):
+        raise ValueError("until_decided takes one nonlinear stepper and no Hamiltonian, "
                          "record_every or resample_every")
-    if h_matrix is not None and any(s.form == "linear" for s in steppers):
-        raise ValueError("the linear form's exact update takes no Hamiltonian")
-    noise = steppers[0].family.channel_count, steppers[0].gamma, steppers[0].dt
-    if resample_every is None:
-        slots = min(CHUNK, n_traj)
-        window = _plain_window(slots, noise[0], steps)
-        streams = LiveStreams(slots, window, noise[0])
-    else:
+    if resample_every is not None:
         if all(s.form != "linear" for s in steppers):
             raise ValueError("sequential resampling applies to the linear form")
         if record_every is not None or traj_offset:
             raise ValueError("the resampled runner records no z history and takes no traj_offset")
-        slots, window, streams = n_traj, resample_every, None
-    psi0 = _initial_rows(psi0, h_matrix)
-    runs = [_Ensemble(s, psi0, steps, n_traj, record_every, h_matrix, until_decided)
-            for s in steppers]
+    noise = steppers[0].family.channel_count, steppers[0].gamma, steppers[0].dt
+    slots, window = _pool_shape(n_traj, noise[0], steps, resample_every)
+    streams = LiveStreams(slots, window, noise[0]) if resample_every is None else None
+    psi0 = np.asarray(psi0)
+    runs = [_Ensemble(s, psi0, steps, n_traj, record_every, until_decided) for s in steppers]
     k0 = waiting = 0  # the pool's step and the first trajectory without a slot
     while True:
         # the rows keep their streams, in order; freed slots take the next trajectories

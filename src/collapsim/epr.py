@@ -50,8 +50,8 @@ def _evolve_batch(psis: np.ndarray, stepper: CslStepper, blocks: np.ndarray) -> 
     rows = np.empty((psis.shape[0] // blocks.shape[1], *blocks.shape[1:]))  # (n / m, m, 1)
     for db in blocks:
         np.copyto(rows, db)
-        psis = stepper.step_batch(psis, rows.reshape(-1, 1), ws)
-    return psis
+        stepper.step_batch(rows.reshape(-1, 1), ws)
+    return ws.rows
 
 
 @dataclass(frozen=True)

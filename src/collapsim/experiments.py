@@ -329,12 +329,10 @@ def run_csl_discrete(p: dict, run: Settings) -> Iterator:
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     diffusion.require_ensemble_fits(stepper, steps, n_traj)
     yield
-    res = diffusion.run_ensemble(
-        psi0, stepper, steps, n_traj, run.seed, record_every=max(steps // 8, 1)
-    )
-    z = res.z_history  # (n_rec, n_traj, 2)
-    offdiag = np.sqrt(np.maximum(z[..., 0] * z[..., 1], 0.0)).mean(axis=1)
-    t_rec = res.history_steps * dt
+    every = max(steps // 8, 1)
+    z = diffusion.run_ensemble(psi0, stepper, steps, n_traj, run.seed, record_every=every).z_history
+    offdiag = np.sqrt(np.maximum(z[..., 0] * z[..., 1], 0.0)).mean(axis=1)  # z: (n_rec, n_traj, 2)
+    t_rec = np.arange(1, len(z) + 1) * every * dt
     slope = np.polyfit(t_rec, np.log(offdiag), 1)[0]
     # the white two-sector rate (lambda/2) sum_k (n_k - m_k)^2
     white = colored.CorrelationSpec.white()

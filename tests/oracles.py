@@ -13,8 +13,9 @@ brute-force ODE.  The exceptions reuse production pieces on purpose:
   of its hit times.
 - ``step_batch_reference``, the row-wise complex CSL step kept as the
   reference for the column-wise stepper: it reads the stepper's family,
-  gamma, dt and form, and its linear Euler step is the reference the
-  exact linear update is checked against.
+  gamma, dt, form and Hamiltonian, returns fresh states where the
+  stepper steps its workspace's rows in place, and its linear Euler step
+  is the reference the exact linear update is checked against.
 - ``sample_wiener_reference`` and ``hermitian_phase_noise_reference``,
   the one-generator-per-path samplers the block draw replaced: the first
   pins the block draw's streams and bits, the second is the Hermitian
@@ -269,12 +270,13 @@ def hitting_density_reference(psi, alpha, amplitudes):
     return np.maximum(density, 0.0)
 
 
-def step_batch_reference(stepper, psis, dbs, h_matrix=None):
+def step_batch_reference(stepper, psis, dbs):
     """The row-wise complex ``CslStepper.step_batch``, kept verbatim as the
-    reference for the column-wise stepper.  Returns (states, dlog)."""
+    reference for the column-wise stepper, under the stepper's Hamiltonian.
+    Returns (states, dlog)."""
     table = stepper.family.basis_eigenvalues()  # (channels, d)
     a_sq_sum = np.sum(table**2, axis=0)
-    gamma, dt = stepper.gamma, stepper.dt
+    gamma, dt, h_matrix = stepper.gamma, stepper.dt, stepper.hamiltonian
 
     def ham_term(chi):
         if h_matrix is None:

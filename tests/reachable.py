@@ -11,8 +11,11 @@ runs is either wired to one or deleted; 0 otherwise.
 
 On stderr it also reports the function-body lines that never ran (those
 of closures and comprehensions too, not the def or decorator line), per
-function, and their count; the count is a report, not a gate.  The last
-line on stderr is the function count.
+function, and their count; the count is a report, not a gate.  For this
+report it also runs ``rejected_runs``, malformed configs and bad flags
+built from ``BASES`` and ``SMALL``, whatever they exit with; the function
+list counts the ``SMALL`` configs only.  The last line on stderr is the
+function count.
 """
 
 from __future__ import annotations
@@ -25,14 +28,71 @@ import io
 import pkgutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
+def rejected_runs(bases: dict, small: dict) -> list:
+    """Malformed configs and bad flags, as (config text, flags), each an
+    edit of a config of ``tests/test_cli.py``; "{out}" in a flag is the
+    output directory, which holds a file "file" and a directory
+    "taken.csv".  The configs that pass are small: a run exits fast."""
+    born, hitting, colored = bases["born"], bases["hitting"], bases["colored"]
+    table = small["decoherence-table"]
+    custom = "kind = custom\nkernel = 0, 1.0, 0.1"
+    edits = [
+        # the grammar, the top-level keys and the parameter table
+        (born, "[params]", "[]"), (born, "[params]", "[params]\nnon sense"),
+        (born, "[params]", "[params]\n= 3"), (born, "gamma = 1.0", "gamma = 1.0\ngamma = 2"),
+        (born, "seed = 20", "colour = red"), (born, "experiment = csl-born", ""),
+        (born, "csl-born", "csl-unborn"), (born, "[params]", "[extra]"),
+        (born, "format = csv", "format = xml"), (born, "output = born", "output = a/b"),
+        (born, "output = born", "output = " + "b" * 250), (born, "seed = 20", "seed = -1"),
+        (born, "trajectories = 1500", "trajectories = 0"),
+        (born, "gamma = 1.0", "gamma = 1.0\nbeta = 2"), (born, "gamma = 1.0\n", ""),
+        (born, "steps = 600", "steps = abc"), (born, "steps = 600", "steps = 2.5"),
+        (born, "steps = 600", "steps = 1e300"), (born, "weights = 0.3, 0.7", "weights = 0.3"),
+        (born, "weights = 0.3, 0.7", "weights = 0.3, 0.9"), (born, "dt = 0.005", "dt = nan"),
+        (born, "dt = 0.005", "dt = 0.5"),  # unstable
+        (bases["equivalence"], "steps = 600", "steps = 1e12\nresample_every = 1e12"),
+        (colored, "tau = 0.5", "tau = 0"), (colored, "kind = exponential", "kind = pink"),
+        (colored, "kind = exponential", "kind = custom"),
+        (colored, "kind = exponential", custom),
+        (colored, "kind = exponential", custom + ", 0.5, 0.3, 0.2"),
+        (colored, "kind = exponential", custom + ", inf"),
+        (colored, "kind = exponential", custom + ", 0.9, 0.2, 0"),
+        (colored, "times = 0.5", "eigenvalues = 7, 1e300\ntimes = 0.5"),  # an infinite rate
+        (hitting, "n = 128", "n = 100"), (hitting, "dt = 0.02", "dt = 0.03"),
+        (hitting, "centers = -3.0, 3.0", "centers = -15.0, 15.0"),  # leaks at the edge
+        (bases["mass"], "superposed", "bogus"),
+        (bases["mass"], "scenario = superposed", "scenario = superposed\nn_cells = 0"),
+        (bases["discrete"], "occupations_b = 0, 3", "occupations_b = 0, 3, 1"),
+        (bases["discrete"], "occupations_b = 0, 3", "occupations_b = 3, 0"),
+        (bases["discrete"], "steps = 40", "steps = 1e19"),
+        (bases["epr"], "t_end = 2.0", "t_end = 2.0\nsteps = 1e15"),
+        (bases["epr"], "", ""),  # as written: too few conditioning samples
+        (bases["master"].replace("sigma = 0.5", "sigma = 1.5"), "times = 0.0, 1.0",
+         "times = 0.0"),  # the packet wraps the ring at t = 0
+        (bases["master"], "mass = 1.0", "mass = 1e-300"),
+        (bases["rates"], "alpha = 1e10", "alpha = 7"), (bases["rates"], "density = 1e24", "density = 1e308"),
+        (small["gisin"], "trajectories = 40", "trajectories = 1"),
+        (table, "output = table", "output = taken"),  # taken.csv is a directory
+    ]
+    flags = [["--seed", "x"], ["--seed", "-1"], ["--format", "xml"], ["--bogus"],
+             ["--seed", "7", "--format", "json"], ["--config", "{out}/missing.cfg"],
+             ["--validate", "--out", "{out}/new/deeper"], ["--validate", "--out", "{out}/file/out"],
+             ["--out", "{out}/file/out"], ["--validate", "--out", "d" * 300],
+             ["--validate", "--out", "d/" * 3000]]
+    return [(text.replace(old, new), []) for text, old, new in edits] + [
+        (table, flag) for flag in flags]
+
+
 def reached() -> tuple[set, set]:
     """Code objects entered, and (file, line) pairs of collapsim's source
-    run, while collapsim is imported and every ``SMALL`` config runs."""
+    run, while collapsim is imported and every ``SMALL`` config runs; the
+    lines also while ``rejected_runs`` run."""
     package = str(Path(importlib.util.find_spec("collapsim").origin).parent)
     seen, lines = set(), set()
 
@@ -48,7 +108,7 @@ def reached() -> tuple[set, set]:
     sys.settrace(call)
     try:
         from collapsim.cli import main
-        from test_cli import SMALL
+        from test_cli import BASES, SMALL
 
         with tempfile.TemporaryDirectory() as out:
             for name, text in sorted(SMALL.items()):
@@ -58,9 +118,20 @@ def reached() -> tuple[set, set]:
                     code = main(["--config", str(path), "--out", out])
                 if code != 0:
                     print(f"warning: {name} exited {code}", file=sys.stderr)
+            gate = set(seen)
+            (Path(out) / "file").write_text("")
+            (Path(out) / "taken.csv").mkdir()
+            path = Path(out) / "rejected.cfg"
+            for text, flags in rejected_runs(BASES, SMALL):
+                path.write_text(text, encoding="utf-8")
+                argv = ["--config", str(path), "--out", out, *(f.format(out=out) for f in flags)]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    main(argv)
     finally:
         sys.settrace(None)
-    return seen, lines
+    return gate, lines
 
 
 def _functions(obj) -> list:

@@ -89,7 +89,6 @@ def _steps_against_reference(family, complex_psi, hamiltonian, seed):
     reused workspace, which must give the same arrays."""
     rng = np.random.default_rng(seed)
     a_max = float(np.max(np.abs(family.eigenvalues)))
-    stepper = CslStepper(family, 0.9, 0.008 / a_max**2)
     n, d = 64, family.dim
     psis = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if complex_psi else 0.0)
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
@@ -97,14 +96,15 @@ def _steps_against_reference(family, complex_psi, hamiltonian, seed):
     if hamiltonian:
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = m + m.conj().T
-    a, b, c = psis, psis.astype(complex), psis
-    ws = StepWorkspace(stepper, psis, h)
+    stepper = CslStepper(family, 0.9, 0.008 / a_max**2, hamiltonian=h)
+    a, b = psis, psis.astype(complex)
+    ws = StepWorkspace(stepper, psis)
     steps = []
     for _ in range(3):
         dbs = rng.normal(0.0, np.sqrt(stepper.gamma * stepper.dt), (n, family.channel_count))
-        a = stepper.step_batch(a, dbs, StepWorkspace(stepper, a, h))
-        b, _ = step_batch_reference(stepper, b, dbs, h)
-        c = stepper.step_batch(c, dbs, ws)
+        a = stepper.step_batch(dbs, StepWorkspace(stepper, a))
+        b, _ = step_batch_reference(stepper, b, dbs)
+        c = stepper.step_batch(dbs, ws)
         assert np.array_equal(c, a) and c.dtype == a.dtype
         steps.append((a, b))
     return steps
@@ -136,7 +136,6 @@ def test_single_row_steps_as_in_a_batch(family, complex_psi, hamiltonian):
     family = EXACT_FAMILIES[family]
     rng = np.random.default_rng(23)
     a_max = float(np.max(np.abs(family.eigenvalues)))
-    stepper = CslStepper(family, 0.9, 0.008 / a_max**2)
     n, d = 64, family.dim
     psis = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if complex_psi else 0.0)
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
@@ -144,14 +143,15 @@ def test_single_row_steps_as_in_a_batch(family, complex_psi, hamiltonian):
     if hamiltonian:
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = m + m.conj().T
+    stepper = CslStepper(family, 0.9, 0.008 / a_max**2, hamiltonian=h)
     rows = {k: psis[k:k + 1] for k in (0, n - 1)}
-    spaces = {k: StepWorkspace(stepper, row, h) for k, row in rows.items()}
-    batch, ws = psis, StepWorkspace(stepper, psis, h)
+    spaces = {k: StepWorkspace(stepper, row) for k, row in rows.items()}
+    ws = StepWorkspace(stepper, psis)
     for _ in range(3):
         dbs = rng.normal(0.0, np.sqrt(stepper.gamma * stepper.dt), (n, family.channel_count))
-        batch = stepper.step_batch(batch, dbs, ws)
+        batch = stepper.step_batch(dbs, ws)
         for k in rows:
-            rows[k] = stepper.step_batch(rows[k], dbs[k:k + 1], spaces[k])
+            rows[k] = stepper.step_batch(dbs[k:k + 1], spaces[k])
             assert rows[k].shape == (1, d) and rows[k].dtype == batch.dtype
             assert np.array_equal(rows[k][0], batch[k])
 
@@ -203,9 +203,8 @@ def test_step_drift_and_diffusion_by_gauss_hermite(family, complex_psi, hamilton
     errors = []
     for k in range(3):
         dt = 0.008 / np.max(family.eigenvalues**2) / 2**k
-        stepper = CslStepper(family, gamma, dt)
-        out = stepper.step_batch(psis, np.sqrt(gamma * dt) * nodes,
-                                 StepWorkspace(stepper, psis, h))
+        stepper = CslStepper(family, gamma, dt, hamiltonian=h)
+        out = stepper.step_batch(np.sqrt(gamma * dt) * nodes, StepWorkspace(stepper, psis))
         dz = family.sector_weights(out)[:, 0] - z[0]
         errors.append((weights @ dz / dt - v, weights @ dz**2 / dt - limit))
     errors = np.array(errors)
@@ -223,32 +222,53 @@ def test_step_batch_within_rounding_of_reference_for_inexact_products():
 
 def test_workspace_steps_allocate_nothing():
     # after warm-up, stepping through a workspace makes no array: the
-    # step's columns and both state slabs were allocated with it
+    # step's columns and the state slab were allocated with it
     n = 4096
     stepper = CslStepper(TWO, gamma=1.0, dt=0.0025)
     block = wiener_increment_block(5, np.arange(n), 60, 1, 1.0, 0.0025)
-    psis = np.tile(np.sqrt([0.3, 0.7]), (n, 1))
-    ws = StepWorkspace(stepper, psis)
+    ws = StepWorkspace(stepper, np.tile(np.sqrt([0.3, 0.7]), (n, 1)))
     for db in block[:10]:
-        psis = stepper.step_batch(psis, db, ws)
+        stepper.step_batch(db, ws)
     tracemalloc.start()
     try:
         for db in block[10:]:
-            psis = stepper.step_batch(psis, db, ws)
+            stepper.step_batch(db, ws)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * 8  # two float64 columns
 
 
+@pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
+def test_workspace_steps_its_one_slab_in_place(complex_psi):
+    # a workspace allocates one state slab, and each step writes its rows
+    # back into it: step_batch returns the very array ws.rows, before and
+    # after load narrows the step to the rows kept
+    n = 4096
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.0025)
+    psis = np.tile(np.sqrt([0.3, 0.7]) * (1j if complex_psi else 1.0), (n, 1))
+    tracemalloc.start()
+    try:
+        ws = StepWorkspace(stepper, psis)
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces
+    finally:
+        tracemalloc.stop()
+    assert [t.size for t in arrays].count(psis.nbytes) == 1  # the slab, (2, n)
+    assert ws.rows.shape == psis.shape and np.array_equal(ws.rows, psis)
+    kept = np.arange(n) % 3 > 0
+    for k, db in enumerate(wiener_increment_block(5, np.arange(n), 20, 1, 1.0, 0.0025)):
+        if k == 10:
+            rows = ws.rows.compress(kept, axis=0)
+            assert ws.load(rows) is ws.rows and np.array_equal(ws.rows, rows)
+        assert stepper.step_batch(db[: len(ws.rows)], ws) is ws.rows
+
+
 def test_workspace_rejects_rows_it_was_not_made_for():
     stepper = CslStepper(TWO, gamma=1.0, dt=0.0025)
-    psis = np.tile(np.sqrt([0.3, 0.7]), (8, 1))
-    ws = StepWorkspace(stepper, psis)
-    with pytest.raises(ValueError, match="rows"):
-        stepper.step_batch(psis[:4], np.zeros((4, 1)), ws)
+    ws = StepWorkspace(stepper, np.tile(np.sqrt([0.3, 0.7]), (8, 1)))
     with pytest.raises(ValueError, match="stepper"):
-        CslStepper(TWO, gamma=1.0, dt=0.002).step_batch(psis, np.zeros((8, 1)), ws)
+        CslStepper(TWO, gamma=1.0, dt=0.002).step_batch(np.zeros((8, 1)), ws)
 
 
 def test_the_linear_form_is_never_euler_stepped():
@@ -257,7 +277,7 @@ def test_the_linear_form_is_never_euler_stepped():
     with pytest.raises(ValueError, match="exact update"):
         StepWorkspace(linear, np.tile(np.sqrt([0.3, 0.7]), (8, 1)))
     with pytest.raises(ValueError, match="Hamiltonian"):
-        run_ensemble(np.sqrt([0.3, 0.7]), linear, 10, 4, 1, h_matrix=np.eye(2))
+        CslStepper(TWO, gamma=1.0, dt=0.0025, form="linear", hamiltonian=np.eye(2))
 
 
 def _linear_run(family, complex_psi, n_traj=64, **kwargs):
@@ -417,7 +437,7 @@ def test_plain_linear_run_in_16_step_windows_is_one_exact_update(monkeypatch):
     psi0 = np.sqrt(np.array([0.1, 0.2, 0.3, 0.4]))
     gamma, dt, steps, n = 0.9, 0.002, 90, 48
     monkeypatch.setattr(diffusion, "WINDOW_BYTES", 16 * n * 2 * 8)
-    assert diffusion._plain_window(n, 2, steps) == 16
+    assert diffusion._pool_shape(n, 2, steps, None) == (n, 16)
     res = run_ensemble(psi0, CslStepper(fam, gamma, dt, form="linear"), steps, n, 12)
     block = wiener_increment_block(12, np.arange(n), steps, 2, gamma, dt)
     exact, logw = linear_exact_commuting(psi0, fam, reduce(np.add, block), gamma, steps * dt)
@@ -434,11 +454,11 @@ def test_hamiltonian_ensemble_does_not_depend_on_the_chunk(monkeypatch):
     psi0 = np.array([0.6, 0.64, 0.48], dtype=complex)
     psi0 /= np.linalg.norm(psi0)
     h = np.array([[0.0, 0.4, 0.0], [0.4, 0.0, 0.4], [0.0, 0.4, 0.0]], dtype=complex)
-    stepper = CslStepper(diagonal_family(np.array([[1.0, 0.0, -1.0]])), 0.5, 0.005)
+    stepper = CslStepper(diagonal_family(np.array([[1.0, 0.0, -1.0]])), 0.5, 0.005, hamiltonian=h)
     finals = []
     for chunk in (1, 64):
         monkeypatch.setattr(diffusion, "CHUNK", chunk)
-        finals.append(run_ensemble(psi0, stepper, 100, 64, 301, h_matrix=h).final_states)
+        finals.append(run_ensemble(psi0, stepper, 100, 64, 301).final_states)
     assert np.array_equal(*finals)
 
 
@@ -885,13 +905,13 @@ def test_nan_increment_in_a_refilled_row_names_its_own_step(monkeypatch):
     assert any(map(all, refills))
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"h_matrix": np.array([[0.0, 0.3], [0.3, 0.0]])},
-    {"record_every": 10},
-    {"resample_every": 10},
-], ids=["h_matrix", "record_every", "resample_every"])
-def test_until_decided_rejects_a_hamiltonian_a_z_history_and_resampling(kwargs):
-    stepper = CslStepper(TWO, gamma=1.0, dt=0.005)
+@pytest.mark.parametrize("h, kwargs", [
+    (np.array([[0.0, 0.3], [0.3, 0.0]]), {}),
+    (None, {"record_every": 10}),
+    (None, {"resample_every": 10}),
+], ids=["hamiltonian", "record_every", "resample_every"])
+def test_until_decided_rejects_a_hamiltonian_a_z_history_and_resampling(h, kwargs):
+    stepper = CslStepper(TWO, gamma=1.0, dt=0.005, hamiltonian=h)
     with pytest.raises(ValueError, match="until_decided"):
         run_ensemble(np.sqrt([0.3, 0.7]), stepper, 20, 4, 1, until_decided=True, **kwargs)
 
@@ -950,10 +970,9 @@ def test_nonlinear_eigenstate_is_stationary():
     stepper = CslStepper(TWO, gamma=1.0, dt=0.004, form="nonlinear")
     psi = np.array([0.0, 1.0], dtype=complex)
     path = wiener_increment_block(4, [0], 200, 1, 1.0, 0.004)[:, 0]
-    out = psi[None, :]
-    ws = StepWorkspace(stepper, out)
+    ws = StepWorkspace(stepper, psi[None, :])
     for k in range(len(path)):
-        out = stepper.step_batch(out, path[k : k + 1], ws)
+        out = stepper.step_batch(path[k : k + 1], ws)
     assert abs(abs(np.vdot(psi, out[0])) - 1.0) < 1e-12
 
 
@@ -1117,7 +1136,7 @@ def test_nonlinear_step_keeps_vertices_and_the_simplex():
     psis = np.sqrt(np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3]]))
     ws = StepWorkspace(stepper, psis)
     for db in wiener_increment_block(5, np.arange(2), 200, 2, 1.0, 0.002):
-        psis = stepper.step_batch(psis, db, ws)
+        psis = stepper.step_batch(db, ws)
         z = fam.sector_weights(psis)
         assert np.max(np.abs(z.sum(axis=1) - 1.0)) < 1e-12
         assert np.array_equal(z[0], [1.0, 0.0, 0.0])
@@ -1136,7 +1155,7 @@ def test_nonlinear_step_projects_to_the_driftless_z_diffusion():
         db = rng.normal(0.0, np.sqrt(gamma * dt), size=1)
         z_now = np.abs(psi[0]) ** 2
         z_pred = z_now + 2.0 * z_now * (a - z_now @ a) * db[0]
-        psi = stepper.step_batch(psi, db[None, :], ws)
+        psi = stepper.step_batch(db[None, :], ws)
         assert np.max(np.abs(z_pred - np.abs(psi[0]) ** 2)) < 1e-6
 
 
