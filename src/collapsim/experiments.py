@@ -128,28 +128,24 @@ def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
     yield notices
     res = hitting.run_qmsl_ensemble(psi0, params, p["t_end"], n_traj, run.seed, p["dt"])
     if p["record_events"]:
-        yield TableOutput(
-            [("time", "internal"), ("center", "internal length"), ("weight", "1")],
-            res.events[:, 1:].tolist(),
-        )
-        return
-    right = psi0.positions > 0.5 * (centers[0] + centers[1])
-    # one |psi|^2 dx buffer and one product: a product per tile of rows rounds differently
-    mass = np.abs(res.amplitudes)
-    right_mass = np.multiply(np.square(mass, out=mass), dx, out=mass) @ right
-    rows = [
-        (int(j), int(res.hit_counts[j]), float(right_mass[j]), int(right_mass[j] > 0.5))
-        for j in range(run.trajectories)
-    ]
-    yield TableOutput(
-        [
+        columns = [("time", "internal"), ("center", "internal length"), ("weight", "1")]
+        rows = res.events[:, 1:].tolist()
+    else:
+        right = psi0.positions > 0.5 * (centers[0] + centers[1])
+        # one |psi|^2 dx buffer and one product: a product per tile of rows rounds differently
+        mass = np.abs(res.amplitudes)
+        right_mass = np.multiply(np.square(mass, out=mass), dx, out=mass) @ right
+        columns = [
             ("trajectory", "index"),
             ("hits", "count"),
             ("right_mass", "probability"),
             ("outcome_right", "0/1"),
-        ],
-        rows,
-    )
+        ]
+        rows = [
+            (int(j), int(res.hit_counts[j]), float(right_mass[j]), int(right_mass[j] > 0.5))
+            for j in range(run.trajectories)
+        ]
+    yield TableOutput(columns, rows)
 
 
 @experiment("qmsl-master", modules=("freeparticle", "schrodinger"), params={
@@ -237,6 +233,13 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
     yield
     res = diffusion.run_ensemble(psi0, stepper, steps, n_traj, run.seed, until_decided=True)
     if p["per_trajectory"]:
+        columns = [
+            ("master_seed", "u64"),
+            ("trajectory", "index"),
+            ("outcome_sector", "index or -1"),
+            ("collapse_time", "internal time or -1"),
+            ("final_log_weight", "nats"),
+        ]
         rows = [
             (
                 run.seed,
@@ -247,33 +250,20 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
             )
             for j in range(n_traj)
         ]
-        yield TableOutput(
-            [
-                ("master_seed", "u64"),
-                ("trajectory", "index"),
-                ("outcome_sector", "index or -1"),
-                ("collapse_time", "internal time or -1"),
-                ("final_log_weight", "nats"),
-            ],
-            rows,
-        )
-        return
-
-    outcomes = np.argmax(family.sector_weights(res.final_states), axis=1)
-    counts = np.array([(outcomes == 0).sum(), (outcomes == 1).sum()])
-    rows = []
-    for sector, (f, w) in enumerate(zip(counts / n_traj, weights)):
-        stderr = math.sqrt(w * (1 - w) / n_traj)
-        rows.append((sector, f, stderr, w))
-    yield TableOutput(
-        [
+    else:
+        outcomes = np.argmax(family.sector_weights(res.final_states), axis=1)
+        counts = np.array([(outcomes == 0).sum(), (outcomes == 1).sum()])
+        columns = [
             ("sector", "index"),
             ("frequency", "probability"),
             ("binomial_stderr", "probability"),
             ("expected", "probability"),
-        ],
-        rows,
-    )
+        ]
+        rows = [
+            (sector, f, math.sqrt(w * (1 - w) / n_traj), w)
+            for sector, (f, w) in enumerate(zip(counts / n_traj, weights))
+        ]
+    yield TableOutput(columns, rows)
 
 
 @experiment("csl-equivalence", trajectories=10_000, modules=("diffusion", "operators"), params={

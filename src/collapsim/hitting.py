@@ -177,6 +177,9 @@ def run_qmsl_ensemble(
     cap (a moving or narrow packet) take the full-width product, and its
     edges over the cap get the exact test against the peak.  The first
     failing step raises ``GridLeakageError``, as a step-by-step check would.
+    A window's taps are computed when a product first reads them: on the
+    band |j| <= 3N/16 for a band product, and on the whole grid only for
+    a window with a row the band cannot certify.
     """
     if abs(psi0.norm_sq() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
@@ -193,6 +196,23 @@ def run_qmsl_ensemble(
     norms = np.linalg.norm(psi0.amplitudes), 1.0 / np.sqrt(psi0.dx)
     cap, cuts = DEFAULT_LEAK_TOL * (min(norms) / np.sqrt(n)), band_cuts(n)  # tol times the RMS
 
+    def fill_taps(m):
+        # the window's taps on the columns |j| < m, once: x_0's kin(t)/N and
+        # x_{N-1}'s kin(t) exp(-2 pi i k/N)/N; m = N is the whole grid
+        nonlocal filled
+        if filled >= m:
+            return
+        x0, x1 = taps[:w, 0], taps[:w, 1]
+        scaled = _kinetic_phase(psi0, times, x0[:, :m]).view(float)
+        scaled *= 1.0 / n  # the bits of a complex divide by N
+        sides = [slice(0, m)]
+        if m < n:
+            x0[:, n - m + 1 :] = x0[:, m - 1 : 0 : -1]  # column N - j holds k_j^2
+            sides.append(slice(n - m + 1, n))
+        for side in sides:
+            np.multiply(x0[:, side], shift[side], out=x1[:, side])
+        filled = m
+
     def screen(spectra, first, stop, bounds):
         # leakage tests of spectra held on the steps [first, stop) of a window
         lo = int(np.min(first, initial=width))
@@ -205,6 +225,7 @@ def run_qmsl_ensemble(
         if sure.any():
             c = int(np.argmax(fits[sure], axis=1).max())
             k = cuts[c]  # np.matmul, not @, so the tests can see each product's width
+            fill_taps(cuts[-1] + 1)
             edge = np.matmul(spectra[:, : k + 1], block[:, : k + 1].T)
             edge += np.matmul(spectra[:, n - k :], block[:, n - k :].T)
             edge = np.abs(edge).reshape(len(spectra), hi - lo, 2).max(axis=2)
@@ -212,6 +233,7 @@ def run_qmsl_ensemble(
         if sure.all():
             return
         spectra, held = spectra[~sure], held[~sure]
+        fill_taps(n)
         edge = np.matmul(spectra, block.T)
         edge = np.abs(edge).reshape(len(spectra), hi - lo, 2).max(axis=2)
         over = (edge > cap) & held
@@ -240,10 +262,7 @@ def run_qmsl_ensemble(
             w = min(width, n_steps - first_step)
             # accumulated one dt at a time, as a step-by-step loop's t
             times = np.add.accumulate(np.r_[t, np.full(w, dt)])[1:]
-            t = times[-1]
-            x0_taps = _kinetic_phase(psi0, times, taps[:w, 0])
-            np.divide(x0_taps, n, out=x0_taps)
-            np.multiply(x0_taps, shift, out=taps[:w, 1])
+            t, filled = times[-1], 0  # no taps yet
             leaks, worst = np.zeros(w, dtype=bool), np.zeros(w)
             since = np.zeros(len(idx), dtype=int)  # first step of each row's spectrum
             active = np.nonzero(next_hit <= t)[0]

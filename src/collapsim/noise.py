@@ -27,10 +27,14 @@ TILE_BYTES = 1 << 20
 def trajectory_generator(master_seed: int, index: int = 0,
                          purpose: int = NOISE) -> np.random.Generator:
     """Independent stream keyed by (master seed, index), with ``purpose``
-    in the fourth word of the Philox counter."""
-    counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
+    in the fourth word of the Philox counter: ``Philox(counter, key)``'s
+    stream, without the SeedSequence it would build and discard."""
     key = np.array([master_seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    bits = np.random.Philox(_Unkeyed())
+    state = bits.state  # an empty buffer
+    state["state"] = {"counter": np.array([0, 0, 0, purpose], dtype=np.uint64), "key": key}
+    bits.state = state
+    return np.random.Generator(bits)
 
 
 def _rekeyed(master_seed: int, traj_indices, rngs: list | None = None,

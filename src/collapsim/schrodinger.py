@@ -15,21 +15,30 @@ from .states import GridWavefunction
 def _kinetic_phase(psi: GridWavefunction, lag, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-i lag k^2 / 2m) on the grid's wavenumbers: (N,) for one lag,
     (m, N) for an (m,) array of them, written into ``out`` (a view of
-    another array will do) or a fresh array."""
+    another array will do) or a fresh array.  ``out``'s width picks the
+    wavenumbers: N columns are the whole grid, w <= N // 2 + 1 columns
+    the first w, k_0 ... k_{w-1}."""
     # k and -k share k^2: exponentiate the n // 2 + 1 values, each operation
     # in place so an array of lags makes no temporary, and mirror them: the
     # same bits as over the whole grid in half the time
     n = psi.n
-    k = 2.0 * np.pi * np.fft.fftfreq(n, psi.dx)[: n // 2 + 1]
     lag = np.asarray(lag)[..., None]
     if out is None:
         out = np.empty(lag.shape[:-1] + (n,), dtype=complex)
-    half = out[..., : k.size]
-    np.multiply(-0.5j, lag, out=half)
-    np.multiply(half, k**2, out=half)
-    np.divide(half, psi.mass, out=half)
+    w = n // 2 + 1 if out.shape[-1] == n else out.shape[-1]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, psi.dx)[:w]
+    half = out[..., :w]
+    # the argument in real arithmetic, with the bits of the complex chain
+    # (-0.5j lag) k^2 / m: its real part is +0, numpy divides by a real m as
+    # a multiply by 1 / m, and + 0.0 gives the +0 it leaves at k = 0
+    arg = half.view(float)
+    arg[..., 0::2] = 0.0
+    theta = np.multiply(-0.5 * lag, k**2, out=arg[..., 1::2])
+    theta += 0.0
+    theta *= 1.0 / psi.mass
     np.exp(half, out=half)
-    out[..., k.size :] = out[..., n - k.size : 0 : -1]  # index j > n / 2 holds k_{n - j}^2
+    if w < out.shape[-1]:
+        out[..., w:] = out[..., n - w : 0 : -1]  # index j > n / 2 holds k_{n - j}^2
     return out
 
 

@@ -11,6 +11,9 @@ brute-force ODE.  The exceptions reuse production pieces on purpose:
   steps every trajectory through every ``dt`` in position space
   (``free_step_reference``), one at a time, splitting its step at each
   of its hit times.
+- ``kinetic_phase_reference``, the complex chain of operations the
+  kinetic phase was computed by, kept to pin the real-arithmetic phase's
+  bits.
 - ``step_batch_reference``, the row-wise complex CSL step kept as the
   reference for the column-wise stepper: it reads the stepper's family,
   gamma, dt, form and Hamiltonian, returns fresh states where the
@@ -209,6 +212,17 @@ def sphere_energy_by_quadrature(
 
     val, _ = dblquad(integrand, 0.0, radius, -1.0, 1.0, epsabs=1e-12, epsrel=1e-9)
     return val
+
+
+def kinetic_phase_reference(psi, lag):
+    """exp(-i lag k^2 / 2m) over the grid, (N,) for one lag or (m, N) for
+    (m,) lags, by the complex chain the real-arithmetic phase replaced:
+    (-0.5j lag) k^2 divided by m on k_0 ... k_{N/2}, exponentiated, and
+    mirrored."""
+    n = psi.n
+    k = 2.0 * np.pi * np.fft.fftfreq(n, psi.dx)[: n // 2 + 1]
+    half = np.exp(np.multiply(-0.5j, np.asarray(lag)[..., None]) * k**2 / psi.mass)
+    return np.concatenate([half, half[..., n - k.size : 0 : -1]], axis=-1)
 
 
 def free_step_reference(rows, psi0, lag):

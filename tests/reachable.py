@@ -66,6 +66,7 @@ def rejected_runs(bases: dict, small: dict) -> list:
         (colored, "times = 0.5", "eigenvalues = 7, 1e300\ntimes = 0.5"),  # an infinite rate
         (hitting, "n = 128", "n = 100"), (hitting, "dt = 0.02", "dt = 0.03"),
         (hitting, "centers = -3.0, 3.0", "centers = -15.0, 15.0"),  # leaks at the edge
+        (hitting, "n = 128\ndx = 0.25", "n = 512\ndx = 0.1"),  # fine enough for the band screen
         (bases["mass"], "superposed", "bogus"),
         (bases["mass"], "scenario = superposed", "scenario = superposed\nn_cells = 0"),
         (bases["discrete"], "occupations_b = 0, 3", "occupations_b = 0, 3, 1"),

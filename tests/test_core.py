@@ -13,7 +13,12 @@ from collapsim.params import CollapseParams
 from collapsim.schrodinger import _kinetic_phase, gaussian_packet, split_step_batch
 from collapsim.states import GridWavefunction, ensemble_density
 
-from oracles import free_gaussian_q_var, free_step_reference, require_density
+from oracles import (
+    free_gaussian_q_var,
+    free_step_reference,
+    kinetic_phase_reference,
+    require_density,
+)
 
 
 # --------------------------------------------------------------- params
@@ -127,6 +132,38 @@ def test_noise_purpose_is_the_stream_namespace():
     )
 
 
+def test_trajectory_generator_is_the_philox_stream_without_entropy(monkeypatch):
+    import secrets
+
+    import numpy.random.bit_generator as bit_generator
+
+    def philox(seed, index, purpose):
+        counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
+        key = np.array([seed, index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+    cases = [(s, i, p) for s in (0, 2**64 - 1) for i in (0, 2**63 + 5) for p in range(4)]
+    expected = [philox(*case) for case in cases]
+
+    def entropy(*_args):
+        raise AssertionError("entropy read")
+
+    # SeedSequence() draws its entropy through the name numpy bound at import
+    monkeypatch.setattr(secrets, "randbits", entropy)
+    monkeypatch.setattr(bit_generator, "randbits", entropy)
+    with pytest.raises(AssertionError, match="entropy read"):
+        philox(0, 0, 0)
+    for case, plain in zip(cases, expected):
+        rng = trajectory_generator(*case)
+        assert np.array_equal(rng.standard_normal(9), plain.standard_normal(9))
+        assert np.array_equal(rng.random(3), plain.random(3))
+        assert str(rng.bit_generator.state) == str(plain.bit_generator.state)
+    # a seed outside uint64 is rejected, as numpy rejects the key array
+    for seed in (-1, 2**64):
+        with pytest.raises(OverflowError):
+            trajectory_generator(seed, 0)
+
+
 @pytest.mark.parametrize("channels", [1, 3])
 def test_wiener_block_rows_are_the_trajectory_streams(monkeypatch, channels):
     import collapsim.noise as noise
@@ -202,6 +239,27 @@ def test_kinetic_phase_is_bit_identical_to_the_phase_over_the_whole_grid():
         # for the sign of the zero imaginary part at k = 0
         bits = 2 if t < 0 else 0
         assert np.array_equal(phase.view(np.uint64)[bits:], fresh.view(np.uint64)[bits:])
+
+
+@pytest.mark.parametrize("n, dx, mass", [(64, 0.25, 5.0), (256, 0.1, 3.0), (2048, 0.05, 20.0)])
+def test_kinetic_phase_is_the_complex_chain_bit_for_bit(n, dx, mass):
+    psi = gaussian_packet(n, dx, -0.5 * n * dx, mass, 0.0, 1.0)
+    rng = np.random.default_rng(n)
+    window = np.add.accumulate(np.r_[0.3, np.full(16, 0.005)])[1:]  # a window's step times
+    lags = [0.0, 0.005, -0.005, 1.3, window, np.r_[0.0, -0.0, rng.uniform(-3.0, 3.0, 7)]]
+    for lag in lags:
+        ref = kinetic_phase_reference(psi, lag).view(np.uint64)
+        phase = _kinetic_phase(psi, lag)
+        assert np.array_equal(phase.view(np.uint64), ref)
+        # k = 0: exactly 1, with the +0 imaginary part of the complex chain
+        assert np.all(phase[..., 0] == 1.0) and not np.any(np.signbit(phase[..., 0].imag))
+        # a narrow out takes the first wavenumbers, into a view of a wider array
+        for w in (3 * n // 16 + 1, n // 2 + 1):
+            rows = np.full(np.shape(lag) + (2, n), np.nan, dtype=complex)
+            out = rows[..., 0, :w]
+            assert _kinetic_phase(psi, lag, out) is out
+            assert np.array_equal(out.view(np.uint64), ref[..., : 2 * w])
+            assert np.all(np.isnan(rows[..., 0, w:])) and np.all(np.isnan(rows[..., 1, :]))
 
 
 def test_backward_split_step_equals_the_freshly_computed_phase():

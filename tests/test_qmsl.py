@@ -517,12 +517,26 @@ def _product_widths(monkeypatch) -> list:
 def test_screen_of_packets_at_rest_takes_no_full_width_product(monkeypatch):
     # the bench's state: two packets at rest on a 2048-point grid, hit at
     # the bench's rate; every (row, step) is certified on the band
+    import collapsim.hitting as hitting
+
     psi = two_packet_state(2048, 0.05, -51.2, 20.0, (-3.0, 3.0), 0.45)
     args = (psi, DESK, 0.25, 16, 20, 0.005)
-    widths = _product_widths(monkeypatch)
+    widths, phases = _product_widths(monkeypatch), []
+
+    def recorded(grid, lag, out=None, _phase=hitting._kinetic_phase):
+        out = _phase(grid, lag, out)
+        phases.append((np.array(lag, ndmin=1) / args[-1], out.shape[-1]))
+        return out
+
+    monkeypatch.setattr(hitting, "_kinetic_phase", recorded)
     res = run_qmsl_ensemble(*args)
     monkeypatch.undo()
     assert widths and max(widths) <= 3 * psi.n // 16 + 1
+    # a window's taps are phases at its steps' times k dt (hits fall between
+    # them): computed once a window, on the wavenumbers |j| <= 3N/16 only
+    taps = [cols for steps, cols in phases if np.allclose(steps, np.round(steps), rtol=0, atol=1e-6)]
+    assert len(taps) == 1 + 4  # the 4 windows of 16 steps, and the phase to t_end
+    assert max(taps[:-1]) <= 3 * psi.n // 16 + 1 and taps[-1] == psi.n
     assert _matches_lockstep(res, args).sum() > 0
 
 
