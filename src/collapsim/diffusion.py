@@ -81,22 +81,21 @@ class CslStepper:
                 f"exceeds the stability criterion {STABILITY_LIMIT}"
             )
         table = self.family.basis_eigenvalues()  # (channels, d)
-        # plain floats: rows of the table, its columns, and its column sums of squares
-        object.__setattr__(self, "_rows", table.tolist())
+        # plain floats: rows of the table (tuples, as keys) and its columns
+        object.__setattr__(self, "_rows", [tuple(row) for row in table.tolist()])
         object.__setattr__(self, "_cols", table.T.tolist())
-        object.__setattr__(self, "_a_sq_sum", np.sum(table**2, axis=0).tolist())
 
     def step_batch(self, dbs: np.ndarray, ws: StepWorkspace) -> np.ndarray:
         """Advance the normalized states ``ws.rows`` of the workspace ``ws``
-        made for this stepper by one nonlinear step, with increments ``dbs``
-        (one row per state), in place.  Returns ``ws.rows``: column-major
-        (n, d) states, overwritten by the next step.
+        made for this stepper by one Euler-Maruyama step of the nonlinear
+        form, centered (``_factors``), with increments ``dbs`` (one row per
+        state), in place.  Returns ``ws.rows``: column-major (n, d) states,
+        overwritten by the next step.
 
         The step works on the d basis columns and the channel columns of
         ``dbs``, one 1-D array each: sums over basis indices and channels
-        are column additions in the order numpy reduces a row.  Real rows
-        stay real when there is no Hamiltonian.  The step allocates nothing.
-        """
+        are column additions, left to right.  Real rows stay real when there
+        is no Hamiltonian.  The step allocates nothing."""
         if ws.stepper is not self:
             raise ValueError("the workspace was made for another stepper")
         np.copyto(ws.db_rows, dbs)
@@ -105,22 +104,21 @@ class CslStepper:
         return ws.rows
 
     def _factors(self, chi: list, db: list) -> list:
-        """Per basis column, the factor f of the step psi -> psi + f psi:
-        the centered noise sum_i (a_i - r_i) dB_i less gamma sum_i (a_i -
-        r_i)^2 dt / 2, with r_i = <A_i> of each row."""
-        gamma, dt = self.gamma, self.dt
+        """Per basis column j, the factor f_j of the step psi -> psi + f psi:
+        the Ito step's sum_i u_ij dB_i - gamma sum_i u_ij^2 dt / 2 as one
+        sum_i u_ij (dB_i - h u_ij), u_ij = a_ij - r_i with r_i = <A_i> of
+        each row, h = gamma dt / 2.  Channels with one row of eigenvalues
+        share r_i, and columns with one eigenvalue in a channel its term."""
+        h = 0.5 * self.gamma * self.dt
         sq = [_abs2(x) for x in chi]
-        total = _row_sum(sq)
-        prob = [s / total for s in sq]
-        r = [_combine(prob, row) for row in self._rows]
-        db_r = _row_sum([b * m for b, m in zip(db, r)])
-        r_sq = _row_sum([m * m for m in r])
-        noise = [_combine(db, col) - db_r for col in self._cols]
-        quad = [
-            a - 2.0 * _combine(r, col) + r_sq
-            for a, col in zip(self._a_sq_sum, self._cols)
-        ]
-        return [z - 0.5 * gamma * q * dt for z, q in zip(noise, quad)]
+        total = reduce(np.add, sq)
+        means = {row: _combine(sq, row) / total for row in dict.fromkeys(self._rows)}
+        terms = {}
+        for i, row in enumerate(self._rows):
+            for a in dict.fromkeys(row):
+                u = a - means[row]
+                terms[i, a] = u * (db[i] - h * u)
+        return [reduce(np.add, [terms[i, a] for i, a in enumerate(col)]) for col in self._cols]
 
     def _step(self, chi: list, db: list) -> list:
         """psi + (-i H psi dt + f psi), column by column, with (H psi)_j
@@ -155,12 +153,12 @@ class StepWorkspace:
             raise ValueError("the linear form takes the exact update, not an Euler step")
         d, n = stepper.family.dim, psis.shape[0]
         dtype = float if stepper.hamiltonian is None and psis.dtype.kind == "f" else complex
-        self.stepper, self.n, self.calls, self.sums = stepper, n, [], {}
+        self.stepper, self.n, self.calls = stepper, n, []
         self.slab = np.empty((d, n), dtype)  # row j is state column j
         self.db = np.empty((stepper.family.channel_count, n))
         new = stepper._step([_Col(self, dtype, x) for x in self.slab],
                             [_Col(self, float, row) for row in self.db])
-        norm_sq = _row_sum([_abs2(col) for col in new])
+        norm_sq = reduce(np.add, [_abs2(col) for col in new])
         inv = 1.0 / np.sqrt(norm_sq)  # complex / real divides this way too
         for col, x in zip(new, self.slab):
             np.multiply(col, inv, out=_Col(self, dtype, x))
@@ -169,9 +167,9 @@ class StepWorkspace:
 
     def load(self, rows: np.ndarray) -> np.ndarray:
         """Copy ``rows`` to the front of the slab and step only those from
-        now on: the linked calls with every array cut to their count (each
-        is a column of n values or an (n, width) sum buffer), so nothing is
-        recorded again.  Returns them, as ``step_batch`` returns states."""
+        now on: the linked calls with every column cut to their count, so
+        nothing is recorded again.  Returns them, as ``step_batch`` returns
+        states."""
         m = len(rows)
         self.rows, self.db_rows = self.slab[:, :m].T, self.db[:, :m].T
         cut = [x[:m] if isinstance(x, np.ndarray) else x for x in self.args]
@@ -185,8 +183,8 @@ class StepWorkspace:
         them.  A scratch column gets a buffer when it is written, and gives
         it up at its last reader, whose own result may then reuse it in
         place.  The reuse keeps the step in cache: with one buffer per
-        scratch column, the nonlinear Ito step on 4096 two-level rows took
-        108-133 against 80-108 us on one Xeon core."""
+        scratch column, the 24-call step on 4096 two-level real rows took
+        57-62 against 46-53 us on one Xeon core."""
         last = {id(c): k for k, (_, args) in enumerate(self.calls) for c in args}
         free = {}
         for k, (_, (*ins, out)) in enumerate(self.calls):
@@ -227,24 +225,6 @@ class _Col(NDArrayOperatorsMixin):
 def _abs2(col):
     """|x|^2 as numpy computes np.abs(x)**2 (x*x for real x)."""
     return col * col if col.dtype.kind == "f" else np.square(np.abs(col))
-
-
-def _row_sum(cols: list):
-    """Sum of the columns in the order numpy reduces a row of them: left
-    to right below eight, pairwise from eight on."""
-    if len(cols) >= 8:
-        ws, key = cols[0].ws, (len(cols), cols[0].dtype)
-        # one (n, width) buffer per width and dtype: each sum ends before the next
-        rows = ws.sums.setdefault(key, np.empty((ws.n, len(cols)), cols[0].dtype))
-        total = _Col(ws, rows.dtype)
-        # copies, as np.stack makes, then numpy's pairwise sum of each row
-        ws.calls += [(np.positive, (col, rows[:, j])) for j, col in enumerate(cols)]
-        ws.calls.append((np.add.reduce, (rows, 1, None, total)))
-        return total
-    total = cols[0]
-    for col in cols[1:]:
-        total = total + col
-    return total
 
 
 def _combine(cols: list, coeffs: list):

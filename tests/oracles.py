@@ -14,11 +14,16 @@ brute-force ODE.  The exceptions reuse production pieces on purpose:
 - ``kinetic_phase_reference``, the complex chain of operations the
   kinetic phase was computed by, kept to pin the real-arithmetic phase's
   bits.
-- ``step_batch_reference``, the row-wise complex CSL step kept as the
-  reference for the column-wise stepper: it reads the stepper's family,
-  gamma, dt, form and Hamiltonian, returns fresh states where the
-  stepper steps its workspace's rows in place, and its linear Euler step
-  is the reference the exact linear update is checked against.
+- ``step_batch_centered_reference``, the nonlinear CSL step in the
+  stepper's centered form, row-wise on arrays: the column-wise stepper's
+  bits where every product with the eigenvalue table is exact.  It reads
+  the stepper's family, gamma, dt and Hamiltonian and returns fresh
+  states where the stepper steps its workspace's rows in place.
+- ``step_batch_expanded_reference``, the row-wise complex step with the
+  nonlinear drift expanded into a^2 - 2 a r + r^2: the same
+  Euler-Maruyama step rounded otherwise, which the centered step stays
+  within 1e-15 of, and its linear Euler step is the reference the exact
+  linear update is checked against.
 - ``sample_wiener_reference`` and ``hermitian_phase_noise_reference``,
   the one-generator-per-path samplers the block draw replaced: the first
   pins the block draw's streams and bits, the second is the Hermitian
@@ -46,6 +51,7 @@ own, the formula the white two-sector rate of a cell family is held to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -284,10 +290,29 @@ def hitting_density_reference(psi, alpha, amplitudes):
     return np.maximum(density, 0.0)
 
 
-def step_batch_reference(stepper, psis, dbs):
-    """The row-wise complex ``CslStepper.step_batch``, kept verbatim as the
-    reference for the column-wise stepper, under the stepper's Hamiltonian.
-    Returns (states, dlog)."""
+def step_batch_centered_reference(stepper, psis, dbs):
+    """The nonlinear ``CslStepper.step_batch`` row-wise on arrays, under the
+    stepper's Hamiltonian: psi + (-i H psi dt + f psi), renormalized, with
+    f_j = sum_i u_ij (dB_i - h u_ij), u_ij = a_ij - r_i and h = gamma dt /
+    2; sums over channels and basis states run left to right.  Returns
+    fresh states."""
+    table = stepper.family.basis_eigenvalues()  # (channels, d)
+    h = 0.5 * stepper.gamma * stepper.dt
+    sq = np.abs(psis) ** 2
+    r = (sq @ table.T) / reduce(np.add, sq.T)[:, None]  # (n, channels) channel means
+    u = table.T - r[:, None, :]  # (n, d, channels)
+    f = reduce(np.add, np.moveaxis(u * (dbs[:, None, :] - h * u), 2, 0))
+    terms = f * psis
+    if stepper.hamiltonian is not None:
+        terms = -1j * (psis @ stepper.hamiltonian.T) * stepper.dt + terms
+    new = psis + terms
+    return new * (1.0 / np.sqrt(reduce(np.add, (np.abs(new) ** 2).T)))[:, None]
+
+
+def step_batch_expanded_reference(stepper, psis, dbs):
+    """The row-wise complex ``CslStepper.step_batch`` with the nonlinear
+    drift expanded as a^2 - 2 a r + r^2, under the stepper's Hamiltonian,
+    and the linear form's Euler step.  Returns (states, dlog)."""
     table = stepper.family.basis_eigenvalues()  # (channels, d)
     a_sq_sum = np.sum(table**2, axis=0)
     gamma, dt, h_matrix = stepper.gamma, stepper.dt, stepper.hamiltonian

@@ -600,8 +600,8 @@ SMALL = {
     # a table written as JSON
     "colored-damping-json": COLORED_CFG.replace("output = damp", "output = damp\nformat = json"),
     "csl-discrete": BASES["discrete"],
-    # nine cells, the first empty in both configurations: the stepper's sums
-    # over nine channels go pairwise, and one channel is zero on every state
+    # nine cells, the first empty in both configurations: the stepper sums
+    # nine channels, and one channel is zero on every state
     "csl-discrete-nine-cells": BASES["discrete"]
     .replace("lambda_eff = 0.01", "lambda_eff = 0.2")
     .replace("occupations_a = 3, 0", "occupations_a = 0, 2, 1, 0, 1, 2, 0, 1, 1")

@@ -35,7 +35,8 @@ from oracles import (
     sample_wiener_reference,
     slab_reduction_rate_quadrature,
     smeared_density_damping_1d,
-    step_batch_reference,
+    step_batch_centered_reference,
+    step_batch_expanded_reference,
     two_level_analytic,
 )
 
@@ -61,11 +62,12 @@ EXACT_FAMILIES = {
         np.array([[1.0, -1.0, 0.0, 0.0], [0.5, 0.5, -2.0, -2.0]])
     ),
     "cells": ProjectorFamily.from_configurations([[2, 0, 1], [1, 2, 0], [0, 1, 2]]),
-    # nine channels: sums over channels take numpy's pairwise order
+    # nine channels, summed left to right (numpy's row sums go pairwise
+    # from eight)
     "cells-9": ProjectorFamily.from_configurations(
         [[2, 0, 1, 0, 1, 2, 0, 1, 1], [0, 1, 2, 1, 0, 0, 2, 1, 0]]
     ),
-    # nine basis states: so do the sums over basis columns
+    # nine basis states: so are the sums over basis columns
     "diagonal-9-states": diagonal_family(
         np.array([[1.0, -1.0, 0.5, 0.0, 2.0, -2.0, 1.0, 0.5, -0.5],
                   [0.5, 1.0, -1.0, 2.0, 0.0, 1.0, -2.0, 0.5, 1.0]])
@@ -83,10 +85,11 @@ EXACT_FAMILIES = {
 
 
 def _steps_against_reference(family, complex_psi, hamiltonian, seed):
-    """Three steps of the stepper and of the reference from the same rows
-    and increments: per step (states, reference states).  The stepper
-    takes each step through a fresh workspace and all three through one
-    reused workspace, which must give the same arrays."""
+    """Three steps of the stepper and of the centered reference from the
+    same rows and increments: per step (states, reference states, the
+    expanded reference's step from the stepper's previous states).  The
+    stepper takes each step through a fresh workspace and all three
+    through one reused workspace, which must give the same arrays."""
     rng = np.random.default_rng(seed)
     a_max = float(np.max(np.abs(family.eigenvalues)))
     n, d = 64, family.dim
@@ -102,11 +105,12 @@ def _steps_against_reference(family, complex_psi, hamiltonian, seed):
     steps = []
     for _ in range(3):
         dbs = rng.normal(0.0, np.sqrt(stepper.gamma * stepper.dt), (n, family.channel_count))
+        expanded, _ = step_batch_expanded_reference(stepper, a.astype(complex), dbs)
         a = stepper.step_batch(dbs, StepWorkspace(stepper, a))
-        b, _ = step_batch_reference(stepper, b, dbs)
+        b = step_batch_centered_reference(stepper, b, dbs)
         c = stepper.step_batch(dbs, ws)
         assert np.array_equal(c, a) and c.dtype == a.dtype
-        steps.append((a, b))
+        steps.append((a, b, expanded))
     return steps
 
 
@@ -117,13 +121,26 @@ def test_step_batch_equals_row_wise_reference(family, complex_psi, hamiltonian):
     # The reference's H psi is one BLAS product, which may fuse or reorder
     # its multiply-adds; the stepper's sums run left to right.
     steps = _steps_against_reference(EXACT_FAMILIES[family], complex_psi, hamiltonian, seed=17)
-    for states, ref_states in steps:
+    for states, ref_states, _ in steps:
         if hamiltonian:
             assert np.max(np.abs(states - ref_states)) <= 1e-15
         else:
             assert np.array_equal(states, ref_states)
     if not (complex_psi or hamiltonian):
         assert steps[-1][0].dtype == float  # real rows stay real
+
+
+@pytest.mark.parametrize("hamiltonian", [False, True], ids=["no-h", "h"])
+@pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+def test_centered_step_is_the_expanded_step_to_rounding(family, complex_psi, hamiltonian):
+    # the centered factor sum_i u (dB - gamma u dt / 2) and the expanded
+    # sum_i u dB - gamma (a^2 - 2 a r + r^2) dt / 2 are one Euler-Maruyama
+    # step of one equation, rounded differently: one step from the same
+    # states ends within 1e-15
+    steps = _steps_against_reference(EXACT_FAMILIES[family], complex_psi, hamiltonian, seed=17)
+    for states, _, expanded in steps:
+        assert np.max(np.abs(states - expanded)) <= 1e-15
 
 
 @pytest.mark.parametrize("hamiltonian", [False, True], ids=["no-h", "h"])
@@ -216,7 +233,7 @@ def test_step_batch_within_rounding_of_reference_for_inexact_products():
     # The reference's matrix products (BLAS) fuse each multiply-add and
     # round once, the column sums round each product: a few ulps apart.
     family = ProjectorFamily.from_configurations([[3, 0, 1], [1, 3, 0], [0, 1, 3]])
-    for states, ref_states in _steps_against_reference(family, True, False, seed=5):
+    for states, ref_states, _ in _steps_against_reference(family, True, False, seed=5):
         assert np.max(np.abs(states - ref_states)) <= 2e-15
 
 
@@ -237,6 +254,27 @@ def test_workspace_steps_allocate_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * 8  # two float64 columns
+
+
+# csl-discrete's nine cells at occupations up to 3 (ROADMAP item 3)
+NINE_CELLS = ProjectorFamily.from_configurations(
+    [[3, 0, 1, 2, 0, 1, 3, 0, 2], [0, 3, 1, 0, 2, 1, 0, 3, 1]]
+)
+
+
+@pytest.mark.parametrize(("family", "calls"), [
+    ("two-level", 24), ("diagonal-3-sectors-2-channels", 62), ("cells", 72), ("cells-9", 109),
+    ("diagonal-9-states", 149), ("diagonal-zero-channel-zero-state", 43),
+    ("cells-9-empty-cell", 109), ("nine-cells", 107)])
+def test_recorded_step_has_at_most_its_calls(family, calls):
+    # each recorded call reads and writes whole columns, so their count
+    # sets a step's cost (real rows, no Hamiltonian).  The expanded step
+    # recorded 35, 88, 73, 100, 202, 54, 101 and 112: cells-9 records more
+    # calls now, column additions where that made strided (n, 9) pairwise
+    # sums, and steps 8192 rows in under half the time
+    fam = EXACT_FAMILIES.get(family, NINE_CELLS)
+    ws = StepWorkspace(CslStepper(fam, 1.0, 1e-5), np.full((8, fam.dim), fam.dim**-0.5))
+    assert len(ws.program) <= calls
 
 
 @pytest.mark.parametrize("complex_psi", [False, True], ids=["real", "complex"])
@@ -364,7 +402,7 @@ def test_run_ensemble_equals_reference_steps(monkeypatch, form):
         return
     psis = np.tile(psi0.astype(complex), (50, 1))
     for k in range(40):
-        psis, _ = step_batch_reference(stepper, psis, block[k])
+        psis = step_batch_centered_reference(stepper, psis, block[k])
     assert np.array_equal(res.final_states, psis)
     assert np.array_equal(res.log_weights, np.zeros(50))
     assert np.array_equal(res.z_history[-1], TWO.sector_weights(psis))
@@ -615,7 +653,7 @@ def test_shared_runner_steps_both_forms_through_window_keyed_streams():
         x = reduce(np.add, block)
         psis[0], logw = linear_exact_commuting(psis[0], TWO, x, 1.0, take * 0.005)
         for k in range(take):
-            psis[1], _ = step_batch_reference(steppers[1], psis[1], block[k])
+            psis[1] = step_batch_centered_reference(steppers[1], psis[1], block[k])
         if k0 + take < steps:
             psis[0] = psis[0][systematic_resample(logw, seed, k0 + take)]
     assert np.array_equal(lin.final_states, psis[0])
@@ -1084,7 +1122,7 @@ def test_linear_exact_commuting_is_exact_solution():
     path = wiener_increment_block(31, [0], steps, 1, gamma, dt)[:, 0]
     out = np.array([[np.sqrt(0.5), np.sqrt(0.5)]], dtype=complex)
     for k in range(steps):
-        out, _ = step_batch_reference(stepper, out, path[k : k + 1])
+        out, _ = step_batch_expanded_reference(stepper, out, path[k : k + 1])
     exact, _ = linear_exact_commuting(
         np.array([np.sqrt(0.5), np.sqrt(0.5)], dtype=complex),
         TWO,
