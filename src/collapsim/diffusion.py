@@ -21,7 +21,7 @@ from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .cooking import linear_exact_commuting, systematic_resample
 from .errors import ConfigError, StabilityError, require_memory
-from .noise import LiveStreams, WindowStream, wiener_increment_block
+from .noise import WINDOWS, LiveStreams, wiener_increment_block
 from .operators import ProjectorFamily
 
 STABILITY_LIMIT = 0.01
@@ -536,8 +536,11 @@ def run_ensemble(
             break
         # one window, cut short where the rows that joined last take their last step
         take = min(window, steps - k0 + int(runs[0].join.max()))
-        rows = WindowStream(slots, k0 // window) if streams is None else streams
-        block = wiener_increment_block(master_seed, rows, take, *noise)
+        if streams is None:  # coupled rows: window w is one draw of the stream (seed, w)
+            block = wiener_increment_block(master_seed, [k0 // window], take, slots * noise[0],
+                                           *noise[1:], WINDOWS).reshape(take, slots, noise[0])
+        else:
+            block = wiener_increment_block(master_seed, streams, take, *noise)
         for run in runs:
             run.advance(block, k0)
             if streams is None and k0 + take < steps and run.stepper.form == "linear":

@@ -37,8 +37,7 @@ from .operators import ProjectorFamily
 
 MIN_CONDITIONING_SAMPLES = 500
 
-_LEFT = ProjectorFamily(np.array([[1.0], [-1.0]]), (np.array([0]), np.array([1])))
-_RIGHT = ProjectorFamily(np.array([[-1.0], [1.0]]), (np.array([0]), np.array([1])))
+_LEFT, _RIGHT = ProjectorFamily.two_level(), ProjectorFamily.two_level(-1.0, 1.0)
 
 _SINGLET = np.array([1.0, -1.0]) / np.sqrt(2.0)
 

@@ -369,10 +369,10 @@ def run_colored_damping(p: dict, run: Settings) -> Iterator:
     white = colored.CorrelationSpec.white()
     yield
     rows = []
+    rate_stationary = colored.colored_instantaneous_rate(family, spec, gamma, 0, 1, None)
+    rate_white = colored.colored_instantaneous_rate(family, white, gamma, 0, 1, None)
     for t in p["times"]:
-        rate_stationary = colored.colored_instantaneous_rate(family, spec, gamma, 0, 1, None)
         rate_from_t0 = colored.colored_instantaneous_rate(family, spec, gamma, 0, 1, t)
-        rate_white = colored.colored_instantaneous_rate(family, white, gamma, 0, 1, None)
         f_col = spec.double_integral(t)
         f_white = white.double_integral(t)
         rows.append((t, rate_from_t0, rate_stationary, rate_white, f_col, f_white))

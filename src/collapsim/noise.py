@@ -29,34 +29,32 @@ def trajectory_generator(master_seed: int, index: int = 0,
     """Independent stream keyed by (master seed, index), with ``purpose``
     in the fourth word of the Philox counter: ``Philox(counter, key)``'s
     stream, without the SeedSequence it would build and discard."""
-    key = np.array([master_seed, index], dtype=np.uint64)
-    bits = np.random.Philox(_Unkeyed())
-    state = bits.state  # an empty buffer
-    state["state"] = {"counter": np.array([0, 0, 0, purpose], dtype=np.uint64), "key": key}
-    bits.state = state
-    return np.random.Generator(bits)
+    return next(_rekeyed(master_seed, [index], None, purpose)).__self__
 
 
 def _rekeyed(master_seed: int, traj_indices, rngs: list | None = None,
              purpose: int = NOISE):
-    """The ``standard_normal`` of each of ``rngs`` (or of one generator),
-    reset as it is reached to stream (master_seed, traj_indices[j], purpose)."""
-    one = trajectory_generator(master_seed, 0, purpose)
-    # a fresh stream's state, re-keyed below; lists set faster than arrays
-    fresh = one.bit_generator.state
-    start = {**fresh, "buffer": fresh["buffer"].tolist(),
-             "state": {k: v.tolist() for k, v in fresh["state"].items()}}
-    key = start["state"]["key"]
+    """The ``standard_normal`` of each of ``rngs`` (or of one new generator),
+    reset as it is reached to stream (master_seed, traj_indices[j], purpose):
+    the one place where a stream's counter and key are set."""
     indices = np.asarray(traj_indices).tolist()  # ints, once: cheaper than per row
-    for rng, index in zip(rngs or [one] * len(indices), indices):
+    key = [master_seed, 0]
+    # a fresh stream's state, re-keyed below; lists set faster than arrays
+    start = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, purpose], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for rng, index in zip([_blank()] * len(indices) if rngs is None else rngs, indices):
         key[1] = index
         rng.bit_generator.state = start
         yield rng.standard_normal
 
 
+def _blank() -> np.random.Generator:
+    """A Philox generator on zero key words, for a state set before it draws."""
+    return np.random.Generator(np.random.Philox(_Unkeyed()))
+
+
 class _Unkeyed(np.random.bit_generator.ISeedSequence):
-    """Zero key words, for generators whose states are set before they draw:
-    half the cost of a SeedSequence, and no urandom read."""
+    """Zero key words: half the cost of a SeedSequence, and no urandom read."""
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         return np.zeros(n_words, dtype)
@@ -69,7 +67,7 @@ class LiveStreams(list):
     are read into."""
 
     def __init__(self, rows: int, window: int, channels: int) -> None:
-        self.free = [np.random.Generator(np.random.Philox(_Unkeyed())) for _ in range(rows)]
+        self.free = [_blank() for _ in range(rows)]
         self.buffer = np.empty((window, rows, channels))
 
     def refill(self, master_seed: int, kept, traj_indices: np.ndarray) -> None:
@@ -84,20 +82,9 @@ class LiveStreams(list):
             _rekeyed(master_seed, traj_indices, rngs))
 
 
-class WindowStream:
-    """The ``rows`` rows of window ``window`` of a resampled run: one
-    stream, (master seed, window) under WINDOWS, drawn whole."""
-
-    def __init__(self, rows: int, window: int) -> None:
-        self.rows, self.window = rows, window
-
-    def __len__(self) -> int:
-        return self.rows
-
-
 def wiener_increment_block(
     master_seed: int,
-    traj_indices: np.ndarray | LiveStreams | WindowStream,
+    traj_indices: np.ndarray | LiveStreams,
     steps: int,
     channels: int,
     gamma: float,
@@ -110,16 +97,18 @@ def wiener_increment_block(
     purpose)``, drawn by one Philox generator reset to each stream in turn
     (``purpose`` applies to index arrays only); given
     ``LiveStreams``, it is their row j read on for ``steps`` steps, in a
-    view of their buffer; either way rows go through a contiguous tile of
-    about ``TILE_BYTES``.  Given a ``WindowStream``, the block is one draw of its stream.
+    view of their buffer.  A lone row that is contiguous in the block is
+    drawn straight into it; otherwise rows go through a contiguous tile of
+    about ``TILE_BYTES``.
     """
     scale = np.sqrt(gamma * dt)
-    if isinstance(traj_indices, WindowStream):
-        rng = trajectory_generator(master_seed, traj_indices.window, WINDOWS)
-        return rng.normal(0.0, scale, (steps, len(traj_indices), channels))
     n, live = len(traj_indices), isinstance(traj_indices, LiveStreams)
     out = traj_indices.buffer[:steps, :n] if live else np.empty((steps, n, channels))
     draws = iter(traj_indices) if live else _rekeyed(master_seed, traj_indices, None, purpose)
+    if n == 1 and out.flags.c_contiguous:
+        next(draws)(out=out)
+        np.multiply(out, scale, out=out)
+        return np.add(out, 0.0, out=out)  # 0.0 + scale * z: normal(0.0, scale)'s bits
     width = int(np.clip(TILE_BYTES // max(steps * channels * 8, 1), 1, max(n, 1)))
     # tile rows an odd number of 64-byte lines apart: 4 KiB apart, the
     # transposed copy below takes twice as long
@@ -135,4 +124,3 @@ def wiener_increment_block(
         padded += 0.0
         out[:, lo : lo + len(part)] = part.transpose(1, 0, 2)
     return out
-

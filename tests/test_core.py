@@ -1,13 +1,16 @@
 """Core state/operator/noise layer."""
 
+import ast
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from collapsim.errors import GridLeakageError
 from collapsim.freeparticle import evolve_free_master
-from collapsim.noise import trajectory_generator, wiener_increment_block
+from collapsim.noise import WINDOWS, trajectory_generator, wiener_increment_block
 from collapsim.operators import ProjectorFamily
 from collapsim.params import CollapseParams
 from collapsim.schrodinger import _kinetic_phase, gaussian_packet, split_step_batch
@@ -191,6 +194,54 @@ def test_wiener_block_right_purpose_rows_are_their_own_streams(monkeypatch):
         rng = trajectory_generator(20, index, noise.RIGHT)
         assert np.array_equal(right[:, j, 0], rng.normal(0.0, np.sqrt(0.005), steps))
         assert not np.any(right[:, j] == plain[:, j])
+
+
+def test_one_row_block_is_its_stream_drawn_in_place():
+    # a lone row is contiguous in the block, so it is drawn straight into
+    # the block, with no tile beside it (a resampled window is such a row)
+    seed, w, steps, width, gamma, dt = 2**64 - 1, 7, 100, 3000, 0.7, 0.002
+    tracemalloc.start()
+    try:
+        block = wiener_increment_block(seed, [w], steps, width, gamma, dt, WINDOWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rng = trajectory_generator(seed, w, WINDOWS)
+    assert np.array_equal(block, rng.normal(0.0, np.sqrt(gamma * dt), (steps, 1, width)))
+    assert peak <= 1.05 * block.nbytes
+
+
+STREAM_BUILDERS = {"default_rng", "SeedSequence", "Generator", "BitGenerator", "RandomState",
+                   "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64"}
+
+
+def _stream_builds(path: Path) -> list[str]:
+    """Where the module at ``path`` imports numpy.random or names an
+    attribute of it, and where it calls a generator or seed constructor."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None)
+            names = [f"{module}.{a.name}" if module else a.name for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        elif isinstance(node, ast.Call):
+            names = [getattr(node.func, "attr", getattr(node.func, "id", ""))]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.startswith(("numpy.random", "np.random")) or name in STREAM_BUILDERS]
+    return found
+
+
+def test_streams_are_built_only_in_noise():
+    # stream keying lives in one module: no other module of collapsim
+    # reaches numpy.random or builds a generator, bit generator or seed
+    src = Path(__import__("collapsim").__file__).parent
+    assert _stream_builds(src / "noise.py")  # the scan sees noise's own builds
+    outside = [hit for path in sorted(src.glob("*.py")) if path.name != "noise.py"
+               for hit in _stream_builds(path)]
+    assert outside == []
 
 
 # ----------------------------------------------------------- schrodinger

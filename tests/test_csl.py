@@ -16,7 +16,6 @@ from collapsim.noise import (
     RESAMPLE,
     WINDOWS,
     LiveStreams,
-    WindowStream,
     trajectory_generator,
     wiener_increment_block,
 )
@@ -547,9 +546,11 @@ def test_sector_weights_sum_each_sector_left_to_right(seed, kind):
 
 
 def _nan_block(*args, **kwargs):
-    # every block (every window) gets a NaN increment in its sixth row
+    # every block (every window) gets a NaN increment in its sixth row, for
+    # slot 1 of a one-channel family: [1, 0] of a (rows, 1) step, and [0, 1]
+    # of a resampled window's one (1, slots) draw
     block = wiener_increment_block(*args, **kwargs)
-    block[5 % len(block), 1, 0] = np.nan
+    block[5 % len(block)].flat[1] = np.nan
     return block
 
 
@@ -572,8 +573,8 @@ def test_resampled_runner_nan_increment_raises_stability_error(monkeypatch, firs
     windows = []
 
     def nan_window(master_seed, rows, *args):
-        assert isinstance(rows, WindowStream)
-        windows.append(rows.window)
+        assert args[-1] == WINDOWS
+        windows.extend(rows)
         return _nan_block(master_seed, rows, *args)
 
     monkeypatch.setattr(diffusion, "wiener_increment_block", nan_window)
@@ -724,9 +725,12 @@ def test_wiener_block_windows_are_disjoint_counter_keyed_streams(monkeypatch):
         assert not np.isin(draws[0], np.concatenate(draws[1:])).any()
     blocks = []
 
-    def recording_block(master_seed, rows, *args):
-        blocks.append((rows.window, wiener_increment_block(master_seed, rows, *args)))
-        return blocks[-1][1]
+    def recording_block(master_seed, rows, take, width, *noise):
+        # window w of 30 slots of 2 channels: one row of 60 channels of stream w
+        assert noise[-1] == WINDOWS
+        block = wiener_increment_block(master_seed, rows, take, width, *noise)
+        blocks.append((*rows, block.reshape(take, 30, 2)))
+        return block
 
     monkeypatch.setattr(diffusion, "wiener_increment_block", recording_block)
     stepper = CslStepper(EXACT_FAMILIES["diagonal-3-sectors-2-channels"], gamma, dt, "linear")
@@ -972,7 +976,7 @@ def test_csl_equivalence_draws_each_increment_once(monkeypatch, tmp_path):
 
     def counting_block(master_seed, rows, *args):
         block = wiener_increment_block(master_seed, rows, *args)
-        drawn.append((rows.window, block.shape))
+        drawn.append((*rows, args[-1], block.shape))
         return block
 
     monkeypatch.setattr(diffusion, "wiener_increment_block", counting_block)
@@ -984,8 +988,10 @@ def test_csl_equivalence_draws_each_increment_once(monkeypatch, tmp_path):
     )
     assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "eq.json").read_text())["data"]["trajectories"] == 300
-    # one draw a window: windows of 100, 100 and 50 steps
-    assert drawn == [(0, (100, 300, 1)), (1, (100, 300, 1)), (2, (50, 300, 1))]
+    # one draw a window, the 300 rows of its stream under WINDOWS: windows of
+    # 100, 100 and 50 steps
+    assert drawn == [(0, WINDOWS, (100, 1, 300)), (1, WINDOWS, (100, 1, 300)),
+                     (2, WINDOWS, (50, 1, 300))]
 
 
 def test_resampled_runner_rejects_record_every():
