@@ -83,14 +83,6 @@ def _render_csv(output: TableOutput, cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_default(value):
-    if hasattr(value, "item"):
-        return value.item()
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
-
-
 def _render_json(output, cfg: ExperimentConfig) -> str:
     if isinstance(output, TableOutput):
         data = {
@@ -108,10 +100,7 @@ def _render_json(output, cfg: ExperimentConfig) -> str:
         },
         "data": data,
     }
-    return (
-        json.dumps(doc, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
-        + "\n"
-    )
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None, *_ignored) -> Path:

@@ -3,7 +3,9 @@
 The physical ("cooked") probability of a noise realization is its raw
 probability times the final squared norm of the linearly evolved state;
 trajectory weights are therefore tracked as log||psi||^2 and turned into
-equal-weight ensembles by systematic (comb) resampling.
+equal-weight ensembles by systematic (comb) resampling.  For commuting
+couplings and no H the cooked law of the record is known in closed form,
+so ``sample_cooked_commuting`` draws from it directly.
 """
 
 from __future__ import annotations
@@ -78,3 +80,36 @@ def linear_exact_commuting(
     states = np.asarray(psi0) * np.exp(log_gain - shift)
     norm_sq = np.sum(np.abs(states) ** 2, axis=-1)
     return states * (1.0 / np.sqrt(norm_sq))[..., None], np.log(norm_sq) + 2.0 * shift[..., 0]
+
+
+def sample_cooked_commuting(
+    psi0: np.ndarray, family: ProjectorFamily, gamma: float, t: float, normals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draws from the cooked law at time ``t`` of commuting couplings, H
+    disregarded (Pearle, PRA 39, 2277, 1989): sector sigma with probability
+    z_sigma of the state ``psi0`` (d,), then the record B_T ~ N(2 gamma
+    a_sigma t, gamma t) in each channel.  Row i of ``normals`` (n, 1 +
+    channels) is one draw: column 0 picks the sector whose interval between
+    the thresholds Phi^-1(cumulative z) holds it, the other columns are the
+    record's standard normals.  Returns (the normalized states (n, d)
+    ``linear_exact_commuting`` takes ``psi0`` to, the records (n, channels)).
+    """
+    z = family.sector_weights(psi0)
+    thresholds = [_normal_quantile(p) for p in (np.cumsum(z) / z.sum())[:-1].tolist()]
+    sector = np.searchsorted(thresholds, normals[:, 0], side="right")
+    records = 2.0 * gamma * t * family.eigenvalues[sector] + np.sqrt(gamma * t) * normals[:, 1:]
+    return linear_exact_commuting(psi0, family, records, gamma, t)[0], records
+
+
+def _normal_quantile(p: float) -> float:
+    """Phi^-1(p), by bisection on ``math.erfc`` (loaded with numpy, so
+    imported here at no cost) to 80 / 2^100; +-inf outside (0, 1)."""
+    from math import erfc, inf
+
+    if not 0.0 < p < 1.0:
+        return inf if p >= 1.0 else -inf
+    lo, hi = -40.0, 40.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 0.5 * erfc(-mid / 2**0.5) < p else (lo, mid)
+    return hi

@@ -398,7 +398,7 @@ def run_epr(p: dict, run: Settings) -> Iterator:
     from . import epr
 
     gamma, t_end, steps = p["gamma"], p["t_end"], p["steps"]
-    epr.nonlinear_steppers(gamma, t_end, steps)  # the steppers the run builds
+    epr.left_stepper(gamma, t_end, steps)  # the stepper the run builds
     epr.require_epr_fits(run.trajectories, steps)
     yield
     nonlinear = epr.epr_nonlinear_experiment(

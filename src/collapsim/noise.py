@@ -18,7 +18,7 @@ import numpy.random  # lazy in numpy: loaded here, it comes with a config that u
 
 NOISE, RESAMPLE, WINDOWS, RIGHT = 0, 1, 2, 3
 """Stream purposes: trajectory noise, resampling draws, resampled windows,
-and the right detector's record of an epr seed."""
+and the right detector's draw from the cooked law of an epr seed."""
 
 TILE_BYTES = 1 << 20
 """Size of the contiguous tile ``wiener_increment_block`` draws streams into."""

@@ -355,6 +355,31 @@ def test_epr_experiment_json_serializes(tmp_path):
     assert isinstance(doc["data"]["linear"]["marginals_indistinguishable"], bool)
 
 
+def test_epr_depends_on_gamma_and_t_end_through_their_product(tmp_path):
+    # CSL time rescaling: (gamma, t_end) -> (2 gamma, t_end / 2) and
+    # (gamma / 2, 2 t_end) at a fixed step count leave gamma dt, gamma t_end
+    # and sqrt(gamma dt) bit for bit (factors of 2), so the records match
+    records = []
+    for gamma, t_end in ((1.0, 2.0), (2.0, 1.0), (0.5, 4.0)):
+        cfg = (
+            "experiment = epr\nseed = 12\ntrajectories = 2000\noutput = epr\nformat = json\n"
+            f"[params]\ngamma = {gamma}\nt_end = {t_end}\nsteps = 200\n"
+        )
+        out = tmp_path / str(gamma)
+        assert main(["--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        records.append(json.loads((out / "epr.json").read_text())["data"])
+    assert records[1] == records[0] and records[2] == records[0]
+
+
+def test_cli_epr_stability_abort_exit_3(tmp_path, capsys):
+    # gamma dt = 0.02 for the stepped left pass
+    path = _write(tmp_path, BASES["epr"].replace("t_end = 2.0", "t_end = 2.0\nsteps = 100"))
+    assert main(["--config", path, "--validate"]) == EXIT_NUMERICAL
+    assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "stability" in capsys.readouterr().err
+    assert not list(tmp_path.glob("epr*"))
+
+
 # ------------------------------------------------------ malformed configs
 
 HITTING_CFG = (

@@ -8,7 +8,11 @@ import pytest
 
 from collapsim import StabilityError
 from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
-from collapsim.cooking import linear_exact_commuting, systematic_resample
+from collapsim.cooking import (
+    linear_exact_commuting,
+    sample_cooked_commuting,
+    systematic_resample,
+)
 from collapsim.diffusion import CslStepper, StepWorkspace, require_ensemble_fits, run_ensemble
 from collapsim.macrobody import condenser_decay_rate, macro_reduction_rate, momentum_diffusion
 from collapsim.noise import (
@@ -1167,6 +1171,53 @@ def test_linear_exact_commuting_rows_match_single_calls():
     once, logw_once = linear_exact_commuting(psi0, fam, x + x2, gamma, f + 0.5)
     assert np.max(np.abs(twice - once)) < 1e-12
     assert np.max(np.abs(logw + logw2 - logw_once)) < 1e-10
+
+
+def test_sample_cooked_commuting_sector_and_record_by_construction():
+    # three sectors over two channels, the middle one of weight zero: at
+    # gamma t = 50 each row collapses onto the sector its first normal
+    # picks (Phi(normal) < 0.2: sector 0, else sector 2), and its record is
+    # 2 gamma a_sigma t + sqrt(gamma t) times its other normals
+    from scipy.special import ndtr
+
+    fam = ProjectorFamily.from_configurations(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    gamma, t = 2.0, 25.0
+    normals = wiener_increment_block(3, np.arange(2000), 1, 3, 1.0, 1.0)[0]
+    states, records = sample_cooked_commuting(np.sqrt([0.2, 0.0, 0.8]), fam, gamma, t, normals)
+    sector = np.where(ndtr(normals[:, 0]) < 0.2, 0, 2)
+    assert np.array_equal(np.argmax(fam.sector_weights(states), axis=1), sector)
+    assert np.all(states[:, 1] == 0.0)
+    drift = 2.0 * gamma * t * fam.eigenvalues[sector]
+    assert np.allclose((records - drift) / np.sqrt(gamma * t), normals[:, 1:], atol=1e-12)
+    assert abs(np.mean(sector == 0) - 0.2) < 4.0 * np.sqrt(0.16 / 2000)
+
+
+def test_sample_cooked_commuting_matches_stepped_runs_with_unequal_weights():
+    # weights 0.3/0.7, which the singlet's equal weights are not: a drift
+    # of the wrong sign would show.  Against stepped nonlinear runs at dt
+    # and dt/2, the sampler's outcome frequency and its law of logit z_0
+    # agree: the K-S distance reads 0.047 at dt and 0.015 at dt/2, the
+    # Euler bias shrinking, while a flipped drift or a reversed sector pick
+    # reads 0.38 at both and moves the frequency of outcome 0 from 0.3 to
+    # 0.67
+    from scipy.stats import ks_2samp
+
+    gamma, t, n = 1.0, 1.0, 4000
+    psi0 = np.sqrt([0.3, 0.7])
+
+    def logit(states):
+        z = TWO.sector_weights(states)
+        return np.log(z[:, 0]) - np.log(z[:, 1])
+
+    normals = wiener_increment_block(7, np.arange(n), 1, 2, 1.0, 1.0)[0]
+    sampled = logit(sample_cooked_commuting(psi0, TWO, gamma, t, normals)[0])
+    for steps in (100, 200):
+        stepped = logit(
+            run_ensemble(psi0, CslStepper(TWO, gamma, t / steps), steps, n, steps).final_states
+        )
+        assert abs(np.mean(sampled > 0) - np.mean(stepped > 0)) < 4.0 * np.sqrt(0.42 / n)
+        # the two-sample 1e-5-level critical value, 0.055
+        assert ks_2samp(sampled, stepped).statistic < 2.470 * np.sqrt(2.0 / n)
 
 
 # --------------------------------------------- sector weights z = |P psi|^2
