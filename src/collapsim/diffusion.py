@@ -37,6 +37,10 @@ minority weight, the sum of its sector weights but the largest, is at most
 this.  Each 1 - z_sigma is a nonnegative martingale, so the row's final
 argmax could then still change with probability at most 2 * RETIRE_TOL."""
 
+CHECK_EVERY = 16
+"""A row's steps between its check points in ``run_ensemble``.  Windows of
+noise are whole check intervals, so all live rows share one residue."""
+
 
 @dataclass(frozen=True)
 class CslStepper:
@@ -275,19 +279,20 @@ many channels, whose ``x @ table`` may take another BLAS kernel."""
 
 WINDOW_BYTES = 1 << 23
 """Size of the buffer into which ``run_ensemble``, when it does not resample,
-reads its pool's noise, whole 16-step check intervals at a time (256 steps
+reads its pool's noise, whole ``CHECK_EVERY`` intervals at a time (256 steps
 of 4096 one-channel rows), so no check point moves.  A
 row that retires mid-window leaves the rest of its window's normals unread."""
 
 
 def _pool_shape(n_traj: int, channels: int, steps: int, resample_every: int | None) -> tuple:
     """``run_ensemble``'s (slots, window): a ``CHUNK`` of slots reading
-    whole 16-step check intervals of noise into ``WINDOW_BYTES``, or, when
+    whole ``CHECK_EVERY`` intervals of noise into ``WINDOW_BYTES``, or, when
     it resamples, every trajectory, a resample interval at a time."""
     if resample_every is not None:
         return n_traj, min(resample_every, steps)
     slots = min(CHUNK, n_traj)
-    return slots, min(steps, max(16, WINDOW_BYTES // (8 * slots * channels) // 16 * 16))
+    window = WINDOW_BYTES // (8 * slots * channels) // CHECK_EVERY * CHECK_EVERY
+    return slots, min(steps, max(CHECK_EVERY, window))
 
 
 def _shared_noise(stepper) -> tuple:
@@ -361,19 +366,21 @@ class _Ensemble:
         increments added in step order to sums that ``update`` reads at
         record and last steps.  A row that joined at pool step j is at its
         own step k0 - j + s after s rows of the block.  Segments end at its
-        record steps, where z is recorded, and check points (every 16 of its
-        steps, its last step and the block's end), where finiteness (of
-        unread sums too) is checked, collapses marked and, until decided,
-        settled rows retired.  A row leaves at its last step or on retiring."""
+        record steps, where z is recorded, and check points (every
+        ``CHECK_EVERY`` of its steps, its last step and the block's end),
+        where finiteness (of unread sums too) is checked, collapses marked
+        and, until decided, settled rows retired.  A row leaves at its last
+        step or on retiring."""
         stepper, every, size = self.stepper, self.every, len(block)
         assert stepper.form != "linear" or self.join[0] == self.join[-1], "linear rows differ in age"
         # rows join only at window boundaries, and a window is cut short only
         # where all its rows end, so ages differ by whole windows: one residue
-        # mod 16, and only the oldest rows (first, as joins never decrease
+        # mod CHECK_EVERY, and only the oldest rows (first, as joins never decrease
         # along the rows) can take their last step inside a whole window
         ends = {size}
         for a in {k0 - int(self.join[0]), k0 - int(self.join[-1])}:
-            ends.update(range(16 - a % 16, size + 1, 16), [min(self.steps - a, size)])
+            check = range(CHECK_EVERY - a % CHECK_EVERY, size + 1, CHECK_EVERY)
+            ends.update(check, [min(self.steps - a, size)])
             if every:
                 ends.update(range(every - a % every, size + 1, every))
         ends, self.cols = sorted(ends), np.arange(len(self.traj))  # columns follow the rows
@@ -383,7 +390,7 @@ class _Ensemble:
             k = k0 + s - self.join
             # between the rows' common check points only those at their last step
             out = k == self.steps
-            at = s == size or k[0] % 16 == 0 or out
+            at = s == size or k[0] % CHECK_EVERY == 0 or out
             if stepper.form == "linear":
                 self.sums, self.now = reduce(np.add, block[s0:s], self.sums), k0 + s
                 if not (out[0] or every and k[0] % every == 0):  # not an update point
@@ -493,7 +500,7 @@ def run_ensemble(
     ensembles are not resampled.  Resampling steps every trajectory at
     once and records no z history, so ``record_every`` is rejected with it.
 
-    Every 16 of a row's steps, at its last step and at the end of each
+    Every ``CHECK_EVERY`` of a row's steps, at its last step and at the end of each
     window (its check points) a NaN or infinite amplitude, log-weight or
     linear increment sum raises StabilityError, naming the row's own step.
 

@@ -2,18 +2,21 @@
 
 Each experiment declares its parameters once, in the table its
 ``@experiment`` decorator registers (type, default or required, bound),
-and is written as a generator in two phases.  Up to its first ``yield``
-it builds everything the run needs from the config (steppers, grids,
-kernels, step counts) and draws no noise; that ``yield`` hands over the
-plan's notices.  Resumed, it runs deterministically from the master
-seed and yields either a table (CSV) or a record (a dict, JSON).
+and its engine modules once, as its runner's parameters after
+``(p, run)``.  A runner is a generator in two phases.  Up to its first
+``yield`` it builds everything the run needs from the config (steppers,
+grids, kernels, step counts) and draws no noise; that ``yield`` hands
+over the plan's notices.  Resumed, it runs deterministically from the
+master seed and yields either a table (CSV) or a record (a dict, JSON).
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from collections import namedtuple
+from importlib import import_module
 from typing import Callable, Iterator
 
 import numpy as np
@@ -49,12 +52,13 @@ TABLES: dict[str, tuple[dict[str, Param], int | None, Callable[..., Iterator], t
 """Experiment name -> (parameter table, default trajectories, runner, engine modules)."""
 
 
-def experiment(name: str, params: dict[str, Param], trajectories: int | None = None,
-               modules: tuple[str, ...] = ()):
-    """Register the decorated runner, its parameter table and the engine modules
-    its body imports as ``name``; ``parse_config_text`` loads those modules."""
+def experiment(name: str, params: dict[str, Param], trajectories: int | None = None):
+    """Register the decorated runner and its parameter table as ``name``.
+    The runner's parameters after ``(p, run)`` name the engine modules it
+    uses: ``parse_config_text`` loads them and ``plan`` passes them in."""
 
     def register(runner):
+        modules = tuple(inspect.signature(runner).parameters)[2:]
         TABLES[name] = (params, trajectories, runner, modules)
         return runner
 
@@ -70,10 +74,11 @@ def plan(cfg: ExperimentConfig) -> tuple[list[str], Iterator]:
     overflow or a division by zero), or where the run's arrays would not
     fit in memory; a step past the stability limit raises StabilityError.
     """
-    table, default_trajectories, runner, _ = TABLES[cfg.experiment]
+    table, default_trajectories, runner, modules = TABLES[cfg.experiment]
     p = read_params(cfg, table)
     seed = Param(int, bound=SEED_RANGE).read("seed", cfg.seed)
-    steps = runner(p, Settings(seed, cfg.trajectories or default_trajectories))
+    engines = (import_module(f".{module}", __package__) for module in modules)
+    steps = runner(p, Settings(seed, cfg.trajectories or default_trajectories), *engines)
     try:
         return next(steps) or [], steps
     except ValueError as exc:
@@ -103,22 +108,20 @@ _GRID = {
 def _hitting_model(p: dict) -> tuple[CollapseParams, list[str]]:
     """The 1D collapse parameters, and a notice when the grid spacing
     under-resolves their localization width."""
-    params = CollapseParams(p["lambda"], p["alpha"], 1.0, dimension=1)
+    params = CollapseParams(p["lambda"], p["alpha"])
     width = params.localization_width
     notice = f"grid: localization width 1/sqrt(alpha) under-resolved ({width:.3g} < 2*dx)"
     return params, [notice] if width < 2 * p["dx"] else []
 
 
-@experiment("qmsl-hitting", trajectories=1000, modules=("hitting", "schrodinger"), params={
+@experiment("qmsl-hitting", trajectories=1000, params={
     **_GRID,
     "centers": Param(float, length=2),
     "t_end": Param(float, bound=POSITIVE),
     "dt": Param(float, bound=POSITIVE),
     "record_events": Param(bool, False),
 })
-def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
-    from . import hitting, schrodinger
-
+def run_qmsl_hitting(p: dict, run: Settings, hitting, schrodinger) -> Iterator:
     n, dx, centers = p["n"], p["dx"], tuple(p["centers"])
     psi0 = schrodinger.two_packet_state(n, dx, -0.5 * n * dx, p["mass"], centers, p["sigma"])
     params, notices = _hitting_model(p)
@@ -148,13 +151,11 @@ def run_qmsl_hitting(p: dict, run: Settings) -> Iterator:
     yield TableOutput(columns, rows)
 
 
-@experiment("qmsl-master", modules=("freeparticle", "schrodinger"), params={
+@experiment("qmsl-master", params={
     **_GRID,
     "times": Param(float, bound=NONNEGATIVE, length=MANY),
 })
-def run_qmsl_master(p: dict, run: Settings) -> Iterator:
-    from . import freeparticle, schrodinger
-
+def run_qmsl_master(p: dict, run: Settings, freeparticle, schrodinger) -> Iterator:
     n, dx, mass, sigma = p["n"], p["dx"], p["mass"], p["sigma"]
     params, notices = _hitting_model(p)
     p_var0 = 1.0 / (4.0 * sigma**2)  # of the minimal packet, constant in free flight
@@ -215,16 +216,14 @@ def _weighted_superposition(weights: list[float]) -> np.ndarray:
     return np.sqrt(np.array(weights, dtype=complex))
 
 
-@experiment("csl-born", trajectories=10_000, modules=("diffusion", "operators"), params={
+@experiment("csl-born", trajectories=10_000, params={
     **_CSL,
     "per_trajectory": Param(bool, False),
 })
-def run_csl_born(p: dict, run: Settings) -> Iterator:
+def run_csl_born(p: dict, run: Settings, diffusion, operators) -> Iterator:
     """Outcome frequencies with binomial errors or, with ``per_trajectory``,
     one row per trajectory: seed, outcome sector, collapse time, final
     cooked log-weight."""
-    from . import diffusion, operators
-
     weights, dt, steps, n_traj = p["weights"], p["dt"], p["steps"], run.trajectories
     family = operators.ProjectorFamily.two_level()
     psi0 = _weighted_superposition(weights)
@@ -266,13 +265,11 @@ def run_csl_born(p: dict, run: Settings) -> Iterator:
     yield TableOutput(columns, rows)
 
 
-@experiment("csl-equivalence", trajectories=10_000, modules=("diffusion", "operators"), params={
+@experiment("csl-equivalence", trajectories=10_000, params={
     **_CSL,
     "resample_every": Param(int, 100, COUNT),
 })
-def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
-    from . import diffusion, operators
-
+def run_csl_equivalence(p: dict, run: Settings, diffusion, operators) -> Iterator:
     family = operators.ProjectorFamily.two_level()
     psi0 = _weighted_superposition(p["weights"])
     linear, nonlinear = (
@@ -300,17 +297,14 @@ def run_csl_equivalence(p: dict, run: Settings) -> Iterator:
     }
 
 
-@experiment("csl-discrete", trajectories=10_000,
-            modules=("colored", "diffusion", "operators"), params={
+@experiment("csl-discrete", trajectories=10_000, params={
     "lambda_eff": Param(float, bound=POSITIVE),
     "dt": _STEPPER["dt"],
     "steps": Param(int, bound="[2, inf)"),  # the rate fit needs two record points
     "occupations_a": Param(int, bound=NONNEGATIVE, length=MANY),
     "occupations_b": Param(int, bound=NONNEGATIVE, length=MANY),
 })
-def run_csl_discrete(p: dict, run: Settings) -> Iterator:
-    from . import colored, diffusion, operators
-
+def run_csl_discrete(p: dict, run: Settings, colored, diffusion, operators) -> Iterator:
     # one channel per cell, its eigenvalue the cell's occupation number
     occupations = np.stack([p["occupations_a"], p["occupations_b"]])
     family = operators.ProjectorFamily.from_configurations(occupations)
@@ -338,7 +332,7 @@ def run_csl_discrete(p: dict, run: Settings) -> Iterator:
 # --------------------------------------------------------------- other
 
 
-@experiment("colored-damping", modules=("colored", "operators"), params={
+@experiment("colored-damping", params={
     "kind": Param(str),
     "tau": Param(float, None, POSITIVE),
     "gamma": Param(float, bound=POSITIVE),
@@ -346,11 +340,9 @@ def run_csl_discrete(p: dict, run: Settings) -> Iterator:
     "eigenvalues": Param(float, (1.0, -1.0), length=2),
     "kernel": Param(float, None, length=MANY),
 })
-def run_colored_damping(p: dict, run: Settings) -> Iterator:
+def run_colored_damping(p: dict, run: Settings, colored, operators) -> Iterator:
     """``kind = custom`` reads ``kernel = lag, value, lag, value, ...``:
-    at least two lags, from 0 with uniform spacing."""
-    from . import colored, operators
-
+    at least two lags, from 0 with uniform positive spacing."""
     needs = "kernel" if p["kind"] == "custom" else "tau"
     if p[needs] is None:
         raise ConfigError(f"kind = {p['kind']} needs {needs}")
@@ -359,7 +351,7 @@ def run_colored_damping(p: dict, run: Settings) -> Iterator:
             raise ValueError("kernel takes lag, value pairs, at least two")
         lags, values = np.reshape(p["kernel"], (-1, 2)).T
         gaps = np.diff(lags)
-        if lags[0] != 0.0 or np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
+        if lags[0] != 0.0 or not gaps[0] > 0 or np.max(np.abs(gaps - gaps[0])) > 1e-9 * gaps[0]:
             raise ValueError("kernel lags must start at 0 with uniform spacing")
         spec = colored.CorrelationSpec("custom", samples=values, dt=float(gaps[0]))
     else:
@@ -389,14 +381,12 @@ def run_colored_damping(p: dict, run: Settings) -> Iterator:
     )
 
 
-@experiment("epr", trajectories=4000, modules=("epr",), params={
+@experiment("epr", trajectories=4000, params={
     "gamma": _STEPPER["gamma"],
     "t_end": Param(float, bound=POSITIVE),
     "steps": Param(int, 400, COUNT),
 })
-def run_epr(p: dict, run: Settings) -> Iterator:
-    from . import epr
-
+def run_epr(p: dict, run: Settings, epr) -> Iterator:
     gamma, t_end, steps = p["gamma"], p["t_end"], p["steps"]
     epr.left_stepper(gamma, t_end, steps)  # the stepper the run builds
     epr.require_epr_fits(run.trajectories, steps)
@@ -422,11 +412,8 @@ def run_epr(p: dict, run: Settings) -> Iterator:
     }
 
 
-@experiment("gisin", trajectories=2000, modules=("diffusion", "nosignal", "operators"),
-            params=_STEPPER)
-def run_gisin(p: dict, run: Settings) -> Iterator:
-    from . import diffusion, nosignal, operators
-
+@experiment("gisin", trajectories=2000, params=_STEPPER)
+def run_gisin(p: dict, run: Settings, diffusion, nosignal, operators) -> Iterator:
     family = operators.ProjectorFamily.two_level()
     stepper = diffusion.CslStepper(family, p["gamma"], p["dt"], form="nonlinear")
     diffusion.require_ensemble_fits(stepper, p["steps"], run.trajectories)
@@ -448,7 +435,7 @@ def run_gisin(p: dict, run: Settings) -> Iterator:
     }
 
 
-@experiment("rates-report", modules=("freeparticle", "macrobody", "rates", "refdata"), params={
+@experiment("rates-report", params={
     "lambda": Param(float, CANONICAL_LAMBDA_MICRO, POSITIVE),
     "alpha": Param(float, CANONICAL_ALPHA, POSITIVE),
     "gamma": Param(float, CANONICAL_GAMMA, POSITIVE),
@@ -458,14 +445,12 @@ def run_gisin(p: dict, run: Settings) -> Iterator:
     "mass": Param(float, 1e-23, POSITIVE),
     "separation": Param(float, 4e-5, POSITIVE),
 })
-def run_rates_report(p: dict, run: Settings) -> Iterator:
-    from . import freeparticle, macrobody, rates, refdata
-
+def run_rates_report(p: dict, run: Settings, freeparticle, macrobody, rates, refdata) -> Iterator:
     lam, alpha, gamma, density = p["lambda"], p["alpha"], p["gamma"], p["density"]
     n_out, n_macro, mass, separation = p["n_out"], p["n_macro"], p["mass"], p["separation"]
-    micro = CollapseParams.consistent(lam, alpha)
+    micro = CollapseParams(lam, alpha)
     lam_macro = freeparticle.com_amplified_rate(lam, n_macro)
-    macro = CollapseParams.consistent(lam_macro, alpha)
+    macro = CollapseParams(lam_macro, alpha)
     t1, t2 = freeparticle.characteristic_times(macro, 1.0, 1e-5, 1.0, hbar=HBAR_CGS)
     record = {  # built with the plan, so an overflowing input is a config error
         "inputs": {
@@ -499,10 +484,8 @@ def run_rates_report(p: dict, run: Settings) -> Iterator:
     yield record
 
 
-@experiment("decoherence-table", modules=("rates", "refdata"), params={})
-def run_decoherence_table(p: dict, run: Settings) -> Iterator:
-    from . import rates, refdata
-
+@experiment("decoherence-table", params={})
+def run_decoherence_table(p: dict, run: Settings, rates, refdata) -> Iterator:
     yield
     rows = []
     for source in refdata.load_decoherence_sources():
@@ -544,15 +527,13 @@ def run_decoherence_table(p: dict, run: Settings) -> Iterator:
     )
 
 
-@experiment("mass-profile", modules=("massdensity",), params={
+@experiment("mass-profile", params={
     "scenario": Param(str),
     "n_particles": Param(int, 100, NONNEGATIVE),
     "n_cells": Param(int, 2, COUNT),
     "tail_weight": Param(float, 1e-8, "[0, 1]"),
 })
-def run_mass_profile(p: dict, run: Settings) -> Iterator:
-    from . import massdensity
-
+def run_mass_profile(p: dict, run: Settings, massdensity) -> Iterator:
     scenario, n_particles, n_cells = p["scenario"], p["n_particles"], p["n_cells"]
     other = min(1, n_cells - 1)
     m0 = NUCLEON_MASS_G

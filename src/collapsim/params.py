@@ -15,34 +15,17 @@ MACRO_PARTICLE_COUNT = 1e23     # constituents of a reference macro-object
 
 @dataclass(frozen=True)
 class CollapseParams:
-    """The model constants (lambda, alpha, gamma).
-
-    ``gamma_coupling`` carries units length^dimension / time; the
-    single-particle consistency relation tying it to ``lambda_rate`` is
-
-        lambda = gamma * (alpha / 4 pi)^(dimension/2).
-
-    The ``consistent`` constructor builds parameters satisfying it exactly.
-    """
+    """The two constants of the hitting model: the rate ``lambda_rate``
+    and the inverse squared localization width ``alpha``.  CSL's coupling
+    gamma belongs to the continuous model; its runs read it on its own."""
 
     lambda_rate: float
     alpha: float
-    gamma_coupling: float
-    dimension: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("lambda_rate", "alpha", "gamma_coupling"):
+        for name in ("lambda_rate", "alpha"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @classmethod
-    def consistent(
-        cls, lambda_rate: float, alpha: float, dimension: int = 3
-    ) -> "CollapseParams":
-        gamma = lambda_rate * (4.0 * math.pi / alpha) ** (dimension / 2.0)
-        return cls(lambda_rate, alpha, gamma, dimension)
 
     @property
     def localization_width(self) -> float:
@@ -50,5 +33,5 @@ class CollapseParams:
 
 
 def canonical_qmsl() -> CollapseParams:
-    """Canonical microscopic hitting parameters with the matched coupling."""
-    return CollapseParams.consistent(CANONICAL_LAMBDA_MICRO, CANONICAL_ALPHA)
+    """Canonical microscopic hitting parameters."""
+    return CollapseParams(CANONICAL_LAMBDA_MICRO, CANONICAL_ALPHA)

@@ -64,20 +64,28 @@ def rejected_runs(bases: dict, small: dict) -> list:
         (colored, "kind = exponential", custom + ", inf"),
         (colored, "kind = exponential", custom + ", 0.9, 0.2, 0"),
         (colored, "times = 0.5", "eigenvalues = 7, 1e300\ntimes = 0.5"),  # an infinite rate
+        (colored, "kind = exponential", "kind = custom\nkernel = 0, 1.0, 0, 0.5"),  # lag spacing 0
+        (colored, "kind = exponential",  # dt^2 underflows: the overflow-safe sum
+         "kind = custom\nkernel = 0, 1.0, 1e-200, 0.5"),
+        (colored, "kind = exponential", "kind = white"),
         (hitting, "n = 128", "n = 100"), (hitting, "dt = 0.02", "dt = 0.03"),
         (hitting, "centers = -3.0, 3.0", "centers = -15.0, 15.0"),  # leaks at the edge
         (hitting, "n = 128\ndx = 0.25", "n = 512\ndx = 0.1"),  # fine enough for the band screen
         (bases["mass"], "superposed", "bogus"),
         (bases["mass"], "scenario = superposed", "scenario = superposed\nn_cells = 0"),
+        (bases["mass"], "scenario = superposed", "scenario = product\nn_cells = 1"),
         (bases["discrete"], "occupations_b = 0, 3", "occupations_b = 0, 3, 1"),
         (bases["discrete"], "occupations_b = 0, 3", "occupations_b = 3, 0"),
         (bases["discrete"], "steps = 40", "steps = 1e19"),
         (bases["epr"], "t_end = 2.0", "t_end = 2.0\nsteps = 1e15"),
         (bases["epr"], "", ""),  # as written: too few conditioning samples
+        (bases["epr"], "t_end = 2.0", "t_end = 1e-320\nsteps = 100000"),  # dt underflows to 0
         (bases["master"].replace("sigma = 0.5", "sigma = 1.5"), "times = 0.0, 1.0",
          "times = 0.0"),  # the packet wraps the ring at t = 0
         (bases["master"], "mass = 1.0", "mass = 1e-300"),
-        (bases["rates"], "alpha = 1e10", "alpha = 7"), (bases["rates"], "density = 1e24", "density = 1e308"),
+        (bases["rates"], "alpha = 1e10", "alpha = 7"), (bases["rates"], "alpha = 1e10", "alpha = 1e300"),
+        (bases["rates"], "density = 1e24", "density = 1e308"),
+        (bases["rates"], "n_macro = 1e23", "n_macro = 0.5"),
         (small["gisin"], "trajectories = 40", "trajectories = 1"),
         (table, "output = table", "output = taken"),  # taken.csv is a directory
     ]

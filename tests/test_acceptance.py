@@ -13,8 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
+from collapsim import epr
 from collapsim.colored import CorrelationSpec, colored_instantaneous_rate
+from collapsim.cooking import sample_cooked_commuting
 from collapsim.diffusion import CslStepper, run_ensemble
 from collapsim.epr import epr_linear_experiment, epr_nonlinear_experiment
 from collapsim.freeparticle import (
@@ -47,6 +50,7 @@ from oracles import (
     master_kernel_by_ode,
     run_commuting_nonwhite_ensemble,
     scattering_master_step,
+    two_level_analytic,
 )
 
 TWO = ProjectorFamily.two_level()
@@ -124,7 +128,7 @@ def test_criterion_03_trajectory_master_consistency():
         assert err < 0.05
         # grid: 1e4 hitting trajectories vs the damped-kernel equation on
         # a 64-point grid
-        params = CollapseParams(2.0, 1.0, 1.0, dimension=1)
+        params = CollapseParams(2.0, 1.0)
         psi = gaussian_packet(64, 0.25, -8.0, 20.0, 0.0, 0.45)
         qres = run_qmsl_ensemble(psi, params, 1.0, 10_000, 302, 0.02)
         rho_kernel = evolve_free_master(psi, params, 1.0)
@@ -135,7 +139,7 @@ def test_criterion_03_trajectory_master_consistency():
 
 def test_criterion_04_free_particle_spreads():
     with criterion(4, "Free-particle spreads"):
-        params = CollapseParams(3.0, 1.0, 1.0, dimension=1)
+        params = CollapseParams(3.0, 1.0)
         mass, sigma, t = 8.0, 0.8, 1.6
         psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
         res = run_qmsl_ensemble(psi, params, t, 4000, 31, 0.02)
@@ -151,7 +155,7 @@ def test_criterion_04_free_particle_spreads():
         assert mc["q_var"] == pytest.approx(formula["q_var"], rel=0.05)
         assert mc["p_var"] == pytest.approx(formula["p_var"], rel=0.05)
         # deterministic route: damped-kernel solution vs direct integration
-        params2 = CollapseParams(2.0, 4.0, 1.0, dimension=1)
+        params2 = CollapseParams(2.0, 4.0)
         psi2 = gaussian_packet(64, 0.25, -8.0, 5.0, 0.0, 0.9)
         rho = evolve_free_master(psi2, params2, 0.5)
         oracle = master_kernel_by_ode(psi2.amplitudes, 0.25, 5.0, 2.0, 4.0, 0.5)
@@ -161,7 +165,7 @@ def test_criterion_04_free_particle_spreads():
 def test_criterion_05_closed_form_reproduction():
     with criterion(5, "Closed-form magnitudes"):
         micro = canonical_qmsl()
-        macro = CollapseParams.consistent(1e7, 1e10)
+        macro = CollapseParams(1e7, 1e10)
         assert order_of_magnitude_match(offdiag_lifetime(4e-5, macro), 1e-6)
         assert com_amplified_rate(1e-16, 1e23) == pytest.approx(1e7, rel=1e-9)
         energy_ev = energy_increase_rate(micro, 1e-23, hbar=HBAR_CGS) / ERG_PER_EV
@@ -287,7 +291,7 @@ def test_criterion_08_no_signaling():
         report = gisin_check(ens_a, ens_b, _csl_evolver(1.0, 0.005, 600, 801), 2000)
         assert report.passed
         # hitting dynamics on the grid
-        params = CollapseParams(4.0, 1.0, 1.0, dimension=1)
+        params = CollapseParams(4.0, 1.0)
         ga, gb = _orthogonal_packet_mixtures()
         qreport = gisin_check(ga, gb, _qmsl_evolver(params, 1.5, 0.02, 802), 600)
         assert qreport.passed
@@ -299,7 +303,7 @@ def test_criterion_08_no_signaling():
         assert creport.passed
 
 
-def test_criterion_09_epr_parameter_dependence():
+def test_criterion_09_epr_parameter_dependence(monkeypatch):
     with criterion(9, "EPR parameter (in)dependence"):
         nonlinear = epr_nonlinear_experiment(
             8000, gamma=1.0, t_end=2.0, master_seed=901, steps=300
@@ -307,8 +311,23 @@ def test_criterion_09_epr_parameter_dependence():
         gap = nonlinear.p_minus_detector_on - nonlinear.p_minus_detector_off
         assert gap == pytest.approx(0.5, abs=0.03)
         assert nonlinear.p_minus_detector_off == 0.0
-        linear = epr_linear_experiment(4000, gamma=1.0, t_end=10.0, master_seed=902)
+        b_left = []  # the linear half's B_L samples, detector on and off
+
+        def recorded(*args):
+            states, records = sample_cooked_commuting(*args)
+            b_left.append(records[:, 0])
+            return states, records
+
+        monkeypatch.setattr(epr, "sample_cooked_commuting", recorded)
+        gamma, t = 1.0, 10.0
+        linear = epr_linear_experiment(4000, gamma=gamma, t_end=t, master_seed=902)
         assert linear.ks_distance < linear.ks_critical_5pct
+        # both samples against the singlet's cooked mixture, not only each
+        # other: one-sample K-S at its 1e-5 critical value
+        law = two_level_analytic((0.5, 0.5), (1.0, -1.0), gamma, t)
+        assert len(b_left) == 2
+        for sample in b_left:
+            assert kstest(sample, law.cdf).statistic < 2.47 / np.sqrt(sample.size)
 
 
 def test_criterion_10_decoherence_vs_collapse():
@@ -365,7 +384,7 @@ def test_criterion_11_martingale_suite():
         ]
         assert np.max(np.abs(np.array(traces) - 1.0)) < 1e-9
         # purity decay along the hitting master evolution
-        params = CollapseParams(4.0, 1.0, 1.0, dimension=1)
+        params = CollapseParams(4.0, 1.0)
         psi = two_packet_state(128, 0.25, -16.0, 20.0, (-3.0, 3.0), 0.45)
         purities = [
             np.sum(np.abs(evolve_free_master(psi, params, t)) ** 2) * psi.dx**2

@@ -342,7 +342,7 @@ def test_excitation_rate_qmsl_orders():
     assert abs(np.log10(atom) - np.log10(1e-23)) < 1.0
     assert abs(np.log10(nucleus) - np.log10(1e-31)) < 1.0
     # alpha -> 0 limit
-    small = CollapseParams(1e-16, 1e-30, 1.0)
+    small = CollapseParams(1e-16, 1e-30)
     assert excitation_rate_qmsl(small, 1e8) < 1e-60
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapsim
-from collapsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_STATISTICAL, main
+from collapsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_STATISTICAL, main, run
 from collapsim.config import OUTPUT_BYTES, parse_config_text
 from collapsim.errors import ConfigError
 from collapsim.experiments import plan, run_experiment
@@ -334,6 +334,17 @@ def test_colored_damping_custom_kernel_at_a_tiny_lag_spacing(tmp_path):
         assert double_integral == pytest.approx(1e-300 * t * (1.0 + 2 * 0.5), rel=1e-12)
 
 
+@pytest.mark.parametrize("spacing", ["0", "-0.5"])
+def test_colored_damping_nonpositive_lag_spacing_exit_2(tmp_path, capsys, spacing):
+    # the runner's lag check rejects it, before a kernel of spacing dt is built
+    kernel = f"kind = custom\nkernel = 0, 1.0, {spacing}, 0.5"
+    path = _write(tmp_path, COLORED_CFG.replace("kind = exponential", kernel))
+    for flags in (["--out", str(tmp_path)], ["--validate"]):
+        assert main(["--config", path, *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "kernel lags must start at 0 with uniform spacing" in err
+
+
 def test_colored_damping_oversized_kernel_exit_2(tmp_path, capsys, monkeypatch):
     # the PSD check's K x K Toeplitz matrix against a machine of one 4 KiB page
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
@@ -369,6 +380,30 @@ def test_epr_depends_on_gamma_and_t_end_through_their_product(tmp_path):
         assert main(["--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
         records.append(json.loads((out / "epr.json").read_text())["data"])
     assert records[1] == records[0] and records[2] == records[0]
+
+
+@pytest.mark.parametrize("name", ["csl-born", "csl-born-settled", "csl-equivalence", "gisin"])
+def test_csl_runs_depend_on_gamma_and_dt_through_their_product(tmp_path, name):
+    # CSL time rescaling: (gamma, dt) -> (2 gamma, dt / 2) and (gamma / 2, 2 dt)
+    # at a fixed step count leave gamma dt and sqrt(gamma dt) bit for bit
+    # (factors of 2), so the data match; a collapse time, its step times dt,
+    # scales by the dt factor exactly
+    outputs = []
+    for scale in (1.0, 0.5, 2.0):
+        cfg = parse_config_text(SMALL[name])
+        cfg.params.update(gamma=cfg.params["gamma"] / scale, dt=cfg.params["dt"] * scale)
+        path = run(cfg, tmp_path / str(scale))
+        if path.suffix == ".json":
+            outputs.append(json.loads(path.read_text())["data"])
+            continue
+        header, *rows = (line.split(",") for line in path.read_text().splitlines()[2:])
+        if "collapse_time [internal time or -1]" in header:
+            i = header.index("collapse_time [internal time or -1]")
+            for row in rows:
+                t = float(row[i])
+                row[i] = str(t / scale if t >= 0 else t)
+        outputs.append((header, rows))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_cli_epr_stability_abort_exit_3(tmp_path, capsys):

@@ -27,17 +27,9 @@ from oracles import (
 # --------------------------------------------------------------- params
 
 
-def test_collapse_params_consistency():
-    # lambda = gamma (alpha / 4 pi)^(d/2), in three dimensions and in one
-    p = CollapseParams.consistent(1e-16, 1e10)
-    assert p.gamma_coupling == pytest.approx(1e-16 * (4 * np.pi / 1e10) ** 1.5, rel=1e-12)
-    q = CollapseParams.consistent(2.0, 1.0, dimension=1)
-    assert q.gamma_coupling == pytest.approx(2.0 * (4 * np.pi) ** 0.5, rel=1e-12)
-
-
 def test_collapse_params_positive():
     with pytest.raises(ValueError):
-        CollapseParams(0.0, 1.0, 1.0)
+        CollapseParams(0.0, 1.0)
 
 
 # --------------------------------------------------------------- states
@@ -337,4 +329,4 @@ def test_leakage_monitor_raises():
     # a packet jammed against the boundary trips the monitor, at t = 0 too
     psi = gaussian_packet(64, 0.25, -8.0, 1.0, -7.8, 0.5)
     with pytest.raises(GridLeakageError, match="boundary amplitude"):
-        evolve_free_master(psi, CollapseParams(4.0, 1.0, 1.0, dimension=1), 0.0)
+        evolve_free_master(psi, CollapseParams(4.0, 1.0), 0.0)

@@ -40,8 +40,8 @@ from oracles import (
     qmsl_exact_time_lockstep,
 )
 
-DESK = CollapseParams(4.0, 1.0, 1.0, dimension=1)
-MACRO = CollapseParams(1e7, 1e10, 1.0)
+DESK = CollapseParams(4.0, 1.0)
+MACRO = CollapseParams(1e7, 1e10)
 
 
 def _two_packets(sigma=0.45, sep=6.0, n=256, dx=0.125, mass=20.0):
@@ -315,7 +315,7 @@ def test_hit_rows_in_a_reused_workspace_match_fresh_buffers():
 
 def test_trajectory_zero_rate_is_pure_schrodinger():
     psi = _two_packets()
-    lam0 = CollapseParams(1e-300, 1.0, 1.0, dimension=1)
+    lam0 = CollapseParams(1e-300, 1.0)
     res = run_qmsl_ensemble(psi, lam0, 1.0, 1, 42, 0.05)
     assert res.events.shape == (0, 4)
 
@@ -373,7 +373,7 @@ def test_one_trajectory_log_is_trajectory_zero_of_a_larger_run():
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize(
     "params",
-    [DESK, CollapseParams(1e-12, 1.0, 1.0, dimension=1)],
+    [DESK, CollapseParams(1e-12, 1.0)],
     ids=["free", "free-no-hits"],
 )
 def test_ensemble_matches_lockstep_oracle(seed, params):
@@ -442,7 +442,7 @@ def test_leak_first_seen_in_a_row_hit_mid_window_matches_the_oracle():
     rest = gaussian_packet(n, dx, x0, mass, -8.0, 0.3).amplitudes
     runner = gaussian_packet(n, dx, x0, mass, 6.0, 0.8, momentum=20.0).amplitudes
     psi = _normalized(GridWavefunction(np.sqrt(0.8) * rest + np.sqrt(0.2) * runner, dx, x0, mass))
-    args = (psi, CollapseParams(4.0, 0.1, 1.0, dimension=1), 3.0, 16, 2, 0.02)
+    args = (psi, CollapseParams(4.0, 0.1), 3.0, 16, 2, 0.02)
     with pytest.raises(GridLeakageError) as engine:
         run_qmsl_ensemble(*args)
     with pytest.raises(GridLeakageError) as oracle:
@@ -451,7 +451,7 @@ def test_leak_first_seen_in_a_row_hit_mid_window_matches_the_oracle():
     assert t == _leak_report(oracle)[1] == "1.98"
     assert worst == pytest.approx(_leak_report(oracle)[0], rel=1e-6)
     # without hits the same state leaks only later
-    no_hits = (psi, CollapseParams(1e-12, 0.1, 1.0, dimension=1), 3.0, 1, 2, 0.02)
+    no_hits = (psi, CollapseParams(1e-12, 0.1), 3.0, 1, 2, 0.02)
     with pytest.raises(GridLeakageError) as unhit:
         run_qmsl_ensemble(*no_hits)
     assert float(_leak_report(unhit)[1]) > 2.0
@@ -462,7 +462,7 @@ def test_leak_before_a_hit_matches_the_oracle():
     # the run's one window of steps, which removes that packet; a hit must
     # not replace a spectrum before it is screened on the steps it was held
     psi = two_packet_state(256, 0.125, -16.0, 20.0, (-4.0, 15.0), 0.45, (0.999, 0.001))
-    args = (psi, CollapseParams(50.0, 1.0, 1.0, dimension=1))
+    args = (psi, CollapseParams(50.0, 1.0))
     with pytest.raises(GridLeakageError) as engine:
         run_qmsl_ensemble(*args, 0.2, 4, 3, 0.02)
     with pytest.raises(GridLeakageError) as oracle:
@@ -580,7 +580,7 @@ def test_long_run_memory_does_not_grow_with_steps():
     # 5000 steps on a 2048-point grid: the edge taps of all steps would be
     # 328 MB; a window's taps fill one tile
     psi = two_packet_state(2048, 0.05, -51.2, 20.0, (-3.0, 3.0), 0.45)
-    params = CollapseParams(1e-12, 1.0, 1.0, dimension=1)
+    params = CollapseParams(1e-12, 1.0)
     tracemalloc.start()
     try:
         res = run_qmsl_ensemble(psi, params, 5.0, 2, 3, 0.001)
@@ -612,7 +612,7 @@ def test_hit_rounds_allocate_no_rows_beyond_one_workspace():
 
 def test_master_zero_rate_matches_schrodinger():
     psi = gaussian_packet(64, 0.25, -8.0, 5.0, 0.0, 0.9)
-    lam0 = CollapseParams(1e-300, 4.0, 1.0, dimension=1)
+    lam0 = CollapseParams(1e-300, 4.0)
     rho = evolve_free_master(psi, lam0, 0.8)
 
     ref = free_step_reference(psi.amplitudes[None], psi, 0.8)[0]
@@ -621,7 +621,7 @@ def test_master_zero_rate_matches_schrodinger():
 
 
 def test_master_kernel_vs_ode_oracle():
-    params = CollapseParams(2.0, 4.0, 1.0, dimension=1)
+    params = CollapseParams(2.0, 4.0)
     psi = gaussian_packet(64, 0.25, -8.0, 5.0, 0.0, 0.9)
     t = 0.5
     rho = evolve_free_master(psi, params, t)
@@ -632,7 +632,7 @@ def test_master_kernel_vs_ode_oracle():
 
 def test_master_short_time_diagonal_matches_schrodinger():
     # t << T1 regime: diagonal elements track the Schroedinger diagonal
-    params = CollapseParams(0.5, 1.0, 1.0, dimension=1)
+    params = CollapseParams(0.5, 1.0)
     psi = gaussian_packet(64, 0.25, -8.0, 20.0, 0.0, 0.8)
     t = 0.1
     rho = evolve_free_master(psi, params, t)
@@ -644,7 +644,7 @@ def test_master_short_time_diagonal_matches_schrodinger():
 
 
 def test_master_offdiag_decay_bounded_by_beta():
-    params = CollapseParams(4.0, 1.0, 1.0, dimension=1)
+    params = CollapseParams(4.0, 1.0)
     psi = _two_packets()
     t = 1.0
     rho_t = evolve_free_master(psi, params, t)
@@ -659,7 +659,7 @@ def test_master_offdiag_decay_bounded_by_beta():
 
 
 def test_master_trace_and_purity():
-    params = CollapseParams(4.0, 1.0, 1.0, dimension=1)
+    params = CollapseParams(4.0, 1.0)
     psi = _two_packets()
     rho1 = evolve_free_master(psi, params, 0.5)
     rho2 = evolve_free_master(psi, params, 1.0)
@@ -669,7 +669,7 @@ def test_master_trace_and_purity():
 
 
 def test_master_mean_preservation():
-    params = CollapseParams(4.0, 1.0, 1.0, dimension=1)
+    params = CollapseParams(4.0, 1.0)
     psi = gaussian_packet(64, 0.25, -8.0, 5.0, 0.6, 0.7, momentum=0.9)
     t = 0.6
     rho = evolve_free_master(psi, params, t)
@@ -688,7 +688,7 @@ def test_damping_time_integral_closed_form_vs_quadrature():
 
 
 def test_damping_factor_bounds_and_symmetry():
-    params = CollapseParams(2.0, 3.0, 1.0, dimension=1)
+    params = CollapseParams(2.0, 3.0)
     t = 0.7
     k = np.linspace(-4, 4, 31)
     f0 = damping_factor(k, np.zeros_like(k), t, params, 5.0)
@@ -711,7 +711,7 @@ def test_moments_t_zero_identity():
 def test_moments_t1_defines_q_spread_doubling():
     # at T1 the added position-variance term equals the initial variance
     lam, alpha, m, dq0 = 1e7, 1e10, 1.0, 1e-5
-    params = CollapseParams(lam, alpha, 1.0)
+    params = CollapseParams(lam, alpha)
     t1, _ = characteristic_times(params, m, dq0, 1.0, hbar=HBAR_CGS)
     added = alpha * lam * HBAR_CGS**2 * t1**3 / (6.0 * m**2)
     assert added == pytest.approx(dq0**2, rel=1e-10)
@@ -721,7 +721,7 @@ def test_moments_t1_defines_q_spread_doubling():
 
 def test_moments_monte_carlo_match():
     # trajectory ensemble vs closed-form corrections, desk scale
-    params = CollapseParams(3.0, 1.0, 1.0, dimension=1)
+    params = CollapseParams(3.0, 1.0)
     mass, sigma = 8.0, 0.8
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
@@ -750,7 +750,7 @@ def test_characteristic_times_scaling():
     assert t1b / t1a == pytest.approx(4.0 ** (2.0 / 3.0), rel=1e-12)
     assert t2b == pytest.approx(t2a, rel=1e-12)
     # monotone vanishing limit as alpha*lambda grows
-    strong = CollapseParams(DESK.lambda_rate * 1e6, DESK.alpha, 1.0, dimension=1)
+    strong = CollapseParams(DESK.lambda_rate * 1e6, DESK.alpha)
     t1s, t2s = characteristic_times(strong, 1.0, 1.0, 1.0)
     assert t1s < t1a and t2s < t2a
 
@@ -792,14 +792,14 @@ def test_amplified_rate_canonical():
 
 
 def test_energy_increase_canonical_order():
-    micro = CollapseParams(1e-16, 1e10, 1.0)
+    micro = CollapseParams(1e-16, 1e10)
     rate_ev = energy_increase_rate(micro, 1e-23, hbar=HBAR_CGS) / ERG_PER_EV
     assert abs(np.log10(rate_ev) - np.log10(1e-25)) < 1.0
-    assert energy_increase_rate(CollapseParams(1e-300, 1e10, 1.0), 1.0) < 1e-290
+    assert energy_increase_rate(CollapseParams(1e-300, 1e10), 1.0) < 1e-290
 
 
 def test_energy_increase_monte_carlo():
-    params = CollapseParams(3.0, 1.0, 1.0, dimension=1)
+    params = CollapseParams(3.0, 1.0)
     mass, sigma = 8.0, 0.8
     psi = gaussian_packet(256, 0.125, -16.0, mass, 0.0, sigma)
     t = 1.6
