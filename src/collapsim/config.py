@@ -166,6 +166,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     seed = Param(int).read("seed", _parse_value(top.get("seed", str(DEFAULT_SEED))))
     trajectories = top.get("trajectories")
     if trajectories is not None:
+        if TABLES[experiment][1] is None:  # no default: the experiment runs none
+            raise ConfigError(f"{experiment} runs no trajectories; drop the trajectories key")
         trajectories = Param(int, bound="[1, inf)").read("trajectories", _parse_value(trajectories))
     fmt = top.get("format", "csv")
     if fmt not in ("csv", "json"):

@@ -123,11 +123,14 @@ def _hitting_model(p: dict) -> tuple[CollapseParams, list[str]]:
 })
 def run_qmsl_hitting(p: dict, run: Settings, hitting, schrodinger) -> Iterator:
     n, dx, centers = p["n"], p["dx"], tuple(p["centers"])
+    n_traj = 1 if p["record_events"] else run.trajectories
+    # the run, the grid's build included, peaks at 176-179 B per grid point
+    # for one trajectory and at 24 B per point and trajectory for 256-512
+    # (tracemalloc, N = 2^13 to 2^18)
+    require_memory(180 * n + 24 * n * n_traj, "the grid and the final states")
     psi0 = schrodinger.two_packet_state(n, dx, -0.5 * n * dx, p["mass"], centers, p["sigma"])
     params, notices = _hitting_model(p)
     hitting.step_count(p["t_end"], p["dt"])
-    n_traj = 1 if p["record_events"] else run.trajectories
-    require_memory(16 * n * n_traj, "the final states")
     yield notices
     res = hitting.run_qmsl_ensemble(psi0, params, p["t_end"], n_traj, run.seed, p["dt"])
     if p["record_events"]:
@@ -169,6 +172,10 @@ def run_qmsl_master(p: dict, run: Settings, freeparticle, schrodinger) -> Iterat
         })
         for t in p["times"]
     ]
+    # the run peaks at 96 B per kernel entry for one time and at 128 B, with
+    # the last time's kernel and p^2 kernel held, for more (tracemalloc, N =
+    # 512 and 1024)
+    require_memory(128 * n * n, "the master kernels")
     # after the closed forms: a width whose square underflows fails there,
     # as a config error, before the packet divides by it
     psi0 = schrodinger.gaussian_packet(n, dx, -0.5 * n * dx, mass, 0.0, sigma)
@@ -537,39 +544,33 @@ def run_mass_profile(p: dict, run: Settings, massdensity) -> Iterator:
     scenario, n_particles, n_cells = p["scenario"], p["n_particles"], p["n_cells"]
     other = min(1, n_cells - 1)
     m0 = NUCLEON_MASS_G
-    half = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-
-    def two_cells(count):
-        occ = np.zeros((2, n_cells))
-        occ[0, 0] = count
-        occ[1, other] = count
-        return occ
-
-    if scenario == "superposed":
-        state = massdensity.CellConfigurationState(half, two_cells(n_particles), m0)
-    elif scenario == "tails":
-        beta_sq = p["tail_weight"]
-        amps = np.array([np.sqrt(1 - beta_sq), np.sqrt(beta_sq)], dtype=complex)
-        state = massdensity.CellConfigurationState(amps, two_cells(n_particles), m0)
-    elif scenario == "product":
-        placements = tuple((0, other, 0.5) for _ in range(n_particles))
-        state = massdensity.IndependentParticleState(placements, n_cells, m0)
-    elif scenario == "micro":
-        state = massdensity.CellConfigurationState(half, two_cells(1), m0)
+    # the profile and its written table peak at 280 B per cell (tracemalloc
+    # over cli.run, n_cells = 1e4 to 1e6)
+    require_memory(280 * n_cells, "the profile's cells")
+    # computed with the plan, so an overflowing count is a config error
+    if scenario == "product":
+        means, variances = massdensity.product_profile(n_particles, (0, other), n_cells, m0)
+    elif scenario in ("superposed", "tails", "micro"):
+        amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+        if scenario == "tails":
+            beta_sq = p["tail_weight"]
+            amps = np.array([np.sqrt(1 - beta_sq), np.sqrt(beta_sq)], dtype=complex)
+        occupations = np.zeros((2, n_cells))
+        occupations[0, 0] = occupations[1, other] = 1 if scenario == "micro" else n_particles
+        means, variances = massdensity.configuration_profile(amps, occupations, m0)
     else:
         raise ConfigError(f"unknown scenario {scenario!r}")
     yield
-    profile = massdensity.mass_profile(state)
-    ratios, accessible = massdensity.accessibility_ratio(profile)
+    ratios, accessible = massdensity.accessibility_ratio(means, variances)
     rows = [
         (
             i,
-            profile.means[i],
-            profile.variances[i],
+            means[i],
+            variances[i],
             "" if np.isnan(ratios[i]) else ratios[i],
             int(bool(accessible[i])),
         )
-        for i in range(len(profile.means))
+        for i in range(n_cells)
     ]
     yield TableOutput(
         [

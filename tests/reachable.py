@@ -74,6 +74,10 @@ def rejected_runs(bases: dict, small: dict) -> list:
         (bases["mass"], "superposed", "bogus"),
         (bases["mass"], "scenario = superposed", "scenario = superposed\nn_cells = 0"),
         (bases["mass"], "scenario = superposed", "scenario = product\nn_cells = 1"),
+        (bases["mass"], "scenario = superposed", "scenario = superposed\nn_cells = 1e12"),
+        (bases["mass"], "scenario = superposed", "scenario = product\nn_particles = 1" + "0" * 400),
+        (bases["master"], "n = 64", "n = 1048576"), (hitting, "n = 128", "n = 17179869184"),
+        (bases["rates"], "experiment = rates-report", "experiment = rates-report\ntrajectories = 5"),
         (bases["discrete"], "occupations_b = 0, 3", "occupations_b = 0, 3, 1"),
         (bases["discrete"], "occupations_b = 0, 3", "occupations_b = 3, 0"),
         (bases["discrete"], "steps = 40", "steps = 1e19"),

@@ -10,12 +10,7 @@ from collapsim.cooking import sample_cooked_commuting
 from collapsim.diffusion import CslStepper, run_ensemble
 from collapsim.epr import epr_linear_experiment, epr_nonlinear_experiment
 from collapsim.errors import StatisticalPreconditionError
-from collapsim.massdensity import (
-    CellConfigurationState,
-    IndependentParticleState,
-    accessibility_ratio,
-    mass_profile,
-)
+from collapsim.massdensity import accessibility_ratio, configuration_profile, product_profile
 from collapsim.noise import wiener_increment_block
 from collapsim.nosignal import gisin_check, here_there_mixtures
 from collapsim.operators import ProjectorFamily
@@ -50,48 +45,69 @@ KS_SCALE_1E5 = np.sqrt(-np.log(0.5e-5) / 2.0) / 1.358
 def test_mass_profile_number_eigenstate_zero_variance():
     # N/2 particles definitely in each of two regions
     occ = np.array([[50.0, 50.0]])
-    state = CellConfigurationState(np.array([1.0 + 0j]), occ, M0)
-    profile = mass_profile(state)
-    assert np.allclose(profile.means, 50 * M0)
-    assert np.allclose(profile.variances, 0.0)
-    ratios, accessible = accessibility_ratio(profile)
+    means, variances = configuration_profile(np.array([1.0 + 0j]), occ, M0)
+    assert np.allclose(means, 50 * M0)
+    assert np.allclose(variances, 0.0)
+    ratios, accessible = accessibility_ratio(means, variances)
     assert np.all(accessible)
 
 
 def test_mass_profile_macroscopic_superposition():
     n = 100
     occ = np.array([[float(n), 0.0], [0.0, float(n)]])
-    state = CellConfigurationState(
+    means, variances = configuration_profile(
         np.array([1.0, 1.0], dtype=complex) / np.sqrt(2), occ, M0
     )
-    profile = mass_profile(state)
-    assert profile.means[0] == pytest.approx(0.5 * n * M0)
-    assert profile.variances[0] == pytest.approx(0.25 * n**2 * M0**2)
-    ratios, accessible = accessibility_ratio(profile)
+    assert means[0] == pytest.approx(0.5 * n * M0)
+    assert variances[0] == pytest.approx(0.25 * n**2 * M0**2)
+    ratios, accessible = accessibility_ratio(means, variances)
     assert ratios[0] == pytest.approx(1.0)
     assert not accessible.any()
 
 
 def test_mass_profile_micro_superposition():
     occ = np.array([[1.0, 0.0], [0.0, 1.0]])
-    state = CellConfigurationState(
+    means, variances = configuration_profile(
         np.array([1.0, 1.0], dtype=complex) / np.sqrt(2), occ, M0
     )
-    profile = mass_profile(state)
-    assert np.allclose(profile.means, 0.5 * M0)
-    ratios, accessible = accessibility_ratio(profile)
+    assert np.allclose(means, 0.5 * M0)
+    ratios, accessible = accessibility_ratio(means, variances)
     assert np.all(ratios == pytest.approx(1.0))
     assert not accessible.any()
 
 
+def _product_by_particle(n, cells, n_cells):
+    """The product profile summed one particle at a time."""
+    means, variances = np.zeros(n_cells), np.zeros(n_cells)
+    p = 1.0 if cells[0] == cells[1] else 0.5
+    for _ in range(n):
+        for cell, q in zip(cells, (p, 1.0 - p)):
+            means[cell] += M0 * q
+            variances[cell] += M0**2 * p * (1.0 - p)
+    return means, variances
+
+
+@pytest.mark.parametrize("cells, n_cells", [((0, 1), 2), ((0, 1), 3), ((0, 0), 1), ((2, 0), 4)])
+def test_product_profile_sums_its_particles(cells, n_cells):
+    for n in (0, 1, 4, 37):
+        closed, summed = product_profile(n, cells, n_cells, M0), _product_by_particle(n, cells, n_cells)
+        # n roundings of the sum move it at most n * 2^-53 = 4.1e-15 relative
+        np.testing.assert_allclose(closed, summed, rtol=1e-14, atol=0.0)
+
+
 def test_mass_profile_product_state_sqrt_n_ratio():
     n = 40_000
-    placements = tuple((0, 1, 0.5) for _ in range(n))
-    state = IndependentParticleState(placements, 2, M0)
-    profile = mass_profile(state)
-    ratios, accessible = accessibility_ratio(profile)
-    assert profile.means[0] == pytest.approx(0.5 * n * M0)
+    means, variances = product_profile(n, (0, 1), 2, M0)
+    ratios, accessible = accessibility_ratio(means, variances)
+    assert means[0] == pytest.approx(0.5 * n * M0)
     assert ratios[0] == pytest.approx(1.0 / np.sqrt(n), rel=1e-12)
+    assert np.all(accessible)
+
+
+def test_product_profile_is_closed_form_at_a_trillion_particles():
+    n = 10**12
+    ratios, accessible = accessibility_ratio(*product_profile(n, (0, 1), 2, M0))
+    assert ratios == pytest.approx(1.0 / np.sqrt(n), rel=1e-12)
     assert np.all(accessible)
 
 
@@ -99,18 +115,15 @@ def test_mass_profile_tails_ratio():
     beta_sq = 1e-6
     occ = np.array([[1000.0, 0.0], [0.0, 1000.0]])
     amps = np.array([np.sqrt(1 - beta_sq), np.sqrt(beta_sq)], dtype=complex)
-    profile = mass_profile(CellConfigurationState(amps, occ, M0))
-    ratios, _ = accessibility_ratio(profile)
+    ratios, _ = accessibility_ratio(*configuration_profile(amps, occ, M0))
     # surviving region: R ~ |beta|; empty region R ~ 1/|beta| (undefined scale)
     assert ratios[0] == pytest.approx(np.sqrt(beta_sq), rel=1e-3)
     assert ratios[1] > 100.0
 
 
 def test_accessibility_zero_mean_undefined():
-    profile = mass_profile(
-        CellConfigurationState(np.array([1.0 + 0j]), np.array([[0.0, 3.0]]), M0)
-    )
-    ratios, accessible = accessibility_ratio(profile)
+    profile = configuration_profile(np.array([1.0 + 0j]), np.array([[0.0, 3.0]]), M0)
+    ratios, accessible = accessibility_ratio(*profile)
     assert np.isnan(ratios[0]) and not accessible[0]
     assert accessible[1]
 
@@ -405,8 +418,3 @@ def test_decoherence_rates_missing_inputs_raise():
     sources = {s.name: s for s in load_decoherence_sources()}
     with pytest.raises(ValueError, match="missing inputs"):
         decoherence_rates(sources["Quantum gravity"])
-
-
-def test_mass_profile_missing_assignment():
-    with pytest.raises(ValueError, match="missing mass assignment"):
-        mass_profile("not a state")

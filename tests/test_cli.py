@@ -17,7 +17,7 @@ import collapsim
 from collapsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_STATISTICAL, main, run
 from collapsim.config import OUTPUT_BYTES, parse_config_text
 from collapsim.errors import ConfigError
-from collapsim.experiments import plan, run_experiment
+from collapsim.experiments import TABLES, plan, run_experiment
 
 BORN_CFG = """
 experiment = csl-born
@@ -245,6 +245,14 @@ def test_mass_profile_product_in_one_cell_is_the_superposed_profile():
     )
     assert product[0][1] == pytest.approx(superposed[0][1], rel=1e-12)
     assert product[0][2:] == superposed[0][2:] == (0.0, 0.0, 1)  # variance, ratio, accessible
+
+
+@pytest.mark.parametrize(
+    "experiment", sorted(name for name, table in TABLES.items() if table[1] is None)
+)
+def test_trajectories_rejected_where_none_run(experiment):
+    with pytest.raises(ConfigError, match=f"{experiment} runs no trajectories"):
+        parse_config_text(f"experiment = {experiment}\ntrajectories = 5\n")
 
 
 def test_mass_profile_experiment(tmp_path):
@@ -489,6 +497,12 @@ BASES = {
         ("born", "output = born", "output = .."),
         ("born", "output = born", "output = born\0"),
         ("born", "output = born", "output = " + "b" * 250),
+        ("master", "n = 64", "n = 1048576"),
+        ("hitting", "n = 128", "n = 17179869184"),
+        ("mass", "scenario = superposed", "scenario = superposed\nn_cells = 1e12"),
+        ("mass", "scenario = superposed", "scenario = product\nn_cells = 1e12"),
+        ("mass", "scenario = superposed", "scenario = product\nn_particles = 1" + "0" * 400),
+        ("rates", "experiment = rates-report", "experiment = rates-report\ntrajectories = 5"),
     ],
     ids=[
         "steps-text", "steps-negative", "weights-scalar", "trajectories-negative",
@@ -501,7 +515,9 @@ BASES = {
         "equivalence-window-past-memory", "mass-divides-by-zero", "sigma-divides-by-zero",
         "density-overflows", "output-empty", "output-list", "output-absolute",
         "output-in-a-directory", "output-dot", "output-dot-dot", "output-nul",
-        "output-too-long",
+        "output-too-long", "master-kernel-past-memory", "hitting-grid-past-memory",
+        "cells-past-memory", "product-cells-past-memory", "particle-count-overflows",
+        "trajectories-where-none-run",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the exit code comes alone
